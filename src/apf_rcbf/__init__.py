@@ -9,7 +9,6 @@ family of controllers that trade how early and how hard they react to
 obstacles.
 """
 
-from ._backend import BACKEND
 from .clf import ClfTerms, SigmaSelector, check_clf_decrease, clf_terms, nominal_control, sigma_value
 from .errors import (ApfRcbfError, ConfigError, InfeasibleConstraintError,
                      InsideObstacleError, NegativeGammaError, ScenarioValidationError)
@@ -25,6 +24,9 @@ from .simulate import (ControllerSpec, SimConfig, Trajectory, TrajectoryMetrics,
                        read_trajectory_csv, simulate, write_trajectory_csv)
 
 __version__ = "0.1.0"
+
+# the numeric kernels are plain Python over numpy arrays
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -1,15 +1,17 @@
 """Numeric kernels shared by the field/controller API and the simulator.
 
-Everything in this module operates on packed scalars and arrays (no
-dataclasses) so that the same code compiles under numba and runs unchanged as
-plain Python when the numpy backend is selected (``APF_RCBF_NUMBA=0``).
+The controller kernels operate on one packed ``model`` tuple of scalars and
+arrays (no dataclasses), built from a scenario and a controller packing by
+:func:`pack_model`; the field helpers take plain scalars.
 
 Packing conventions used throughout:
 
 * obstacles: ``centers`` (m, 2), ``radii`` (m,), ``rho0s`` (m,)
+* controller packing, built only by :func:`pack_controller`:
+  ``(ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty)``
 * controller kind: 1 = nominal only (no filtering), 2 = filtered
   (the pure potential-field controller and the equivalence filter are packed
-  as kind 2 with ``skind=0, gkind=1, glam=1`` at the Python level)
+  as kind 2 with ``skind=0, gkind=1, glam=1``)
 * sigma selector ``skind``: 0 = squared gradient norm, 1 = scaled potential
   value, 2 = scaled distance, 3 = interpolation table over distance-to-goal
 * gamma selector ``gkind``: 0 = zero, 1 = scaled-special, 2 = interpolation
@@ -35,44 +37,59 @@ import math
 
 import numpy as np
 
-from ._backend import jit_kernel
-
 # terminal status codes used by _integrate
 REACHED_GOAL = 0
 TIMEOUT = 1
 DOMAIN_ERROR = 2
 
+# RK4 stages after the first: (offset of the stage state, weight in the sum)
+RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
-@jit_kernel
-def _rho(x, y, cx, cy, r):
-    ox = x - cx
-    oy = y - cy
-    return math.sqrt(ox * ox + oy * oy) - r
-
-
-@jit_kernel
-def _min_clearance(x, y, centers, radii):
-    hmin = np.inf
-    for i in range(centers.shape[0]):
-        h = _rho(x, y, centers[i, 0], centers[i, 1], radii[i])
-        if h < hmin:
-            hmin = h
-    return hmin
+# placeholder interpolation table for selector slots that are not in use
+NO_TABLE = np.zeros(1)
+NO_TABLE.setflags(write=False)
 
 
-@jit_kernel
+def pack_controller(sigma_sel=None, gamma_sel=None, filtered=True):
+    """The controller packing for the given tightening selectors.
+
+    A missing ``sigma_sel`` means the squared gradient norm and a missing
+    ``gamma_sel`` the unit scaled-special tightening: the packing under which
+    the filtered stabilizer is the combined potential-field controller,
+    whose correction collapses to exactly -F_rep per obstacle.  With
+    ``filtered=False`` the stabilizer runs alone and ``gamma_sel`` is unused.
+    """
+    if sigma_sel is None:
+        skind, scoef, stx, sty = 0, 1.0, NO_TABLE, NO_TABLE
+    else:
+        skind, scoef, stx, sty = sigma_sel.packed()
+    if not filtered:
+        return (1, skind, scoef, stx, sty, 0, 0.0, NO_TABLE, NO_TABLE)
+    if gamma_sel is None:
+        gkind, glam, gtx, gty = 1, 1.0, NO_TABLE, NO_TABLE
+    else:
+        gkind, glam, gtx, gty = gamma_sel.packed()
+    return (2, skind, scoef, stx, sty, gkind, glam, gtx, gty)
+
+
+def pack_model(scenario, packing):
+    """The ``model`` tuple the controller kernels take: goal, obstacles and
+    gains of ``scenario`` followed by the controller ``packing``."""
+    centers, radii, rho0s = scenario.packed()
+    return (float(scenario.goal[0]), float(scenario.goal[1]), centers, radii, rho0s,
+            scenario.k_att, scenario.k_rep, scenario.alpha_gain, *packing)
+
+
 def _att_value(x, y, gx, gy, k_att):
     dx = x - gx
     dy = y - gy
     return 0.5 * k_att * (dx * dx + dy * dy)
 
 
-@jit_kernel
 def _att_grad(x, y, gx, gy, k_att):
     return k_att * (x - gx), k_att * (y - gy)
 
 
-@jit_kernel
 def _rep_value(x, y, cx, cy, r, rho0, k_rep):
     ox = x - cx
     oy = y - cy
@@ -83,7 +100,6 @@ def _rep_value(x, y, cx, cy, r, rho0, k_rep):
     return 0.5 * k_rep * q * q
 
 
-@jit_kernel
 def _rep_grad(x, y, cx, cy, r, rho0, k_rep):
     """Gradient of the repulsive potential (the repulsive force).
 
@@ -102,13 +118,11 @@ def _rep_grad(x, y, cx, cy, r, rho0, k_rep):
     return coef * ox, coef * oy
 
 
-@jit_kernel
 def _alpha_bar(h, rho0, k_rep):
     q = rho0 * h / (rho0 - h)
     return (2.0 / k_rep) * q * q
 
 
-@jit_kernel
 def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
     """Tightening term for the stabilizing controller, per selector."""
     dx = x - gx
@@ -124,11 +138,7 @@ def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
     return np.interp(math.sqrt(dx * dx + dy * dy), stx, sty)
 
 
-@jit_kernel
-def _control_point(x, y, gx, gy, centers, radii, rho0s,
-                   k_att, k_rep, alpha_gain,
-                   ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty,
-                   phis):
+def _control_point(x, y, model, phis):
     """Evaluate one controller at one state.
 
     Fills ``phis`` (one constraint margin per obstacle; NaN for obstacles the
@@ -137,6 +147,8 @@ def _control_point(x, y, gx, gy, centers, radii, rho0s,
     (+inf when no obstacle was active).  Callers must treat the control as
     undefined when ``hmin <= 0``.
     """
+    (gx, gy, centers, radii, rho0s, k_att, k_rep, alpha_gain,
+     ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
     bx = k_att * (x - gx)
     by = k_att * (y - gy)
     bb = bx * bx + by * by
@@ -199,19 +211,13 @@ def _control_point(x, y, gx, gy, centers, radii, rho0s,
     return ux, uy, hmin, ming
 
 
-@jit_kernel
-def _eval_controls(xs, ys, gx, gy, centers, radii, rho0s,
-                   k_att, k_rep, alpha_gain,
-                   ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty,
-                   out_ux, out_uy, out_h):
+def _eval_controls(xs, ys, model, out_ux, out_uy, out_h):
     """Evaluate one controller over a batch of states (the grid sweep)."""
+    centers = model[2]
     phis = np.empty(centers.shape[0], dtype=np.float64)
     ming = np.inf
     for i in range(xs.shape[0]):
-        ux, uy, hmin, mg = _control_point(
-            xs[i], ys[i], gx, gy, centers, radii, rho0s,
-            k_att, k_rep, alpha_gain,
-            ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty, phis)
+        ux, uy, hmin, mg = _control_point(xs[i], ys[i], model, phis)
         out_ux[i] = ux
         out_uy[i] = uy
         out_h[i] = hmin
@@ -220,11 +226,7 @@ def _eval_controls(xs, ys, gx, gy, centers, radii, rho0s,
     return ming
 
 
-@jit_kernel
-def _integrate(x0x, x0y, gx, gy, centers, radii, rho0s,
-               k_att, k_rep, alpha_gain,
-               ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty,
-               dt, n_max, goal_tol, integ,
+def _integrate(x0x, x0y, model, dt, n_max, goal_tol, integ,
                ts, xs, ys, uxs, uys, hs, vs, phis_out):
     """Closed-loop rollout of the single integrator under one controller.
 
@@ -236,8 +238,8 @@ def _integrate(x0x, x0y, gx, gy, centers, radii, rho0s,
 
     Returns ``(n_samples, status, min_gamma, n_negative_gamma_evals)``.
     """
-    m = centers.shape[0]
-    scratch = np.empty(m, dtype=np.float64)
+    gx, gy, centers, _, _, k_att = model[:6]
+    scratch = np.empty(centers.shape[0], dtype=np.float64)
     ming = np.inf
     negcount = 0
     xx = x0x
@@ -245,11 +247,7 @@ def _integrate(x0x, x0y, gx, gy, centers, radii, rho0s,
     n = 0
     status = TIMEOUT
     for k in range(n_max + 1):
-        ux, uy, hmin, mg = _control_point(
-            xx, yy, gx, gy, centers, radii, rho0s,
-            k_att, k_rep, alpha_gain,
-            ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty,
-            phis_out[k])
+        ux, uy, hmin, mg = _control_point(xx, yy, model, phis_out[k])
         if mg < ming:
             ming = mg
         if mg < 0.0:
@@ -276,48 +274,26 @@ def _integrate(x0x, x0y, gx, gy, centers, radii, rho0s,
         if integ == 0:
             xx = xx + dt * ux
             yy = yy + dt * uy
+            continue
+        # RK4: sx, sy accumulate k1 + 2 k2 + 2 k3 + k4 left to right
+        kx = sx = ux
+        ky = sy = uy
+        for c, w in RK4_STAGES:
+            kx, ky, hk, mg = _control_point(xx + c * dt * kx, yy + c * dt * ky,
+                                            model, scratch)
+            if mg < ming:
+                ming = mg
+            if mg < 0.0:
+                negcount += 1
+            if hk <= 0.0:
+                break
+            sx = sx + w * kx
+            sy = sy + w * ky
         else:
-            k1x = ux
-            k1y = uy
-            x2 = xx + 0.5 * dt * k1x
-            y2 = yy + 0.5 * dt * k1y
-            k2x, k2y, h2, mg2 = _control_point(
-                x2, y2, gx, gy, centers, radii, rho0s,
-                k_att, k_rep, alpha_gain,
-                ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty, scratch)
-            if mg2 < ming:
-                ming = mg2
-            if mg2 < 0.0:
-                negcount += 1
-            if h2 <= 0.0:
-                status = DOMAIN_ERROR
-                break
-            x3 = xx + 0.5 * dt * k2x
-            y3 = yy + 0.5 * dt * k2y
-            k3x, k3y, h3, mg3 = _control_point(
-                x3, y3, gx, gy, centers, radii, rho0s,
-                k_att, k_rep, alpha_gain,
-                ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty, scratch)
-            if mg3 < ming:
-                ming = mg3
-            if mg3 < 0.0:
-                negcount += 1
-            if h3 <= 0.0:
-                status = DOMAIN_ERROR
-                break
-            x4 = xx + dt * k3x
-            y4 = yy + dt * k3y
-            k4x, k4y, h4, mg4 = _control_point(
-                x4, y4, gx, gy, centers, radii, rho0s,
-                k_att, k_rep, alpha_gain,
-                ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty, scratch)
-            if mg4 < ming:
-                ming = mg4
-            if mg4 < 0.0:
-                negcount += 1
-            if h4 <= 0.0:
-                status = DOMAIN_ERROR
-                break
-            xx = xx + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            yy = yy + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            xx = xx + (dt / 6.0) * sx
+            yy = yy + (dt / 6.0) * sy
+            continue
+        # reached only by the break above: a stage state touched an obstacle
+        status = DOMAIN_ERROR
+        break
     return n, status, ming, negcount

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .fields import _NO_TABLE, _as_point, f_att, run_control_kernel
+from .fields import _as_point, f_att, run_control_kernel
 from .scenario import Scenario
 
 _SIGMA_KINDS = {"grad_norm_squared": 0, "scaled_value": 1, "scaled_norm": 2, "custom": 3}
@@ -96,7 +96,7 @@ class SigmaSelector:
         if self.kind == "custom":
             stx, sty = self.table
         else:
-            stx = sty = _NO_TABLE
+            stx = sty = _k.NO_TABLE
         return skind, scoef, stx, sty
 
 
@@ -123,18 +123,13 @@ def clf_terms(x, scenario: Scenario, sel: SigmaSelector) -> ClfTerms:
     return ClfTerms(a=a, b=b, sigma=sigma, a_tilde=a + sigma)
 
 
-def _nominal_packing(sel: SigmaSelector):
-    skind, scoef, stx, sty = sel.packed()
-    return (1, skind, scoef, stx, sty, 0, 0.0, _NO_TABLE, _NO_TABLE)
-
-
 def nominal_control(x, scenario: Scenario, sel: SigmaSelector) -> np.ndarray:
     """Min-norm control meeting the tightened decrease condition.
 
     Solves  min |u|^2  s.t.  sigma + b.u <= 0  in closed form:
     u = -(sigma/|b|^2) b, and u = 0 at the goal where both sides vanish.
     """
-    u, _, _ = run_control_kernel(x, scenario, _nominal_packing(sel),
+    u, _, _ = run_control_kernel(x, scenario, _k.pack_controller(sel, filtered=False),
                                  require_clearance=False)
     return u
 

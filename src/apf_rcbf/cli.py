@@ -286,13 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate every configured controller")
     p_run.add_argument("config", help="run config JSON (or the name of a bundled one)")
     p_run.add_argument("--output-dir", default=None, help="override the config's output_dir")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the numerical property suites")
     p_ver.add_argument("config", help="run config JSON (or the name of a bundled one)")
     p_ver.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    p_ver.add_argument("--output-dir", default=None, help=argparse.SUPPRESS)
     p_ver.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -28,15 +28,6 @@ from .scenario import Obstacle, Scenario, rho
 
 INSIDE_OBSTACLE_MSG = "inside obstacle: repulsive potential undefined"
 
-# placeholder interpolation table for selector slots that are not in use
-_NO_TABLE = np.zeros(1)
-_NO_TABLE.setflags(write=False)
-
-# kernel packing for the combined potential-field controller: filtered kind
-# with squared-gradient-norm tightening and scaled-special margin at unit
-# scale, whose correction collapses to exactly -F_rep per obstacle
-APF_PACKING = (2, 0, 1.0, _NO_TABLE, _NO_TABLE, 1, 1.0, _NO_TABLE, _NO_TABLE)
-
 
 @dataclass(frozen=True)
 class FieldEval:
@@ -63,15 +54,9 @@ def run_control_kernel(x, scenario: Scenario, packing, phis=None,
     passes ``False`` since it is defined everywhere.
     """
     px, py = _as_point(x)
-    centers, radii, rho0s = scenario.packed()
     if phis is None:
         phis = np.empty(len(scenario.obstacles), dtype=np.float64)
-    ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty = packing
-    ux, uy, hmin, ming = _k._control_point(
-        px, py, float(scenario.goal[0]), float(scenario.goal[1]),
-        centers, radii, rho0s,
-        scenario.k_att, scenario.k_rep, scenario.alpha_gain,
-        ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty, phis)
+    ux, uy, hmin, ming = _k._control_point(px, py, _k.pack_model(scenario, packing), phis)
     if require_clearance and hmin <= 0.0:
         raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
     return np.array([ux, uy]), hmin, ming
@@ -117,7 +102,7 @@ def repulsive_field(x, obs: Obstacle, scenario: Scenario) -> FieldEval:
 
 def apf_control(x, scenario: Scenario) -> np.ndarray:
     """Combined potential-field control  u = -F_att - sum_i F_rep_i."""
-    u, _, _ = run_control_kernel(x, scenario, APF_PACKING)
+    u, _, _ = run_control_kernel(x, scenario, _k.pack_controller())
     return u
 
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .clf import SigmaSelector, sigma_value
+from .clf import SigmaSelector, _freeze_table, sigma_value
 from .errors import InfeasibleConstraintError, InsideObstacleError, NegativeGammaError
-from .fields import _NO_TABLE, INSIDE_OBSTACLE_MSG, f_att, f_rep, run_control_kernel, u_rep
+from .fields import INSIDE_OBSTACLE_MSG, f_att, f_rep, run_control_kernel, u_rep
 from .scenario import Obstacle, Scenario, rho
 
 logger = logging.getLogger(__name__)
@@ -86,8 +86,6 @@ class GammaSelector:
         if self.kind == "custom":
             if self.table is None:
                 raise ValueError("custom gamma selector requires a table")
-            from .clf import _freeze_table
-
             xs, ys = _freeze_table(self.table[0], self.table[1], "gamma")
             if xs[0] < 0.0:
                 raise ValueError("gamma table knots are clearances and must be >= 0")
@@ -113,7 +111,7 @@ class GammaSelector:
         if self.kind == "custom":
             gtx, gty = self.table
         else:
-            gtx = gty = _NO_TABLE
+            gtx = gty = _k.NO_TABLE
         return gkind, glam, gtx, gty
 
     def _key(self):
@@ -201,12 +199,6 @@ def safety_filter(u_nom, terms: RcbfTerms):
                                            g_att=math.nan, g_rep=g_rep)
 
 
-# packing for the fixed equivalence filter: squared-gradient-norm stabilizer
-# with unit-scale scaled-special tightening (identical to the packing the
-# combined potential-field controller uses)
-_SPECIAL_PACKING = (2, 0, 1.0, _NO_TABLE, _NO_TABLE, 1, 1.0, _NO_TABLE, _NO_TABLE)
-
-
 def special_filter_control(x, scenario: Scenario) -> np.ndarray:
     """Safety-filtered stabilizer with the unit scaled-special tightening.
 
@@ -214,7 +206,7 @@ def special_filter_control(x, scenario: Scenario) -> np.ndarray:
     obstacles: -F_att where no obstacle is active, -F_att - sum F_rep_i
     otherwise.
     """
-    u, _, ming = run_control_kernel(x, scenario, _SPECIAL_PACKING)
+    u, _, ming = run_control_kernel(x, scenario, _k.pack_controller())
     if ming < 0.0:
         _warn_negative_gamma(("scaled_special", 1.0), ming, "in special_filter_control")
     return u
@@ -229,11 +221,9 @@ def generalized_control(x, scenario: Scenario, sigma_sel: SigmaSelector,
     correction g_rep F_rep with g_rep = -phi/|F_rep|^2, superposed onto
     u_nom.  Returns ``(u, per-obstacle FilterDiagnostics tuple)``.
     """
-    skind, scoef, stx, sty = sigma_sel.packed()
-    gkind, glam, gtx, gty = gamma_sel.packed()
-    packing = (2, skind, scoef, stx, sty, gkind, glam, gtx, gty)
     phis = np.empty(len(scenario.obstacles), dtype=np.float64)
-    u, _, ming = run_control_kernel(x, scenario, packing, phis=phis)
+    u, _, ming = run_control_kernel(x, scenario, _k.pack_controller(sigma_sel, gamma_sel),
+                                    phis=phis)
     if ming < 0.0:
         _warn_negative_gamma(gamma_sel._key(), ming, "in generalized_control")
 

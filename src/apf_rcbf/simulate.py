@@ -26,8 +26,6 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import SigmaSelector
-from .errors import ScenarioValidationError  # noqa: F401  (re-raised through validate)
-from .fields import _NO_TABLE
 from .rcbf import GammaSelector
 from .scenario import Scenario, classify_safety, validate_scenario
 
@@ -63,13 +61,8 @@ class ControllerSpec:
 
     def packing(self):
         """Kernel packing tuple for this controller."""
-        if self.kind in ("apf", "special_filter"):
-            return (2, 0, 1.0, _NO_TABLE, _NO_TABLE, 1, 1.0, _NO_TABLE, _NO_TABLE)
-        skind, scoef, stx, sty = self.sigma_sel.packed()
-        if self.kind == "nominal_only":
-            return (1, skind, scoef, stx, sty, 0, 0.0, _NO_TABLE, _NO_TABLE)
-        gkind, glam, gtx, gty = self.gamma_sel.packed()
-        return (2, skind, scoef, stx, sty, gkind, glam, gtx, gty)
+        return _k.pack_controller(self.sigma_sel, self.gamma_sel,
+                                  filtered=self.kind != "nominal_only")
 
 
 @dataclass(frozen=True)
@@ -153,14 +146,8 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
     vs = np.empty(n_max + 1)
     phis = np.empty((n_max + 1, m))
 
-    centers, radii, rho0s = scenario.packed()
-    ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty = ctrl.packing()
     n, status, ming, negcount = _k._integrate(
-        float(x0[0]), float(x0[1]),
-        float(scenario.goal[0]), float(scenario.goal[1]),
-        centers, radii, rho0s,
-        scenario.k_att, scenario.k_rep, scenario.alpha_gain,
-        ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty,
+        float(x0[0]), float(x0[1]), _k.pack_model(scenario, ctrl.packing()),
         cfg.dt, n_max, cfg.goal_tolerance, INTEGRATORS[cfg.integrator],
         ts, xs, ys, uxs, uys, hs, vs, phis)
     if negcount and ctrl.kind in ("special_filter", "generalized"):

@@ -35,16 +35,10 @@ class SuiteResult:
 
 
 def _eval_packed(scenario: Scenario, packing, xs, ys):
-    centers, radii, rho0s = scenario.packed()
-    ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty = packing
     out_ux = np.empty(xs.shape[0])
     out_uy = np.empty(xs.shape[0])
     out_h = np.empty(xs.shape[0])
-    _k._eval_controls(xs, ys, float(scenario.goal[0]), float(scenario.goal[1]),
-                      centers, radii, rho0s,
-                      scenario.k_att, scenario.k_rep, scenario.alpha_gain,
-                      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty,
-                      out_ux, out_uy, out_h)
+    _k._eval_controls(xs, ys, _k.pack_model(scenario, packing), out_ux, out_uy, out_h)
     return out_ux, out_uy
 
 
