@@ -1,12 +1,16 @@
 """Numeric kernels shared by the field/controller API and the simulator.
 
-The controller kernels operate on one packed ``model`` tuple of scalars and
-arrays (no dataclasses), built from a scenario and a controller packing by
-:func:`pack_model`; the field helpers take plain scalars.
+The controller kernels operate on one packed ``model`` tuple (no
+dataclasses), built from a scenario and a controller packing by
+:func:`pack_model`; the field helpers take plain scalars.  Every scalar in the
+model is a Python ``float`` (or ``int`` selector): ``pack_model`` unboxes the
+scenario's numpy arrays once, so the per-state arithmetic never touches numpy
+scalars, which cost about four times as much per arithmetic operation.
 
 Packing conventions used throughout:
 
-* obstacles: ``centers`` (m, 2), ``radii`` (m,), ``rho0s`` (m,)
+* model: ``(gx, gy, obstacles, k_att, k_rep, alpha_gain, *packing)``
+* obstacles: a tuple of ``(cx, cy, r, rho0)`` float tuples, one per obstacle
 * controller packing, built only by :func:`pack_controller`:
   ``(ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty)``
 * controller kind: 1 = nominal only (no filtering), 2 = filtered
@@ -76,8 +80,11 @@ def pack_model(scenario, packing):
     """The ``model`` tuple the controller kernels take: goal, obstacles and
     gains of ``scenario`` followed by the controller ``packing``."""
     centers, radii, rho0s = scenario.packed()
-    return (float(scenario.goal[0]), float(scenario.goal[1]), centers, radii, rho0s,
-            scenario.k_att, scenario.k_rep, scenario.alpha_gain, *packing)
+    obstacles = tuple((cx, cy, r, rho0) for (cx, cy), r, rho0
+                      in zip(centers.tolist(), radii.tolist(), rho0s.tolist()))
+    gx, gy = scenario.goal.tolist()
+    return (gx, gy, obstacles, float(scenario.k_att), float(scenario.k_rep),
+            float(scenario.alpha_gain), *packing)
 
 
 def _att_value(x, y, gx, gy, k_att):
@@ -135,7 +142,7 @@ def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
         return scoef * (0.5 * k_att * (dx * dx + dy * dy))
     if skind == 2:
         return scoef * math.sqrt(dx * dx + dy * dy)
-    return np.interp(math.sqrt(dx * dx + dy * dy), stx, sty)
+    return float(np.interp(math.sqrt(dx * dx + dy * dy), stx, sty))
 
 
 def _control_point(x, y, model, phis):
@@ -147,7 +154,7 @@ def _control_point(x, y, model, phis):
     (+inf when no obstacle was active).  Callers must treat the control as
     undefined when ``hmin <= 0``.
     """
-    (gx, gy, centers, radii, rho0s, k_att, k_rep, alpha_gain,
+    (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
     bx = k_att * (x - gx)
     by = k_att * (y - gy)
@@ -162,21 +169,18 @@ def _control_point(x, y, model, phis):
 
     ux = unx
     uy = uny
-    hmin = np.inf
-    ming = np.inf
-    for i in range(centers.shape[0]):
-        cx = centers[i, 0]
-        cy = centers[i, 1]
+    hmin = math.inf
+    ming = math.inf
+    for i, (cx, cy, r, rho0) in enumerate(obstacles):
         ox = x - cx
         oy = y - cy
         dist = math.sqrt(ox * ox + oy * oy)
-        rho = dist - radii[i]
+        rho = dist - r
         if rho < hmin:
             hmin = rho
         if rho <= 0.0:
-            phis[i] = np.nan
+            phis[i] = math.nan
             continue
-        rho0 = rho0s[i]
         if rho >= rho0:
             dx = 0.0
             dy = 0.0
@@ -199,7 +203,7 @@ def _control_point(x, y, model, phis):
             gam = 0.0
             phi = -alphah + (dx * unx + dy * uny)
         else:
-            gam = np.interp(rho, gtx, gty)
+            gam = float(np.interp(rho, gtx, gty))
             phi = (-alphah + gam) + (dx * unx + dy * uny)
         if gam < ming:
             ming = gam
@@ -213,11 +217,10 @@ def _control_point(x, y, model, phis):
 
 def _eval_controls(xs, ys, model, out_ux, out_uy, out_h):
     """Evaluate one controller over a batch of states (the grid sweep)."""
-    centers = model[2]
-    phis = np.empty(centers.shape[0], dtype=np.float64)
-    ming = np.inf
-    for i in range(xs.shape[0]):
-        ux, uy, hmin, mg = _control_point(xs[i], ys[i], model, phis)
+    phis = np.empty(len(model[2]), dtype=np.float64)
+    ming = math.inf
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        ux, uy, hmin, mg = _control_point(x, y, model, phis)
         out_ux[i] = ux
         out_uy[i] = uy
         out_h[i] = hmin
@@ -238,9 +241,9 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, integ,
 
     Returns ``(n_samples, status, min_gamma, n_negative_gamma_evals)``.
     """
-    gx, gy, centers, _, _, k_att = model[:6]
-    scratch = np.empty(centers.shape[0], dtype=np.float64)
-    ming = np.inf
+    gx, gy, obstacles, k_att = model[:4]
+    scratch = np.empty(len(obstacles), dtype=np.float64)
+    ming = math.inf
     negcount = 0
     xx = x0x
     yy = x0y

@@ -52,6 +52,22 @@ class QpSolution:
     feasible: bool
 
 
+def _max_nan(values):
+    """``max(0.0, *values)``, but NaN as soon as any value is NaN.
+
+    The bookkeeping runs on a handful of Python floats, where this beats a
+    numpy reduction; unlike the builtin ``max`` it propagates NaN the way
+    ``np.max`` does, whatever the position of the NaN.
+    """
+    out = 0.0
+    for v in values:
+        if v != v:
+            return v
+        if v > out:
+            out = v
+    return out
+
+
 def solve_projection(u_nom, constraints) -> QpSolution:
     """Exact minimizer of 1/2 |u - u_nom|^2 over the half-space intersection.
 
@@ -68,7 +84,7 @@ def solve_projection(u_nom, constraints) -> QpSolution:
         for subset in combinations(range(m), size):
             if size == 0:
                 u = u_nom.copy()
-                lam = np.zeros(0)
+                lams = []
                 stationarity = 0.0
                 complementarity = 0.0
             else:
@@ -83,16 +99,17 @@ def solve_projection(u_nom, constraints) -> QpSolution:
                     lam = np.linalg.solve(A, offsets[idx] + N @ u_nom)
                 except np.linalg.LinAlgError:
                     continue
-                if np.any(lam < -MULTIPLIER_TOL):
+                lams = lam.tolist()
+                if any(v < -MULTIPLIER_TOL for v in lams):
                     continue
                 u = u_nom - N.T @ lam
                 stationarity = float(np.linalg.norm((u - u_nom) + N.T @ lam))
-                complementarity = float(np.max(np.abs(lam * (offsets[idx] + N @ u))))
-            residuals = offsets + normals @ u if m else np.zeros(0)
-            primal = float(np.max(residuals, initial=0.0))
+                complementarity = _max_nan(
+                    abs(v * r) for v, r in zip(lams, (offsets[idx] + N @ u).tolist()))
+            primal = _max_nan((offsets + normals @ u).tolist() if m else ())
             if primal > FEASIBILITY_TOL:
                 continue
-            dual = float(np.max(-lam, initial=0.0))
+            dual = _max_nan(-v for v in lams)
             kkt = max(stationarity, complementarity, primal, dual, 0.0)
             u.setflags(write=False)
             return QpSolution(u_star=u, active_set=subset, kkt_residual=kkt, feasible=True)

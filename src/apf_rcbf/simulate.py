@@ -148,7 +148,7 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
 
     n, status, ming, negcount = _k._integrate(
         float(x0[0]), float(x0[1]), _k.pack_model(scenario, ctrl.packing()),
-        cfg.dt, n_max, cfg.goal_tolerance, INTEGRATORS[cfg.integrator],
+        float(cfg.dt), n_max, float(cfg.goal_tolerance), INTEGRATORS[cfg.integrator],
         ts, xs, ys, uxs, uys, hs, vs, phis)
     if negcount and ctrl.kind in ("special_filter", "generalized"):
         # The pure potential-field packing shares the kernel but advertises no
@@ -200,13 +200,10 @@ def csv_header(n_obstacles: int) -> str:
 
 def write_trajectory_csv(tr: Trajectory, path) -> None:
     """Plain CSV, one row per sample, '.' decimal separator, %.17g floats."""
-    m = tr.phi.shape[1]
+    rows = np.column_stack([tr.t, tr.x, tr.u, tr.h_min, tr.V, tr.phi]).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_header(m) + "\n")
-        for k in range(tr.n_samples):
-            row = [tr.t[k], tr.x[k, 0], tr.x[k, 1], tr.u[k, 0], tr.u[k, 1],
-                   tr.h_min[k], tr.V[k]]
-            row.extend(tr.phi[k])
+        fh.write(csv_header(tr.phi.shape[1]) + "\n")
+        for row in rows:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 

@@ -75,6 +75,23 @@ def test_infeasible_intersection():
     assert sol.kkt_residual == np.inf
 
 
+@pytest.mark.parametrize("u_nom, cons", [
+    ([1.0, 2.0], [hs(np.nan, 1.0, 0.0)]),
+    # a NaN residual after a violated one: the whole primal check reads NaN
+    ([0.0, 0.0], [hs(1.0, 0.0, 1.0), hs(np.nan, 1.0, 0.0)]),
+    ([0.0, 0.0], [hs(np.nan, 1.0, 0.0), hs(1.0, 0.0, 1.0)]),
+    ([-2.5, 0.5], []),
+], ids=["nan-offset", "nan-after-violated", "nan-before-violated", "no-constraints"])
+def test_nan_offset_and_empty_list_keep_nominal(u_nom, cons):
+    """A NaN residual fails no comparison, so the empty active set is accepted
+    with the nominal control and a zero KKT residual, as for no constraints."""
+    sol = solve_projection(u_nom, cons)
+    assert sol.u_star.tobytes() == np.array(u_nom).tobytes()
+    assert sol.active_set == ()
+    assert sol.kkt_residual == 0.0
+    assert sol.feasible
+
+
 def test_constraint_count_limit():
     cons = [hs(-10.0, 1.0, 0.0)] * (MAX_CONSTRAINTS + 1)
     with pytest.raises(ValueError, match="at most"):
