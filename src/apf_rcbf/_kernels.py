@@ -25,6 +25,15 @@ Packing conventions used throughout:
 
 Kernels never raise: domain violations are reported through return codes and
 NaN diagnostics, and the Python wrappers convert them into typed exceptions.
+(``validate_scenario`` keeps obstacle radii above ``scenario.MIN_RADIUS``, so
+a positive clearance never squares to 0.0 in the repulsive terms.)
+
+Stationary states: where the attractive and repulsive fields balance (a
+stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
+and a step returns its own state bit for bit.  :func:`_integrate` stops
+stepping there and fills the rest of the horizon with copies of the last
+sample, which is what stepping would have recorded: the controller is a pure
+function of the state.
 
 A note on arithmetic: the filtered controller computes its correction for the
 scaled-special tightening as ``phi = lam * D`` in closed form (the definition
@@ -239,6 +248,15 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, integ,
     the current state — or, for RK4, any stage state — has nonpositive
     clearance, because the controller is undefined there.
 
+    A stationary state ends the stepping early with the same record.  When a
+    step returns its own state bit for bit (signed zeros included; a stall,
+    where ``dt * |u|`` is below half an ulp of the state), every later step
+    would repeat it: the controller is a pure function of the state, and so
+    is the goal test.  The remaining rows are filled with copies of the last
+    one, their times are ``k * dt`` as the loop would write them, the status
+    is a timeout, and the negative-tightening count advances by the
+    evaluations the skipped steps would have made.
+
     Returns ``(n_samples, status, min_gamma, n_negative_gamma_evals)``.
     """
     gx, gy, obstacles, k_att = model[:4]
@@ -274,29 +292,48 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, integ,
         if k == n_max:
             status = TIMEOUT
             break
+        neg_before_stages = negcount
         if integ == 0:
-            xx = xx + dt * ux
-            yy = yy + dt * uy
-            continue
-        # RK4: sx, sy accumulate k1 + 2 k2 + 2 k3 + k4 left to right
-        kx = sx = ux
-        ky = sy = uy
-        for c, w in RK4_STAGES:
-            kx, ky, hk, mg = _control_point(xx + c * dt * kx, yy + c * dt * ky,
-                                            model, scratch)
-            if mg < ming:
-                ming = mg
-            if mg < 0.0:
-                negcount += 1
-            if hk <= 0.0:
-                break
-            sx = sx + w * kx
-            sy = sy + w * ky
+            nx = xx + dt * ux
+            ny = yy + dt * uy
         else:
-            xx = xx + (dt / 6.0) * sx
-            yy = yy + (dt / 6.0) * sy
-            continue
-        # reached only by the break above: a stage state touched an obstacle
-        status = DOMAIN_ERROR
-        break
+            # RK4: sx, sy accumulate k1 + 2 k2 + 2 k3 + k4 left to right
+            kx = sx = ux
+            ky = sy = uy
+            for c, w in RK4_STAGES:
+                kx, ky, hk, mgk = _control_point(xx + c * dt * kx, yy + c * dt * ky,
+                                                 model, scratch)
+                if mgk < ming:
+                    ming = mgk
+                if mgk < 0.0:
+                    negcount += 1
+                if hk <= 0.0:
+                    break
+                sx = sx + w * kx
+                sy = sy + w * ky
+            if hk <= 0.0:
+                # a stage state touched an obstacle
+                status = DOMAIN_ERROR
+                break
+            nx = xx + (dt / 6.0) * sx
+            ny = yy + (dt / 6.0) * sy
+        if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
+                and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
+            # stationary: rows k+1 .. n_max repeat row k; each skipped step
+            # evaluates its sample, and every one but the last its stages
+            n = n_max + 1
+            ts[k + 1:n] = np.arange(k + 1, n) * dt
+            xs[k + 1:n] = xx
+            ys[k + 1:n] = yy
+            uxs[k + 1:n] = ux
+            uys[k + 1:n] = uy
+            hs[k + 1:n] = hmin
+            vs[k + 1:n] = vs[k]
+            phis_out[k + 1:n] = phis_out[k]
+            rest = n_max - k
+            negcount += rest * (mg < 0.0) + (rest - 1) * (negcount - neg_before_stages)
+            status = TIMEOUT
+            break
+        xx = nx
+        yy = ny
     return n, status, ming, negcount

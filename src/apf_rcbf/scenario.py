@@ -24,6 +24,15 @@ from .errors import ScenarioValidationError
 
 BOUNDARY_TOL = 1e-9
 
+# Smallest obstacle radius the kernels can evaluate.  Outside an obstacle of
+# radius r in [2**e, 2**(e + 1)) a computed clearance rho = dist - r is either
+# 0 or at least ulp(r) = 2**(e - 52), because dist > r is a float at least one
+# ulp above r.  The repulsive gradient divides by rho * rho, which is nonzero
+# for every positive rho iff ulp(r)**2 >= 2**-1074, the smallest subnormal,
+# i.e. e >= -485.  Below this floor a state one ulp outside the obstacle
+# squares its clearance to 0.0 and the division fails.
+MIN_RADIUS = 2.0 ** -485  # about 1.0e-146
+
 _SCENARIO_KEYS = {"goal", "obstacles", "k_att", "k_rep", "alpha_gain"}
 _OBSTACLE_KEYS = {"center", "radius", "rho0"}
 
@@ -138,6 +147,9 @@ def scenario_violations(scenario: Scenario) -> list:
     for i, obs in enumerate(scenario.obstacles):
         if obs.radius <= 0.0:
             violations.append(f"obstacle {i}: radius must be positive")
+        elif obs.radius < MIN_RADIUS:
+            violations.append(f"obstacle {i}: radius below {MIN_RADIUS:.3g}, where a "
+                              "positive clearance can square to 0.0")
         if obs.influence_margin <= 0.0:
             violations.append(f"obstacle {i}: influence_margin must be positive")
     for i, obs in enumerate(scenario.obstacles):

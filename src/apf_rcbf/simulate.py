@@ -39,6 +39,11 @@ TERMINAL_NAMES = {_k.REACHED_GOAL: "reached_goal",
 
 CSV_BASE_COLUMNS = ("t", "x", "y", "ux", "uy", "h_min", "V")
 
+# Most floats one run may preallocate for its record, (t_max/dt + 1) rows of
+# 7 + m columns: 2**25 floats, 256 MiB, ~3.4 million rows with three
+# obstacles.  The bundled configs record at most 10,001 rows of 10 floats.
+MAX_RECORD_FLOATS = 2 ** 25
+
 
 @dataclass(frozen=True)
 class ControllerSpec:
@@ -136,7 +141,13 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
                 f"smallest obstacle radius ({r_min})")
 
     m = len(scenario.obstacles)
-    n_max = int(round(cfg.t_max / cfg.dt))
+    steps = cfg.t_max / cfg.dt
+    if (steps + 1.0) * (7 + m) > MAX_RECORD_FLOATS:
+        raise ValueError(
+            f"t_max / dt = {steps:.6g} steps would record more than "
+            f"{MAX_RECORD_FLOATS} floats ({7 + m} per sample); shorten t_max or "
+            "raise dt")
+    n_max = int(round(steps))
     ts = np.empty(n_max + 1)
     xs = np.empty(n_max + 1)
     ys = np.empty(n_max + 1)

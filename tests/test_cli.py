@@ -278,6 +278,21 @@ def test_exit_code_3_for_invalid_scenario(tmp_path, capsys):
     assert err.count("  - ") >= 2  # every violation is listed
 
 
+def test_exit_code_3_for_radius_below_float_floor(tmp_path, capsys):
+    """A 1e-150 arena used to crash the kernel with ZeroDivisionError two ulps
+    outside the obstacle; it is now an invalid scenario."""
+    tiny = crash_scenario()
+    tiny["goal"] = [1.0, 0.0]
+    tiny["obstacles"] = [{"center": [0.0, 0.0], "radius": 1e-150, "rho0": 1e-150}]
+    write_json(tmp_path / "scen.json", tiny)
+    x = float(np.nextafter(np.nextafter(1e-150, 1.0), 1.0))
+    cfg = run_config("scen.json", x0=[x, 0.0],
+                     sim={"dt": 0.01, "t_max": 1.0, "goal_tolerance": 1e-151})
+    rc = cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))])
+    assert rc == 3
+    assert "radius below 1e-146" in capsys.readouterr().err
+
+
 def test_verify_command_single_suite(capsys):
     rc = cli.main(["verify", "fig2.json", "--suite", "equivalence"])
     assert rc == 0

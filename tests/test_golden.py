@@ -10,6 +10,7 @@ Interpolation-table selectors are left out on purpose: they route through
 """
 
 import hashlib
+import logging
 
 import pytest
 
@@ -26,6 +27,8 @@ SPECS = {
     "gamma3": ControllerSpec("generalized", sigma_sel=SQ,
                              gamma_sel=GammaSelector.scaled_special(1.0)),
     "nominal": ControllerSpec("nominal_only", sigma_sel=SQ),
+    "gamma_0.05": ControllerSpec("generalized", sigma_sel=SQ,
+                                 gamma_sel=GammaSelector.scaled_special(0.05)),
 }
 
 # two obstacles whose influence shells overlap in the gap between them, so
@@ -37,6 +40,10 @@ OVERLAP = Scenario(goal=[5.0, 0.0],
 # one obstacle straight ahead of a blind stabilizer: an RK4 stage state lands
 # inside it and the run ends with domain_error
 SINGLE = Scenario(goal=[4.0, 0.0], obstacles=(Obstacle([2.0, 0.0], 0.5, 0.2),))
+
+# one obstacle on the start-goal axis: the attractive and repulsive fields
+# balance in front of it and the state stops moving (a stall)
+AXIS = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.0], 0.5, 0.4),))
 
 FIG2_X0 = (-2.0, 0.0)
 
@@ -80,18 +87,52 @@ GOLDEN = {
         ("reached_goal", "3e05e2e114c5460baab276c4f9831235ef3db8a08771048f2fb000053cc6ed89"),
     ("single", "nominal", "rk4", 0.05, 10.0, (0.0, 0.0)):
         ("domain_error", "66a62b2137b5be007fb606474a187aec6d3c2fa48c2ede0059ab3c497fe85912"),
+    # stalls: the state is bitwise constant from some step on (the step that
+    # first repeats its state is noted), up to t_max
+    ("overlap", "apf", "euler", 0.02, 40.0, (0.0, 0.1)):  # from step 68
+        ("timeout", "7ab40a5a3781dad8d9d6c412d7bf0a746e4a5f1812c9b569834a6bfd3288fe47"),
+    ("overlap", "gamma2", "rk4", 0.004, 40.0, (0.0, 0.1)):  # from step 111
+        ("timeout", "1d5b41c6754e3ca50d8483b03f97d4479ed928e99f7a5adb32db9548154212cb"),
+    ("overlap", "gamma3", "euler", 0.004, 40.0, (0.0, 0.1)):  # from step 181
+        ("timeout", "db9f5609d4f55cea95c41bd0591e70c71c3aa41b2beb091f73291f8b09e532ca"),
+    ("axis", "gamma_0.05", "rk4", 0.004, 40.0, (0.0, 0.0)):  # from step 182
+        ("timeout", "5cad994439a6068ee74735ea551ccc3a54db0f0187786477ac1682336d79adc0"),
+    # creeps to t_max without ever repeating its state
+    ("overlap", "gamma2", "euler", 0.02, 40.0, (0.0, 0.1)):
+        ("timeout", "c2e44417d7cfab9f8b26e29179943118a76a940cd280e0d81a0803a689fbe3b3"),
+}
+
+# (arena, controller, integrator, dt, t_max, x0) -> the negative-tightening WARNING
+WARNINGS = {
+    ("overlap", "gamma3", "rk4", 0.004, 40.0, (0.0, 0.1)):
+        "tightening term evaluated negative at 86 control evaluations (min -1.702e+00) "
+        "during the generalized run; the filter corrections are unaffected",
+    ("axis", "gamma_0.05", "rk4", 0.004, 40.0, (0.0, 0.0)):
+        "tightening term evaluated negative at 150 control evaluations (min -6.919e+01) "
+        "during the generalized run; the filter corrections are unaffected",
 }
 
 
 def _scenario(name, arena):
-    return {"fig2": arena, "overlap": OVERLAP, "single": SINGLE}[name]
+    return {"fig2": arena, "overlap": OVERLAP, "single": SINGLE, "axis": AXIS}[name]
+
+
+def _simulate(case, arena):
+    scen, ctrl, integrator, dt, t_max, x0 = case
+    cfg = SimConfig(dt=dt, t_max=t_max, goal_tolerance=0.05, integrator=integrator)
+    return simulate(_scenario(scen, arena), SPECS[ctrl], cfg, x0)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
 def test_golden_rollout(case, arena, tmp_path):
-    scen, ctrl, integrator, dt, t_max, x0 = case
-    cfg = SimConfig(dt=dt, t_max=t_max, goal_tolerance=0.05, integrator=integrator)
-    tr = simulate(_scenario(scen, arena), SPECS[ctrl], cfg, x0)
+    tr = _simulate(case, arena)
     path = tmp_path / "run.csv"
     write_trajectory_csv(tr, path)
     assert (tr.terminal, hashlib.sha256(path.read_bytes()).hexdigest()) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(WARNINGS), ids=lambda c: "-".join(map(str, c)))
+def test_golden_negative_tightening_warning(case, arena, caplog):
+    with caplog.at_level(logging.WARNING, logger="apf_rcbf.simulate"):
+        _simulate(case, arena)
+    assert [r.getMessage() for r in caplog.records] == [WARNINGS[case]]

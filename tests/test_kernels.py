@@ -1,4 +1,4 @@
-"""The scalar kernels run on Python floats: no numpy scalar enters the hot loop.
+"""The scalar kernels: Python floats in the hot loop, and the stationary fill.
 
 Arithmetic on ``np.float64`` scalars gives the same bits as on ``float`` but
 costs about four times as much, so a numpy scalar leaking back into the model
@@ -93,3 +93,80 @@ def test_rollout_states_stay_floats(monkeypatch):
     tr = simulate(SCENARIO, ControllerSpec("apf"), cfg, np.array([1.0, 0.2]))
     assert tr.n_samples == 51 and tr.h_min.min() < 0.4  # crossed a live shell
     assert seen == {(float, float)}
+
+
+# A state that repeats itself under a step is a stall: the rest of the run is
+# filled in without stepping.  These stubs stand in for the controller so the
+# fill and its bookkeeping can be checked against exact counts.
+
+def _rollout(model, n_max, integ, x0, dt=0.01):
+    """Runs ``_integrate`` into fresh buffers; returns its result and the rows."""
+    m = len(model[2])
+    cols = [np.full(n_max + 1, -1.0) for _ in range(7)]
+    phis = np.full((n_max + 1, m), -1.0)
+    out = _k._integrate(*x0, model, dt, n_max, 1e-3, integ, *cols, phis)
+    return out, cols, phis
+
+
+FAR_GOAL = _k.pack_model(Scenario(goal=[100.0, 0.0],
+                                  obstacles=(Obstacle([50.0, 50.0], 0.5, 0.4),)),
+                         _k.pack_controller())
+
+
+def test_signed_zero_step_is_not_stationary(monkeypatch):
+    """-0.0 + dt * 0.0 is +0.0: equal under ``==`` but a different state,
+    where the controller may answer differently, so the step is taken."""
+    def stub(x, y, model, phis):
+        phis[0] = 0.5
+        if math.copysign(1.0, y) < 0.0:
+            return 0.0, 0.0, 1.0, math.inf
+        return 1.0, 0.0, 1.0, math.inf
+
+    monkeypatch.setattr(_k, "_control_point", stub)
+    (n, status, _, _), (ts, xs, ys, uxs, uys, _, _), _ = _rollout(FAR_GOAL, 5, 0, (0.0, -0.0))
+    assert (n, status) == (6, _k.TIMEOUT)
+    assert math.copysign(1.0, ys[0]) < 0.0 and math.copysign(1.0, ys[1]) > 0.0
+    assert (uxs[0], uxs[1]) == (0.0, 1.0)
+    assert xs.tolist() == [0.0, 0.0, 0.01, 0.02, 0.03, 0.04]
+
+
+@pytest.mark.parametrize("integ, expected", [(0, 41), (1, 41 + 3 * 40)])
+def test_stationary_fill_counts_every_skipped_evaluation(monkeypatch, integ, expected):
+    """A state that never moves and a tightening that is always negative:
+    the count covers n_max + 1 samples plus, for RK4, three stages in each of
+    the n_max steps, exactly as stepping every sample would."""
+    calls = []
+
+    def stub(x, y, model, phis):
+        calls.append((x, y))
+        phis[0] = 0.25
+        return 0.0, 0.0, 2.0, -3.0
+
+    monkeypatch.setattr(_k, "_control_point", stub)
+    out, (ts, xs, ys, uxs, uys, hs, vs), phis = _rollout(FAR_GOAL, 40, integ, (1.0, 2.0))
+    assert out == (41, _k.TIMEOUT, -3.0, expected)
+    assert len(calls) == (1 if integ == 0 else 4)  # only the first step is taken
+    assert ts.tolist() == [k * 0.01 for k in range(41)]
+    assert set(xs.tolist()) == {1.0} and set(ys.tolist()) == {2.0}
+    assert set(uxs.tolist()) == set(uys.tolist()) == {0.0} and set(hs.tolist()) == {2.0}
+    assert set(vs.tolist()) == {vs[0]} and set(phis[:, 0].tolist()) == {0.25}
+
+
+def test_stalled_rollout_stops_evaluating(monkeypatch):
+    """The overlap apf run stands still from step 199 on; after that step
+    the remaining 9,801 samples of its 10,001 cost no evaluation."""
+    count = 0
+    control_point = _k._control_point
+
+    def spy(x, y, model, phis):
+        nonlocal count
+        count += 1
+        return control_point(x, y, model, phis)
+
+    monkeypatch.setattr(_k, "_control_point", spy)
+    overlap = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
+                                                   Obstacle([2.0, -0.6], 0.5, 0.4)))
+    cfg = SimConfig(dt=0.004, t_max=40.0, goal_tolerance=0.05, integrator="rk4")
+    tr = simulate(overlap, ControllerSpec("apf"), cfg, [0.0, 0.1])
+    assert (tr.terminal, tr.n_samples) == ("timeout", 10001)
+    assert count <= 4 * (199 + 2)

@@ -122,6 +122,28 @@ def test_violations_collects_everything_at_once():
     assert "invalid scenario:" in str(err.value)
 
 
+def test_radius_whose_clearance_can_square_to_zero_is_rejected():
+    """Below MIN_RADIUS the smallest positive clearance, one ulp of the
+    radius, squares to 0.0 and the repulsive gradient divides by it."""
+    from apf_rcbf import apf_control
+    from apf_rcbf.scenario import MIN_RADIUS
+    assert math.ulp(MIN_RADIUS) ** 2 > 0.0
+    assert math.ulp(math.nextafter(MIN_RADIUS, 0.0)) ** 2 == 0.0
+
+    def tiny(radius):
+        return Scenario(goal=[1.0, 0.0], obstacles=(make_obstacle(0.0, 0.0, radius, 1e-150),))
+
+    assert scenario_violations(tiny(1e-150)) == [
+        "obstacle 0: radius below 1e-146, where a positive clearance can square to 0.0"]
+    assert scenario_violations(tiny(math.nextafter(MIN_RADIUS, 0.0))) != []
+    at_floor = tiny(MIN_RADIUS)
+    assert scenario_violations(at_floor) == []
+    # one ulp outside, the smallest clearance there is: evaluates, does not raise
+    x = [math.nextafter(MIN_RADIUS, 1.0), 0.0]
+    assert classify_safety(x, at_floor).h == math.ulp(MIN_RADIUS)
+    apf_control(x, at_floor)
+
+
 def test_goal_on_influence_boundary_is_allowed():
     """Clearance exactly rho0 is legal — the repulsive field vanishes there.
 

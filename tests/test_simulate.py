@@ -89,6 +89,28 @@ def test_simulate_validates_scenario():
         simulate(bad, spec_nominal(), SimConfig(), [0.0, 0.0])
 
 
+def test_simulate_rejects_radius_below_float_floor():
+    """An obstacle of radius 1e-150 and a start two ulps outside it: the
+    clearance squares to 0.0, so the run is refused instead of crashing."""
+    from apf_rcbf import ScenarioValidationError, SimConfig
+    tiny = Scenario(goal=[1.0, 0.0], obstacles=(Obstacle([0.0, 0.0], 1e-150, 1e-150),))
+    x0 = [math.nextafter(math.nextafter(1e-150, 1.0), 1.0), 0.0]
+    with pytest.raises(ScenarioValidationError, match="radius below"):
+        simulate(tiny, ControllerSpec("apf"), SimConfig(goal_tolerance=1e-151), x0)
+
+
+@pytest.mark.parametrize("t_max", [1e12, math.inf])
+def test_simulate_refuses_oversized_record_before_allocating(single, monkeypatch, t_max):
+    from apf_rcbf import SimConfig
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "empty", no_alloc)
+    with pytest.raises(ValueError, match="shorten t_max or raise dt"):
+        simulate(single, spec_nominal(), SimConfig(dt=0.004, t_max=t_max), [0.0, 0.0])
+
+
 def test_euler_matches_hand_stepping():
     """Three Euler steps of the pure stabilizer, replayed with bare floats."""
     from apf_rcbf import SimConfig
@@ -131,6 +153,52 @@ def test_rk4_matches_hand_stepping():
     nx = xx + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     ny = yy + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     assert (tr.x[1, 0], tr.x[1, 1]) == (nx, ny)
+
+
+# two obstacles whose shells overlap in front of the goal: apf starts from
+# (0, 0.1) stall in front of the gap and stop moving long before t_max
+OVERLAP = Scenario(goal=[5.0, 0.0],
+                   obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
+                              Obstacle([2.0, -0.6], 0.5, 0.4)))
+
+
+def _step_apf(scenario, integrator, dt, n_max, x0):
+    """Every sample of an apf run, stepped with the public ``apf_control`` on
+    Python floats in the integrator's expression order, with no early exit."""
+    xx, yy = x0
+    ts, xs, us = [], [], []
+    for k in range(n_max + 1):
+        ux, uy = apf_control([xx, yy], scenario).tolist()
+        ts.append(k * dt)
+        xs.append((xx, yy))
+        us.append((ux, uy))
+        if integrator == "euler":
+            xx, yy = xx + dt * ux, yy + dt * uy
+            continue
+        kx = sx = ux
+        ky = sy = uy
+        for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            kx, ky = apf_control([xx + c * dt * kx, yy + c * dt * ky], scenario).tolist()
+            sx = sx + w * kx
+            sy = sy + w * ky
+        xx, yy = xx + (dt / 6.0) * sx, yy + (dt / 6.0) * sy
+    return np.array(ts), np.array(xs), np.array(us)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_stalled_run_matches_stepping_to_t_max(integrator):
+    """A run that stops moving is still every step of the integrator: the
+    recorded times, states and controls equal real stepping bit for bit over
+    the whole horizon."""
+    from apf_rcbf import SimConfig
+    cfg = SimConfig(dt=0.004, t_max=40.0, goal_tolerance=0.05, integrator=integrator)
+    tr = simulate(OVERLAP, ControllerSpec("apf"), cfg, [0.0, 0.1])
+    assert (tr.terminal, tr.n_samples) == ("timeout", 10001)
+    ts, xs, us = _step_apf(OVERLAP, integrator, 0.004, 10000, (0.0, 0.1))
+    assert np.array_equal(tr.x[-1], tr.x[-2])  # the run did stall
+    assert tr.t.tobytes() == ts.tobytes()
+    assert tr.x.tobytes() == xs.tobytes()
+    assert tr.u.tobytes() == us.tobytes()
 
 
 def test_reached_goal_immediately():
