@@ -12,7 +12,8 @@ Packing conventions used throughout:
 * model: ``(gx, gy, obstacles, k_att, k_rep, alpha_gain, *packing)``
 * obstacles: a tuple of ``(cx, cy, r, rho0)`` float tuples, one per obstacle
 * controller packing, built only by :func:`pack_controller`:
-  ``(ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty)``
+  ``(ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty)``, table slots
+  ``None`` unless the selector is a table
 * controller kind: 1 = nominal only (no filtering), 2 = filtered
   (the pure potential-field controller and the equivalence filter are packed
   as kind 2 with ``skind=0, gkind=1, glam=1``)
@@ -20,13 +21,18 @@ Packing conventions used throughout:
   value, 2 = scaled distance, 3 = interpolation table over distance-to-goal
 * gamma selector ``gkind``: 0 = zero, 1 = scaled-special, 2 = interpolation
   table over clearance
-* integrator ``integ``: 0 = explicit Euler, 1 = classic RK4
+* integrator: a Runge--Kutta stage table, ``(c, w)`` per stage after the
+  first (state offset ``c * dt`` along the previous slope, weight ``w``);
+  ``()`` is explicit Euler, :data:`RK4_STAGES` classic RK4
+* rollout record: one ``(n_max + 1, 7 + m)`` float array whose rows are the
+  CSV rows ``t, x, y, ux, uy, h_min, V, phi_1 .. phi_m``
 * terminal status: 0 = reached goal, 1 = timeout, 2 = domain error
 
 Kernels never raise: domain violations are reported through return codes and
 NaN diagnostics, and the Python wrappers convert them into typed exceptions.
-(``validate_scenario`` keeps obstacle radii above ``scenario.MIN_RADIUS``, so
-a positive clearance never squares to 0.0 in the repulsive terms.)
+(``validate_scenario`` keeps obstacle radii at or above
+``scenario.min_radius(k_rep)``, so the squared repulsive gradient stays finite
+at every positive clearance.)
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
@@ -58,10 +64,6 @@ DOMAIN_ERROR = 2
 # RK4 stages after the first: (offset of the stage state, weight in the sum)
 RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
-# placeholder interpolation table for selector slots that are not in use
-NO_TABLE = np.zeros(1)
-NO_TABLE.setflags(write=False)
-
 
 def pack_controller(sigma_sel=None, gamma_sel=None, filtered=True):
     """The controller packing for the given tightening selectors.
@@ -73,13 +75,13 @@ def pack_controller(sigma_sel=None, gamma_sel=None, filtered=True):
     ``filtered=False`` the stabilizer runs alone and ``gamma_sel`` is unused.
     """
     if sigma_sel is None:
-        skind, scoef, stx, sty = 0, 1.0, NO_TABLE, NO_TABLE
+        skind, scoef, stx, sty = 0, 1.0, None, None
     else:
         skind, scoef, stx, sty = sigma_sel.packed()
     if not filtered:
-        return (1, skind, scoef, stx, sty, 0, 0.0, NO_TABLE, NO_TABLE)
+        return (1, skind, scoef, stx, sty, 0, 0.0, None, None)
     if gamma_sel is None:
-        gkind, glam, gtx, gty = 1, 1.0, NO_TABLE, NO_TABLE
+        gkind, glam, gtx, gty = 1, 1.0, None, None
     else:
         gkind, glam, gtx, gty = gamma_sel.packed()
     return (2, skind, scoef, stx, sty, gkind, glam, gtx, gty)
@@ -224,29 +226,28 @@ def _control_point(x, y, model, phis):
     return ux, uy, hmin, ming
 
 
-def _eval_controls(xs, ys, model, out_ux, out_uy, out_h):
-    """Evaluate one controller over a batch of states (the grid sweep)."""
+def _eval_controls(xs, ys, model):
+    """Evaluate one controller over a batch of states (the grid sweep);
+    returns the two control components as arrays."""
     phis = np.empty(len(model[2]), dtype=np.float64)
-    ming = math.inf
-    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-        ux, uy, hmin, mg = _control_point(x, y, model, phis)
-        out_ux[i] = ux
-        out_uy[i] = uy
-        out_h[i] = hmin
-        if mg < ming:
-            ming = mg
-    return ming
+    uxs = []
+    uys = []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        ux, uy, _, _ = _control_point(x, y, model, phis)
+        uxs.append(ux)
+        uys.append(uy)
+    return np.array(uxs), np.array(uys)
 
 
-def _integrate(x0x, x0y, model, dt, n_max, goal_tol, integ,
-               ts, xs, ys, uxs, uys, hs, vs, phis_out):
+def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     """Closed-loop rollout of the single integrator under one controller.
 
-    Samples are recorded at the top of every step (state, control, clearance,
-    potential value, per-obstacle constraint margins), then the goal test
-    runs, then the state advances.  The rollout stops without recording when
-    the current state — or, for RK4, any stage state — has nonpositive
-    clearance, because the controller is undefined there.
+    Samples are recorded as rows of the rollout record ``rec`` at the top of
+    every step, then the goal test runs, then the state advances by one step
+    of the stage table ``stages``: the stage slopes weighted by ``w`` (the
+    first by 1) and summed, times ``dt / (1 + sum of w)``.  The rollout stops
+    without recording when the current state -- or any stage state -- has
+    nonpositive clearance, because the controller is undefined there.
 
     A stationary state ends the stepping early with the same record.  When a
     step returns its own state bit for bit (signed zeros included; a stall,
@@ -260,7 +261,10 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, integ,
     Returns ``(n_samples, status, min_gamma, n_negative_gamma_evals)``.
     """
     gx, gy, obstacles, k_att = model[:4]
+    ts, xs, ys, uxs, uys, hs, vs = rec[:, :7].T
+    phis_out = rec[:, 7:]
     scratch = np.empty(len(obstacles), dtype=np.float64)
+    step = dt / (1.0 + sum(w for _, w in stages))
     ming = math.inf
     negcount = 0
     xx = x0x
@@ -293,43 +297,35 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, integ,
             status = TIMEOUT
             break
         neg_before_stages = negcount
-        if integ == 0:
-            nx = xx + dt * ux
-            ny = yy + dt * uy
-        else:
-            # RK4: sx, sy accumulate k1 + 2 k2 + 2 k3 + k4 left to right
-            kx = sx = ux
-            ky = sy = uy
-            for c, w in RK4_STAGES:
-                kx, ky, hk, mgk = _control_point(xx + c * dt * kx, yy + c * dt * ky,
-                                                 model, scratch)
-                if mgk < ming:
-                    ming = mgk
-                if mgk < 0.0:
-                    negcount += 1
-                if hk <= 0.0:
-                    break
-                sx = sx + w * kx
-                sy = sy + w * ky
+        # sx, sy accumulate the weighted stage slopes left to right
+        # (k1 + 2 k2 + 2 k3 + k4 for RK4)
+        kx = sx = ux
+        ky = sy = uy
+        hk = hmin
+        for c, w in stages:
+            kx, ky, hk, mgk = _control_point(xx + c * dt * kx, yy + c * dt * ky,
+                                             model, scratch)
+            if mgk < ming:
+                ming = mgk
+            if mgk < 0.0:
+                negcount += 1
             if hk <= 0.0:
-                # a stage state touched an obstacle
-                status = DOMAIN_ERROR
                 break
-            nx = xx + (dt / 6.0) * sx
-            ny = yy + (dt / 6.0) * sy
+            sx = sx + w * kx
+            sy = sy + w * ky
+        if hk <= 0.0:
+            # a stage state touched an obstacle
+            status = DOMAIN_ERROR
+            break
+        nx = xx + step * sx
+        ny = yy + step * sy
         if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
                 and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
             # stationary: rows k+1 .. n_max repeat row k; each skipped step
             # evaluates its sample, and every one but the last its stages
             n = n_max + 1
+            rec[k + 1:n] = rec[k]
             ts[k + 1:n] = np.arange(k + 1, n) * dt
-            xs[k + 1:n] = xx
-            ys[k + 1:n] = yy
-            uxs[k + 1:n] = ux
-            uys[k + 1:n] = uy
-            hs[k + 1:n] = hmin
-            vs[k + 1:n] = vs[k]
-            phis_out[k + 1:n] = phis_out[k]
             rest = n_max - k
             negcount += rest * (mg < 0.0) + (rest - 1) * (negcount - neg_before_stages)
             status = TIMEOUT

@@ -41,6 +41,18 @@ def _freeze_table(xs, ys, name):
     return xs, ys
 
 
+def _positive(value, message):
+    """``value`` as a positive float; ``ValueError(message)`` for anything
+    else, values that are not numbers included."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    if not value > 0.0:
+        raise ValueError(message)
+    return value
+
+
 @dataclass(frozen=True)
 class SigmaSelector:
     """Choice of tightening term sigma(x) for the decrease condition.
@@ -59,9 +71,8 @@ class SigmaSelector:
         if self.kind not in _SIGMA_KINDS:
             raise ValueError(f"unknown sigma selector kind: {self.kind!r}")
         if self.kind in ("scaled_value", "scaled_norm"):
-            if self.coefficient is None or not float(self.coefficient) > 0.0:
-                raise ValueError(f"{self.kind} selector requires a positive coefficient")
-            object.__setattr__(self, "coefficient", float(self.coefficient))
+            object.__setattr__(self, "coefficient", _positive(
+                self.coefficient, f"{self.kind} selector requires a positive coefficient"))
         if self.kind == "custom":
             if self.table is None:
                 raise ValueError("custom sigma selector requires a table")
@@ -93,10 +104,7 @@ class SigmaSelector:
     def packed(self):
         skind = _SIGMA_KINDS[self.kind]
         scoef = self.coefficient if self.coefficient is not None else 1.0
-        if self.kind == "custom":
-            stx, sty = self.table
-        else:
-            stx = sty = _k.NO_TABLE
+        stx, sty = self.table if self.kind == "custom" else (None, None)
         return skind, scoef, stx, sty
 
 
@@ -129,9 +137,8 @@ def nominal_control(x, scenario: Scenario, sel: SigmaSelector) -> np.ndarray:
     Solves  min |u|^2  s.t.  sigma + b.u <= 0  in closed form:
     u = -(sigma/|b|^2) b, and u = 0 at the goal where both sides vanish.
     """
-    u, _, _ = run_control_kernel(x, scenario, _k.pack_controller(sel, filtered=False),
-                                 require_clearance=False)
-    return u
+    return run_control_kernel(x, scenario, _k.pack_controller(sel, filtered=False),
+                              require_clearance=False)[0]
 
 
 def check_clf_decrease(x, u, scenario: Scenario, sel: SigmaSelector) -> float:

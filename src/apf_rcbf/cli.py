@@ -69,52 +69,40 @@ def _parse_table(data, what: str):
     return data["x"], data["y"]
 
 
-def parse_sigma(data) -> SigmaSelector:
+# Per selector: its JSON parameter key, the kinds that take it, and its
+# class, whose constructor takes (kind, parameter, table) and checks them.
+_SELECTORS = {"sigma": ("coef", ("scaled_value", "scaled_norm"), SigmaSelector),
+              "gamma": ("lambda", ("scaled_special",), GammaSelector)}
+
+
+def _parse_selector(data, what: str):
+    param, param_kinds, cls = _SELECTORS[what]
     if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError("sigma selector must be an object with a 'kind'")
+        raise ConfigError(f"{what} selector must be an object with a 'kind'")
     kind = data["kind"]
-    extra = set(data) - {"kind", "coef", "table"}
+    extra = set(data) - {"kind", param, "table"}
     if extra:
-        raise ConfigError(f"unknown sigma selector key(s): {sorted(extra)}")
+        raise ConfigError(f"unknown {what} selector key(s): {sorted(extra)}")
+    if not isinstance(kind, str):
+        raise ConfigError(f"unknown {what} selector kind: {kind!r}")
+    if kind in param_kinds and param not in data:
+        raise ConfigError(f"{what} selector {kind!r} requires {param!r}")
+    value = data[param] if kind in param_kinds else None
+    table = None
+    if kind == "custom" and "table" in data:
+        table = _parse_table(data["table"], what)
     try:
-        if kind == "grad_norm_squared":
-            return SigmaSelector.grad_norm_squared()
-        if kind in ("scaled_value", "scaled_norm"):
-            if "coef" not in data:
-                raise ConfigError(f"sigma selector {kind!r} requires 'coef'")
-            return SigmaSelector(kind, coefficient=data["coef"])
-        if kind == "custom":
-            if "table" not in data:
-                raise ConfigError("custom sigma selector requires a table")
-            xs, ys = _parse_table(data["table"], "sigma")
-            return SigmaSelector.custom(xs, ys)
+        return cls(kind, value, table)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown sigma selector kind: {kind!r}")
+
+
+def parse_sigma(data) -> SigmaSelector:
+    return _parse_selector(data, "sigma")
 
 
 def parse_gamma(data) -> GammaSelector:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError("gamma selector must be an object with a 'kind'")
-    kind = data["kind"]
-    extra = set(data) - {"kind", "lambda", "table"}
-    if extra:
-        raise ConfigError(f"unknown gamma selector key(s): {sorted(extra)}")
-    try:
-        if kind == "zero":
-            return GammaSelector.zero()
-        if kind == "scaled_special":
-            if "lambda" not in data:
-                raise ConfigError("scaled_special gamma selector requires 'lambda'")
-            return GammaSelector.scaled_special(data["lambda"])
-        if kind == "custom":
-            if "table" not in data:
-                raise ConfigError("custom gamma selector requires a table")
-            xs, ys = _parse_table(data["table"], "gamma")
-            return GammaSelector.custom(xs, ys)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown gamma selector kind: {kind!r}")
+    return _parse_selector(data, "gamma")
 
 
 def parse_controller(entry) -> tuple:
@@ -170,9 +158,15 @@ def load_run_config(path: Path) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sim config: {exc}") from exc
 
-    x0 = np.asarray(data["x0"], dtype=np.float64)
-    if x0.shape != (2,) or not np.all(np.isfinite(x0)):
+    try:
+        x0 = np.asarray(data["x0"], dtype=np.float64)
+    except (TypeError, ValueError):
+        x0 = None
+    if x0 is None or x0.shape != (2,) or not np.all(np.isfinite(x0)):
         raise ConfigError(f"x0 must be a finite 2-vector, got {data['x0']!r}")
+    seed = data.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
 
     scenario_path = Path(str(data["scenario_path"]))
     if not scenario_path.is_absolute():
@@ -194,7 +188,7 @@ def load_run_config(path: Path) -> RunConfig:
         sim=sim,
         x0=x0,
         output_dir=Path(str(data.get("output_dir", "apf-rcbf-out"))),
-        seed=int(data.get("seed", 0)),
+        seed=seed,
     )
 
 

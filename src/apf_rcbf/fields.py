@@ -44,22 +44,21 @@ def _as_point(x):
     return float(arr[0]), float(arr[1])
 
 
-def run_control_kernel(x, scenario: Scenario, packing, phis=None,
-                       require_clearance=True):
+def run_control_kernel(x, scenario: Scenario, packing, require_clearance=True):
     """Evaluate a packed controller at one state.
 
-    Returns ``(u, hmin, min_gamma)``.  With ``require_clearance`` (the
-    default, for controllers whose repulsive terms are undefined on or inside
-    an obstacle) a nonpositive clearance raises; the unfiltered stabilizer
-    passes ``False`` since it is defined everywhere.
+    Returns ``(u, hmin, min_gamma, phis)``, ``phis`` holding one constraint
+    margin per obstacle.  With ``require_clearance`` (the default, for
+    controllers whose repulsive terms are undefined on or inside an obstacle)
+    a nonpositive clearance raises; the unfiltered stabilizer passes
+    ``False`` since it is defined everywhere.
     """
     px, py = _as_point(x)
-    if phis is None:
-        phis = np.empty(len(scenario.obstacles), dtype=np.float64)
+    phis = np.empty(len(scenario.obstacles), dtype=np.float64)
     ux, uy, hmin, ming = _k._control_point(px, py, _k.pack_model(scenario, packing), phis)
     if require_clearance and hmin <= 0.0:
         raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
-    return np.array([ux, uy]), hmin, ming
+    return np.array([ux, uy]), hmin, ming, phis
 
 
 def u_att(x, scenario: Scenario) -> float:
@@ -102,8 +101,7 @@ def repulsive_field(x, obs: Obstacle, scenario: Scenario) -> FieldEval:
 
 def apf_control(x, scenario: Scenario) -> np.ndarray:
     """Combined potential-field control  u = -F_att - sum_i F_rep_i."""
-    u, _, _ = run_control_kernel(x, scenario, _k.pack_controller())
-    return u
+    return run_control_kernel(x, scenario, _k.pack_controller())[0]
 
 
 def alpha_bar(h: float, scenario: Scenario, rho0: float | None = None) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .clf import SigmaSelector, _freeze_table, sigma_value
+from .clf import SigmaSelector, _freeze_table, _positive, sigma_value
 from .errors import InfeasibleConstraintError, InsideObstacleError, NegativeGammaError
 from .fields import INSIDE_OBSTACLE_MSG, f_att, f_rep, run_control_kernel, u_rep
 from .scenario import Obstacle, Scenario, rho
@@ -80,9 +80,8 @@ class GammaSelector:
         if self.kind not in _GAMMA_KINDS:
             raise ValueError(f"unknown gamma selector kind: {self.kind!r}")
         if self.kind == "scaled_special":
-            if self.lam is None or not float(self.lam) > 0.0:
-                raise ValueError("scaled_special selector requires a positive lambda")
-            object.__setattr__(self, "lam", float(self.lam))
+            object.__setattr__(self, "lam", _positive(
+                self.lam, "scaled_special selector requires a positive lambda"))
         if self.kind == "custom":
             if self.table is None:
                 raise ValueError("custom gamma selector requires a table")
@@ -108,10 +107,7 @@ class GammaSelector:
     def packed(self):
         gkind = _GAMMA_KINDS[self.kind]
         glam = self.lam if self.lam is not None else 0.0
-        if self.kind == "custom":
-            gtx, gty = self.table
-        else:
-            gtx = gty = _k.NO_TABLE
+        gtx, gty = self.table if self.kind == "custom" else (None, None)
         return gkind, glam, gtx, gty
 
     def _key(self):
@@ -206,7 +202,7 @@ def special_filter_control(x, scenario: Scenario) -> np.ndarray:
     obstacles: -F_att where no obstacle is active, -F_att - sum F_rep_i
     otherwise.
     """
-    u, _, ming = run_control_kernel(x, scenario, _k.pack_controller())
+    u, _, ming, _ = run_control_kernel(x, scenario, _k.pack_controller())
     if ming < 0.0:
         _warn_negative_gamma(("scaled_special", 1.0), ming, "in special_filter_control")
     return u
@@ -221,9 +217,8 @@ def generalized_control(x, scenario: Scenario, sigma_sel: SigmaSelector,
     correction g_rep F_rep with g_rep = -phi/|F_rep|^2, superposed onto
     u_nom.  Returns ``(u, per-obstacle FilterDiagnostics tuple)``.
     """
-    phis = np.empty(len(scenario.obstacles), dtype=np.float64)
-    u, _, ming = run_control_kernel(x, scenario, _k.pack_controller(sigma_sel, gamma_sel),
-                                    phis=phis)
+    u, _, ming, phis = run_control_kernel(x, scenario,
+                                          _k.pack_controller(sigma_sel, gamma_sel))
     if ming < 0.0:
         _warn_negative_gamma(gamma_sel._key(), ming, "in generalized_control")
 

@@ -24,14 +24,30 @@ from .errors import ScenarioValidationError
 
 BOUNDARY_TOL = 1e-9
 
-# Smallest obstacle radius the kernels can evaluate.  Outside an obstacle of
-# radius r in [2**e, 2**(e + 1)) a computed clearance rho = dist - r is either
-# 0 or at least ulp(r) = 2**(e - 52), because dist > r is a float at least one
-# ulp above r.  The repulsive gradient divides by rho * rho, which is nonzero
-# for every positive rho iff ulp(r)**2 >= 2**-1074, the smallest subnormal,
-# i.e. e >= -485.  Below this floor a state one ulp outside the obstacle
-# squares its clearance to 0.0 and the division fails.
-MIN_RADIUS = 2.0 ** -485  # about 1.0e-146
+
+def min_radius(k_rep: float) -> float:
+    """Smallest obstacle radius at which the kernels' repulsive terms stay
+    finite under the repulsive gain ``k_rep > 0``.
+
+    Outside an obstacle of radius r in [2**e, 2**(e + 1)) a computed
+    clearance rho = dist - r is either 0 or at least ulp(r) = 2**(e - 52),
+    because dist > r is a float at least one ulp above r.  The repulsive
+    gradient F_rep has magnitude up to k_rep / rho**3, and the filter divides
+    by its square |F_rep|**2 = dx*dx + dy*dy.  That square stays below
+    2**1022, short of overflow, when k_rep / ulp(r)**3 <= 2**511; the floor is
+    the smallest power of two 2**e meeting this, 2**-118 (about 3.0e-36) for
+    k_rep = 1, growing as k_rep**(1/3).  It lies far above the radius below
+    which rho * rho underflows to 0.0 (about 1e-146 for any gain).
+
+    Above the floor two products can still overflow: lam * |F_rep|**2, the
+    scaled-special margin, at extreme lam, and F_rep . u_nom at extreme
+    coordinates or gains.
+    """
+    mant, exp = math.frexp(k_rep)  # k_rep in [2**(exp - 1), 2**exp)
+    ceil_log2 = exp - 1 if mant == 0.5 else exp
+    ulp_exp = -((511 - ceil_log2) // 3)  # ceil((ceil_log2 - 511) / 3)
+    return math.ldexp(1.0, ulp_exp + 52)
+
 
 _SCENARIO_KEYS = {"goal", "obstacles", "k_att", "k_rep", "alpha_gain"}
 _OBSTACLE_KEYS = {"center", "radius", "rho0"}
@@ -48,7 +64,10 @@ def _vec2(value, name: str) -> np.ndarray:
 
 
 def _finite(value, name: str) -> float:
-    out = float(value)
+    try:
+        out = float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
@@ -144,12 +163,13 @@ def scenario_violations(scenario: Scenario) -> list:
         violations.append("k_rep must be positive")
     if scenario.alpha_gain <= 0.0:
         violations.append("alpha_gain must be positive")
+    floor = min_radius(scenario.k_rep) if scenario.k_rep > 0.0 else 0.0
     for i, obs in enumerate(scenario.obstacles):
         if obs.radius <= 0.0:
             violations.append(f"obstacle {i}: radius must be positive")
-        elif obs.radius < MIN_RADIUS:
-            violations.append(f"obstacle {i}: radius below {MIN_RADIUS:.3g}, where a "
-                              "positive clearance can square to 0.0")
+        elif obs.radius < floor:
+            violations.append(f"obstacle {i}: radius below {floor:.3g}, where |F_rep|^2 "
+                              "can overflow at the smallest clearance")
         if obs.influence_margin <= 0.0:
             violations.append(f"obstacle {i}: influence_margin must be positive")
     for i, obs in enumerate(scenario.obstacles):

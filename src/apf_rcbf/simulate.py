@@ -32,7 +32,8 @@ from .scenario import Scenario, classify_safety, validate_scenario
 logger = logging.getLogger(__name__)
 
 CONTROLLER_KINDS = ("apf", "nominal_only", "special_filter", "generalized")
-INTEGRATORS = {"euler": 0, "rk4": 1}
+# Runge--Kutta stage tables: Euler has no stage after the first
+INTEGRATORS = {"euler": (), "rk4": _k.RK4_STAGES}
 TERMINAL_NAMES = {_k.REACHED_GOAL: "reached_goal",
                   _k.TIMEOUT: "timeout",
                   _k.DOMAIN_ERROR: "domain_error"}
@@ -118,9 +119,12 @@ class TrajectoryMetrics:
     oscillation: float
 
 
-def _freeze(arr):
-    arr.setflags(write=False)
-    return arr
+def _trajectory(rec, terminal: str) -> Trajectory:
+    """Read-only column copies of ``rec``, whose rows are the CSV rows."""
+    cols = [rec[:, j].copy() for j in (0, slice(1, 3), slice(3, 5), 5, 6, slice(7, None))]
+    for arr in cols:
+        arr.setflags(write=False)
+    return Trajectory(*cols, terminal=terminal)
 
 
 def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Trajectory:
@@ -148,19 +152,11 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
             f"{MAX_RECORD_FLOATS} floats ({7 + m} per sample); shorten t_max or "
             "raise dt")
     n_max = int(round(steps))
-    ts = np.empty(n_max + 1)
-    xs = np.empty(n_max + 1)
-    ys = np.empty(n_max + 1)
-    uxs = np.empty(n_max + 1)
-    uys = np.empty(n_max + 1)
-    hs = np.empty(n_max + 1)
-    vs = np.empty(n_max + 1)
-    phis = np.empty((n_max + 1, m))
+    rec = np.empty((n_max + 1, 7 + m))
 
     n, status, ming, negcount = _k._integrate(
         float(x0[0]), float(x0[1]), _k.pack_model(scenario, ctrl.packing()),
-        float(cfg.dt), n_max, float(cfg.goal_tolerance), INTEGRATORS[cfg.integrator],
-        ts, xs, ys, uxs, uys, hs, vs, phis)
+        float(cfg.dt), n_max, float(cfg.goal_tolerance), INTEGRATORS[cfg.integrator], rec)
     if negcount and ctrl.kind in ("special_filter", "generalized"):
         # The pure potential-field packing shares the kernel but advertises no
         # tightening, so the certificate diagnostic would only confuse there.
@@ -168,16 +164,7 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
             "tightening term evaluated negative at %d control evaluations "
             "(min %.3e) during the %s run; the filter corrections are unaffected",
             negcount, ming, ctrl.kind)
-
-    return Trajectory(
-        t=_freeze(ts[:n].copy()),
-        x=_freeze(np.column_stack([xs[:n], ys[:n]])),
-        u=_freeze(np.column_stack([uxs[:n], uys[:n]])),
-        h_min=_freeze(hs[:n].copy()),
-        V=_freeze(vs[:n].copy()),
-        phi=_freeze(phis[:n].copy()),
-        terminal=TERMINAL_NAMES[status],
-    )
+    return _trajectory(rec[:n], TERMINAL_NAMES[status])
 
 
 def metrics(tr: Trajectory) -> TrajectoryMetrics:
@@ -232,12 +219,4 @@ def read_trajectory_csv(path, terminal: str) -> Trajectory:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         data = data.reshape(0, 7 + m)
-    return Trajectory(
-        t=_freeze(data[:, 0].copy()),
-        x=_freeze(data[:, 1:3].copy()),
-        u=_freeze(data[:, 3:5].copy()),
-        h_min=_freeze(data[:, 5].copy()),
-        V=_freeze(data[:, 6].copy()),
-        phi=_freeze(data[:, 7:7 + m].copy()),
-        terminal=terminal,
-    )
+    return _trajectory(data[:, :7 + m], terminal)

@@ -34,14 +34,6 @@ class SuiteResult:
     elapsed: float
 
 
-def _eval_packed(scenario: Scenario, packing, xs, ys):
-    out_ux = np.empty(xs.shape[0])
-    out_uy = np.empty(xs.shape[0])
-    out_h = np.empty(xs.shape[0])
-    _k._eval_controls(xs, ys, _k.pack_model(scenario, packing), out_ux, out_uy, out_h)
-    return out_ux, out_uy
-
-
 def grid_states(scenario: Scenario, nx=200, ny=200, bounds=DEFAULT_BOUNDS,
                 band=EXCLUSION_BAND):
     """Workspace grid minus the states where the compared controllers differ
@@ -80,9 +72,9 @@ def equivalence_suite(scenario: Scenario, nx=200, ny=200, bounds=DEFAULT_BOUNDS,
         sigma_sel=SigmaSelector.grad_norm_squared(),
         gamma_sel=GammaSelector.scaled_special(1.0),
     ).packing()
-    aux, auy = _eval_packed(scenario, apf, xs, ys)
-    sux, suy = _eval_packed(scenario, special, xs, ys)
-    gux, guy = _eval_packed(scenario, gen, xs, ys)
+    aux, auy = _k._eval_controls(xs, ys, _k.pack_model(scenario, apf))
+    sux, suy = _k._eval_controls(xs, ys, _k.pack_model(scenario, special))
+    gux, guy = _k._eval_controls(xs, ys, _k.pack_model(scenario, gen))
     err_special = float(np.max(np.hypot(aux - sux, auy - suy), initial=0.0))
     err_gen = float(np.max(np.hypot(aux - gux, auy - guy), initial=0.0))
     elapsed = time.perf_counter() - t0

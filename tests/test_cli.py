@@ -84,6 +84,7 @@ def test_parse_sigma_kinds():
     ({"kind": "custom", "table": {"x": [0, 1]}}, "'x' and 'y'"),
     ({"kind": "banana"}, "unknown sigma selector kind"),
     ({"kind": "scaled_value", "coef": -2.0}, "positive"),
+    ({"kind": ["custom"]}, "unknown sigma selector kind"),
 ])
 def test_parse_sigma_rejects(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -104,6 +105,7 @@ def test_parse_gamma_kinds():
     ({"kind": "zero", "lam": 1}, "unknown gamma selector key"),
     ({"kind": "what"}, "unknown gamma selector kind"),
     ({"kind": "custom", "table": [0, 1]}, "'x' and 'y'"),
+    ({"kind": ["custom"]}, "unknown gamma selector kind"),
 ])
 def test_parse_gamma_rejects(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -265,6 +267,35 @@ def test_exit_code_2_for_config_trouble(tmp_path, capsys):
     assert "strictly outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, mutate_cfg, mutate_scen", [
+    ("run", lambda c: c.update(x0=["a", 0]), None),
+    ("run", lambda c: c.update(seed="x"), None),
+    ("verify", lambda c: c.update(seed="x"), None),
+    ("run", lambda c: c.update(seed=True), None),
+    ("run", lambda c: c.update(seed=3.7), None),
+    ("run", lambda c: c["controllers"].append(
+        {"name": "nominal", "kind": "nominal_only",
+         "sigma": {"kind": "scaled_value", "coef": [1]}}), None),
+    ("run", lambda c: c["controllers"][1]["gamma"].update({"lambda": {"a": 1}}), None),
+    ("run", None, lambda s: s["obstacles"][0].update(radius=[0.5])),
+    ("run", None, lambda s: s.update(k_att=None)),
+], ids=["x0-string", "seed-string", "verify-seed-string", "seed-bool", "seed-float",
+        "coef-list", "lambda-object", "radius-list", "k_att-null"])
+def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, mutate_scen):
+    """A value of the wrong type in a config or scenario is a configuration
+    error, not a crash (exit 1 means a rollout ended in domain_error)."""
+    scen = crash_scenario()
+    cfg = run_config("scen.json")
+    if mutate_scen:
+        mutate_scen(scen)
+    if mutate_cfg:
+        mutate_cfg(cfg)
+    write_json(tmp_path / "scen.json", scen)
+    rc = cli.main([command, str(write_json(tmp_path / "cfg.json", cfg))])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_3_for_invalid_scenario(tmp_path, capsys):
     bad = crash_scenario()
     bad["k_att"] = -1.0
@@ -290,7 +321,7 @@ def test_exit_code_3_for_radius_below_float_floor(tmp_path, capsys):
                      sim={"dt": 0.01, "t_max": 1.0, "goal_tolerance": 1e-151})
     rc = cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))])
     assert rc == 3
-    assert "radius below 1e-146" in capsys.readouterr().err
+    assert "radius below 3.01e-36" in capsys.readouterr().err
 
 
 def test_verify_command_single_suite(capsys):

@@ -100,12 +100,12 @@ def test_rollout_states_stay_floats(monkeypatch):
 # fill and its bookkeeping can be checked against exact counts.
 
 def _rollout(model, n_max, integ, x0, dt=0.01):
-    """Runs ``_integrate`` into fresh buffers; returns its result and the rows."""
-    m = len(model[2])
-    cols = [np.full(n_max + 1, -1.0) for _ in range(7)]
-    phis = np.full((n_max + 1, m), -1.0)
-    out = _k._integrate(*x0, model, dt, n_max, 1e-3, integ, *cols, phis)
-    return out, cols, phis
+    """Runs ``_integrate`` (``integ`` 0 = Euler, 1 = RK4) into a fresh record;
+    returns its result, the seven base columns and the margins."""
+    rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
+    stages = ((), _k.RK4_STAGES)[integ]
+    out = _k._integrate(*x0, model, dt, n_max, 1e-3, stages, rec)
+    return out, list(rec[:, :7].T), rec[:, 7:]
 
 
 FAR_GOAL = _k.pack_model(Scenario(goal=[100.0, 0.0],

@@ -123,25 +123,35 @@ def test_violations_collects_everything_at_once():
 
 
 def test_radius_whose_clearance_can_square_to_zero_is_rejected():
-    """Below MIN_RADIUS the smallest positive clearance, one ulp of the
-    radius, squares to 0.0 and the repulsive gradient divides by it."""
+    """Below ``min_radius(k_rep)`` the smallest positive clearance, one ulp of
+    the radius, can overflow |F_rep|^2 and turn the control into NaN; that
+    floor lies far above the radius where the clearance squares to 0.0.  At
+    the floor the control one ulp outside the obstacle is finite."""
     from apf_rcbf import apf_control
-    from apf_rcbf.scenario import MIN_RADIUS
-    assert math.ulp(MIN_RADIUS) ** 2 > 0.0
-    assert math.ulp(math.nextafter(MIN_RADIUS, 0.0)) ** 2 == 0.0
+    from apf_rcbf.scenario import min_radius
+    assert min_radius(1.0) == 2.0 ** -118
+    assert min_radius(8.0) == 2.0 ** -117  # grows as k_rep ** (1/3)
 
-    def tiny(radius):
-        return Scenario(goal=[1.0, 0.0], obstacles=(make_obstacle(0.0, 0.0, radius, 1e-150),))
+    def tiny(radius, k_rep=1.0):
+        return Scenario(goal=[1.0, 0.0], obstacles=(make_obstacle(0.0, 0.0, radius, 0.5),),
+                        k_rep=k_rep)
 
     assert scenario_violations(tiny(1e-150)) == [
-        "obstacle 0: radius below 1e-146, where a positive clearance can square to 0.0"]
-    assert scenario_violations(tiny(math.nextafter(MIN_RADIUS, 0.0))) != []
-    at_floor = tiny(MIN_RADIUS)
-    assert scenario_violations(at_floor) == []
-    # one ulp outside, the smallest clearance there is: evaluates, does not raise
-    x = [math.nextafter(MIN_RADIUS, 1.0), 0.0]
-    assert classify_safety(x, at_floor).h == math.ulp(MIN_RADIUS)
-    apf_control(x, at_floor)
+        "obstacle 0: radius below 3.01e-36, where |F_rep|^2 can overflow at the smallest "
+        "clearance"]
+    for radius in (1e-36, 1e-40, 1e-60, 1e-100, math.nextafter(2.0 ** -118, 0.0)):
+        assert scenario_violations(tiny(radius)) != []
+    # one binade below the floor, one ulp outside on the axis: NaN
+    below = 2.0 ** -119
+    assert np.isnan(apf_control([math.nextafter(below, 1.0), 0.0], tiny(below))).all()
+    for k_rep in (1.0, 8.0, 1e-3):
+        floor = min_radius(k_rep)
+        at_floor = tiny(floor, k_rep)
+        assert scenario_violations(at_floor) == []
+        # one ulp outside, the smallest clearance there is: a finite control
+        x = [math.nextafter(floor, 1.0), 0.0]
+        assert classify_safety(x, at_floor).h == math.ulp(floor)
+        assert np.isfinite(apf_control(x, at_floor)).all()
 
 
 def test_goal_on_influence_boundary_is_allowed():

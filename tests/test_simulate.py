@@ -376,6 +376,39 @@ def test_csv_round_trip_is_exact(single, tmp_path):
     assert header == "t,x,y,ux,uy,h_min,V,phi_1"
 
 
+@pytest.mark.parametrize("case", ["arena-goal", "obstacle-free", "overlap-stall"])
+def test_trajectory_columns_are_owned_read_only_copies(arena, tmp_path, case):
+    """Every array of a trajectory, simulated or read back from its CSV, is
+    a read-only, C-contiguous array that owns its memory, so a run that ends
+    long before t_max keeps no reference to its whole preallocated record."""
+    from apf_rcbf import SimConfig
+    scenario, x0 = {
+        "arena-goal": (arena, [-2.0, 0.5]),
+        "obstacle-free": (Scenario(goal=[1.0, 0.0]), [0.0, -0.5]),
+        "overlap-stall": (Scenario(goal=[5.0, 0.0],
+                                   obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
+                                              Obstacle([2.0, -0.6], 0.5, 0.4))), [0.0, 0.1]),
+    }[case]
+    cfg = SimConfig(dt=0.01, t_max=40.0, goal_tolerance=0.05)
+    m = len(scenario.obstacles)
+    tr = simulate(scenario, ControllerSpec("apf"), cfg, x0)
+    n = tr.n_samples
+    if case == "overlap-stall":
+        assert (tr.terminal, n) == ("timeout", 4001)
+    else:
+        assert tr.terminal == "reached_goal" and n < 1000
+    path = tmp_path / "run.csv"
+    write_trajectory_csv(tr, path)
+    for run in (tr, read_trajectory_csv(path, tr.terminal)):
+        shapes = {"t": (n,), "x": (n, 2), "u": (n, 2), "h_min": (n,), "V": (n,),
+                  "phi": (n, m)}
+        for name, shape in shapes.items():
+            arr = getattr(run, name)
+            assert arr.shape == shape and arr.dtype == np.float64, name
+            assert not arr.flags.writeable and arr.flags.c_contiguous, name
+            assert arr.base is None, name
+
+
 def test_csv_reader_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
