@@ -2,10 +2,10 @@
 
 The controller kernels operate on one packed ``model`` tuple (no
 dataclasses), built from a scenario and a controller packing by
-:func:`pack_model`; the field helpers take plain scalars.  Every scalar in the
-model is a Python ``float`` (or ``int`` selector): ``pack_model`` unboxes the
-scenario's numpy arrays once, so the per-state arithmetic never touches numpy
-scalars, which cost about four times as much per arithmetic operation.
+:func:`pack_model`.  Every scalar in the model is a Python ``float`` (or
+``int`` selector): ``pack_model`` unboxes the goal and obstacle centers once,
+so the per-state arithmetic never touches numpy scalars, which cost about
+four times as much per arithmetic operation.
 
 Packing conventions used throughout:
 
@@ -90,9 +90,8 @@ def pack_controller(sigma_sel=None, gamma_sel=None, filtered=True):
 def pack_model(scenario, packing):
     """The ``model`` tuple the controller kernels take: goal, obstacles and
     gains of ``scenario`` followed by the controller ``packing``."""
-    centers, radii, rho0s = scenario.packed()
-    obstacles = tuple((cx, cy, r, rho0) for (cx, cy), r, rho0
-                      in zip(centers.tolist(), radii.tolist(), rho0s.tolist()))
+    obstacles = tuple((*obs.center.tolist(), obs.radius, obs.influence_margin)
+                      for obs in scenario.obstacles)
     gx, gy = scenario.goal.tolist()
     return (gx, gy, obstacles, float(scenario.k_att), float(scenario.k_rep),
             float(scenario.alpha_gain), *packing)
@@ -102,43 +101,6 @@ def _att_value(x, y, gx, gy, k_att):
     dx = x - gx
     dy = y - gy
     return 0.5 * k_att * (dx * dx + dy * dy)
-
-
-def _att_grad(x, y, gx, gy, k_att):
-    return k_att * (x - gx), k_att * (y - gy)
-
-
-def _rep_value(x, y, cx, cy, r, rho0, k_rep):
-    ox = x - cx
-    oy = y - cy
-    rho = math.sqrt(ox * ox + oy * oy) - r
-    if rho >= rho0:
-        return 0.0
-    q = 1.0 / rho - 1.0 / rho0
-    return 0.5 * k_rep * q * q
-
-
-def _rep_grad(x, y, cx, cy, r, rho0, k_rep):
-    """Gradient of the repulsive potential (the repulsive force).
-
-    For 0 < rho < rho0 this is  -(k_rep / rho^2) (1/rho - 1/rho0) (x - c)/|x - c|
-    and zero outside the influence region.  The expression order here is
-    mirrored verbatim by the Python-level field API so superposition tests can
-    assert exact (not approximate) agreement.
-    """
-    ox = x - cx
-    oy = y - cy
-    dist = math.sqrt(ox * ox + oy * oy)
-    rho = dist - r
-    if rho >= rho0:
-        return 0.0, 0.0
-    coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
-    return coef * ox, coef * oy
-
-
-def _alpha_bar(h, rho0, k_rep):
-    q = rho0 * h / (rho0 - h)
-    return (2.0 / k_rep) * q * q
 
 
 def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
@@ -197,6 +159,7 @@ def _control_point(x, y, model, phis):
             dy = 0.0
             dd = 0.0
         else:
+            # fields.f_rep's expressions in its order: bitwise superposition
             coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
             dx = coef * ox
             dy = coef * oy

@@ -122,6 +122,13 @@ def parse_controller(entry) -> tuple:
     return str(entry["name"]), spec
 
 
+def _check_seed(seed):
+    """The seed of a config or of ``verify --seed``, if a nonnegative integer."""
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
 def load_run_config(path: Path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -164,9 +171,7 @@ def load_run_config(path: Path) -> RunConfig:
         x0 = None
     if x0 is None or x0.shape != (2,) or not np.all(np.isfinite(x0)):
         raise ConfigError(f"x0 must be a finite 2-vector, got {data['x0']!r}")
-    seed = data.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    seed = _check_seed(data.get("seed", 0))
 
     scenario_path = Path(str(data["scenario_path"]))
     if not scenario_path.is_absolute():
@@ -260,7 +265,7 @@ def cmd_verify(args) -> int:
     config_path = resolve_config_path(args.config)
     cfg = load_run_config(config_path)
     scenario = _load_scenario_checked(cfg.scenario_path)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _check_seed(args.seed) if args.seed is not None else cfg.seed
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(scenario, names, seed=seed)
     for res in results:

@@ -18,13 +18,14 @@ as a reciprocal barrier there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as _k
 from .errors import InsideObstacleError
-from .scenario import Obstacle, Scenario, rho
+from .scenario import Obstacle, Scenario
 
 INSIDE_OBSTACLE_MSG = "inside obstacle: repulsive potential undefined"
 
@@ -63,32 +64,46 @@ def run_control_kernel(x, scenario: Scenario, packing, require_clearance=True):
 
 def u_att(x, scenario: Scenario) -> float:
     px, py = _as_point(x)
-    return _k._att_value(px, py, float(scenario.goal[0]), float(scenario.goal[1]),
-                         scenario.k_att)
+    return _k._att_value(px, py, *scenario.goal.tolist(), scenario.k_att)
 
 
 def f_att(x, scenario: Scenario) -> np.ndarray:
     px, py = _as_point(x)
-    gx, gy = _k._att_grad(px, py, float(scenario.goal[0]), float(scenario.goal[1]),
-                          scenario.k_att)
-    return np.array([gx, gy])
+    gx, gy = scenario.goal.tolist()
+    return np.array([scenario.k_att * (px - gx), scenario.k_att * (py - gy)])
+
+
+def _offset(x, obs: Obstacle):
+    """``(ox, oy, |x - c|, rho)`` at ``x``; raises on or inside ``obs``."""
+    px, py = _as_point(x)
+    cx, cy = obs.center.tolist()
+    ox = px - cx
+    oy = py - cy
+    dist = math.sqrt(ox * ox + oy * oy)
+    rho = dist - obs.radius
+    if rho <= 0.0:
+        raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
+    return ox, oy, dist, rho
 
 
 def u_rep(x, obs: Obstacle, scenario: Scenario) -> float:
-    if rho(x, obs) <= 0.0:
-        raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
-    px, py = _as_point(x)
-    return _k._rep_value(px, py, float(obs.center[0]), float(obs.center[1]),
-                         obs.radius, obs.influence_margin, scenario.k_rep)
+    _, _, _, rho = _offset(x, obs)
+    rho0 = obs.influence_margin
+    if rho >= rho0:
+        return 0.0
+    q = 1.0 / rho - 1.0 / rho0
+    return 0.5 * scenario.k_rep * q * q
 
 
 def f_rep(x, obs: Obstacle, scenario: Scenario) -> np.ndarray:
-    if rho(x, obs) <= 0.0:
-        raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
-    px, py = _as_point(x)
-    gx, gy = _k._rep_grad(px, py, float(obs.center[0]), float(obs.center[1]),
-                          obs.radius, obs.influence_margin, scenario.k_rep)
-    return np.array([gx, gy])
+    """The repulsive force F_rep.  ``_kernels._control_point`` repeats these
+    expressions in this order, so apf_control = -f_att - sum f_rep bit for bit."""
+    ox, oy, dist, rho = _offset(x, obs)
+    rho0 = obs.influence_margin
+    if rho >= rho0:
+        return np.array([0.0, 0.0])
+    coef = -(scenario.k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
+    return np.array([coef * ox, coef * oy])
 
 
 def attractive_field(x, scenario: Scenario) -> FieldEval:
@@ -123,4 +138,6 @@ def alpha_bar(h: float, scenario: Scenario, rho0: float | None = None) -> float:
     h = float(h)
     if not 0.0 <= h < rho0:
         raise ValueError(f"h must lie in [0, rho0): got h={h}, rho0={rho0}")
-    return _k._alpha_bar(h, float(rho0), scenario.k_rep)
+    rho0 = float(rho0)
+    q = rho0 * h / (rho0 - h)
+    return (2.0 / scenario.k_rep) * q * q

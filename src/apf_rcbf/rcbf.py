@@ -30,8 +30,8 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import SigmaSelector, _freeze_table, _positive, sigma_value
-from .errors import InfeasibleConstraintError, InsideObstacleError, NegativeGammaError
-from .fields import INSIDE_OBSTACLE_MSG, f_att, f_rep, run_control_kernel, u_rep
+from .errors import InfeasibleConstraintError, NegativeGammaError
+from .fields import f_att, f_rep, run_control_kernel, u_rep
 from .scenario import Obstacle, Scenario, rho
 
 logger = logging.getLogger(__name__)
@@ -150,13 +150,11 @@ def rcbf_terms(x, obs: Obstacle, scenario: Scenario, u_nom, sel: GammaSelector) 
     Unlike the fused controllers, this evaluates Gamma from its definition,
     and enforces Gamma >= 0 as a hard error.
     """
+    B = u_rep(x, obs, scenario)  # raises on or inside the obstacle
     h = rho(x, obs)
-    if h <= 0.0:
-        raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
-    u_nom = np.asarray(u_nom, dtype=np.float64)
-    B = u_rep(x, obs, scenario)
     c = -scenario.alpha_gain * h
     d = f_rep(x, obs, scenario)
+    u_nom = np.asarray(u_nom, dtype=np.float64)
     if sel.kind == "zero":
         gamma = 0.0
     elif sel.kind == "scaled_special":
@@ -171,6 +169,17 @@ def rcbf_terms(x, obs: Obstacle, scenario: Scenario, u_nom, sel: GammaSelector) 
     return RcbfTerms(B=B, h=h, c=c, d=d, gamma=gamma, c_tilde=c + gamma)
 
 
+def _diagnostics(phi, d, dd, g_att):
+    """One constraint's diagnostics: active when phi > 0, gain g_rep =
+    -phi/dd (NaN for a zero row, dd = |d|^2 = 0), and the correction g_rep d,
+    applied only when active on a nonzero row."""
+    g_rep = -(phi / dd) if dd > 0.0 else math.nan
+    active = phi > 0.0
+    correction = g_rep * d if active and dd > 0.0 else np.zeros(2)
+    return FilterDiagnostics(phi=phi, active=active, correction=correction,
+                             g_att=g_att, g_rep=g_rep)
+
+
 def safety_filter(u_nom, terms: RcbfTerms):
     """Project ``u_nom`` onto the tightened barrier constraint (closed form).
 
@@ -183,16 +192,9 @@ def safety_filter(u_nom, terms: RcbfTerms):
     phi = terms.c_tilde + float(d[0]) * float(u_nom[0]) + float(d[1]) * float(u_nom[1])
     if dd == 0.0 and terms.c_tilde > 0.0:
         raise InfeasibleConstraintError(INFEASIBLE_MSG)
-    if phi > 0.0:
-        g_rep = -(phi / dd)
-        correction = g_rep * d
-        u = u_nom + correction
-        return u, FilterDiagnostics(phi=phi, active=True, correction=correction,
-                                    g_att=math.nan, g_rep=g_rep)
-    correction = np.zeros(2)
-    g_rep = -(phi / dd) if dd > 0.0 else math.nan
-    return u_nom.copy(), FilterDiagnostics(phi=phi, active=False, correction=correction,
-                                           g_att=math.nan, g_rep=g_rep)
+    diag = _diagnostics(phi, d, dd, math.nan)
+    u = u_nom + diag.correction if diag.active else u_nom.copy()
+    return u, diag
 
 
 def special_filter_control(x, scenario: Scenario) -> np.ndarray:
@@ -230,15 +232,5 @@ def generalized_control(x, scenario: Scenario, sigma_sel: SigmaSelector,
     for i, obs in enumerate(scenario.obstacles):
         d = f_rep(x, obs, scenario)
         dd = float(d[0]) * float(d[0]) + float(d[1]) * float(d[1])
-        phi = float(phis[i])
-        active = phi > 0.0
-        if active and dd > 0.0:
-            g_rep = -(phi / dd)
-            correction = g_rep * d
-        else:
-            g_rep = -(phi / dd) if dd > 0.0 else math.nan
-            correction = np.zeros(2)
-        diagnostics.append(FilterDiagnostics(phi=phi, active=active,
-                                             correction=correction,
-                                             g_att=g_att, g_rep=g_rep))
+        diagnostics.append(_diagnostics(float(phis[i]), d, dd, g_att))
     return u, tuple(diagnostics)

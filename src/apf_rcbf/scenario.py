@@ -106,6 +106,9 @@ class Scenario:
         object.__setattr__(self, "k_att", _finite(self.k_att, "k_att"))
         object.__setattr__(self, "k_rep", _finite(self.k_rep, "k_rep"))
         object.__setattr__(self, "alpha_gain", _finite(self.alpha_gain, "alpha_gain"))
+
+    def packed(self):
+        """New read-only float64 arrays: centers (m, 2), radii (m,), rho0s (m,)."""
         m = len(self.obstacles)
         centers = np.empty((m, 2), dtype=np.float64)
         radii = np.empty(m, dtype=np.float64)
@@ -116,13 +119,7 @@ class Scenario:
             rho0s[i] = obs.influence_margin
         for arr in (centers, radii, rho0s):
             arr.setflags(write=False)
-        object.__setattr__(self, "_centers", centers)
-        object.__setattr__(self, "_radii", radii)
-        object.__setattr__(self, "_rho0s", rho0s)
-
-    def packed(self):
-        """Obstacle arrays in the layout the numeric kernels expect."""
-        return self._centers, self._radii, self._rho0s
+        return centers, radii, rho0s
 
 
 @dataclass(frozen=True)
@@ -196,6 +193,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     missing = _SCENARIO_KEYS - set(data)
     if missing:
         raise ValueError(f"missing scenario key(s): {sorted(missing)}")
+    if not isinstance(data["obstacles"], list):
+        raise ValueError(f"obstacles must be an array, got {data['obstacles']!r}")
     obstacles = []
     for i, entry in enumerate(data["obstacles"]):
         if not isinstance(entry, dict):

@@ -43,7 +43,8 @@ def _verdict(num, label, detail, ok):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels(arena):
-    """Compile/load every kernel once so timed criteria measure compute only."""
+    """Run the timed code paths once so timed criteria measure compute only,
+    not first-call costs such as imports."""
     equivalence_suite(arena, nx=4, ny=4)
     simulate(arena, ControllerSpec("apf"),
              SimConfig(dt=0.01, t_max=0.02, goal_tolerance=0.05), [-2.0, 0.0])

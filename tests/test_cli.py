@@ -279,8 +279,13 @@ def test_exit_code_2_for_config_trouble(tmp_path, capsys):
     ("run", lambda c: c["controllers"][1]["gamma"].update({"lambda": {"a": 1}}), None),
     ("run", None, lambda s: s["obstacles"][0].update(radius=[0.5])),
     ("run", None, lambda s: s.update(k_att=None)),
+    ("run", None, lambda s: s.update(obstacles=5)),
+    ("run", None, lambda s: s.update(obstacles=None)),
+    ("run", None, lambda s: s.update(obstacles=1.5)),
+    ("run", None, lambda s: s.update(obstacles={})),
 ], ids=["x0-string", "seed-string", "verify-seed-string", "seed-bool", "seed-float",
-        "coef-list", "lambda-object", "radius-list", "k_att-null"])
+        "coef-list", "lambda-object", "radius-list", "k_att-null", "obstacles-int",
+        "obstacles-null", "obstacles-float", "obstacles-object"])
 def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, mutate_scen):
     """A value of the wrong type in a config or scenario is a configuration
     error, not a crash (exit 1 means a rollout ended in domain_error)."""
@@ -294,6 +299,14 @@ def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, m
     rc = cli.main([command, str(write_json(tmp_path / "cfg.json", cfg))])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_seed_override_follows_config_seed_rule(capsys):
+    """``verify --seed`` takes the config's seed rule: a negative seed is a
+    configuration error, not a crash inside the random generator."""
+    rc = cli.main(["verify", "fig2.json", "--suite", "gradients", "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
 
 
 def test_exit_code_3_for_invalid_scenario(tmp_path, capsys):

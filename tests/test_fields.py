@@ -145,8 +145,8 @@ def test_repulsive_gradient_finite_differences(single, rng):
 def test_combined_is_exact_superposition(arena, rng):
     """apf_control must equal -f_att - sum of f_rep bitwise, not approximately.
 
-    The controller and the field API share one gradient kernel and accumulate
-    in the same order, so any drift here means the expressions diverged.
+    The controller kernel repeats f_rep's expressions in f_rep's order and
+    accumulates in the same order, so any drift here means the two diverged.
     """
     count = 0
     while count < 500:

@@ -207,6 +207,25 @@ def test_generalized_zero_gamma_filters_less_than_unit(single):
     np.testing.assert_array_equal(u_unit, apf_control(x, single))
 
 
+@pytest.mark.parametrize("gamma", [GammaSelector.zero(), GammaSelector.scaled_special(1.0)],
+                         ids=["zero", "scaled_special"])
+def test_generalized_outside_every_shell_reports_zero_rows(arena, gamma):
+    """Outside every influence shell each row F_rep is zero: no obstacle is
+    active, none corrects, the repulsive gain is undefined (NaN), and the
+    control is the stabilizer's own, bit for bit."""
+    sigma = SigmaSelector.grad_norm_squared()
+    x = [-2.0, 0.0]
+    assert all(rho(x, obs) > obs.influence_margin for obs in arena.obstacles)
+    u, diags = generalized_control(x, arena, sigma, gamma)
+    assert len(diags) == len(arena.obstacles)
+    for diag in diags:
+        assert not diag.active
+        np.testing.assert_array_equal(diag.correction, [0.0, 0.0])
+        assert math.isnan(diag.g_rep)
+        assert diag.g_att == diags[0].g_att
+    np.testing.assert_array_equal(u, nominal_control(x, arena, sigma))
+
+
 def test_generalized_matches_term_level_route(single, rng):
     """Fused controller against the rcbf_terms + safety_filter composition at
     well-conditioned states (one obstacle, so no superposition subtleties)."""

@@ -37,7 +37,10 @@ def test_constructors_coerce_and_freeze():
     assert centers.shape == (1, 2)
     np.testing.assert_array_equal(centers[0], obs.center)
     assert radii[0] == 0.5 and rho0s[0] == 0.2
-    for arr in (centers, radii, rho0s):
+    empty = Scenario(goal=(7, 3.2)).packed()
+    assert [arr.shape for arr in empty] == [(0, 2), (0,), (0,)]
+    for arr in (centers, radii, rho0s, *empty):
+        assert arr.dtype == np.float64
         assert not arr.flags.writeable
 
 
