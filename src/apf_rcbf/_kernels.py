@@ -25,14 +25,23 @@ Packing conventions used throughout:
   first (state offset ``c * dt`` along the previous slope, weight ``w``);
   ``()`` is explicit Euler, :data:`RK4_STAGES` classic RK4
 * rollout record: one ``(n_max + 1, 7 + m)`` float array whose rows are the
-  CSV rows ``t, x, y, ux, uy, h_min, V, phi_1 .. phi_m``
+  CSV rows ``t, x, y, ux, uy, h_min, V, phi_1 .. phi_m``; :func:`_integrate`
+  buffers rows in a flat list and writes them in chunks of whole rows
 * terminal status: 0 = reached goal, 1 = timeout, 2 = domain error
 
 Kernels never raise: domain violations are reported through return codes and
 NaN diagnostics, and the Python wrappers convert them into typed exceptions.
 (``validate_scenario`` keeps obstacle radii at or above
 ``scenario.min_radius(k_rep)``, so the squared repulsive gradient stays finite
-at every positive clearance.)
+at every positive clearance, and ``simulate`` and ``generalized_control``
+refuse a scaled-special lam above ``scenario.max_lambda``, so lam times it
+does too.)
+
+Per-state cost: most obstacles of a state lie beyond their influence shell,
+where d = F_rep = (0, 0).  :func:`_control_point` forms that idle shell's
+d.u_nom and lam |d|^2 once per state, from the same operands in the same
+order as a live shell would, and skips the correction there, which needs
+|d|^2 > 0.  The margins, NaN propagation included, keep their bits.
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
@@ -60,6 +69,10 @@ import numpy as np
 REACHED_GOAL = 0
 TIMEOUT = 1
 DOMAIN_ERROR = 2
+
+# _integrate writes its buffered rows into the record array once this many
+# floats are buffered: one write per ~100 rows, and a buffer of a few kB
+RECORD_CHUNK_FLOATS = 1024
 
 # RK4 stages after the first: (offset of the stage state, weight in the sum)
 RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
@@ -121,24 +134,31 @@ def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
 def _control_point(x, y, model, phis):
     """Evaluate one controller at one state.
 
-    Fills ``phis`` (one constraint margin per obstacle; NaN for obstacles the
-    state is inside of) and returns ``(ux, uy, hmin, min_gamma)`` where
-    ``min_gamma`` is the smallest tightening value evaluated at this state
-    (+inf when no obstacle was active).  Callers must treat the control as
-    undefined when ``hmin <= 0``.
+    Fills ``phis`` (a list or array with one constraint margin per obstacle;
+    NaN for obstacles the state is inside of) and returns ``(ux, uy, hmin,
+    min_gamma)`` where ``min_gamma`` is the smallest tightening value
+    evaluated at this state (+inf when no obstacle was active).  Callers must
+    treat the control as undefined when ``hmin <= 0``.
     """
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
     bx = k_att * (x - gx)
     by = k_att * (y - gy)
     bb = bx * bx + by * by
-    sig = _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty)
+    if skind == 0:
+        sig = bb  # _sigma_value's grad-norm-squared expression
+    else:
+        sig = _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty)
     if bb > 0.0:
         gatt = -(sig / bb)
     else:
         gatt = 0.0
     unx = gatt * bx
     uny = gatt * by
+    # d.u_nom and lam |d|^2 on an idle shell, where d = F_rep = (0, 0): the
+    # same products a live shell forms, so NaN or inf in u_nom propagates alike
+    idle_du = 0.0 * unx + 0.0 * uny
+    idle_ldd = glam * 0.0
 
     ux = unx
     uy = uny
@@ -154,17 +174,31 @@ def _control_point(x, y, model, phis):
         if rho <= 0.0:
             phis[i] = math.nan
             continue
-        if rho >= rho0:
-            dx = 0.0
-            dy = 0.0
-            dd = 0.0
-        else:
-            # fields.f_rep's expressions in its order: bitwise superposition
-            coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
-            dx = coef * ox
-            dy = coef * oy
-            dd = dx * dx + dy * dy
         alphah = alpha_gain * rho
+        if rho >= rho0:
+            # idle shell: the live margins below with the shared d = (0, 0)
+            # terms; a zero row takes no correction
+            if ckind == 1:
+                phis[i] = -alphah + idle_du
+                continue
+            if gkind == 1:
+                gam = idle_ldd + alphah - idle_du
+                phi = idle_ldd
+            elif gkind == 0:
+                gam = 0.0
+                phi = -alphah + idle_du
+            else:
+                gam = float(np.interp(rho, gtx, gty))
+                phi = (-alphah + gam) + idle_du
+            if gam < ming:
+                ming = gam
+            phis[i] = phi
+            continue
+        # fields.f_rep's expressions in its order: bitwise superposition
+        coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
+        dx = coef * ox
+        dy = coef * oy
+        dd = dx * dx + dy * dy
         if ckind == 1:
             # No filtering: record the margin the zero-tightening filter
             # would have seen, as a diagnostic only.
@@ -192,7 +226,7 @@ def _control_point(x, y, model, phis):
 def _eval_controls(xs, ys, model):
     """Evaluate one controller over a batch of states (the grid sweep);
     returns the two control components as arrays."""
-    phis = np.empty(len(model[2]), dtype=np.float64)
+    phis = [0.0] * len(model[2])
     uxs = []
     uys = []
     for x, y in zip(xs.tolist(), ys.tolist()):
@@ -200,6 +234,16 @@ def _eval_controls(xs, ys, model):
         uxs.append(ux)
         uys.append(uy)
     return np.array(uxs), np.array(uys)
+
+
+def _flush(rec, row, buf, width):
+    """Write the whole rows held in the flat list ``buf`` into ``rec`` from
+    ``row`` on, by row slice (so any memory layout of ``rec`` is filled),
+    empty ``buf``, and return the next row to write."""
+    rows = len(buf) // width
+    rec[row:row + rows] = np.fromiter(buf, np.float64, rows * width).reshape(rows, width)
+    buf.clear()
+    return row + rows
 
 
 def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
@@ -211,6 +255,12 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     first by 1) and summed, times ``dt / (1 + sum of w)``.  The rollout stops
     without recording when the current state -- or any stage state -- has
     nonpositive clearance, because the controller is undefined there.
+
+    Rows are collected in a flat Python list and written into ``rec`` a chunk
+    of about :data:`RECORD_CHUNK_FLOATS` floats at a time, by row slices, and
+    once more before the loop returns: one numpy element store costs about
+    three list appends.  Rows past the returned sample count are left as
+    they were.
 
     A stationary state ends the stepping early with the same record.  When a
     step returns its own state bit for bit (signed zeros included; a stall,
@@ -224,9 +274,11 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     Returns ``(n_samples, status, min_gamma, n_negative_gamma_evals)``.
     """
     gx, gy, obstacles, k_att = model[:4]
-    ts, xs, ys, uxs, uys, hs, vs = rec[:, :7].T
-    phis_out = rec[:, 7:]
-    scratch = np.empty(len(obstacles), dtype=np.float64)
+    width = 7 + len(obstacles)
+    phis = [0.0] * len(obstacles)
+    scratch = [0.0] * len(obstacles)
+    buf = []
+    row = 0
     step = dt / (1.0 + sum(w for _, w in stages))
     ming = math.inf
     negcount = 0
@@ -234,8 +286,9 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     yy = x0y
     n = 0
     status = TIMEOUT
+    stall = -1
     for k in range(n_max + 1):
-        ux, uy, hmin, mg = _control_point(xx, yy, model, phis_out[k])
+        ux, uy, hmin, mg = _control_point(xx, yy, model, phis)
         if mg < ming:
             ming = mg
         if mg < 0.0:
@@ -243,17 +296,16 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         if hmin <= 0.0:
             status = DOMAIN_ERROR
             break
-        ts[k] = k * dt
-        xs[k] = xx
-        ys[k] = yy
-        uxs[k] = ux
-        uys[k] = uy
-        hs[k] = hmin
-        vs[k] = _att_value(xx, yy, gx, gy, k_att)
-        n = k + 1
         ddx = xx - gx
         ddy = yy - gy
-        if math.sqrt(ddx * ddx + ddy * ddy) < goal_tol:
+        dd2 = ddx * ddx + ddy * ddy
+        # V = _att_value's expression on the goal test's squared distance
+        buf += (k * dt, xx, yy, ux, uy, hmin, 0.5 * k_att * dd2)
+        buf += phis
+        if len(buf) >= RECORD_CHUNK_FLOATS:
+            row = _flush(rec, row, buf, width)
+        n = k + 1
+        if math.sqrt(dd2) < goal_tol:
             status = REACHED_GOAL
             break
         if k == n_max:
@@ -284,15 +336,19 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         ny = yy + step * sy
         if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
                 and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
-            # stationary: rows k+1 .. n_max repeat row k; each skipped step
-            # evaluates its sample, and every one but the last its stages
-            n = n_max + 1
-            rec[k + 1:n] = rec[k]
-            ts[k + 1:n] = np.arange(k + 1, n) * dt
+            # stationary: each skipped step evaluates its sample, and every
+            # one but the last its stages
+            stall = k
             rest = n_max - k
             negcount += rest * (mg < 0.0) + (rest - 1) * (negcount - neg_before_stages)
             status = TIMEOUT
             break
         xx = nx
         yy = ny
+    _flush(rec, row, buf, width)
+    if stall >= 0:
+        # rows stall+1 .. n_max repeat row stall
+        n = n_max + 1
+        rec[stall + 1:n] = rec[stall]
+        rec[stall + 1:n, 0] = np.arange(stall + 1, n) * dt
     return n, status, ming, negcount

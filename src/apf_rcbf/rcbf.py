@@ -32,7 +32,7 @@ from . import _kernels as _k
 from .clf import SigmaSelector, _freeze_table, _positive, sigma_value
 from .errors import InfeasibleConstraintError, NegativeGammaError
 from .fields import f_att, f_rep, run_control_kernel, u_rep
-from .scenario import Obstacle, Scenario, rho
+from .scenario import Obstacle, Scenario, max_lambda, rho
 
 logger = logging.getLogger(__name__)
 
@@ -144,6 +144,20 @@ class FilterDiagnostics:
     g_rep: float
 
 
+def check_lambda(scenario: Scenario, gamma_sel: GammaSelector) -> None:
+    """Raise ``ValueError`` when ``gamma_sel`` is scaled-special with a lam
+    above :func:`scenario.max_lambda` for an obstacle of ``scenario``, where
+    lam * |F_rep|**2 can overflow to inf and the control to NaN."""
+    if gamma_sel.kind != "scaled_special":
+        return
+    for i, obs in enumerate(scenario.obstacles):
+        bound = max_lambda(scenario.k_rep, obs.radius)
+        if gamma_sel.lam > bound:
+            raise ValueError(
+                f"scaled_special lambda {gamma_sel.lam!r} exceeds {bound:.3g} for obstacle "
+                f"{i}, where lambda*|F_rep|^2 can overflow at the smallest clearance")
+
+
 def rcbf_terms(x, obs: Obstacle, scenario: Scenario, u_nom, sel: GammaSelector) -> RcbfTerms:
     """Evaluate the (tightened) barrier condition pieces term by term.
 
@@ -219,6 +233,7 @@ def generalized_control(x, scenario: Scenario, sigma_sel: SigmaSelector,
     correction g_rep F_rep with g_rep = -phi/|F_rep|^2, superposed onto
     u_nom.  Returns ``(u, per-obstacle FilterDiagnostics tuple)``.
     """
+    check_lambda(scenario, gamma_sel)
     u, _, ming, phis = run_control_kernel(x, scenario,
                                           _k.pack_controller(sigma_sel, gamma_sel))
     if ming < 0.0:

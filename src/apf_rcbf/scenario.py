@@ -25,6 +25,12 @@ from .errors import ScenarioValidationError
 BOUNDARY_TOL = 1e-9
 
 
+def _ceil_log2(v: float) -> int:
+    """ceil(log2(|v|)) for a nonzero float ``v``, exactly."""
+    mant, exp = math.frexp(abs(v))  # |v| in [2**(exp - 1), 2**exp)
+    return exp - 1 if mant == 0.5 else exp
+
+
 def min_radius(k_rep: float) -> float:
     """Smallest obstacle radius at which the kernels' repulsive terms stay
     finite under the repulsive gain ``k_rep > 0``.
@@ -40,13 +46,30 @@ def min_radius(k_rep: float) -> float:
     which rho * rho underflows to 0.0 (about 1e-146 for any gain).
 
     Above the floor two products can still overflow: lam * |F_rep|**2, the
-    scaled-special margin, at extreme lam, and F_rep . u_nom at extreme
-    coordinates or gains.
+    scaled-special margin, at large lam (bounded by :func:`max_lambda`), and
+    F_rep . u_nom at extreme coordinates or gains.
     """
-    mant, exp = math.frexp(k_rep)  # k_rep in [2**(exp - 1), 2**exp)
-    ceil_log2 = exp - 1 if mant == 0.5 else exp
-    ulp_exp = -((511 - ceil_log2) // 3)  # ceil((ceil_log2 - 511) / 3)
+    ulp_exp = -((511 - _ceil_log2(k_rep)) // 3)  # ceil((ceil_log2 - 511) / 3)
     return math.ldexp(1.0, ulp_exp + 52)
+
+
+def max_lambda(k_rep: float, radius: float) -> float:
+    """Largest scaled-special ``lam`` for which the margin lam * |F_rep|**2
+    stays finite outside an obstacle of ``radius`` under the gain ``k_rep``.
+
+    As in :func:`min_radius`, a positive computed clearance is at least
+    ulp(radius) = 2**u, so |F_rep| < k_rep / rho**3 <= 2**(K - 3u) with
+    K = ceil(log2(k_rep)), and |F_rep|**2 < 2**(2K - 6u).  A lam of at most
+    2**(1022 - 2K + 6u) keeps lam * |F_rep|**2 below 2**1022, the two bits
+    short of overflow (2**1024) that min_radius leaves for the rounding of
+    the computed square.  The bound is that power of two, +inf past the
+    float range.  At the radius floor it is at least 1 (4.0 for k_rep = 1,
+    where lam = 16 overflows one ulp outside the obstacle); a radius of 0.5
+    with k_rep = 1 allows lam up to 2**704.
+    """
+    ulp_exp = math.frexp(math.ulp(radius))[1] - 1
+    exp = 1022 - 2 * _ceil_log2(k_rep) + 6 * ulp_exp
+    return math.ldexp(1.0, exp) if exp < 1024 else math.inf
 
 
 _SCENARIO_KEYS = {"goal", "obstacles", "k_att", "k_rep", "alpha_gain"}

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import SigmaSelector
-from .rcbf import GammaSelector
+from .rcbf import GammaSelector, check_lambda
 from .scenario import Scenario, classify_safety, validate_scenario
 
 logger = logging.getLogger(__name__)
@@ -130,6 +130,8 @@ def _trajectory(rec, terminal: str) -> Trajectory:
 def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Trajectory:
     """Roll out the closed loop from ``x0`` until goal, timeout, or crash."""
     validate_scenario(scenario)
+    if ctrl.kind == "generalized":
+        check_lambda(scenario, ctrl.gamma_sel)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (2,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite 2-vector, got {x0!r}")
@@ -199,10 +201,12 @@ def csv_header(n_obstacles: int) -> str:
 def write_trajectory_csv(tr: Trajectory, path) -> None:
     """Plain CSV, one row per sample, '.' decimal separator, %.17g floats."""
     rows = np.column_stack([tr.t, tr.x, tr.u, tr.h_min, tr.V, tr.phi]).tolist()
+    # '%.17g' % v is f'{v:.17g}' byte for byte, and one format per row is cheaper
+    line = ",".join(["%.17g"] * (7 + tr.phi.shape[1])) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(csv_header(tr.phi.shape[1]) + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def read_trajectory_csv(path, terminal: str) -> Trajectory:

@@ -301,6 +301,20 @@ def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, m
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_exit_code_2_for_lambda_that_can_overflow(tmp_path, capsys):
+    """A scaled-special lambda above ``scenario.max_lambda`` (2**704 for the
+    radius-0.5 obstacle here) is refused before any run: exit 2, no output."""
+    write_json(tmp_path / "scen.json", crash_scenario())
+    cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
+    cfg["controllers"] = [cfg["controllers"][1]]
+    cfg["controllers"][0]["gamma"]["lambda"] = 1e300
+    assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 2
+    assert capsys.readouterr().err == (
+        "error: scaled_special lambda 1e+300 exceeds 8.42e+211 for obstacle 0, where "
+        "lambda*|F_rep|^2 can overflow at the smallest clearance\n")
+    assert not (tmp_path / "out" / "filtered.csv").exists()
+
+
 def test_verify_seed_override_follows_config_seed_rule(capsys):
     """``verify --seed`` takes the config's seed rule: a negative seed is a
     configuration error, not a crash inside the random generator."""

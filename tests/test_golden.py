@@ -16,6 +16,7 @@ import pytest
 
 from apf_rcbf import (ControllerSpec, GammaSelector, Obstacle, Scenario, SigmaSelector,
                       SimConfig, simulate, write_trajectory_csv)
+from apf_rcbf import _kernels as _k
 
 SQ = SigmaSelector.grad_norm_squared()
 
@@ -100,6 +101,29 @@ GOLDEN = {
     # creeps to t_max without ever repeating its state
     ("overlap", "gamma2", "euler", 0.02, 40.0, (0.0, 0.1)):
         ("timeout", "c2e44417d7cfab9f8b26e29179943118a76a940cd280e0d81a0803a689fbe3b3"),
+    # The rollout kernel writes its record in chunks of whole rows: 103 rows
+    # with three obstacles, 114 with two, 128 with one.  These runs end one
+    # row before, at and after a chunk boundary (102-104 and 227-229 rows),
+    # stall on the last row of a chunk (the fill then copies a row written by
+    # a flush), or hit an obstacle mid-chunk (470 rows).
+    ("fig2", "apf", "rk4", 0.004, 0.404, (-2.0, 0.0)):
+        ("timeout", "cf8dbc7d18a4c50c63c8d71b89966abcd0dcb82fa0010f2bd853e0a57d99a3d6"),
+    ("fig2", "apf", "rk4", 0.004, 0.408, (-2.0, 0.0)):
+        ("timeout", "d6f70e98d07781864c2d54bfb2963785377c548ea32381c4c2b36cf24b7f282a"),
+    ("fig2", "apf", "rk4", 0.004, 0.412, (-2.0, 0.0)):
+        ("timeout", "e45482b7a73a9f954c2a565326cca57b90b5542d1d43aa1e4e4700c0200503f2"),
+    ("overlap", "gamma2", "euler", 0.02, 4.52, (0.0, 0.1)):
+        ("timeout", "fb829a98b684db858950b22871053a2928542a3cdc2a57e73f285b39745b276f"),
+    ("overlap", "gamma2", "euler", 0.02, 4.54, (0.0, 0.1)):
+        ("timeout", "6cbbdf2e4a23ccb9e92bdf392380e5f2443b14a92cb3b2fbc7e122b45852b6ec"),
+    ("overlap", "gamma2", "euler", 0.02, 4.56, (0.0, 0.1)):
+        ("timeout", "1c7bbdbec485f6b84c87e5574d90732f281d3099075511012065e28cd0be5002"),
+    ("overlap", "gamma2", "rk4", 0.004, 40.0, (-3.0, 0.1)):  # from step 227
+        ("timeout", "08867ca5e0c846ade00d66c4a2d4f6499218bc26f61fe4f4a469f0e5d290eeaf"),
+    ("axis", "apf", "rk4", 0.004, 40.0, (0.4, 0.0)):  # from step 127
+        ("timeout", "5aed676acd054b42ec581ca240f40df2d62cca81373dad61f72d0e971b3d9628"),
+    ("single", "nominal", "euler", 0.001, 10.0, (0.0, 0.0)):
+        ("domain_error", "59f3c3bf99c5d1749ed8f8701abafa56dc4aa274a25a7b76ecece9c07715a6e6"),
 }
 
 # (arena, controller, integrator, dt, t_max, x0) -> the negative-tightening WARNING
@@ -129,6 +153,13 @@ def test_golden_rollout(case, arena, tmp_path):
     path = tmp_path / "run.csv"
     write_trajectory_csv(tr, path)
     assert (tr.terminal, hashlib.sha256(path.read_bytes()).hexdigest()) == GOLDEN[case]
+
+
+def test_chunk_cases_sit_on_chunk_boundaries():
+    """The record is flushed once a chunk's floats are buffered, so a chunk
+    holds ceil(RECORD_CHUNK_FLOATS / (7 + m)) rows: the row counts the chunk
+    cases above are placed around."""
+    assert [-(-_k.RECORD_CHUNK_FLOATS // (7 + m)) for m in (3, 2, 1)] == [103, 114, 128]
 
 
 @pytest.mark.parametrize("case", sorted(WARNINGS), ids=lambda c: "-".join(map(str, c)))

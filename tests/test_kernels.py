@@ -1,4 +1,5 @@
-"""The scalar kernels: Python floats in the hot loop, and the stationary fill.
+"""The scalar kernels: Python floats in the hot loop, the shared idle-shell
+terms, the buffered record, and the stationary fill.
 
 Arithmetic on ``np.float64`` scalars gives the same bits as on ``float`` but
 costs about four times as much, so a numpy scalar leaking back into the model
@@ -8,9 +9,12 @@ timing anything.
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apf_rcbf import (ControllerSpec, GammaSelector, Obstacle, Scenario, SigmaSelector,
                       SimConfig, simulate)
@@ -170,3 +174,166 @@ def test_stalled_rollout_stops_evaluating(monkeypatch):
     tr = simulate(overlap, ControllerSpec("apf"), cfg, [0.0, 0.1])
     assert (tr.terminal, tr.n_samples) == ("timeout", 10001)
     assert count <= 4 * (199 + 2)
+
+
+# The general per-obstacle expressions: every shell forms d = F_rep, |d|^2
+# and d.u_nom, with d = (0, 0) on an idle shell, and runs one margin formula.
+# The kernel shares the idle-shell terms across obstacles and reuses |F_att|^2
+# as the grad-norm-squared sigma; its bits must stay these.
+
+def _reference_control_point(x, y, model, phis):
+    (gx, gy, obstacles, k_att, k_rep, alpha_gain,
+     ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
+    bx = k_att * (x - gx)
+    by = k_att * (y - gy)
+    bb = bx * bx + by * by
+    sig = _k._sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty)
+    gatt = -(sig / bb) if bb > 0.0 else 0.0
+    unx = gatt * bx
+    uny = gatt * by
+    ux, uy, hmin, ming = unx, uny, math.inf, math.inf
+    for i, (cx, cy, r, rho0) in enumerate(obstacles):
+        ox = x - cx
+        oy = y - cy
+        dist = math.sqrt(ox * ox + oy * oy)
+        rho = dist - r
+        if rho < hmin:
+            hmin = rho
+        if rho <= 0.0:
+            phis[i] = math.nan
+            continue
+        if rho >= rho0:
+            dx = dy = dd = 0.0
+        else:
+            coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
+            dx = coef * ox
+            dy = coef * oy
+            dd = dx * dx + dy * dy
+        alphah = alpha_gain * rho
+        if ckind == 1:
+            phis[i] = -alphah + (dx * unx + dy * uny)
+            continue
+        if gkind == 1:
+            gam = glam * dd + alphah - (dx * unx + dy * uny)
+            phi = glam * dd
+        elif gkind == 0:
+            gam = 0.0
+            phi = -alphah + (dx * unx + dy * uny)
+        else:
+            gam = float(np.interp(rho, gtx, gty))
+            phi = (-alphah + gam) + (dx * unx + dy * uny)
+        if gam < ming:
+            ming = gam
+        phis[i] = phi
+        if phi > 0.0 and dd > 0.0:
+            grep = -(phi / dd)
+            ux += grep * dx
+            uy += grep * dy
+    return ux, uy, hmin, ming
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+_coords = st.floats(-3.0, 3.0)
+_sigma_sels = st.one_of(
+    st.just(SIGMAS[0]), st.just(SIGMAS[3]),
+    # 1e308 overflows sigma to inf, so u_nom turns non-finite
+    st.sampled_from([0.7, 1e308]).map(SigmaSelector.scaled_value),
+    st.sampled_from([1.3, 1e308]).map(SigmaSelector.scaled_norm))
+_gamma_sels = st.one_of(st.just(GAMMAS[0]), st.just(GAMMAS[2]),
+                        st.floats(1e-3, 100.0).map(GammaSelector.scaled_special))
+
+
+@st.composite
+def _model_and_state(draw):
+    """Up to three obstacles and a state placed relative to one of them:
+    inside it, in its shell, beyond it, or (``edge``) with the shell's rho0
+    set to the state's computed clearance, so that rho == rho0 exactly.  A
+    huge attractive gain overflows |F_att|^2 and makes u_nom NaN."""
+    obstacles = [[draw(_coords), draw(_coords), draw(st.floats(0.1, 1.0)),
+                  draw(st.floats(0.05, 1.0))] for _ in range(draw(st.integers(1, 3)))]
+    j = draw(st.integers(0, len(obstacles) - 1))
+    cx, cy, r, rho0 = obstacles[j]
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    s = draw(st.floats(0.0, r + 2.0 * rho0))
+    x = cx + s * math.cos(angle)
+    y = cy + s * math.sin(angle)
+    if draw(st.booleans()):
+        clearance = math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) - r
+        if clearance > 0.0:
+            obstacles[j][3] = clearance
+    packing = _k.pack_controller(draw(_sigma_sels), draw(_gamma_sels),
+                                 filtered=draw(st.booleans()))
+    k_att = draw(st.sampled_from([0.5, 1.0, 2.5, 1e200]))
+    model = (draw(_coords), draw(_coords), tuple(map(tuple, obstacles)), k_att,
+             draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0)), *packing)
+    return model, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(_model_and_state())
+def test_control_point_is_bitwise_the_general_expressions(case):
+    model, x, y = case
+    m = len(model[2])
+    phis, ref_phis = [0.0] * m, [0.0] * m
+    out = _k._control_point(x, y, model, phis)
+    ref = _reference_control_point(x, y, model, ref_phis)
+    assert _bits(out) == _bits(ref)
+    assert _bits(phis) == _bits(ref_phis)
+
+
+def test_reference_cases_reach_every_branch():
+    """Fixed cases through the paths the property test draws at random:
+    rho == rho0 for every controller kind, and a NaN u_nom on an idle and a
+    live shell."""
+    for packing in [p.values[0] for p in PACKINGS]:
+        # 2.75 - 2.0 - 0.5 == 0.25 exactly: the state sits on the shell edge
+        model = (4.0, 0.0, ((2.0, 0.0, 0.5, 0.25),), 1.5, 2.0, 0.5, *packing)
+        phis, ref_phis = [0.0], [0.0]
+        out = _k._control_point(2.75, 0.0, model, phis)
+        assert _bits(out) == _bits(_reference_control_point(2.75, 0.0, model, ref_phis))
+        assert _bits(phis) == _bits(ref_phis)
+    # |F_att|^2 overflows, so u_nom is NaN; the first shell is live, the
+    # second idle, and the zero tightening's margins carry d.u_nom
+    scenario = Scenario(goal=[4.0, 0.0], k_att=1e200,
+                        obstacles=(Obstacle([2.0, 0.0], 0.5, 0.4), Obstacle([0.0, 3.0], 0.5, 0.4)))
+    for gamma in GAMMAS:
+        model = _k.pack_model(scenario, _k.pack_controller(SIGMAS[0], gamma))
+        phis, ref_phis = [0.0, 0.0], [0.0, 0.0]
+        out = _k._control_point(1.3, 0.1, model, phis)
+        assert math.isnan(out[0])
+        assert _bits(out) == _bits(_reference_control_point(1.3, 0.1, model, ref_phis))
+        assert _bits(phis) == _bits(ref_phis)
+    assert math.isnan(phis[0]) and math.isnan(phis[1])
+
+
+# The record is collected in a Python list and written by row slices, so a
+# record array of any memory layout is filled, and rows past the run are left.
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+@pytest.mark.parametrize("case", ["overlap-stall", "fig2-goal"])
+def test_record_of_any_layout_is_filled(layout, case, arena):
+    if case == "overlap-stall":  # stands still from step 199; 114-row chunks
+        scenario = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
+                                                        Obstacle([2.0, -0.6], 0.5, 0.4)))
+        x0, n_max, expected = (0.0, 0.1), 500, (501, _k.TIMEOUT)
+    else:  # 103-row chunks, the goal reached mid-chunk
+        scenario, x0, n_max, expected = arena, (-2.0, 0.0), 2000, (1388, _k.REACHED_GOAL)
+    model = _k.pack_model(scenario, _k.pack_controller())
+    width = 7 + len(scenario.obstacles)
+    ref = np.full((n_max + 1, width), -1.0)
+    out = _k._integrate(*x0, model, 0.004, n_max, 0.05, _k.RK4_STAGES, ref)
+    assert out[:2] == expected
+    if layout == "fortran":
+        rec = np.asfortranarray(np.full((n_max + 1, width), -1.0))
+    else:
+        base = np.full((2 * (n_max + 1), width), -1.0)
+        rec = base[::2]
+    assert not rec.flags.c_contiguous
+    assert _k._integrate(*x0, model, 0.004, n_max, 0.05, _k.RK4_STAGES, rec) == out
+    assert _bits(rec.ravel().tolist()) == _bits(ref.ravel().tolist())
+    assert (rec[out[0]:] == -1.0).all()
+    if layout == "strided":
+        assert (base[1::2] == -1.0).all()

@@ -267,3 +267,32 @@ def test_negative_gamma_warning_is_rate_limited(single, caplog):
     # the control itself is unaffected by the warning path
     u, diags = generalized_control(x, single, sigma, sel)
     assert np.all(np.isfinite(u))
+
+
+def test_lambda_that_can_overflow_the_margin_is_rejected():
+    """At the radius floor, one ulp outside the obstacle on the axis, |F_rep|^2
+    is about 2**1020, so lam = 16 overflowed lam |F_rep|^2 and returned
+    [inf, nan] (and a rollout recorded NaN states).  ``generalized_control``
+    and ``simulate`` refuse every lam above ``max_lambda`` up front; the
+    largest accepted lam, 4.0 here, gives a finite control at that state."""
+    from apf_rcbf import ControllerSpec, SimConfig, simulate
+    from apf_rcbf.scenario import max_lambda, min_radius
+
+    r = min_radius(1.0)
+    scen = Scenario(goal=[1.0, 0.0], obstacles=(Obstacle([0.0, 0.0], r, 0.5),), k_rep=1.0)
+    x = [math.nextafter(r, 1.0), 0.0]
+    sigma = SigmaSelector.grad_norm_squared()
+    assert max_lambda(1.0, r) == 4.0
+    for lam in (1.0, 4.0):
+        u, _ = generalized_control(x, scen, sigma, GammaSelector.scaled_special(lam))
+        assert np.isfinite(u).all()
+    for lam in (math.nextafter(4.0, 5.0), 8.0, 16.0, 32.0):
+        with pytest.raises(ValueError, match="can overflow"):
+            generalized_control(x, scen, sigma, GammaSelector.scaled_special(lam))
+    spec = ControllerSpec("generalized", sigma_sel=sigma,
+                          gamma_sel=GammaSelector.scaled_special(32.0))
+    with pytest.raises(ValueError, match=r"^scaled_special lambda 32.0 exceeds 4 for obstacle 0"):
+        simulate(scen, spec, SimConfig(dt=0.01, t_max=0.05, goal_tolerance=1e-40), x)
+    # the other tightenings carry no lam and are not checked
+    for gamma in (GammaSelector.zero(), GammaSelector.custom([0.0, 1.0], [0.0, 1.0])):
+        generalized_control(x, scen, sigma, gamma)

@@ -277,3 +277,19 @@ def test_random_valid_scenarios_have_no_violations(rng):
                     for i, obs in enumerate(obstacles)
                     if rho(goal, obs) < obs.influence_margin]
         assert scenario_violations(s) == expected
+
+
+def test_max_lambda_is_the_power_of_two_bound():
+    """lam * (k_rep / ulp(radius)**3)**2 <= 2**1022: 4.0 at the radius floor
+    for k_rep = 1 and never below 1 for a radius at the floor; +inf once the
+    bound leaves the float range; 0.0 for a zero radius."""
+    from apf_rcbf.scenario import max_lambda, min_radius
+    assert max_lambda(1.0, min_radius(1.0)) == 4.0
+    assert max_lambda(1.0, 0.5) == 2.0 ** 704
+    assert max_lambda(2.0, 0.5) == 2.0 ** 702
+    assert max_lambda(3.0, 0.5) == 2.0 ** 700  # k_rep rounds up to 4
+    for k_rep in (1e-3, 1.0, 3.0, 8.0, 1e6):
+        assert max_lambda(k_rep, min_radius(k_rep)) >= 1.0
+    assert max_lambda(1.0, 1e10) == 2.0 ** 908  # ulp(1e10) = 2**-19
+    assert max_lambda(1.0, 1e20) == math.inf
+    assert max_lambda(1.0, 0.0) == 0.0

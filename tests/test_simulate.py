@@ -409,6 +409,26 @@ def test_trajectory_columns_are_owned_read_only_copies(arena, tmp_path, case):
             assert arr.base is None, name
 
 
+@pytest.mark.parametrize("m", [0, 2])
+def test_csv_row_format_matches_per_value_format(tmp_path, m):
+    """Each row is written with one '%.17g' format; its bytes equal the
+    per-value f'{v:.17g}' join, also for signed zeros, infinities, NaN,
+    subnormals and the extreme doubles, which no rollout records."""
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, -1e-300, 123456789.0, 1.0 / 3.0]
+    rng = np.random.default_rng(3)
+    values = np.concatenate([special * 4, rng.standard_normal(7 * 9) * 10.0 ** rng.integers(
+        -300, 300, 7 * 9)])
+    data = np.resize(values, (9, 7 + m))
+    tr = Trajectory(t=data[:, 0], x=data[:, 1:3], u=data[:, 3:5], h_min=data[:, 5],
+                    V=data[:, 6], phi=data[:, 7:], terminal="timeout")
+    path = tmp_path / "run.csv"
+    write_trajectory_csv(tr, path)
+    expected = csv_header(m) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in data.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
 def test_csv_reader_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
