@@ -16,7 +16,9 @@ Packing conventions used throughout:
   ``None`` unless the selector is a table
 * controller kind: 1 = nominal only (no filtering), 2 = filtered
   (the pure potential-field controller and the equivalence filter are packed
-  as kind 2 with ``skind=0, gkind=1, glam=1``)
+  as kind 2 with ``skind=0, gkind=1, glam=1``).  Kind 1 must carry the zero
+  tightening (``gkind=0``): it records that filter's margins as diagnostics,
+  applies no correction and reports no tightening (min gamma +inf)
 * sigma selector ``skind``: 0 = squared gradient norm, 1 = scaled potential
   value, 2 = scaled distance, 3 = interpolation table over distance-to-goal
 * gamma selector ``gkind``: 0 = zero, 1 = scaled-special, 2 = interpolation
@@ -38,10 +40,11 @@ refuse a scaled-special lam above ``scenario.max_lambda``, so lam times it
 does too.)
 
 Per-state cost: most obstacles of a state lie beyond their influence shell,
-where d = F_rep = (0, 0).  :func:`_control_point` forms that idle shell's
-d.u_nom and lam |d|^2 once per state, from the same operands in the same
-order as a live shell would, and skips the correction there, which needs
-|d|^2 > 0.  The margins, NaN propagation included, keep their bits.
+where d = F_rep = (0, 0).  Every shell of :func:`_control_point` runs one
+margin block on |d|^2 and d.u_nom.  An idle shell does not form d: it takes
+|d|^2 = 0 and a d.u_nom formed once per state from the operands a live shell
+would use, in the same order, so its margins keep their bits, NaN
+propagation included.  The correction needs |d|^2 > 0 and so skips it.
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
@@ -110,12 +113,6 @@ def pack_model(scenario, packing):
             float(scenario.alpha_gain), *packing)
 
 
-def _att_value(x, y, gx, gy, k_att):
-    dx = x - gx
-    dy = y - gy
-    return 0.5 * k_att * (dx * dx + dy * dy)
-
-
 def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
     """Tightening term for the stabilizing controller, per selector."""
     dx = x - gx
@@ -155,10 +152,9 @@ def _control_point(x, y, model, phis):
         gatt = 0.0
     unx = gatt * bx
     uny = gatt * by
-    # d.u_nom and lam |d|^2 on an idle shell, where d = F_rep = (0, 0): the
-    # same products a live shell forms, so NaN or inf in u_nom propagates alike
+    # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a live
+    # shell forms, so NaN or inf in u_nom propagates alike
     idle_du = 0.0 * unx + 0.0 * uny
-    idle_ldd = glam * 0.0
 
     ux = unx
     uy = uny
@@ -174,53 +170,37 @@ def _control_point(x, y, model, phis):
         if rho <= 0.0:
             phis[i] = math.nan
             continue
-        alphah = alpha_gain * rho
         if rho >= rho0:
-            # idle shell: the live margins below with the shared d = (0, 0)
-            # terms; a zero row takes no correction
-            if ckind == 1:
-                phis[i] = -alphah + idle_du
-                continue
-            if gkind == 1:
-                gam = idle_ldd + alphah - idle_du
-                phi = idle_ldd
-            elif gkind == 0:
-                gam = 0.0
-                phi = -alphah + idle_du
-            else:
-                gam = float(np.interp(rho, gtx, gty))
-                phi = (-alphah + gam) + idle_du
-            if gam < ming:
-                ming = gam
-            phis[i] = phi
-            continue
-        # fields.f_rep's expressions in its order: bitwise superposition
-        coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
-        dx = coef * ox
-        dy = coef * oy
-        dd = dx * dx + dy * dy
-        if ckind == 1:
-            # No filtering: record the margin the zero-tightening filter
-            # would have seen, as a diagnostic only.
-            phis[i] = -alphah + (dx * unx + dy * uny)
-            continue
+            # idle shell: a zero row, which takes no correction (a NaN
+            # clearance fails this test and keeps the live branch's bits)
+            dd = 0.0
+            du = idle_du
+        else:
+            # fields.f_rep's expressions in its order: bitwise superposition
+            coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
+            dx = coef * ox
+            dy = coef * oy
+            dd = dx * dx + dy * dy
+            du = dx * unx + dy * uny
+        alphah = alpha_gain * rho
         if gkind == 1:
-            gam = glam * dd + alphah - (dx * unx + dy * uny)
             phi = glam * dd
+            gam = phi + alphah - du
         elif gkind == 0:
             gam = 0.0
-            phi = -alphah + (dx * unx + dy * uny)
+            phi = -alphah + du
         else:
             gam = float(np.interp(rho, gtx, gty))
-            phi = (-alphah + gam) + (dx * unx + dy * uny)
+            phi = (-alphah + gam) + du
         if gam < ming:
             ming = gam
         phis[i] = phi
-        if phi > 0.0 and dd > 0.0:
+        if phi > 0.0 and dd > 0.0 and ckind == 2:
             grep = -(phi / dd)
             ux += grep * dx
             uy += grep * dy
-    return ux, uy, hmin, ming
+    # the unfiltered stabilizer records its margins but evaluates no tightening
+    return ux, uy, hmin, ming if ckind == 2 else math.inf
 
 
 def _eval_controls(xs, ys, model):
@@ -299,7 +279,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         ddx = xx - gx
         ddy = yy - gy
         dd2 = ddx * ddx + ddy * ddy
-        # V = _att_value's expression on the goal test's squared distance
+        # V = fields.u_att's expression on the goal test's squared distance
         buf += (k * dt, xx, yy, ux, uy, hmin, 0.5 * k_att * dd2)
         buf += phis
         if len(buf) >= RECORD_CHUNK_FLOATS:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -113,13 +114,18 @@ def parse_controller(entry) -> tuple:
         raise ConfigError(f"unknown controller key(s): {sorted(unknown)}")
     if "name" not in entry or "kind" not in entry:
         raise ConfigError("controller entries require 'name' and 'kind'")
+    name = entry["name"]
+    # the name becomes the file name of the controller's trajectory CSV
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(sep in name for sep in ("/", os.sep, "\0"))):
+        raise ConfigError(f"controller name must be a single file name, got {name!r}")
     sigma = parse_sigma(entry["sigma"]) if "sigma" in entry else None
     gamma = parse_gamma(entry["gamma"]) if "gamma" in entry else None
     try:
         spec = ControllerSpec(entry["kind"], sigma_sel=sigma, gamma_sel=gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return str(entry["name"]), spec
+    return name, spec
 
 
 def _check_seed(seed):
@@ -224,16 +230,20 @@ def cmd_run(args) -> int:
     cfg = load_run_config(config_path)
     scenario = _load_scenario_checked(cfg.scenario_path)
     out_dir = Path(args.output_dir) if args.output_dir else cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # every rollout runs before anything is written: a controller that
+    # simulate refuses leaves no partial output
     results = []
     for name, spec in cfg.controllers:
         try:
             tr = simulate(scenario, spec, cfg.sim, cfg.x0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        write_trajectory_csv(tr, out_dir / f"{name}.csv")
         results.append((name, tr, metrics(tr)))
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, tr, _ in results:
+        write_trajectory_csv(tr, out_dir / f"{name}.csv")
 
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump({name: _jsonable_metrics(m) for name, _, m in results}, fh, indent=2)

@@ -64,7 +64,10 @@ def run_control_kernel(x, scenario: Scenario, packing, require_clearance=True):
 
 def u_att(x, scenario: Scenario) -> float:
     px, py = _as_point(x)
-    return _k._att_value(px, py, *scenario.goal.tolist(), scenario.k_att)
+    gx, gy = scenario.goal.tolist()
+    dx = px - gx
+    dy = py - gy
+    return 0.5 * scenario.k_att * (dx * dx + dy * dy)
 
 
 def f_att(x, scenario: Scenario) -> np.ndarray:
@@ -97,7 +100,8 @@ def u_rep(x, obs: Obstacle, scenario: Scenario) -> float:
 
 def f_rep(x, obs: Obstacle, scenario: Scenario) -> np.ndarray:
     """The repulsive force F_rep.  ``_kernels._control_point`` repeats these
-    expressions in this order, so apf_control = -f_att - sum f_rep bit for bit."""
+    expressions in this order, so the unit scaled-special filter equals
+    apf_control = -f_att - sum f_rep bit for bit."""
     ox, oy, dist, rho = _offset(x, obs)
     rho0 = obs.influence_margin
     if rho >= rho0:
@@ -115,8 +119,16 @@ def repulsive_field(x, obs: Obstacle, scenario: Scenario) -> FieldEval:
 
 
 def apf_control(x, scenario: Scenario) -> np.ndarray:
-    """Combined potential-field control  u = -F_att - sum_i F_rep_i."""
-    return run_control_kernel(x, scenario, _k.pack_controller())[0]
+    """Combined potential-field control  u = -F_att - sum_i F_rep_i.
+
+    Computed from the field formulas, obstacle by obstacle, and not by the
+    controller kernel: it is the descent law that the filtered stabilizer
+    with the unit scaled-special tightening is checked against.
+    """
+    u = -f_att(x, scenario)
+    for obs in scenario.obstacles:
+        u = u - f_rep(x, obs, scenario)
+    return u
 
 
 def alpha_bar(h: float, scenario: Scenario, rho0: float | None = None) -> float:

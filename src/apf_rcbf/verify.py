@@ -18,7 +18,7 @@ from .qp import HalfSpaceConstraint, solve_projection
 from .rcbf import GammaSelector, RcbfTerms, safety_filter
 from .scenario import Scenario, rho
 from .simulate import ControllerSpec
-from .fields import f_att, f_rep, u_att, u_rep
+from .fields import apf_control, f_att, f_rep, u_att, u_rep
 
 DEFAULT_BOUNDS = ((-3.0, 9.0), (-2.0, 6.0))
 EXCLUSION_BAND = 1e-3
@@ -62,17 +62,21 @@ def equivalence_suite(scenario: Scenario, nx=200, ny=200, bounds=DEFAULT_BOUNDS,
                       tol=1e-9) -> SuiteResult:
     """Max pointwise gap between the potential-field controller, the fixed
     equivalence filter, and the generalized controller with the unit
-    scaled-special tightening, over the masked workspace grid."""
+    scaled-special tightening, over the masked workspace grid.
+
+    The potential-field control comes from the field formulas
+    (:func:`apf_control`), the two filters from the controller kernel.
+    """
     t0 = time.perf_counter()
     xs, ys = grid_states(scenario, nx=nx, ny=ny, bounds=bounds)
-    apf = ControllerSpec("apf").packing()
     special = ControllerSpec("special_filter").packing()
     gen = ControllerSpec(
         "generalized",
         sigma_sel=SigmaSelector.grad_norm_squared(),
         gamma_sel=GammaSelector.scaled_special(1.0),
     ).packing()
-    aux, auy = _k._eval_controls(xs, ys, _k.pack_model(scenario, apf))
+    u_apf = np.array([apf_control(x, scenario) for x in np.column_stack([xs, ys])])
+    aux, auy = u_apf.reshape(-1, 2).T
     sux, suy = _k._eval_controls(xs, ys, _k.pack_model(scenario, special))
     gux, guy = _k._eval_controls(xs, ys, _k.pack_model(scenario, gen))
     err_special = float(np.max(np.hypot(aux - sux, auy - suy), initial=0.0))

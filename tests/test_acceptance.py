@@ -5,6 +5,7 @@ verdict line, then asserts.  Run ``pytest tests/test_acceptance.py -v -s`` to
 see every line; without ``-s`` pytest shows them only for failing criteria.
 """
 
+import math
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from apf_rcbf import (
     SigmaSelector,
     SimConfig,
     alpha_bar,
+    apf_control,
     check_clf_decrease,
     clf_terms,
     cli,
@@ -185,23 +187,51 @@ def test_06_three_tightenings_reach_goal_safely(fig2_cfg):
     assert elapsed <= 30.0
 
 
+def _descent_rollout(scenario, sim, x0):
+    """The potential-descent law stepped by its field formulas: the public
+    ``apf_control`` on Python floats, in the integrator's expression order,
+    recording each sample before the goal test.  Returns ``(terminal, x, u)``."""
+    gx, gy = scenario.goal.tolist()
+    stages = {"euler": (), "rk4": ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))}[sim.integrator]
+    step = sim.dt / (1.0 + sum(w for _, w in stages))
+    xx, yy = (float(v) for v in x0)
+    xs, us = [], []
+    terminal = "timeout"
+    for _ in range(int(round(sim.t_max / sim.dt)) + 1):
+        ux, uy = apf_control([xx, yy], scenario).tolist()
+        xs.append((xx, yy))
+        us.append((ux, uy))
+        if math.sqrt((xx - gx) * (xx - gx) + (yy - gy) * (yy - gy)) < sim.goal_tolerance:
+            terminal = "reached_goal"
+            break
+        kx = sx = ux
+        ky = sy = uy
+        for c, w in stages:
+            kx, ky = apf_control([xx + c * sim.dt * kx, yy + c * sim.dt * ky],
+                                 scenario).tolist()
+            sx = sx + w * kx
+            sy = sy + w * ky
+        xx, yy = xx + step * sx, yy + step * sy
+    return terminal, np.array(xs), np.array(us)
+
+
 def test_07_rollout_of_filter_equals_potential_descent(fig2_cfg):
     cfg, scenario = fig2_cfg
     spec_unit = dict(cfg.controllers)["gamma3"]
     tr_filter = simulate(scenario, spec_unit, cfg.sim, cfg.x0)
-    tr_apf = simulate(scenario, ControllerSpec("apf"), cfg.sim, cfg.x0)
-    same_shape = (tr_filter.terminal == tr_apf.terminal
-                  and tr_filter.n_samples == tr_apf.n_samples)
+    terminal, x_apf, u_apf = _descent_rollout(scenario, cfg.sim, cfg.x0)
+    same_shape = (tr_filter.terminal == terminal
+                  and tr_filter.n_samples == len(x_apf))
     if same_shape:
-        gap_x = float(np.max(np.abs(tr_filter.x - tr_apf.x)))
-        gap_u = float(np.max(np.abs(tr_filter.u - tr_apf.u)))
+        gap_x = float(np.max(np.abs(tr_filter.x - x_apf)))
+        gap_u = float(np.max(np.abs(tr_filter.u - u_apf)))
     else:
         gap_x = gap_u = np.inf
     ok = same_shape and gap_x <= 1e-9 and gap_u <= 1e-9
     _verdict(7, "full-run equivalence",
              f"same terminal/samples: {same_shape}, max state gap {gap_x:.3e}, "
              f"max control gap {gap_u:.3e} (tol 1e-09, "
-             f"{tr_apf.n_samples} samples)", ok)
+             f"{len(x_apf)} samples)", ok)
     assert same_shape
     assert gap_x <= 1e-9
     assert gap_u <= 1e-9

@@ -315,6 +315,31 @@ def test_exit_code_2_for_lambda_that_can_overflow(tmp_path, capsys):
     assert not (tmp_path / "out" / "filtered.csv").exists()
 
 
+def test_run_writes_nothing_when_a_later_controller_is_refused(tmp_path, capsys):
+    """Every rollout runs before the output directory is made: an apf run
+    followed by a lambda that simulate refuses leaves no partial output."""
+    write_json(tmp_path / "scen.json", crash_scenario())
+    cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
+    cfg["controllers"][1]["gamma"]["lambda"] = 1e300
+    assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "../escape", "", 7, ".", "..", "nul\0byte"],
+                         ids=["slash", "parent-escape", "empty", "int", "dot", "dotdot", "nul"])
+def test_controller_name_must_be_a_single_file_name(tmp_path, capsys, name):
+    """The name becomes ``<output_dir>/<name>.csv``: anything but one plain
+    file name is a configuration error, and nothing is written."""
+    write_json(tmp_path / "scen.json", crash_scenario())
+    cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
+    cfg["controllers"][0]["name"] = name
+    assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 2
+    assert capsys.readouterr().err == (
+        f"error: controller name must be a single file name, got {name!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scen.json"]
+
+
 def test_verify_seed_override_follows_config_seed_rule(capsys):
     """``verify --seed`` takes the config's seed rule: a negative seed is a
     configuration error, not a crash inside the random generator."""

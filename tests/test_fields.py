@@ -143,10 +143,9 @@ def test_repulsive_gradient_finite_differences(single, rng):
 
 
 def test_combined_is_exact_superposition(arena, rng):
-    """apf_control must equal -f_att - sum of f_rep bitwise, not approximately.
-
-    The controller kernel repeats f_rep's expressions in f_rep's order and
-    accumulates in the same order, so any drift here means the two diverged.
+    """apf_control must equal -f_att - sum of f_rep bitwise, not approximately:
+    it is that sum, accumulated in obstacle order.  The filter kernel's
+    agreement with it is checked in test_rcbf and the acceptance gate.
     """
     count = 0
     while count < 500:
@@ -158,6 +157,26 @@ def test_combined_is_exact_superposition(arena, rng):
         for obs in arena.obstacles:
             expected = expected - f_rep(x, obs, arena)
         np.testing.assert_array_equal(apf_control(x, arena), expected)
+
+
+def test_apf_control_does_not_run_the_controller_kernel(arena, monkeypatch):
+    """The descent law is the side of the equivalence checks that the filter
+    kernel must not compute: with the kernel disabled, apf_control still
+    returns, in a live shell and outside every shell, while the filter fails."""
+    from apf_rcbf import _kernels as _k
+    from apf_rcbf.rcbf import special_filter_control
+
+    def disabled(*args):
+        raise RuntimeError("controller kernel called")
+
+    monkeypatch.setattr(_k, "_control_point", disabled)
+    obs = arena.obstacles[0]
+    live = obs.center + [obs.radius + 0.5 * obs.influence_margin, 0.0]
+    for x in (live, [-2.0, 0.0]):
+        assert np.isfinite(apf_control(x, arena)).all()
+        with pytest.raises(RuntimeError, match="controller kernel called"):
+            special_filter_control(x, arena)
+    assert np.any(f_rep(live, obs, arena) != 0.0)
 
 
 def test_alpha_bar_hand_value(single):

@@ -127,10 +127,11 @@ def test_violations_collects_everything_at_once():
 
 def test_radius_whose_clearance_can_square_to_zero_is_rejected():
     """Below ``min_radius(k_rep)`` the smallest positive clearance, one ulp of
-    the radius, can overflow |F_rep|^2 and turn the control into NaN; that
-    floor lies far above the radius where the clearance squares to 0.0.  At
-    the floor the control one ulp outside the obstacle is finite."""
-    from apf_rcbf import apf_control
+    the radius, can overflow |F_rep|^2 and turn the filtered control into
+    NaN (the descent law never squares F_rep); that floor lies far above the
+    radius where the clearance squares to 0.0.  At the floor the control one
+    ulp outside the obstacle is finite."""
+    from apf_rcbf import apf_control, special_filter_control
     from apf_rcbf.scenario import min_radius
     assert min_radius(1.0) == 2.0 ** -118
     assert min_radius(8.0) == 2.0 ** -117  # grows as k_rep ** (1/3)
@@ -146,7 +147,7 @@ def test_radius_whose_clearance_can_square_to_zero_is_rejected():
         assert scenario_violations(tiny(radius)) != []
     # one binade below the floor, one ulp outside on the axis: NaN
     below = 2.0 ** -119
-    assert np.isnan(apf_control([math.nextafter(below, 1.0), 0.0], tiny(below))).all()
+    assert np.isnan(special_filter_control([math.nextafter(below, 1.0), 0.0], tiny(below))).all()
     for k_rep in (1.0, 8.0, 1e-3):
         floor = min_radius(k_rep)
         at_floor = tiny(floor, k_rep)
@@ -155,6 +156,7 @@ def test_radius_whose_clearance_can_square_to_zero_is_rejected():
         x = [math.nextafter(floor, 1.0), 0.0]
         assert classify_safety(x, at_floor).h == math.ulp(floor)
         assert np.isfinite(apf_control(x, at_floor)).all()
+        assert np.isfinite(special_filter_control(x, at_floor)).all()
 
 
 def test_goal_on_influence_boundary_is_allowed():
