@@ -11,14 +11,15 @@ Packing conventions used throughout:
 
 * model: ``(gx, gy, obstacles, k_att, k_rep, alpha_gain, *packing)``
 * obstacles: a tuple of ``(cx, cy, r, rho0)`` float tuples, one per obstacle
-* controller packing, built only by :func:`pack_controller`:
+* controller packing, built only by :func:`pack_controller` from the two
+  selectors it is given (no defaults; ``apf`` and ``special_filter`` name
+  the unit pair ``rcbf.UNIT_SIGMA``, ``rcbf.UNIT_GAMMA``):
   ``(ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty)``, table slots
   ``None`` unless the selector is a table
-* controller kind: 1 = nominal only (no filtering), 2 = filtered
-  (the pure potential-field controller and the equivalence filter are packed
-  as kind 2 with ``skind=0, gkind=1, glam=1``).  Kind 1 must carry the zero
-  tightening (``gkind=0``): it records that filter's margins as diagnostics,
-  applies no correction and reports no tightening (min gamma +inf)
+* controller kind: 1 = nominal only (gamma selector ``None``), 2 = filtered.
+  Kind 1 carries the zero tightening (``gkind=0``): it records that filter's
+  margins as diagnostics, applies no correction and reports no tightening
+  (min gamma +inf)
 * sigma selector ``skind``: 0 = squared gradient norm, 1 = scaled potential
   value, 2 = scaled distance, 3 = interpolation table over distance-to-goal
 * gamma selector ``gkind``: 0 = zero, 1 = scaled-special, 2 = interpolation
@@ -32,7 +33,9 @@ Packing conventions used throughout:
 * terminal status: 0 = reached goal, 1 = timeout, 2 = domain error
 
 Kernels never raise: domain violations are reported through return codes and
-NaN diagnostics, and the Python wrappers convert them into typed exceptions.
+NaN diagnostics, which :func:`control`, the one door for single states,
+turns into typed exceptions.  ``fields`` does not use this module, so its
+descent law is an independent check of the filter kernel.
 (``validate_scenario`` keeps obstacle radii at or above
 ``scenario.min_radius(k_rep)``, so the squared repulsive gradient stays finite
 at every positive clearance, and ``simulate`` and ``generalized_control``
@@ -68,6 +71,9 @@ import math
 
 import numpy as np
 
+from .errors import InsideObstacleError
+from .fields import INSIDE_OBSTACLE_MSG, _as_point
+
 # terminal status codes used by _integrate
 REACHED_GOAL = 0
 TIMEOUT = 1
@@ -81,26 +87,12 @@ RECORD_CHUNK_FLOATS = 1024
 RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
 
-def pack_controller(sigma_sel=None, gamma_sel=None, filtered=True):
-    """The controller packing for the given tightening selectors.
-
-    A missing ``sigma_sel`` means the squared gradient norm and a missing
-    ``gamma_sel`` the unit scaled-special tightening: the packing under which
-    the filtered stabilizer is the combined potential-field controller,
-    whose correction collapses to exactly -F_rep per obstacle.  With
-    ``filtered=False`` the stabilizer runs alone and ``gamma_sel`` is unused.
-    """
-    if sigma_sel is None:
-        skind, scoef, stx, sty = 0, 1.0, None, None
-    else:
-        skind, scoef, stx, sty = sigma_sel.packed()
-    if not filtered:
-        return (1, skind, scoef, stx, sty, 0, 0.0, None, None)
+def pack_controller(sigma_sel, gamma_sel):
+    """The controller packing for the given tightening selectors;
+    ``gamma_sel=None`` packs the unfiltered stabilizer."""
     if gamma_sel is None:
-        gkind, glam, gtx, gty = 1, 1.0, None, None
-    else:
-        gkind, glam, gtx, gty = gamma_sel.packed()
-    return (2, skind, scoef, stx, sty, gkind, glam, gtx, gty)
+        return (1, *sigma_sel.packed(), 0, 0.0, None, None)
+    return (2, *sigma_sel.packed(), *gamma_sel.packed())
 
 
 def pack_model(scenario, packing):
@@ -111,6 +103,19 @@ def pack_model(scenario, packing):
     gx, gy = scenario.goal.tolist()
     return (gx, gy, obstacles, float(scenario.k_att), float(scenario.k_rep),
             float(scenario.alpha_gain), *packing)
+
+
+def control(x, scenario, packing):
+    """``(u, hmin, min_gamma, phis)`` of a packed controller at one state,
+    ``phis`` one constraint margin per obstacle.  A filtered packing raises
+    ``InsideObstacleError`` at a nonpositive clearance; the unfiltered
+    stabilizer, defined everywhere, never raises."""
+    px, py = _as_point(x)
+    phis = np.empty(len(scenario.obstacles), dtype=np.float64)
+    ux, uy, hmin, ming = _control_point(px, py, pack_model(scenario, packing), phis)
+    if packing[0] == 2 and hmin <= 0.0:
+        raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
+    return np.array([ux, uy]), hmin, ming, phis
 
 
 def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):

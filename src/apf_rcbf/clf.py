@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .fields import _as_point, f_att, run_control_kernel
+from .fields import _as_point, f_att
 from .scenario import Scenario
 
 _SIGMA_KINDS = {"grad_norm_squared": 0, "scaled_value": 1, "scaled_norm": 2, "custom": 3}
@@ -137,8 +137,7 @@ def nominal_control(x, scenario: Scenario, sel: SigmaSelector) -> np.ndarray:
     Solves  min |u|^2  s.t.  sigma + b.u <= 0  in closed form:
     u = -(sigma/|b|^2) b, and u = 0 at the goal where both sides vanish.
     """
-    return run_control_kernel(x, scenario, _k.pack_controller(sel, filtered=False),
-                              require_clearance=False)[0]
+    return _k.control(x, scenario, _k.pack_controller(sel, None))[0]
 
 
 def check_clf_decrease(x, u, scenario: Scenario, sel: SigmaSelector) -> float:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as _k
 from .errors import InsideObstacleError
 from .scenario import Obstacle, Scenario
 
@@ -43,23 +42,6 @@ def _as_point(x):
     if arr.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {arr.shape}")
     return float(arr[0]), float(arr[1])
-
-
-def run_control_kernel(x, scenario: Scenario, packing, require_clearance=True):
-    """Evaluate a packed controller at one state.
-
-    Returns ``(u, hmin, min_gamma, phis)``, ``phis`` holding one constraint
-    margin per obstacle.  With ``require_clearance`` (the default, for
-    controllers whose repulsive terms are undefined on or inside an obstacle)
-    a nonpositive clearance raises; the unfiltered stabilizer passes
-    ``False`` since it is defined everywhere.
-    """
-    px, py = _as_point(x)
-    phis = np.empty(len(scenario.obstacles), dtype=np.float64)
-    ux, uy, hmin, ming = _k._control_point(px, py, _k.pack_model(scenario, packing), phis)
-    if require_clearance and hmin <= 0.0:
-        raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
-    return np.array([ux, uy]), hmin, ming, phis
 
 
 def u_att(x, scenario: Scenario) -> float:

@@ -1,12 +1,13 @@
 """Small exact QP solver used as an independent oracle for the closed forms.
 
 Solves  min 1/2 |u - u_nom|^2  subject to  offset_i + normal_i . u <= 0  by
-enumerating every candidate active set (there are at most 2^8), solving the
-equality-constrained projection for each in closed form, and returning the
-first KKT-consistent feasible candidate.  For a convex QP any KKT point is
-the unique minimizer, so enumeration order — by active-set size, then
-lexicographic — only breaks ties among equivalent representations and makes
-the reported active set deterministic.
+enumerating the candidate active sets of at most two constraints (u is in
+R^2, so three or more normals have a singular Gram matrix, which the
+condition check rejects): 1 + m + m(m-1)/2 sets for m constraints, each
+solved in closed form, returning the first KKT-consistent feasible one.  For
+a convex QP any KKT point is the unique minimizer, so enumeration order — by
+active-set size, then lexicographic — only breaks ties among equivalent
+representations and makes the reported active set deterministic.
 
 Deliberately no iterative solver and no external dependency: the whole point
 is an oracle whose correctness is an enumeration argument, not a convergence
@@ -80,7 +81,7 @@ def solve_projection(u_nom, constraints) -> QpSolution:
     offsets = np.array([c.offset for c in constraints], dtype=np.float64)
     normals = np.array([c.normal for c in constraints], dtype=np.float64).reshape(m, 2)
 
-    for size in range(m + 1):
+    for size in range(min(m, 2) + 1):
         for subset in combinations(range(m), size):
             if size == 0:
                 u = u_nom.copy()

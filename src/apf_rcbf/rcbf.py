@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels as _k
 from .clf import SigmaSelector, _freeze_table, _positive, sigma_value
 from .errors import InfeasibleConstraintError, NegativeGammaError
-from .fields import f_att, f_rep, run_control_kernel, u_rep
+from .fields import f_att, f_rep, u_rep
 from .scenario import Obstacle, Scenario, max_lambda, rho
 
 logger = logging.getLogger(__name__)
@@ -116,6 +116,12 @@ class GammaSelector:
         return (self.kind,)
 
 
+# The unit pair, under which the filtered stabilizer is the combined
+# potential-field controller; ``apf`` and ``special_filter`` run on it.
+UNIT_SIGMA = SigmaSelector.grad_norm_squared()
+UNIT_GAMMA = GammaSelector.scaled_special(1.0)
+
+
 @dataclass(frozen=True)
 class RcbfTerms:
     """Barrier condition pieces at one state for one obstacle."""
@@ -186,7 +192,10 @@ def rcbf_terms(x, obs: Obstacle, scenario: Scenario, u_nom, sel: GammaSelector) 
 def _diagnostics(phi, d, dd, g_att):
     """One constraint's diagnostics: active when phi > 0, gain g_rep =
     -phi/dd (NaN for a zero row, dd = |d|^2 = 0), and the correction g_rep d,
-    applied only when active on a nonzero row."""
+    applied only when active on a nonzero row.  Raises for a zero row (also
+    one whose |d|^2 underflows) with a positive margin: no control fits."""
+    if dd == 0.0 and phi > 0.0:
+        raise InfeasibleConstraintError(INFEASIBLE_MSG)
     g_rep = -(phi / dd) if dd > 0.0 else math.nan
     active = phi > 0.0
     correction = g_rep * d if active and dd > 0.0 else np.zeros(2)
@@ -198,14 +207,12 @@ def safety_filter(u_nom, terms: RcbfTerms):
     """Project ``u_nom`` onto the tightened barrier constraint (closed form).
 
     Returns ``(u, FilterDiagnostics)``; raises when the constraint admits no
-    control at all (zero row with positive offset).
+    control at all (zero row with positive margin).
     """
     u_nom = np.asarray(u_nom, dtype=np.float64)
     d = terms.d
     dd = float(d[0]) * float(d[0]) + float(d[1]) * float(d[1])
     phi = terms.c_tilde + float(d[0]) * float(u_nom[0]) + float(d[1]) * float(u_nom[1])
-    if dd == 0.0 and terms.c_tilde > 0.0:
-        raise InfeasibleConstraintError(INFEASIBLE_MSG)
     diag = _diagnostics(phi, d, dd, math.nan)
     u = u_nom + diag.correction if diag.active else u_nom.copy()
     return u, diag
@@ -218,9 +225,9 @@ def special_filter_control(x, scenario: Scenario) -> np.ndarray:
     obstacles: -F_att where no obstacle is active, -F_att - sum F_rep_i
     otherwise.
     """
-    u, _, ming, _ = run_control_kernel(x, scenario, _k.pack_controller())
+    u, _, ming, _ = _k.control(x, scenario, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     if ming < 0.0:
-        _warn_negative_gamma(("scaled_special", 1.0), ming, "in special_filter_control")
+        _warn_negative_gamma(UNIT_GAMMA._key(), ming, "in special_filter_control")
     return u
 
 
@@ -232,10 +239,13 @@ def generalized_control(x, scenario: Scenario, sigma_sel: SigmaSelector,
     each obstacle whose constraint margin phi is positive contributes the
     correction g_rep F_rep with g_rep = -phi/|F_rep|^2, superposed onto
     u_nom.  Returns ``(u, per-obstacle FilterDiagnostics tuple)``.
+
+    Like :func:`safety_filter`, raises on a zero row with a positive margin
+    (a custom Gamma above alpha_gain h beyond the shell); a rollout there
+    runs on, since kernels never raise, and the row takes no correction.
     """
     check_lambda(scenario, gamma_sel)
-    u, _, ming, phis = run_control_kernel(x, scenario,
-                                          _k.pack_controller(sigma_sel, gamma_sel))
+    u, _, ming, phis = _k.control(x, scenario, _k.pack_controller(sigma_sel, gamma_sel))
     if ming < 0.0:
         _warn_negative_gamma(gamma_sel._key(), ming, "in generalized_control")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import SigmaSelector
-from .rcbf import GammaSelector, check_lambda
+from .rcbf import UNIT_GAMMA, UNIT_SIGMA, GammaSelector, check_lambda
 from .scenario import Scenario, classify_safety, validate_scenario
 
 logger = logging.getLogger(__name__)
@@ -61,14 +61,17 @@ class ControllerSpec:
             raise ValueError(f"{self.kind} controller requires sigma_sel")
         if self.kind == "generalized" and self.gamma_sel is None:
             raise ValueError("generalized controller requires gamma_sel")
+        if self.kind == "nominal_only" and self.gamma_sel is not None:
+            raise ValueError("nominal_only controller takes no gamma_sel")
         if self.kind in ("apf", "special_filter"):
             if self.sigma_sel is not None or self.gamma_sel is not None:
                 raise ValueError(f"{self.kind} controller takes no selectors")
 
     def packing(self):
-        """Kernel packing tuple for this controller."""
-        return _k.pack_controller(self.sigma_sel, self.gamma_sel,
-                                  filtered=self.kind != "nominal_only")
+        """Kernel packing tuple; ``apf`` and ``special_filter`` are the unit pair."""
+        if self.kind in ("apf", "special_filter"):
+            return _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)
+        return _k.pack_controller(self.sigma_sel, self.gamma_sel)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .clf import SigmaSelector
 from .qp import HalfSpaceConstraint, solve_projection
-from .rcbf import GammaSelector, RcbfTerms, safety_filter
+from .rcbf import UNIT_GAMMA, UNIT_SIGMA, RcbfTerms, safety_filter
 from .scenario import Scenario, rho
 from .simulate import ControllerSpec
 from .fields import apf_control, f_att, f_rep, u_att, u_rep
 
 DEFAULT_BOUNDS = ((-3.0, 9.0), (-2.0, 6.0))
 EXCLUSION_BAND = 1e-3
+EQUIVALENCE_TOL = ORACLE_TOL = 1e-9
+GRADIENT_TOL = 1e-5
+GRADIENT_STEP = 1e-6  # relative to the length scale of each potential
 
 
 @dataclass(frozen=True)
@@ -29,37 +31,34 @@ class SuiteResult:
     name: str
     lines: tuple
     max_error: float
-    tolerance: float
     passed: bool
     elapsed: float
 
 
-def grid_states(scenario: Scenario, nx=200, ny=200, bounds=DEFAULT_BOUNDS,
-                band=EXCLUSION_BAND):
-    """Workspace grid minus the states where the compared controllers differ
-    by construction or are undefined.
+def grid_states(scenario: Scenario, nx=200, ny=200):
+    """Workspace grid over :data:`DEFAULT_BOUNDS` minus the states where the
+    compared controllers differ by construction or are undefined.
 
-    Excluded: obstacle interiors, a ``band`` around each obstacle surface and
-    each influence boundary (the repulsive branch switches there), and a
-    ``band`` ball around the goal (the stabilizer's removable singularity).
+    Excluded: obstacle interiors, an :data:`EXCLUSION_BAND` around each
+    obstacle surface and influence boundary (the repulsive branch switches
+    there), and that ball around the goal (a removable singularity).
     """
-    gx = np.linspace(bounds[0][0], bounds[0][1], nx)
-    gy = np.linspace(bounds[1][0], bounds[1][1], ny)
+    gx = np.linspace(DEFAULT_BOUNDS[0][0], DEFAULT_BOUNDS[0][1], nx)
+    gy = np.linspace(DEFAULT_BOUNDS[1][0], DEFAULT_BOUNDS[1][1], ny)
     xx, yy = np.meshgrid(gx, gy)
     xs = xx.ravel()
     ys = yy.ravel()
     keep = np.ones(xs.shape[0], dtype=bool)
     for obs in scenario.obstacles:
         rho = np.sqrt((xs - obs.center[0]) ** 2 + (ys - obs.center[1]) ** 2) - obs.radius
-        keep &= rho > band
-        keep &= np.abs(rho - obs.influence_margin) > band
+        keep &= rho > EXCLUSION_BAND
+        keep &= np.abs(rho - obs.influence_margin) > EXCLUSION_BAND
     dg = np.sqrt((xs - scenario.goal[0]) ** 2 + (ys - scenario.goal[1]) ** 2)
-    keep &= dg > band
+    keep &= dg > EXCLUSION_BAND
     return np.ascontiguousarray(xs[keep]), np.ascontiguousarray(ys[keep])
 
 
-def equivalence_suite(scenario: Scenario, nx=200, ny=200, bounds=DEFAULT_BOUNDS,
-                      tol=1e-9) -> SuiteResult:
+def equivalence_suite(scenario: Scenario, nx=200, ny=200) -> SuiteResult:
     """Max pointwise gap between the potential-field controller, the fixed
     equivalence filter, and the generalized controller with the unit
     scaled-special tightening, over the masked workspace grid.
@@ -68,13 +67,10 @@ def equivalence_suite(scenario: Scenario, nx=200, ny=200, bounds=DEFAULT_BOUNDS,
     (:func:`apf_control`), the two filters from the controller kernel.
     """
     t0 = time.perf_counter()
-    xs, ys = grid_states(scenario, nx=nx, ny=ny, bounds=bounds)
+    (x_lo, x_hi), (y_lo, y_hi) = DEFAULT_BOUNDS
+    xs, ys = grid_states(scenario, nx=nx, ny=ny)
     special = ControllerSpec("special_filter").packing()
-    gen = ControllerSpec(
-        "generalized",
-        sigma_sel=SigmaSelector.grad_norm_squared(),
-        gamma_sel=GammaSelector.scaled_special(1.0),
-    ).packing()
+    gen = ControllerSpec("generalized", UNIT_SIGMA, UNIT_GAMMA).packing()
     u_apf = np.array([apf_control(x, scenario) for x in np.column_stack([xs, ys])])
     aux, auy = u_apf.reshape(-1, 2).T
     sux, suy = _k._eval_controls(xs, ys, _k.pack_model(scenario, special))
@@ -83,16 +79,18 @@ def equivalence_suite(scenario: Scenario, nx=200, ny=200, bounds=DEFAULT_BOUNDS,
     err_gen = float(np.max(np.hypot(aux - gux, auy - guy), initial=0.0))
     elapsed = time.perf_counter() - t0
     max_error = max(err_special, err_gen)
-    passed = max_error <= tol
+    passed = max_error <= EQUIVALENCE_TOL
     lines = (
         f"[equivalence] grid {nx}x{ny} on "
-        f"[{bounds[0][0]:g},{bounds[0][1]:g}]x[{bounds[1][0]:g},{bounds[1][1]:g}], "
+        f"[{x_lo:g},{x_hi:g}]x[{y_lo:g},{y_hi:g}], "
         f"{xs.shape[0]} states kept",
-        f"[equivalence] max |u_apf - u_special|     = {err_special:.6e} (tol {tol:.1e})",
-        f"[equivalence] max |u_apf - u_generalized| = {err_gen:.6e} (tol {tol:.1e})",
+        f"[equivalence] max |u_apf - u_special|     = {err_special:.6e} "
+        f"(tol {EQUIVALENCE_TOL:.1e})",
+        f"[equivalence] max |u_apf - u_generalized| = {err_gen:.6e} "
+        f"(tol {EQUIVALENCE_TOL:.1e})",
         f"[equivalence] {'PASS' if passed else 'FAIL'}",
     )
-    return SuiteResult("equivalence", lines, max_error, tol, passed, elapsed)
+    return SuiteResult("equivalence", lines, max_error, passed, elapsed)
 
 
 def _central_fd(func, x, scales):
@@ -115,11 +113,10 @@ def _central_fd(func, x, scales):
     return fd
 
 
-def gradient_states(scenario: Scenario, n, rng, bounds=DEFAULT_BOUNDS,
-                    margin=EXCLUSION_BAND):
-    """Random states with every clearance at least ``margin`` away from both
-    0 and the influence margin; half are drawn inside the influence shells
-    where the repulsive field is live."""
+def gradient_states(scenario: Scenario, n, rng, bounds=DEFAULT_BOUNDS):
+    """Random states with every clearance at least :data:`EXCLUSION_BAND`
+    away from both 0 and the influence margin; half are drawn inside the
+    influence shells where the repulsive field is live."""
     states = np.empty((n, 2))
     obstacles = scenario.obstacles
     count = 0
@@ -127,7 +124,8 @@ def gradient_states(scenario: Scenario, n, rng, bounds=DEFAULT_BOUNDS,
         if obstacles and count % 2 == 0:
             obs = obstacles[(count // 2) % len(obstacles)]
             theta = rng.uniform(0.0, 2.0 * np.pi)
-            r = obs.radius + rng.uniform(margin, obs.influence_margin - margin)
+            r = obs.radius + rng.uniform(EXCLUSION_BAND,
+                                         obs.influence_margin - EXCLUSION_BAND)
             cand = np.array([obs.center[0] + r * np.cos(theta),
                              obs.center[1] + r * np.sin(theta)])
         else:
@@ -135,7 +133,7 @@ def gradient_states(scenario: Scenario, n, rng, bounds=DEFAULT_BOUNDS,
         ok = True
         for obs in obstacles:
             rho = np.hypot(cand[0] - obs.center[0], cand[1] - obs.center[1]) - obs.radius
-            if rho < margin or abs(rho - obs.influence_margin) < margin:
+            if rho < EXCLUSION_BAND or abs(rho - obs.influence_margin) < EXCLUSION_BAND:
                 ok = False
                 break
         if ok:
@@ -144,8 +142,7 @@ def gradient_states(scenario: Scenario, n, rng, bounds=DEFAULT_BOUNDS,
     return states
 
 
-def gradient_suite(scenario: Scenario, n=10000, seed=0, tol=1e-5,
-                   step_scale=1e-6) -> SuiteResult:
+def gradient_suite(scenario: Scenario, n=10000, seed=0) -> SuiteResult:
     """Central finite differences of the potentials against their analytic
     gradients; error is measured relative to max(1, |gradient|)."""
     t0 = time.perf_counter()
@@ -154,8 +151,8 @@ def gradient_suite(scenario: Scenario, n=10000, seed=0, tol=1e-5,
     max_att = 0.0
     max_rep = 0.0
     for x in states:
-        coord_scales = (step_scale * (1.0 + abs(float(x[0]))),
-                        step_scale * (1.0 + abs(float(x[1]))))
+        coord_scales = (GRADIENT_STEP * (1.0 + abs(float(x[0]))),
+                        GRADIENT_STEP * (1.0 + abs(float(x[1]))))
         fd = _central_fd(lambda p: u_att(p, scenario), x, coord_scales)
         grad = f_att(x, scenario)
         err = float(np.linalg.norm(fd - grad)) / max(1.0, float(np.linalg.norm(grad)))
@@ -163,7 +160,7 @@ def gradient_suite(scenario: Scenario, n=10000, seed=0, tol=1e-5,
             max_att = err
         for obs in scenario.obstacles:
             clearance = rho(x, obs)
-            rep_scales = (step_scale * clearance, step_scale * clearance)
+            rep_scales = (GRADIENT_STEP * clearance, GRADIENT_STEP * clearance)
             fd = _central_fd(lambda p: u_rep(p, obs, scenario), x, rep_scales)
             grad = f_rep(x, obs, scenario)
             err = float(np.linalg.norm(fd - grad)) / max(1.0, float(np.linalg.norm(grad)))
@@ -171,18 +168,18 @@ def gradient_suite(scenario: Scenario, n=10000, seed=0, tol=1e-5,
                 max_rep = err
     elapsed = time.perf_counter() - t0
     max_error = max(max_att, max_rep)
-    passed = max_error <= tol
+    passed = max_error <= GRADIENT_TOL
     lines = (
         f"[gradients] {n} states, seed {seed}, central differences "
-        f"(step {step_scale:.0e} scaled)",
-        f"[gradients] max rel error attractive = {max_att:.6e} (tol {tol:.1e})",
-        f"[gradients] max rel error repulsive  = {max_rep:.6e} (tol {tol:.1e})",
+        f"(step {GRADIENT_STEP:.0e} scaled)",
+        f"[gradients] max rel error attractive = {max_att:.6e} (tol {GRADIENT_TOL:.1e})",
+        f"[gradients] max rel error repulsive  = {max_rep:.6e} (tol {GRADIENT_TOL:.1e})",
         f"[gradients] {'PASS' if passed else 'FAIL'}",
     )
-    return SuiteResult("gradients", lines, max_error, tol, passed, elapsed)
+    return SuiteResult("gradients", lines, max_error, passed, elapsed)
 
 
-def oracle_suite(n=100000, seed=0, tol=1e-9) -> SuiteResult:
+def oracle_suite(n=100000, seed=0) -> SuiteResult:
     """Closed-form filter against the enumeration QP on random
     single-constraint projections."""
     t0 = time.perf_counter()
@@ -201,13 +198,13 @@ def oracle_suite(n=100000, seed=0, tol=1e-9) -> SuiteResult:
         if err > max_error:
             max_error = err
     elapsed = time.perf_counter() - t0
-    passed = max_error <= tol
+    passed = max_error <= ORACLE_TOL
     lines = (
         f"[oracle] {n} random single-constraint projections, seed {seed}",
-        f"[oracle] max |u_closed_form - u_qp| = {max_error:.6e} (tol {tol:.1e})",
+        f"[oracle] max |u_closed_form - u_qp| = {max_error:.6e} (tol {ORACLE_TOL:.1e})",
         f"[oracle] {'PASS' if passed else 'FAIL'}",
     )
-    return SuiteResult("oracle", lines, max_error, tol, passed, elapsed)
+    return SuiteResult("oracle", lines, max_error, passed, elapsed)
 
 
 SUITE_NAMES = ("equivalence", "gradients", "oracle")

@@ -315,6 +315,19 @@ def test_exit_code_2_for_lambda_that_can_overflow(tmp_path, capsys):
     assert not (tmp_path / "out" / "filtered.csv").exists()
 
 
+def test_exit_code_2_for_nominal_only_with_gamma(tmp_path, capsys):
+    """A ``nominal_only`` entry runs unfiltered, so a ``gamma`` in it is a
+    configuration error, not a silently ignored key."""
+    write_json(tmp_path / "scen.json", crash_scenario())
+    cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
+    cfg["controllers"] = [{"name": "nominal", "kind": "nominal_only",
+                           "sigma": {"kind": "grad_norm_squared"},
+                           "gamma": {"kind": "zero"}}]
+    assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 2
+    assert capsys.readouterr().err == "error: nominal_only controller takes no gamma_sel\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_nothing_when_a_later_controller_is_refused(tmp_path, capsys):
     """Every rollout runs before the output directory is made: an apf run
     followed by a lambda that simulate refuses leaves no partial output."""

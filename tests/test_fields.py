@@ -6,6 +6,7 @@ in the analytic gradients cannot hide.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,20 +144,57 @@ def test_repulsive_gradient_finite_differences(single, rng):
 
 
 def test_combined_is_exact_superposition(arena, rng):
-    """apf_control must equal -f_att - sum of f_rep bitwise, not approximately:
-    it is that sum, accumulated in obstacle order.  The filter kernel's
-    agreement with it is checked in test_rcbf and the acceptance gate.
-    """
-    count = 0
+    """The filter kernel with the unit pair (sigma = |F_att|^2, scaled-special
+    Gamma with lam = 1) is -f_att - sum of f_rep bit for bit, and obstacle by
+    obstacle: each live shell is active with a correction of exactly -f_rep,
+    each idle one inactive.  Half the states lie in an influence shell."""
+    from apf_rcbf.rcbf import UNIT_GAMMA, UNIT_SIGMA, generalized_control
+
+    count = live = 0
     while count < 500:
-        x = rng.uniform((-3, -2), (9, 6))
+        if count % 2:
+            obs = arena.obstacles[count % len(arena.obstacles)]
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            r = obs.radius + rng.uniform(0.0, obs.influence_margin)
+            x = obs.center + r * np.array([math.cos(angle), math.sin(angle)])
+        else:
+            x = rng.uniform((-3, -2), (9, 6))
         if any(rho(x, obs) <= 0 for obs in arena.obstacles):
             continue
         count += 1
+        u, diags = generalized_control(x, arena, UNIT_SIGMA, UNIT_GAMMA)
         expected = -f_att(x, arena)
-        for obs in arena.obstacles:
-            expected = expected - f_rep(x, obs, arena)
-        np.testing.assert_array_equal(apf_control(x, arena), expected)
+        for obs, diag in zip(arena.obstacles, diags):
+            d = f_rep(x, obs, arena)
+            expected = expected - d
+            assert diag.active == bool(np.any(d != 0.0))
+            if diag.active:
+                live += 1
+                np.testing.assert_array_equal(diag.correction, -d)
+        np.testing.assert_array_equal(u, expected)
+    assert live > 200
+
+
+def test_fields_imports_no_kernel_module():
+    """The field formulas are the descent side of the equivalence checks, so
+    they share no code with the controller kernel: from the package, fields
+    imports only the scenario types and the errors."""
+    import ast
+
+    import apf_rcbf.fields
+
+    tree = ast.parse(Path(apf_rcbf.fields.__file__).read_text(encoding="utf-8"))
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # "from .x import y" names x, "from . import x" names x
+                package_imports.update([node.module] if node.module
+                                       else [alias.name for alias in node.names])
+            elif node.module.startswith("apf_rcbf"):
+                package_imports.add(node.module)
+        elif isinstance(node, ast.Import):
+            package_imports.update(a.name for a in node.names if a.name.startswith("apf_rcbf"))
+    assert package_imports == {"scenario", "errors"}
 
 
 def test_apf_control_does_not_run_the_controller_kernel(arena, monkeypatch):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from apf_rcbf import (ControllerSpec, GammaSelector, Obstacle, Scenario, SigmaSelector,
                       SimConfig, simulate)
 from apf_rcbf import _kernels as _k
+from apf_rcbf.rcbf import UNIT_GAMMA, UNIT_SIGMA
 
 # obstacles given as numpy arrays and numpy scalars on purpose
 SCENARIO = Scenario(goal=np.array([4.0, 0.0]),
@@ -33,9 +34,9 @@ GAMMAS = (GammaSelector.zero(), GammaSelector.scaled_special(2.0),
 
 PACKINGS = ([pytest.param(_k.pack_controller(s, g), id=f"sigma{i}-gamma{j}")
              for (i, s), (j, g) in itertools.product(enumerate(SIGMAS), enumerate(GAMMAS))]
-            + [pytest.param(_k.pack_controller(s, filtered=False), id=f"sigma{i}-unfiltered")
+            + [pytest.param(_k.pack_controller(s, None), id=f"sigma{i}-unfiltered")
                for i, s in enumerate(SIGMAS)]
-            + [pytest.param(_k.pack_controller(), id="apf")])
+            + [pytest.param(_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA), id="apf")])
 
 # inside the first obstacle's shell, outside every shell, inside the first obstacle
 STATES = ((1.3, 0.1), (-1.0, -2.0), (2.1, 0.0))
@@ -114,7 +115,7 @@ def _rollout(model, n_max, integ, x0, dt=0.01):
 
 FAR_GOAL = _k.pack_model(Scenario(goal=[100.0, 0.0],
                                   obstacles=(Obstacle([50.0, 50.0], 0.5, 0.4),)),
-                         _k.pack_controller())
+                         _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
 
 
 def test_signed_zero_step_is_not_stationary(monkeypatch):
@@ -264,8 +265,8 @@ def _model_and_state(draw):
         clearance = math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) - r
         if clearance > 0.0:
             obstacles[j][3] = clearance
-    packing = _k.pack_controller(draw(_sigma_sels), draw(_gamma_sels),
-                                 filtered=draw(st.booleans()))
+    sigma, gamma, filtered = draw(_sigma_sels), draw(_gamma_sels), draw(st.booleans())
+    packing = _k.pack_controller(sigma, gamma if filtered else None)
     k_att = draw(st.sampled_from([0.5, 1.0, 2.5, 1e200]))
     model = (draw(_coords), draw(_coords), tuple(map(tuple, obstacles)), k_att,
              draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0)), *packing)
@@ -321,7 +322,7 @@ def test_record_of_any_layout_is_filled(layout, case, arena):
         x0, n_max, expected = (0.0, 0.1), 500, (501, _k.TIMEOUT)
     else:  # 103-row chunks, the goal reached mid-chunk
         scenario, x0, n_max, expected = arena, (-2.0, 0.0), 2000, (1388, _k.REACHED_GOAL)
-    model = _k.pack_model(scenario, _k.pack_controller())
+    model = _k.pack_model(scenario, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     width = 7 + len(scenario.obstacles)
     ref = np.full((n_max + 1, width), -1.0)
     out = _k._integrate(*x0, model, 0.004, n_max, 0.05, _k.RK4_STAGES, ref)

@@ -92,6 +92,25 @@ def test_nan_offset_and_empty_list_keep_nominal(u_nom, cons):
     assert sol.feasible
 
 
+def test_enumeration_stops_at_pairs(monkeypatch):
+    """The control lives in R^2, so the Gram matrix of three or more normals
+    is singular and the condition check rejects it: only the 8 + 28 sets of
+    one or two of 8 constraints reach the check, here where none is
+    accepted (2^8 - 1 = 255 would be every nonempty set)."""
+    calls = []
+    cond = np.linalg.cond
+
+    def spy(a):
+        calls.append(len(a))
+        return cond(a)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    cons = [hs(1.0, 1.0, 0.0), hs(1.0, -1.0, 0.0)] * (MAX_CONSTRAINTS // 2)
+    sol = solve_projection([0.0, 0.0], cons)
+    assert not sol.feasible
+    assert len(calls) <= 36 and max(calls) == 2
+
+
 def test_constraint_count_limit():
     cons = [hs(-10.0, 1.0, 0.0)] * (MAX_CONSTRAINTS + 1)
     with pytest.raises(ValueError, match="at most"):

@@ -226,6 +226,33 @@ def test_generalized_outside_every_shell_reports_zero_rows(arena, gamma):
     np.testing.assert_array_equal(u, nominal_control(x, arena, sigma))
 
 
+def test_zero_row_with_positive_margin_raises_on_both_routes(single):
+    """Beyond the shell (clearance 0.3 >= rho0 0.2) the row F_rep is zero,
+    and a custom Gamma of 1 above alpha_gain h = 0.3 leaves the margin phi =
+    0.7 positive: no control satisfies the constraint, so the fused
+    controller and the term-level route both raise."""
+    sigma = SigmaSelector.grad_norm_squared()
+    gamma = GammaSelector.custom([0.0, 1.0], [1.0, 1.0])
+    x = [0.0, 0.8]
+    obs = single.obstacles[0]
+    assert rho(x, obs) >= obs.influence_margin
+    with pytest.raises(InfeasibleConstraintError, match="infeasible"):
+        generalized_control(x, single, sigma, gamma)
+    terms = rcbf_terms(x, obs, single, nominal_control(x, single, sigma), gamma)
+    with pytest.raises(InfeasibleConstraintError, match="infeasible"):
+        safety_filter(nominal_control(x, single, sigma), terms)
+
+
+def test_row_whose_square_underflows_is_a_zero_row():
+    """|d|^2 = 1e-340 underflows to 0 while d.u_nom = 1e30 makes the margin
+    positive: the closed form has no correction to apply, so it raises
+    instead of returning u_nom marked active."""
+    terms = RcbfTerms(B=1.0, h=0.1, c=-1.0, d=np.array([1e-170, 0.0]), gamma=0.0,
+                      c_tilde=-1.0)
+    with pytest.raises(InfeasibleConstraintError, match="infeasible"):
+        safety_filter([1e200, 0.0], terms)
+
+
 def test_generalized_matches_term_level_route(single, rng):
     """Fused controller against the rcbf_terms + safety_filter composition at
     well-conditioned states (one obstacle, so no superposition subtleties)."""

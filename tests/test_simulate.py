@@ -55,6 +55,13 @@ def test_controller_spec_validation():
     ControllerSpec("generalized", sigma_sel=SQ, gamma_sel=GammaSelector.zero())
 
 
+def test_nominal_only_refuses_a_gamma_selector():
+    """The unfiltered stabilizer has no tightening to apply: a Gamma given to
+    it would be dropped, so it is refused."""
+    with pytest.raises(ValueError, match="takes no gamma_sel"):
+        ControllerSpec("nominal_only", sigma_sel=SQ, gamma_sel=GammaSelector.zero())
+
+
 def test_sim_config_validation():
     from apf_rcbf import SimConfig
     with pytest.raises(ValueError, match="dt must lie"):
