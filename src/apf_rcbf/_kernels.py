@@ -12,8 +12,8 @@ Packing conventions used throughout:
 * model: ``(gx, gy, obstacles, k_att, k_rep, alpha_gain, *packing)``
 * obstacles: a tuple of ``(cx, cy, r, rho0)`` float tuples, one per obstacle
 * controller packing, built only by :func:`pack_controller` from the two
-  selectors it is given (no defaults; ``apf`` and ``special_filter`` name
-  the unit pair ``rcbf.UNIT_SIGMA``, ``rcbf.UNIT_GAMMA``):
+  selectors it is given (no defaults; ``apf`` and ``special_filter`` run the
+  unit pair, packed once as ``rcbf.UNIT_PACKING``):
   ``(ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty)``, table slots
   ``None`` unless the selector is a table
 * controller kind: 1 = nominal only (gamma selector ``None``), 2 = filtered.
@@ -34,13 +34,13 @@ Packing conventions used throughout:
 
 Kernels never raise: domain violations are reported through return codes and
 NaN diagnostics, which :func:`control`, the one door for single states,
-turns into typed exceptions.  ``fields`` does not use this module, so its
-descent law is an independent check of the filter kernel.
-(``validate_scenario`` keeps obstacle radii at or above
-``scenario.min_radius(k_rep)``, so the squared repulsive gradient stays finite
-at every positive clearance, and ``simulate`` and ``generalized_control``
-refuse a scaled-special lam above ``scenario.max_lambda``, so lam times it
-does too.)
+turns into typed exceptions; only the packer, :func:`pack_model`, which every
+kernel route goes through, refuses a scaled-special lam above
+``scenario.max_lambda``.  ``fields`` does not use this module, so its descent
+law is an independent check of the filter kernel.  (``validate_scenario``
+keeps obstacle radii at or above ``scenario.min_radius(k_rep)``, so the
+squared repulsive gradient stays finite at every positive clearance, and the
+lam bound keeps lam times it finite too.)
 
 Per-state cost: most obstacles of a state lie beyond their influence shell,
 where d = F_rep = (0, 0).  Every shell of :func:`_control_point` runs one
@@ -73,6 +73,7 @@ import numpy as np
 
 from .errors import InsideObstacleError
 from .fields import INSIDE_OBSTACLE_MSG, _as_point
+from .scenario import max_lambda
 
 # terminal status codes used by _integrate
 REACHED_GOAL = 0
@@ -97,7 +98,15 @@ def pack_controller(sigma_sel, gamma_sel):
 
 def pack_model(scenario, packing):
     """The ``model`` tuple the controller kernels take: goal, obstacles and
-    gains of ``scenario`` followed by the controller ``packing``."""
+    gains of ``scenario`` followed by the controller ``packing``; raises
+    ``ValueError`` for a scaled-special lam above :func:`scenario.max_lambda`."""
+    if packing[5] == 1:
+        for i, obs in enumerate(scenario.obstacles):
+            bound = max_lambda(scenario.k_rep, obs.radius)
+            if packing[6] > bound:
+                raise ValueError(
+                    f"scaled_special lambda {packing[6]!r} exceeds {bound:.3g} for obstacle "
+                    f"{i}, where lambda*|F_rep|^2 can overflow at the smallest clearance")
     obstacles = tuple((*obs.center.tolist(), obs.radius, obs.influence_margin)
                       for obs in scenario.obstacles)
     gx, gy = scenario.goal.tolist()

@@ -7,8 +7,8 @@ writing one trajectory CSV per controller plus ``metrics.json`` and
 errors against their tolerances.
 
 Exit codes: 0 success; 1 a simulation crashed into an obstacle (run) or a
-suite failed (verify); 2 unreadable/invalid configuration; 3 the scenario
-violates its invariants (each violation is listed).
+suite failed (verify); 2 unreadable/invalid configuration or unwritable output;
+3 the scenario violates its invariants (each violation is listed).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +27,7 @@ import numpy as np
 from .clf import SigmaSelector
 from .errors import ConfigError, ScenarioValidationError
 from .rcbf import GammaSelector
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, refuse_booleans
 from .simulate import (ControllerSpec, SimConfig, metrics, simulate,
                        write_trajectory_csv)
 from .verify import SUITE_NAMES, run_suites
@@ -145,6 +145,7 @@ def load_run_config(path: Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
+    refuse_booleans(data, "config")
     unknown = set(data) - _RUN_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
@@ -213,16 +214,8 @@ def _load_scenario_checked(path: Path) -> Scenario:
 
 
 def _jsonable_metrics(m) -> dict:
-    def _num(v):
-        if v is None or not math.isfinite(v):
-            return None
-        return v
-    return {
-        "path_length": _num(m.path_length),
-        "min_clearance": _num(m.min_clearance),
-        "time_to_goal": _num(m.time_to_goal),
-        "oscillation": _num(m.oscillation),
-    }
+    """The fields of a ``TrajectoryMetrics``, non-finite values as null."""
+    return {k: v if v is not None and math.isfinite(v) else None for k, v in asdict(m).items()}
 
 
 def cmd_run(args) -> int:
@@ -241,28 +234,29 @@ def cmd_run(args) -> int:
             raise ConfigError(str(exc)) from exc
         results.append((name, tr, metrics(tr)))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, tr, _ in results:
-        write_trajectory_csv(tr, out_dir / f"{name}.csv")
-
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump({name: _jsonable_metrics(m) for name, _, m in results}, fh, indent=2)
-        fh.write("\n")
-
     lines = [f"scenario: {cfg.scenario_path}",
              f"x0: [{cfg.x0[0]:g}, {cfg.x0[1]:g}]   dt: {cfg.sim.dt:g}   "
              f"integrator: {cfg.sim.integrator}   t_max: {cfg.sim.t_max:g}",
-             ""]
-    lines.append(f"{'controller':<16} {'terminal':<14} {'t_goal':>8} {'path_len':>9} "
-                 f"{'min_clear':>10} {'oscillation':>12}")
+             "",
+             f"{'controller':<16} {'terminal':<14} {'t_goal':>8} {'path_len':>9} "
+             f"{'min_clear':>10} {'oscillation':>12}"]
     for name, tr, m in results:
         t_goal = f"{m.time_to_goal:.3f}" if m.time_to_goal is not None else "-"
         min_clear = f"{m.min_clearance:.4f}" if math.isfinite(m.min_clearance) else "-"
         lines.append(f"{name:<16} {tr.terminal:<14} {t_goal:>8} {m.path_length:>9.4f} "
                      f"{min_clear:>10} {m.oscillation:>12.4f}")
     report = "\n".join(lines) + "\n"
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(report)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, tr, _ in results:
+            write_trajectory_csv(tr, out_dir / f"{name}.csv")
+        with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
+            json.dump({name: _jsonable_metrics(m) for name, _, m in results}, fh, indent=2)
+            fh.write("\n")
+        with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
+            fh.write(report)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
     sys.stdout.write(report)
     sys.stdout.write(f"\nwrote {len(results)} trajectories to {out_dir}\n")
 

@@ -32,7 +32,7 @@ from . import _kernels as _k
 from .clf import SigmaSelector, _freeze_table, _positive, sigma_value
 from .errors import InfeasibleConstraintError, NegativeGammaError
 from .fields import f_att, f_rep, u_rep
-from .scenario import Obstacle, Scenario, max_lambda, rho
+from .scenario import Obstacle, Scenario, rho
 
 logger = logging.getLogger(__name__)
 
@@ -117,9 +117,10 @@ class GammaSelector:
 
 
 # The unit pair, under which the filtered stabilizer is the combined
-# potential-field controller; ``apf`` and ``special_filter`` run on it.
+# potential-field controller; ``apf`` and ``special_filter`` run its packing.
 UNIT_SIGMA = SigmaSelector.grad_norm_squared()
 UNIT_GAMMA = GammaSelector.scaled_special(1.0)
+UNIT_PACKING = _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)
 
 
 @dataclass(frozen=True)
@@ -148,20 +149,6 @@ class FilterDiagnostics:
     correction: np.ndarray
     g_att: float
     g_rep: float
-
-
-def check_lambda(scenario: Scenario, gamma_sel: GammaSelector) -> None:
-    """Raise ``ValueError`` when ``gamma_sel`` is scaled-special with a lam
-    above :func:`scenario.max_lambda` for an obstacle of ``scenario``, where
-    lam * |F_rep|**2 can overflow to inf and the control to NaN."""
-    if gamma_sel.kind != "scaled_special":
-        return
-    for i, obs in enumerate(scenario.obstacles):
-        bound = max_lambda(scenario.k_rep, obs.radius)
-        if gamma_sel.lam > bound:
-            raise ValueError(
-                f"scaled_special lambda {gamma_sel.lam!r} exceeds {bound:.3g} for obstacle "
-                f"{i}, where lambda*|F_rep|^2 can overflow at the smallest clearance")
 
 
 def rcbf_terms(x, obs: Obstacle, scenario: Scenario, u_nom, sel: GammaSelector) -> RcbfTerms:
@@ -225,7 +212,7 @@ def special_filter_control(x, scenario: Scenario) -> np.ndarray:
     obstacles: -F_att where no obstacle is active, -F_att - sum F_rep_i
     otherwise.
     """
-    u, _, ming, _ = _k.control(x, scenario, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    u, _, ming, _ = _k.control(x, scenario, UNIT_PACKING)
     if ming < 0.0:
         _warn_negative_gamma(UNIT_GAMMA._key(), ming, "in special_filter_control")
     return u
@@ -244,7 +231,6 @@ def generalized_control(x, scenario: Scenario, sigma_sel: SigmaSelector,
     (a custom Gamma above alpha_gain h beyond the shell); a rollout there
     runs on, since kernels never raise, and the row takes no correction.
     """
-    check_lambda(scenario, gamma_sel)
     u, _, ming, phis = _k.control(x, scenario, _k.pack_controller(sigma_sel, gamma_sel))
     if ming < 0.0:
         _warn_negative_gamma(gamma_sel._key(), ming, "in generalized_control")

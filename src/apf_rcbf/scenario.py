@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioValidationError
+from .errors import ConfigError, ScenarioValidationError
 
 BOUNDARY_TOL = 1e-9
 
@@ -74,6 +74,20 @@ def max_lambda(k_rep: float, radius: float) -> float:
 
 _SCENARIO_KEYS = {"goal", "obstacles", "k_att", "k_rep", "alpha_gain"}
 _OBSTACLE_KEYS = {"center", "radius", "rho0"}
+
+
+def refuse_booleans(doc, name: str) -> None:
+    """Raise ``ConfigError`` naming a ``true`` or ``false`` in the JSON
+    document ``doc`` called ``name``: no scenario or run config field is a
+    boolean, and ``float`` would read one as 1.0 or 0.0."""
+    stack = [(doc, name)]
+    while stack:
+        value, where = stack.pop()
+        if isinstance(value, bool):
+            raise ConfigError(f"{where} must not be a boolean, got {json.dumps(value)}")
+        if isinstance(value, (dict, list)):
+            pairs = value.items() if isinstance(value, dict) else enumerate(value)
+            stack += [(v, f"{where}[{k!r}]") for k, v in pairs]
 
 
 def _vec2(value, name: str) -> np.ndarray:
@@ -210,6 +224,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError("scenario document must be a JSON object")
+    refuse_booleans(data, "scenario")
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
         raise ValueError(f"unknown scenario key(s): {sorted(unknown)}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import SigmaSelector
-from .rcbf import UNIT_GAMMA, UNIT_SIGMA, GammaSelector, check_lambda
+from .rcbf import UNIT_PACKING, GammaSelector
 from .scenario import Scenario, classify_safety, validate_scenario
 
 logger = logging.getLogger(__name__)
@@ -70,7 +70,7 @@ class ControllerSpec:
     def packing(self):
         """Kernel packing tuple; ``apf`` and ``special_filter`` are the unit pair."""
         if self.kind in ("apf", "special_filter"):
-            return _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)
+            return UNIT_PACKING
         return _k.pack_controller(self.sigma_sel, self.gamma_sel)
 
 
@@ -133,8 +133,7 @@ def _trajectory(rec, terminal: str) -> Trajectory:
 def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Trajectory:
     """Roll out the closed loop from ``x0`` until goal, timeout, or crash."""
     validate_scenario(scenario)
-    if ctrl.kind == "generalized":
-        check_lambda(scenario, ctrl.gamma_sel)
+    model = _k.pack_model(scenario, ctrl.packing())
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (2,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite 2-vector, got {x0!r}")
@@ -160,7 +159,7 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
     rec = np.empty((n_max + 1, 7 + m))
 
     n, status, ming, negcount = _k._integrate(
-        float(x0[0]), float(x0[1]), _k.pack_model(scenario, ctrl.packing()),
+        float(x0[0]), float(x0[1]), model,
         float(cfg.dt), n_max, float(cfg.goal_tolerance), INTEGRATORS[cfg.integrator], rec)
     if negcount and ctrl.kind in ("special_filter", "generalized"):
         # The pure potential-field packing shares the kernel but advertises no

@@ -301,6 +301,44 @@ def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, m
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mutate_cfg, mutate_scen, where", [
+    (lambda c: c["controllers"][1]["gamma"].update({"lambda": True}), None,
+     "config['controllers'][1]['gamma']['lambda']"),
+    (lambda c: c["sim"].update(t_max=True), None, "config['sim']['t_max']"),
+    (lambda c: c.update(x0=[True, 0.0]), None, "config['x0'][0]"),
+    (None, lambda s: s.update(k_att=True), "scenario['k_att']"),
+    (None, lambda s: s["obstacles"][0].update(radius=True), "scenario['obstacles'][0]['radius']"),
+    (None, lambda s: s["obstacles"][0].update(center=[2.0, False]),
+     "scenario['obstacles'][0]['center'][1]"),
+], ids=["lambda", "sim-t_max", "x0", "k_att", "radius", "center"])
+def test_exit_code_2_for_boolean_value(tmp_path, capsys, mutate_cfg, mutate_scen, where):
+    """No config or scenario field is a boolean, so ``true`` or ``false`` is
+    refused (exit 2, no output) rather than read as 1.0 or 0.0."""
+    scen = crash_scenario()
+    cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
+    if mutate_scen:
+        mutate_scen(scen)
+    if mutate_cfg:
+        mutate_cfg(cfg)
+    write_json(tmp_path / "scen.json", scen)
+    assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 2
+    assert f"{where} must not be a boolean" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_2_for_unwritable_output_dir(tmp_path, capsys):
+    """An output directory that cannot be made is a configuration error, not
+    a traceback with exit 1 (which means a rollout ended in domain_error)."""
+    write_json(tmp_path / "scen.json", crash_scenario())
+    cfg_path = write_json(tmp_path / "cfg.json", run_config("scen.json"))
+    (tmp_path / "file").write_text("")
+    rc = cli.main(["run", str(cfg_path), "--output-dir", str(tmp_path / "file" / "sub")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.out == ""
+
+
 def test_exit_code_2_for_lambda_that_can_overflow(tmp_path, capsys):
     """A scaled-special lambda above ``scenario.max_lambda`` (2**704 for the
     radius-0.5 obstacle here) is refused before any run: exit 2, no output."""

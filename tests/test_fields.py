@@ -6,7 +6,6 @@ in the analytic gradients cannot hide.
 """
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,26 +174,13 @@ def test_combined_is_exact_superposition(arena, rng):
     assert live > 200
 
 
-def test_fields_imports_no_kernel_module():
+def test_fields_imports_no_kernel_module(package_imports):
     """The field formulas are the descent side of the equivalence checks, so
     they share no code with the controller kernel: from the package, fields
     imports only the scenario types and the errors."""
-    import ast
-
     import apf_rcbf.fields
 
-    tree = ast.parse(Path(apf_rcbf.fields.__file__).read_text(encoding="utf-8"))
-    package_imports = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.level:  # "from .x import y" names x, "from . import x" names x
-                package_imports.update([node.module] if node.module
-                                       else [alias.name for alias in node.names])
-            elif node.module.startswith("apf_rcbf"):
-                package_imports.add(node.module)
-        elif isinstance(node, ast.Import):
-            package_imports.update(a.name for a in node.names if a.name.startswith("apf_rcbf"))
-    assert package_imports == {"scenario", "errors"}
+    assert package_imports(apf_rcbf.fields) == {"scenario", "errors"}
 
 
 def test_apf_control_does_not_run_the_controller_kernel(arena, monkeypatch):

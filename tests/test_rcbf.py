@@ -323,3 +323,50 @@ def test_lambda_that_can_overflow_the_margin_is_rejected():
     # the other tightenings carry no lam and are not checked
     for gamma in (GammaSelector.zero(), GammaSelector.custom([0.0, 1.0], [0.0, 1.0])):
         generalized_control(x, scen, sigma, gamma)
+
+
+def _over_bound(lam, bound):
+    return (f"scaled_special lambda {lam!r} exceeds {bound:.3g} for obstacle 0, where "
+            "lambda*|F_rep|^2 can overflow at the smallest clearance")
+
+
+def test_every_kernel_route_refuses_an_over_bound_lambda(arena, monkeypatch):
+    """The lam bound lives in ``_kernels.pack_model``, which every kernel route
+    packs through, so each refuses with the same message: the single-state
+    controllers, every rollout kind with a Gamma, and the grid suite."""
+    from apf_rcbf import ControllerSpec, SimConfig, simulate
+    from apf_rcbf import _kernels as _k
+    from apf_rcbf.verify import equivalence_suite
+
+    sigma = SigmaSelector.grad_norm_squared()
+    # an unvalidated radius one binade below the floor: max_lambda is 2**-4
+    below = 2.0 ** -119
+    tiny = Scenario(goal=[1.0, 0.0], obstacles=(Obstacle([0.0, 0.0], below, 0.5),))
+    x = [math.nextafter(below, 1.0), 0.0]
+    with pytest.raises(ValueError) as exc:
+        special_filter_control(x, tiny)
+    assert str(exc.value) == _over_bound(1.0, 2.0 ** -4)
+    with pytest.raises(ValueError) as exc:
+        generalized_control(x, tiny, sigma, GammaSelector.scaled_special(0.125))
+    assert str(exc.value) == _over_bound(0.125, 2.0 ** -4)
+
+    # a validated scenario never bounds the unit lam below 1; with the bound
+    # patched to 0.5 every route that carries lam = 1 refuses
+    monkeypatch.setattr(_k, "max_lambda", lambda k_rep, radius: 0.5)
+    unit = GammaSelector.scaled_special(1.0)
+    cfg = SimConfig(dt=0.01, t_max=0.05)
+    refused = [lambda: special_filter_control([-2.0, 0.0], arena),
+               lambda: generalized_control([-2.0, 0.0], arena, sigma, unit),
+               lambda: equivalence_suite(arena, nx=4, ny=4)]
+    refused += [lambda spec=spec: simulate(arena, spec, cfg, [-2.0, 0.0])
+                for spec in (ControllerSpec("apf"), ControllerSpec("special_filter"),
+                             ControllerSpec("generalized", sigma, unit))]
+    for route in refused:
+        with pytest.raises(ValueError) as exc:
+            route()
+        assert str(exc.value) == _over_bound(1.0, 0.5)
+    # the routes without a lam are not checked
+    simulate(arena, ControllerSpec("nominal_only", sigma), cfg, [-2.0, 0.0])
+    for gamma in (GammaSelector.zero(), GammaSelector.custom([0.0, 1.0], [0.0, 1.0])):
+        simulate(arena, ControllerSpec("generalized", sigma, gamma), cfg, [-2.0, 0.0])
+        generalized_control([-2.0, 0.0], arena, sigma, gamma)

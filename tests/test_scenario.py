@@ -129,8 +129,10 @@ def test_radius_whose_clearance_can_square_to_zero_is_rejected():
     """Below ``min_radius(k_rep)`` the smallest positive clearance, one ulp of
     the radius, can overflow |F_rep|^2 and turn the filtered control into
     NaN (the descent law never squares F_rep); that floor lies far above the
-    radius where the clearance squares to 0.0.  At the floor the control one
-    ulp outside the obstacle is finite."""
+    radius where the clearance squares to 0.0.  An unvalidated radius below
+    it has ``max_lambda`` < 1, so the unit filter is refused there rather
+    than returning NaN.  At the floor the control one ulp outside the
+    obstacle is finite."""
     from apf_rcbf import apf_control, special_filter_control
     from apf_rcbf.scenario import min_radius
     assert min_radius(1.0) == 2.0 ** -118
@@ -145,9 +147,10 @@ def test_radius_whose_clearance_can_square_to_zero_is_rejected():
         "clearance"]
     for radius in (1e-36, 1e-40, 1e-60, 1e-100, math.nextafter(2.0 ** -118, 0.0)):
         assert scenario_violations(tiny(radius)) != []
-    # one binade below the floor, one ulp outside on the axis: NaN
+    # one binade below the floor the unit lam exceeds max_lambda = 2**-4
     below = 2.0 ** -119
-    assert np.isnan(special_filter_control([math.nextafter(below, 1.0), 0.0], tiny(below))).all()
+    with pytest.raises(ValueError, match="exceeds"):
+        special_filter_control([math.nextafter(below, 1.0), 0.0], tiny(below))
     for k_rep in (1.0, 8.0, 1e-3):
         floor = min_radius(k_rep)
         at_floor = tiny(floor, k_rep)

@@ -1,0 +1,63 @@
+"""The equivalence suite: one kernel pass, no simulator, and a gap that a
+one-ulp-scale change to the filter correction moves."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import apf_rcbf
+import apf_rcbf.verify
+from apf_rcbf import _kernels as _k
+from apf_rcbf.verify import equivalence_suite
+
+# the filter correction in _kernels._control_point
+CORRECTION = "grep = -(phi / dd)"
+
+
+def test_equivalence_suite_runs_the_kernel_once(arena, monkeypatch):
+    """The fixed equivalence filter and the generalized controller with the
+    unit pair are one packing, so the grid goes through the kernel once and
+    both report lines carry its gap."""
+    calls = []
+    real = _k._eval_controls
+
+    def spy(xs, ys, model):
+        calls.append(model)
+        return real(xs, ys, model)
+
+    monkeypatch.setattr(_k, "_eval_controls", spy)
+    res = equivalence_suite(arena, nx=20, ny=20)
+    assert len(calls) == 1
+    special, generalized = res.lines[1], res.lines[2]
+    assert special.split("=")[1] == generalized.split("=")[1]
+    assert res.passed
+
+
+def test_verify_imports_no_simulator(package_imports):
+    """The suites take the unit packing from ``rcbf``; the rollout module is
+    not part of the grid check."""
+    assert "simulate" not in package_imports(apf_rcbf.verify)
+
+
+def test_scaled_correction_fails_verify(tmp_path):
+    """The README's mutation check, on a copy of the package: scaling the
+    filter correction by (1 + 2**-30) makes ``verify --suite equivalence``
+    report the gap 8.277212e-01, print FAIL and exit 1."""
+    src = Path(apf_rcbf.__file__).resolve().parent
+    copy = tmp_path / "apf_rcbf"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    sources = {path: path.read_text(encoding="utf-8") for path in copy.glob("*.py")}
+    hits = [path for path, text in sources.items() for _ in range(text.count(CORRECTION))]
+    assert len(hits) == 1
+    path = hits[0]
+    path.write_text(sources[path].replace(CORRECTION, CORRECTION + " * (1.0 + 2.0 ** -30)"),
+                    encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "apf_rcbf", "verify", "fig2.json", "--suite", "equivalence"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert "8.277212e-01" in proc.stdout
+    assert "FAIL" in proc.stdout
