@@ -42,12 +42,40 @@ keeps obstacle radii at or above ``scenario.min_radius(k_rep)``, so the
 squared repulsive gradient stays finite at every positive clearance, and the
 lam bound keeps lam times it finite too.)
 
-Per-state cost: most obstacles of a state lie beyond their influence shell,
-where d = F_rep = (0, 0).  Every shell of :func:`_control_point` runs one
-margin block on |d|^2 and d.u_nom.  An idle shell does not form d: it takes
-|d|^2 = 0 and a d.u_nom formed once per state from the operands a live shell
-would use, in the same order, so its margins keep their bits, NaN
-propagation included.  The correction needs |d|^2 > 0 and so skips it.
+Per-state cost: :func:`bind` unpacks a model once per rollout, grid or
+single-state call and returns the controller as one closure.  Most obstacles
+of a state lie beyond their influence shell, where d = F_rep = (0, 0).  Every
+shell the closure evaluates runs one margin block on |d|^2 and d.u_nom.  An
+idle shell does not form d: it takes |d|^2 = 0 and a d.u_nom formed once per
+state from the operands a live shell would use, in the same order, so its
+margins keep their bits, NaN propagation included.  The correction needs
+|d|^2 > 0 and so skips it.
+
+Stage skipping: an RK4 stage evaluation, which records nothing, leaves out a
+shell that cannot change any of its outputs.  Let rho be the shell's
+clearance at the step's sample, which the sample evaluation writes out, and
+delta the stage's reach.  If fl(rho - delta) > rho0, the shell is idle and
+outside at the stage: its margin goes to scratch, its clearance only into
+the ``hk <= 0`` test, and it takes no correction.  Its tightening is then 0
+(gamma kind 0), alpha_gain * rho_stage >= fl(alpha_gain * fl(rho - delta))
+(kind 1 with alpha_gain >= 0, as rounding is monotone), or NaN when u_nom
+is not finite, and it is left out only if it cannot undercut the running
+minimum of the rollout, so that minimum and the count of negative
+evaluations stay as they were.  Under kind 0 that always holds, since the
+step's sample has already brought the minimum to 0 or below; the unfiltered
+stabilizer reports no tightening at all.  A Gamma table, or a shell without
+a positive rho0, is never left out.
+
+The reach and its slack: with u = 2**-53, the stage state t = s + a (a the
+rounded stage offset c dt k) is rounded to within about u |t|_1 of s + a, and
+a computed clearance |x - c| - r is within about 4u of its exact value, in
+units of |x - c|_1 + |r|.  So every clearance computed at t is at least
+fl(rho - delta) whenever delta >= |a|_1 (1 + 2u) + 9u (|s|_1 + |c|_1 + |r|).
+:func:`_integrate` takes delta = |a|_1 (1 + 2**-40) + 2**-40 (|s|_1 + max_i
+(|c_i|_1 + r_i) + 2**-450), thousands of times that and enough to cover its
+own rounding; the 2**-450 term covers a square that underflows.  A delta of
++inf, where |s|_1 + max_i (|c_i|_1 + r_i) reaches 2**500 and a squared
+distance may overflow, skips nothing.
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
@@ -87,6 +115,14 @@ RECORD_CHUNK_FLOATS = 1024
 # RK4 stages after the first: (offset of the stage state, weight in the sum)
 RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
+# The reach of a stage state from its sample (module docstring, "The reach
+# and its slack"): |offset|_1 * REACH_GROWTH + (|sample|_1 + max_i(|c_i|_1 +
+# r_i) + REACH_FLOOR) * REACH_SLACK, or +inf from REACH_SPAN_LIMIT on.
+REACH_SLACK = 2.0 ** -40
+REACH_GROWTH = 1.0 + REACH_SLACK
+REACH_FLOOR = 2.0 ** -450
+REACH_SPAN_LIMIT = 2.0 ** 500
+
 
 def pack_controller(sigma_sel, gamma_sel):
     """The controller packing for the given tightening selectors;
@@ -121,7 +157,7 @@ def control(x, scenario, packing):
     stabilizer, defined everywhere, never raises."""
     px, py = _as_point(x)
     phis = np.empty(len(scenario.obstacles), dtype=np.float64)
-    ux, uy, hmin, ming = _control_point(px, py, pack_model(scenario, packing), phis)
+    ux, uy, hmin, ming = bind(pack_model(scenario, packing))(px, py, phis)
     if packing[0] == 2 and hmin <= 0.0:
         raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
     return np.array([ux, uy]), hmin, ming, phis
@@ -142,89 +178,127 @@ def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
     return float(np.interp(math.sqrt(dx * dx + dy * dy), stx, sty))
 
 
-def _control_point(x, y, model, phis):
-    """Evaluate one controller at one state.
+def bind(model):
+    """The controller of ``model``, unpacked once: returns ``point(x, y,
+    phis[, rhos[, reach, floor]]) -> (ux, uy, hmin, min_gamma)``.
 
-    Fills ``phis`` (a list or array with one constraint margin per obstacle;
-    NaN for obstacles the state is inside of) and returns ``(ux, uy, hmin,
-    min_gamma)`` where ``min_gamma`` is the smallest tightening value
-    evaluated at this state (+inf when no obstacle was active).  Callers must
-    treat the control as undefined when ``hmin <= 0``.
+    ``point`` evaluates the controller at one state.  It fills ``phis`` (a
+    list or array with one constraint margin per obstacle; NaN for obstacles
+    the state is inside of) and returns the control, the smallest clearance
+    and ``min_gamma``, the smallest tightening value evaluated at this state
+    (+inf if there was none, and always for the unfiltered stabilizer).
+    Callers must treat the control as undefined when ``hmin <= 0``.  A list
+    ``rhos`` receives the clearance of every obstacle.
+
+    A stage evaluation passes ``reach``: then ``rhos`` holds the clearances of
+    the step's sample, which it reads and does not write, ``reach`` is large
+    enough that every clearance computed at ``(x, y)`` is at least
+    ``rhos[i] - reach`` as rounded, and ``floor`` is the running minimum of
+    the tightening.  It leaves out an obstacle whose shell cannot change its
+    control, the sign of its ``hmin``, or the running minimum and its sign
+    count (see the module docstring); such an obstacle's ``phis`` entry is
+    left as it was and its clearance is not in ``hmin``.
     """
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
-    bx = k_att * (x - gx)
-    by = k_att * (y - gy)
-    bb = bx * bx + by * by
-    if skind == 0:
-        sig = bb  # _sigma_value's grad-norm-squared expression
-    else:
-        sig = _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty)
-    if bb > 0.0:
-        gatt = -(sig / bb)
-    else:
-        gatt = 0.0
-    unx = gatt * bx
-    uny = gatt * by
-    # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a live
-    # shell forms, so NaN or inf in u_nom propagates alike
-    idle_du = 0.0 * unx + 0.0 * uny
+    sqrt = math.sqrt
+    inf = math.inf
+    nan = math.nan
+    interp = np.interp
+    filtered = ckind == 2
+    # an idle shell's tightening is 0 (kind 0) or alpha_gain * rho (kind 1);
+    # a table's is not bounded by the clearance, so a table is never skipped
+    skippable = not filtered or gkind == 0 or (gkind == 1 and alpha_gain >= 0.0)
+    gmul = alpha_gain if gkind == 1 else 0.0
+    shells = [(i, cx, cy, r, rho0, rho0 if skippable and rho0 > 0.0 else inf)
+              for i, (cx, cy, r, rho0) in enumerate(obstacles)]
+    own = [0.0] * len(obstacles)
 
-    ux = unx
-    uy = uny
-    hmin = math.inf
-    ming = math.inf
-    for i, (cx, cy, r, rho0) in enumerate(obstacles):
-        ox = x - cx
-        oy = y - cy
-        dist = math.sqrt(ox * ox + oy * oy)
-        rho = dist - r
-        if rho < hmin:
-            hmin = rho
-        if rho <= 0.0:
-            phis[i] = math.nan
-            continue
-        if rho >= rho0:
-            # idle shell: a zero row, which takes no correction (a NaN
-            # clearance fails this test and keeps the live branch's bits)
-            dd = 0.0
-            du = idle_du
+    def point(x, y, phis, rhos=own, reach=None, floor=inf):
+        stage = reach is not None
+        out = own if stage else rhos
+        bx = k_att * (x - gx)
+        by = k_att * (y - gy)
+        bb = bx * bx + by * by
+        if skind == 0:
+            sig = bb  # _sigma_value's grad-norm-squared expression
         else:
-            # fields.f_rep's expressions in its order: bitwise superposition
-            coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
-            dx = coef * ox
-            dy = coef * oy
-            dd = dx * dx + dy * dy
-            du = dx * unx + dy * uny
-        alphah = alpha_gain * rho
-        if gkind == 1:
-            phi = glam * dd
-            gam = phi + alphah - du
-        elif gkind == 0:
-            gam = 0.0
-            phi = -alphah + du
+            sig = _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty)
+        if bb > 0.0:
+            gatt = -(sig / bb)
         else:
-            gam = float(np.interp(rho, gtx, gty))
-            phi = (-alphah + gam) + du
-        if gam < ming:
-            ming = gam
-        phis[i] = phi
-        if phi > 0.0 and dd > 0.0 and ckind == 2:
-            grep = -(phi / dd)
-            ux += grep * dx
-            uy += grep * dy
-    # the unfiltered stabilizer records its margins but evaluates no tightening
-    return ux, uy, hmin, ming if ckind == 2 else math.inf
+            gatt = 0.0
+        unx = gatt * bx
+        uny = gatt * by
+        # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a
+        # live shell forms, so NaN or inf in u_nom propagates alike
+        idle_du = 0.0 * unx + 0.0 * uny
+
+        ux = unx
+        uy = uny
+        hmin = inf
+        ming = inf
+        for i, cx, cy, r, rho0, skip_above in shells:
+            if stage:
+                # idle and outside here, with a tightening that cannot
+                # undercut the running minimum
+                lo = rhos[i] - reach
+                if lo > skip_above and (not filtered or gmul * lo >= floor):
+                    continue
+            ox = x - cx
+            oy = y - cy
+            dist = sqrt(ox * ox + oy * oy)
+            rho = dist - r
+            out[i] = rho
+            if rho < hmin:
+                hmin = rho
+            if rho <= 0.0:
+                phis[i] = nan
+                continue
+            if rho >= rho0:
+                # idle shell: a zero row, which takes no correction (a NaN
+                # clearance fails this test and keeps the live branch's bits)
+                dd = 0.0
+                du = idle_du
+            else:
+                # fields.f_rep's expressions in its order: bitwise superposition
+                coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
+                dx = coef * ox
+                dy = coef * oy
+                dd = dx * dx + dy * dy
+                du = dx * unx + dy * uny
+            alphah = alpha_gain * rho
+            if gkind == 1:
+                phi = glam * dd
+                gam = phi + alphah - du
+            elif gkind == 0:
+                gam = 0.0
+                phi = -alphah + du
+            else:
+                gam = float(interp(rho, gtx, gty))
+                phi = (-alphah + gam) + du
+            if gam < ming:
+                ming = gam
+            phis[i] = phi
+            if phi > 0.0 and dd > 0.0 and filtered:
+                grep = -(phi / dd)
+                ux += grep * dx
+                uy += grep * dy
+        # the unfiltered stabilizer records its margins but evaluates no tightening
+        return ux, uy, hmin, ming if filtered else inf
+
+    return point
 
 
 def _eval_controls(xs, ys, model):
     """Evaluate one controller over a batch of states (the grid sweep);
     returns the two control components as arrays."""
+    point = bind(model)
     phis = [0.0] * len(model[2])
     uxs = []
     uys = []
     for x, y in zip(xs.tolist(), ys.tolist()):
-        ux, uy, _, _ = _control_point(x, y, model, phis)
+        ux, uy, _, _ = point(x, y, phis)
         uxs.append(ux)
         uys.append(uy)
     return np.array(uxs), np.array(uys)
@@ -256,6 +330,15 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     three list appends.  Rows past the returned sample count are left as
     they were.
 
+    The controller is bound once per call, by the module's :func:`bind` as
+    it is at call time, and each stage offset ``c * dt`` is formed once.
+    Each sample evaluation writes
+    the clearances of every obstacle; each stage evaluation gets them with
+    its reach from the sample and the running minimum of the tightening, and
+    leaves out the shells it can prove idle (module docstring, "Stage
+    skipping"): the record and the returned minimum and count are those of
+    evaluating every shell.
+
     A stationary state ends the stepping early with the same record.  When a
     step returns its own state bit for bit (signed zeros included; a stall,
     where ``dt * |u|`` is below half an ulp of the state), every later step
@@ -268,9 +351,16 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     Returns ``(n_samples, status, min_gamma, n_negative_gamma_evals)``.
     """
     gx, gy, obstacles, k_att = model[:4]
+    point = bind(model)
     width = 7 + len(obstacles)
     phis = [0.0] * len(obstacles)
     scratch = [0.0] * len(obstacles)
+    rhos = [0.0] * len(obstacles)
+    # (c * dt) * kx is how ``xx + c * dt * kx`` groups, so the stage states
+    # keep their bits
+    offsets = tuple((c * dt, w) for c, w in stages)
+    corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
+                 default=0.0) + REACH_FLOOR
     buf = []
     row = 0
     step = dt / (1.0 + sum(w for _, w in stages))
@@ -282,7 +372,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     status = TIMEOUT
     stall = -1
     for k in range(n_max + 1):
-        ux, uy, hmin, mg = _control_point(xx, yy, model, phis)
+        ux, uy, hmin, mg = point(xx, yy, phis, rhos)
         if mg < ming:
             ming = mg
         if mg < 0.0:
@@ -311,9 +401,14 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         kx = sx = ux
         ky = sy = uy
         hk = hmin
-        for c, w in stages:
-            kx, ky, hk, mgk = _control_point(xx + c * dt * kx, yy + c * dt * ky,
-                                             model, scratch)
+        if offsets:
+            span = abs(xx) + abs(yy) + corner
+            span = span * REACH_SLACK if span < REACH_SPAN_LIMIT else math.inf
+        for h, w in offsets:
+            ax = h * kx
+            ay = h * ky
+            kx, ky, hk, mgk = point(xx + ax, yy + ay, scratch, rhos,
+                                    (abs(ax) + abs(ay)) * REACH_GROWTH + span, ming)
             if mgk < ming:
                 ming = mgk
             if mgk < 0.0:

@@ -14,11 +14,13 @@ suite failed (verify); 2 unreadable/invalid configuration or unwritable output;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -218,6 +220,34 @@ def _jsonable_metrics(m) -> dict:
     return {k: v if v is not None and math.isfinite(v) else None for k, v in asdict(m).items()}
 
 
+def _write_text(path: Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_outputs(out_dir: Path, outputs) -> None:
+    """Write ``outputs``, ``(file name, write(path))`` pairs, into ``out_dir``.
+    When a write fails, remove what this call created (the files that were not
+    there before it and the directories it made), then re-raise the OSError."""
+    made_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    created = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs:
+            path = out_dir / name
+            if not path.exists():
+                created.append(path)
+            write(path)
+    except OSError:
+        for path in created:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        for d in made_dirs:  # innermost first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def cmd_run(args) -> int:
     config_path = resolve_config_path(args.config)
     cfg = load_run_config(config_path)
@@ -246,15 +276,13 @@ def cmd_run(args) -> int:
         lines.append(f"{name:<16} {tr.terminal:<14} {t_goal:>8} {m.path_length:>9.4f} "
                      f"{min_clear:>10} {m.oscillation:>12.4f}")
     report = "\n".join(lines) + "\n"
+    metrics_json = json.dumps({name: _jsonable_metrics(m) for name, _, m in results},
+                              indent=2) + "\n"
+    outputs = [(f"{name}.csv", partial(write_trajectory_csv, tr)) for name, tr, _ in results]
+    outputs += [("metrics.json", partial(_write_text, text=metrics_json)),
+                ("report.txt", partial(_write_text, text=report))]
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, tr, _ in results:
-            write_trajectory_csv(tr, out_dir / f"{name}.csv")
-        with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump({name: _jsonable_metrics(m) for name, _, m in results}, fh, indent=2)
-            fh.write("\n")
-        with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
-            fh.write(report)
+        _write_outputs(out_dir, outputs)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
     sys.stdout.write(report)

@@ -81,9 +81,9 @@ def u_rep(x, obs: Obstacle, scenario: Scenario) -> float:
 
 
 def f_rep(x, obs: Obstacle, scenario: Scenario) -> np.ndarray:
-    """The repulsive force F_rep.  ``_kernels._control_point`` repeats these
-    expressions in this order, so the unit scaled-special filter equals
-    apf_control = -f_att - sum f_rep bit for bit."""
+    """The repulsive force F_rep.  The controller ``_kernels.bind`` returns
+    repeats these expressions in this order, so the unit scaled-special
+    filter equals apf_control = -f_att - sum f_rep bit for bit."""
     ox, oy, dist, rho = _offset(x, obs)
     rho0 = obs.influence_margin
     if rho >= rho0:

@@ -339,6 +339,23 @@ def test_exit_code_2_for_unwritable_output_dir(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_failed_write_removes_what_the_run_created(tmp_path, capsys):
+    """A write that fails partway (``gamma2.csv`` is a directory) exits 2
+    and leaves no partial output: ``gamma1.csv``, written before it, is
+    removed, and what was already in the directory is left as it was."""
+    out = tmp_path / "out"
+    (out / "gamma2.csv").mkdir(parents=True)
+    (out / "keep.txt").write_text("mine", encoding="utf-8")
+    rc = cli.main(["run", "fig2.json", "--output-dir", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == ["gamma2.csv", "keep.txt"]
+    assert (out / "keep.txt").read_text(encoding="utf-8") == "mine"
+    assert not any((out / "gamma2.csv").iterdir())
+
+
 def test_exit_code_2_for_lambda_that_can_overflow(tmp_path, capsys):
     """A scaled-special lambda above ``scenario.max_lambda`` (2**704 for the
     radius-0.5 obstacle here) is refused before any run: exit 2, no output."""

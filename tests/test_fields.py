@@ -193,7 +193,7 @@ def test_apf_control_does_not_run_the_controller_kernel(arena, monkeypatch):
     def disabled(*args):
         raise RuntimeError("controller kernel called")
 
-    monkeypatch.setattr(_k, "_control_point", disabled)
+    monkeypatch.setattr(_k, "bind", disabled)
     obs = arena.obstacles[0]
     live = obs.center + [obs.radius + 0.5 * obs.influence_margin, 0.0]
     for x in (live, [-2.0, 0.0]):

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apf_rcbf import (ControllerSpec, GammaSelector, Obstacle, Scenario, SigmaSelector,
@@ -66,20 +66,20 @@ def test_pack_model_unboxes_every_scalar(packing):
 @pytest.mark.parametrize("state", STATES)
 def test_control_point_returns_floats(packing, state):
     phis = np.empty(2)
-    out = _k._control_point(*state, _k.pack_model(SCENARIO, packing), phis)
+    out = _k.bind(_k.pack_model(SCENARIO, packing))(*state, phis)
     assert [type(v) for v in out] == [float] * 4
 
 
 def test_control_point_exercises_every_branch():
     """The states above really reach the active filter, the idle shell and the
     obstacle interior, so the type checks cover every return path."""
-    model = _k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[3], GAMMAS[2]))
+    point = _k.bind(_k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[3], GAMMAS[2])))
     phis = np.empty(2)
-    _, _, hmin, ming = _k._control_point(*STATES[0], model, phis)
+    _, _, hmin, ming = point(*STATES[0], phis)
     assert 0.0 < hmin < 0.4 and math.isfinite(ming)
-    _, _, hmin, _ = _k._control_point(*STATES[1], model, phis)
+    _, _, hmin, _ = point(*STATES[1], phis)
     assert hmin > 0.4
-    _, _, hmin, _ = _k._control_point(*STATES[2], model, phis)
+    _, _, hmin, _ = point(*STATES[2], phis)
     assert hmin < 0.0 and math.isnan(phis[0])
 
 
@@ -87,13 +87,17 @@ def test_rollout_states_stay_floats(monkeypatch):
     """numpy-typed start, step and tolerance are unboxed before the loop, so
     every state the rollout evaluates is a Python float."""
     seen = set()
-    control_point = _k._control_point
+    bind = _k.bind
 
-    def spy(x, y, model, phis):
-        seen.add((type(x), type(y)))
-        return control_point(x, y, model, phis)
+    def spy_bind(model):
+        point = bind(model)
 
-    monkeypatch.setattr(_k, "_control_point", spy)
+        def spy(x, y, *args):
+            seen.add((type(x), type(y)))
+            return point(x, y, *args)
+        return spy
+
+    monkeypatch.setattr(_k, "bind", spy_bind)
     cfg = SimConfig(dt=np.float64(0.01), t_max=0.5, goal_tolerance=np.float64(0.05))
     tr = simulate(SCENARIO, ControllerSpec("apf"), cfg, np.array([1.0, 0.2]))
     assert tr.n_samples == 51 and tr.h_min.min() < 0.4  # crossed a live shell
@@ -121,13 +125,13 @@ FAR_GOAL = _k.pack_model(Scenario(goal=[100.0, 0.0],
 def test_signed_zero_step_is_not_stationary(monkeypatch):
     """-0.0 + dt * 0.0 is +0.0: equal under ``==`` but a different state,
     where the controller may answer differently, so the step is taken."""
-    def stub(x, y, model, phis):
+    def stub(x, y, phis, *stage):
         phis[0] = 0.5
         if math.copysign(1.0, y) < 0.0:
             return 0.0, 0.0, 1.0, math.inf
         return 1.0, 0.0, 1.0, math.inf
 
-    monkeypatch.setattr(_k, "_control_point", stub)
+    monkeypatch.setattr(_k, "bind", lambda model: stub)
     (n, status, _, _), (ts, xs, ys, uxs, uys, _, _), _ = _rollout(FAR_GOAL, 5, 0, (0.0, -0.0))
     assert (n, status) == (6, _k.TIMEOUT)
     assert math.copysign(1.0, ys[0]) < 0.0 and math.copysign(1.0, ys[1]) > 0.0
@@ -142,12 +146,12 @@ def test_stationary_fill_counts_every_skipped_evaluation(monkeypatch, integ, exp
     the n_max steps, exactly as stepping every sample would."""
     calls = []
 
-    def stub(x, y, model, phis):
+    def stub(x, y, phis, *stage):
         calls.append((x, y))
         phis[0] = 0.25
         return 0.0, 0.0, 2.0, -3.0
 
-    monkeypatch.setattr(_k, "_control_point", stub)
+    monkeypatch.setattr(_k, "bind", lambda model: stub)
     out, (ts, xs, ys, uxs, uys, hs, vs), phis = _rollout(FAR_GOAL, 40, integ, (1.0, 2.0))
     assert out == (41, _k.TIMEOUT, -3.0, expected)
     assert len(calls) == (1 if integ == 0 else 4)  # only the first step is taken
@@ -161,14 +165,18 @@ def test_stalled_rollout_stops_evaluating(monkeypatch):
     """The overlap apf run stands still from step 199 on; after that step
     the remaining 9,801 samples of its 10,001 cost no evaluation."""
     count = 0
-    control_point = _k._control_point
+    bind = _k.bind
 
-    def spy(x, y, model, phis):
-        nonlocal count
-        count += 1
-        return control_point(x, y, model, phis)
+    def spy_bind(model):
+        point = bind(model)
 
-    monkeypatch.setattr(_k, "_control_point", spy)
+        def spy(*args):
+            nonlocal count
+            count += 1
+            return point(*args)
+        return spy
+
+    monkeypatch.setattr(_k, "bind", spy_bind)
     overlap = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
                                                    Obstacle([2.0, -0.6], 0.5, 0.4)))
     cfg = SimConfig(dt=0.004, t_max=40.0, goal_tolerance=0.05, integrator="rk4")
@@ -279,7 +287,7 @@ def test_control_point_is_bitwise_the_general_expressions(case):
     model, x, y = case
     m = len(model[2])
     phis, ref_phis = [0.0] * m, [0.0] * m
-    out = _k._control_point(x, y, model, phis)
+    out = _k.bind(model)(x, y, phis)
     ref = _reference_control_point(x, y, model, ref_phis)
     assert _bits(out) == _bits(ref)
     assert _bits(phis) == _bits(ref_phis)
@@ -293,7 +301,7 @@ def test_reference_cases_reach_every_branch():
         # 2.75 - 2.0 - 0.5 == 0.25 exactly: the state sits on the shell edge
         model = (4.0, 0.0, ((2.0, 0.0, 0.5, 0.25),), 1.5, 2.0, 0.5, *packing)
         phis, ref_phis = [0.0], [0.0]
-        out = _k._control_point(2.75, 0.0, model, phis)
+        out = _k.bind(model)(2.75, 0.0, phis)
         assert _bits(out) == _bits(_reference_control_point(2.75, 0.0, model, ref_phis))
         assert _bits(phis) == _bits(ref_phis)
     # |F_att|^2 overflows, so u_nom is NaN; the first shell is live, the
@@ -303,11 +311,278 @@ def test_reference_cases_reach_every_branch():
     for gamma in GAMMAS:
         model = _k.pack_model(scenario, _k.pack_controller(SIGMAS[0], gamma))
         phis, ref_phis = [0.0, 0.0], [0.0, 0.0]
-        out = _k._control_point(1.3, 0.1, model, phis)
+        out = _k.bind(model)(1.3, 0.1, phis)
         assert math.isnan(out[0])
         assert _bits(out) == _bits(_reference_control_point(1.3, 0.1, model, ref_phis))
         assert _bits(phis) == _bits(ref_phis)
     assert math.isnan(phis[0]) and math.isnan(phis[1])
+
+
+# An RK4 stage leaves out a shell that the step's sample found idle by more
+# than the stage's reach, when its tightening cannot undercut the running
+# minimum.  Left out or not, the stage must give the same control bits, the
+# same `hk <= 0` outcome, and the same running minimum and sign count.
+
+def _stage_reach(xx, yy, ax, ay, obstacles):
+    """The reach the module docstring defines for a stage at offset
+    ``(ax, ay)`` from the sample ``(xx, yy)``."""
+    corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
+                 default=0.0) + _k.REACH_FLOOR
+    span = abs(xx) + abs(yy) + corner
+    span = span * _k.REACH_SLACK if span < _k.REACH_SPAN_LIMIT else math.inf
+    return (abs(ax) + abs(ay)) * _k.REACH_GROWTH + span
+
+
+def _lowered(floor, mg):
+    """The running minimum after an evaluation, as ``_integrate`` keeps it."""
+    return mg if mg < floor else floor
+
+
+# the real binder, for stubs that wrap it while ``_k.bind`` is patched
+_BIND = _k.bind
+
+
+def _full_bind(model):
+    """The bound controller with every shell evaluated at every state."""
+    point = _BIND(model)
+
+    def full(x, y, phis, rhos=None, reach=None, floor=math.inf):
+        return point(x, y, phis)
+    return full
+
+
+@st.composite
+def _stage_case(draw):
+    """A model, a sample state, the slope and offset of one stage, and the
+    running minimum before the sample.  Every sigma and gamma kind, tables
+    and the unfiltered packing are drawn; the arena may sit near 1e6; the
+    slope points at an obstacle's center, anywhere, or is NaN or infinite;
+    k_att = 1e200 or a 1e308 sigma scale makes u_nom NaN or infinite.  With
+    ``edge`` set, that obstacle's rho0 is moved to within a few ulps of the
+    skip threshold ``rho - reach`` once the sample is evaluated."""
+    ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.sampled_from([0.0, 1e6]))
+    obstacles = [[ox + draw(_coords), oy + draw(_coords), draw(st.floats(0.1, 1.0)),
+                  draw(st.floats(0.05, 1.0))] for _ in range(draw(st.integers(1, 3)))]
+    j = draw(st.integers(0, len(obstacles) - 1))
+    cx, cy, r, rho0 = obstacles[j]
+    angle = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
+                           st.floats(0.0, 2.0 * math.pi)))
+    dist = draw(st.floats(r + 1e-3, r + 4.0 * rho0))
+    xx = cx + dist * math.cos(angle)
+    yy = cy + dist * math.sin(angle)
+    speed = draw(st.sampled_from([0.0, 1.0, 10.0, 60.0]))
+    slope = draw(st.sampled_from(["toward", "any", "nan", "inf"]))
+    if slope == "toward":
+        kx, ky = speed * (cx - xx) / dist, speed * (cy - yy) / dist
+    elif slope == "any":
+        kx, ky = speed * draw(st.floats(-1.0, 1.0)), speed * draw(st.floats(-1.0, 1.0))
+    else:
+        kx, ky = (math.nan, 1.0) if slope == "nan" else (-math.inf, 0.0)
+    h = draw(st.sampled_from([0.002, 0.004, 0.01, 0.02]))
+    edge = draw(st.one_of(st.none(), st.integers(-3, 3)))
+    sigma, gamma = draw(_sigma_sels), draw(_gamma_sels)
+    filtered = draw(st.sampled_from([True, True, True, False]))
+    packing = _k.pack_controller(sigma, gamma if filtered else None)
+    model = [ox + draw(_coords), oy + draw(_coords), obstacles,
+             draw(st.sampled_from([0.5, 1.0, 2.5, 1e200])),
+             draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0)), *packing]
+    prior = draw(st.sampled_from([math.inf, math.inf, 0.5, 0.0, -1.0]))
+    return model, j, (xx, yy), (kx, ky), h, edge, prior
+
+
+def _freeze(model):
+    return (*model[:2], tuple(map(tuple, model[2])), *model[3:])
+
+
+def _unit_case(center, edge, prior, k_att=1.0, speed=60.0):
+    """A fixed stage case for the unit pair: one obstacle of radius 0.5 at
+    ``center``, approached head on from 3 to its right."""
+    model = [center[0] + 9.0, center[1], [[*center, 0.5, 0.4]], k_att, 1.0, 1.0,
+             *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)]
+    return model, 0, (center[0] + 3.0, center[1]), (-speed, 0.0), 0.01, edge, prior
+
+
+@settings(max_examples=500, deadline=None)
+@given(_stage_case())
+# an idle shell whose alpha * rho is the running minimum
+@example(_unit_case((0.0, 0.0), None, math.inf))
+# at 1e6, where the stage state rounds 4.7e-11 nearer the obstacle than the
+# offset, with rho0 one ulp either side of the skip threshold
+@example(_unit_case((1e6, 0.0), -1, 0.0, speed=30.0))
+@example(_unit_case((1e6, 0.0), 1, 0.0, speed=30.0))
+# |F_att|^2 overflows, so u_nom is NaN at the stage and every Gamma is NaN
+@example(_unit_case((0.0, 0.0), None, 0.0, k_att=1e200))
+def test_stage_that_skips_shells_matches_the_full_evaluation(case):
+    model, j, (xx, yy), (kx, ky), h, edge, prior = case
+    m = len(model[2])
+    ax, ay = h * kx, h * ky
+    reach = _stage_reach(xx, yy, ax, ay, model[2])
+    rhos = [0.0] * m
+    *_, hmin, mg = _k.bind(_freeze(model))(xx, yy, [0.0] * m, rhos)
+    if edge is not None and rhos[j] - reach > 0.0:
+        rho0 = rhos[j] - reach
+        for _ in range(abs(edge)):
+            rho0 = math.nextafter(rho0, math.copysign(math.inf, edge))
+        model[2][j][3] = rho0
+    point = _k.bind(_freeze(model))
+    *_, hmin, mg = point(xx, yy, [0.0] * m, rhos)
+    if not hmin > 0.0:
+        return  # no stage follows a sample where the controller is undefined
+    floor = _lowered(prior, mg)
+    stage_rhos = [0.0] * m
+    full = point(xx + ax, yy + ay, [0.0] * m, stage_rhos)
+    # the reach bounds every clearance the stage computes from below
+    assert not any(rt < rs - reach for rt, rs in zip(stage_rhos, rhos))
+    skip = point(xx + ax, yy + ay, [0.0] * m, rhos, reach, floor)
+    assert _bits(skip[:2]) == _bits(full[:2])
+    assert (skip[2] <= 0.0) == (full[2] <= 0.0)
+    assert _bits([_lowered(floor, skip[3])]) == _bits([_lowered(floor, full[3])])
+    assert (skip[3] < 0.0) == (full[3] < 0.0)
+
+
+def test_stage_skips_nothing_where_a_clearance_may_overflow():
+    """2**515 from the obstacle the sample's squared distance overflows and
+    its clearance reads inf.  The sigma table's last value makes u_nom =
+    (-2**517, -0) there, so RK4's first stage lands on the obstacle's center:
+    the rollout must still find it."""
+    sigma = SigmaSelector.custom([0.0, 1.0], [0.0, 2.0 ** 517])
+    model = (0.0, 0.0, ((0.0, 0.0, 0.5, 0.4),), 2.0 ** -515, 1.0, 1.0,
+             *_k.pack_controller(sigma, None))
+    rhos = [0.0]
+    ux, _, hmin, _ = _k.bind(model)(2.0 ** 515, 0.0, [0.0], rhos)
+    assert (ux, rhos, hmin) == (-2.0 ** 517, [math.inf], math.inf)
+    rec = np.full((2, 8), -1.0)
+    out = _k._integrate(2.0 ** 515, 0.0, model, 0.5, 1, 0.05, _k.RK4_STAGES, rec)
+    assert out[:2] == (1, _k.DOMAIN_ERROR)
+
+
+_UNSET = -1234.5
+
+
+def _spied_rollout(model, x0, dt, n_max):
+    """An RK4 ``_integrate`` run that logs every evaluation as ``(state and
+    stage arguments, result, number of shells left out)``; a left-out shell
+    leaves its ``phis`` entry unset.  Returns the run's output, record and
+    log."""
+    log = []
+
+    def spy_bind(model):
+        point = _BIND(model)
+
+        def spy(x, y, phis, *rest):
+            phis[:] = [_UNSET] * len(phis)
+            out = point(x, y, phis, *rest)
+            log.append(((x, y, *rest[1:]), out, phis.count(_UNSET)))
+            return out
+        return spy
+
+    rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "bind", spy_bind)
+        out = _k._integrate(*x0, model, dt, n_max, 0.05, _k.RK4_STAGES, rec)
+    return out, rec, log
+
+
+def _overlap():
+    return Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
+                                                 Obstacle([2.0, -0.6], 0.5, 0.4)))
+
+
+@pytest.mark.parametrize("dt", [0.004, 0.02])
+@pytest.mark.parametrize("spec", [ControllerSpec("apf"),
+                                  ControllerSpec("generalized", sigma_sel=UNIT_SIGMA,
+                                                 gamma_sel=GammaSelector.zero()),
+                                  ControllerSpec("generalized", sigma_sel=SIGMAS[1],
+                                                 gamma_sel=GammaSelector.scaled_special(8.0)),
+                                  ControllerSpec("nominal_only", sigma_sel=SIGMAS[2])],
+                         ids=["apf", "zero", "special8", "nominal"])
+@pytest.mark.parametrize("where", ["fig2", "overlap"])
+def test_rollout_passes_each_stage_its_reach_and_skips_nothing_that_counts(
+        where, spec, dt, arena):
+    """Every stage gets the documented reach from its sample and the running
+    minimum, some shells are left out, and the run equals one that evaluates
+    every shell at every stage, record and return alike."""
+    scenario, x0 = (arena, (-2.0, 0.0)) if where == "fig2" else (_overlap(), (0.0, 0.1))
+    model = _k.pack_model(scenario, spec.packing())
+    n_max = 400
+    out, rec, log = _spied_rollout(model, x0, dt, n_max)
+    ming, stage, skipped = math.inf, None, 0
+    for (x, y, *stage_args), (ux, uy, hmin, mg), unset in log:
+        if not stage_args:  # a sample
+            assert unset == 0
+            xx, yy, kx, ky, stage = x, y, ux, uy, 0
+        else:
+            reach, floor = stage_args
+            h = _k.RK4_STAGES[stage][0] * dt
+            assert (x, y) == (xx + h * kx, yy + h * ky)
+            assert reach == _stage_reach(xx, yy, h * kx, h * ky, model[2])
+            assert floor == ming
+            skipped += unset
+            kx, ky, stage = ux, uy, stage + 1
+        ming = _lowered(ming, mg)
+    assert skipped > 0
+    full = np.full_like(rec, -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "bind", _full_bind)
+        assert _k._integrate(*x0, model, dt, n_max, 0.05, _k.RK4_STAGES, full) == out
+    assert _bits(full.ravel().tolist()) == _bits(rec.ravel().tolist())
+
+
+def _reference_rollout(x0, model, dt, n_max, goal_tol):
+    """``_integrate``'s RK4 loop on ``_reference_control_point``, with every
+    shell evaluated at every state and no stationary fill; also returns
+    whether the run's minimum tightening was first reached at a stage."""
+    gx, gy, obstacles, k_att = model[:4]
+    phis = [0.0] * len(obstacles)
+    rows, ming, negcount, at_stage = [], math.inf, 0, False
+    xx, yy = x0
+    for k in range(n_max + 1):
+        ux, uy, hmin, mg = _reference_control_point(xx, yy, model, phis)
+        if mg < ming:
+            ming, at_stage = mg, False
+        negcount += mg < 0.0
+        if hmin <= 0.0:
+            return (len(rows), _k.DOMAIN_ERROR, ming, negcount), rows, at_stage
+        dd2 = (xx - gx) * (xx - gx) + (yy - gy) * (yy - gy)
+        rows.append([k * dt, xx, yy, ux, uy, hmin, 0.5 * k_att * dd2, *phis])
+        if math.sqrt(dd2) < goal_tol:
+            return (len(rows), _k.REACHED_GOAL, ming, negcount), rows, at_stage
+        if k == n_max:
+            break
+        kx = sx = ux
+        ky = sy = uy
+        for c, w in _k.RK4_STAGES:
+            kx, ky, hk, mgk = _reference_control_point(xx + c * dt * kx, yy + c * dt * ky,
+                                                       model, [0.0] * len(obstacles))
+            if mgk < ming:
+                ming, at_stage = mgk, True
+            negcount += mgk < 0.0
+            if hk <= 0.0:
+                return (len(rows), _k.DOMAIN_ERROR, ming, negcount), rows, at_stage
+            sx = sx + w * kx
+            sy = sy + w * ky
+        xx = xx + dt / 6.0 * sx
+        yy = yy + dt / 6.0 * sy
+    return (len(rows), _k.TIMEOUT, ming, negcount), rows, at_stage
+
+
+def test_far_idle_table_shell_sets_the_minimum_and_is_never_skipped():
+    """A Gamma table with a narrow dip at clearance 5.2: the shell of the
+    obstacle behind the start is idle all run, and its table value at a
+    stage state is the run's minimum.  The raw return and record equal the
+    reference loop's, which evaluates that shell at every stage."""
+    scenario = Scenario(goal=[4.0, 0.0], obstacles=(Obstacle([1.0, 1.0], 0.5, 0.4),
+                                                    Obstacle([-6.0, 0.0], 0.5, 0.4)))
+    gamma = GammaSelector.custom([0.0, 5.0, 5.2, 5.4, 20.0], [1.0, 1.0, 0.01, 1.0, 1.0])
+    model = _k.pack_model(scenario, _k.pack_controller(UNIT_SIGMA, gamma))
+    n_max = 2000
+    rec = np.full((n_max + 1, 9), -1.0)
+    out = _k._integrate(-2.0, 0.0, model, 0.004, n_max, 0.05, _k.RK4_STAGES, rec)
+    ref, rows, at_stage = _reference_rollout((-2.0, 0.0), model, 0.004, n_max, 0.05)
+    assert out == ref
+    # the near shell's clearance stays below 5, where the table is 1
+    assert out[1] == _k.REACHED_GOAL and 0.01 <= out[2] < 0.1 and at_stage
+    assert _bits(rec[:out[0]].ravel().tolist()) == _bits(np.ravel(rows).tolist())
 
 
 # The record is collected in a Python list and written by row slices, so a

@@ -12,7 +12,7 @@ import apf_rcbf.verify
 from apf_rcbf import _kernels as _k
 from apf_rcbf.verify import equivalence_suite
 
-# the filter correction in _kernels._control_point
+# the filter correction in the controller that _kernels.bind returns
 CORRECTION = "grep = -(phi / dd)"
 
 
