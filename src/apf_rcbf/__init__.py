@@ -14,7 +14,8 @@ from .errors import (ApfRcbfError, ConfigError, InfeasibleConstraintError,
                      InsideObstacleError, NegativeGammaError, ScenarioValidationError)
 from .fields import (FieldEval, alpha_bar, apf_control, attractive_field, f_att, f_rep,
                      repulsive_field, u_att, u_rep)
-from .qp import HalfSpaceConstraint, QpSolution, sample_feasibility_check, solve_projection
+from .qp import (HalfSpaceConstraint, QpSolution, sample_feasibility_check, solve_projection,
+                 solve_projection_many)
 from .rcbf import (FilterDiagnostics, GammaSelector, RcbfTerms, generalized_control,
                    rcbf_terms, safety_filter, special_filter_control)
 from .scenario import (Obstacle, SafeSetSample, Scenario, classify_safety, load_scenario,
@@ -49,6 +50,7 @@ __all__ = [
     "safety_filter", "special_filter_control",
     # QP oracle
     "HalfSpaceConstraint", "QpSolution", "sample_feasibility_check", "solve_projection",
+    "solve_projection_many",
     # simulation
     "ControllerSpec", "SimConfig", "Trajectory", "TrajectoryMetrics", "metrics",
     "read_trajectory_csv", "simulate", "write_trajectory_csv",

@@ -51,31 +51,79 @@ state from the operands a live shell would use, in the same order, so its
 margins keep their bits, NaN propagation included.  The correction needs
 |d|^2 > 0 and so skips it.
 
-Stage skipping: an RK4 stage evaluation, which records nothing, leaves out a
-shell that cannot change any of its outputs.  Let rho be the shell's
-clearance at the step's sample, which the sample evaluation writes out, and
-delta the stage's reach.  If fl(rho - delta) > rho0, the shell is idle and
-outside at the stage: its margin goes to scratch, its clearance only into
-the ``hk <= 0`` test, and it takes no correction.  Its tightening is then 0
-(gamma kind 0), alpha_gain * rho_stage >= fl(alpha_gain * fl(rho - delta))
-(kind 1 with alpha_gain >= 0, as rounding is monotone), or NaN when u_nom
-is not finite, and it is left out only if it cannot undercut the running
-minimum of the rollout, so that minimum and the count of negative
-evaluations stay as they were.  Under kind 0 that always holds, since the
-step's sample has already brought the minimum to 0 or below; the unfiltered
+Bases and reaches: :func:`_integrate` keeps a *base*, the last sample it
+evaluated in full, with every obstacle's clearance rho and their minimum h
+there, and a *chain*, the reach from the base to the current sample.  Any
+other state it evaluates -- a later sample, or a stage state off the current
+sample -- carries its reach delta from the base: the chain, plus for a stage
+its own offset's reach.  Every clearance computed at that state is at least
+fl(rho - delta) ("The reach and its slack", "The chain and its rounding").
+
+Free flight: a sample or stage with fl(h - delta) above the largest rho0 a
+shell may be left out at, and with d.u_nom on an idle shell equal to +-0
+(u_nom finite), evaluates the stabilizer alone.  Every shell is then idle and
+outside (rho0 > 0 and rounding is monotone, so each fl(rho_i - delta) >=
+fl(h - delta) > rho0_i), so the control is u_nom and the clearance positive,
+and what the margin block would have given is known in closed form: margins
+glam * 0 (gamma kind 1) or -(alpha_gain * rho) + d.u_nom (kind 0 and the
+unfiltered stabilizer), and tightenings glam * 0 + alpha_gain * rho (kind 1
+with alpha_gain >= 0), 0 (kind 0) or none (unfiltered), none of them
+negative, so the count of negative evaluations stands.  A Gamma table, a
+shell without a positive rho0, kind 1 with a negative alpha_gain and an arena
+without obstacles never fly free.  :func:`_integrate` marks each free sample's
+row in a bytearray and, after the loop, :func:`_fill_free` writes its h_min
+and margins array-at-a-time with those expressions, in the kernel's order.
+The tightening of a free evaluation is smallest where its clearance is, so
+the free rows' smallest value joins the run's minimum after the loop, with
+that of the free stages whose tightening, bounded below by alpha_gain *
+fl(h - delta), might undercut the floor (their states are kept in a list,
+reduced a chunk at a time).  During the loop each evaluation's floor is the
+minimum of the evaluations made in full: never below the true running
+minimum, so the tests that compare with it are at most stricter than they
+need to be.
+
+Stage skipping: a stage that does not fly free, which records nothing, still
+leaves out each shell that cannot change any of its outputs.  If fl(rho -
+delta) > rho0, the shell is idle and outside at the stage: its margin goes to
+scratch, its clearance only into the ``hk <= 0`` test, and it takes no
+correction.  Its tightening is then 0 (gamma kind 0), alpha_gain * rho_stage
+>= fl(alpha_gain * fl(rho - delta)) (kind 1 with alpha_gain >= 0, as
+rounding is monotone), or NaN when u_nom is not finite, and it is left out
+only if it cannot undercut the floor, so the running minimum and the count
+of negative evaluations stay as they were.  Under kind 0 that always holds,
+since the first sample has already brought the minimum to 0; the unfiltered
 stabilizer reports no tightening at all.  A Gamma table, or a shell without
 a positive rho0, is never left out.
 
-The reach and its slack: with u = 2**-53, the stage state t = s + a (a the
-rounded stage offset c dt k) is rounded to within about u |t|_1 of s + a, and
-a computed clearance |x - c| - r is within about 4u of its exact value, in
-units of |x - c|_1 + |r|.  So every clearance computed at t is at least
-fl(rho - delta) whenever delta >= |a|_1 (1 + 2u) + 9u (|s|_1 + |c|_1 + |r|).
-:func:`_integrate` takes delta = |a|_1 (1 + 2**-40) + 2**-40 (|s|_1 + max_i
-(|c_i|_1 + r_i) + 2**-450), thousands of times that and enough to cover its
-own rounding; the 2**-450 term covers a square that underflows.  A delta of
-+inf, where |s|_1 + max_i (|c_i|_1 + r_i) reaches 2**500 and a squared
-distance may overflow, skips nothing.
+The reach and its slack: with u = 2**-53, the state t = s + a (a the rounded
+offset c dt k of a stage, or step * sum of slopes to the next sample) is
+rounded to within about u |t|_1 of s + a, and a computed clearance |x - c| -
+r is within about 4u of its exact value, in units of |x - c|_1 + |r|.  So
+every clearance computed at t is at least fl(rho - delta) whenever delta >=
+|a|_1 (1 + 2u) + 9u (|s|_1 + |c|_1 + |r|).  :func:`_integrate` takes delta =
+|a|_1 (1 + 2**-40) + span for a stage, span = 2**-40 (|s|_1 + max_i (|c_i|_1
++ r_i) + 2**-450), thousands of times that and enough to cover its own
+rounding; the 2**-450 term covers a square that underflows.  A delta of +inf,
+where |s|_1 + max_i (|c_i|_1 + r_i) reaches 2**500 and a squared distance may
+overflow, skips nothing and flies nothing free.
+
+The chain and its rounding: from sample s_k to s_(k+1) = fl(s_k + a_k) the
+chain grows to D_(k+1) = fl(fl(D_k + |a_k|_1 + span_k) * (1 + 2**-40)), with
+D = 0 at the base.  By the triangle inequality the exact clearance falls by
+at most the sum of the exact hops, each within |a_k|_1 (1 + u) + u |s_k|_1,
+and the computed clearances at the base and at the evaluated state are
+within 4u (|s|_1 + max_i (|c_i|_1 + r_i)) of exact: each hop's term |a_k|_1 +
+span_k, grown by 2**-40, exceeds its need by at least 2**-41 (|a_k|_1 +
+|s_k|_1 + max_i (|c_i|_1 + r_i)), which covers the errors at both ends (the
+first hop or stage the base's, the last the evaluated state's).  The sum
+itself never loses to rounding, however long the chain: three additions and
+a product lose at most 4u of the exact D_k + |a_k|_1 + span_k, and the factor
+1 + 2**-40 more than restores it, so D_(k+1) exceeds that exact sum by at
+least 2**-42 of itself.  That surplus also covers rounding fl(D_k + delta)
+for a stage (its own reach covers the rest), and the base's span term covers
+rounding fl(h - delta).  The chain is kept only while h exceeds the largest
+rho0: otherwise no later sample flies free before one is evaluated in full
+and becomes the base, and the stages off a base take D = 0.
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
@@ -112,12 +160,18 @@ DOMAIN_ERROR = 2
 # floats are buffered: one write per ~100 rows, and a buffer of a few kB
 RECORD_CHUNK_FLOATS = 1024
 
+# _integrate reduces the free stage states it keeps (two floats each) into
+# the run's minimum once this many are kept, at its next record write
+STAGED_CHUNK_FLOATS = 512
+
 # RK4 stages after the first: (offset of the stage state, weight in the sum)
 RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
 # The reach of a stage state from its sample (module docstring, "The reach
 # and its slack"): |offset|_1 * REACH_GROWTH + (|sample|_1 + max_i(|c_i|_1 +
-# r_i) + REACH_FLOOR) * REACH_SLACK, or +inf from REACH_SPAN_LIMIT on.
+# r_i) + REACH_FLOOR) * REACH_SLACK, or +inf from REACH_SPAN_LIMIT on; the
+# chain grows by the same terms times REACH_GROWTH ("The chain and its
+# rounding").
 REACH_SLACK = 2.0 ** -40
 REACH_GROWTH = 1.0 + REACH_SLACK
 REACH_FLOOR = 2.0 ** -450
@@ -178,9 +232,21 @@ def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
     return float(np.interp(math.sqrt(dx * dx + dy * dy), stx, sty))
 
 
+def _skip_above(model):
+    """Per obstacle, the clearance above which its shell may be left out of
+    an evaluation (rho0), or +inf where it never may: an idle shell's
+    tightening is 0 (gamma kind 0, and the unfiltered stabilizer) or
+    alpha_gain * rho (kind 1 with alpha_gain >= 0), but a table's is not
+    bounded by the clearance, and a shell needs a positive rho0."""
+    alpha_gain, ckind, gkind = model[5], model[6], model[11]
+    skippable = ckind != 2 or gkind == 0 or (gkind == 1 and alpha_gain >= 0.0)
+    return [rho0 if skippable and rho0 > 0.0 else math.inf for _, _, _, rho0 in model[2]]
+
+
 def bind(model):
     """The controller of ``model``, unpacked once: returns ``point(x, y,
-    phis[, rhos[, reach, floor]]) -> (ux, uy, hmin, min_gamma)``.
+    phis[, rhos[, reach, floor[, chain, hbase]]]) -> (ux, uy, hmin,
+    min_gamma)``.
 
     ``point`` evaluates the controller at one state.  It fills ``phis`` (a
     list or array with one constraint margin per obstacle; NaN for obstacles
@@ -190,14 +256,34 @@ def bind(model):
     Callers must treat the control as undefined when ``hmin <= 0``.  A list
     ``rhos`` receives the clearance of every obstacle.
 
-    A stage evaluation passes ``reach``: then ``rhos`` holds the clearances of
-    the step's sample, which it reads and does not write, ``reach`` is large
-    enough that every clearance computed at ``(x, y)`` is at least
-    ``rhos[i] - reach`` as rounded, and ``floor`` is the running minimum of
-    the tightening.  It leaves out an obstacle whose shell cannot change its
-    control, the sign of its ``hmin``, or the running minimum and its sign
-    count (see the module docstring); such an obstacle's ``phis`` entry is
-    left as it was and its clearance is not in ``hmin``.
+    The optional arguments describe a *base*, the last sample evaluated in
+    full, whose clearances a caller keeps in ``rhos`` and whose ``hmin`` it
+    passes as ``hbase``; ``chain`` is the reach from the base to the step's
+    sample (0 at the base itself) and ``floor`` a running minimum of the
+    tightening at or above the true one.  Every reach is large enough that
+    each clearance computed at the evaluated state is at least the base's,
+    minus the reach, as rounded (module docstring, "Bases and reaches").
+
+    * A sample evaluation (``reach`` omitted or None) flies free when
+      ``fl(hbase - chain)`` exceeds the largest rho0 a shell may be left out
+      at and d.u_nom on an idle shell is +-0: it evaluates the stabilizer
+      alone and returns the nominal control, ``hmin`` NaN and ``min_gamma``
+      +inf, writing neither ``phis`` nor ``rhos``.  The caller owes the row
+      its ``hmin`` and margins, and the run's minimum the tightening of the
+      state, which :func:`_fill_free` and :func:`_idle_gamma` compute.
+      Otherwise every shell is evaluated and ``rhos`` is written: the state
+      is a new base.
+    * A stage evaluation passes its own ``reach`` from the step's sample.
+      It flies free on the same test with ``chain + reach``, returning
+      ``min_gamma`` NaN where its tightenings might undercut ``floor`` (the
+      caller owes the run's minimum the state's tightening, which
+      :func:`_fill_free` computes) and +inf where they cannot.  Otherwise it
+      leaves out each obstacle whose shell cannot change its control, the
+      sign of its ``hmin``, or ``floor`` and the sign count; such an
+      obstacle's ``phis`` entry is left as it was and its clearance is not
+      in ``hmin``.  ``rhos`` is read, not written.
+
+    With the defaults (no base) nothing is left out.
     """
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
@@ -206,17 +292,15 @@ def bind(model):
     nan = math.nan
     interp = np.interp
     filtered = ckind == 2
-    # an idle shell's tightening is 0 (kind 0) or alpha_gain * rho (kind 1);
-    # a table's is not bounded by the clearance, so a table is never skipped
-    skippable = not filtered or gkind == 0 or (gkind == 1 and alpha_gain >= 0.0)
     gmul = alpha_gain if gkind == 1 else 0.0
-    shells = [(i, cx, cy, r, rho0, rho0 if skippable and rho0 > 0.0 else inf)
+    thresholds = _skip_above(model)
+    shells = [(i, cx, cy, r, rho0, thresholds[i])
               for i, (cx, cy, r, rho0) in enumerate(obstacles)]
+    free_above = max(thresholds, default=inf)
     own = [0.0] * len(obstacles)
 
-    def point(x, y, phis, rhos=own, reach=None, floor=inf):
+    def point(x, y, phis, rhos=own, reach=None, floor=inf, chain=0.0, hbase=-inf):
         stage = reach is not None
-        out = own if stage else rhos
         bx = k_att * (x - gx)
         by = k_att * (y - gy)
         bb = bx * bx + by * by
@@ -233,6 +317,20 @@ def bind(model):
         # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a
         # live shell forms, so NaN or inf in u_nom propagates alike
         idle_du = 0.0 * unx + 0.0 * uny
+        if stage:
+            reach = chain + reach
+            out = own
+        else:
+            reach = chain
+            out = rhos
+        # free flight: every shell idle and outside, and d.u_nom +-0 there
+        lo = hbase - reach
+        if lo > free_above and idle_du == 0.0:
+            # a stage's tightenings owed to the minimum unless they cannot
+            # undercut the floor (a sample's row is always owed them)
+            if stage and filtered and gmul * lo < floor:
+                return unx, uny, nan, nan
+            return unx, uny, nan, inf
 
         ux = unx
         uy = uny
@@ -241,7 +339,7 @@ def bind(model):
         for i, cx, cy, r, rho0, skip_above in shells:
             if stage:
                 # idle and outside here, with a tightening that cannot
-                # undercut the running minimum
+                # undercut the floor
                 lo = rhos[i] - reach
                 if lo > skip_above and (not filtered or gmul * lo >= floor):
                     continue
@@ -332,12 +430,16 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
 
     The controller is bound once per call, by the module's :func:`bind` as
     it is at call time, and each stage offset ``c * dt`` is formed once.
-    Each sample evaluation writes
-    the clearances of every obstacle; each stage evaluation gets them with
-    its reach from the sample and the running minimum of the tightening, and
-    leaves out the shells it can prove idle (module docstring, "Stage
-    skipping"): the record and the returned minimum and count are those of
-    evaluating every shell.
+    Every evaluation gets the base -- the clearances and ``hmin`` of the last
+    sample evaluated in full -- with the chain of reaches from it and the
+    running minimum of the evaluations made in full.  A sample or stage the
+    base proves clear of every shell flies free, evaluating the stabilizer
+    alone; a stage that does not leaves out the shells it can prove idle
+    (module docstring, "Free flight", "Stage skipping").  Free rows are
+    marked and get their ``h_min`` and margins after the loop, and the free
+    evaluations' tightenings then join the minimum: the record and the
+    returned minimum and count are those of evaluating every shell
+    everywhere.
 
     A stationary state ends the stepping early with the same record.  When a
     step returns its own state bit for bit (signed zeros included; a stall,
@@ -352,6 +454,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     """
     gx, gy, obstacles, k_att = model[:4]
     point = bind(model)
+    sqrt = math.sqrt
+    growth = REACH_GROWTH
     width = 7 + len(obstacles)
     phis = [0.0] * len(obstacles)
     scratch = [0.0] * len(obstacles)
@@ -371,15 +475,35 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     n = 0
     status = TIMEOUT
     stall = -1
+    # the base is the last sample evaluated in full: its clearances are in
+    # rhos and its hmin in hbase; chain is the reach from it to the sample
+    hbase = -math.inf
+    chain = 0.0
+    # a base at or below this clearance has no free sample after it, so
+    # its chain is not kept (module docstring, "The chain and its rounding")
+    free_above = max(_skip_above(model), default=math.inf)
+    # 1 marks a row sampled on the free path, whose h_min and margins
+    # _fill_free writes once the loop is done
+    free = bytearray(n_max + 1)
+    # the free stage states owed to the minimum, x then y, reduced into
+    # free_gamma a chunk at a time
+    staged = []
+    free_gamma = math.inf
     for k in range(n_max + 1):
-        ux, uy, hmin, mg = point(xx, yy, phis, rhos)
-        if mg < ming:
-            ming = mg
-        if mg < 0.0:
-            negcount += 1
-        if hmin <= 0.0:
-            status = DOMAIN_ERROR
-            break
+        ux, uy, hmin, mg = point(xx, yy, phis, rhos, None, ming, chain, hbase)
+        if hmin != hmin:
+            # flew free: no clearance evaluated, no tightening counted yet
+            free[k] = 1
+        else:
+            hbase = hmin
+            chain = 0.0
+            if mg < ming:
+                ming = mg
+            if mg < 0.0:
+                negcount += 1
+            if hmin <= 0.0:
+                status = DOMAIN_ERROR
+                break
         ddx = xx - gx
         ddy = yy - gy
         dd2 = ddx * ddx + ddy * ddy
@@ -388,38 +512,42 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         buf += phis
         if len(buf) >= RECORD_CHUNK_FLOATS:
             row = _flush(rec, row, buf, width)
+            if len(staged) >= STAGED_CHUNK_FLOATS:
+                free_gamma = min(free_gamma, _fill_free(rec, free, 0, model, staged))
         n = k + 1
-        if math.sqrt(dd2) < goal_tol:
+        if sqrt(dd2) < goal_tol:
             status = REACHED_GOAL
             break
         if k == n_max:
             status = TIMEOUT
             break
         neg_before_stages = negcount
+        if offsets or hbase > free_above:
+            span = abs(xx) + abs(yy) + corner
+            span = span * REACH_SLACK if span < REACH_SPAN_LIMIT else math.inf
         # sx, sy accumulate the weighted stage slopes left to right
         # (k1 + 2 k2 + 2 k3 + k4 for RK4)
         kx = sx = ux
         ky = sy = uy
-        hk = hmin
-        if offsets:
-            span = abs(xx) + abs(yy) + corner
-            span = span * REACH_SLACK if span < REACH_SPAN_LIMIT else math.inf
         for h, w in offsets:
             ax = h * kx
             ay = h * ky
             kx, ky, hk, mgk = point(xx + ax, yy + ay, scratch, rhos,
-                                    (abs(ax) + abs(ay)) * REACH_GROWTH + span, ming)
-            if mgk < ming:
-                ming = mgk
-            if mgk < 0.0:
-                negcount += 1
-            if hk <= 0.0:
-                break
+                                    (abs(ax) + abs(ay)) * growth + span, ming, chain, hbase)
+            if hk == hk:  # not the free path
+                if mgk < ming:
+                    ming = mgk
+                if mgk < 0.0:
+                    negcount += 1
+                if hk <= 0.0:
+                    # a stage state touched an obstacle
+                    status = DOMAIN_ERROR
+                    break
+            elif mgk != mgk:
+                staged += (xx + ax, yy + ay)
             sx = sx + w * kx
             sy = sy + w * ky
-        if hk <= 0.0:
-            # a stage state touched an obstacle
-            status = DOMAIN_ERROR
+        if status == DOMAIN_ERROR:
             break
         nx = xx + step * sx
         ny = yy + step * sy
@@ -432,12 +560,80 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             negcount += rest * (mg < 0.0) + (rest - 1) * (negcount - neg_before_stages)
             status = TIMEOUT
             break
+        if hbase > free_above:
+            # the next sample's reach joins the chain, grown so that rounding
+            # the sum cannot shrink it (module docstring, "The chain and its
+            # rounding")
+            chain = (chain + abs(step * sx) + abs(step * sy) + span) * growth
         xx = nx
         yy = ny
     _flush(rec, row, buf, width)
+    # the free evaluations' tightenings join the minimum only now, so each
+    # evaluation's floor is the minimum of those made in full: never below
+    # the true running minimum, and no shell is left out that counts
+    mg = min(free_gamma, _fill_free(rec, free, n, model, staged))
+    if mg < ming:
+        ming = mg
     if stall >= 0:
         # rows stall+1 .. n_max repeat row stall
         n = n_max + 1
         rec[stall + 1:n] = rec[stall]
         rec[stall + 1:n, 0] = np.arange(stall + 1, n) * dt
     return n, status, ming, negcount
+
+
+def _idle_clearances(xs, ys, obstacles):
+    """Clearances of the states ``xs``, ``ys`` (arrays) as :func:`bind`
+    computes them: one row per obstacle, one column per state."""
+    cx, cy, r, _ = np.array(obstacles)[:, :, None].transpose(1, 0, 2)
+    ox = xs - cx
+    oy = ys - cy
+    ox *= ox
+    oy *= oy
+    ox += oy
+    rho = np.sqrt(ox, out=ox)
+    rho -= r
+    return rho
+
+
+def _idle_gamma(hmins, model):
+    """The smallest min_gamma of free evaluations whose smallest clearances
+    are ``hmins`` (an array): every shell there is idle, so its tightening is
+    glam * dd + alpha_gain * rho - d.u_nom with dd = 0 and d.u_nom = +-0
+    (scaled-special; smallest where rho is, as rounding is monotone), 0
+    (zero tightening), or none (the unfiltered stabilizer)."""
+    if model[6] != 2:
+        return math.inf
+    if model[11] == 0:
+        return 0.0
+    return model[12] * 0.0 + model[5] * float(hmins.min())
+
+
+def _fill_free(rec, free, n, model, staged):
+    """Write ``h_min`` and the margins of the rows among the first ``n`` of
+    ``rec`` that ``free`` marks, array-at-a-time, with the expressions of
+    :func:`bind`'s margin block on an idle shell, and return the
+    :func:`_idle_gamma` of those rows and of the stage states in ``staged``
+    (x then y), which it empties.  On a free row the control is u_nom, so
+    d.u_nom on an idle shell is formed from it as the kernel forms it."""
+    if not staged and 1 not in free:
+        return math.inf
+    alpha_gain, gkind, glam = model[5], model[11], model[12]
+    rows = np.flatnonzero(np.frombuffer(free, np.uint8, n))
+    nrows = rows.size
+    xy = np.fromiter(staged, np.float64, len(staged))
+    staged.clear()
+    # one row per obstacle, one column per free state: the rows, then the stages
+    rho = _idle_clearances(np.concatenate((rec[rows, 1], xy[0::2])),
+                           np.concatenate((rec[rows, 2], xy[1::2])), model[2])
+    hmin = np.minimum.reduce(rho)  # no clearance of a free state is NaN or -0
+    rec[rows, 5] = hmin[:nrows]
+    if gkind == 1:
+        rec[rows, 7:] = glam * 0.0  # glam * dd, dd = 0
+    else:
+        rho = rho[:, :nrows]
+        rho *= alpha_gain
+        rho = np.negative(rho, out=rho)
+        rho += 0.0 * rec[rows, 3] + 0.0 * rec[rows, 4]  # d.u_nom
+        rec[rows, 7:] = rho.T
+    return _idle_gamma(hmin, model)

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 from functools import partial
 from importlib import resources
@@ -227,21 +230,29 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_outputs(out_dir: Path, outputs) -> None:
     """Write ``outputs``, ``(file name, write(path))`` pairs, into ``out_dir``.
-    When a write fails, remove what this call created (the files that were not
-    there before it and the directories it made), then re-raise the OSError."""
+
+    Every file is first written into a staging directory inside ``out_dir``
+    and moved into place only once all of them are written and none of
+    their names is taken by a directory, so a failure leaves any file of an
+    earlier run as it was.  On an OSError the staging directory and the
+    directories this call made are removed, and the error is re-raised."""
     made_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    created = []
+    stage = None
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".apf-rcbf-", dir=out_dir))
         for name, write in outputs:
-            path = out_dir / name
-            if not path.exists():
-                created.append(path)
-            write(path)
+            write(stage / name)
+        for name, _ in outputs:
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        str(out_dir / name))
+        for name, _ in outputs:
+            os.replace(stage / name, out_dir / name)
+        stage.rmdir()
     except OSError:
-        for path in created:
-            with contextlib.suppress(OSError):
-                path.unlink()
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
         for d in made_dirs:  # innermost first
             with contextlib.suppress(OSError):
                 d.rmdir()

@@ -120,6 +120,105 @@ def solve_projection(u_nom, constraints) -> QpSolution:
     return QpSolution(u_star=u, active_set=(), kkt_residual=np.inf, feasible=False)
 
 
+def _max_nan_rows(values):
+    """:func:`_max_nan` of each row of the 2-D array ``values``."""
+    return np.max(values, axis=1, initial=0.0)
+
+
+def _solve_each(a, b):
+    """``np.linalg.solve`` on each matrix of the stack ``a`` with the vector
+    in the same row of ``b``; returns the solutions and a mask of the
+    matrices that were not singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.empty(b.shape)
+    solved = np.ones(len(a), dtype=bool)
+    for i in range(len(a)):
+        try:
+            x[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return x, solved
+
+
+def solve_projection_many(u_noms, offsets, normals):
+    """:func:`solve_projection` for ``k`` problems of ``m`` constraints each,
+    given as arrays ``u_noms`` (k, 2), ``offsets`` (k, m) and ``normals``
+    (k, m, 2).  Returns ``(u_star, active_sets, kkt_residuals, feasible)``:
+    arrays of shape (k, 2), (k,) and (k,) and a list of k tuples.
+
+    It makes :func:`solve_projection`'s numpy calls on stacks, one active set
+    at a time in the same order, over the problems that no earlier set has
+    solved: the same LAPACK and BLAS routines on the same operands, so the
+    results are those of solving each problem alone.  A stack whose solve
+    meets a singular matrix is solved one problem at a time, and a singular
+    problem skips the set, as there.
+    """
+    u_noms = np.asarray(u_noms, dtype=np.float64).reshape(-1, 2)
+    k = len(u_noms)
+    offsets = np.asarray(offsets, dtype=np.float64).reshape(k, -1)
+    m = offsets.shape[1]
+    if m > MAX_CONSTRAINTS:
+        raise ValueError(f"at most {MAX_CONSTRAINTS} constraints supported, got {m}")
+    normals = np.asarray(normals, dtype=np.float64).reshape(k, m, 2)
+
+    u_star = np.full((k, 2), np.nan)
+    active_sets = [()] * k
+    kkt = np.full(k, np.inf)
+    feasible = np.zeros(k, dtype=bool)
+    todo = np.arange(k)
+    for size in range(min(m, 2) + 1):
+        for subset in combinations(range(m), size):
+            if todo.size == 0:
+                break
+            idx = list(subset)
+            cand = todo
+            u_nom = u_noms[cand]
+            if size == 0:
+                u = u_nom.copy()
+                lam = np.empty((cand.size, 0))
+                stationarity = complementarity = np.zeros(cand.size)
+            else:
+                N = normals[cand][:, idx]
+                A = N @ N.transpose(0, 2, 1)
+                with np.errstate(all="ignore"):
+                    cond = np.linalg.cond(A)
+                ok = np.isfinite(cond) & ~(cond > CONDITION_LIMIT)
+                cand, u_nom, N, A = cand[ok], u_nom[ok], N[ok], A[ok]
+                rhs = offsets[cand][:, idx] + (N @ u_nom[:, :, None])[..., 0]
+                lam, ok = _solve_each(A, rhs)
+                ok &= ~(lam < -MULTIPLIER_TOL).any(axis=1)
+                cand, u_nom, N, lam = cand[ok], u_nom[ok], N[ok], lam[ok]
+                NT = N.transpose(0, 2, 1)
+                u = u_nom - (NT @ lam[:, :, None])[..., 0]
+                resid = (u - u_nom) + (NT @ lam[:, :, None])[..., 0]
+                # norm's x.dot(x), one dot per problem
+                stationarity = np.sqrt((resid[:, None, :] @ resid[:, :, None])[:, 0, 0])
+                complementarity = _max_nan_rows(
+                    np.abs(lam * (offsets[cand][:, idx] + (N @ u[:, :, None])[..., 0])))
+            if m:
+                primal = _max_nan_rows(offsets[cand] + (normals[cand] @ u[:, :, None])[..., 0])
+            else:
+                primal = np.zeros(cand.size)
+            ok = ~(primal > FEASIBILITY_TOL)
+            dual = _max_nan_rows(-lam)
+            # the builtin max over (stationarity, ..., 0.0): NaN only first
+            res = stationarity
+            for part in (complementarity, primal, dual, np.zeros(cand.size)):
+                res = np.where(part > res, part, res)
+            done = cand[ok]
+            u_star[done] = u[ok]
+            kkt[done] = res[ok]
+            feasible[done] = True
+            for i in done.tolist():
+                active_sets[i] = subset
+            todo = np.setdiff1d(todo, done, assume_unique=True)
+    u_star.setflags(write=False)
+    return u_star, active_sets, kkt, feasible
+
+
 def sample_feasibility_check(u, constraints) -> bool:
     """True iff every constraint is satisfied at ``u`` within tolerance."""
     u = np.asarray(u, dtype=np.float64)

@@ -356,6 +356,36 @@ def test_failed_write_removes_what_the_run_created(tmp_path, capsys):
     assert not any((out / "gamma2.csv").iterdir())
 
 
+def test_failed_write_keeps_the_files_of_an_earlier_run(tmp_path, capsys):
+    """Outputs are staged and moved into place only once all are written:
+    with ``gamma2.csv`` a directory, ``gamma1.csv`` from an earlier run keeps
+    its bytes, and no staging directory is left behind."""
+    out = tmp_path / "out"
+    (out / "gamma2.csv").mkdir(parents=True)
+    (out / "gamma1.csv").write_text("old run", encoding="utf-8")
+    rc = cli.main(["run", "fig2.json", "--output-dir", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot write output: [Errno 21] Is a directory: "
+                            f"'{out / 'gamma2.csv'}'\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == ["gamma1.csv", "gamma2.csv"]
+    assert (out / "gamma1.csv").read_text(encoding="utf-8") == "old run"
+
+
+def test_successful_write_replaces_an_earlier_run(tmp_path, capsys):
+    """A run over an earlier one replaces its files and leaves no staging
+    directory."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "gamma1.csv").write_text("old run", encoding="utf-8")
+    assert cli.main(["run", "fig2.json", "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "gamma1.csv", "gamma2.csv", "gamma3.csv", "metrics.json", "report.txt"]
+    assert (out / "gamma1.csv").read_text(encoding="utf-8").startswith("t,x,y,ux,uy,h_min,V")
+
+
 def test_exit_code_2_for_lambda_that_can_overflow(tmp_path, capsys):
     """A scaled-special lambda above ``scenario.max_lambda`` (2**704 for the
     radius-0.5 obstacle here) is refused before any run: exit 2, no output."""

@@ -30,6 +30,11 @@ SPECS = {
     "nominal": ControllerSpec("nominal_only", sigma_sel=SQ),
     "gamma_0.05": ControllerSpec("generalized", sigma_sel=SQ,
                                  gamma_sel=GammaSelector.scaled_special(0.05)),
+    "value_special": ControllerSpec("generalized", sigma_sel=SigmaSelector.scaled_value(0.7),
+                                    gamma_sel=GammaSelector.scaled_special(2.0)),
+    "norm_zero": ControllerSpec("generalized", sigma_sel=SigmaSelector.scaled_norm(1.3),
+                                gamma_sel=GammaSelector.zero()),
+    "norm_nominal": ControllerSpec("nominal_only", sigma_sel=SigmaSelector.scaled_norm(1.3)),
 }
 
 # two obstacles whose influence shells overlap in the gap between them, so
@@ -47,6 +52,18 @@ SINGLE = Scenario(goal=[4.0, 0.0], obstacles=(Obstacle([2.0, 0.0], 0.5, 0.2),))
 AXIS = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.0], 0.5, 0.4),))
 
 FIG2_X0 = (-2.0, 0.0)
+
+# the fig2 arena translated by FAR_SHIFT along both axes: every state is near
+# 1e6, where the rounding slack of a reach, 2**-40 of the state's size, is
+# larger than most steps
+FAR_SHIFT = 1e6
+
+
+def _far(arena):
+    return Scenario(goal=arena.goal + FAR_SHIFT,
+                    obstacles=tuple(Obstacle(o.center + FAR_SHIFT, o.radius, o.influence_margin)
+                                    for o in arena.obstacles),
+                    k_att=arena.k_att, k_rep=arena.k_rep, alpha_gain=arena.alpha_gain)
 
 # (arena, controller, integrator, dt, t_max, x0) -> (terminal, sha256 of CSV)
 GOLDEN = {
@@ -124,6 +141,33 @@ GOLDEN = {
         ("timeout", "5aed676acd054b42ec581ca240f40df2d62cca81373dad61f72d0e971b3d9628"),
     ("single", "nominal", "euler", 0.001, 10.0, (0.0, 0.0)):
         ("domain_error", "59f3c3bf99c5d1749ed8f8701abafa56dc4aa274a25a7b76ecece9c07715a6e6"),
+    # Free flight: from (0.5, 1.5) the run leaves the first obstacle behind,
+    # clear of every shell, then heads into the third obstacle's shell (RK4
+    # at dt 0.02 samples 0.0008 outside its edge, with stages inside it).
+    ("fig2", "apf", "euler", 0.004, 40.0, (0.5, 1.5)):
+        ("reached_goal", "0d9ce8545d8ec3f539d291b4ff4855427c97056de2840f741ade4950837623a9"),
+    ("fig2", "apf", "euler", 0.02, 40.0, (0.5, 1.5)):
+        ("reached_goal", "61bb767098667a5c2156b20f7619a3c9f4bd64abc5dd954d6f0bf0ba5885278a"),
+    ("fig2", "apf", "rk4", 0.004, 40.0, (0.5, 1.5)):
+        ("reached_goal", "cf428b27e5a641e9dc4e3d453b858a7a550cda33e2371bdc3ff4680ec898aa99"),
+    ("fig2", "apf", "rk4", 0.02, 40.0, (0.5, 1.5)):
+        ("reached_goal", "39d0835202e386519e540e6fa9e119a6f01cec46ca1cead409c6899bf3095f1f"),
+    ("fig2", "gamma1", "rk4", 0.02, 40.0, (0.5, 1.5)):
+        ("reached_goal", "e125f69edbadb35a7afed7d85e954007a7a775f7e45d6997cb81231c1d1cc251"),
+    ("fig2_far", "apf", "rk4", 0.004, 40.0, (-2.0 + FAR_SHIFT, FAR_SHIFT)):
+        ("reached_goal", "0e010388385e9066a0ea7cfdc1778ec2654762f43765d44b622816f79bf49dc6"),
+    ("fig2_far", "gamma2", "euler", 0.02, 40.0, (0.5 + FAR_SHIFT, 1.5 + FAR_SHIFT)):
+        ("reached_goal", "e01f915be925b4864d29ed87d4ad7b079e2af1d13d01da17f26927d6865f948e"),
+    ("fig2_far", "gamma1", "rk4", 0.02, 40.0, (0.5 + FAR_SHIFT, 1.5 + FAR_SHIFT)):
+        ("reached_goal", "7d93da1f200ca0c5a8ea2537211cd6bb15235a6dfd229882a3fdb9d57f7fa49e"),
+    ("fig2", "value_special", "rk4", 0.004, 40.0, (0.5, 1.5)):
+        ("reached_goal", "e60a51307acd37b7fd62b01a98eace3127647a66eda7cf019f219187d1878ccb"),
+    ("fig2", "value_special", "euler", 0.02, 40.0, (-2.0, 0.0)):
+        ("reached_goal", "3a2d205ff0ddf064f5a635cf161a9af1506cf6a966a2c1eaa15fc59a6172021e"),
+    ("fig2", "norm_zero", "rk4", 0.004, 40.0, (0.5, 1.5)):
+        ("reached_goal", "bfd582f874f9193618292b713971c0a90576c41a1b6cb94813b4c15cb203a701"),
+    ("fig2", "norm_nominal", "euler", 0.004, 40.0, (-3.0, 5.0)):
+        ("reached_goal", "992c4e0af6544761ad02adc4e60e35e6dbf1b00291cc7ed3fb1c8a7bc7ee7e2d"),
 }
 
 # (arena, controller, integrator, dt, t_max, x0) -> the negative-tightening WARNING
@@ -138,6 +182,8 @@ WARNINGS = {
 
 
 def _scenario(name, arena):
+    if name == "fig2_far":
+        return _far(arena)
     return {"fig2": arena, "overlap": OVERLAP, "single": SINGLE, "axis": AXIS}[name]
 
 

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from apf_rcbf import (ControllerSpec, GammaSelector, Obstacle, Scenario, SigmaSelector,
@@ -346,7 +346,7 @@ def _full_bind(model):
     """The bound controller with every shell evaluated at every state."""
     point = _BIND(model)
 
-    def full(x, y, phis, rhos=None, reach=None, floor=math.inf):
+    def full(x, y, phis, rhos=None, reach=None, floor=math.inf, chain=0.0, hbase=-math.inf):
         return point(x, y, phis)
     return full
 
@@ -459,27 +459,31 @@ def test_stage_skips_nothing_where_a_clearance_may_overflow():
 _UNSET = -1234.5
 
 
-def _spied_rollout(model, x0, dt, n_max):
-    """An RK4 ``_integrate`` run that logs every evaluation as ``(state and
-    stage arguments, result, number of shells left out)``; a left-out shell
-    leaves its ``phis`` entry unset.  Returns the run's output, record and
-    log."""
+def _spied_rollout(model, x0, dt, n_max, chains=None, stages=_k.RK4_STAGES):
+    """An ``_integrate`` run (RK4 unless ``stages`` is given) that logs every
+    evaluation as ``(state and, for a stage, its reach and floor, result,
+    number of shells left out)``; a left-out shell leaves its ``phis`` entry
+    unset.  ``chains``, if given, receives every evaluation's ``(chain,
+    hbase)``.  Returns the run's output, record and log."""
     log = []
 
     def spy_bind(model):
         point = _BIND(model)
 
-        def spy(x, y, phis, *rest):
+        def spy(x, y, phis, rhos, reach, floor, chain, hbase):
             phis[:] = [_UNSET] * len(phis)
-            out = point(x, y, phis, *rest)
-            log.append(((x, y, *rest[1:]), out, phis.count(_UNSET)))
+            out = point(x, y, phis, rhos, reach, floor, chain, hbase)
+            stage_args = () if reach is None else (reach, floor)
+            log.append(((x, y, *stage_args), out, phis.count(_UNSET)))
+            if chains is not None:
+                chains.append((chain, hbase))
             return out
         return spy
 
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_k, "bind", spy_bind)
-        out = _k._integrate(*x0, model, dt, n_max, 0.05, _k.RK4_STAGES, rec)
+        out = _k._integrate(*x0, model, dt, n_max, 0.05, stages, rec)
     return out, rec, log
 
 
@@ -508,7 +512,11 @@ def test_rollout_passes_each_stage_its_reach_and_skips_nothing_that_counts(
     out, rec, log = _spied_rollout(model, x0, dt, n_max)
     ming, stage, skipped = math.inf, None, 0
     for (x, y, *stage_args), (ux, uy, hmin, mg), unset in log:
-        if not stage_args:  # a sample
+        if not stage_args and math.isnan(hmin):
+            # a sample on the free path: _fill_free writes its row, which
+            # the comparison with the full run below checks
+            xx, yy, kx, ky, stage = x, y, ux, uy, 0
+        elif not stage_args:  # a sample
             assert unset == 0
             xx, yy, kx, ky, stage = x, y, ux, uy, 0
         else:
@@ -583,6 +591,291 @@ def test_far_idle_table_shell_sets_the_minimum_and_is_never_skipped():
     # the near shell's clearance stays below 5, where the table is 1
     assert out[1] == _k.REACHED_GOAL and 0.01 <= out[2] < 0.1 and at_stage
     assert _bits(rec[:out[0]].ravel().tolist()) == _bits(np.ravel(rows).tolist())
+
+
+# Free flight: a sample or stage whose base -- the last sample evaluated in
+# full -- is clear of every shell by more than the chained reach from it
+# evaluates the stabilizer alone.  Wherever it does, a full evaluation of the
+# same state must find every shell idle and outside, give the same control
+# bits and a tightening of exactly the value folded into the run's minimum,
+# and a free sample's row, filled after the run, must hold its bits.
+
+def _chain(xx, yy, hops, obstacles):
+    """The last sample ``_integrate`` reaches from the base ``(xx, yy)`` by
+    the sample offsets ``hops``, and the chain it passes there."""
+    chain = 0.0
+    for ax, ay in hops:
+        span = _stage_reach(xx, yy, 0.0, 0.0, obstacles)
+        chain = (chain + abs(ax) + abs(ay) + span) * _k.REACH_GROWTH
+        xx, yy = xx + ax, yy + ay
+    return xx, yy, chain
+
+
+def _check_free(model, x, y, out, stage, rhos=None, total=None):
+    """Checks a free evaluation ``out`` at ``(x, y)`` against the full one;
+    with ``rhos``, also that every clearance there is at least the base's
+    minus the reach ``total``."""
+    m = len(model[2])
+    phis, full_rhos = [0.0] * m, [0.0] * m
+    full = _BIND(model)(x, y, phis, full_rhos)
+    assert all(rho > rho0 for rho, (*_, rho0) in zip(full_rhos, model[2]))
+    assert _bits(out[:2]) == _bits(full[:2])
+    assert full[3] >= 0.0
+    assert _bits([_k._idle_gamma(np.array([full[2]]), model)]) == _bits([full[3]])
+    if rhos is not None:
+        assert not any(rt < rs - total for rt, rs in zip(full_rhos, rhos))
+    if not stage:
+        rec = np.full((1, 7 + m), -1.0)
+        rec[0, 1:5] = x, y, out[0], out[1]
+        _k._fill_free(rec, bytearray(b"\x01"), 1, model, [])
+        assert _bits(rec[0, 7:].tolist()) == _bits(phis)
+        assert _bits([rec[0, 5]]) == _bits([full[2]])
+
+
+@st.composite
+def _free_case(draw):
+    """A model, a base sample clear of the shells or near one, up to four
+    sample hops from it and maybe a stage offset after them.  Every sigma
+    and gamma kind, the unfiltered packing, arenas near 1e6 and non-finite
+    u_nom are drawn; with ``edge`` set, every rho0 is moved to within a few
+    ulps of the base's smallest clearance minus the reach."""
+    ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.sampled_from([0.0, 1e6]))
+    obstacles = [[ox + draw(_coords), oy + draw(_coords), draw(st.floats(0.1, 1.0)),
+                  draw(st.floats(0.05, 1.0))] for _ in range(draw(st.integers(1, 3)))]
+    cx, cy, r, rho0 = obstacles[draw(st.integers(0, len(obstacles) - 1))]
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    dist = draw(st.floats(r + 1e-3, r + rho0 + 3.0))
+    base = (cx + dist * math.cos(angle), cy + dist * math.sin(angle))
+    size = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.05, 0.3]))
+    hops = [(size * draw(st.floats(-1.0, 1.0)), size * draw(st.floats(-1.0, 1.0)))
+            for _ in range(draw(st.integers(0, 4)))]
+    stage = draw(st.one_of(st.none(), st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))))
+    edge = draw(st.one_of(st.none(), st.integers(-3, 3)))
+    sigma, gamma = draw(_sigma_sels), draw(_gamma_sels)
+    filtered = draw(st.sampled_from([True, True, True, False]))
+    model = [ox + draw(_coords), oy + draw(_coords), obstacles,
+             draw(st.sampled_from([0.5, 1.0, 2.5, 1e200])),
+             draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0)),
+             *_k.pack_controller(sigma, gamma if filtered else None)]
+    floor = draw(st.sampled_from([math.inf, 0.5, 0.0, -1.0]))
+    return model, base, hops, stage, edge, floor
+
+
+def _free_eval(model, base, hops, stage, floor):
+    """Evaluates the base in full, then the state ``hops`` (and ``stage``)
+    away as ``_integrate`` would; returns the state, the output, the base's
+    clearances and the total reach."""
+    m = len(model[2])
+    point = _k.bind(model)
+    rhos = [0.0] * m
+    *_, hbase, _ = point(*base, [0.0] * m, rhos)
+    xx, yy, chain = _chain(*base, hops, model[2])
+    if stage is None:
+        return (xx, yy), point(xx, yy, [0.0] * m, rhos, None, floor, chain, hbase), rhos, chain
+    reach = _stage_reach(xx, yy, *stage, model[2])
+    state = (xx + stage[0], yy + stage[1])
+    return state, point(*state, [0.0] * m, rhos, reach, floor, chain, hbase), rhos, chain + reach
+
+
+def _unit_free_case(center, edge, k_att=1.0, hops=((-0.05, 0.0),) * 3, stage=None):
+    """A fixed free-flight case for the unit pair: one obstacle of radius 0.5
+    at ``center``, approached head on from 2 to its right."""
+    model = [center[0] + 9.0, center[1], [[*center, 0.5, 0.4]], k_att, 1.0, 1.0,
+             *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)]
+    return model, (center[0] + 2.0, center[1]), list(hops), stage, edge, 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(_free_case())
+@example(_unit_free_case((0.0, 0.0), None))
+# rho0 one ulp either side of the free threshold, at 1e6 and at the origin
+@example(_unit_free_case((1e6, 1e6), -1))
+@example(_unit_free_case((1e6, 1e6), 1))
+@example(_unit_free_case((0.0, 0.0), -1, stage=(-0.01, 0.0)))
+# |F_att|^2 overflows, so u_nom is NaN: never free
+@example(_unit_free_case((0.0, 0.0), None, k_att=1e200))
+def test_free_path_matches_the_full_evaluation(case):
+    model, base, hops, stage, edge, floor = case
+    m = len(model[2])
+    *_, hbase, _ = _k.bind(_freeze(model))(*base, [0.0] * m, [0.0] * m)
+    if not hbase > 0.0:
+        return  # no step follows a sample where the controller is undefined
+    if edge is not None:
+        _, _, rhos, total = _free_eval(_freeze(model), base, hops, stage, floor)
+        rho0 = hbase - total
+        if rho0 > 0.0:
+            for _ in range(abs(edge)):
+                rho0 = math.nextafter(rho0, math.copysign(math.inf, edge))
+            for obs in model[2]:
+                obs[3] = rho0
+    model = _freeze(model)
+    (x, y), out, rhos, total = _free_eval(model, base, hops, stage, floor)
+    event("free" if math.isnan(out[2]) else "evaluated")
+    if math.isnan(out[2]):
+        _check_free(model, x, y, out, stage is not None, rhos, total)
+    elif stage is None:  # a sample not taken free is evaluated in full
+        assert _bits(out) == _bits(_BIND(model)(x, y, [0.0] * m))
+
+
+def test_free_path_needs_finite_u_nom_and_no_table():
+    """Clear of every shell by far: the unit pair goes free; a NaN u_nom,
+    a Gamma table, a rho0 of 0 and an arena without obstacles do not."""
+    def free(model):
+        (x, y), out, *_ = _free_eval(_freeze(model), (2.0, 0.0), [(0.01, 0.0)], None, 0.0)
+        return math.isnan(out[2])
+
+    model, *_ = _unit_free_case((0.0, 0.0), None)
+    assert free(model)
+    assert not free(_unit_free_case((0.0, 0.0), None, k_att=1e200)[0])
+    table = model[:6] + list(_k.pack_controller(UNIT_SIGMA, GAMMAS[2]))
+    assert not free(table)
+    assert not free([*model[:2], [[0.0, 0.0, 0.5, 0.0]], *model[3:]])
+    assert not free([*model[:2], [], *model[3:]])
+
+
+@pytest.mark.parametrize("integ", [0, 1], ids=["euler", "rk4"])
+@pytest.mark.parametrize("dt", [0.004, 0.02])
+@pytest.mark.parametrize("spec", [ControllerSpec("apf"),
+                                  ControllerSpec("generalized", sigma_sel=UNIT_SIGMA,
+                                                 gamma_sel=GAMMAS[2])],
+                         ids=["apf", "table"])
+@pytest.mark.parametrize("where", ["fig2", "fig2+1e6", "overlap"])
+def test_rollout_passes_each_evaluation_its_chain(where, spec, dt, integ, arena):
+    """Every evaluation gets the documented base and chain: the hmin of the
+    last sample evaluated in full, and the sum of the sample reaches since,
+    each grown by REACH_GROWTH, kept only while the base is above every
+    rho0 it may leave out (a Gamma table's is +inf, so it never flies free)."""
+    shift = 1e6 if where == "fig2+1e6" else 0.0
+    scenario = _overlap() if where == "overlap" else Scenario(
+        goal=arena.goal + shift, obstacles=[Obstacle(o.center + shift, o.radius,
+                                                     o.influence_margin)
+                                            for o in arena.obstacles])
+    x0 = (0.0, 0.1) if where == "overlap" else (0.5 + shift, 1.5 + shift)
+    model = _k.pack_model(scenario, spec.packing())
+    stages = ((), _k.RK4_STAGES)[integ]
+    chains = []
+    out, rec, log = _spied_rollout(model, x0, dt, 600, chains, stages)
+    free_above = max(_k._skip_above(model))
+    step = dt / (1.0 + sum(w for _, w in stages))
+    chain, hbase, free = 0.0, -math.inf, 0
+    for ((x, y, *stage_args), (ux, uy, hmin, _), _), passed in zip(log, chains):
+        if not stage_args:
+            if hbase != -math.inf and hbase > free_above:  # the hop from the last sample
+                chain = (chain + abs(step * sx) + abs(step * sy)
+                         + _stage_reach(xx, yy, 0.0, 0.0, model[2])) * _k.REACH_GROWTH
+            assert passed == (chain, hbase)
+            if math.isnan(hmin):
+                free += 1
+            else:
+                chain, hbase = 0.0, hmin
+            xx, yy, sx, sy, stage = x, y, ux, uy, 0
+        else:
+            assert passed == (chain, hbase)
+            sx, sy = sx + stages[stage][1] * ux, sy + stages[stage][1] * uy
+            stage += 1
+    assert (free > 0) == (spec.kind == "apf")
+
+
+def _check_free_rollout(model, x0, dt, n_max, stages):
+    """Runs ``_integrate`` with a spy and checks every free evaluation
+    against the full one, every free sample's row, and the whole run against
+    one that evaluates every shell at every state; returns the number of
+    free samples and stages."""
+    log = []
+
+    def spy_bind(model):
+        point = _BIND(model)
+
+        def spy(x, y, phis, *rest):
+            out = point(x, y, phis, *rest)
+            log.append((x, y, rest[1] is not None, out))
+            return out
+        return spy
+
+    rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "bind", spy_bind)
+        out = _k._integrate(*x0, model, dt, n_max, 0.05, stages, rec)
+    full = np.full_like(rec, -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "bind", _full_bind)
+        assert _k._integrate(*x0, model, dt, n_max, 0.05, stages, full) == out
+    assert _bits(full.ravel().tolist()) == _bits(rec.ravel().tolist())
+    free = [0, 0]
+    for x, y, stage, result in log:
+        if math.isnan(result[2]):
+            _check_free(model, x, y, result, stage)
+            free[stage] += 1
+    return tuple(free)
+
+
+@pytest.mark.parametrize("integ", [0, 1], ids=["euler", "rk4"])
+@pytest.mark.parametrize("dt", [0.004, 0.02])
+@pytest.mark.parametrize("spec, x0", [
+    (ControllerSpec("apf"), (0.5, 1.5)),
+    (ControllerSpec("generalized", sigma_sel=UNIT_SIGMA, gamma_sel=GammaSelector.zero()),
+     (-2.0, 0.0)),
+    (ControllerSpec("generalized", sigma_sel=SIGMAS[1],
+                    gamma_sel=GammaSelector.scaled_special(8.0)), (6.0, 5.5)),
+    (ControllerSpec("nominal_only", sigma_sel=SIGMAS[2]), (-3.0, 5.0)),
+], ids=["apf", "zero", "value-special8", "norm-nominal"])
+@pytest.mark.parametrize("shift", [0.0, 1e6], ids=["fig2", "fig2+1e6"])
+def test_rollout_flies_free_and_keeps_every_bit(shift, spec, x0, dt, integ, arena):
+    """fig2 runs, and the same arena translated by 1e6, where the rounding
+    slack of each reach is larger than most steps: samples and stages fly
+    free, each one equal to its full evaluation, and the run equals one that
+    evaluates every shell everywhere."""
+    scenario = Scenario(goal=arena.goal + shift, k_att=arena.k_att, k_rep=arena.k_rep,
+                        alpha_gain=arena.alpha_gain,
+                        obstacles=[Obstacle(o.center + shift, o.radius, o.influence_margin)
+                                   for o in arena.obstacles])
+    model = _k.pack_model(scenario, spec.packing())
+    stages = ((), _k.RK4_STAGES)[integ]
+    samples, stage_count = _check_free_rollout(model, (x0[0] + shift, x0[1] + shift), dt,
+                                               int(40.0 / dt), stages)
+    assert samples > 0 and (stage_count > 0 or not stages)
+
+
+@pytest.mark.parametrize("chunk", [2, 64])
+def test_free_stages_reduced_mid_run_keep_the_minimum(chunk, arena, monkeypatch):
+    """The free stage states owed to the minimum are reduced whenever the
+    record is written and enough are kept: with a small chunk that happens
+    many times in a run, and the run still equals the full one."""
+    monkeypatch.setattr(_k, "STAGED_CHUNK_FLOATS", chunk)
+    model = _k.pack_model(arena, ControllerSpec("apf").packing())
+    samples, stages = _check_free_rollout(model, (0.5, 1.5), 0.004, 2000, _k.RK4_STAGES)
+    assert samples > 0 and stages > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_free_case(), st.sampled_from([(), _k.RK4_STAGES]), st.sampled_from([0.004, 0.02, 0.05]))
+def test_any_rollout_keeps_every_bit_in_free_flight(case, stages, dt):
+    model, base, *_ = case
+    model = _freeze(model)
+    *_, hbase, _ = _BIND(model)(*base, [0.0] * len(model[2]))
+    if not hbase > 0.0:
+        return
+    samples, stage_count = _check_free_rollout(model, base, dt, 150, stages)
+    event(f"free samples: {min(samples, 1)}, free stages: {min(stage_count, 1)}")
+
+
+def test_free_rows_carry_the_sign_of_a_zero_margin():
+    """With alpha_gain 0 the zero tightening's idle margin is -0.0 + d.u_nom:
+    -0.0 where both components of u_nom are negative, +0.0 where one is not.
+    A filled row must carry the sign the kernel gives, which -(alpha * rho)
+    alone would not."""
+    signs = []
+    for goal in ((-6.0, -6.0), (9.0, -6.0)):
+        model = (*goal, ((0.0, 0.0, 0.5, 0.4), (0.0, 5.0, 0.5, 0.4)), 1.0, 1.0, 0.0,
+                 *_k.pack_controller(UNIT_SIGMA, GAMMAS[0]))
+        phis = [0.0, 0.0]
+        ux, uy, hmin, _ = _k.bind(model)(3.0, 0.0, phis)
+        rec = np.full((1, 9), -1.0)
+        rec[0, 1:5] = 3.0, 0.0, ux, uy
+        _k._fill_free(rec, bytearray(b"\x01"), 1, model, [])
+        assert _bits(rec[0, 7:].tolist()) == _bits(phis) and rec[0, 5] == hmin
+        signs.append(math.copysign(1.0, phis[0]))
+    assert signs == [-1.0, 1.0]
 
 
 # The record is collected in a Python list and written by row slices, so a

@@ -8,7 +8,7 @@ from apf_rcbf import (
     sample_feasibility_check,
     solve_projection,
 )
-from apf_rcbf.qp import FEASIBILITY_TOL, MAX_CONSTRAINTS
+from apf_rcbf.qp import FEASIBILITY_TOL, MAX_CONSTRAINTS, solve_projection_many
 
 
 def hs(offset, nx, ny):
@@ -199,3 +199,100 @@ def test_feasibility_tolerance_is_tight():
     assert sample_feasibility_check([FEASIBILITY_TOL, 0.0], cons)
     assert not sample_feasibility_check([2 * FEASIBILITY_TOL, 0.0], cons)
     assert sample_feasibility_check([-5.0, 3.0], cons)
+
+
+# solve_projection_many: the same numpy calls on stacks of problems, one
+# active set at a time; every output must equal solving each problem alone.
+
+def _same_solution(sol, u, active, kkt, feasible):
+    assert sol.u_star.tobytes() == np.asarray(u).tobytes()
+    assert (sol.active_set, sol.feasible) == (active, feasible)
+    assert (np.array(sol.kkt_residual).tobytes() == np.array(kkt).tobytes()
+            or np.isnan(sol.kkt_residual) and np.isnan(kkt))
+
+
+def _problems(rng, k, m, kind):
+    u = rng.normal(0.0, 2.0, (k, 2))
+    offsets = rng.uniform(-2.0, 2.0, (k, m))
+    if kind == "gaussian":
+        normals = rng.normal(0.0, 1.0, (k, m, 2))
+        offsets[rng.random((k, m)) < 0.02] = np.nan
+    elif kind == "integer":  # zeros, repeated and parallel normals, exact ties
+        normals = rng.integers(-2, 3, (k, m, 2)).astype(float)
+        offsets = rng.integers(-2, 3, (k, m)).astype(float)
+        u = rng.integers(-2, 3, (k, 2)).astype(float)
+    else:  # every normal parallel: pairs are singular
+        normals = rng.normal(0.0, 1.0, (k, 1, 2)) * rng.choice([-2.0, -1.0, 0.5, 1.0], (k, m, 1))
+    return u, offsets, normals
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "parallel"])
+@pytest.mark.parametrize("m", range(MAX_CONSTRAINTS + 1))
+def test_stacked_solver_equals_the_scalar_one(m, kind, rng):
+    u, offsets, normals = _problems(rng, 150, m, kind)
+    u_star, active, kkt, feasible = solve_projection_many(u, offsets, normals)
+    for i in range(len(u)):
+        sol = solve_projection(u[i], [hs(offsets[i, j], *normals[i, j]) for j in range(m)])
+        _same_solution(sol, u_star[i], active[i], kkt[i], feasible[i])
+
+
+def test_stacked_solver_keeps_the_scalar_pins():
+    """The hand cases above, solved as one stack per constraint count."""
+    cases = [
+        ([0.5, 2.0], [(-1.0, 1.0, 0.0)]),
+        ([2.0, 0.0], [(-1.0, 1.0, 0.0)]),
+        ([1.0, 2.0], [(np.nan, 1.0, 0.0)]),
+        ([1.0, 1.0], [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
+        ([0.0, 0.0], [(1.0, 1.0, 0.0), (1.0, -1.0, 0.0)]),
+        ([0.0, 0.0], [(1.0, 0.0, 1.0), (np.nan, 1.0, 0.0)]),
+        ([0.0, 0.0], [(np.nan, 1.0, 0.0), (1.0, 0.0, 1.0)]),
+        ([1.0, 0.0], [(0.0, 1.0, 0.0), (0.0, 1.0, 0.0)]),
+        ([1.0, 1.0], [(0.0, 1.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 1.0)]),
+        ([3.0, -4.0], []),
+    ]
+    for m in sorted({len(c) for _, c in cases}):
+        group = [(u, c) for u, c in cases if len(c) == m]
+        u_star, active, kkt, feasible = solve_projection_many(
+            [u for u, _ in group], [[o for o, _, _ in c] for _, c in group],
+            [[(x, y) for _, x, y in c] for _, c in group])
+        for i, (u, c) in enumerate(group):
+            sol = solve_projection(u, [hs(*row) for row in c])
+            _same_solution(sol, u_star[i], active[i], kkt[i], feasible[i])
+    assert active[-1] == (0, 2) and not u_star.flags.writeable
+
+
+def test_stacked_solver_stops_at_pairs(monkeypatch):
+    """As test_enumeration_stops_at_pairs: only the sets of one or two
+    constraints reach the condition check, one stacked call each."""
+    calls = []
+    cond = np.linalg.cond
+
+    def spy(a):
+        calls.append(a.shape)
+        return cond(a)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    k = 5
+    offsets = np.ones((k, MAX_CONSTRAINTS))
+    normals = np.tile([(1.0, 0.0), (-1.0, 0.0)], (k, MAX_CONSTRAINTS // 2, 1))
+    u_star, _, kkt, feasible = solve_projection_many(np.zeros((k, 2)), offsets, normals)
+    assert not feasible.any() and np.isnan(u_star).all() and (kkt == np.inf).all()
+    assert len(calls) == 36 and {s[1] for s in calls} == {1, 2} and {s[0] for s in calls} == {k}
+
+
+def test_singular_stack_is_solved_one_problem_at_a_time():
+    """A stacked solve raises for the whole stack if one matrix is singular:
+    the others are then solved alone and the singular one is flagged."""
+    from apf_rcbf.qp import _solve_each
+    a = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]])
+    b = np.array([[2.0, 8.0], [1.0, 1.0], [1.0, 1.0]])
+    x, solved = _solve_each(a, b)
+    assert solved.tolist() == [True, False, True]
+    for i in (0, 2):
+        assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+
+
+def test_stacked_solver_constraint_count_limit():
+    with pytest.raises(ValueError, match="at most"):
+        solve_projection_many(np.zeros((1, 2)), np.zeros((1, MAX_CONSTRAINTS + 1)),
+                              np.zeros((1, MAX_CONSTRAINTS + 1, 2)))
