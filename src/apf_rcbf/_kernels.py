@@ -52,48 +52,37 @@ margins keep their bits, NaN propagation included.  The correction needs
 |d|^2 > 0 and so skips it.
 
 Bases and reaches: :func:`_integrate` keeps a *base*, the last sample it
-evaluated in full, with every obstacle's clearance rho and their minimum h
-there, and a *chain*, the reach from the base to the current sample.  Any
-other state it evaluates -- a later sample, or a stage state off the current
-sample -- carries its reach delta from the base: the chain, plus for a stage
-its own offset's reach.  Every clearance computed at that state is at least
-fl(rho - delta) ("The reach and its slack", "The chain and its rounding").
+evaluated in full, with the smallest clearance h there, and a *chain*, the
+reach from the base to the current sample.  Any other state it evaluates --
+a later sample, or a stage state off the current sample -- carries its reach
+delta from the base: the chain, plus for a stage its own offset's reach.
+Every clearance computed at that state is at least fl(rho - delta) for the
+obstacle's clearance rho at the base, and so at least fl(h - delta), as h is
+the smallest rho and rounding is monotone ("The reach and its slack", "The
+chain and its rounding").
 
-Free flight: a sample or stage with fl(h - delta) above the largest rho0 a
-shell may be left out at, and with d.u_nom on an idle shell equal to +-0
-(u_nom finite), evaluates the stabilizer alone.  Every shell is then idle and
-outside (rho0 > 0 and rounding is monotone, so each fl(rho_i - delta) >=
-fl(h - delta) > rho0_i), so the control is u_nom and the clearance positive,
-and what the margin block would have given is known in closed form: margins
-glam * 0 (gamma kind 1) or -(alpha_gain * rho) + d.u_nom (kind 0 and the
-unfiltered stabilizer), and tightenings glam * 0 + alpha_gain * rho (kind 1
-with alpha_gain >= 0), 0 (kind 0) or none (unfiltered), none of them
-negative, so the count of negative evaluations stands.  A Gamma table, a
-shell without a positive rho0, kind 1 with a negative alpha_gain and an arena
-without obstacles never fly free.  :func:`_integrate` marks each free sample's
-row in a bytearray and, after the loop, :func:`_fill_free` writes its h_min
-and margins array-at-a-time with those expressions, in the kernel's order.
-The tightening of a free evaluation is smallest where its clearance is, so
-the free rows' smallest value joins the run's minimum after the loop, with
-that of the free stages whose tightening, bounded below by alpha_gain *
-fl(h - delta), might undercut the floor (their states are kept in a list,
-reduced a chunk at a time).  During the loop each evaluation's floor is the
-minimum of the evaluations made in full: never below the true running
-minimum, so the tests that compare with it are at most stricter than they
-need to be.
-
-Stage skipping: a stage that does not fly free, which records nothing, still
-leaves out each shell that cannot change any of its outputs.  If fl(rho -
-delta) > rho0, the shell is idle and outside at the stage: its margin goes to
-scratch, its clearance only into the ``hk <= 0`` test, and it takes no
-correction.  Its tightening is then 0 (gamma kind 0), alpha_gain * rho_stage
->= fl(alpha_gain * fl(rho - delta)) (kind 1 with alpha_gain >= 0, as
-rounding is monotone), or NaN when u_nom is not finite, and it is left out
-only if it cannot undercut the floor, so the running minimum and the count
-of negative evaluations stay as they were.  Under kind 0 that always holds,
-since the first sample has already brought the minimum to 0; the unfiltered
-stabilizer reports no tightening at all.  A Gamma table, or a shell without
-a positive rho0, is never left out.
+Free flight: a sample or stage with fl(h - delta) above :func:`_free_above`,
+the largest rho0 of a model whose idle tightenings are known in closed form,
+and with d.u_nom on an idle shell equal to +-0 (u_nom finite), evaluates the
+stabilizer alone.  Every shell is then idle and outside (rho0 > 0, and each
+clearance is at least fl(h - delta) > rho0), so the control is u_nom and the
+clearance positive, and what the margin block would have given is known in
+closed form: margins glam * 0 (gamma kind 1) or -(alpha_gain * rho) + d.u_nom
+(kind 0 and the unfiltered stabilizer), and tightenings glam * 0 + alpha_gain
+* rho (kind 1 with alpha_gain >= 0), 0 (kind 0) or none (unfiltered), none of
+them negative, so the count of negative evaluations stands.  A Gamma table,
+a shell without a positive rho0, kind 1 with a negative alpha_gain and an
+arena without obstacles never fly free.  Every other evaluation runs every
+shell.  :func:`_integrate` marks each free sample's row in a bytearray and,
+after the loop, :func:`_fill_free` writes its h_min and margins
+array-at-a-time with those expressions, in the kernel's order.  The
+tightening of a free evaluation is smallest where its clearance is, so the
+free rows' smallest value joins the run's minimum after the loop, with that
+of the free stages whose tightening, bounded below by alpha_gain * fl(h -
+delta), might undercut the floor (their states are kept in a list, reduced a
+chunk at a time).  During the loop each evaluation's floor is the minimum of
+the evaluations made in full: never below the true running minimum, so the
+tests that compare with it are at most stricter than they need to be.
 
 The reach and its slack: with u = 2**-53, the state t = s + a (a the rounded
 offset c dt k of a stage, or step * sum of slopes to the next sample) is
@@ -105,7 +94,7 @@ every clearance computed at t is at least fl(rho - delta) whenever delta >=
 + r_i) + 2**-450), thousands of times that and enough to cover its own
 rounding; the 2**-450 term covers a square that underflows.  A delta of +inf,
 where |s|_1 + max_i (|c_i|_1 + r_i) reaches 2**500 and a squared distance may
-overflow, skips nothing and flies nothing free.
+overflow, flies nothing free.
 
 The chain and its rounding: from sample s_k to s_(k+1) = fl(s_k + a_k) the
 chain grows to D_(k+1) = fl(fl(D_k + |a_k|_1 + span_k) * (1 + 2**-40)), with
@@ -121,9 +110,10 @@ a product lose at most 4u of the exact D_k + |a_k|_1 + span_k, and the factor
 1 + 2**-40 more than restores it, so D_(k+1) exceeds that exact sum by at
 least 2**-42 of itself.  That surplus also covers rounding fl(D_k + delta)
 for a stage (its own reach covers the rest), and the base's span term covers
-rounding fl(h - delta).  The chain is kept only while h exceeds the largest
-rho0: otherwise no later sample flies free before one is evaluated in full
-and becomes the base, and the stages off a base take D = 0.
+rounding fl(h - delta).  The chain is kept only while h exceeds
+:func:`_free_above`: otherwise no later sample flies free before one is
+evaluated in full and becomes the base, and the stages off a base take D =
+0.
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
@@ -232,58 +222,50 @@ def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
     return float(np.interp(math.sqrt(dx * dx + dy * dy), stx, sty))
 
 
-def _skip_above(model):
-    """Per obstacle, the clearance above which its shell may be left out of
-    an evaluation (rho0), or +inf where it never may: an idle shell's
-    tightening is 0 (gamma kind 0, and the unfiltered stabilizer) or
-    alpha_gain * rho (kind 1 with alpha_gain >= 0), but a table's is not
-    bounded by the clearance, and a shell needs a positive rho0."""
+def _free_above(model):
+    """The base clearance above which an evaluation may fly free (the largest
+    rho0), or +inf where none may: an idle shell's tightening is 0 (gamma
+    kind 0, and the unfiltered stabilizer) or alpha_gain * rho (kind 1 with
+    alpha_gain >= 0), but a table's is not bounded by the clearance, and
+    every shell needs a positive rho0."""
     alpha_gain, ckind, gkind = model[5], model[6], model[11]
-    skippable = ckind != 2 or gkind == 0 or (gkind == 1 and alpha_gain >= 0.0)
-    return [rho0 if skippable and rho0 > 0.0 else math.inf for _, _, _, rho0 in model[2]]
+    if ckind == 2 and (gkind == 2 or (gkind == 1 and not alpha_gain >= 0.0)):
+        return math.inf
+    return max((rho0 if rho0 > 0.0 else math.inf for _, _, _, rho0 in model[2]),
+               default=math.inf)
 
 
 def bind(model):
     """The controller of ``model``, unpacked once: returns ``point(x, y,
-    phis[, rhos[, reach, floor[, chain, hbase]]]) -> (ux, uy, hmin,
-    min_gamma)``.
+    phis[, reach, floor[, chain, hbase]]) -> (ux, uy, hmin, min_gamma)``.
 
     ``point`` evaluates the controller at one state.  It fills ``phis`` (a
     list or array with one constraint margin per obstacle; NaN for obstacles
     the state is inside of) and returns the control, the smallest clearance
     and ``min_gamma``, the smallest tightening value evaluated at this state
     (+inf if there was none, and always for the unfiltered stabilizer).
-    Callers must treat the control as undefined when ``hmin <= 0``.  A list
-    ``rhos`` receives the clearance of every obstacle.
+    Callers must treat the control as undefined when ``hmin <= 0``.
 
     The optional arguments describe a *base*, the last sample evaluated in
-    full, whose clearances a caller keeps in ``rhos`` and whose ``hmin`` it
-    passes as ``hbase``; ``chain`` is the reach from the base to the step's
-    sample (0 at the base itself) and ``floor`` a running minimum of the
-    tightening at or above the true one.  Every reach is large enough that
-    each clearance computed at the evaluated state is at least the base's,
-    minus the reach, as rounded (module docstring, "Bases and reaches").
+    full, whose ``hmin`` a caller passes as ``hbase``; ``chain`` is the reach
+    from the base to the step's sample (0 at the base itself), ``reach`` a
+    stage state's own reach from that sample (None for a sample) and
+    ``floor`` a running minimum of the tightening at or above the true one.
+    Every reach is large enough that each clearance computed at the
+    evaluated state is at least ``hbase`` minus the reach, as rounded
+    (module docstring, "Bases and reaches").
 
-    * A sample evaluation (``reach`` omitted or None) flies free when
-      ``fl(hbase - chain)`` exceeds the largest rho0 a shell may be left out
-      at and d.u_nom on an idle shell is +-0: it evaluates the stabilizer
-      alone and returns the nominal control, ``hmin`` NaN and ``min_gamma``
-      +inf, writing neither ``phis`` nor ``rhos``.  The caller owes the row
-      its ``hmin`` and margins, and the run's minimum the tightening of the
-      state, which :func:`_fill_free` and :func:`_idle_gamma` compute.
-      Otherwise every shell is evaluated and ``rhos`` is written: the state
-      is a new base.
-    * A stage evaluation passes its own ``reach`` from the step's sample.
-      It flies free on the same test with ``chain + reach``, returning
-      ``min_gamma`` NaN where its tightenings might undercut ``floor`` (the
-      caller owes the run's minimum the state's tightening, which
-      :func:`_fill_free` computes) and +inf where they cannot.  Otherwise it
-      leaves out each obstacle whose shell cannot change its control, the
-      sign of its ``hmin``, or ``floor`` and the sign count; such an
-      obstacle's ``phis`` entry is left as it was and its clearance is not
-      in ``hmin``.  ``rhos`` is read, not written.
-
-    With the defaults (no base) nothing is left out.
+    An evaluation flies free when ``fl(hbase - chain [- reach])`` exceeds
+    :func:`_free_above` and d.u_nom on an idle shell is +-0: it evaluates
+    the stabilizer alone and returns the nominal control and ``hmin`` NaN,
+    writing no ``phis``.  A sample returns ``min_gamma`` +inf: the caller
+    owes its row the ``hmin`` and margins, and the run's minimum its
+    tightening, which :func:`_fill_free` computes.  A stage returns
+    ``min_gamma`` NaN where its tightenings might undercut ``floor`` (the
+    caller owes the run's minimum the state's tightening, which
+    :func:`_fill_free` computes) and +inf where they cannot.  Every other
+    evaluation runs every shell; with the defaults (no base) nothing flies
+    free.
     """
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
@@ -293,14 +275,10 @@ def bind(model):
     interp = np.interp
     filtered = ckind == 2
     gmul = alpha_gain if gkind == 1 else 0.0
-    thresholds = _skip_above(model)
-    shells = [(i, cx, cy, r, rho0, thresholds[i])
-              for i, (cx, cy, r, rho0) in enumerate(obstacles)]
-    free_above = max(thresholds, default=inf)
-    own = [0.0] * len(obstacles)
+    shells = [(i, cx, cy, r, rho0) for i, (cx, cy, r, rho0) in enumerate(obstacles)]
+    free_above = _free_above(model)
 
-    def point(x, y, phis, rhos=own, reach=None, floor=inf, chain=0.0, hbase=-inf):
-        stage = reach is not None
+    def point(x, y, phis, reach=None, floor=inf, chain=0.0, hbase=-inf):
         bx = k_att * (x - gx)
         by = k_att * (y - gy)
         bb = bx * bx + by * by
@@ -317,18 +295,15 @@ def bind(model):
         # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a
         # live shell forms, so NaN or inf in u_nom propagates alike
         idle_du = 0.0 * unx + 0.0 * uny
-        if stage:
-            reach = chain + reach
-            out = own
-        else:
-            reach = chain
-            out = rhos
         # free flight: every shell idle and outside, and d.u_nom +-0 there
-        lo = hbase - reach
+        if reach is None:
+            lo = hbase - chain
+        else:
+            lo = hbase - (chain + reach)
         if lo > free_above and idle_du == 0.0:
             # a stage's tightenings owed to the minimum unless they cannot
             # undercut the floor (a sample's row is always owed them)
-            if stage and filtered and gmul * lo < floor:
+            if reach is not None and filtered and gmul * lo < floor:
                 return unx, uny, nan, nan
             return unx, uny, nan, inf
 
@@ -336,18 +311,11 @@ def bind(model):
         uy = uny
         hmin = inf
         ming = inf
-        for i, cx, cy, r, rho0, skip_above in shells:
-            if stage:
-                # idle and outside here, with a tightening that cannot
-                # undercut the floor
-                lo = rhos[i] - reach
-                if lo > skip_above and (not filtered or gmul * lo >= floor):
-                    continue
+        for i, cx, cy, r, rho0 in shells:
             ox = x - cx
             oy = y - cy
             dist = sqrt(ox * ox + oy * oy)
             rho = dist - r
-            out[i] = rho
             if rho < hmin:
                 hmin = rho
             if rho <= 0.0:
@@ -420,7 +388,9 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     of the stage table ``stages``: the stage slopes weighted by ``w`` (the
     first by 1) and summed, times ``dt / (1 + sum of w)``.  The rollout stops
     without recording when the current state -- or any stage state -- has
-    nonpositive clearance, because the controller is undefined there.
+    nonpositive clearance, because the controller is undefined there, or when
+    the control at the current state is not finite (say, |F_att|^2
+    overflows), because every later state would be NaN.
 
     Rows are collected in a flat Python list and written into ``rec`` a chunk
     of about :data:`RECORD_CHUNK_FLOATS` floats at a time, by row slices, and
@@ -430,16 +400,15 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
 
     The controller is bound once per call, by the module's :func:`bind` as
     it is at call time, and each stage offset ``c * dt`` is formed once.
-    Every evaluation gets the base -- the clearances and ``hmin`` of the last
-    sample evaluated in full -- with the chain of reaches from it and the
-    running minimum of the evaluations made in full.  A sample or stage the
-    base proves clear of every shell flies free, evaluating the stabilizer
-    alone; a stage that does not leaves out the shells it can prove idle
-    (module docstring, "Free flight", "Stage skipping").  Free rows are
-    marked and get their ``h_min`` and margins after the loop, and the free
-    evaluations' tightenings then join the minimum: the record and the
-    returned minimum and count are those of evaluating every shell
-    everywhere.
+    Every evaluation gets the base -- the ``hmin`` of the last sample
+    evaluated in full -- with the chain of reaches from it and the running
+    minimum of the evaluations made in full.  A sample or stage the base
+    proves clear of every shell flies free, evaluating the stabilizer alone;
+    every other evaluation runs every shell (module docstring, "Free
+    flight").  Free rows are marked and get their ``h_min`` and margins after
+    the loop, and the free evaluations' tightenings then join the minimum:
+    the record and the returned minimum and count are those of evaluating
+    every shell everywhere.
 
     A stationary state ends the stepping early with the same record.  When a
     step returns its own state bit for bit (signed zeros included; a stall,
@@ -455,11 +424,11 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     gx, gy, obstacles, k_att = model[:4]
     point = bind(model)
     sqrt = math.sqrt
+    isfinite = math.isfinite
     growth = REACH_GROWTH
     width = 7 + len(obstacles)
     phis = [0.0] * len(obstacles)
     scratch = [0.0] * len(obstacles)
-    rhos = [0.0] * len(obstacles)
     # (c * dt) * kx is how ``xx + c * dt * kx`` groups, so the stage states
     # keep their bits
     offsets = tuple((c * dt, w) for c, w in stages)
@@ -475,13 +444,13 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     n = 0
     status = TIMEOUT
     stall = -1
-    # the base is the last sample evaluated in full: its clearances are in
-    # rhos and its hmin in hbase; chain is the reach from it to the sample
+    # the base is the last sample evaluated in full, hbase its hmin; chain
+    # is the reach from it to the sample
     hbase = -math.inf
     chain = 0.0
     # a base at or below this clearance has no free sample after it, so
     # its chain is not kept (module docstring, "The chain and its rounding")
-    free_above = max(_skip_above(model), default=math.inf)
+    free_above = _free_above(model)
     # 1 marks a row sampled on the free path, whose h_min and margins
     # _fill_free writes once the loop is done
     free = bytearray(n_max + 1)
@@ -490,7 +459,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     staged = []
     free_gamma = math.inf
     for k in range(n_max + 1):
-        ux, uy, hmin, mg = point(xx, yy, phis, rhos, None, ming, chain, hbase)
+        ux, uy, hmin, mg = point(xx, yy, phis, None, ming, chain, hbase)
         if hmin != hmin:
             # flew free: no clearance evaluated, no tightening counted yet
             free[k] = 1
@@ -501,7 +470,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
                 ming = mg
             if mg < 0.0:
                 negcount += 1
-            if hmin <= 0.0:
+            # a free sample's control is u_nom, finite by the free test
+            if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
                 status = DOMAIN_ERROR
                 break
         ddx = xx - gx
@@ -532,7 +502,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         for h, w in offsets:
             ax = h * kx
             ay = h * ky
-            kx, ky, hk, mgk = point(xx + ax, yy + ay, scratch, rhos,
+            kx, ky, hk, mgk = point(xx + ax, yy + ay, scratch,
                                     (abs(ax) + abs(ay)) * growth + span, ming, chain, hbase)
             if hk == hk:  # not the free path
                 if mgk < ming:
@@ -570,7 +540,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     _flush(rec, row, buf, width)
     # the free evaluations' tightenings join the minimum only now, so each
     # evaluation's floor is the minimum of those made in full: never below
-    # the true running minimum, and no shell is left out that counts
+    # the true running minimum
     mg = min(free_gamma, _fill_free(rec, free, n, model, staged))
     if mg < ming:
         ming = mg

@@ -6,9 +6,10 @@ writing one trajectory CSV per controller plus ``metrics.json`` and
 [--suite NAME]`` runs the numerical property suites and reports max observed
 errors against their tolerances.
 
-Exit codes: 0 success; 1 a simulation crashed into an obstacle (run) or a
-suite failed (verify); 2 unreadable/invalid configuration or unwritable output;
-3 the scenario violates its invariants (each violation is listed).
+Exit codes: 0 success; 1 a run ended in ``domain_error`` (a state touched an
+obstacle or a control was not finite) or a suite failed (verify); 2
+unreadable/invalid configuration or unwritable output; 3 the scenario violates
+its invariants (each violation is listed).
 """
 
 from __future__ import annotations

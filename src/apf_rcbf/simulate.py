@@ -13,7 +13,8 @@ that state, the minimum clearance, the attractive potential value, and one
 constraint margin per obstacle.  A run ends by reaching the goal ball, by
 exhausting the horizon, or with ``domain_error`` the moment the state (or an
 RK4 stage state) touches an obstacle, where the repulsive terms stop being
-defined; samples up to the last valid state are kept.
+defined, or the control at a sample is not finite; samples up to the last
+valid state are kept.
 """
 
 from __future__ import annotations

@@ -318,10 +318,8 @@ def test_reference_cases_reach_every_branch():
     assert math.isnan(phis[0]) and math.isnan(phis[1])
 
 
-# An RK4 stage leaves out a shell that the step's sample found idle by more
-# than the stage's reach, when its tightening cannot undercut the running
-# minimum.  Left out or not, the stage must give the same control bits, the
-# same `hk <= 0` outcome, and the same running minimum and sign count.
+# Each RK4 stage state lies within a reach of its sample: the offset, grown
+# for rounding, plus a slack for the rounding of the clearances themselves.
 
 def _stage_reach(xx, yy, ax, ay, obstacles):
     """The reach the module docstring defines for a stage at offset
@@ -346,98 +344,13 @@ def _full_bind(model):
     """The bound controller with every shell evaluated at every state."""
     point = _BIND(model)
 
-    def full(x, y, phis, rhos=None, reach=None, floor=math.inf, chain=0.0, hbase=-math.inf):
+    def full(x, y, phis, reach=None, floor=math.inf, chain=0.0, hbase=-math.inf):
         return point(x, y, phis)
     return full
 
 
-@st.composite
-def _stage_case(draw):
-    """A model, a sample state, the slope and offset of one stage, and the
-    running minimum before the sample.  Every sigma and gamma kind, tables
-    and the unfiltered packing are drawn; the arena may sit near 1e6; the
-    slope points at an obstacle's center, anywhere, or is NaN or infinite;
-    k_att = 1e200 or a 1e308 sigma scale makes u_nom NaN or infinite.  With
-    ``edge`` set, that obstacle's rho0 is moved to within a few ulps of the
-    skip threshold ``rho - reach`` once the sample is evaluated."""
-    ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.sampled_from([0.0, 1e6]))
-    obstacles = [[ox + draw(_coords), oy + draw(_coords), draw(st.floats(0.1, 1.0)),
-                  draw(st.floats(0.05, 1.0))] for _ in range(draw(st.integers(1, 3)))]
-    j = draw(st.integers(0, len(obstacles) - 1))
-    cx, cy, r, rho0 = obstacles[j]
-    angle = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
-                           st.floats(0.0, 2.0 * math.pi)))
-    dist = draw(st.floats(r + 1e-3, r + 4.0 * rho0))
-    xx = cx + dist * math.cos(angle)
-    yy = cy + dist * math.sin(angle)
-    speed = draw(st.sampled_from([0.0, 1.0, 10.0, 60.0]))
-    slope = draw(st.sampled_from(["toward", "any", "nan", "inf"]))
-    if slope == "toward":
-        kx, ky = speed * (cx - xx) / dist, speed * (cy - yy) / dist
-    elif slope == "any":
-        kx, ky = speed * draw(st.floats(-1.0, 1.0)), speed * draw(st.floats(-1.0, 1.0))
-    else:
-        kx, ky = (math.nan, 1.0) if slope == "nan" else (-math.inf, 0.0)
-    h = draw(st.sampled_from([0.002, 0.004, 0.01, 0.02]))
-    edge = draw(st.one_of(st.none(), st.integers(-3, 3)))
-    sigma, gamma = draw(_sigma_sels), draw(_gamma_sels)
-    filtered = draw(st.sampled_from([True, True, True, False]))
-    packing = _k.pack_controller(sigma, gamma if filtered else None)
-    model = [ox + draw(_coords), oy + draw(_coords), obstacles,
-             draw(st.sampled_from([0.5, 1.0, 2.5, 1e200])),
-             draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0)), *packing]
-    prior = draw(st.sampled_from([math.inf, math.inf, 0.5, 0.0, -1.0]))
-    return model, j, (xx, yy), (kx, ky), h, edge, prior
-
-
 def _freeze(model):
     return (*model[:2], tuple(map(tuple, model[2])), *model[3:])
-
-
-def _unit_case(center, edge, prior, k_att=1.0, speed=60.0):
-    """A fixed stage case for the unit pair: one obstacle of radius 0.5 at
-    ``center``, approached head on from 3 to its right."""
-    model = [center[0] + 9.0, center[1], [[*center, 0.5, 0.4]], k_att, 1.0, 1.0,
-             *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)]
-    return model, 0, (center[0] + 3.0, center[1]), (-speed, 0.0), 0.01, edge, prior
-
-
-@settings(max_examples=500, deadline=None)
-@given(_stage_case())
-# an idle shell whose alpha * rho is the running minimum
-@example(_unit_case((0.0, 0.0), None, math.inf))
-# at 1e6, where the stage state rounds 4.7e-11 nearer the obstacle than the
-# offset, with rho0 one ulp either side of the skip threshold
-@example(_unit_case((1e6, 0.0), -1, 0.0, speed=30.0))
-@example(_unit_case((1e6, 0.0), 1, 0.0, speed=30.0))
-# |F_att|^2 overflows, so u_nom is NaN at the stage and every Gamma is NaN
-@example(_unit_case((0.0, 0.0), None, 0.0, k_att=1e200))
-def test_stage_that_skips_shells_matches_the_full_evaluation(case):
-    model, j, (xx, yy), (kx, ky), h, edge, prior = case
-    m = len(model[2])
-    ax, ay = h * kx, h * ky
-    reach = _stage_reach(xx, yy, ax, ay, model[2])
-    rhos = [0.0] * m
-    *_, hmin, mg = _k.bind(_freeze(model))(xx, yy, [0.0] * m, rhos)
-    if edge is not None and rhos[j] - reach > 0.0:
-        rho0 = rhos[j] - reach
-        for _ in range(abs(edge)):
-            rho0 = math.nextafter(rho0, math.copysign(math.inf, edge))
-        model[2][j][3] = rho0
-    point = _k.bind(_freeze(model))
-    *_, hmin, mg = point(xx, yy, [0.0] * m, rhos)
-    if not hmin > 0.0:
-        return  # no stage follows a sample where the controller is undefined
-    floor = _lowered(prior, mg)
-    stage_rhos = [0.0] * m
-    full = point(xx + ax, yy + ay, [0.0] * m, stage_rhos)
-    # the reach bounds every clearance the stage computes from below
-    assert not any(rt < rs - reach for rt, rs in zip(stage_rhos, rhos))
-    skip = point(xx + ax, yy + ay, [0.0] * m, rhos, reach, floor)
-    assert _bits(skip[:2]) == _bits(full[:2])
-    assert (skip[2] <= 0.0) == (full[2] <= 0.0)
-    assert _bits([_lowered(floor, skip[3])]) == _bits([_lowered(floor, full[3])])
-    assert (skip[3] < 0.0) == (full[3] < 0.0)
 
 
 def test_stage_skips_nothing_where_a_clearance_may_overflow():
@@ -448,9 +361,8 @@ def test_stage_skips_nothing_where_a_clearance_may_overflow():
     sigma = SigmaSelector.custom([0.0, 1.0], [0.0, 2.0 ** 517])
     model = (0.0, 0.0, ((0.0, 0.0, 0.5, 0.4),), 2.0 ** -515, 1.0, 1.0,
              *_k.pack_controller(sigma, None))
-    rhos = [0.0]
-    ux, _, hmin, _ = _k.bind(model)(2.0 ** 515, 0.0, [0.0], rhos)
-    assert (ux, rhos, hmin) == (-2.0 ** 517, [math.inf], math.inf)
+    ux, _, hmin, _ = _k.bind(model)(2.0 ** 515, 0.0, [0.0])
+    assert (ux, hmin) == (-2.0 ** 517, math.inf)
     rec = np.full((2, 8), -1.0)
     out = _k._integrate(2.0 ** 515, 0.0, model, 0.5, 1, 0.05, _k.RK4_STAGES, rec)
     assert out[:2] == (1, _k.DOMAIN_ERROR)
@@ -462,17 +374,17 @@ _UNSET = -1234.5
 def _spied_rollout(model, x0, dt, n_max, chains=None, stages=_k.RK4_STAGES):
     """An ``_integrate`` run (RK4 unless ``stages`` is given) that logs every
     evaluation as ``(state and, for a stage, its reach and floor, result,
-    number of shells left out)``; a left-out shell leaves its ``phis`` entry
-    unset.  ``chains``, if given, receives every evaluation's ``(chain,
-    hbase)``.  Returns the run's output, record and log."""
+    number of phis entries left unwritten)``.  ``chains``, if given,
+    receives every evaluation's ``(chain, hbase)``.  Returns the run's
+    output, record and log."""
     log = []
 
     def spy_bind(model):
         point = _BIND(model)
 
-        def spy(x, y, phis, rhos, reach, floor, chain, hbase):
+        def spy(x, y, phis, reach, floor, chain, hbase):
             phis[:] = [_UNSET] * len(phis)
-            out = point(x, y, phis, rhos, reach, floor, chain, hbase)
+            out = point(x, y, phis, reach, floor, chain, hbase)
             stage_args = () if reach is None else (reach, floor)
             log.append(((x, y, *stage_args), out, phis.count(_UNSET)))
             if chains is not None:
@@ -504,20 +416,19 @@ def _overlap():
 def test_rollout_passes_each_stage_its_reach_and_skips_nothing_that_counts(
         where, spec, dt, arena):
     """Every stage gets the documented reach from its sample and the running
-    minimum, some shells are left out, and the run equals one that evaluates
-    every shell at every stage, record and return alike."""
+    minimum, every evaluation that does not fly free runs every shell, and
+    the run equals one that evaluates every shell at every stage, record and
+    return alike."""
     scenario, x0 = (arena, (-2.0, 0.0)) if where == "fig2" else (_overlap(), (0.0, 0.1))
     model = _k.pack_model(scenario, spec.packing())
     n_max = 400
     out, rec, log = _spied_rollout(model, x0, dt, n_max)
-    ming, stage, skipped = math.inf, None, 0
+    ming, stage, free = math.inf, None, 0
     for (x, y, *stage_args), (ux, uy, hmin, mg), unset in log:
-        if not stage_args and math.isnan(hmin):
-            # a sample on the free path: _fill_free writes its row, which
-            # the comparison with the full run below checks
-            xx, yy, kx, ky, stage = x, y, ux, uy, 0
-        elif not stage_args:  # a sample
-            assert unset == 0
+        # a free evaluation writes no margin (_fill_free writes a free
+        # sample's row, which the comparison with the full run below checks)
+        assert unset == (len(model[2]) if math.isnan(hmin) else 0)
+        if not stage_args:  # a sample
             xx, yy, kx, ky, stage = x, y, ux, uy, 0
         else:
             reach, floor = stage_args
@@ -525,10 +436,10 @@ def test_rollout_passes_each_stage_its_reach_and_skips_nothing_that_counts(
             assert (x, y) == (xx + h * kx, yy + h * ky)
             assert reach == _stage_reach(xx, yy, h * kx, h * ky, model[2])
             assert floor == ming
-            skipped += unset
+            free += math.isnan(hmin)
             kx, ky, stage = ux, uy, stage + 1
         ming = _lowered(ming, mg)
-    assert skipped > 0
+    assert free > 0
     full = np.full_like(rec, -1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_k, "bind", _full_bind)
@@ -611,13 +522,22 @@ def _chain(xx, yy, hops, obstacles):
     return xx, yy, chain
 
 
+def _clearances(x, y, model):
+    """Every obstacle's clearance at ``(x, y)``, as the kernel computes it."""
+    if not model[2]:
+        return []
+    return _k._idle_clearances(np.array([x]), np.array([y]), model[2])[:, 0].tolist()
+
+
 def _check_free(model, x, y, out, stage, rhos=None, total=None):
     """Checks a free evaluation ``out`` at ``(x, y)`` against the full one;
-    with ``rhos``, also that every clearance there is at least the base's
-    minus the reach ``total``."""
+    with the base's clearances ``rhos``, also that every clearance there is
+    at least the base's minus the reach ``total``."""
     m = len(model[2])
-    phis, full_rhos = [0.0] * m, [0.0] * m
-    full = _BIND(model)(x, y, phis, full_rhos)
+    phis = [0.0] * m
+    full = _BIND(model)(x, y, phis)
+    full_rhos = _clearances(x, y, model)
+    assert _bits([min(full_rhos)]) == _bits([full[2]])
     assert all(rho > rho0 for rho, (*_, rho0) in zip(full_rhos, model[2]))
     assert _bits(out[:2]) == _bits(full[:2])
     assert full[3] >= 0.0
@@ -667,14 +587,14 @@ def _free_eval(model, base, hops, stage, floor):
     clearances and the total reach."""
     m = len(model[2])
     point = _k.bind(model)
-    rhos = [0.0] * m
-    *_, hbase, _ = point(*base, [0.0] * m, rhos)
+    *_, hbase, _ = point(*base, [0.0] * m)
+    rhos = _clearances(*base, model)
     xx, yy, chain = _chain(*base, hops, model[2])
     if stage is None:
-        return (xx, yy), point(xx, yy, [0.0] * m, rhos, None, floor, chain, hbase), rhos, chain
+        return (xx, yy), point(xx, yy, [0.0] * m, None, floor, chain, hbase), rhos, chain
     reach = _stage_reach(xx, yy, *stage, model[2])
     state = (xx + stage[0], yy + stage[1])
-    return state, point(*state, [0.0] * m, rhos, reach, floor, chain, hbase), rhos, chain + reach
+    return state, point(*state, [0.0] * m, reach, floor, chain, hbase), rhos, chain + reach
 
 
 def _unit_free_case(center, edge, k_att=1.0, hops=((-0.05, 0.0),) * 3, stage=None):
@@ -697,7 +617,7 @@ def _unit_free_case(center, edge, k_att=1.0, hops=((-0.05, 0.0),) * 3, stage=Non
 def test_free_path_matches_the_full_evaluation(case):
     model, base, hops, stage, edge, floor = case
     m = len(model[2])
-    *_, hbase, _ = _k.bind(_freeze(model))(*base, [0.0] * m, [0.0] * m)
+    *_, hbase, _ = _k.bind(_freeze(model))(*base, [0.0] * m)
     if not hbase > 0.0:
         return  # no step follows a sample where the controller is undefined
     if edge is not None:
@@ -719,7 +639,9 @@ def test_free_path_matches_the_full_evaluation(case):
 
 def test_free_path_needs_finite_u_nom_and_no_table():
     """Clear of every shell by far: the unit pair goes free; a NaN u_nom,
-    a Gamma table, a rho0 of 0 and an arena without obstacles do not."""
+    a Gamma table, the scaled-special tightening with a negative alpha_gain
+    (whose tightening alpha_gain * rho the clearance does not bound below), a
+    rho0 of 0 and an arena without obstacles do not."""
     def free(model):
         (x, y), out, *_ = _free_eval(_freeze(model), (2.0, 0.0), [(0.01, 0.0)], None, 0.0)
         return math.isnan(out[2])
@@ -729,6 +651,7 @@ def test_free_path_needs_finite_u_nom_and_no_table():
     assert not free(_unit_free_case((0.0, 0.0), None, k_att=1e200)[0])
     table = model[:6] + list(_k.pack_controller(UNIT_SIGMA, GAMMAS[2]))
     assert not free(table)
+    assert not free([*model[:5], -1.0, *model[6:]])
     assert not free([*model[:2], [[0.0, 0.0, 0.5, 0.0]], *model[3:]])
     assert not free([*model[:2], [], *model[3:]])
 
@@ -755,7 +678,7 @@ def test_rollout_passes_each_evaluation_its_chain(where, spec, dt, integ, arena)
     stages = ((), _k.RK4_STAGES)[integ]
     chains = []
     out, rec, log = _spied_rollout(model, x0, dt, 600, chains, stages)
-    free_above = max(_k._skip_above(model))
+    free_above = _k._free_above(model)
     step = dt / (1.0 + sum(w for _, w in stages))
     chain, hbase, free = 0.0, -math.inf, 0
     for ((x, y, *stage_args), (ux, uy, hmin, _), _), passed in zip(log, chains):
@@ -788,7 +711,7 @@ def _check_free_rollout(model, x0, dt, n_max, stages):
 
         def spy(x, y, phis, *rest):
             out = point(x, y, phis, *rest)
-            log.append((x, y, rest[1] is not None, out))
+            log.append((x, y, rest[0] is not None, out))
             return out
         return spy
 

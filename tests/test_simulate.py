@@ -262,6 +262,27 @@ def test_rk4_stage_domain_checks(single):
     assert np.all(tr.h_min > 0)
 
 
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+def test_non_finite_control_ends_the_run_with_a_domain_error(integrator):
+    """A control that is not finite would make every later state NaN, so the
+    run stops at that sample, unrecorded, as at a nonpositive clearance.
+    k_att = 1e200 overflows |F_att|^2 at the start, so u_nom is NaN there.  A
+    scaled-value sigma of 1e308 gives a finite but huge first control whose
+    step lands about 1e306 from the goal, where sigma overflows."""
+    from apf_rcbf import SimConfig
+    cfg = SimConfig(dt=0.01, t_max=0.05, integrator=integrator)
+    obstacles = (Obstacle([2.0, 1.5], 0.5, 0.4),)
+    tr = simulate(Scenario(goal=[4.0, 0.0], obstacles=obstacles, k_att=1e200),
+                  ControllerSpec("apf"), cfg, (0.0, 0.0))
+    assert (tr.terminal, tr.n_samples) == ("domain_error", 0)
+    assert metrics(tr).min_clearance == math.inf
+    spec = ControllerSpec("generalized", sigma_sel=SigmaSelector.scaled_value(1e308),
+                          gamma_sel=GammaSelector.zero())
+    tr = simulate(Scenario(goal=[4.0, 0.0], obstacles=obstacles), spec, cfg, (2.5, 0.0))
+    assert (tr.terminal, tr.n_samples) == ("domain_error", 1)
+    assert np.all(np.isfinite(tr.u)) and metrics(tr).min_clearance == tr.h_min[0]
+
+
 def test_filtered_run_warns_on_negative_tightening(caplog):
     """A tiny scaled-special coefficient drives the tightening negative on the
     approach — and is too weak to keep the discrete rollout out of the
