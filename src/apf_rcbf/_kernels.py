@@ -43,13 +43,17 @@ squared repulsive gradient stays finite at every positive clearance, and the
 lam bound keeps lam times it finite too.)
 
 Per-state cost: :func:`bind` unpacks a model once per rollout, grid or
-single-state call and returns the controller as one closure.  Most obstacles
-of a state lie beyond their influence shell, where d = F_rep = (0, 0).  Every
-shell the closure evaluates runs one margin block on |d|^2 and d.u_nom.  An
-idle shell does not form d: it takes |d|^2 = 0 and a d.u_nom formed once per
-state from the operands a live shell would use, in the same order, so its
-margins keep their bits, NaN propagation included.  The correction needs
-|d|^2 > 0 and so skips it.
+single-state call and returns the controller as one closure, which
+evaluates every shell.  Most obstacles of a state lie beyond their influence
+shell, where d = F_rep = (0, 0).  Every shell runs one margin block on
+|d|^2 and d.u_nom.  An idle shell does not form d: it takes |d|^2 = 0 and a
+d.u_nom formed once per state from the operands a live shell would use, in
+the same order, so its margins keep their bits, NaN propagation included.
+The correction needs |d|^2 > 0 and so skips it.  In a rollout, a sample or
+stage that flies free (below) makes no call at all: :func:`_integrate`
+forms its stabilizer inline, about 0.3 microseconds against 0.5 for the
+call, so a free fig2 RK4 step, record included, costs about 3.4
+microseconds rather than 4.3 (2-vCPU VM, best of repeated runs).
 
 Bases and reaches: :func:`_integrate` keeps a *base*, the last sample it
 evaluated in full, with the smallest clearance h there, and a *chain*, the
@@ -61,21 +65,24 @@ obstacle's clearance rho at the base, and so at least fl(h - delta), as h is
 the smallest rho and rounding is monotone ("The reach and its slack", "The
 chain and its rounding").
 
-Free flight: a sample or stage with fl(h - delta) above :func:`_free_above`,
-the largest rho0 of a model whose idle tightenings are known in closed form,
-and with d.u_nom on an idle shell equal to +-0 (u_nom finite), evaluates the
-stabilizer alone.  Every shell is then idle and outside (rho0 > 0, and each
-clearance is at least fl(h - delta) > rho0), so the control is u_nom and the
-clearance positive, and what the margin block would have given is known in
-closed form: margins glam * 0 (gamma kind 1) or -(alpha_gain * rho) + d.u_nom
-(kind 0 and the unfiltered stabilizer), and tightenings glam * 0 + alpha_gain
-* rho (kind 1 with alpha_gain >= 0), 0 (kind 0) or none (unfiltered), none of
-them negative, so the count of negative evaluations stands.  A Gamma table,
-a shell without a positive rho0, kind 1 with a negative alpha_gain and an
-arena without obstacles never fly free.  Every other evaluation runs every
-shell.  :func:`_integrate` marks each free sample's row in a bytearray and,
-after the loop, :func:`_fill_free` writes its h_min and margins
-array-at-a-time with those expressions, in the kernel's order.  The
+Free flight: :func:`_integrate` owns the rule, and :func:`_free_above` its
+one threshold, the largest rho0 of a model whose idle tightenings are known
+in closed form.  A sample or stage with fl(h - delta) above it forms u_nom
+inline, with the closure's expressions in the closure's order (b = F_att,
+|b|^2, sigma / |b|^2 taken as 1 for the grad-norm-squared sigma, u_nom), and
+flies free if d.u_nom on an idle shell is +-0 (u_nom finite); any other
+evaluation calls the closure.  Every shell is then idle and outside (rho0 >
+0, and each clearance is at least fl(h - delta) > rho0), so the control is
+u_nom and the clearance positive, and what the margin block would have
+given is known in closed form: margins glam * 0 (gamma kind 1) or
+-(alpha_gain * rho) + d.u_nom (kind 0 and the unfiltered stabilizer), and
+tightenings glam * 0 + alpha_gain * rho (kind 1 with alpha_gain >= 0), 0
+(kind 0) or none (unfiltered), none of them negative, so the count of
+negative evaluations stands.  A Gamma table, a shell without a positive
+rho0, kind 1 with a negative alpha_gain and an arena without obstacles
+never fly free.  :func:`_integrate` marks each free sample's row in a
+bytearray and, after the loop, :func:`_fill_free` writes its h_min and
+margins array-at-a-time with those expressions, in the kernel's order.  The
 tightening of a free evaluation is smallest where its clearance is, so the
 free rows' smallest value joins the run's minimum after the loop, with that
 of the free stages whose tightening, bounded below by alpha_gain * fl(h -
@@ -110,10 +117,10 @@ a product lose at most 4u of the exact D_k + |a_k|_1 + span_k, and the factor
 1 + 2**-40 more than restores it, so D_(k+1) exceeds that exact sum by at
 least 2**-42 of itself.  That surplus also covers rounding fl(D_k + delta)
 for a stage (its own reach covers the rest), and the base's span term covers
-rounding fl(h - delta).  The chain is kept only while h exceeds
-:func:`_free_above`: otherwise no later sample flies free before one is
-evaluated in full and becomes the base, and the stages off a base take D =
-0.
+rounding fl(h - delta).  The chain, and a stage's reach, are formed only
+while h exceeds :func:`_free_above`: otherwise fl(h - delta) <= h cannot
+exceed it, so nothing flies free before a sample is evaluated in full and
+becomes the base.
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
@@ -237,35 +244,18 @@ def _free_above(model):
 
 def bind(model):
     """The controller of ``model``, unpacked once: returns ``point(x, y,
-    phis[, reach, floor[, chain, hbase]]) -> (ux, uy, hmin, min_gamma)``.
+    phis) -> (ux, uy, hmin, min_gamma)``.
 
-    ``point`` evaluates the controller at one state.  It fills ``phis`` (a
-    list or array with one constraint margin per obstacle; NaN for obstacles
-    the state is inside of) and returns the control, the smallest clearance
-    and ``min_gamma``, the smallest tightening value evaluated at this state
-    (+inf if there was none, and always for the unfiltered stabilizer).
-    Callers must treat the control as undefined when ``hmin <= 0``.
-
-    The optional arguments describe a *base*, the last sample evaluated in
-    full, whose ``hmin`` a caller passes as ``hbase``; ``chain`` is the reach
-    from the base to the step's sample (0 at the base itself), ``reach`` a
-    stage state's own reach from that sample (None for a sample) and
-    ``floor`` a running minimum of the tightening at or above the true one.
-    Every reach is large enough that each clearance computed at the
-    evaluated state is at least ``hbase`` minus the reach, as rounded
-    (module docstring, "Bases and reaches").
-
-    An evaluation flies free when ``fl(hbase - chain [- reach])`` exceeds
-    :func:`_free_above` and d.u_nom on an idle shell is +-0: it evaluates
-    the stabilizer alone and returns the nominal control and ``hmin`` NaN,
-    writing no ``phis``.  A sample returns ``min_gamma`` +inf: the caller
-    owes its row the ``hmin`` and margins, and the run's minimum its
-    tightening, which :func:`_fill_free` computes.  A stage returns
-    ``min_gamma`` NaN where its tightenings might undercut ``floor`` (the
-    caller owes the run's minimum the state's tightening, which
-    :func:`_fill_free` computes) and +inf where they cannot.  Every other
-    evaluation runs every shell; with the defaults (no base) nothing flies
-    free.
+    ``point`` evaluates the controller at one state, every shell included.
+    It fills ``phis`` (a list or array with one constraint margin per
+    obstacle; NaN for obstacles the state is inside of) and returns the
+    control, the smallest clearance and ``min_gamma``, the smallest
+    tightening value evaluated at this state (+inf if there was none, and
+    always for the unfiltered stabilizer).  Callers must treat the control
+    as undefined when ``hmin <= 0``.  :func:`control`, :func:`_eval_controls`
+    and :func:`_integrate`'s full evaluations call it alike; the rollout's
+    free evaluations form the stabilizer without it (module docstring, "Free
+    flight").
     """
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
@@ -274,20 +264,17 @@ def bind(model):
     nan = math.nan
     interp = np.interp
     filtered = ckind == 2
-    gmul = alpha_gain if gkind == 1 else 0.0
     shells = [(i, cx, cy, r, rho0) for i, (cx, cy, r, rho0) in enumerate(obstacles)]
-    free_above = _free_above(model)
 
-    def point(x, y, phis, reach=None, floor=inf, chain=0.0, hbase=-inf):
+    def point(x, y, phis):
         bx = k_att * (x - gx)
         by = k_att * (y - gy)
         bb = bx * bx + by * by
-        if skind == 0:
-            sig = bb  # _sigma_value's grad-norm-squared expression
-        else:
-            sig = _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty)
         if bb > 0.0:
-            gatt = -(sig / bb)
+            # sigma / bb: bb / bb is 1 for the grad-norm-squared sigma, also
+            # where bb overflows, so u_nom is -b there
+            gatt = -1.0 if skind == 0 else -(
+                _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty) / bb)
         else:
             gatt = 0.0
         unx = gatt * bx
@@ -295,18 +282,6 @@ def bind(model):
         # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a
         # live shell forms, so NaN or inf in u_nom propagates alike
         idle_du = 0.0 * unx + 0.0 * uny
-        # free flight: every shell idle and outside, and d.u_nom +-0 there
-        if reach is None:
-            lo = hbase - chain
-        else:
-            lo = hbase - (chain + reach)
-        if lo > free_above and idle_du == 0.0:
-            # a stage's tightenings owed to the minimum unless they cannot
-            # undercut the floor (a sample's row is always owed them)
-            if reach is not None and filtered and gmul * lo < floor:
-                return unx, uny, nan, nan
-            return unx, uny, nan, inf
-
         ux = unx
         uy = uny
         hmin = inf
@@ -400,15 +375,16 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
 
     The controller is bound once per call, by the module's :func:`bind` as
     it is at call time, and each stage offset ``c * dt`` is formed once.
-    Every evaluation gets the base -- the ``hmin`` of the last sample
-    evaluated in full -- with the chain of reaches from it and the running
-    minimum of the evaluations made in full.  A sample or stage the base
-    proves clear of every shell flies free, evaluating the stabilizer alone;
-    every other evaluation runs every shell (module docstring, "Free
-    flight").  Free rows are marked and get their ``h_min`` and margins after
-    the loop, and the free evaluations' tightenings then join the minimum:
-    the record and the returned minimum and count are those of evaluating
-    every shell everywhere.
+    The free-flight rule lives here alone (module docstring, "Free
+    flight"): a sample or stage whose base -- the last sample evaluated in
+    full -- proves it clear of every shell, by its ``hmin`` less the chained
+    reach, forms u_nom inline and flies free without calling the closure;
+    every other evaluation calls it, and the closure runs every shell.  The
+    threshold is read from :func:`_free_above` at call time.  Free rows are
+    marked and get their ``h_min`` and margins after the loop, and the free
+    evaluations' tightenings then join the minimum: the record and the
+    returned minimum and count are those of evaluating every shell
+    everywhere.
 
     A stationary state ends the stepping early with the same record.  When a
     step returns its own state bit for bit (signed zeros included; a stall,
@@ -421,10 +397,14 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
 
     Returns ``(n_samples, status, min_gamma, n_negative_gamma_evals)``.
     """
-    gx, gy, obstacles, k_att = model[:4]
+    (gx, gy, obstacles, k_att, _, alpha_gain,
+     ckind, skind, scoef, stx, sty, gkind) = model[:12]
     point = bind(model)
+    sigma = _sigma_value
     sqrt = math.sqrt
     isfinite = math.isfinite
+    inf = math.inf
+    nan = math.nan
     growth = REACH_GROWTH
     width = 7 + len(obstacles)
     phis = [0.0] * len(obstacles)
@@ -437,7 +417,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     buf = []
     row = 0
     step = dt / (1.0 + sum(w for _, w in stages))
-    ming = math.inf
+    ming = inf
     negcount = 0
     xx = x0x
     yy = x0y
@@ -446,24 +426,46 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     stall = -1
     # the base is the last sample evaluated in full, hbase its hmin; chain
     # is the reach from it to the sample
-    hbase = -math.inf
+    hbase = -inf
     chain = 0.0
-    # a base at or below this clearance has no free sample after it, so
-    # its chain is not kept (module docstring, "The chain and its rounding")
+    # a base at or below this clearance has no free evaluation after it, so
+    # its chain and its stages' reaches are not formed (module docstring,
+    # "The chain and its rounding")
     free_above = _free_above(model)
+    # a free stage owes the run's minimum its tightenings where their lower
+    # bound gmul * fl(h - delta) might undercut the floor
+    owes = ckind == 2
+    gmul = alpha_gain if gkind == 1 else 0.0
     # 1 marks a row sampled on the free path, whose h_min and margins
     # _fill_free writes once the loop is done
     free = bytearray(n_max + 1)
     # the free stage states owed to the minimum, x then y, reduced into
     # free_gamma a chunk at a time
     staged = []
-    free_gamma = math.inf
+    free_gamma = inf
     for k in range(n_max + 1):
-        ux, uy, hmin, mg = point(xx, yy, phis, None, ming, chain, hbase)
-        if hmin != hmin:
-            # flew free: no clearance evaluated, no tightening counted yet
+        # free flight: u_nom as bind's closure forms it, and the sample flies
+        # free if d.u_nom on an idle shell is +-0 (u_nom finite)
+        flies = False
+        if hbase - chain > free_above:
+            bx = k_att * (xx - gx)
+            by = k_att * (yy - gy)
+            bb = bx * bx + by * by
+            if bb > 0.0:
+                gatt = -1.0 if skind == 0 else -(
+                    sigma(xx, yy, gx, gy, k_att, skind, scoef, stx, sty) / bb)
+            else:
+                gatt = 0.0
+            ux = gatt * bx
+            uy = gatt * by
+            flies = 0.0 * ux + 0.0 * uy == 0.0
+        if flies:
+            # no clearance evaluated, no tightening counted yet
             free[k] = 1
+            hmin = nan
+            mg = inf
         else:
+            ux, uy, hmin, mg = point(xx, yy, phis)
             hbase = hmin
             chain = 0.0
             if mg < ming:
@@ -492,9 +494,9 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             status = TIMEOUT
             break
         neg_before_stages = negcount
-        if offsets or hbase > free_above:
+        if hbase > free_above:
             span = abs(xx) + abs(yy) + corner
-            span = span * REACH_SLACK if span < REACH_SPAN_LIMIT else math.inf
+            span = span * REACH_SLACK if span < REACH_SPAN_LIMIT else inf
         # sx, sy accumulate the weighted stage slopes left to right
         # (k1 + 2 k2 + 2 k3 + k4 for RK4)
         kx = sx = ux
@@ -502,9 +504,29 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         for h, w in offsets:
             ax = h * kx
             ay = h * ky
-            kx, ky, hk, mgk = point(xx + ax, yy + ay, scratch,
-                                    (abs(ax) + abs(ay)) * growth + span, ming, chain, hbase)
-            if hk == hk:  # not the free path
+            px = xx + ax
+            py = yy + ay
+            # free flight as at a sample, with the stage's own reach
+            flies = False
+            if hbase > free_above:
+                lo = hbase - (chain + ((abs(ax) + abs(ay)) * growth + span))
+                if lo > free_above:
+                    bx = k_att * (px - gx)
+                    by = k_att * (py - gy)
+                    bb = bx * bx + by * by
+                    if bb > 0.0:
+                        gatt = -1.0 if skind == 0 else -(
+                            sigma(px, py, gx, gy, k_att, skind, scoef, stx, sty) / bb)
+                    else:
+                        gatt = 0.0
+                    kx = gatt * bx
+                    ky = gatt * by
+                    flies = 0.0 * kx + 0.0 * ky == 0.0
+            if flies:
+                if owes and gmul * lo < ming:
+                    staged += (px, py)
+            else:
+                kx, ky, hk, mgk = point(px, py, scratch)
                 if mgk < ming:
                     ming = mgk
                 if mgk < 0.0:
@@ -513,8 +535,6 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
                     # a stage state touched an obstacle
                     status = DOMAIN_ERROR
                     break
-            elif mgk != mgk:
-                staged += (xx + ax, yy + ay)
             sx = sx + w * kx
             sy = sy + w * ky
         if status == DOMAIN_ERROR:

@@ -7,6 +7,7 @@ would slow every rollout silently.  These checks catch that by type, without
 timing anything.
 """
 
+import collections
 import itertools
 import math
 import struct
@@ -83,9 +84,16 @@ def test_control_point_exercises_every_branch():
     assert hmin < 0.0 and math.isnan(phis[0])
 
 
+def _fly_nothing_free(mp):
+    """Makes ``_integrate`` fly nothing free (it reads ``_free_above`` at
+    call time), so every evaluation calls the bound closure."""
+    mp.setattr(_k, "_free_above", lambda model: math.inf)
+
+
 def test_rollout_states_stay_floats(monkeypatch):
     """numpy-typed start, step and tolerance are unboxed before the loop, so
-    every state the rollout evaluates is a Python float."""
+    every state the rollout evaluates is a Python float (nothing flies free,
+    so the spy sees every state)."""
     seen = set()
     bind = _k.bind
 
@@ -98,6 +106,7 @@ def test_rollout_states_stay_floats(monkeypatch):
         return spy
 
     monkeypatch.setattr(_k, "bind", spy_bind)
+    _fly_nothing_free(monkeypatch)
     cfg = SimConfig(dt=np.float64(0.01), t_max=0.5, goal_tolerance=np.float64(0.05))
     tr = simulate(SCENARIO, ControllerSpec("apf"), cfg, np.array([1.0, 0.2]))
     assert tr.n_samples == 51 and tr.h_min.min() < 0.4  # crossed a live shell
@@ -106,7 +115,8 @@ def test_rollout_states_stay_floats(monkeypatch):
 
 # A state that repeats itself under a step is a stall: the rest of the run is
 # filled in without stepping.  These stubs stand in for the controller so the
-# fill and its bookkeeping can be checked against exact counts.
+# fill and its bookkeeping can be checked against exact counts; nothing flies
+# free, so every evaluation calls them.
 
 def _rollout(model, n_max, integ, x0, dt=0.01):
     """Runs ``_integrate`` (``integ`` 0 = Euler, 1 = RK4) into a fresh record;
@@ -132,6 +142,7 @@ def test_signed_zero_step_is_not_stationary(monkeypatch):
         return 1.0, 0.0, 1.0, math.inf
 
     monkeypatch.setattr(_k, "bind", lambda model: stub)
+    _fly_nothing_free(monkeypatch)
     (n, status, _, _), (ts, xs, ys, uxs, uys, _, _), _ = _rollout(FAR_GOAL, 5, 0, (0.0, -0.0))
     assert (n, status) == (6, _k.TIMEOUT)
     assert math.copysign(1.0, ys[0]) < 0.0 and math.copysign(1.0, ys[1]) > 0.0
@@ -152,6 +163,7 @@ def test_stationary_fill_counts_every_skipped_evaluation(monkeypatch, integ, exp
         return 0.0, 0.0, 2.0, -3.0
 
     monkeypatch.setattr(_k, "bind", lambda model: stub)
+    _fly_nothing_free(monkeypatch)
     out, (ts, xs, ys, uxs, uys, hs, vs), phis = _rollout(FAR_GOAL, 40, integ, (1.0, 2.0))
     assert out == (41, _k.TIMEOUT, -3.0, expected)
     assert len(calls) == (1 if integ == 0 else 4)  # only the first step is taken
@@ -163,7 +175,8 @@ def test_stationary_fill_counts_every_skipped_evaluation(monkeypatch, integ, exp
 
 def test_stalled_rollout_stops_evaluating(monkeypatch):
     """The overlap apf run stands still from step 199 on; after that step
-    the remaining 9,801 samples of its 10,001 cost no evaluation."""
+    the remaining 9,801 samples of its 10,001 cost no evaluation (nothing
+    flies free, so the spy counts every evaluation)."""
     count = 0
     bind = _k.bind
 
@@ -177,6 +190,7 @@ def test_stalled_rollout_stops_evaluating(monkeypatch):
         return spy
 
     monkeypatch.setattr(_k, "bind", spy_bind)
+    _fly_nothing_free(monkeypatch)
     overlap = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
                                                    Obstacle([2.0, -0.6], 0.5, 0.4)))
     cfg = SimConfig(dt=0.004, t_max=40.0, goal_tolerance=0.05, integrator="rk4")
@@ -187,8 +201,9 @@ def test_stalled_rollout_stops_evaluating(monkeypatch):
 
 # The general per-obstacle expressions: every shell forms d = F_rep, |d|^2
 # and d.u_nom, with d = (0, 0) on an idle shell, and runs one margin formula.
-# The kernel shares the idle-shell terms across obstacles and reuses |F_att|^2
-# as the grad-norm-squared sigma; its bits must stay these.
+# The kernel shares the idle-shell terms across obstacles and takes sigma /
+# |F_att|^2 as 1 for the grad-norm-squared sigma (so u_nom = -F_att, also
+# where |F_att|^2 overflows); its bits must stay these.
 
 def _reference_control_point(x, y, model, phis):
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
@@ -197,7 +212,7 @@ def _reference_control_point(x, y, model, phis):
     by = k_att * (y - gy)
     bb = bx * bx + by * by
     sig = _k._sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty)
-    gatt = -(sig / bb) if bb > 0.0 else 0.0
+    gatt = (-1.0 if skind == 0 else -(sig / bb)) if bb > 0.0 else 0.0
     unx = gatt * bx
     uny = gatt * by
     ux, uy, hmin, ming = unx, uny, math.inf, math.inf
@@ -260,7 +275,9 @@ def _model_and_state(draw):
     """Up to three obstacles and a state placed relative to one of them:
     inside it, in its shell, beyond it, or (``edge``) with the shell's rho0
     set to the state's computed clearance, so that rho == rho0 exactly.  A
-    huge attractive gain overflows |F_att|^2 and makes u_nom NaN."""
+    huge attractive gain overflows |F_att|^2: u_nom is -F_att for the
+    grad-norm-squared sigma, and NaN for a 1e308 scaled value, whose sigma
+    overflows too."""
     obstacles = [[draw(_coords), draw(_coords), draw(st.floats(0.1, 1.0)),
                   draw(st.floats(0.05, 1.0))] for _ in range(draw(st.integers(1, 3)))]
     j = draw(st.integers(0, len(obstacles) - 1))
@@ -296,7 +313,7 @@ def test_control_point_is_bitwise_the_general_expressions(case):
 def test_reference_cases_reach_every_branch():
     """Fixed cases through the paths the property test draws at random:
     rho == rho0 for every controller kind, and a NaN u_nom on an idle and a
-    live shell."""
+    live shell, where sigma and |F_att|^2 both overflow."""
     for packing in [p.values[0] for p in PACKINGS]:
         # 2.75 - 2.0 - 0.5 == 0.25 exactly: the state sits on the shell edge
         model = (4.0, 0.0, ((2.0, 0.0, 0.5, 0.25),), 1.5, 2.0, 0.5, *packing)
@@ -304,12 +321,14 @@ def test_reference_cases_reach_every_branch():
         out = _k.bind(model)(2.75, 0.0, phis)
         assert _bits(out) == _bits(_reference_control_point(2.75, 0.0, model, ref_phis))
         assert _bits(phis) == _bits(ref_phis)
-    # |F_att|^2 overflows, so u_nom is NaN; the first shell is live, the
-    # second idle, and the zero tightening's margins carry d.u_nom
+    # sigma and |F_att|^2 overflow, so u_nom is inf / inf = NaN; the first
+    # shell is live, the second idle, and the zero tightening's margins
+    # carry d.u_nom
     scenario = Scenario(goal=[4.0, 0.0], k_att=1e200,
                         obstacles=(Obstacle([2.0, 0.0], 0.5, 0.4), Obstacle([0.0, 3.0], 0.5, 0.4)))
     for gamma in GAMMAS:
-        model = _k.pack_model(scenario, _k.pack_controller(SIGMAS[0], gamma))
+        model = _k.pack_model(scenario, _k.pack_controller(SigmaSelector.scaled_value(1e308),
+                                                          gamma))
         phis, ref_phis = [0.0, 0.0], [0.0, 0.0]
         out = _k.bind(model)(1.3, 0.1, phis)
         assert math.isnan(out[0])
@@ -336,17 +355,8 @@ def _lowered(floor, mg):
     return mg if mg < floor else floor
 
 
-# the real binder, for stubs that wrap it while ``_k.bind`` is patched
+# the real binder, for spies that wrap it while ``_k.bind`` is patched
 _BIND = _k.bind
-
-
-def _full_bind(model):
-    """The bound controller with every shell evaluated at every state."""
-    point = _BIND(model)
-
-    def full(x, y, phis, reach=None, floor=math.inf, chain=0.0, hbase=-math.inf):
-        return point(x, y, phis)
-    return full
 
 
 def _freeze(model):
@@ -368,35 +378,233 @@ def test_stage_skips_nothing_where_a_clearance_may_overflow():
     assert out[:2] == (1, _k.DOMAIN_ERROR)
 
 
+# Free flight: a sample or stage whose base -- the last sample evaluated in
+# full -- is clear of every shell by more than the chained reach from it
+# evaluates the stabilizer alone, inline in ``_integrate``.  The checks
+# replay the rule as the module docstring documents it: wherever it flies
+# free, a full evaluation of the same state must find every shell idle and
+# outside, give the same control bits and a tightening of exactly the value
+# folded into the run's minimum, and a free sample's row, filled after the
+# run, must hold its bits.  The kernel must call the bound closure at
+# exactly the states the replay evaluates in full.
+
 _UNSET = -1234.5
 
+# one evaluation of a replayed run: the state, the stage index (None for a
+# sample), the base clearance less the reach (None where no reach is formed),
+# u_nom where it flies free (else None), whether a free stage owes the run's
+# minimum its tightening, the full evaluation's output, the minimum of the
+# evaluations made in full before it, the reach from the base, and the base
+_Eval = collections.namedtuple("_Eval", "state stage lo u owed full floor total base")
 
-def _spied_rollout(model, x0, dt, n_max, chains=None, stages=_k.RK4_STAGES):
-    """An ``_integrate`` run (RK4 unless ``stages`` is given) that logs every
-    evaluation as ``(state and, for a stage, its reach and floor, result,
-    number of phis entries left unwritten)``.  ``chains``, if given,
-    receives every evaluation's ``(chain, hbase)``.  Returns the run's
-    output, record and log."""
-    log = []
+
+def _nominal(model):
+    """The stabilizer of ``model`` alone: its unfiltered packing, bound."""
+    return _BIND((*model[:6], 1, *model[7:11], 0, 0.0, None, None))
+
+
+def _free_u(nominal, m, free_above, lo, x, y):
+    """The documented free test of an evaluation at ``(x, y)`` whose base
+    clearance less its reach is ``lo``: u_nom if it flies free, else None."""
+    if not lo > free_above:
+        return None
+    u = nominal(x, y, [0.0] * m)[:2]
+    return u if 0.0 * u[0] + 0.0 * u[1] == 0.0 else None
+
+
+def _replay(model, x0, dt, n_max, stages, free_above):
+    """``_integrate``'s loop (goal tolerance 0.05) with the free rule as the
+    module docstring documents it and ``free_above`` as its threshold, every
+    state also evaluated in full: one ``_Eval`` per evaluation the kernel
+    makes, in its order."""
+    m = len(model[2])
+    point, nominal = _BIND(model), _nominal(model)
+    gx, gy = model[:2]
+    owes, gmul = model[6] == 2, (model[5] if model[11] == 1 else 0.0)
+    step = dt / (1.0 + sum(w for _, w in stages))
+    evals = []
+    hbase, chain, base, ming = -math.inf, 0.0, None, math.inf
+    xx, yy = x0
+    for k in range(n_max + 1):
+        u = _free_u(nominal, m, free_above, hbase - chain, xx, yy)
+        full = point(xx, yy, [0.0] * m)
+        evals.append(_Eval((xx, yy), None, hbase - chain, u, False, full, ming, chain, base))
+        if u is None:
+            u, hbase, chain, base = full[:2], full[2], 0.0, (xx, yy)
+            ming = _lowered(ming, full[3])
+            if full[2] <= 0.0 or not (math.isfinite(u[0]) and math.isfinite(u[1])):
+                break
+        if math.sqrt((xx - gx) * (xx - gx) + (yy - gy) * (yy - gy)) < 0.05 or k == n_max:
+            break
+        kx = sx = u[0]
+        ky = sy = u[1]
+        for j, (c, w) in enumerate(stages):
+            ax, ay = c * dt * kx, c * dt * ky
+            px, py = xx + ax, yy + ay
+            lo = total = v = None
+            if hbase > free_above:
+                total = chain + _stage_reach(xx, yy, ax, ay, model[2])
+                lo = hbase - total
+                v = _free_u(nominal, m, free_above, lo, px, py)
+            full = point(px, py, [0.0] * m)
+            owed = v is not None and owes and gmul * lo < ming
+            evals.append(_Eval((px, py), j, lo, v, owed, full, ming, total, base))
+            if v is None:
+                v, ming = full[:2], _lowered(ming, full[3])
+                if full[2] <= 0.0:
+                    return evals
+            kx, ky = v
+            sx, sy = sx + w * kx, sy + w * ky
+        nx, ny = xx + step * sx, yy + step * sy
+        if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
+                and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
+            break
+        if hbase > free_above:
+            chain = (chain + abs(step * sx) + abs(step * sy)
+                     + _stage_reach(xx, yy, 0.0, 0.0, model[2])) * _k.REACH_GROWTH
+        xx, yy = nx, ny
+    return evals
+
+
+def _spied_run(model, x0, dt, n_max, stages, free_above=None):
+    """``_integrate`` (goal tolerance 0.05) with spies on the bound closure
+    and on ``_fill_free``, and ``free_above`` as its threshold if given.
+    Returns the run's output and record, the states where it called the
+    closure, and the free stage states it owed the run's minimum, x then y."""
+    calls, owed = [], []
+    fill = _k._fill_free
 
     def spy_bind(model):
         point = _BIND(model)
 
-        def spy(x, y, phis, reach, floor, chain, hbase):
+        def spy(x, y, phis):
             phis[:] = [_UNSET] * len(phis)
-            out = point(x, y, phis, reach, floor, chain, hbase)
-            stage_args = () if reach is None else (reach, floor)
-            log.append(((x, y, *stage_args), out, phis.count(_UNSET)))
-            if chains is not None:
-                chains.append((chain, hbase))
+            out = point(x, y, phis)
+            assert _UNSET not in phis  # a full evaluation writes every margin
+            calls.append((x, y))
             return out
         return spy
+
+    def spy_fill(rec, free, n, model, staged):
+        owed.extend(staged)
+        return fill(rec, free, n, model, staged)
 
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_k, "bind", spy_bind)
+        mp.setattr(_k, "_fill_free", spy_fill)
+        if free_above is not None:
+            mp.setattr(_k, "_free_above", lambda model: free_above)
         out = _k._integrate(*x0, model, dt, n_max, 0.05, stages, rec)
-    return out, rec, log
+    return out, rec, calls, owed
+
+
+def _same_decisions(model, x0, dt, n_max, stages, free_above):
+    """Runs the kernel and the replay with the threshold ``free_above``:
+    the kernel must call the closure at exactly the states the replay
+    evaluates in full, and owe the run's minimum exactly the free stages the
+    replay does.  Returns the replay, and the run's output and record."""
+    evals = _replay(model, x0, dt, n_max, stages, free_above)
+    out, rec, calls, owed = _spied_run(model, x0, dt, n_max, stages, free_above)
+    assert _bits(itertools.chain(*calls)) == _bits(
+        itertools.chain(*(e.state for e in evals if e.u is None)))
+    assert _bits(owed) == _bits(itertools.chain(*(e.state for e in evals if e.owed)))
+    return evals, out, rec
+
+
+def _full_run(model, x0, dt, n_max, stages):
+    """The same run with nothing flying free, so every evaluation runs every
+    shell: its output and record."""
+    rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        _fly_nothing_free(mp)
+        out = _k._integrate(*x0, model, dt, n_max, 0.05, stages, rec)
+    return out, rec
+
+
+def _clearances(x, y, model):
+    """Every obstacle's clearance at ``(x, y)``, as the kernel computes it."""
+    if not model[2]:
+        return []
+    return _k._idle_clearances(np.array([x]), np.array([y]), model[2])[:, 0].tolist()
+
+
+def _check_free(model, x, y, u, stage, rhos=None, total=None):
+    """Checks the control ``u`` of a free evaluation at ``(x, y)`` against
+    the full one; with the base's clearances ``rhos``, also that every
+    clearance there is at least the base's minus the reach ``total``."""
+    m = len(model[2])
+    phis = [0.0] * m
+    full = _BIND(model)(x, y, phis)
+    full_rhos = _clearances(x, y, model)
+    assert _bits([min(full_rhos)]) == _bits([full[2]])
+    assert all(rho > rho0 for rho, (*_, rho0) in zip(full_rhos, model[2]))
+    assert _bits(u) == _bits(full[:2])
+    assert full[3] >= 0.0
+    assert _bits([_k._idle_gamma(np.array([full[2]]), model)]) == _bits([full[3]])
+    if rhos is not None:
+        assert not any(rt < rs - total for rt, rs in zip(full_rhos, rhos))
+    if not stage:
+        rec = np.full((1, 7 + m), -1.0)
+        rec[0, 1:5] = x, y, u[0], u[1]
+        _k._fill_free(rec, bytearray(b"\x01"), 1, model, [])
+        assert _bits(rec[0, 7:].tolist()) == _bits(phis)
+        assert _bits([rec[0, 5]]) == _bits([full[2]])
+
+
+def _check_free_rollout(model, x0, dt, n_max, stages):
+    """Checks a run against the replay of the documented rule: every free
+    evaluation against the full one, a free stage that owes nothing against
+    the floor, the kernel's decisions against the replay's, and the whole
+    run against one that evaluates every shell at every state.  Returns the
+    replay."""
+    evals, out, rec = _same_decisions(model, x0, dt, n_max, stages, _k._free_above(model))
+    for e in evals:
+        if e.u is not None:
+            _check_free(model, *e.state, e.u, e.stage is not None,
+                        _clearances(*e.base, model), e.total)
+            if e.stage is not None and not e.owed:
+                # its tightening cannot undercut the floor
+                assert e.full[3] >= e.floor
+    full_out, full = _full_run(model, x0, dt, n_max, stages)
+    assert full_out == out
+    assert _bits(full.ravel().tolist()) == _bits(rec.ravel().tolist())
+    return evals
+
+
+def _free_counts(evals):
+    """The numbers of free samples and of free stages."""
+    free = [e.stage is not None for e in evals if e.u is not None]
+    return len(free) - sum(free), sum(free)
+
+
+def _check_threshold(model, x0, dt, stages, evals, samples):
+    """Moves the threshold onto the ``lo`` of free evaluations (samples, or
+    stages) whose ``lo`` is below that of every earlier free one and above
+    that of every earlier full one, so no earlier decision changes: one ulp
+    below it the evaluation flies free, at it not, and the kernel must
+    follow the replay both times.  This pins the kernel's base, chain and
+    reach to the documented ones to the last bit of ``lo``."""
+    free_above = _k._free_above(model)
+    lo_free, lo_full, testable = math.inf, -math.inf, []
+    for i, e in enumerate(evals):
+        if e.lo is None or e.lo != e.lo or (e.u is None and e.lo > free_above):
+            continue  # full at any threshold: no reach, or u_nom not finite
+        if e.u is None:
+            lo_full = max(lo_full, e.lo)
+            continue
+        if lo_full < e.lo < lo_free and (e.stage is None) == samples:
+            testable.append(i)
+        lo_free = min(lo_free, e.lo)
+    assert testable
+    # the first, the middle and the last of them
+    chosen = sorted({testable[0], testable[len(testable) // 2], testable[-1]})
+    for i in chosen:
+        lo = evals[i].lo
+        n_max = sum(e.stage is None for e in evals[:i + 1])
+        for threshold, flies in ((math.nextafter(lo, -math.inf), True), (lo, False)):
+            moved, *_ = _same_decisions(model, x0, dt, n_max, stages, threshold)
+            assert _bits([moved[i].lo]) == _bits([lo]) and (moved[i].u is not None) == flies
 
 
 def _overlap():
@@ -415,36 +623,16 @@ def _overlap():
 @pytest.mark.parametrize("where", ["fig2", "overlap"])
 def test_rollout_passes_each_stage_its_reach_and_skips_nothing_that_counts(
         where, spec, dt, arena):
-    """Every stage gets the documented reach from its sample and the running
-    minimum, every evaluation that does not fly free runs every shell, and
-    the run equals one that evaluates every shell at every stage, record and
-    return alike."""
+    """Every stage flies free exactly where the documented reach from its
+    sample and the running minimum say, to the last bit of its reach, every
+    evaluation that does not fly free runs every shell, and the run equals
+    one that evaluates every shell at every stage, record and return
+    alike."""
     scenario, x0 = (arena, (-2.0, 0.0)) if where == "fig2" else (_overlap(), (0.0, 0.1))
     model = _k.pack_model(scenario, spec.packing())
-    n_max = 400
-    out, rec, log = _spied_rollout(model, x0, dt, n_max)
-    ming, stage, free = math.inf, None, 0
-    for (x, y, *stage_args), (ux, uy, hmin, mg), unset in log:
-        # a free evaluation writes no margin (_fill_free writes a free
-        # sample's row, which the comparison with the full run below checks)
-        assert unset == (len(model[2]) if math.isnan(hmin) else 0)
-        if not stage_args:  # a sample
-            xx, yy, kx, ky, stage = x, y, ux, uy, 0
-        else:
-            reach, floor = stage_args
-            h = _k.RK4_STAGES[stage][0] * dt
-            assert (x, y) == (xx + h * kx, yy + h * ky)
-            assert reach == _stage_reach(xx, yy, h * kx, h * ky, model[2])
-            assert floor == ming
-            free += math.isnan(hmin)
-            kx, ky, stage = ux, uy, stage + 1
-        ming = _lowered(ming, mg)
-    assert free > 0
-    full = np.full_like(rec, -1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_k, "bind", _full_bind)
-        assert _k._integrate(*x0, model, dt, n_max, 0.05, _k.RK4_STAGES, full) == out
-    assert _bits(full.ravel().tolist()) == _bits(rec.ravel().tolist())
+    evals = _check_free_rollout(model, x0, dt, 400, _k.RK4_STAGES)
+    assert _free_counts(evals)[1] > 0
+    _check_threshold(model, x0, dt, _k.RK4_STAGES, evals, samples=False)
 
 
 def _reference_rollout(x0, model, dt, n_max, goal_tol):
@@ -504,12 +692,9 @@ def test_far_idle_table_shell_sets_the_minimum_and_is_never_skipped():
     assert _bits(rec[:out[0]].ravel().tolist()) == _bits(np.ravel(rows).tolist())
 
 
-# Free flight: a sample or stage whose base -- the last sample evaluated in
-# full -- is clear of every shell by more than the chained reach from it
-# evaluates the stabilizer alone.  Wherever it does, a full evaluation of the
-# same state must find every shell idle and outside, give the same control
-# bits and a tightening of exactly the value folded into the run's minimum,
-# and a free sample's row, filled after the run, must hold its bits.
+# The documented rule at single evaluations: a base, up to four sample hops
+# from it and maybe a stage offset after them, with the obstacles' rho0 drawn
+# or moved to within a few ulps of the threshold the reach leaves.
 
 def _chain(xx, yy, hops, obstacles):
     """The last sample ``_integrate`` reaches from the base ``(xx, yy)`` by
@@ -520,36 +705,6 @@ def _chain(xx, yy, hops, obstacles):
         chain = (chain + abs(ax) + abs(ay) + span) * _k.REACH_GROWTH
         xx, yy = xx + ax, yy + ay
     return xx, yy, chain
-
-
-def _clearances(x, y, model):
-    """Every obstacle's clearance at ``(x, y)``, as the kernel computes it."""
-    if not model[2]:
-        return []
-    return _k._idle_clearances(np.array([x]), np.array([y]), model[2])[:, 0].tolist()
-
-
-def _check_free(model, x, y, out, stage, rhos=None, total=None):
-    """Checks a free evaluation ``out`` at ``(x, y)`` against the full one;
-    with the base's clearances ``rhos``, also that every clearance there is
-    at least the base's minus the reach ``total``."""
-    m = len(model[2])
-    phis = [0.0] * m
-    full = _BIND(model)(x, y, phis)
-    full_rhos = _clearances(x, y, model)
-    assert _bits([min(full_rhos)]) == _bits([full[2]])
-    assert all(rho > rho0 for rho, (*_, rho0) in zip(full_rhos, model[2]))
-    assert _bits(out[:2]) == _bits(full[:2])
-    assert full[3] >= 0.0
-    assert _bits([_k._idle_gamma(np.array([full[2]]), model)]) == _bits([full[3]])
-    if rhos is not None:
-        assert not any(rt < rs - total for rt, rs in zip(full_rhos, rhos))
-    if not stage:
-        rec = np.full((1, 7 + m), -1.0)
-        rec[0, 1:5] = x, y, out[0], out[1]
-        _k._fill_free(rec, bytearray(b"\x01"), 1, model, [])
-        assert _bits(rec[0, 7:].tolist()) == _bits(phis)
-        assert _bits([rec[0, 5]]) == _bits([full[2]])
 
 
 @st.composite
@@ -577,32 +732,32 @@ def _free_case(draw):
              draw(st.sampled_from([0.5, 1.0, 2.5, 1e200])),
              draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0)),
              *_k.pack_controller(sigma, gamma if filtered else None)]
-    floor = draw(st.sampled_from([math.inf, 0.5, 0.0, -1.0]))
-    return model, base, hops, stage, edge, floor
+    return model, base, hops, stage, edge
 
 
-def _free_eval(model, base, hops, stage, floor):
+def _free_eval(model, base, hops, stage):
     """Evaluates the base in full, then the state ``hops`` (and ``stage``)
-    away as ``_integrate`` would; returns the state, the output, the base's
-    clearances and the total reach."""
+    away with the documented free rule; returns the state, u_nom if it flies
+    free (else None), the base's clearances and the total reach."""
     m = len(model[2])
-    point = _k.bind(model)
-    *_, hbase, _ = point(*base, [0.0] * m)
+    *_, hbase, _ = _BIND(model)(*base, [0.0] * m)
     rhos = _clearances(*base, model)
-    xx, yy, chain = _chain(*base, hops, model[2])
-    if stage is None:
-        return (xx, yy), point(xx, yy, [0.0] * m, None, floor, chain, hbase), rhos, chain
-    reach = _stage_reach(xx, yy, *stage, model[2])
-    state = (xx + stage[0], yy + stage[1])
-    return state, point(*state, [0.0] * m, reach, floor, chain, hbase), rhos, chain + reach
+    xx, yy, total = _chain(*base, hops, model[2])
+    if stage is not None:
+        total = total + _stage_reach(xx, yy, *stage, model[2])
+        xx, yy = xx + stage[0], yy + stage[1]
+    u = _free_u(_nominal(model), m, _k._free_above(model), hbase - total, xx, yy)
+    return (xx, yy), u, rhos, total
 
 
-def _unit_free_case(center, edge, k_att=1.0, hops=((-0.05, 0.0),) * 3, stage=None):
-    """A fixed free-flight case for the unit pair: one obstacle of radius 0.5
-    at ``center``, approached head on from 2 to its right."""
+def _unit_free_case(center, edge, k_att=1.0, hops=((-0.05, 0.0),) * 3, stage=None,
+                    sigma=UNIT_SIGMA):
+    """A fixed free-flight case for the unit pair (or ``sigma`` with the
+    unit tightening): one obstacle of radius 0.5 at ``center``, approached
+    head on from 2 to its right."""
     model = [center[0] + 9.0, center[1], [[*center, 0.5, 0.4]], k_att, 1.0, 1.0,
-             *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)]
-    return model, (center[0] + 2.0, center[1]), list(hops), stage, edge, 0.0
+             *_k.pack_controller(sigma, UNIT_GAMMA)]
+    return model, (center[0] + 2.0, center[1]), list(hops), stage, edge
 
 
 @settings(max_examples=500, deadline=None)
@@ -612,16 +767,22 @@ def _unit_free_case(center, edge, k_att=1.0, hops=((-0.05, 0.0),) * 3, stage=Non
 @example(_unit_free_case((1e6, 1e6), -1))
 @example(_unit_free_case((1e6, 1e6), 1))
 @example(_unit_free_case((0.0, 0.0), -1, stage=(-0.01, 0.0)))
-# |F_att|^2 overflows, so u_nom is NaN: never free
+# |F_att|^2 overflows: u_nom is -F_att, finite, for the unit sigma, and NaN
+# for a 1e308 scaled-value sigma, whose value overflows too: never free
 @example(_unit_free_case((0.0, 0.0), None, k_att=1e200))
+@example(_unit_free_case((0.0, 0.0), None, k_att=1e200,
+                         sigma=SigmaSelector.scaled_value(1e308)))
 def test_free_path_matches_the_full_evaluation(case):
-    model, base, hops, stage, edge, floor = case
+    """Wherever the documented rule flies free, the full evaluation agrees
+    (``_check_free``).  The kernel follows the rule: the replay checks
+    below compare its every decision with it."""
+    model, base, hops, stage, edge = case
     m = len(model[2])
-    *_, hbase, _ = _k.bind(_freeze(model))(*base, [0.0] * m)
+    *_, hbase, _ = _BIND(_freeze(model))(*base, [0.0] * m)
     if not hbase > 0.0:
         return  # no step follows a sample where the controller is undefined
     if edge is not None:
-        _, _, rhos, total = _free_eval(_freeze(model), base, hops, stage, floor)
+        _, _, rhos, total = _free_eval(_freeze(model), base, hops, stage)
         rho0 = hbase - total
         if rho0 > 0.0:
             for _ in range(abs(edge)):
@@ -629,31 +790,57 @@ def test_free_path_matches_the_full_evaluation(case):
             for obs in model[2]:
                 obs[3] = rho0
     model = _freeze(model)
-    (x, y), out, rhos, total = _free_eval(model, base, hops, stage, floor)
-    event("free" if math.isnan(out[2]) else "evaluated")
-    if math.isnan(out[2]):
-        _check_free(model, x, y, out, stage is not None, rhos, total)
-    elif stage is None:  # a sample not taken free is evaluated in full
-        assert _bits(out) == _bits(_BIND(model)(x, y, [0.0] * m))
+    (x, y), u, rhos, total = _free_eval(model, base, hops, stage)
+    event("evaluated" if u is None else "free")
+    if u is not None:
+        _check_free(model, x, y, u, stage is not None, rhos, total)
 
 
 def test_free_path_needs_finite_u_nom_and_no_table():
-    """Clear of every shell by far: the unit pair goes free; a NaN u_nom,
-    a Gamma table, the scaled-special tightening with a negative alpha_gain
-    (whose tightening alpha_gain * rho the clearance does not bound below), a
-    rho0 of 0 and an arena without obstacles do not."""
+    """Clear of every shell by far, the second sample of an Euler run flies
+    free for the unit pair.  A Gamma table, the scaled-special tightening
+    with a negative alpha_gain (whose tightening alpha_gain * rho the
+    clearance does not bound below), a rho0 of 0 and an arena without
+    obstacles never fly free; nor does a u_nom that is not finite
+    (``test_non_finite_u_nom_never_flies_free``)."""
     def free(model):
-        (x, y), out, *_ = _free_eval(_freeze(model), (2.0, 0.0), [(0.01, 0.0)], None, 0.0)
-        return math.isnan(out[2])
+        model = _freeze(model)
+        out, _, calls, _ = _spied_run(model, (2.0, 0.0), 0.01, 1, ())
+        assert out[0] == 2
+        flies = len(calls) == 1
+        assert flies == (_k._free_above(model) < math.inf)
+        return flies
 
     model, *_ = _unit_free_case((0.0, 0.0), None)
     assert free(model)
-    assert not free(_unit_free_case((0.0, 0.0), None, k_att=1e200)[0])
     table = model[:6] + list(_k.pack_controller(UNIT_SIGMA, GAMMAS[2]))
     assert not free(table)
     assert not free([*model[:5], -1.0, *model[6:]])
     assert not free([*model[:2], [[0.0, 0.0, 0.5, 0.0]], *model[3:]])
     assert not free([*model[:2], [], *model[3:]])
+
+
+@pytest.mark.parametrize("stages", [(), ((1.0, 1.0),)], ids=["sample", "stage"])
+@pytest.mark.parametrize("sigma, k_att, x0, dt", [
+    # sigma = 1e300 * V overflows once the step, 2.8 times the offset back
+    # across the goal, lands 2.7e4 from it: u_nom = -inf * b
+    (SigmaSelector.scaled_value(1e300), 1.0, (1.5e4, 0.0), 5.6e-300),
+    # b itself overflows there: u_nom = -b = (inf, -0)
+    (UNIT_SIGMA, 1e208, (1e100, 0.0), 2.8e-208),
+], ids=["sigma", "grad"])
+def test_non_finite_u_nom_never_flies_free(sigma, k_att, x0, dt, stages):
+    """A finite first control whose step (or stage) lands, far clear of the
+    only shell, where u_nom is not finite: the kernel evaluates that state
+    in full, as the replay does, and the run ends with a domain error
+    after one sample."""
+    model = (0.0, 0.0, ((0.0, 1e102, 0.5, 0.4),), k_att, 1.0, 1.0,
+             *_k.pack_controller(sigma, GammaSelector.zero()))
+    evals, out, rec = _same_decisions(model, x0, dt, 3, stages, _k._free_above(model))
+    assert out[:2] == (1, _k.DOMAIN_ERROR) and np.isfinite(rec[0, 3:5]).all()
+    late = evals[1]  # the next sample, or the stage
+    assert late.u is None and late.lo > _k._free_above(model)
+    assert not np.isfinite(late.full[:2]).all()
+    assert _full_run(model, x0, dt, 3, stages)[0] == out
 
 
 @pytest.mark.parametrize("integ", [0, 1], ids=["euler", "rk4"])
@@ -664,10 +851,12 @@ def test_free_path_needs_finite_u_nom_and_no_table():
                          ids=["apf", "table"])
 @pytest.mark.parametrize("where", ["fig2", "fig2+1e6", "overlap"])
 def test_rollout_passes_each_evaluation_its_chain(where, spec, dt, integ, arena):
-    """Every evaluation gets the documented base and chain: the hmin of the
-    last sample evaluated in full, and the sum of the sample reaches since,
-    each grown by REACH_GROWTH, kept only while the base is above every
-    rho0 it may leave out (a Gamma table's is +inf, so it never flies free)."""
+    """Every evaluation is decided on the documented base and chain: the
+    hmin of the last sample evaluated in full, and the sum of the sample
+    reaches since, each grown by REACH_GROWTH, kept only while the base is
+    above every rho0 it may leave out (a Gamma table's is +inf, so it never
+    flies free).  The decisions of free samples (Euler) or stages (RK4, whose
+    reach includes the chain) are pinned to the last bit of their chain."""
     shift = 1e6 if where == "fig2+1e6" else 0.0
     scenario = _overlap() if where == "overlap" else Scenario(
         goal=arena.goal + shift, obstacles=[Obstacle(o.center + shift, o.radius,
@@ -676,60 +865,11 @@ def test_rollout_passes_each_evaluation_its_chain(where, spec, dt, integ, arena)
     x0 = (0.0, 0.1) if where == "overlap" else (0.5 + shift, 1.5 + shift)
     model = _k.pack_model(scenario, spec.packing())
     stages = ((), _k.RK4_STAGES)[integ]
-    chains = []
-    out, rec, log = _spied_rollout(model, x0, dt, 600, chains, stages)
-    free_above = _k._free_above(model)
-    step = dt / (1.0 + sum(w for _, w in stages))
-    chain, hbase, free = 0.0, -math.inf, 0
-    for ((x, y, *stage_args), (ux, uy, hmin, _), _), passed in zip(log, chains):
-        if not stage_args:
-            if hbase != -math.inf and hbase > free_above:  # the hop from the last sample
-                chain = (chain + abs(step * sx) + abs(step * sy)
-                         + _stage_reach(xx, yy, 0.0, 0.0, model[2])) * _k.REACH_GROWTH
-            assert passed == (chain, hbase)
-            if math.isnan(hmin):
-                free += 1
-            else:
-                chain, hbase = 0.0, hmin
-            xx, yy, sx, sy, stage = x, y, ux, uy, 0
-        else:
-            assert passed == (chain, hbase)
-            sx, sy = sx + stages[stage][1] * ux, sy + stages[stage][1] * uy
-            stage += 1
+    evals = _check_free_rollout(model, x0, dt, 600, stages)
+    free = _free_counts(evals)[0]
     assert (free > 0) == (spec.kind == "apf")
-
-
-def _check_free_rollout(model, x0, dt, n_max, stages):
-    """Runs ``_integrate`` with a spy and checks every free evaluation
-    against the full one, every free sample's row, and the whole run against
-    one that evaluates every shell at every state; returns the number of
-    free samples and stages."""
-    log = []
-
-    def spy_bind(model):
-        point = _BIND(model)
-
-        def spy(x, y, phis, *rest):
-            out = point(x, y, phis, *rest)
-            log.append((x, y, rest[0] is not None, out))
-            return out
-        return spy
-
-    rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_k, "bind", spy_bind)
-        out = _k._integrate(*x0, model, dt, n_max, 0.05, stages, rec)
-    full = np.full_like(rec, -1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_k, "bind", _full_bind)
-        assert _k._integrate(*x0, model, dt, n_max, 0.05, stages, full) == out
-    assert _bits(full.ravel().tolist()) == _bits(rec.ravel().tolist())
-    free = [0, 0]
-    for x, y, stage, result in log:
-        if math.isnan(result[2]):
-            _check_free(model, x, y, result, stage)
-            free[stage] += 1
-    return tuple(free)
+    if free:
+        _check_threshold(model, x0, dt, stages, evals, samples=not stages)
 
 
 @pytest.mark.parametrize("integ", [0, 1], ids=["euler", "rk4"])
@@ -754,8 +894,8 @@ def test_rollout_flies_free_and_keeps_every_bit(shift, spec, x0, dt, integ, aren
                                    for o in arena.obstacles])
     model = _k.pack_model(scenario, spec.packing())
     stages = ((), _k.RK4_STAGES)[integ]
-    samples, stage_count = _check_free_rollout(model, (x0[0] + shift, x0[1] + shift), dt,
-                                               int(40.0 / dt), stages)
+    samples, stage_count = _free_counts(_check_free_rollout(
+        model, (x0[0] + shift, x0[1] + shift), dt, int(40.0 / dt), stages))
     assert samples > 0 and (stage_count > 0 or not stages)
 
 
@@ -763,11 +903,14 @@ def test_rollout_flies_free_and_keeps_every_bit(shift, spec, x0, dt, integ, aren
 def test_free_stages_reduced_mid_run_keep_the_minimum(chunk, arena, monkeypatch):
     """The free stage states owed to the minimum are reduced whenever the
     record is written and enough are kept: with a small chunk that happens
-    many times in a run, and the run still equals the full one."""
+    many times in a run, and the run still owes exactly the replay's stages
+    and equals the full one."""
     monkeypatch.setattr(_k, "STAGED_CHUNK_FLOATS", chunk)
     model = _k.pack_model(arena, ControllerSpec("apf").packing())
-    samples, stages = _check_free_rollout(model, (0.5, 1.5), 0.004, 2000, _k.RK4_STAGES)
-    assert samples > 0 and stages > 0
+    evals = _check_free_rollout(model, (0.5, 1.5), 0.004, 2000, _k.RK4_STAGES)
+    owed = sum(e.owed for e in evals)
+    assert _free_counts(evals)[0] > 0 and 2 * owed > chunk
+    assert owed < _free_counts(evals)[1]  # some free stages owe nothing
 
 
 @settings(max_examples=60, deadline=None)
@@ -778,8 +921,103 @@ def test_any_rollout_keeps_every_bit_in_free_flight(case, stages, dt):
     *_, hbase, _ = _BIND(model)(*base, [0.0] * len(model[2]))
     if not hbase > 0.0:
         return
-    samples, stage_count = _check_free_rollout(model, base, dt, 150, stages)
+    samples, stage_count = _free_counts(_check_free_rollout(model, base, dt, 150, stages))
     event(f"free samples: {min(samples, 1)}, free stages: {min(stage_count, 1)}")
+
+
+# The inline stabilizer: ``_integrate`` forms u_nom for a free evaluation
+# with the closure's expressions in the closure's order.  A stub closure
+# evaluates the first sample with clearance 1000, and with the threshold at
+# 0.5 every evaluation within about 999 of it whose u_nom is finite flies
+# free.
+
+def _stub_run(model, x0, slope, dt, stages):
+    """A one-step ``_integrate`` run (goal tolerance 0, threshold 0.5) whose
+    first sample the stub gives the control ``slope``; returns the record
+    and the states where it called the stub."""
+    calls = []
+
+    def stub(x, y, phis):
+        calls.append((x, y))
+        return (*slope, 1e3, math.inf) if len(calls) == 1 else (0.0, 0.0, 1.0, math.inf)
+
+    rec = np.full((2, 7 + len(model[2])), -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "bind", lambda model: stub)
+        mp.setattr(_k, "_free_above", lambda model: 0.5)
+        _k._integrate(*x0, model, dt, 1, 0.0, stages, rec)
+    return rec, calls
+
+
+def _free_sample(model, x, y):
+    """The state an Euler step of 1 reaches at ``(x, y)`` -- from a zero of
+    each coordinate's sign, so x + 0 is x; (0, 0) from (1, 1) -- and the
+    control ``_integrate`` records there, or None if it called the closure."""
+    x0, slope = (math.copysign(0.0, x), math.copysign(0.0, y)), (x, y)
+    if x == y == 0.0:
+        x0, slope = (1.0, 1.0), (-1.0, -1.0)
+    rec, calls = _stub_run(model, x0, slope, 1.0, ())
+    return tuple(rec[1, 1:3].tolist()), (None if len(calls) > 1 else tuple(rec[1, 3:5].tolist()))
+
+
+def _free_stage(model, x, y):
+    """The next sample of a one-stage step (c 1, w 1, dt 2) from ``(x, y)``,
+    whose slope there is a zero of each coordinate's sign, so the stage
+    state is ``(x, y)`` itself and the next sample is ``(x, y)`` plus the
+    stage's control; None if it called the closure at the stage."""
+    x0 = (x, y)
+    rec, calls = _stub_run(model, x0, (math.copysign(0.0, x), math.copysign(0.0, y)),
+                           2.0, ((1.0, 1.0),))
+    if len(calls) > 1 and _bits(calls[1]) == _bits(x0):
+        return None
+    return tuple(rec[1, 1:3].tolist())
+
+
+_offsets = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_offsets, y=_offsets, goal=st.tuples(_offsets, _offsets), at_goal=st.booleans(),
+       k_att=st.sampled_from([1e-170, 1e-160, 0.5, 1.0, 1e154, 1e200, 1e308]),
+       sigma=st.one_of(_sigma_sels, st.just(SigmaSelector.scaled_value(1e-300))),
+       gamma=st.one_of(st.none(), _gamma_sels))
+# |b|^2 = 0 at the goal, subnormal (1e-160 * 1), overflowed (1e200 * 4), b
+# itself overflowed (1e308 * 4), and +-0 offsets on one axis
+@example(x=1.0, y=2.0, goal=(1.0, 2.0), at_goal=False, k_att=1.0, sigma=SIGMAS[0], gamma=None)
+@example(x=1.0, y=0.0, goal=(0.0, 0.0), at_goal=False, k_att=1e-160, sigma=SIGMAS[0],
+         gamma=GAMMAS[1])
+@example(x=0.0, y=0.0, goal=(4.0, 0.0), at_goal=False, k_att=1e200, sigma=SIGMAS[0],
+         gamma=GAMMAS[1])
+@example(x=0.0, y=0.0, goal=(4.0, 0.0), at_goal=False, k_att=1e308, sigma=SIGMAS[0],
+         gamma=GAMMAS[1])
+@example(x=-0.0, y=3.0, goal=(0.0, 0.0), at_goal=False, k_att=1.0, sigma=SIGMAS[2],
+         gamma=GAMMAS[0])
+@example(x=-0.0, y=-0.0, goal=(4.0, 0.0), at_goal=False, k_att=1.0,
+         sigma=SigmaSelector.scaled_value(1e308), gamma=GAMMAS[1])
+def test_inline_u_nom_is_the_closures(x, y, goal, at_goal, k_att, sigma, gamma):
+    """Every sigma kind, with |b|^2 zero, subnormal or overflowed, +-0
+    offsets from the goal and a 1e308 sigma scale: a free sample's control
+    and a free stage's slope are ``bind(model)(x, y, phis)[:2]`` bit for
+    bit (the only shell is far away and idle), and an evaluation flies free
+    exactly where that is finite."""
+    if at_goal:
+        goal = (x, goal[1])
+    model = (*goal, ((1e3, 1e3, 0.5, 0.4),), k_att, 1.0, 1.0, *_k.pack_controller(sigma, gamma))
+    point = _BIND(model)
+    state, u = _free_sample(model, x, y)
+    ref = point(*state, [0.0])[:2]
+    finite = math.isfinite(ref[0]) and math.isfinite(ref[1])
+    assert (u is not None) == finite
+    if finite:
+        assert _bits(u) == _bits(ref)
+    ref = point(x, y, [0.0])[:2]
+    finite = math.isfinite(ref[0]) and math.isfinite(ref[1])
+    nxt = _free_stage(model, x, y)
+    assert (nxt is not None) == finite
+    if finite:
+        zx, zy = math.copysign(0.0, x), math.copysign(0.0, y)
+        assert _bits(nxt) == _bits([x + 1.0 * (zx + 1.0 * ref[0]), y + 1.0 * (zy + 1.0 * ref[1])])
+    event(f"finite: {finite}")
 
 
 def test_free_rows_carry_the_sign_of_a_zero_margin():

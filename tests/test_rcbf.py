@@ -169,6 +169,18 @@ def test_special_filter_equals_combined_field_controller(arena, rng):
                                       apf_control(x, arena))
 
 
+def test_equivalence_survives_an_overflowed_attractive_norm():
+    """k_att * |x - goal| = 4e200 overflows |F_att|^2, but the
+    grad-norm-squared stabilizer is -F_att exactly (sigma / |F_att|^2 = 1),
+    so the filter and the nominal controller still give the field route's
+    control, bit for bit, instead of NaN."""
+    s = Scenario(goal=[4.0, 0.0], obstacles=(Obstacle([2.0, 1.5], 0.5, 0.4),), k_att=1e200)
+    expected = np.array([4e200, -0.0])
+    for u in (apf_control([0.0, 0.0], s), special_filter_control([0.0, 0.0], s),
+              nominal_control([0.0, 0.0], s, SigmaSelector.grad_norm_squared())):
+        assert u.tobytes() == expected.tobytes()
+
+
 def test_generalized_decomposition(arena, rng):
     """u equals the nominal part plus the per-obstacle corrections exactly."""
     sigma = SigmaSelector.scaled_value(2.0)

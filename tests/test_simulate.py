@@ -266,18 +266,24 @@ def test_rk4_stage_domain_checks(single):
 def test_non_finite_control_ends_the_run_with_a_domain_error(integrator):
     """A control that is not finite would make every later state NaN, so the
     run stops at that sample, unrecorded, as at a nonpositive clearance.
-    k_att = 1e200 overflows |F_att|^2 at the start, so u_nom is NaN there.  A
-    scaled-value sigma of 1e308 gives a finite but huge first control whose
-    step lands about 1e306 from the goal, where sigma overflows."""
+    With k_att = 1e200, a scaled-value sigma of 1e308 overflows with
+    |F_att|^2 at the start, so u_nom is inf / inf = NaN there; the apf
+    stabilizer is -F_att, finite at the start, and its step lands about
+    4e198 from the goal, where F_att itself overflows.  A scaled-value sigma
+    of 1e308 gives a finite but huge first control whose step lands about
+    1e306 from the goal, where sigma overflows."""
     from apf_rcbf import SimConfig
     cfg = SimConfig(dt=0.01, t_max=0.05, integrator=integrator)
     obstacles = (Obstacle([2.0, 1.5], 0.5, 0.4),)
-    tr = simulate(Scenario(goal=[4.0, 0.0], obstacles=obstacles, k_att=1e200),
-                  ControllerSpec("apf"), cfg, (0.0, 0.0))
-    assert (tr.terminal, tr.n_samples) == ("domain_error", 0)
-    assert metrics(tr).min_clearance == math.inf
+    huge = Scenario(goal=[4.0, 0.0], obstacles=obstacles, k_att=1e200)
     spec = ControllerSpec("generalized", sigma_sel=SigmaSelector.scaled_value(1e308),
                           gamma_sel=GammaSelector.zero())
+    tr = simulate(huge, spec, cfg, (0.0, 0.0))
+    assert (tr.terminal, tr.n_samples) == ("domain_error", 0)
+    assert metrics(tr).min_clearance == math.inf
+    tr = simulate(huge, ControllerSpec("apf"), cfg, (0.0, 0.0))
+    assert (tr.terminal, tr.n_samples) == ("domain_error", 1)
+    assert tr.u.tobytes() == np.array([[4e200, -0.0]]).tobytes()
     tr = simulate(Scenario(goal=[4.0, 0.0], obstacles=obstacles), spec, cfg, (2.5, 0.0))
     assert (tr.terminal, tr.n_samples) == ("domain_error", 1)
     assert np.all(np.isfinite(tr.u)) and metrics(tr).min_clearance == tr.h_min[0]
