@@ -52,75 +52,49 @@ the same order, so its margins keep their bits, NaN propagation included.
 The correction needs |d|^2 > 0 and so skips it.  In a rollout, a sample or
 stage that flies free (below) makes no call at all: :func:`_integrate`
 forms its stabilizer inline, about 0.3 microseconds against 0.5 for the
-call, so a free fig2 RK4 step, record included, costs about 3.4
-microseconds rather than 4.3 (2-vCPU VM, best of repeated runs).
-
-Bases and reaches: :func:`_integrate` keeps a *base*, the last sample it
-evaluated in full, with the smallest clearance h there, and a *chain*, the
-reach from the base to the current sample.  Any other state it evaluates --
-a later sample, or a stage state off the current sample -- carries its reach
-delta from the base: the chain, plus for a stage its own offset's reach.
-Every clearance computed at that state is at least fl(rho - delta) for the
-obstacle's clearance rho at the base, and so at least fl(h - delta), as h is
-the smallest rho and rounding is monotone ("The reach and its slack", "The
-chain and its rounding").
+call.
 
 Free flight: :func:`_integrate` owns the rule, and :func:`_free_above` its
 one threshold, the largest rho0 of a model whose idle tightenings are known
-in closed form.  A sample or stage with fl(h - delta) above it forms u_nom
-inline, with the closure's expressions in the closure's order (b = F_att,
-|b|^2, sigma / |b|^2 taken as 1 for the grad-norm-squared sigma, u_nom), and
-flies free if d.u_nom on an idle shell is +-0 (u_nom finite); any other
-evaluation calls the closure.  Every shell is then idle and outside (rho0 >
-0, and each clearance is at least fl(h - delta) > rho0), so the control is
-u_nom and the clearance positive, and what the margin block would have
-given is known in closed form: margins glam * 0 (gamma kind 1) or
--(alpha_gain * rho) + d.u_nom (kind 0 and the unfiltered stabilizer), and
-tightenings glam * 0 + alpha_gain * rho (kind 1 with alpha_gain >= 0), 0
-(kind 0) or none (unfiltered), none of them negative, so the count of
-negative evaluations stands.  A Gamma table, a shell without a positive
-rho0, kind 1 with a negative alpha_gain and an arena without obstacles
-never fly free.  :func:`_integrate` marks each free sample's row in a
-bytearray and, after the loop, :func:`_fill_free` writes its h_min and
-margins array-at-a-time with those expressions, in the kernel's order.  The
-tightening of a free evaluation is smallest where its clearance is, so the
-free rows' smallest value joins the run's minimum after the loop, with that
-of the free stages whose tightening, bounded below by alpha_gain * fl(h -
-delta), might undercut the floor (their states are kept in a list, reduced a
-chunk at a time).  During the loop each evaluation's floor is the minimum of
-the evaluations made in full: never below the true running minimum, so the
-tests that compare with it are at most stricter than they need to be.
+in closed form.  It keeps a *base* b, the last sample it evaluated in full,
+and :func:`_free_r2` forms from that sample's smallest clearance h the
+base's squared free radius r2.  A sample or stage state p with
+fl((px - bx)^2 + (py - by)^2) < r2 forms u_nom inline, with the closure's
+expressions in the closure's order (b = F_att, |b|^2, sigma / |b|^2 taken
+as 1 for the grad-norm-squared sigma, u_nom), and flies free if d.u_nom on
+an idle shell is +-0 (u_nom finite); any other evaluation calls the
+closure.  Every clearance computed at p then exceeds every rho0 (the lemma
+below), so every shell is idle and outside, the control is u_nom and the
+clearance positive, and what the margin block would have given is known in
+closed form: margins glam * 0 (gamma kind 1) or -(alpha_gain * rho) +
+d.u_nom (kind 0 and the unfiltered stabilizer), and tightenings glam * 0 +
+alpha_gain * rho (kind 1 with alpha_gain >= 0), 0 (kind 0) or none
+(unfiltered), none of them negative.  Of the tightenings the run returns
+only the negative ones, their count and their smallest value, so a free
+evaluation is neither counted nor that minimum.  A Gamma table, a shell
+without a positive rho0, kind 1 with a negative alpha_gain and an arena
+without obstacles never fly free.  :func:`_integrate` marks each free
+sample's row in a bytearray and, after the loop, :func:`_fill_free` writes
+its h_min and margins array-at-a-time with those expressions, in the
+kernel's order.
 
-The reach and its slack: with u = 2**-53, the state t = s + a (a the rounded
-offset c dt k of a stage, or step * sum of slopes to the next sample) is
-rounded to within about u |t|_1 of s + a, and a computed clearance |x - c| -
-r is within about 4u of its exact value, in units of |x - c|_1 + |r|.  So
-every clearance computed at t is at least fl(rho - delta) whenever delta >=
-|a|_1 (1 + 2u) + 9u (|s|_1 + |c|_1 + |r|).  :func:`_integrate` takes delta =
-|a|_1 (1 + 2**-40) + span for a stage, span = 2**-40 (|s|_1 + max_i (|c_i|_1
-+ r_i) + 2**-450), thousands of times that and enough to cover its own
-rounding; the 2**-450 term covers a square that underflows.  A delta of +inf,
-where |s|_1 + max_i (|c_i|_1 + r_i) reaches 2**500 and a squared distance may
-overflow, flies nothing free.
-
-The chain and its rounding: from sample s_k to s_(k+1) = fl(s_k + a_k) the
-chain grows to D_(k+1) = fl(fl(D_k + |a_k|_1 + span_k) * (1 + 2**-40)), with
-D = 0 at the base.  By the triangle inequality the exact clearance falls by
-at most the sum of the exact hops, each within |a_k|_1 (1 + u) + u |s_k|_1,
-and the computed clearances at the base and at the evaluated state are
-within 4u (|s|_1 + max_i (|c_i|_1 + r_i)) of exact: each hop's term |a_k|_1 +
-span_k, grown by 2**-40, exceeds its need by at least 2**-41 (|a_k|_1 +
-|s_k|_1 + max_i (|c_i|_1 + r_i)), which covers the errors at both ends (the
-first hop or stage the base's, the last the evaluated state's).  The sum
-itself never loses to rounding, however long the chain: three additions and
-a product lose at most 4u of the exact D_k + |a_k|_1 + span_k, and the factor
-1 + 2**-40 more than restores it, so D_(k+1) exceeds that exact sum by at
-least 2**-42 of itself.  That surplus also covers rounding fl(D_k + delta)
-for a stage (its own reach covers the rest), and the base's span term covers
-rounding fl(h - delta).  The chain, and a stage's reach, are formed only
-while h exceeds :func:`_free_above`: otherwise fl(h - delta) <= h cannot
-exceed it, so nothing flies free before a sample is evaluated in full and
-becomes the base.
+The free radius: with u = 2**-53 and s = |b|_1 + max_i (|c_i|_1 + r_i) +
+2**-450, rad = fl(h - free_above) - 2**-40 s and r2 = rad^2 (1 - 2**-40);
+r2 = -1, so that nothing flies free, where rad <= 0, h <= free_above, h is
+NaN or s >= 2**500 (a squared distance may overflow).  The lemma: a
+clearance is 1-Lipschitz in the Euclidean norm, so each obstacle's exact
+clearance at p is at least its exact clearance at b less e = |p - b|, and
+a computed clearance fl(sqrt(ox^2 + oy^2) - r) at a state x is within about
+4u (|x|_1 + |c|_1 + r) of exact (plus about 2**-537 where a square
+underflows).  The computed squared distance is at least e^2 (1 - 4u) less
+a few subnormals, so fl(q) < r2 gives e < rad.  As h <= |b|_1 + |c|_1 and
+|p|_1 <= |b|_1 + 2e, the clearance errors at both ends and the rounding of
+rad stay below 2**-40 s by a factor of thousands, the 2**-450 term covering
+the underflows: every clearance computed at p is above h - e - 2**-40 s >
+free_above >= rho0_i.  The test is made on the computed p itself, so the
+rounding of the step offsets that led there never enters, and nothing
+accumulates along a run.  A displacement is never longer than the path
+that made it, so this proves more states free than a sum of step lengths.
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
@@ -157,22 +131,15 @@ DOMAIN_ERROR = 2
 # floats are buffered: one write per ~100 rows, and a buffer of a few kB
 RECORD_CHUNK_FLOATS = 1024
 
-# _integrate reduces the free stage states it keeps (two floats each) into
-# the run's minimum once this many are kept, at its next record write
-STAGED_CHUNK_FLOATS = 512
-
 # RK4 stages after the first: (offset of the stage state, weight in the sum)
 RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
-# The reach of a stage state from its sample (module docstring, "The reach
-# and its slack"): |offset|_1 * REACH_GROWTH + (|sample|_1 + max_i(|c_i|_1 +
-# r_i) + REACH_FLOOR) * REACH_SLACK, or +inf from REACH_SPAN_LIMIT on; the
-# chain grows by the same terms times REACH_GROWTH ("The chain and its
-# rounding").
-REACH_SLACK = 2.0 ** -40
-REACH_GROWTH = 1.0 + REACH_SLACK
-REACH_FLOOR = 2.0 ** -450
-REACH_SPAN_LIMIT = 2.0 ** 500
+# The free radius of a base b (module docstring, "The free radius"): its
+# rounding slack is FREE_SLACK * (|b|_1 + max_i(|c_i|_1 + r_i) + FREE_FLOOR),
+# and nothing flies free from a base where that sum reaches FREE_SPAN_LIMIT
+FREE_SLACK = 2.0 ** -40
+FREE_FLOOR = 2.0 ** -450
+FREE_SPAN_LIMIT = 2.0 ** 500
 
 
 def pack_controller(sigma_sel, gamma_sel):
@@ -230,16 +197,31 @@ def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
 
 
 def _free_above(model):
-    """The base clearance above which an evaluation may fly free (the largest
-    rho0), or +inf where none may: an idle shell's tightening is 0 (gamma
-    kind 0, and the unfiltered stabilizer) or alpha_gain * rho (kind 1 with
-    alpha_gain >= 0), but a table's is not bounded by the clearance, and
-    every shell needs a positive rho0."""
+    """The free threshold, the largest rho0, or +inf where nothing may fly
+    free: a state flies free only where the base's :func:`_free_r2` proves
+    every clearance computed there above it.  It admits only tightenings
+    that are never negative on an idle shell outside its obstacle: 0 (gamma
+    kind 0; the unfiltered stabilizer evaluates none) or glam * 0 +
+    alpha_gain * rho (kind 1 with alpha_gain >= 0).  A table's is not
+    bounded below, and every shell needs a positive rho0."""
     alpha_gain, ckind, gkind = model[5], model[6], model[11]
     if ckind == 2 and (gkind == 2 or (gkind == 1 and not alpha_gain >= 0.0)):
         return math.inf
     return max((rho0 if rho0 > 0.0 else math.inf for _, _, _, rho0 in model[2]),
                default=math.inf)
+
+
+def _free_r2(hmin, bx, by, free_above, corner):
+    """The squared free radius of a base sample ``(bx, by)`` evaluated in
+    full with smallest clearance ``hmin``: a later state whose computed
+    squared distance from the base is below it flies free (module docstring,
+    "The free radius"); -1.0 where none may.  ``corner`` is max_i(|c_i|_1 +
+    r_i) + :data:`FREE_FLOOR`, ``free_above`` the :func:`_free_above`."""
+    span = abs(bx) + abs(by) + corner
+    if not (hmin > free_above and span < FREE_SPAN_LIMIT):
+        return -1.0
+    rad = (hmin - free_above) - FREE_SLACK * span
+    return rad * rad * (1.0 - FREE_SLACK) if rad > 0.0 else -1.0
 
 
 def bind(model):
@@ -376,14 +358,14 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     The controller is bound once per call, by the module's :func:`bind` as
     it is at call time, and each stage offset ``c * dt`` is formed once.
     The free-flight rule lives here alone (module docstring, "Free
-    flight"): a sample or stage whose base -- the last sample evaluated in
-    full -- proves it clear of every shell, by its ``hmin`` less the chained
-    reach, forms u_nom inline and flies free without calling the closure;
-    every other evaluation calls it, and the closure runs every shell.  The
-    threshold is read from :func:`_free_above` at call time.  Free rows are
-    marked and get their ``h_min`` and margins after the loop, and the free
-    evaluations' tightenings then join the minimum: the record and the
-    returned minimum and count are those of evaluating every shell
+    flight"): a sample or stage whose squared distance from the base -- the
+    last sample evaluated in full -- is below the base's :func:`_free_r2`
+    forms u_nom inline and flies free without calling the closure; every
+    other evaluation calls it, and the closure runs every shell.  The
+    threshold :func:`_free_above` and the radius :func:`_free_r2` are read
+    from the module at call time.  Free rows are marked and get their
+    ``h_min`` and margins from :func:`_fill_free` after the loop: the record
+    and the returned count and minimum are those of evaluating every shell
     everywhere.
 
     A stationary state ends the stepping early with the same record.  When a
@@ -395,17 +377,20 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     is a timeout, and the negative-tightening count advances by the
     evaluations the skipped steps would have made.
 
-    Returns ``(n_samples, status, min_gamma, n_negative_gamma_evals)``.
+    Returns ``(n_samples, status, min_negative_gamma,
+    n_negative_gamma_evals)``: the smallest tightening value below zero
+    that any evaluation gave, +inf if none did, and the number of such
+    evaluations.
     """
-    (gx, gy, obstacles, k_att, _, alpha_gain,
-     ckind, skind, scoef, stx, sty, gkind) = model[:12]
+    (gx, gy, obstacles, k_att, _, _,
+     _, skind, scoef, stx, sty) = model[:11]
     point = bind(model)
+    free_r2 = _free_r2
     sigma = _sigma_value
     sqrt = math.sqrt
     isfinite = math.isfinite
     inf = math.inf
     nan = math.nan
-    growth = REACH_GROWTH
     width = 7 + len(obstacles)
     phis = [0.0] * len(obstacles)
     scratch = [0.0] * len(obstacles)
@@ -413,7 +398,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     # keep their bits
     offsets = tuple((c * dt, w) for c, w in stages)
     corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
-                 default=0.0) + REACH_FLOOR
+                 default=0.0) + FREE_FLOOR
+    free_above = _free_above(model)
     buf = []
     row = 0
     step = dt / (1.0 + sum(w for _, w in stages))
@@ -424,30 +410,20 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     n = 0
     status = TIMEOUT
     stall = -1
-    # the base is the last sample evaluated in full, hbase its hmin; chain
-    # is the reach from it to the sample
-    hbase = -inf
-    chain = 0.0
-    # a base at or below this clearance has no free evaluation after it, so
-    # its chain and its stages' reaches are not formed (module docstring,
-    # "The chain and its rounding")
-    free_above = _free_above(model)
-    # a free stage owes the run's minimum its tightenings where their lower
-    # bound gmul * fl(h - delta) might undercut the floor
-    owes = ckind == 2
-    gmul = alpha_gain if gkind == 1 else 0.0
+    # the base (basex, basey) is the last sample evaluated in full, r2 its
+    # squared free radius; -1 flies nothing free before the first
+    basex = basey = 0.0
+    r2 = -1.0
     # 1 marks a row sampled on the free path, whose h_min and margins
     # _fill_free writes once the loop is done
     free = bytearray(n_max + 1)
-    # the free stage states owed to the minimum, x then y, reduced into
-    # free_gamma a chunk at a time
-    staged = []
-    free_gamma = inf
     for k in range(n_max + 1):
         # free flight: u_nom as bind's closure forms it, and the sample flies
         # free if d.u_nom on an idle shell is +-0 (u_nom finite)
         flies = False
-        if hbase - chain > free_above:
+        ex = xx - basex
+        ey = yy - basey
+        if ex * ex + ey * ey < r2:
             bx = k_att * (xx - gx)
             by = k_att * (yy - gy)
             bb = bx * bx + by * by
@@ -460,22 +436,25 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             uy = gatt * by
             flies = 0.0 * ux + 0.0 * uy == 0.0
         if flies:
-            # no clearance evaluated, no tightening counted yet
+            # no clearance evaluated, and no tightening that can be negative
             free[k] = 1
             hmin = nan
             mg = inf
         else:
             ux, uy, hmin, mg = point(xx, yy, phis)
-            hbase = hmin
-            chain = 0.0
-            if mg < ming:
-                ming = mg
             if mg < 0.0:
                 negcount += 1
+                if mg < ming:
+                    ming = mg
             # a free sample's control is u_nom, finite by the free test
             if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
                 status = DOMAIN_ERROR
                 break
+            basex = xx
+            basey = yy
+            # the helper gives -1 as well at or below free_above, where the
+            # shells are: the test only saves the call there
+            r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0
         ddx = xx - gx
         ddy = yy - gy
         dd2 = ddx * ddx + ddy * ddy
@@ -484,8 +463,6 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         buf += phis
         if len(buf) >= RECORD_CHUNK_FLOATS:
             row = _flush(rec, row, buf, width)
-            if len(staged) >= STAGED_CHUNK_FLOATS:
-                free_gamma = min(free_gamma, _fill_free(rec, free, 0, model, staged))
         n = k + 1
         if sqrt(dd2) < goal_tol:
             status = REACHED_GOAL
@@ -494,43 +471,35 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             status = TIMEOUT
             break
         neg_before_stages = negcount
-        if hbase > free_above:
-            span = abs(xx) + abs(yy) + corner
-            span = span * REACH_SLACK if span < REACH_SPAN_LIMIT else inf
         # sx, sy accumulate the weighted stage slopes left to right
         # (k1 + 2 k2 + 2 k3 + k4 for RK4)
         kx = sx = ux
         ky = sy = uy
         for h, w in offsets:
-            ax = h * kx
-            ay = h * ky
-            px = xx + ax
-            py = yy + ay
-            # free flight as at a sample, with the stage's own reach
+            px = xx + h * kx
+            py = yy + h * ky
+            # free flight as at a sample
             flies = False
-            if hbase > free_above:
-                lo = hbase - (chain + ((abs(ax) + abs(ay)) * growth + span))
-                if lo > free_above:
-                    bx = k_att * (px - gx)
-                    by = k_att * (py - gy)
-                    bb = bx * bx + by * by
-                    if bb > 0.0:
-                        gatt = -1.0 if skind == 0 else -(
-                            sigma(px, py, gx, gy, k_att, skind, scoef, stx, sty) / bb)
-                    else:
-                        gatt = 0.0
-                    kx = gatt * bx
-                    ky = gatt * by
-                    flies = 0.0 * kx + 0.0 * ky == 0.0
-            if flies:
-                if owes and gmul * lo < ming:
-                    staged += (px, py)
-            else:
+            ex = px - basex
+            ey = py - basey
+            if ex * ex + ey * ey < r2:
+                bx = k_att * (px - gx)
+                by = k_att * (py - gy)
+                bb = bx * bx + by * by
+                if bb > 0.0:
+                    gatt = -1.0 if skind == 0 else -(
+                        sigma(px, py, gx, gy, k_att, skind, scoef, stx, sty) / bb)
+                else:
+                    gatt = 0.0
+                kx = gatt * bx
+                ky = gatt * by
+                flies = 0.0 * kx + 0.0 * ky == 0.0
+            if not flies:
                 kx, ky, hk, mgk = point(px, py, scratch)
-                if mgk < ming:
-                    ming = mgk
                 if mgk < 0.0:
                     negcount += 1
+                    if mgk < ming:
+                        ming = mgk
                 if hk <= 0.0:
                     # a stage state touched an obstacle
                     status = DOMAIN_ERROR
@@ -550,20 +519,10 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             negcount += rest * (mg < 0.0) + (rest - 1) * (negcount - neg_before_stages)
             status = TIMEOUT
             break
-        if hbase > free_above:
-            # the next sample's reach joins the chain, grown so that rounding
-            # the sum cannot shrink it (module docstring, "The chain and its
-            # rounding")
-            chain = (chain + abs(step * sx) + abs(step * sy) + span) * growth
         xx = nx
         yy = ny
     _flush(rec, row, buf, width)
-    # the free evaluations' tightenings join the minimum only now, so each
-    # evaluation's floor is the minimum of those made in full: never below
-    # the true running minimum
-    mg = min(free_gamma, _fill_free(rec, free, n, model, staged))
-    if mg < ming:
-        ming = mg
+    _fill_free(rec, free, n, model)
     if stall >= 0:
         # rows stall+1 .. n_max repeat row stall
         n = n_max + 1
@@ -586,44 +545,24 @@ def _idle_clearances(xs, ys, obstacles):
     return rho
 
 
-def _idle_gamma(hmins, model):
-    """The smallest min_gamma of free evaluations whose smallest clearances
-    are ``hmins`` (an array): every shell there is idle, so its tightening is
-    glam * dd + alpha_gain * rho - d.u_nom with dd = 0 and d.u_nom = +-0
-    (scaled-special; smallest where rho is, as rounding is monotone), 0
-    (zero tightening), or none (the unfiltered stabilizer)."""
-    if model[6] != 2:
-        return math.inf
-    if model[11] == 0:
-        return 0.0
-    return model[12] * 0.0 + model[5] * float(hmins.min())
-
-
-def _fill_free(rec, free, n, model, staged):
+def _fill_free(rec, free, n, model):
     """Write ``h_min`` and the margins of the rows among the first ``n`` of
     ``rec`` that ``free`` marks, array-at-a-time, with the expressions of
-    :func:`bind`'s margin block on an idle shell, and return the
-    :func:`_idle_gamma` of those rows and of the stage states in ``staged``
-    (x then y), which it empties.  On a free row the control is u_nom, so
-    d.u_nom on an idle shell is formed from it as the kernel forms it."""
-    if not staged and 1 not in free:
-        return math.inf
+    :func:`bind`'s margin block on an idle shell.  On a free row the control
+    is u_nom, so d.u_nom on an idle shell is formed from it as the kernel
+    forms it.  A free row's tightenings are never negative, so they leave
+    the run's count and minimum as they are."""
+    if 1 not in free:
+        return
     alpha_gain, gkind, glam = model[5], model[11], model[12]
     rows = np.flatnonzero(np.frombuffer(free, np.uint8, n))
-    nrows = rows.size
-    xy = np.fromiter(staged, np.float64, len(staged))
-    staged.clear()
-    # one row per obstacle, one column per free state: the rows, then the stages
-    rho = _idle_clearances(np.concatenate((rec[rows, 1], xy[0::2])),
-                           np.concatenate((rec[rows, 2], xy[1::2])), model[2])
-    hmin = np.minimum.reduce(rho)  # no clearance of a free state is NaN or -0
-    rec[rows, 5] = hmin[:nrows]
+    # one row per obstacle, one column per free row
+    rho = _idle_clearances(rec[rows, 1], rec[rows, 2], model[2])
+    rec[rows, 5] = np.minimum.reduce(rho)  # no clearance of a free state is NaN or -0
     if gkind == 1:
         rec[rows, 7:] = glam * 0.0  # glam * dd, dd = 0
     else:
-        rho = rho[:, :nrows]
         rho *= alpha_gain
         rho = np.negative(rho, out=rho)
         rho += 0.0 * rec[rows, 3] + 0.0 * rec[rows, 4]  # d.u_nom
         rec[rows, 7:] = rho.T
-    return _idle_gamma(hmin, model)

@@ -46,6 +46,7 @@ _SIM_KEYS = {"dt", "t_max", "goal_tolerance", "integrator"}
 @dataclass(frozen=True)
 class RunConfig:
     scenario_path: Path
+    scenario_ref: str  # scenario_path as the config gives it, for the report
     controllers: tuple  # of (name, ControllerSpec)
     sim: SimConfig
     x0: np.ndarray
@@ -202,6 +203,7 @@ def load_run_config(path: Path) -> RunConfig:
 
     return RunConfig(
         scenario_path=scenario_path,
+        scenario_ref=str(data["scenario_path"]),
         controllers=parsed,
         sim=sim,
         x0=x0,
@@ -276,7 +278,7 @@ def cmd_run(args) -> int:
             raise ConfigError(str(exc)) from exc
         results.append((name, tr, metrics(tr)))
 
-    lines = [f"scenario: {cfg.scenario_path}",
+    lines = [f"scenario: {cfg.scenario_ref}",
              f"x0: [{cfg.x0[0]:g}, {cfg.x0[1]:g}]   dt: {cfg.sim.dt:g}   "
              f"integrator: {cfg.sim.integrator}   t_max: {cfg.sim.t_max:g}",
              "",

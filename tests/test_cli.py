@@ -233,6 +233,24 @@ def test_run_command_output_dir_override(tmp_path, capsys):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_run_outputs_do_not_depend_on_where_the_config_lives(tmp_path, capsys):
+    """The same config and scenario in two directories, each run by its
+    absolute path: report.txt names the scenario as the config gives it, so
+    every output file is byte-identical."""
+    outputs = []
+    for place in ("a", "deeper/b"):
+        where = tmp_path / place
+        where.mkdir(parents=True)
+        write_json(where / "scen.json", crash_scenario())
+        write_json(where / "cfg.json",
+                   run_config("scen.json", sim={"dt": 0.01, "t_max": 2.0}, x0=[-1.0, 1.0]))
+        assert cli.main(["run", str(where / "cfg.json"), "--output-dir", str(where / "out")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (where / "out").iterdir()})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["filtered.csv", "metrics.json", "pure.csv", "report.txt"]
+    assert outputs[0]["report.txt"].startswith(b"scenario: scen.json\n")
+
+
 def test_run_command_domain_error_exit_code(tmp_path, capsys):
     write_json(tmp_path / "scen.json", crash_scenario())
     doc = run_config("scen.json",

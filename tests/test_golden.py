@@ -54,8 +54,8 @@ AXIS = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.0], 0.5, 0.4),))
 FIG2_X0 = (-2.0, 0.0)
 
 # the fig2 arena translated by FAR_SHIFT along both axes: every state is near
-# 1e6, where the rounding slack of a reach, 2**-40 of the state's size, is
-# larger than most steps
+# 1e6, where the rounding slack of a free radius, 2**-40 of the state's
+# size, is larger than most steps
 FAR_SHIFT = 1e6
 
 

@@ -337,26 +337,9 @@ def test_reference_cases_reach_every_branch():
     assert math.isnan(phis[0]) and math.isnan(phis[1])
 
 
-# Each RK4 stage state lies within a reach of its sample: the offset, grown
-# for rounding, plus a slack for the rounding of the clearances themselves.
-
-def _stage_reach(xx, yy, ax, ay, obstacles):
-    """The reach the module docstring defines for a stage at offset
-    ``(ax, ay)`` from the sample ``(xx, yy)``."""
-    corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
-                 default=0.0) + _k.REACH_FLOOR
-    span = abs(xx) + abs(yy) + corner
-    span = span * _k.REACH_SLACK if span < _k.REACH_SPAN_LIMIT else math.inf
-    return (abs(ax) + abs(ay)) * _k.REACH_GROWTH + span
-
-
-def _lowered(floor, mg):
-    """The running minimum after an evaluation, as ``_integrate`` keeps it."""
-    return mg if mg < floor else floor
-
-
-# the real binder, for spies that wrap it while ``_k.bind`` is patched
+# the real binder and free radius, for spies that wrap them while patched
 _BIND = _k.bind
+_FREE_R2 = _k._free_r2
 
 
 def _freeze(model):
@@ -378,24 +361,45 @@ def test_stage_skips_nothing_where_a_clearance_may_overflow():
     assert out[:2] == (1, _k.DOMAIN_ERROR)
 
 
-# Free flight: a sample or stage whose base -- the last sample evaluated in
-# full -- is clear of every shell by more than the chained reach from it
-# evaluates the stabilizer alone, inline in ``_integrate``.  The checks
-# replay the rule as the module docstring documents it: wherever it flies
-# free, a full evaluation of the same state must find every shell idle and
-# outside, give the same control bits and a tightening of exactly the value
-# folded into the run's minimum, and a free sample's row, filled after the
-# run, must hold its bits.  The kernel must call the bound closure at
-# exactly the states the replay evaluates in full.
+# Free flight: a sample or stage whose computed squared distance q from the
+# base -- the last sample evaluated in full -- is below the base's squared
+# free radius r2 evaluates the stabilizer alone, inline in ``_integrate``.
+# The checks replay the rule as the module docstring documents it: wherever
+# it flies free, a full evaluation of the same state must find every
+# clearance above the free threshold, the same control bits and no negative
+# tightening, and a free sample's row, filled after the run, must hold its
+# bits.  The kernel must call the bound closure at exactly the states the
+# replay evaluates in full.
 
 _UNSET = -1234.5
 
 # one evaluation of a replayed run: the state, the stage index (None for a
-# sample), the base clearance less the reach (None where no reach is formed),
-# u_nom where it flies free (else None), whether a free stage owes the run's
-# minimum its tightening, the full evaluation's output, the minimum of the
-# evaluations made in full before it, the reach from the base, and the base
-_Eval = collections.namedtuple("_Eval", "state stage lo u owed full floor total base")
+# sample), its squared distance from the base and the base's squared free
+# radius, u_nom where it flies free (else None), the full evaluation's
+# output, and the base
+_Eval = collections.namedtuple("_Eval", "state stage q r2 u full base")
+
+
+def _corner(obstacles):
+    """max_i(|c_i|_1 + r_i) plus the 2**-450 floor of the docstring's s."""
+    return max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
+               default=0.0) + 2.0 ** -450
+
+
+def _documented_r2(hmin, bx, by, model):
+    """The squared free radius of a base, as the module docstring defines it."""
+    free_above = _k._free_above(model)
+    s = abs(bx) + abs(by) + _corner(model[2])
+    if not (hmin > free_above and s < 2.0 ** 500):
+        return -1.0
+    rad = (hmin - free_above) - 2.0 ** -40 * s
+    return rad * rad * (1.0 - 2.0 ** -40) if rad > 0.0 else -1.0
+
+
+def _q(state, base):
+    """The squared distance of ``state`` from ``base``, as the kernel forms it."""
+    ex, ey = state[0] - base[0], state[1] - base[1]
+    return ex * ex + ey * ey
 
 
 def _nominal(model):
@@ -403,54 +407,50 @@ def _nominal(model):
     return _BIND((*model[:6], 1, *model[7:11], 0, 0.0, None, None))
 
 
-def _free_u(nominal, m, free_above, lo, x, y):
-    """The documented free test of an evaluation at ``(x, y)`` whose base
-    clearance less its reach is ``lo``: u_nom if it flies free, else None."""
-    if not lo > free_above:
+def _free_u(nominal, m, q, r2, x, y):
+    """The documented free test of an evaluation at ``(x, y)`` whose squared
+    distance from its base is ``q``: u_nom if it flies free, else None."""
+    if not q < r2:
         return None
     u = nominal(x, y, [0.0] * m)[:2]
     return u if 0.0 * u[0] + 0.0 * u[1] == 0.0 else None
 
 
-def _replay(model, x0, dt, n_max, stages, free_above):
+def _replay(model, x0, dt, n_max, stages):
     """``_integrate``'s loop (goal tolerance 0.05) with the free rule as the
-    module docstring documents it and ``free_above`` as its threshold, every
-    state also evaluated in full: one ``_Eval`` per evaluation the kernel
-    makes, in its order."""
+    module docstring documents it, every state also evaluated in full: one
+    ``_Eval`` per evaluation the kernel makes, in its order.  It reads
+    ``_free_above`` and ``_free_r2`` from the module, as the kernel does."""
     m = len(model[2])
     point, nominal = _BIND(model), _nominal(model)
     gx, gy = model[:2]
-    owes, gmul = model[6] == 2, (model[5] if model[11] == 1 else 0.0)
+    free_above, corner = _k._free_above(model), _corner(model[2])
     step = dt / (1.0 + sum(w for _, w in stages))
     evals = []
-    hbase, chain, base, ming = -math.inf, 0.0, None, math.inf
+    base, r2 = (0.0, 0.0), -1.0
     xx, yy = x0
     for k in range(n_max + 1):
-        u = _free_u(nominal, m, free_above, hbase - chain, xx, yy)
+        q = _q((xx, yy), base)
+        u = _free_u(nominal, m, q, r2, xx, yy)
         full = point(xx, yy, [0.0] * m)
-        evals.append(_Eval((xx, yy), None, hbase - chain, u, False, full, ming, chain, base))
+        evals.append(_Eval((xx, yy), None, q, r2, u, full, base))
         if u is None:
-            u, hbase, chain, base = full[:2], full[2], 0.0, (xx, yy)
-            ming = _lowered(ming, full[3])
+            u = full[:2]
             if full[2] <= 0.0 or not (math.isfinite(u[0]) and math.isfinite(u[1])):
                 break
+            base, r2 = (xx, yy), _k._free_r2(full[2], xx, yy, free_above, corner)
         if math.sqrt((xx - gx) * (xx - gx) + (yy - gy) * (yy - gy)) < 0.05 or k == n_max:
             break
         kx = sx = u[0]
         ky = sy = u[1]
         for j, (c, w) in enumerate(stages):
-            ax, ay = c * dt * kx, c * dt * ky
-            px, py = xx + ax, yy + ay
-            lo = total = v = None
-            if hbase > free_above:
-                total = chain + _stage_reach(xx, yy, ax, ay, model[2])
-                lo = hbase - total
-                v = _free_u(nominal, m, free_above, lo, px, py)
+            px, py = xx + c * dt * kx, yy + c * dt * ky
+            q = _q((px, py), base)
+            v = _free_u(nominal, m, q, r2, px, py)
             full = point(px, py, [0.0] * m)
-            owed = v is not None and owes and gmul * lo < ming
-            evals.append(_Eval((px, py), j, lo, v, owed, full, ming, total, base))
+            evals.append(_Eval((px, py), j, q, r2, v, full, base))
             if v is None:
-                v, ming = full[:2], _lowered(ming, full[3])
+                v = full[:2]
                 if full[2] <= 0.0:
                     return evals
             kx, ky = v
@@ -459,20 +459,21 @@ def _replay(model, x0, dt, n_max, stages, free_above):
         if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
                 and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
             break
-        if hbase > free_above:
-            chain = (chain + abs(step * sx) + abs(step * sy)
-                     + _stage_reach(xx, yy, 0.0, 0.0, model[2])) * _k.REACH_GROWTH
         xx, yy = nx, ny
     return evals
 
 
-def _spied_run(model, x0, dt, n_max, stages, free_above=None):
-    """``_integrate`` (goal tolerance 0.05) with spies on the bound closure
-    and on ``_fill_free``, and ``free_above`` as its threshold if given.
-    Returns the run's output and record, the states where it called the
-    closure, and the free stage states it owed the run's minimum, x then y."""
-    calls, owed = [], []
-    fill = _k._fill_free
+def _capped(mp, cap):
+    """Patches ``_free_r2`` to give at most ``cap``: a smaller radius is
+    still sound, so the run keeps its states, and only its decisions move."""
+    mp.setattr(_k, "_free_r2", lambda *args: min(_FREE_R2(*args), cap))
+
+
+def _spied_run(model, x0, dt, n_max, stages, cap=None):
+    """``_integrate`` (goal tolerance 0.05) with a spy on the bound closure,
+    and the free radius capped at ``cap`` if given.  Returns the run's
+    output and record and the states where it called the closure."""
+    calls = []
 
     def spy_bind(model):
         point = _BIND(model)
@@ -485,30 +486,27 @@ def _spied_run(model, x0, dt, n_max, stages, free_above=None):
             return out
         return spy
 
-    def spy_fill(rec, free, n, model, staged):
-        owed.extend(staged)
-        return fill(rec, free, n, model, staged)
-
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_k, "bind", spy_bind)
-        mp.setattr(_k, "_fill_free", spy_fill)
-        if free_above is not None:
-            mp.setattr(_k, "_free_above", lambda model: free_above)
+        if cap is not None:
+            _capped(mp, cap)
         out = _k._integrate(*x0, model, dt, n_max, 0.05, stages, rec)
-    return out, rec, calls, owed
+    return out, rec, calls
 
 
-def _same_decisions(model, x0, dt, n_max, stages, free_above):
-    """Runs the kernel and the replay with the threshold ``free_above``:
-    the kernel must call the closure at exactly the states the replay
-    evaluates in full, and owe the run's minimum exactly the free stages the
-    replay does.  Returns the replay, and the run's output and record."""
-    evals = _replay(model, x0, dt, n_max, stages, free_above)
-    out, rec, calls, owed = _spied_run(model, x0, dt, n_max, stages, free_above)
+def _same_decisions(model, x0, dt, n_max, stages, cap=None):
+    """Runs the kernel and the replay, the free radius capped at ``cap`` if
+    given: the kernel must call the closure at exactly the states the replay
+    evaluates in full.  Returns the replay, and the run's output and
+    record."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            _capped(mp, cap)
+        evals = _replay(model, x0, dt, n_max, stages)
+    out, rec, calls = _spied_run(model, x0, dt, n_max, stages, cap)
     assert _bits(itertools.chain(*calls)) == _bits(
         itertools.chain(*(e.state for e in evals if e.u is None)))
-    assert _bits(owed) == _bits(itertools.chain(*(e.state for e in evals if e.owed)))
     return evals, out, rec
 
 
@@ -529,43 +527,37 @@ def _clearances(x, y, model):
     return _k._idle_clearances(np.array([x]), np.array([y]), model[2])[:, 0].tolist()
 
 
-def _check_free(model, x, y, u, stage, rhos=None, total=None):
+def _check_free(model, x, y, u):
     """Checks the control ``u`` of a free evaluation at ``(x, y)`` against
-    the full one; with the base's clearances ``rhos``, also that every
-    clearance there is at least the base's minus the reach ``total``."""
+    the full one: every clearance above the free threshold (so above every
+    rho0), the same control bits, a tightening that is never negative (so
+    neither counted nor the run's minimum), and the row ``_fill_free``
+    writes for a free sample there."""
     m = len(model[2])
     phis = [0.0] * m
     full = _BIND(model)(x, y, phis)
-    full_rhos = _clearances(x, y, model)
-    assert _bits([min(full_rhos)]) == _bits([full[2]])
-    assert all(rho > rho0 for rho, (*_, rho0) in zip(full_rhos, model[2]))
+    rhos = _clearances(x, y, model)
+    assert _bits([min(rhos)]) == _bits([full[2]])
+    assert all(rho > _k._free_above(model) for rho in rhos)
     assert _bits(u) == _bits(full[:2])
     assert full[3] >= 0.0
-    assert _bits([_k._idle_gamma(np.array([full[2]]), model)]) == _bits([full[3]])
-    if rhos is not None:
-        assert not any(rt < rs - total for rt, rs in zip(full_rhos, rhos))
-    if not stage:
-        rec = np.full((1, 7 + m), -1.0)
-        rec[0, 1:5] = x, y, u[0], u[1]
-        _k._fill_free(rec, bytearray(b"\x01"), 1, model, [])
-        assert _bits(rec[0, 7:].tolist()) == _bits(phis)
-        assert _bits([rec[0, 5]]) == _bits([full[2]])
+    rec = np.full((1, 7 + m), -1.0)
+    rec[0, 1:5] = x, y, u[0], u[1]
+    _k._fill_free(rec, bytearray(b"\x01"), 1, model)
+    assert _bits(rec[0, 7:].tolist()) == _bits(phis)
+    assert _bits([rec[0, 5]]) == _bits([full[2]])
 
 
 def _check_free_rollout(model, x0, dt, n_max, stages):
     """Checks a run against the replay of the documented rule: every free
-    evaluation against the full one, a free stage that owes nothing against
-    the floor, the kernel's decisions against the replay's, and the whole
-    run against one that evaluates every shell at every state.  Returns the
-    replay."""
-    evals, out, rec = _same_decisions(model, x0, dt, n_max, stages, _k._free_above(model))
+    evaluation against the full one, the kernel's decisions against the
+    replay's, and the whole run against one that evaluates every shell at
+    every state.  Returns the replay."""
+    evals, out, rec = _same_decisions(model, x0, dt, n_max, stages)
     for e in evals:
         if e.u is not None:
-            _check_free(model, *e.state, e.u, e.stage is not None,
-                        _clearances(*e.base, model), e.total)
-            if e.stage is not None and not e.owed:
-                # its tightening cannot undercut the floor
-                assert e.full[3] >= e.floor
+            assert e.q < e.r2
+            _check_free(model, *e.state, e.u)
     full_out, full = _full_run(model, x0, dt, n_max, stages)
     assert full_out == out
     assert _bits(full.ravel().tolist()) == _bits(rec.ravel().tolist())
@@ -579,32 +571,30 @@ def _free_counts(evals):
 
 
 def _check_threshold(model, x0, dt, stages, evals, samples):
-    """Moves the threshold onto the ``lo`` of free evaluations (samples, or
-    stages) whose ``lo`` is below that of every earlier free one and above
-    that of every earlier full one, so no earlier decision changes: one ulp
-    below it the evaluation flies free, at it not, and the kernel must
-    follow the replay both times.  This pins the kernel's base, chain and
-    reach to the documented ones to the last bit of ``lo``."""
-    free_above = _k._free_above(model)
-    lo_free, lo_full, testable = math.inf, -math.inf, []
+    """Caps the free radius at the ``q`` of free evaluations (samples, or
+    stages) whose ``q`` is above that of every earlier free sample, so those
+    stay free and the base stays: with the cap one ulp above ``q`` the
+    evaluation flies free, at ``q`` not (the test is a strict <), and the
+    kernel must follow the replay both times.  This pins the kernel's base
+    and squared distance to the documented ones to the last bit of ``q``."""
+    q_free, testable = -math.inf, []
     for i, e in enumerate(evals):
-        if e.lo is None or e.lo != e.lo or (e.u is None and e.lo > free_above):
-            continue  # full at any threshold: no reach, or u_nom not finite
         if e.u is None:
-            lo_full = max(lo_full, e.lo)
             continue
-        if lo_full < e.lo < lo_free and (e.stage is None) == samples:
+        if e.q > q_free and (e.stage is None) == samples:
             testable.append(i)
-        lo_free = min(lo_free, e.lo)
+        if e.stage is None:
+            q_free = max(q_free, e.q)
     assert testable
     # the first, the middle and the last of them
     chosen = sorted({testable[0], testable[len(testable) // 2], testable[-1]})
     for i in chosen:
-        lo = evals[i].lo
+        q = evals[i].q
         n_max = sum(e.stage is None for e in evals[:i + 1])
-        for threshold, flies in ((math.nextafter(lo, -math.inf), True), (lo, False)):
-            moved, *_ = _same_decisions(model, x0, dt, n_max, stages, threshold)
-            assert _bits([moved[i].lo]) == _bits([lo]) and (moved[i].u is not None) == flies
+        for cap, flies in ((math.nextafter(q, math.inf), True), (q, False)):
+            moved, *_ = _same_decisions(model, x0, dt, n_max, stages, cap)
+            assert _bits([moved[i].q, moved[i].r2]) == _bits([q, cap])
+            assert (moved[i].u is not None) == flies
 
 
 def _overlap():
@@ -623,10 +613,10 @@ def _overlap():
 @pytest.mark.parametrize("where", ["fig2", "overlap"])
 def test_rollout_passes_each_stage_its_reach_and_skips_nothing_that_counts(
         where, spec, dt, arena):
-    """Every stage flies free exactly where the documented reach from its
-    sample and the running minimum say, to the last bit of its reach, every
-    evaluation that does not fly free runs every shell, and the run equals
-    one that evaluates every shell at every stage, record and return
+    """Every stage flies free exactly where its squared distance from the
+    base and the base's free radius say, to the last bit of that distance,
+    every evaluation that does not fly free runs every shell, and the run
+    equals one that evaluates every shell at every stage, record and return
     alike."""
     scenario, x0 = (arena, (-2.0, 0.0)) if where == "fig2" else (_overlap(), (0.0, 0.1))
     model = _k.pack_model(scenario, spec.packing())
@@ -637,17 +627,19 @@ def test_rollout_passes_each_stage_its_reach_and_skips_nothing_that_counts(
 
 def _reference_rollout(x0, model, dt, n_max, goal_tol):
     """``_integrate``'s RK4 loop on ``_reference_control_point``, with every
-    shell evaluated at every state and no stationary fill; also returns
-    whether the run's minimum tightening was first reached at a stage."""
+    shell evaluated at every state and no stationary fill, returning the
+    smallest negative tightening (+inf if none); also returns whether that
+    minimum was first reached at a stage."""
     gx, gy, obstacles, k_att = model[:4]
     phis = [0.0] * len(obstacles)
     rows, ming, negcount, at_stage = [], math.inf, 0, False
     xx, yy = x0
     for k in range(n_max + 1):
         ux, uy, hmin, mg = _reference_control_point(xx, yy, model, phis)
-        if mg < ming:
-            ming, at_stage = mg, False
-        negcount += mg < 0.0
+        if mg < 0.0:
+            negcount += 1
+            if mg < ming:
+                ming, at_stage = mg, False
         if hmin <= 0.0:
             return (len(rows), _k.DOMAIN_ERROR, ming, negcount), rows, at_stage
         dd2 = (xx - gx) * (xx - gx) + (yy - gy) * (yy - gy)
@@ -661,9 +653,10 @@ def _reference_rollout(x0, model, dt, n_max, goal_tol):
         for c, w in _k.RK4_STAGES:
             kx, ky, hk, mgk = _reference_control_point(xx + c * dt * kx, yy + c * dt * ky,
                                                        model, [0.0] * len(obstacles))
-            if mgk < ming:
-                ming, at_stage = mgk, True
-            negcount += mgk < 0.0
+            if mgk < 0.0:
+                negcount += 1
+                if mgk < ming:
+                    ming, at_stage = mgk, True
             if hk <= 0.0:
                 return (len(rows), _k.DOMAIN_ERROR, ming, negcount), rows, at_stage
             sx = sx + w * kx
@@ -674,57 +667,85 @@ def _reference_rollout(x0, model, dt, n_max, goal_tol):
 
 
 def test_far_idle_table_shell_sets_the_minimum_and_is_never_skipped():
-    """A Gamma table with a narrow dip at clearance 5.2: the shell of the
-    obstacle behind the start is idle all run, and its table value at a
-    stage state is the run's minimum.  The raw return and record equal the
-    reference loop's, which evaluates that shell at every stage."""
+    """A Gamma table with a narrow negative dip at clearance 5.2: the shell
+    of the obstacle behind the start is idle all run, and its table value at
+    a stage state is the run's smallest negative tightening.  The raw return
+    and record equal the reference loop's, which evaluates that shell at
+    every stage."""
     scenario = Scenario(goal=[4.0, 0.0], obstacles=(Obstacle([1.0, 1.0], 0.5, 0.4),
                                                     Obstacle([-6.0, 0.0], 0.5, 0.4)))
-    gamma = GammaSelector.custom([0.0, 5.0, 5.2, 5.4, 20.0], [1.0, 1.0, 0.01, 1.0, 1.0])
-    model = _k.pack_model(scenario, _k.pack_controller(UNIT_SIGMA, gamma))
+    knots = [0.0, 5.0, 5.2, 5.4, 20.0]
+    # GammaSelector refuses a negative value; the kernel's table slot takes it
+    packing = (*_k.pack_controller(UNIT_SIGMA, GammaSelector.custom(knots, [1.0] * 5))[:-1],
+               np.array([1.0, 1.0, -0.05, 1.0, 1.0]))
+    model = _k.pack_model(scenario, packing)
     n_max = 2000
     rec = np.full((n_max + 1, 9), -1.0)
     out = _k._integrate(-2.0, 0.0, model, 0.004, n_max, 0.05, _k.RK4_STAGES, rec)
     ref, rows, at_stage = _reference_rollout((-2.0, 0.0), model, 0.004, n_max, 0.05)
     assert out == ref
     # the near shell's clearance stays below 5, where the table is 1
-    assert out[1] == _k.REACHED_GOAL and 0.01 <= out[2] < 0.1 and at_stage
+    assert out[1] == _k.REACHED_GOAL and -0.05 <= out[2] < 0.0 and out[3] > 0 and at_stage
     assert _bits(rec[:out[0]].ravel().tolist()) == _bits(np.ravel(rows).tolist())
 
 
-# The documented rule at single evaluations: a base, up to four sample hops
-# from it and maybe a stage offset after them, with the obstacles' rho0 drawn
-# or moved to within a few ulps of the threshold the reach leaves.
+@pytest.mark.parametrize("gamma", [GammaSelector.zero(), GammaSelector.scaled_special(100.0)],
+                         ids=["zero", "special100"])
+def test_run_without_a_negative_tightening_returns_inf_and_zero(gamma, arena):
+    """The run's minimum is that of its negative tightenings only: a fig2 run
+    from inside a live shell (clearance 0.15, rho0 0.2) whose tightenings
+    are all >= 0 (lambda 100 is above the arena's largest lambda*) returns
+    +inf and 0, flying free and with nothing free alike."""
+    model = _k.pack_model(arena, _k.pack_controller(UNIT_SIGMA, gamma))
+    x0 = (-0.4, 0.85)
+    out, rec, calls = _spied_run(model, x0, 0.004, 3000, _k.RK4_STAGES)
+    assert out[1] == _k.REACHED_GOAL and rec[0, 5] < 0.2
+    assert len(calls) < out[0]  # most evaluations flew free
+    assert out[2:] == (math.inf, 0)
+    full_out, full = _full_run(model, x0, 0.004, 3000, _k.RK4_STAGES)
+    assert full_out == out
+    assert _bits(full.ravel().tolist()) == _bits(rec.ravel().tolist())
 
-def _chain(xx, yy, hops, obstacles):
-    """The last sample ``_integrate`` reaches from the base ``(xx, yy)`` by
-    the sample offsets ``hops``, and the chain it passes there."""
-    chain = 0.0
-    for ax, ay in hops:
-        span = _stage_reach(xx, yy, 0.0, 0.0, obstacles)
-        chain = (chain + abs(ax) + abs(ay) + span) * _k.REACH_GROWTH
-        xx, yy = xx + ax, yy + ay
-    return xx, yy, chain
 
+@settings(max_examples=300, deadline=None)
+@given(hmin=st.one_of(st.floats(0.0, 3.0), st.floats()), bx=st.floats(-10.0, 10.0),
+       by=st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e6, 2.0 ** 499, -2.0 ** 500])),
+       rho0=st.floats(0.01, 2.0))
+# rad <= 0 by one slack, nothing but the floor, and the span at its limit
+@example(hmin=0.4 + 2.0 ** -40 * (3.5 + 2.0 ** -450), bx=0.0, by=0.0, rho0=0.4)
+@example(hmin=math.nan, bx=0.0, by=0.0, rho0=0.4)
+@example(hmin=3.0, bx=2.0 ** 500 - 3.5, by=0.0, rho0=0.4)
+def test_free_r2_is_the_documented_radius(hmin, bx, by, rho0):
+    model = (0.0, 0.0, ((1.0, -2.0, 0.5, rho0), (-3.0, 0.5, 0.25, 0.2)), 1.0, 1.0, 1.0,
+             *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    r2 = _k._free_r2(hmin, bx, by, _k._free_above(model), _corner(model[2]))
+    assert _bits([r2]) == _bits([_documented_r2(hmin, bx, by, model)])
+    assert r2 == -1.0 or r2 > 0.0 or r2 == 0.0  # never NaN
+    event("free" if r2 > 0.0 else "none")
+
+
+# The lemma at single states: a base near the shells, at the origin or near
+# +-1e6, with every rho0 moved to within a few ulps of the base's smallest
+# clearance less the distance to the state, and the state moved onto the
+# free radius that leaves; the state and its ulp neighbours are each checked.
 
 @st.composite
 def _free_case(draw):
-    """A model, a base sample clear of the shells or near one, up to four
-    sample hops from it and maybe a stage offset after them.  Every sigma
-    and gamma kind, the unfiltered packing, arenas near 1e6 and non-finite
-    u_nom are drawn; with ``edge`` set, every rho0 is moved to within a few
-    ulps of the base's smallest clearance minus the reach."""
+    """A model, a base sample clear of the shells or near one, and a state
+    at distance ``dist`` from it, aimed at the nearest obstacle's center or
+    drawn.  Every sigma and gamma kind, the unfiltered packing, arenas near
+    1e6 and non-finite u_nom are drawn; with ``edge`` set, every rho0 is
+    moved to within a few ulps of the base's smallest clearance less
+    ``dist`` and the rounding slack, and the state onto the free radius."""
     ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.sampled_from([0.0, 1e6]))
     obstacles = [[ox + draw(_coords), oy + draw(_coords), draw(st.floats(0.1, 1.0)),
                   draw(st.floats(0.05, 1.0))] for _ in range(draw(st.integers(1, 3)))]
     cx, cy, r, rho0 = obstacles[draw(st.integers(0, len(obstacles) - 1))]
     angle = draw(st.floats(0.0, 2.0 * math.pi))
-    dist = draw(st.floats(r + 1e-3, r + rho0 + 3.0))
-    base = (cx + dist * math.cos(angle), cy + dist * math.sin(angle))
-    size = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.05, 0.3]))
-    hops = [(size * draw(st.floats(-1.0, 1.0)), size * draw(st.floats(-1.0, 1.0)))
-            for _ in range(draw(st.integers(0, 4)))]
-    stage = draw(st.one_of(st.none(), st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))))
+    radius = draw(st.floats(r + 1e-3, r + rho0 + 3.0))
+    base = (cx + radius * math.cos(angle), cy + radius * math.sin(angle))
+    dist = draw(st.sampled_from([0.0, 1e-12, 1e-3, 0.05, 0.3, 1.0]))
+    aim = draw(st.one_of(st.none(), st.floats(0.0, 2.0 * math.pi)))
     edge = draw(st.one_of(st.none(), st.integers(-3, 3)))
     sigma, gamma = draw(_sigma_sels), draw(_gamma_sels)
     filtered = draw(st.sampled_from([True, True, True, False]))
@@ -732,68 +753,78 @@ def _free_case(draw):
              draw(st.sampled_from([0.5, 1.0, 2.5, 1e200])),
              draw(st.floats(0.1, 5.0)), draw(st.floats(0.0, 5.0)),
              *_k.pack_controller(sigma, gamma if filtered else None)]
-    return model, base, hops, stage, edge
+    return model, base, dist, aim, edge
 
 
-def _free_eval(model, base, hops, stage):
-    """Evaluates the base in full, then the state ``hops`` (and ``stage``)
-    away with the documented free rule; returns the state, u_nom if it flies
-    free (else None), the base's clearances and the total reach."""
-    m = len(model[2])
-    *_, hbase, _ = _BIND(model)(*base, [0.0] * m)
-    rhos = _clearances(*base, model)
-    xx, yy, total = _chain(*base, hops, model[2])
-    if stage is not None:
-        total = total + _stage_reach(xx, yy, *stage, model[2])
-        xx, yy = xx + stage[0], yy + stage[1]
-    u = _free_u(_nominal(model), m, _k._free_above(model), hbase - total, xx, yy)
-    return (xx, yy), u, rhos, total
-
-
-def _unit_free_case(center, edge, k_att=1.0, hops=((-0.05, 0.0),) * 3, stage=None,
-                    sigma=UNIT_SIGMA):
+def _unit_free_case(center, edge, k_att=1.0, dist=0.15, sigma=UNIT_SIGMA):
     """A fixed free-flight case for the unit pair (or ``sigma`` with the
     unit tightening): one obstacle of radius 0.5 at ``center``, approached
     head on from 2 to its right."""
     model = [center[0] + 9.0, center[1], [[*center, 0.5, 0.4]], k_att, 1.0, 1.0,
              *_k.pack_controller(sigma, UNIT_GAMMA)]
-    return model, (center[0] + 2.0, center[1]), list(hops), stage, edge
+    return model, (center[0] + 2.0, center[1]), dist, None, edge
+
+
+def _state_at(model, base, dist, aim):
+    """The state ``dist`` from ``base``, toward the nearest obstacle's center
+    (``aim`` None) or at the angle ``aim``."""
+    if aim is None:
+        rhos = _clearances(*base, model)
+        cx, cy, *_ = model[2][rhos.index(min(rhos))]
+        aim = math.atan2(cy - base[1], cx - base[0])
+    return base[0] + dist * math.cos(aim), base[1] + dist * math.sin(aim)
 
 
 @settings(max_examples=500, deadline=None)
 @given(_free_case())
 @example(_unit_free_case((0.0, 0.0), None))
-# rho0 one ulp either side of the free threshold, at 1e6 and at the origin
+# rho0 one ulp either side of the edge, at 1e6 and at the origin
 @example(_unit_free_case((1e6, 1e6), -1))
 @example(_unit_free_case((1e6, 1e6), 1))
-@example(_unit_free_case((0.0, 0.0), -1, stage=(-0.01, 0.0)))
+@example(_unit_free_case((0.0, 0.0), -1, dist=1e-3))
 # |F_att|^2 overflows: u_nom is -F_att, finite, for the unit sigma, and NaN
 # for a 1e308 scaled-value sigma, whose value overflows too: never free
 @example(_unit_free_case((0.0, 0.0), None, k_att=1e200))
 @example(_unit_free_case((0.0, 0.0), None, k_att=1e200,
                          sigma=SigmaSelector.scaled_value(1e308)))
 def test_free_path_matches_the_full_evaluation(case):
-    """Wherever the documented rule flies free, the full evaluation agrees
-    (``_check_free``).  The kernel follows the rule: the replay checks
-    below compare its every decision with it."""
-    model, base, hops, stage, edge = case
+    """The lemma: wherever a state's squared distance from a base is below
+    the base's free radius, every clearance computed there is above the free
+    threshold, and where u_nom is finite as well the full evaluation agrees
+    with the free one (``_check_free``).  The kernel follows the rule: the
+    replay checks below compare its every decision with it."""
+    model, base, dist, aim, edge = case
     m = len(model[2])
     *_, hbase, _ = _BIND(_freeze(model))(*base, [0.0] * m)
     if not hbase > 0.0:
         return  # no step follows a sample where the controller is undefined
+    x, y = _state_at(model, base, dist, aim)
     if edge is not None:
-        _, _, rhos, total = _free_eval(_freeze(model), base, hops, stage)
-        rho0 = hbase - total
+        rho0 = hbase - math.sqrt(_q((x, y), base)) - 2.0 ** -40 * (
+            abs(base[0]) + abs(base[1]) + _corner(model[2]))
         if rho0 > 0.0:
             for _ in range(abs(edge)):
                 rho0 = math.nextafter(rho0, math.copysign(math.inf, edge))
             for obs in model[2]:
                 obs[3] = rho0
     model = _freeze(model)
-    (x, y), u, rhos, total = _free_eval(model, base, hops, stage)
-    event("evaluated" if u is None else "free")
-    if u is not None:
-        _check_free(model, x, y, u, stage is not None, rhos, total)
+    free_above = _k._free_above(model)
+    r2 = _k._free_r2(hbase, *base, free_above, _corner(model[2]))
+    if edge is not None and r2 > 0.0:
+        x, y = _state_at(model, base, math.sqrt(r2), aim)  # on the radius itself
+    nominal = _nominal(model)
+    free = 0
+    for sx, sy in itertools.product((-1, 0, 1), repeat=2):
+        px = math.nextafter(x, sx * math.inf) if sx else x
+        py = math.nextafter(y, sy * math.inf) if sy else y
+        if not _q((px, py), base) < r2:
+            continue
+        assert all(rho > free_above for rho in _clearances(px, py, model))
+        u = _free_u(nominal, m, _q((px, py), base), r2, px, py)
+        if u is not None:
+            free += 1
+            _check_free(model, px, py, u)
+    event("free" if free else "evaluated")
 
 
 def test_free_path_needs_finite_u_nom_and_no_table():
@@ -805,7 +836,7 @@ def test_free_path_needs_finite_u_nom_and_no_table():
     (``test_non_finite_u_nom_never_flies_free``)."""
     def free(model):
         model = _freeze(model)
-        out, _, calls, _ = _spied_run(model, (2.0, 0.0), 0.01, 1, ())
+        out, _, calls = _spied_run(model, (2.0, 0.0), 0.01, 1, ())
         assert out[0] == 2
         flies = len(calls) == 1
         assert flies == (_k._free_above(model) < math.inf)
@@ -835,10 +866,10 @@ def test_non_finite_u_nom_never_flies_free(sigma, k_att, x0, dt, stages):
     after one sample."""
     model = (0.0, 0.0, ((0.0, 1e102, 0.5, 0.4),), k_att, 1.0, 1.0,
              *_k.pack_controller(sigma, GammaSelector.zero()))
-    evals, out, rec = _same_decisions(model, x0, dt, 3, stages, _k._free_above(model))
+    evals, out, rec = _same_decisions(model, x0, dt, 3, stages)
     assert out[:2] == (1, _k.DOMAIN_ERROR) and np.isfinite(rec[0, 3:5]).all()
     late = evals[1]  # the next sample, or the stage
-    assert late.u is None and late.lo > _k._free_above(model)
+    assert late.u is None and late.q < late.r2
     assert not np.isfinite(late.full[:2]).all()
     assert _full_run(model, x0, dt, 3, stages)[0] == out
 
@@ -851,12 +882,12 @@ def test_non_finite_u_nom_never_flies_free(sigma, k_att, x0, dt, stages):
                          ids=["apf", "table"])
 @pytest.mark.parametrize("where", ["fig2", "fig2+1e6", "overlap"])
 def test_rollout_passes_each_evaluation_its_chain(where, spec, dt, integ, arena):
-    """Every evaluation is decided on the documented base and chain: the
-    hmin of the last sample evaluated in full, and the sum of the sample
-    reaches since, each grown by REACH_GROWTH, kept only while the base is
-    above every rho0 it may leave out (a Gamma table's is +inf, so it never
-    flies free).  The decisions of free samples (Euler) or stages (RK4, whose
-    reach includes the chain) are pinned to the last bit of their chain."""
+    """Every evaluation is decided on the documented base and free radius:
+    the last sample evaluated in full, and the radius its smallest clearance
+    gives above every rho0 it may leave out (a Gamma table's threshold is
+    +inf, so it never flies free).  The decisions of free samples (Euler) or
+    stages (RK4) are pinned to the last bit of their squared distance from
+    the base."""
     shift = 1e6 if where == "fig2+1e6" else 0.0
     scenario = _overlap() if where == "overlap" else Scenario(
         goal=arena.goal + shift, obstacles=[Obstacle(o.center + shift, o.radius,
@@ -885,7 +916,7 @@ def test_rollout_passes_each_evaluation_its_chain(where, spec, dt, integ, arena)
 @pytest.mark.parametrize("shift", [0.0, 1e6], ids=["fig2", "fig2+1e6"])
 def test_rollout_flies_free_and_keeps_every_bit(shift, spec, x0, dt, integ, arena):
     """fig2 runs, and the same arena translated by 1e6, where the rounding
-    slack of each reach is larger than most steps: samples and stages fly
+    slack of each radius is larger than most steps: samples and stages fly
     free, each one equal to its full evaluation, and the run equals one that
     evaluates every shell everywhere."""
     scenario = Scenario(goal=arena.goal + shift, k_att=arena.k_att, k_rep=arena.k_rep,
@@ -897,20 +928,6 @@ def test_rollout_flies_free_and_keeps_every_bit(shift, spec, x0, dt, integ, aren
     samples, stage_count = _free_counts(_check_free_rollout(
         model, (x0[0] + shift, x0[1] + shift), dt, int(40.0 / dt), stages))
     assert samples > 0 and (stage_count > 0 or not stages)
-
-
-@pytest.mark.parametrize("chunk", [2, 64])
-def test_free_stages_reduced_mid_run_keep_the_minimum(chunk, arena, monkeypatch):
-    """The free stage states owed to the minimum are reduced whenever the
-    record is written and enough are kept: with a small chunk that happens
-    many times in a run, and the run still owes exactly the replay's stages
-    and equals the full one."""
-    monkeypatch.setattr(_k, "STAGED_CHUNK_FLOATS", chunk)
-    model = _k.pack_model(arena, ControllerSpec("apf").packing())
-    evals = _check_free_rollout(model, (0.5, 1.5), 0.004, 2000, _k.RK4_STAGES)
-    owed = sum(e.owed for e in evals)
-    assert _free_counts(evals)[0] > 0 and 2 * owed > chunk
-    assert owed < _free_counts(evals)[1]  # some free stages owe nothing
 
 
 @settings(max_examples=60, deadline=None)
@@ -1033,7 +1050,7 @@ def test_free_rows_carry_the_sign_of_a_zero_margin():
         ux, uy, hmin, _ = _k.bind(model)(3.0, 0.0, phis)
         rec = np.full((1, 9), -1.0)
         rec[0, 1:5] = 3.0, 0.0, ux, uy
-        _k._fill_free(rec, bytearray(b"\x01"), 1, model, [])
+        _k._fill_free(rec, bytearray(b"\x01"), 1, model)
         assert _bits(rec[0, 7:].tolist()) == _bits(phis) and rec[0, 5] == hmin
         signs.append(math.copysign(1.0, phis[0]))
     assert signs == [-1.0, 1.0]
