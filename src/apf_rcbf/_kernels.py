@@ -29,7 +29,11 @@ Packing conventions used throughout:
   ``()`` is explicit Euler, :data:`RK4_STAGES` classic RK4
 * rollout record: one ``(n_max + 1, 7 + m)`` float array whose rows are the
   CSV rows ``t, x, y, ux, uy, h_min, V, phi_1 .. phi_m``; :func:`_integrate`
-  buffers rows in a flat list and writes them in chunks of whole rows
+  buffers per sample only what its loop computes (``x, y, ux, uy``, and the
+  row, ``h_min`` and margins of a sample evaluated in full), writes them in
+  chunks of whole rows, and forms ``t``, ``V`` and the free rows' ``h_min``
+  and margins array-at-a-time after the loop, with the scalar expressions in
+  the scalar order
 * terminal status: 0 = reached goal, 1 = timeout, 2 = domain error
 
 Kernels never raise: domain violations are reported through return codes and
@@ -73,8 +77,8 @@ alpha_gain * rho (kind 1 with alpha_gain >= 0), 0 (kind 0) or none
 only the negative ones, their count and their smallest value, so a free
 evaluation is neither counted nor that minimum.  A Gamma table, a shell
 without a positive rho0, kind 1 with a negative alpha_gain and an arena
-without obstacles never fly free.  :func:`_integrate` marks each free
-sample's row in a bytearray and, after the loop, :func:`_fill_free` writes
+without obstacles never fly free.  :func:`_integrate` records a free
+sample's row with h_min NaN and, after the loop, :func:`_fill_free` writes
 its h_min and margins array-at-a-time with those expressions, in the
 kernel's order.
 
@@ -327,14 +331,25 @@ def _eval_controls(xs, ys, model):
     return np.array(uxs), np.array(uys)
 
 
-def _flush(rec, row, buf, width):
-    """Write the whole rows held in the flat list ``buf`` into ``rec`` from
-    ``row`` on, by row slice (so any memory layout of ``rec`` is filled),
-    empty ``buf``, and return the next row to write."""
-    rows = len(buf) // width
-    rec[row:row + rows] = np.fromiter(buf, np.float64, rows * width).reshape(rows, width)
-    buf.clear()
-    return row + rows
+def _flush(rec, row, smp, hms):
+    """Write the samples buffered in the flat lists ``smp`` (``x, y, ux, uy``
+    per sample) and ``hms`` (``k, h_min, phi_1 .. phi_m`` per sample
+    evaluated in full, ``k`` its row) into ``rec`` from ``row`` on, by row
+    slice and row index (so any memory layout of ``rec`` is filled), with
+    ``h_min`` NaN on the rows ``hms`` does not name; empty both lists and
+    return the next row to write."""
+    rows = len(smp) // 4
+    end = row + rows
+    rec[row:end, 1:5] = np.fromiter(smp, np.float64, len(smp)).reshape(rows, 4)
+    rec[row:end, 5] = math.nan
+    if hms:
+        full = np.fromiter(hms, np.float64, len(hms)).reshape(-1, rec.shape[1] - 5)
+        idx = full[:, 0].astype(np.intp)
+        rec[idx, 5] = full[:, 1]
+        rec[idx, 7:] = full[:, 2:]
+    smp.clear()
+    hms.clear()
+    return end
 
 
 def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
@@ -349,11 +364,19 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     the control at the current state is not finite (say, |F_att|^2
     overflows), because every later state would be NaN.
 
-    Rows are collected in a flat Python list and written into ``rec`` a chunk
-    of about :data:`RECORD_CHUNK_FLOATS` floats at a time, by row slices, and
-    once more before the loop returns: one numpy element store costs about
-    three list appends.  Rows past the returned sample count are left as
-    they were.
+    The loop records only what it computes per sample: ``x, y, ux, uy`` of
+    every sample and, of each sample evaluated in full, its row, ``h_min``
+    and margins.  Both go into flat Python lists that :func:`_flush` writes
+    into ``rec`` every ``ceil(RECORD_CHUNK_FLOATS / (7 + m))`` samples (a
+    chunk of whole record rows) and once more after the loop: one numpy
+    element store costs about three list appends, and no list grows with
+    the run.  A free row is flushed with ``h_min`` NaN, which a full one
+    never has (the closure's minimum starts at +inf).  After the loop,
+    array-at-a-time: :func:`_fill_free` writes the ``h_min`` and margins of
+    those rows, and ``V`` is ``fields.u_att``'s ``0.5 * k_att * (dx * dx +
+    dy * dy)`` and ``t`` is ``k * dt``, the scalar expressions in the
+    scalar order.  Rows past the returned sample count are left as they
+    were.
 
     The controller is bound once per call, by the module's :func:`bind` as
     it is at call time, and each stage offset ``c * dt`` is formed once.
@@ -363,19 +386,17 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     forms u_nom inline and flies free without calling the closure; every
     other evaluation calls it, and the closure runs every shell.  The
     threshold :func:`_free_above` and the radius :func:`_free_r2` are read
-    from the module at call time.  Free rows are marked and get their
-    ``h_min`` and margins from :func:`_fill_free` after the loop: the record
-    and the returned count and minimum are those of evaluating every shell
-    everywhere.
+    from the module at call time.  The record and the returned count and
+    minimum are those of evaluating every shell everywhere.
 
     A stationary state ends the stepping early with the same record.  When a
     step returns its own state bit for bit (signed zeros included; a stall,
     where ``dt * |u|`` is below half an ulp of the state), every later step
     would repeat it: the controller is a pure function of the state, and so
     is the goal test.  The remaining rows are filled with copies of the last
-    one, their times are ``k * dt`` as the loop would write them, the status
-    is a timeout, and the negative-tightening count advances by the
-    evaluations the skipped steps would have made.
+    one, their times are ``k * dt`` as for every row, the status is a
+    timeout, and the negative-tightening count advances by the evaluations
+    the skipped steps would have made.
 
     Returns ``(n_samples, status, min_negative_gamma,
     n_negative_gamma_evals)``: the smallest tightening value below zero
@@ -390,8 +411,6 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     sqrt = math.sqrt
     isfinite = math.isfinite
     inf = math.inf
-    nan = math.nan
-    width = 7 + len(obstacles)
     phis = [0.0] * len(obstacles)
     scratch = [0.0] * len(obstacles)
     # (c * dt) * kx is how ``xx + c * dt * kx`` groups, so the stage states
@@ -400,32 +419,34 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
                  default=0.0) + FREE_FLOOR
     free_above = _free_above(model)
-    buf = []
+    # x, y, ux, uy of every sample, and row, h_min and margins of the full
+    # ones, flushed once a chunk of whole record rows is buffered
+    smp = []
+    hms = []
+    chunk = 4 * -(-RECORD_CHUNK_FLOATS // (7 + len(obstacles)))
     row = 0
     step = dt / (1.0 + sum(w for _, w in stages))
     ming = inf
     negcount = 0
     xx = x0x
     yy = x0y
-    n = 0
     status = TIMEOUT
     stall = -1
     # the base (basex, basey) is the last sample evaluated in full, r2 its
     # squared free radius; -1 flies nothing free before the first
     basex = basey = 0.0
     r2 = -1.0
-    # 1 marks a row sampled on the free path, whose h_min and margins
-    # _fill_free writes once the loop is done
-    free = bytearray(n_max + 1)
     for k in range(n_max + 1):
+        ddx = xx - gx
+        ddy = yy - gy
         # free flight: u_nom as bind's closure forms it, and the sample flies
         # free if d.u_nom on an idle shell is +-0 (u_nom finite)
-        flies = False
         ex = xx - basex
         ey = yy - basey
-        if ex * ex + ey * ey < r2:
-            bx = k_att * (xx - gx)
-            by = k_att * (yy - gy)
+        flies = ex * ex + ey * ey < r2
+        if flies:
+            bx = k_att * ddx
+            by = k_att * ddy
             bb = bx * bx + by * by
             if bb > 0.0:
                 gatt = -1.0 if skind == 0 else -(
@@ -435,12 +456,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             ux = gatt * bx
             uy = gatt * by
             flies = 0.0 * ux + 0.0 * uy == 0.0
-        if flies:
-            # no clearance evaluated, and no tightening that can be negative
-            free[k] = 1
-            hmin = nan
-            mg = inf
-        else:
+        if not flies:
             ux, uy, hmin, mg = point(xx, yy, phis)
             if mg < 0.0:
                 negcount += 1
@@ -450,25 +466,20 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
                 status = DOMAIN_ERROR
                 break
+            hms += (k, hmin)
+            hms += phis
             basex = xx
             basey = yy
             # the helper gives -1 as well at or below free_above, where the
             # shells are: the test only saves the call there
             r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0
-        ddx = xx - gx
-        ddy = yy - gy
-        dd2 = ddx * ddx + ddy * ddy
-        # V = fields.u_att's expression on the goal test's squared distance
-        buf += (k * dt, xx, yy, ux, uy, hmin, 0.5 * k_att * dd2)
-        buf += phis
-        if len(buf) >= RECORD_CHUNK_FLOATS:
-            row = _flush(rec, row, buf, width)
-        n = k + 1
-        if sqrt(dd2) < goal_tol:
+        smp += (xx, yy, ux, uy)
+        if len(smp) >= chunk:
+            row = _flush(rec, row, smp, hms)
+        if sqrt(ddx * ddx + ddy * ddy) < goal_tol:
             status = REACHED_GOAL
             break
         if k == n_max:
-            status = TIMEOUT
             break
         neg_before_stages = negcount
         # sx, sy accumulate the weighted stage slopes left to right
@@ -479,10 +490,10 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             px = xx + h * kx
             py = yy + h * ky
             # free flight as at a sample
-            flies = False
             ex = px - basex
             ey = py - basey
-            if ex * ex + ey * ey < r2:
+            stage_flies = ex * ex + ey * ey < r2
+            if stage_flies:
                 bx = k_att * (px - gx)
                 by = k_att * (py - gy)
                 bb = bx * bx + by * by
@@ -493,8 +504,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
                     gatt = 0.0
                 kx = gatt * bx
                 ky = gatt * by
-                flies = 0.0 * kx + 0.0 * ky == 0.0
-            if not flies:
+                stage_flies = 0.0 * kx + 0.0 * ky == 0.0
+            if not stage_flies:
                 kx, ky, hk, mgk = point(px, py, scratch)
                 if mgk < 0.0:
                     negcount += 1
@@ -502,33 +513,51 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
                         ming = mgk
                 if hk <= 0.0:
                     # a stage state touched an obstacle
-                    status = DOMAIN_ERROR
                     break
             sx = sx + w * kx
             sy = sy + w * ky
-        if status == DOMAIN_ERROR:
-            break
-        nx = xx + step * sx
-        ny = yy + step * sy
-        if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
-                and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
-            # stationary: each skipped step evaluates its sample, and every
-            # one but the last its stages
-            stall = k
-            rest = n_max - k
-            negcount += rest * (mg < 0.0) + (rest - 1) * (negcount - neg_before_stages)
-            status = TIMEOUT
-            break
-        xx = nx
-        yy = ny
-    _flush(rec, row, buf, width)
-    _fill_free(rec, free, n, model)
+        else:
+            nx = xx + step * sx
+            ny = yy + step * sy
+            if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
+                    and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
+                # stationary: each skipped step evaluates its sample (counted
+                # only if it was full: a free one's tightening is never
+                # negative), and every one but the last its stages
+                stall = k
+                rest = n_max - k
+                negcount += (rest * (not flies and mg < 0.0)
+                             + (rest - 1) * (negcount - neg_before_stages))
+                break
+            xx = nx
+            yy = ny
+            continue
+        status = DOMAIN_ERROR
+        break
+    n = _flush(rec, row, smp, hms)
+    _fill_free(rec, np.isnan(rec[:n, 5]), n, model)
+    rec[:n, 6] = _potential(rec[:n, 1], rec[:n, 2], gx, gy, k_att)
     if stall >= 0:
         # rows stall+1 .. n_max repeat row stall
+        rec[stall + 1:n_max + 1, 1:] = rec[stall, 1:]
         n = n_max + 1
-        rec[stall + 1:n] = rec[stall]
-        rec[stall + 1:n, 0] = np.arange(stall + 1, n) * dt
+    rec[:n, 0] = np.arange(n) * dt
     return n, status, ming, negcount
+
+
+def _potential(xs, ys, gx, gy, k_att):
+    """``fields.u_att`` at the states ``xs``, ``ys`` (arrays): its scalar
+    expression ``0.5 * k_att * (dx * dx + dy * dy)`` array-at-a-time, on
+    two temporaries.  The squared distance overflows to inf (and ``V`` to
+    NaN where ``k_att`` is 0) as the scalar one does, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = xs - gx
+        v *= v
+        dy = ys - gy
+        dy *= dy
+        v += dy
+        v *= 0.5 * k_att
+    return v
 
 
 def _idle_clearances(xs, ys, obstacles):
@@ -547,15 +576,16 @@ def _idle_clearances(xs, ys, obstacles):
 
 def _fill_free(rec, free, n, model):
     """Write ``h_min`` and the margins of the rows among the first ``n`` of
-    ``rec`` that ``free`` marks, array-at-a-time, with the expressions of
+    ``rec`` that ``free`` marks (one byte per row, nonzero on a free row: a
+    bytearray or a boolean array), array-at-a-time, with the expressions of
     :func:`bind`'s margin block on an idle shell.  On a free row the control
     is u_nom, so d.u_nom on an idle shell is formed from it as the kernel
     forms it.  A free row's tightenings are never negative, so they leave
     the run's count and minimum as they are."""
-    if 1 not in free:
+    rows = np.flatnonzero(np.frombuffer(free, np.uint8, n))
+    if not rows.size:
         return
     alpha_gain, gkind, glam = model[5], model[11], model[12]
-    rows = np.flatnonzero(np.frombuffer(free, np.uint8, n))
     # one row per obstacle, one column per free row
     rho = _idle_clearances(rec[rows, 1], rec[rows, 2], model[2])
     rec[rows, 5] = np.minimum.reduce(rho)  # no clearance of a free state is NaN or -0

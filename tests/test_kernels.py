@@ -11,6 +11,9 @@ import collections
 import itertools
 import math
 import struct
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1084,3 +1087,122 @@ def test_record_of_any_layout_is_filled(layout, case, arena):
     assert (rec[out[0]:] == -1.0).all()
     if layout == "strided":
         assert (base[1::2] == -1.0).all()
+
+
+# The loop records x, y and the control of each sample; t and V are formed
+# after it, array-at-a-time.  On free rows, full rows and the rows a stall
+# fills alike they must be the scalar k * dt and 0.5 * k_att * dd2, bit for
+# bit, overflow included, and no floating-point warning may escape.
+
+def _classified_rollout(model, x0, dt, n_max, stages, goal_tol):
+    """Runs ``_integrate`` with warnings as errors and a spy on the closure;
+    returns the result, the record and the row kinds: "full" for a sample
+    the closure evaluated, "free" for one it did not, "stall" past the
+    first step that repeated its state."""
+    calls = set()
+
+    def spy_bind(m):
+        point = _BIND(m)
+
+        def spy(x, y, phis):
+            calls.add((x, y))
+            return point(x, y, phis)
+        return spy
+
+    rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(_k, "bind", spy_bind)
+        out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec)
+    xy = [tuple(p) for p in rec[:out[0], 1:3].tolist()]
+    kinds = []
+    for k, p in enumerate(xy):
+        if kinds and (kinds[-1] == "stall" or p == xy[k - 1]):
+            kinds.append("stall")
+        else:
+            kinds.append("full" if p in calls else "free")
+    return out, rec, kinds
+
+
+def _check_scalar_columns(model, dt, rec, n):
+    """t and V of the first ``n`` rows against the scalar expressions."""
+    gx, gy, k_att = model[0], model[1], model[3]
+    ts, vs = [], []
+    for k, (x, y) in enumerate(rec[:n, 1:3].tolist()):
+        ddx = x - gx
+        ddy = y - gy
+        ts.append(k * dt)
+        vs.append(0.5 * k_att * (ddx * ddx + ddy * ddy))
+    assert _bits(rec[:n, 0].tolist()) == _bits(ts)
+    assert _bits(rec[:n, 6].tolist()) == _bits(vs)
+    return vs
+
+
+@pytest.mark.parametrize("integ", [0, 1], ids=["euler", "rk4"])
+@pytest.mark.parametrize("k_att", [None, 1.3], ids=["k_att", "k_att1.3"])
+@pytest.mark.parametrize("shift", [0.0, 1e6, -1e6], ids=["fig2", "fig2+1e6", "fig2-1e6"])
+def test_t_and_v_are_the_scalar_expressions_on_every_row(shift, k_att, integ, arena):
+    """With no goal tolerance the apf run from (-2, 0) closes on the goal
+    until a step no longer moves the state, so it has free rows, full rows
+    and a stall tail.  A k_att of 1.3 (the arena's is 1) makes a regrouped
+    V, such as 0.5 k_att dx^2 + 0.5 k_att dy^2, round differently."""
+    scenario = Scenario(goal=arena.goal + shift, k_att=k_att or arena.k_att, k_rep=arena.k_rep,
+                        alpha_gain=arena.alpha_gain,
+                        obstacles=[Obstacle(o.center + shift, o.radius, o.influence_margin)
+                                   for o in arena.obstacles])
+    model = _k.pack_model(scenario, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    stages = ((), _k.RK4_STAGES)[integ]
+    out, rec, kinds = _classified_rollout(model, (-2.0 + shift, shift), 0.02, 2000, stages, 0.0)
+    assert out[:2] == (2001, _k.TIMEOUT)
+    assert set(kinds) == {"free", "full", "stall"}
+    _check_scalar_columns(model, 0.02, rec, out[0])
+
+
+@pytest.mark.parametrize("k_att, n_max, expected", [
+    (1.0, 5, ("full",) * 6),  # halves the state each step, V inf throughout
+    (0.0, 5, ("full",) + ("stall",) * 5),  # u = 0: stalls at once, V = 0 * inf
+])
+def test_v_overflows_as_the_scalar_does(k_att, n_max, expected):
+    """|x - g|^2 overflows at 1e200 from the goal: V is inf, or NaN where
+    k_att is 0, with the scalar's bits, and no warning escapes.  A state that
+    far from the obstacle never flies free (its span reaches the limit)."""
+    model = (0.0, 0.0, ((0.0, 0.0, 0.5, 0.4),), k_att, 1.0, 1.0,
+             *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    out, rec, kinds = _classified_rollout(model, (1e200, 1e200), 0.5, n_max, (), 0.05)
+    assert out[:2] == (n_max + 1, _k.TIMEOUT) and tuple(kinds) == expected
+    vs = _check_scalar_columns(model, 0.5, rec, out[0])
+    assert all(math.isinf(v) for v in vs) if k_att else all(math.isnan(v) for v in vs)
+
+
+def test_loop_buffers_stay_within_a_chunk(monkeypatch):
+    """The loop buffers at most one chunk of samples, whatever the horizon.
+    overlap gamma2 Euler dt 0.02 from (0, 0.1) creeps on without stalling
+    and evaluates about two samples in three in full, so both buffers fill.
+    Under tracemalloc, ``rec`` allocated before, the peak up to the last
+    flush -- the loop's; t, V and the free rows are formed after it -- stays
+    below one chunk of record rows held as Python floats and copied once
+    into an array, at n_max 5,000 and 50,000 alike."""
+    flush = _k._flush
+    peak = 0
+
+    def spy(*args):
+        nonlocal peak
+        peak = tracemalloc.get_traced_memory()[1]  # the peak only grows
+        return flush(*args)
+
+    monkeypatch.setattr(_k, "_flush", spy)
+    model = _k.pack_model(_overlap(), _k.pack_controller(
+        UNIT_SIGMA, GammaSelector.scaled_special(8.0)))
+    width = 9
+    rows = -(-_k.RECORD_CHUNK_FLOATS // width)
+    bound = rows * width * (8 + sys.getsizeof(1.0) + 8)
+    for n_max in (5_000, 50_000):
+        rec = np.empty((n_max + 1, width))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = _k._integrate(0.0, 0.1, model, 0.02, n_max, 0.05, (), rec)
+        finally:
+            tracemalloc.stop()
+        assert out[:2] == (n_max + 1, _k.TIMEOUT)
+        assert peak - base < bound

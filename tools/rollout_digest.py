@@ -11,11 +11,15 @@ trees that return only the smallest negative one digest alike.
 
 Run it against a source tree with, for example::
 
-    PYTHONPATH=src python3 tools/rollout_digest.py
+    PYTHONPATH=src python3 tools/rollout_digest.py [--per-case]
 
 Two trees that digest alike give the same rollouts bit for bit on the grid.
+``--per-case`` first prints one line per rollout, its case and the SHA-256
+of what it adds to the digest, so a diff of two trees' outputs lists
+exactly the cases that moved.
 """
 
+import argparse
 import hashlib
 import itertools
 import math
@@ -57,24 +61,32 @@ def shifted(scenario, shift):
                                for o in scenario.obstacles])
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--per-case", action="store_true",
+                        help="print each rollout's own digest before the combined one")
+    args = parser.parse_args(argv)
     digest = hashlib.sha256()
     runs = 0
     statuses = [0, 0, 0]
     negative_runs = 0
     for (name, base, starts), shift in itertools.product(arenas(), SHIFTS):
         scenario = shifted(base, shift)
-        for sigma, gamma in itertools.product(SIGMAS, GAMMAS):
+        for (i, sigma), (j, gamma) in itertools.product(enumerate(SIGMAS), enumerate(GAMMAS)):
             model = _k.pack_model(scenario, _k.pack_controller(sigma, gamma))
-            for (_, stages), dt, x0 in itertools.product(INTEGRATORS, DTS, starts):
+            for (integ, stages), dt, x0 in itertools.product(INTEGRATORS, DTS, starts):
                 n_max = int(round(T_MAX / dt))
                 rec = np.full((n_max + 1, 7 + len(scenario.obstacles)), -1.0)
                 n, status, ming, negcount = _k._integrate(
                     x0[0] + shift, x0[1] + shift, model, dt, n_max, GOAL_TOL, stages, rec)
                 if not ming < 0.0:
                     ming = math.inf
-                digest.update(struct.pack("<qqdq", n, status, ming, negcount))
-                digest.update(np.ascontiguousarray(rec[:n]).tobytes())
+                case = (struct.pack("<qqdq", n, status, ming, negcount)
+                        + np.ascontiguousarray(rec[:n]).tobytes())
+                digest.update(case)
+                if args.per_case:
+                    print(f"{name} {shift:+g} sigma{i} gamma{j} {integ} {dt} {x0}: "
+                          f"{hashlib.sha256(case).hexdigest()}")
                 runs += 1
                 statuses[status] += 1
                 negative_runs += negcount > 0
