@@ -13,7 +13,7 @@ Packing conventions used throughout:
 * obstacles: a tuple of ``(cx, cy, r, rho0)`` float tuples, one per obstacle
 * controller packing, built only by :func:`pack_controller` from the two
   selectors it is given (no defaults; ``apf`` and ``special_filter`` run the
-  unit pair, packed once as ``rcbf.UNIT_PACKING``):
+  unit pair, packed once as ``clf.UNIT_PACKING``):
   ``(ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty)``, table slots
   ``None`` unless the selector is a table
 * controller kind: 1 = nominal only (gamma selector ``None``), 2 = filtered.

@@ -12,6 +12,11 @@ control subject to it has the closed form
     u = -(sigma / |b|^2) b        (u = 0 at the goal),
 
 which reduces to exactly -F_att for the sigma = |b|^2 selector.
+
+Both tightening selectors live here, :class:`SigmaSelector` for this
+condition and :class:`GammaSelector` for the barrier condition of
+:mod:`apf_rcbf.rcbf`, with the unit pair ``UNIT_SIGMA``, ``UNIT_GAMMA`` and its
+kernel packing ``UNIT_PACKING``; a rollout needs them and nothing of ``rcbf``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .fields import _as_point, f_att
 from .scenario import Scenario
 
 _SIGMA_KINDS = {"grad_norm_squared": 0, "scaled_value": 1, "scaled_norm": 2, "custom": 3}
+_GAMMA_KINDS = {"zero": 0, "scaled_special": 1, "custom": 2}
 
 
 def _freeze_table(xs, ys, name):
@@ -106,6 +112,66 @@ class SigmaSelector:
         scoef = self.coefficient if self.coefficient is not None else 1.0
         stx, sty = self.table if self.kind == "custom" else (None, None)
         return skind, scoef, stx, sty
+
+
+@dataclass(frozen=True)
+class GammaSelector:
+    """Choice of tightening term Gamma(x) for the barrier condition.
+
+    Kinds: ``zero``, ``scaled_special`` (Gamma = lam |d|^2 + alpha_gain h -
+    d.u_nom with lam > 0), and ``custom`` (interpolation over clearance h,
+    nonnegative values, clamped at the table ends).
+    """
+
+    kind: str
+    lam: float | None = None
+    table: tuple | None = None
+
+    def __post_init__(self):
+        if self.kind not in _GAMMA_KINDS:
+            raise ValueError(f"unknown gamma selector kind: {self.kind!r}")
+        if self.kind == "scaled_special":
+            object.__setattr__(self, "lam", _positive(
+                self.lam, "scaled_special selector requires a positive lambda"))
+        if self.kind == "custom":
+            if self.table is None:
+                raise ValueError("custom gamma selector requires a table")
+            xs, ys = _freeze_table(self.table[0], self.table[1], "gamma")
+            if xs[0] < 0.0:
+                raise ValueError("gamma table knots are clearances and must be >= 0")
+            if not np.all(ys >= 0.0):
+                raise ValueError("gamma table values must be nonnegative")
+            object.__setattr__(self, "table", (xs, ys))
+
+    @classmethod
+    def zero(cls):
+        return cls("zero")
+
+    @classmethod
+    def scaled_special(cls, lam: float):
+        return cls("scaled_special", lam=lam)
+
+    @classmethod
+    def custom(cls, clearances, values):
+        return cls("custom", table=(clearances, values))
+
+    def packed(self):
+        gkind = _GAMMA_KINDS[self.kind]
+        glam = self.lam if self.lam is not None else 0.0
+        gtx, gty = self.table if self.kind == "custom" else (None, None)
+        return gkind, glam, gtx, gty
+
+    def _key(self):
+        if self.kind == "scaled_special":
+            return ("scaled_special", self.lam)
+        return (self.kind,)
+
+
+# The unit pair, under which the filtered stabilizer is the combined
+# potential-field controller; ``apf`` and ``special_filter`` run its packing.
+UNIT_SIGMA = SigmaSelector.grad_norm_squared()
+UNIT_GAMMA = GammaSelector.scaled_special(1.0)
+UNIT_PACKING = _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)
 
 
 @dataclass(frozen=True)

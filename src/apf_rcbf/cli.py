@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import json
 import math
 import os
@@ -30,9 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .clf import SigmaSelector
+from .clf import GammaSelector, SigmaSelector
 from .errors import ConfigError, ScenarioValidationError
-from .rcbf import GammaSelector
 from .scenario import Scenario, load_scenario, refuse_booleans
 from .simulate import (ControllerSpec, SimConfig, metrics, simulate,
                        write_trajectory_csv)
@@ -356,7 +356,12 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    code = main()
+    # Everything the run made lives until exit.  Frozen, it is left out of
+    # the interpreter's final collection, which would otherwise traverse
+    # every object the imports created.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,11 @@ phi collapse to exactly lam |d|^2, so the filtered controller superposes
 corrections of exactly -lam F_rep per active obstacle; at lam = 1 with the
 squared-gradient-norm stabilizer this reproduces the potential-field
 controller identically.
+
+The tightening selectors, :class:`GammaSelector` with :class:`SigmaSelector`,
+and the unit pair ``UNIT_SIGMA``, ``UNIT_GAMMA``, ``UNIT_PACKING`` live in
+:mod:`apf_rcbf.clf`, so a rollout never loads this module; they are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .clf import SigmaSelector, _freeze_table, _positive, sigma_value
+from .clf import UNIT_GAMMA, UNIT_PACKING, UNIT_SIGMA, GammaSelector, SigmaSelector, sigma_value
 from .errors import InfeasibleConstraintError, NegativeGammaError
 from .fields import f_att, f_rep, u_rep
 from .scenario import Obstacle, Scenario, rho
@@ -38,8 +43,6 @@ logger = logging.getLogger(__name__)
 
 NEGATIVE_GAMMA_MSG = "Gamma selector produced negative value"
 INFEASIBLE_MSG = "constraint infeasible at state"
-
-_GAMMA_KINDS = {"zero": 0, "scaled_special": 1, "custom": 2}
 
 # selector keys already warned about; cleared by tests
 _warned_negative_gamma = set()
@@ -61,66 +64,6 @@ def _warn_negative_gamma(key, min_gamma, where):
         "Gamma selector %s evaluated negative (min %.3e) %s; "
         "filter output is unaffected but the tightening certificate fails there",
         key, min_gamma, where)
-
-
-@dataclass(frozen=True)
-class GammaSelector:
-    """Choice of tightening term Gamma(x) for the barrier condition.
-
-    Kinds: ``zero``, ``scaled_special`` (Gamma = lam |d|^2 + alpha_gain h -
-    d.u_nom with lam > 0), and ``custom`` (interpolation over clearance h,
-    nonnegative values, clamped at the table ends).
-    """
-
-    kind: str
-    lam: float | None = None
-    table: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in _GAMMA_KINDS:
-            raise ValueError(f"unknown gamma selector kind: {self.kind!r}")
-        if self.kind == "scaled_special":
-            object.__setattr__(self, "lam", _positive(
-                self.lam, "scaled_special selector requires a positive lambda"))
-        if self.kind == "custom":
-            if self.table is None:
-                raise ValueError("custom gamma selector requires a table")
-            xs, ys = _freeze_table(self.table[0], self.table[1], "gamma")
-            if xs[0] < 0.0:
-                raise ValueError("gamma table knots are clearances and must be >= 0")
-            if not np.all(ys >= 0.0):
-                raise ValueError("gamma table values must be nonnegative")
-            object.__setattr__(self, "table", (xs, ys))
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def scaled_special(cls, lam: float):
-        return cls("scaled_special", lam=lam)
-
-    @classmethod
-    def custom(cls, clearances, values):
-        return cls("custom", table=(clearances, values))
-
-    def packed(self):
-        gkind = _GAMMA_KINDS[self.kind]
-        glam = self.lam if self.lam is not None else 0.0
-        gtx, gty = self.table if self.kind == "custom" else (None, None)
-        return gkind, glam, gtx, gty
-
-    def _key(self):
-        if self.kind == "scaled_special":
-            return ("scaled_special", self.lam)
-        return (self.kind,)
-
-
-# The unit pair, under which the filtered stabilizer is the combined
-# potential-field controller; ``apf`` and ``special_filter`` run its packing.
-UNIT_SIGMA = SigmaSelector.grad_norm_squared()
-UNIT_GAMMA = GammaSelector.scaled_special(1.0)
-UNIT_PACKING = _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .clf import SigmaSelector
-from .rcbf import UNIT_PACKING, GammaSelector
+from .clf import UNIT_PACKING, GammaSelector, SigmaSelector
 from .scenario import Scenario, classify_safety, validate_scenario
 
 logger = logging.getLogger(__name__)
@@ -223,7 +222,11 @@ def read_trajectory_csv(path, terminal: str) -> Trajectory:
         if tuple(cols[:7]) != CSV_BASE_COLUMNS:
             raise ValueError(f"unexpected trajectory CSV header: {header!r}")
         m = len(cols) - 7
+        # a run without a sample writes the header alone, and loadtxt warns
+        # on an empty body, so an empty body is not handed to it
+        body = fh.tell()
+        if not fh.read(1):
+            return _trajectory(np.empty((0, 7 + m)), terminal)
+        fh.seek(body)
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        data = data.reshape(0, 7 + m)
     return _trajectory(data[:, :7 + m], terminal)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .qp import solve_projection_many
-from .rcbf import UNIT_PACKING, RcbfTerms, safety_filter
+from .clf import UNIT_PACKING
 from .scenario import Scenario, rho
 from .fields import apf_control, f_att, f_rep, u_att, u_rep
 
@@ -179,7 +178,13 @@ def oracle_suite(n=100000, seed=0) -> SuiteResult:
     """Closed-form filter against the enumeration QP on random
     single-constraint projections.  The filter under test runs one instance
     at a time; the QP solves them all as one stack
-    (:func:`solve_projection_many`, bitwise :func:`solve_projection`)."""
+    (:func:`solve_projection_many`, bitwise :func:`solve_projection`).
+    The QP and the filter are imported here, their only user in this module,
+    so importing ``verify`` (as ``apf-rcbf run`` does, for its suite names)
+    loads neither."""
+    from .qp import solve_projection_many
+    from .rcbf import RcbfTerms, safety_filter
+
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     u_noms = rng.normal(0.0, 2.0, size=(n, 2))

@@ -1,5 +1,6 @@
 """Command-line behaviour: config parsing, output files, exit codes."""
 
+import gc
 import json
 
 import numpy as np
@@ -507,8 +508,42 @@ def test_argparse_rejects_unknown_suite():
         cli.main(["verify", "fig2.json", "--suite", "nope"])
 
 
-def test_entry_exits_with_main_code(tmp_path, monkeypatch):
+@pytest.fixture()
+def unfreeze_gc():
+    """``cli.entry`` freezes the garbage collector's objects before it exits;
+    this fixture undoes that, so later tests collect as usual."""
+    yield
+    gc.unfreeze()
+
+
+def test_entry_exits_with_main_code(tmp_path, monkeypatch, unfreeze_gc):
+    """``entry`` exits with the code of ``main``, after freezing what the
+    process made so that the exit-time collection skips it."""
     monkeypatch.setattr("sys.argv", ["apf-rcbf", "run", "never-there.json"])
+    frozen = gc.get_freeze_count()
     with pytest.raises(SystemExit) as excinfo:
         cli.entry()
     assert excinfo.value.code == 2
+    assert gc.get_freeze_count() > frozen
+
+
+def test_zero_sample_run_writes_and_reads_back_an_empty_trajectory(tmp_path, capsys):
+    """A run whose first control overflows ends in ``domain_error`` with no
+    sample: the CSV is its header alone, and reading it back gives empty
+    columns of the right shapes without numpy's empty-input warning."""
+    write_json(tmp_path / "scen.json", {
+        "goal": [0.0, 0.0],
+        "obstacles": [{"center": [5.0, 5.0], "radius": 1.0, "rho0": 0.5}],
+        "k_att": 1e300, "k_rep": 1.0, "alpha_gain": 1.0,
+    })
+    cfg = run_config("scen.json", output_dir=str(tmp_path / "out"), x0=[1e10, 0.0],
+                     controllers=[{"name": "pure", "kind": "apf"}],
+                     sim={"dt": 0.01, "t_max": 1.0, "integrator": "euler"})
+    assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 1
+    assert "pure             domain_error" in capsys.readouterr().out
+    csv = tmp_path / "out" / "pure.csv"
+    assert csv.read_text() == "t,x,y,ux,uy,h_min,V,phi_1\n"
+    tr = read_trajectory_csv(csv, terminal="domain_error")
+    assert tr.n_samples == 0
+    assert (tr.x.shape, tr.u.shape, tr.h_min.shape, tr.V.shape, tr.phi.shape) == (
+        (0, 2), (0, 2), (0,), (0,), (0, 1))

@@ -36,7 +36,7 @@ def test_equivalence_suite_runs_the_kernel_once(arena, monkeypatch):
 
 
 def test_verify_imports_no_simulator(package_imports):
-    """The suites take the unit packing from ``rcbf``; the rollout module is
+    """The suites take the unit packing from ``clf``; the rollout module is
     not part of the grid check."""
     assert "simulate" not in package_imports(apf_rcbf.verify)
 
