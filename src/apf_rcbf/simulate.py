@@ -45,6 +45,9 @@ CSV_BASE_COLUMNS = ("t", "x", "y", "ux", "uy", "h_min", "V")
 # obstacles.  The bundled configs record at most 10,001 rows of 10 floats.
 MAX_RECORD_FLOATS = 2 ** 25
 
+# write_trajectory_csv formats this many rows per block
+CSV_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class ControllerSpec:
@@ -201,14 +204,23 @@ def csv_header(n_obstacles: int) -> str:
 
 
 def write_trajectory_csv(tr: Trajectory, path) -> None:
-    """Plain CSV, one row per sample, '.' decimal separator, %.17g floats."""
-    rows = np.column_stack([tr.t, tr.x, tr.u, tr.h_min, tr.V, tr.phi]).tolist()
-    # '%.17g' % v is f'{v:.17g}' byte for byte, and one format per row is cheaper
+    """Plain CSV, one row per sample, '.' decimal separator, %.17g floats.
+
+    Rows are formatted :data:`CSV_BLOCK_ROWS` at a time, so the Python floats
+    in memory at once are one block's, whatever the length of the record."""
+    # '%.17g' % v is f'{v:.17g}' byte for byte, and one format per block of
+    # rows is cheaper than one per row
     line = ",".join(["%.17g"] * (7 + tr.phi.shape[1])) + "\n"
+    n = tr.n_samples
+    if any(col.shape[0] != n for col in (tr.x, tr.u, tr.h_min, tr.V, tr.phi)):
+        raise ValueError("trajectory columns differ in length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(csv_header(tr.phi.shape[1]) + "\n")
-        for row in rows:
-            fh.write(line % tuple(row))
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, n)
+            rows = np.column_stack([tr.t[lo:hi], tr.x[lo:hi], tr.u[lo:hi], tr.h_min[lo:hi],
+                                    tr.V[lo:hi], tr.phi[lo:hi]])
+            fh.write(line * (hi - lo) % tuple(rows.ravel().tolist()))
 
 
 def read_trajectory_csv(path, terminal: str) -> Trajectory:

@@ -1206,3 +1206,212 @@ def test_loop_buffers_stay_within_a_chunk(monkeypatch):
             tracemalloc.stop()
         assert out[:2] == (n_max + 1, _k.TIMEOUT)
         assert peak - base < bound
+
+
+# The goal test compares the squared distance with q* =
+# _goal_threshold(goal_tol), which must classify every double as
+# sqrt(q) < goal_tol does.
+
+@pytest.mark.parametrize("goal_tol", [5e-324, 1e-161, 1e-155, 0.05, 0.3, 1e150, 1e300, math.inf])
+def test_goal_threshold_classifies_as_the_square_root(goal_tol, monkeypatch):
+    """At q*, one ulp below and one ulp above it, and at +-0, the smallest
+    subnormal, inf and NaN, ``q < q*`` is ``sqrt(q) < goal_tol``; the walk
+    that finds q* makes at most three ``math.nextafter`` calls."""
+    nextafter = math.nextafter
+    calls = []
+
+    def spy(a, b):
+        calls.append(a)
+        return nextafter(a, b)
+
+    monkeypatch.setattr(math, "nextafter", spy)
+    q_star = _k._goal_threshold(goal_tol)
+    monkeypatch.undo()
+    assert len(calls) <= 3
+    for q in (q_star, nextafter(q_star, 0.0), nextafter(q_star, math.inf),
+              0.0, -0.0, 5e-324, math.inf, math.nan):
+        assert (q < q_star) == (math.sqrt(q) < goal_tol), q
+    # q* is the least double that reaches goal_tol
+    assert math.sqrt(q_star) >= goal_tol > math.sqrt(nextafter(q_star, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(goal_tol=st.floats(min_value=5e-324, allow_infinity=True, allow_nan=False),
+       q=st.floats(min_value=0.0, allow_infinity=True, allow_nan=False))
+def test_goal_threshold_matches_any_square_root_test(goal_tol, q):
+    q_star = _k._goal_threshold(goal_tol)
+    for v in (q, q_star, math.nextafter(q_star, 0.0), math.nextafter(q_star, math.inf)):
+        assert (v < q_star) == (math.sqrt(v) < goal_tol)
+
+
+@pytest.mark.parametrize("goal_tol", [0.0, -0.0, -1.0, -math.inf, math.nan])
+def test_goal_threshold_without_a_positive_tolerance_never_fires(goal_tol):
+    q_star = _k._goal_threshold(goal_tol)
+    assert _bits([q_star]) == _bits([0.0])
+    assert not any(q < q_star for q in (0.0, -0.0, 5e-324, 1.0, math.inf, math.nan))
+
+
+def _state_with_q(q):
+    """A state ``(x, y)`` whose squared distance from the origin, as the
+    kernel forms it, is the double ``q``."""
+    x = math.sqrt(q)
+    for _ in range(8):
+        a = x * x
+        if a <= q:
+            y = math.sqrt(q - a)  # q - a is exact, the two being this close
+            if a + y * y == q:
+                return x, y
+        x = math.nextafter(x, 0.0)
+    raise AssertionError(q)
+
+
+@pytest.mark.parametrize("goal_tol", [0.05, 0.3, 1e-155, 1e150])
+def test_rollout_reaches_the_goal_exactly_where_the_square_root_does(goal_tol):
+    """One-sample runs from states whose squared distance from the goal is
+    q* or the double below it: the run reaches the goal exactly where
+    ``sqrt(q) < goal_tol``, so the boundary is the strict square-root test
+    to the last ulp."""
+    q_star = _k._goal_threshold(goal_tol)
+    model = (0.0, 0.0, (), 1.0, 1.0, 1.0, *_k.pack_controller(UNIT_SIGMA, None))
+    for q, reached in ((q_star, False), (math.nextafter(q_star, 0.0), True)):
+        assert (math.sqrt(q) < goal_tol) == reached
+        rec = np.full((1, 7), -1.0)
+        out = _k._integrate(*_state_with_q(q), model, 0.01, 0, goal_tol, (), rec)
+        assert out[:2] == (1, _k.REACHED_GOAL if reached else _k.TIMEOUT)
+
+
+# u_nom = -b on a free evaluation: _integrate against a loop that calls the
+# bound closure at every sample and stage, where |b|^2 overflows, where it
+# underflows to 0 near the goal, and where a state coordinate equals the
+# goal's with signed zeros.
+
+def _point_rollout(model, x0, dt, n_max, goal_tol, stages):
+    """``_integrate``'s documented loop with ``bind(model)`` called at every
+    sample and stage, the goal test ``sqrt(q) < goal_tol``, no buffering,
+    free flight or stationary fill.  Returns the run's output and rows, and
+    the evaluations ``(x, y, stage)`` up to the end of the first step that
+    returns its own state (``stage`` None for a sample): those the kernel
+    makes."""
+    gx, gy, obstacles, k_att = model[:4]
+    point, m = _BIND(model), len(obstacles)
+    step = dt / (1.0 + sum(w for _, w in stages))
+    rows, evals, ming, neg = [], [], math.inf, 0
+    stall = None
+    status = _k.TIMEOUT
+    xx, yy = x0
+    for k in range(n_max + 1):
+        phis = [0.0] * m
+        ux, uy, hmin, mg = point(xx, yy, phis)
+        evals.append((xx, yy, None))
+        if mg < 0.0:
+            neg, ming = neg + 1, min(ming, mg)
+        if hmin <= 0.0 or not (math.isfinite(ux) and math.isfinite(uy)):
+            status = _k.DOMAIN_ERROR
+            break
+        dx, dy = xx - gx, yy - gy
+        rows.append([k * dt, xx, yy, ux, uy, hmin, 0.5 * k_att * (dx * dx + dy * dy), *phis])
+        if math.sqrt(dx * dx + dy * dy) < goal_tol:
+            status = _k.REACHED_GOAL
+            break
+        if k == n_max:
+            break
+        kx = sx = ux
+        ky = sy = uy
+        for j, (c, w) in enumerate(stages):
+            px, py = xx + c * dt * kx, yy + c * dt * ky
+            kx, ky, hk, mgk = point(px, py, [0.0] * m)
+            evals.append((px, py, j))
+            if mgk < 0.0:
+                neg, ming = neg + 1, min(ming, mgk)
+            if hk <= 0.0:
+                status = _k.DOMAIN_ERROR
+                break
+            sx, sy = sx + w * kx, sy + w * ky
+        else:
+            nx, ny = xx + step * sx, yy + step * sy
+            if stall is None and _bits([nx, ny]) == _bits([xx, yy]):
+                stall = len(evals)
+            xx, yy = nx, ny
+            continue
+        break
+    return (len(rows), status, ming, neg), rows, evals[:stall]
+
+
+def _free_evaluations(evals, calls):
+    """The numbers of free samples and free stages: the evaluations the
+    kernel made without calling the closure, given the states it called it
+    at, in order (they must be a subsequence of ``evals``)."""
+    free, j = [0, 0], 0
+    for x, y, stage in evals:
+        if j < len(calls) and _bits(calls[j]) == _bits([x, y]):
+            j += 1
+        else:
+            free[stage is not None] += 1
+    assert j == len(calls)
+    return tuple(free)
+
+
+_FAR = ((3.0, 3.0, 0.5, 0.4),)
+_UNFILTERED = _k.pack_controller(UNIT_SIGMA, None)
+_ZERO = _k.pack_controller(UNIT_SIGMA, GammaSelector.zero())
+_SPECIAL = _k.pack_controller(UNIT_SIGMA, GammaSelector.scaled_special(8.0))
+
+
+@pytest.mark.parametrize("integ", [0, 1], ids=["euler", "rk4"])
+@pytest.mark.parametrize("case", [
+    # |b|^2 overflows at every state (k_att 1e200, a step of 1e-202), so
+    # every free evaluation takes the generic u_nom and its finiteness test
+    pytest.param(((0.0, 0.0, _FAR, 1e200, 1.0, 1.0, *_SPECIAL), (1.0, 0.5), 1e-202, 300, 0.05,
+                  True), id="k_att-1e200"),
+    # an arena at 1e155, where |b|^2 overflows for the first ~100 samples;
+    # the span of a base is beyond the free radius's limit, so the closure
+    # forms every control, -b and (-1.0) * b alike
+    pytest.param(((1e155, 1e155, ((1e155 + 3.0, 1e155 + 3.0, 0.5, 0.4),), 1.0, 1.0, 1.0,
+                   *_ZERO), (0.0, 0.0), 0.02, 300, 0.05, False), id="arena-1e155"),
+    # |b|^2 underflows to 0 near the goal while the squared distance does
+    # not (k_att 1e-100, step 5e99): u_nom turns +-0 and the run stalls
+    pytest.param(((0.0, 0.0, _FAR, 1e-100, 1.0, 1.0, *_ZERO), (1e-50, -2e-50), 5e99, 400,
+                  1e-300, True), id="underflow-stall"),
+    # |b|^2 subnormal, then 0, where the squared distance underflows with
+    # it: goal_tol 1e-300 is reached where it does
+    pytest.param(((0.0, 0.0, _FAR, 1.0, 1.0, 1.0, *_UNFILTERED), (1e-150, 3e-151), 0.5, 600,
+                  1e-300, True), id="underflow-goal"),
+    # x == g on one axis with signed zeros: -0 - -0 is +0, so u_nom's x is
+    # -0 at every sample and stage, and the state's x stays -0 only while
+    # every slope of a step is -0
+    pytest.param(((-0.0, 0.0, _FAR, 1.0, 1.0, 1.0, *_SPECIAL), (-0.0, -2.0), 0.02, 300, 0.05,
+                  True), id="x-equals-goal"),
+    pytest.param(((0.0, -0.0, _FAR, 1.0, 1.0, 1.0, *_UNFILTERED), (1.5, -0.0), 0.02, 300, 0.05,
+                  True), id="y-equals-goal"),
+    # starting on the goal with goal_tol 0 (q* 0): b = +-0, u_nom = +-0,
+    # a stall from the first step
+    pytest.param(((0.0, -0.0, _FAR, 1.0, 1.0, 1.0, *_ZERO), (-0.0, 0.0), 0.02, 50, 0.0,
+                  False), id="on-goal"),
+])
+def test_free_u_nom_is_the_closures_at_the_edges(case, integ):
+    """Each run equals the loop that calls the bound closure at every
+    sample and stage: rows, sample count, status, and the negative count and
+    minimum, bit for bit; where the case says so, samples (Euler) or stages
+    (RK4) fly free."""
+    model, x0, dt, n_max, goal_tol, flies = case
+    stages = ((), _k.RK4_STAGES)[integ]
+    ref_out, rows, evals = _point_rollout(model, x0, dt, n_max, goal_tol, stages)
+    calls = []
+
+    def spy_bind(model):
+        point = _BIND(model)
+
+        def spy(x, y, phis):
+            calls.append((x, y))
+            return point(x, y, phis)
+        return spy
+
+    rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "bind", spy_bind)
+        out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec)
+    assert _bits(out[2:3]) == _bits(ref_out[2:3])
+    assert out[:2] == ref_out[:2] and out[3] == ref_out[3]
+    assert _bits(rec[:out[0]].ravel().tolist()) == _bits(itertools.chain(*rows))
+    samples, stage_count = _free_evaluations(evals, calls)
+    assert (samples if not stages else stage_count) > 0 or not flies

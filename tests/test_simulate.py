@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from apf_rcbf import (
     simulate,
     write_trajectory_csv,
 )
-from apf_rcbf.simulate import csv_header
+from apf_rcbf.simulate import CSV_BLOCK_ROWS, csv_header
 
 SQ = SigmaSelector.grad_norm_squared()
 
@@ -461,6 +462,58 @@ def test_csv_row_format_matches_per_value_format(tmp_path, m):
     expected = csv_header(m) + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in data.tolist())
     assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                               2 * CSV_BLOCK_ROWS + 3])
+def test_csv_blocks_match_per_value_format(tmp_path, n):
+    """Rows are formatted a block at a time; the bytes equal the per-value
+    f'{v:.17g}' join on either side of every block boundary."""
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal((n, 9)) * 10.0 ** rng.integers(-300, 300, (n, 9))
+    tr = Trajectory(t=data[:, 0], x=data[:, 1:3], u=data[:, 3:5], h_min=data[:, 5],
+                    V=data[:, 6], phi=data[:, 7:], terminal="timeout")
+    path = tmp_path / "run.csv"
+    write_trajectory_csv(tr, path)
+    expected = csv_header(2) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in data.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
+def test_csv_writer_rejects_columns_of_different_lengths(tmp_path):
+    """A block is cut from every column by row range, so a column longer or
+    shorter than ``t`` is refused before anything is written."""
+    data = np.zeros((5, 8))
+    for name, col in (("x", np.zeros((4, 2))), ("phi", np.zeros((7, 1))), ("V", np.zeros(6))):
+        cols = dict(t=data[:, 0], x=data[:, 1:3], u=data[:, 3:5], h_min=data[:, 5],
+                    V=data[:, 6], phi=data[:, 7:])
+        cols[name] = col
+        tr = Trajectory(**cols, terminal="timeout")
+        with pytest.raises(ValueError, match="differ in length"):
+            write_trajectory_csv(tr, tmp_path / "run.csv")
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_record(tmp_path):
+    """Writing a record holds one block of rows as Python floats and text at
+    a time: the tracemalloc peak stays below four blocks' worth of floats
+    for records of 5 and 40 blocks alike (all rows at once would take about
+    six times the record)."""
+    width = 10
+    bound = 4 * CSV_BLOCK_ROWS * width * 32  # a float object and its pointer
+    for blocks in (5, 40):
+        n = blocks * CSV_BLOCK_ROWS
+        data = np.random.default_rng(blocks).random((n, width))
+        tr = Trajectory(t=data[:, 0], x=data[:, 1:3], u=data[:, 3:5], h_min=data[:, 5],
+                        V=data[:, 6], phi=data[:, 7:], terminal="timeout")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_trajectory_csv(tr, tmp_path / "run.csv")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (blocks, peak)
 
 
 def test_csv_reader_rejects_foreign_header(tmp_path):
