@@ -64,14 +64,15 @@ one threshold, the largest rho0 of a model whose idle tightenings are known
 in closed form.  It keeps a *base* b, the last sample it evaluated in full,
 and :func:`_free_r2` forms from that sample's smallest clearance h the
 base's squared free radius r2.  A sample or stage state p with
-fl((px - bx)^2 + (py - by)^2) < r2 forms u_nom inline, with the closure's
-expressions in the closure's order: b = F_att and |b|^2, then, for the
-grad-norm-squared sigma with |b|^2 in (0, inf), u_nom = -b, bitwise the
-closure's (-1.0) * b and finite because |b|^2 is, so the state flies free;
-otherwise u_nom = -(sigma / |b|^2) * b (sigma / |b|^2 taken as 1 for the
-grad-norm-squared sigma, and 0 where |b|^2 is 0), and the state flies free
-if d.u_nom on an idle shell is +-0 (u_nom finite).  Any other evaluation
-calls the closure.  Every clearance computed at p then exceeds every rho0
+fl((px - bx)^2 + (py - by)^2) < r2 forms u_nom inline with the closure's
+bits: b = F_att and |b|^2 as the closure forms them, then, for the
+grad-norm-squared sigma with |b|^2 in (0, inf), u_nom = -b, which is
+bitwise the closure's (-1.0) * b (negation and a product with -1.0 round
+alike) and finite because |b|^2 is, so the state flies free; otherwise the
+closure's expressions in the closure's order, u_nom = -(sigma / |b|^2) * b
+(sigma / |b|^2 taken as 1 for the grad-norm-squared sigma, and 0 where
+|b|^2 is 0), and the state flies free if d.u_nom on an idle shell is +-0
+(u_nom finite).  Any other evaluation calls the closure.  Every clearance computed at p then exceeds every rho0
 (the lemma below), so every shell is idle and outside, the control is u_nom
 and the clearance positive, and what the margin block would have given is
 known in closed form: margins glam * 0 (gamma kind 1) or -(alpha_gain *
@@ -273,30 +274,21 @@ def bind(model):
     nan = math.nan
     interp = np.interp
     filtered = ckind == 2
-    # 0 < |b|^2 < unit_cap takes u_nom = -b: +inf for the grad-norm-squared
-    # sigma, 0 (never) for the others
-    unit_cap = inf if skind == 0 else 0.0
     shells = [(i, cx, cy, r, rho0) for i, (cx, cy, r, rho0) in enumerate(obstacles)]
 
     def point(x, y, phis):
         bx = k_att * (x - gx)
         by = k_att * (y - gy)
         bb = bx * bx + by * by
-        if 0.0 < bb < unit_cap:
-            # the grad-norm-squared sigma: sigma / bb is 1, and -b is
-            # (-1.0) * b bit for bit
-            unx = -bx
-            uny = -by
+        if bb > 0.0:
+            # sigma / bb: bb / bb is 1 for the grad-norm-squared sigma, also
+            # where bb overflows, so u_nom is -b there
+            gatt = -1.0 if skind == 0 else -(
+                _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty) / bb)
         else:
-            if bb > 0.0:
-                # sigma / bb: bb / bb is 1 for the grad-norm-squared sigma,
-                # also where bb overflows, so u_nom is -b there
-                gatt = -1.0 if skind == 0 else -(
-                    _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty) / bb)
-            else:
-                gatt = 0.0
-            unx = gatt * bx
-            uny = gatt * by
+            gatt = 0.0
+        unx = gatt * bx
+        uny = gatt * by
         # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a
         # live shell forms, so NaN or inf in u_nom propagates alike
         idle_du = 0.0 * unx + 0.0 * uny
@@ -459,7 +451,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
                  default=0.0) + FREE_FLOOR
     free_above = _free_above(model)
-    # as in bind's closure, u_nom is -b where 0 < |b|^2 < unit_cap
+    # u_nom is -b, the closure's (-1.0) * b, where 0 < |b|^2 < unit_cap: +inf
+    # for the grad-norm-squared sigma, 0 (never) for the others
     unit_cap = inf if skind == 0 else 0.0
     goal_q = _goal_threshold(goal_tol)
     # x, y, ux, uy of every sample, and row, h_min and margins of the full

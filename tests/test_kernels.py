@@ -946,7 +946,7 @@ def test_any_rollout_keeps_every_bit_in_free_flight(case, stages, dt):
 
 
 # The inline stabilizer: ``_integrate`` forms u_nom for a free evaluation
-# with the closure's expressions in the closure's order.  A stub closure
+# with the closure's bits.  A stub closure
 # evaluates the first sample with clearance 1000, and with the threshold at
 # 0.5 every evaluation within about 999 of it whose u_nom is finite flies
 # free.

@@ -444,38 +444,28 @@ def test_trajectory_columns_are_owned_read_only_copies(arena, tmp_path, case):
             assert arr.base is None, name
 
 
-@pytest.mark.parametrize("m", [0, 2])
-def test_csv_row_format_matches_per_value_format(tmp_path, m):
+@pytest.mark.parametrize("m, n", [
+    pytest.param(0, 9, id="0"),
+    pytest.param(2, 9, id="2"),
+    *(pytest.param(2, n, id=f"2-{n}") for n in (
+        0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3)),
+])
+def test_csv_row_format_matches_per_value_format(tmp_path, m, n):
     """Each row is written with one '%.17g' format; its bytes equal the
     per-value f'{v:.17g}' join, also for signed zeros, infinities, NaN,
-    subnormals and the extreme doubles, which no rollout records."""
+    subnormals and the extreme doubles, which no rollout records, and on
+    either side of every block boundary of the writer."""
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
                1.7976931348623157e308, 0.1, -1e-300, 123456789.0, 1.0 / 3.0]
     rng = np.random.default_rng(3)
     values = np.concatenate([special * 4, rng.standard_normal(7 * 9) * 10.0 ** rng.integers(
         -300, 300, 7 * 9)])
-    data = np.resize(values, (9, 7 + m))
+    data = np.resize(values, (n, 7 + m))
     tr = Trajectory(t=data[:, 0], x=data[:, 1:3], u=data[:, 3:5], h_min=data[:, 5],
                     V=data[:, 6], phi=data[:, 7:], terminal="timeout")
     path = tmp_path / "run.csv"
     write_trajectory_csv(tr, path)
     expected = csv_header(m) + "\n" + "".join(
-        ",".join(f"{v:.17g}" for v in row) + "\n" for row in data.tolist())
-    assert path.read_bytes() == expected.encode()
-
-
-@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                               2 * CSV_BLOCK_ROWS + 3])
-def test_csv_blocks_match_per_value_format(tmp_path, n):
-    """Rows are formatted a block at a time; the bytes equal the per-value
-    f'{v:.17g}' join on either side of every block boundary."""
-    rng = np.random.default_rng(n)
-    data = rng.standard_normal((n, 9)) * 10.0 ** rng.integers(-300, 300, (n, 9))
-    tr = Trajectory(t=data[:, 0], x=data[:, 1:3], u=data[:, 3:5], h_min=data[:, 5],
-                    V=data[:, 6], phi=data[:, 7:], terminal="timeout")
-    path = tmp_path / "run.csv"
-    write_trajectory_csv(tr, path)
-    expected = csv_header(2) + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in data.tolist())
     assert path.read_bytes() == expected.encode()
 
