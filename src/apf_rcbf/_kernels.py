@@ -72,20 +72,20 @@ alike) and finite because |b|^2 is, so the state flies free; otherwise the
 closure's expressions in the closure's order, u_nom = -(sigma / |b|^2) * b
 (sigma / |b|^2 taken as 1 for the grad-norm-squared sigma, and 0 where
 |b|^2 is 0), and the state flies free if d.u_nom on an idle shell is +-0
-(u_nom finite).  Any other evaluation calls the closure.  Every clearance computed at p then exceeds every rho0
-(the lemma below), so every shell is idle and outside, the control is u_nom
-and the clearance positive, and what the margin block would have given is
-known in closed form: margins glam * 0 (gamma kind 1) or -(alpha_gain *
-rho) + d.u_nom (kind 0 and the unfiltered stabilizer), and tightenings
-glam * 0 + alpha_gain * rho (kind 1 with alpha_gain >= 0), 0 (kind 0) or
-none (unfiltered), none of them negative.  Of the tightenings the run returns
-only the negative ones, their count and their smallest value, so a free
-evaluation is neither counted nor that minimum.  A Gamma table, a shell
-without a positive rho0, kind 1 with a negative alpha_gain and an arena
-without obstacles never fly free.  :func:`_integrate` records a free
-sample's row with h_min NaN and, after the loop, :func:`_fill_free` writes
-its h_min and margins array-at-a-time with those expressions, in the
-kernel's order.
+(u_nom finite).  Any other evaluation calls the closure.  Every clearance
+computed at p then exceeds every rho0 (the lemma below), so every shell is
+idle and outside, the control is u_nom and the clearance positive, and what
+the margin block would have given is known in closed form: margins glam * 0
+(gamma kind 1) or -(alpha_gain * rho) + d.u_nom (kind 0 and the unfiltered
+stabilizer), and tightenings glam * 0 + alpha_gain * rho (kind 1 with
+alpha_gain >= 0), 0 (kind 0) or none (unfiltered), none of them negative.
+Of the tightenings the run returns only the negative ones, their count and
+their smallest value, so a free evaluation is neither counted nor that
+minimum.  A Gamma table, a shell without a positive rho0, kind 1 with a
+negative alpha_gain and an arena without obstacles never fly free.
+:func:`_integrate` records a free sample's row with h_min NaN and, after the
+loop, :func:`_fill_free` writes its h_min and margins array-at-a-time with
+those expressions, in the kernel's order.
 
 The free radius: with u = 2**-53 and s = |b|_1 + max_i (|c_i|_1 + r_i) +
 2**-450, rad = fl(h - free_above) - 2**-40 s and r2 = rad^2 (1 - 2**-40);
@@ -401,8 +401,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     After the loop, array-at-a-time: :func:`_fill_free` writes the
     ``h_min`` and margins of those rows, and ``V`` is ``fields.u_att``'s
     ``0.5 * k_att * (dx * dx + dy * dy)`` and ``t`` is ``k * dt``, the
-    scalar expressions in the scalar order.  Rows past the returned sample count are left as they
-    were.
+    scalar expressions in the scalar order.  Rows past the returned sample
+    count are left as they were.
 
     The controller is bound once per call, by the module's :func:`bind` as
     it is at call time, and each stage offset ``c * dt`` is formed once.
@@ -477,7 +477,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     for k in range(n_max + 1):
         ddx = xx - gx
         ddy = yy - gy
-        # free flight: u_nom as bind's closure forms it; the sample flies
+        # free flight: u_nom with bind's closure's bits; the sample flies
         # free if u_nom is -b, or else if d.u_nom on an idle shell is +-0
         # (u_nom finite)
         ex = xx - basex
