@@ -15,8 +15,6 @@ from .clf import (ClfTerms, GammaSelector, SigmaSelector, check_clf_decrease, cl
                   nominal_control, sigma_value)
 from .errors import (ApfRcbfError, ConfigError, InfeasibleConstraintError,
                      InsideObstacleError, NegativeGammaError, ScenarioValidationError)
-from .fields import (FieldEval, alpha_bar, apf_control, attractive_field, f_att, f_rep,
-                     repulsive_field, u_att, u_rep)
 from .scenario import (Obstacle, SafeSetSample, Scenario, classify_safety, load_scenario,
                        rho, save_scenario, scenario_from_dict, scenario_to_dict,
                        scenario_violations, validate_scenario)
@@ -24,10 +22,12 @@ from .scenario import (Obstacle, SafeSetSample, Scenario, classify_safety, load_
 from .simulate import (ControllerSpec, SimConfig, Trajectory, TrajectoryMetrics, metrics,
                        read_trajectory_csv, simulate, write_trajectory_csv)
 
-# The barrier filter and the QP oracle are not on the rollout path: their
-# modules load on first access to one of their names (PEP 562), so
-# ``apf-rcbf run`` never imports them.
+# The field formulas, the barrier filter and the QP oracle are not on the
+# rollout path: their modules load on first access to one of their names
+# (PEP 562), so ``apf-rcbf run`` never imports them.
 _LAZY = {
+    "fields": ("FieldEval", "alpha_bar", "apf_control", "attractive_field", "f_att", "f_rep",
+               "repulsive_field", "u_att", "u_rep"),
     "qp": ("HalfSpaceConstraint", "QpSolution", "sample_feasibility_check",
            "solve_projection", "solve_projection_many"),
     "rcbf": ("FilterDiagnostics", "RcbfTerms", "generalized_control", "rcbf_terms",

@@ -127,9 +127,8 @@ import math
 
 import numpy as np
 
-from .errors import InsideObstacleError
-from .fields import INSIDE_OBSTACLE_MSG, _as_point
-from .scenario import max_lambda
+from .errors import INSIDE_OBSTACLE_MSG, InsideObstacleError
+from .scenario import _as_point, max_lambda
 
 # terminal status codes used by _integrate
 REACHED_GOAL = 0

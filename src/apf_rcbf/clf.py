@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .fields import _as_point, f_att
-from .scenario import Scenario
+from .scenario import Scenario, _as_point
 
 _SIGMA_KINDS = {"grad_norm_squared": 0, "scaled_value": 1, "scaled_norm": 2, "custom": 3}
 _GAMMA_KINDS = {"zero": 0, "scaled_special": 1, "custom": 2}
@@ -191,6 +190,8 @@ def sigma_value(x, scenario: Scenario, sel: SigmaSelector) -> float:
 
 def clf_terms(x, scenario: Scenario, sel: SigmaSelector) -> ClfTerms:
     """Decrease-condition terms at ``x``: a = 0, b = F_att, tightened a + sigma."""
+    from .fields import f_att  # a rollout does not load the field module
+
     b = f_att(x, scenario)
     sigma = sigma_value(x, scenario, sel)
     a = 0.0
@@ -209,5 +210,5 @@ def nominal_control(x, scenario: Scenario, sel: SigmaSelector) -> np.ndarray:
 def check_clf_decrease(x, u, scenario: Scenario, sel: SigmaSelector) -> float:
     """Tightened decrease margin  a + sigma + b.u  (nonpositive = satisfied)."""
     terms = clf_terms(x, scenario, sel)
-    u = np.asarray(u, dtype=np.float64)
-    return terms.a_tilde + float(terms.b[0]) * float(u[0]) + float(terms.b[1]) * float(u[1])
+    ux, uy = _as_point(u)
+    return terms.a_tilde + float(terms.b[0]) * ux + float(terms.b[1]) * uy

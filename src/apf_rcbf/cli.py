@@ -6,6 +6,12 @@ writing one trajectory CSV per controller plus ``metrics.json`` and
 [--suite NAME]`` runs the numerical property suites and reports max observed
 errors against their tolerances.
 
+A ``run`` process imports only the rollout path (``scenario``, ``clf``,
+``_kernels``, ``simulate``): ``verify`` is imported by the verify command
+alone, and the field formulas, the filter and the QP oracle not at all.
+:func:`entry`, the ``apf-rcbf`` command, ends the process without the
+interpreter's teardown; :func:`main` is the in-process entry.
+
 Exit codes: 0 success; 1 a run ended in ``domain_error`` (a state touched an
 obstacle or a control was not finite) or a suite failed (verify); 2
 unreadable/invalid configuration or unwritable output; 3 the scenario violates
@@ -17,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import gc
 import json
 import math
 import os
@@ -36,7 +41,6 @@ from .errors import ConfigError, ScenarioValidationError
 from .scenario import Scenario, load_scenario, refuse_booleans
 from .simulate import (ControllerSpec, SimConfig, metrics, simulate,
                        write_trajectory_csv)
-from .verify import SUITE_NAMES, run_suites
 
 _RUN_KEYS = {"scenario_path", "controllers", "sim", "x0", "output_dir", "seed"}
 _CONTROLLER_KEYS = {"name", "kind", "sigma", "gamma"}
@@ -308,6 +312,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITE_NAMES, run_suites
+
     config_path = resolve_config_path(args.config)
     cfg = load_run_config(config_path)
     scenario = _load_scenario_checked(cfg.scenario_path)
@@ -319,6 +325,19 @@ def cmd_verify(args) -> int:
             sys.stdout.write(line + "\n")
         sys.stderr.write(f"[{res.name}] elapsed {res.elapsed:.2f} s\n")
     return 0 if all(res.passed for res in results) else 1
+
+
+def _suite_name(value: str) -> str:
+    """``value`` if it names a suite of ``verify`` or is ``all``: the
+    ``--suite`` check, made when the verify command parses, so that no other
+    command imports ``verify``."""
+    from .verify import SUITE_NAMES
+
+    choices = SUITE_NAMES + ("all",)
+    if value not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the numerical property suites")
     p_ver.add_argument("config", help="run config JSON (or the name of a bundled one)")
-    p_ver.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    p_ver.add_argument("--suite", type=_suite_name, default="all",
+                       help="one suite of verify, or all (the default)")
     p_ver.add_argument("--seed", type=int, default=None, help="override the config's seed")
     p_ver.set_defaults(func=cmd_verify)
     return parser
@@ -356,12 +376,23 @@ def main(argv=None) -> int:
 
 
 def entry():
+    """The ``apf-rcbf`` command: :func:`main` on ``sys.argv``, then the end
+    of the process with its code.
+
+    Every output is written and closed by then, so once stdout and stderr
+    are flushed the process ends with ``os._exit`` and skips the
+    interpreter's teardown (module clean-up, final collections, atexit
+    hooks).  Should a flush fail (say, the reader closed stdout), ``sys.exit``
+    leaves the report and the exit status to the interpreter, as a normal
+    exit does.  In-process callers, and tools that report at exit such as
+    coverage or cProfile, call :func:`main` instead."""
     code = main()
-    # Everything the run made lives until exit.  Frozen, it is left out of
-    # the interpreter's final collection, which would otherwise traverse
-    # every object the imports created.
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,10 @@ class ScenarioValidationError(ApfRcbfError, ValueError):
         super().__init__("invalid scenario: " + "; ".join(self.violations))
 
 
+# the message of every InsideObstacleError the package raises
+INSIDE_OBSTACLE_MSG = "inside obstacle: repulsive potential undefined"
+
+
 class InsideObstacleError(ApfRcbfError, ValueError):
     """Evaluation requested at a point on or inside an obstacle.
 

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsideObstacleError
-from .scenario import Obstacle, Scenario
-
-INSIDE_OBSTACLE_MSG = "inside obstacle: repulsive potential undefined"
+from .errors import INSIDE_OBSTACLE_MSG, InsideObstacleError
+from .scenario import Obstacle, Scenario, _as_point
 
 
 @dataclass(frozen=True)
@@ -35,13 +33,6 @@ class FieldEval:
 
     value: float
     gradient: np.ndarray
-
-
-def _as_point(x):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {arr.shape}")
-    return float(arr[0]), float(arr[1])
 
 
 def u_att(x, scenario: Scenario) -> float:

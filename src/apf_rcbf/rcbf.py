@@ -37,7 +37,7 @@ from . import _kernels as _k
 from .clf import UNIT_GAMMA, UNIT_PACKING, UNIT_SIGMA, GammaSelector, SigmaSelector, sigma_value
 from .errors import InfeasibleConstraintError, NegativeGammaError
 from .fields import f_att, f_rep, u_rep
-from .scenario import Obstacle, Scenario, rho
+from .scenario import Obstacle, Scenario, _as_point, rho
 
 logger = logging.getLogger(__name__)
 
@@ -104,12 +104,12 @@ def rcbf_terms(x, obs: Obstacle, scenario: Scenario, u_nom, sel: GammaSelector) 
     h = rho(x, obs)
     c = -scenario.alpha_gain * h
     d = f_rep(x, obs, scenario)
-    u_nom = np.asarray(u_nom, dtype=np.float64)
+    ux, uy = _as_point(u_nom)
     if sel.kind == "zero":
         gamma = 0.0
     elif sel.kind == "scaled_special":
         dd = float(d[0]) * float(d[0]) + float(d[1]) * float(d[1])
-        du = float(d[0]) * float(u_nom[0]) + float(d[1]) * float(u_nom[1])
+        du = float(d[0]) * ux + float(d[1]) * uy
         gamma = sel.lam * dd + scenario.alpha_gain * h - du
     else:
         gtx, gty = sel.table
@@ -139,13 +139,13 @@ def safety_filter(u_nom, terms: RcbfTerms):
     Returns ``(u, FilterDiagnostics)``; raises when the constraint admits no
     control at all (zero row with positive margin).
     """
-    u_nom = np.asarray(u_nom, dtype=np.float64)
+    ux, uy = _as_point(u_nom)
     d = terms.d
     dd = float(d[0]) * float(d[0]) + float(d[1]) * float(d[1])
-    phi = terms.c_tilde + float(d[0]) * float(u_nom[0]) + float(d[1]) * float(u_nom[1])
+    phi = terms.c_tilde + float(d[0]) * ux + float(d[1]) * uy
     diag = _diagnostics(phi, d, dd, math.nan)
-    u = u_nom + diag.correction if diag.active else u_nom.copy()
-    return u, diag
+    u = np.array([ux, uy])
+    return (u + diag.correction if diag.active else u), diag
 
 
 def special_filter_control(x, scenario: Scenario) -> np.ndarray:

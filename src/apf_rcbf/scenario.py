@@ -100,6 +100,15 @@ def _vec2(value, name: str) -> np.ndarray:
     return arr
 
 
+def _as_point(x):
+    """``x`` as two floats; ``ValueError`` unless it is a 2-vector.  Every
+    public state or control argument of the package is read through here."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.shape != (2,):
+        raise ValueError(f"expected a 2-vector, got shape {arr.shape}")
+    return float(arr[0]), float(arr[1])
+
+
 def _finite(value, name: str) -> float:
     try:
         out = float(value)
@@ -140,6 +149,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "goal", _vec2(self.goal, "goal"))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        for i, obs in enumerate(self.obstacles):
+            if not isinstance(obs, Obstacle):
+                raise ValueError(f"obstacle {i} must be an Obstacle, got {obs!r}")
         object.__setattr__(self, "k_att", _finite(self.k_att, "k_att"))
         object.__setattr__(self, "k_rep", _finite(self.k_rep, "k_rep"))
         object.__setattr__(self, "alpha_gain", _finite(self.alpha_gain, "alpha_gain"))
@@ -173,19 +185,25 @@ class SafeSetSample:
         object.__setattr__(self, "on_boundary", abs(self.h) <= BOUNDARY_TOL)
 
 
+def _clearance(px, py, obs: Obstacle) -> float:
+    """:func:`rho` at the point ``(px, py)``."""
+    cx, cy = obs.center.tolist()
+    ox = px - cx
+    oy = py - cy
+    return math.sqrt(ox * ox + oy * oy) - obs.radius
+
+
 def rho(x, obs: Obstacle) -> float:
     """Signed distance from ``x`` to the obstacle surface (negative inside)."""
-    x = np.asarray(x, dtype=np.float64)
-    ox = float(x[0]) - float(obs.center[0])
-    oy = float(x[1]) - float(obs.center[1])
-    return math.sqrt(ox * ox + oy * oy) - obs.radius
+    return _clearance(*_as_point(x), obs)
 
 
 def classify_safety(x, scenario: Scenario) -> SafeSetSample:
     """Minimum clearance over all obstacles (+inf when there are none)."""
+    px, py = _as_point(x)
     h = math.inf
     for obs in scenario.obstacles:
-        h = min(h, rho(x, obs))
+        h = min(h, _clearance(px, py, obs))
     return SafeSetSample(h)
 
 

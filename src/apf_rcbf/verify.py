@@ -180,8 +180,8 @@ def oracle_suite(n=100000, seed=0) -> SuiteResult:
     at a time; the QP solves them all as one stack
     (:func:`solve_projection_many`, bitwise :func:`solve_projection`).
     The QP and the filter are imported here, their only user in this module,
-    so importing ``verify`` (as ``apf-rcbf run`` does, for its suite names)
-    loads neither."""
+    so importing ``verify`` (as ``apf-rcbf verify`` does for its other
+    suites) loads neither."""
     from .qp import solve_projection_many
     from .rcbf import RcbfTerms, safety_filter
 

@@ -1,13 +1,19 @@
 """Command-line behaviour: config parsing, output files, exit codes."""
 
-import gc
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from apf_rcbf import cli, read_trajectory_csv
 from apf_rcbf.errors import ConfigError
+
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def write_json(path, doc):
@@ -503,28 +509,78 @@ def test_verify_command_single_suite(capsys):
     assert "elapsed" in captured.err
 
 
-def test_argparse_rejects_unknown_suite():
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "fig2.json", "--suite", "nope"])
-
-
-@pytest.fixture()
-def unfreeze_gc():
-    """``cli.entry`` freezes the garbage collector's objects before it exits;
-    this fixture undoes that, so later tests collect as usual."""
-    yield
-    gc.unfreeze()
-
-
-def test_entry_exits_with_main_code(tmp_path, monkeypatch, unfreeze_gc):
-    """``entry`` exits with the code of ``main``, after freezing what the
-    process made so that the exit-time collection skips it."""
-    monkeypatch.setattr("sys.argv", ["apf-rcbf", "run", "never-there.json"])
-    frozen = gc.get_freeze_count()
+def test_argparse_rejects_unknown_suite(capsys):
+    """``--suite`` is checked against ``verify.SUITE_NAMES`` when the verify
+    command parses, with argparse's own exit code and message."""
     with pytest.raises(SystemExit) as excinfo:
-        cli.entry()
+        cli.main(["verify", "fig2.json", "--suite", "nope"])
     assert excinfo.value.code == 2
-    assert gc.get_freeze_count() > frozen
+    assert capsys.readouterr().err.endswith(
+        "error: argument --suite: invalid choice: 'nope' "
+        "(choose from 'equivalence', 'gradients', 'oracle', 'all')\n")
+
+
+def _child(args, cwd, stdout):
+    """``python <args>`` in a fresh interpreter that imports the package from
+    ``src``, its stderr a pipe, both streams block-buffered as a shell pipe
+    makes them."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+def test_entry_exits_with_main_code(tmp_path, monkeypatch, capsys):
+    """``entry`` ends the process with the code of ``main``, 0 to 3, and what
+    the child printed to its pipes is complete: the bytes ``main`` writes in
+    process."""
+    write_json(tmp_path / "scen.json", crash_scenario())
+    bad = crash_scenario()
+    bad["k_att"] = -1.0
+    write_json(tmp_path / "bad.json", bad)
+    configs = {
+        0: run_config("scen.json", x0=[-1.0, 1.0],
+                      controllers=[{"name": "pure", "kind": "apf"}]),
+        1: run_config("scen.json", x0=[0.0, 0.0],
+                      controllers=[{"name": "blind", "kind": "nominal_only",
+                                    "sigma": {"kind": "grad_norm_squared"}}],
+                      sim={"dt": 0.05, "t_max": 10.0, "integrator": "euler"}),
+        3: run_config("bad.json"),
+    }
+    for code in (0, 1, 2, 3):
+        cfg = (str(write_json(tmp_path / f"cfg{code}.json", configs[code]))
+               if code in configs else "never-there.json")
+        argv = ["run", cfg, "--output-dir", "out"]
+        for side in ("child", "main"):
+            (tmp_path / side).mkdir()
+        child = _child(["-m", "apf_rcbf", *argv], tmp_path / "child", subprocess.PIPE)
+        monkeypatch.chdir(tmp_path / "main")
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert child.returncode == code, child.stderr[-2000:]
+        assert child.stdout.decode() == captured.out
+        assert child.stderr.decode() == captured.err
+        assert (code in (0, 1)) == bool(captured.out)
+        for side in ("child", "main"):
+            shutil.rmtree(tmp_path / side)
+
+
+def test_entry_with_stdout_closed_exits_as_the_interpreter_does(tmp_path):
+    """When the reader has closed stdout, ``entry``'s flush fails and the
+    interpreter's normal exit reports it: the status and stderr of a child
+    that returns ``main``'s code through ``sys.exit``."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = ["run", "fig2.json", "--output-dir", "out"]
+        child = _child(["-m", "apf_rcbf", *argv], tmp_path, write_end)
+        plain = f"import sys; from apf_rcbf.cli import main; sys.exit(main({argv!r}))"
+        reference = _child(["-c", plain], tmp_path, write_end)
+    finally:
+        os.close(write_end)
+    assert reference.returncode not in (0, 1)
+    assert (child.returncode, child.stderr) == (reference.returncode, reference.stderr)
+    assert b"BrokenPipeError" in child.stderr
 
 
 def test_zero_sample_run_writes_and_reads_back_an_empty_trajectory(tmp_path, capsys):

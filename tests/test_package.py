@@ -30,14 +30,15 @@ def _imported(log):
 
 
 def test_run_loads_neither_the_filter_nor_the_oracle(tmp_path):
-    """``python -m apf_rcbf run fig2.json`` exits 0 without importing
-    ``qp`` or ``rcbf``, and writes the bytes an in-process ``cli.main`` does."""
+    """``python -m apf_rcbf run fig2.json`` exits 0 having imported the
+    rollout path alone, none of ``verify``, ``fields``, ``qp`` or ``rcbf``,
+    and writes the bytes an in-process ``cli.main`` does."""
     proc = _python(["-X", "importtime", "-m", "apf_rcbf", "run", "fig2.json",
                     "--output-dir", str(tmp_path / "child")], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    loaded = _imported(proc.stderr)
-    assert {"apf_rcbf.simulate", "apf_rcbf.cli", "apf_rcbf.verify"} <= loaded
-    assert not loaded & {"apf_rcbf.qp", "apf_rcbf.rcbf"}
+    loaded = {name for name in _imported(proc.stderr) if name.startswith("apf_rcbf")}
+    assert loaded == {"apf_rcbf", "apf_rcbf.errors", "apf_rcbf.scenario", "apf_rcbf.clf",
+                      "apf_rcbf._kernels", "apf_rcbf.simulate", "apf_rcbf.cli"}
 
     assert cli.main(["run", "fig2.json", "--output-dir", str(tmp_path / "parent")]) == 0
     for name in OUTPUTS:
@@ -53,7 +54,7 @@ NAMESPACE_CHECK = textwrap.dedent("""
     import apf_rcbf
     import apf_rcbf.cli
 
-    lazy = {"apf_rcbf.qp", "apf_rcbf.rcbf"}
+    lazy = {"apf_rcbf.fields", "apf_rcbf.qp", "apf_rcbf.rcbf"}
     assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
     assert isinstance(apf_rcbf.simulate, types.FunctionType), apf_rcbf.simulate
 
@@ -63,11 +64,13 @@ NAMESPACE_CHECK = textwrap.dedent("""
         assert name in listed, name
     assert lazy <= set(sys.modules)
 
+    assert apf_rcbf.fields is sys.modules["apf_rcbf.fields"]
     assert apf_rcbf.rcbf is sys.modules["apf_rcbf.rcbf"]
     assert apf_rcbf.qp is sys.modules["apf_rcbf.qp"]
     assert apf_rcbf.qp.solve_projection is apf_rcbf.solve_projection
     assert apf_rcbf.rcbf.GammaSelector is apf_rcbf.GammaSelector
-    assert {"qp", "rcbf"} <= listed
+    assert apf_rcbf.fields.apf_control is apf_rcbf.apf_control
+    assert {"fields", "qp", "rcbf"} <= listed
     try:
         apf_rcbf.no_such_name
     except AttributeError as exc:
@@ -85,9 +88,10 @@ NAMESPACE_CHECK = textwrap.dedent("""
 
 
 def test_namespace_resolves_every_name_in_a_fresh_interpreter():
-    """Importing the package and its CLI loads neither ``qp`` nor ``rcbf``;
-    every ``__all__`` name resolves and is listed by ``dir``, ``simulate``
-    stays the function, the two modules work as attributes, an unknown name
+    """Importing the package and its CLI loads none of ``fields``, ``qp`` and
+    ``rcbf``; every ``__all__`` name resolves and is listed by ``dir``,
+    ``simulate`` stays the function, the three modules work as attributes, an
+    unknown name
     raises ``AttributeError``, and ``from apf_rcbf import *`` binds all."""
     proc = _python(["-c", NAMESPACE_CHECK])
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -97,23 +101,25 @@ def test_namespace_resolves_every_name_in_a_fresh_interpreter():
 def test_import_error_in_a_lazy_module_propagates(tmp_path):
     """A lazy module that fails to import raises its ``ImportError`` on first
     access to one of its names, not an ``AttributeError`` that hides it."""
-    copy = tmp_path / "apf_rcbf"
-    shutil.copytree(SRC / "apf_rcbf", copy, ignore=shutil.ignore_patterns("__pycache__"))
-    qp = copy / "qp.py"
-    qp.write_text(qp.read_text(encoding="utf-8") + "\nraise ImportError('qp is broken')\n",
-                  encoding="utf-8")
-    check = textwrap.dedent("""
-        import apf_rcbf
-        apf_rcbf.simulate
-        for name in ("solve_projection", "qp"):
-            try:
-                getattr(apf_rcbf, name)
-            except ImportError as exc:
-                assert str(exc) == "qp is broken", exc
-            else:
-                raise AssertionError(name)
-        print("ok")
-    """)
-    proc = _python(["-c", check], src=tmp_path)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "ok\n"
+    for module, name in (("qp", "solve_projection"), ("fields", "apf_control")):
+        src = tmp_path / module
+        copy = src / "apf_rcbf"
+        shutil.copytree(SRC / "apf_rcbf", copy, ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / f"{module}.py"
+        path.write_text(path.read_text(encoding="utf-8")
+                        + f"\nraise ImportError('{module} is broken')\n", encoding="utf-8")
+        check = textwrap.dedent(f"""
+            import apf_rcbf
+            apf_rcbf.simulate
+            for name in ({name!r}, {module!r}):
+                try:
+                    getattr(apf_rcbf, name)
+                except ImportError as exc:
+                    assert str(exc) == "{module} is broken", exc
+                else:
+                    raise AssertionError(name)
+            print("ok")
+        """)
+        proc = _python(["-c", check], src=src)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "ok\n"

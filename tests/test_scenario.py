@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from apf_rcbf import (
+    GammaSelector,
     Obstacle,
+    RcbfTerms,
     Scenario,
     ScenarioValidationError,
+    SigmaSelector,
+    apf_control,
+    check_clf_decrease,
     classify_safety,
+    clf_terms,
     load_scenario,
+    rcbf_terms,
     rho,
+    safety_filter,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -48,6 +56,44 @@ def test_constructors_coerce_and_freeze():
 def test_goal_shape_rejected(bad):
     with pytest.raises(ValueError, match="2-vector"):
         Scenario(goal=bad)
+
+
+@pytest.mark.parametrize("obstacles", [[5], [make_obstacle(), {"radius": 0.5}]],
+                         ids=["int", "dict"])
+def test_obstacle_of_another_type_rejected(obstacles):
+    """An obstacle that is not an ``Obstacle`` is refused by the constructor,
+    by index, before ``validate_scenario`` would read its attributes."""
+    bad = len(obstacles) - 1
+    with pytest.raises(ValueError, match=f"obstacle {bad} must be an Obstacle, got"):
+        Scenario(goal=[0, 0], obstacles=obstacles)
+
+
+# Every public state or control argument, each given the value ``v``: one
+# state in obstacle 0's influence shell of the bundled arena, ``SHELL``,
+# stands in for the arguments not under test.
+SHELL = [0.2, 1.5]
+POINT_ARGUMENTS = {
+    "rho-x": lambda s, v: rho(v, s.obstacles[0]),
+    "classify_safety-x": lambda s, v: classify_safety(v, s),
+    "apf_control-x": lambda s, v: apf_control(v, s),
+    "clf_terms-x": lambda s, v: clf_terms(v, s, SigmaSelector.grad_norm_squared()),
+    "check_clf_decrease-u": lambda s, v: check_clf_decrease(
+        SHELL, v, s, SigmaSelector.grad_norm_squared()),
+    "rcbf_terms-u_nom": lambda s, v: rcbf_terms(SHELL, s.obstacles[0], s, v,
+                                                GammaSelector.scaled_special(1.0)),
+    "safety_filter-u_nom": lambda s, v: safety_filter(
+        v, RcbfTerms(B=0.0, h=1.0, c=-1.0, d=np.array([1.0, 0.0]), gamma=0.0, c_tilde=-1.0)),
+}
+
+
+@pytest.mark.parametrize("value", [[0.0, 0.0, 5.0], [[0.0], [0.0]]], ids=["3", "2x1"])
+@pytest.mark.parametrize("entry", POINT_ARGUMENTS.values(), ids=POINT_ARGUMENTS.keys())
+def test_point_arguments_must_be_2_vectors(arena, entry, value):
+    """A state or control of any other shape raises the one ``ValueError``,
+    where a 3-vector used to be read by its first two entries."""
+    entry(arena, SHELL)
+    with pytest.raises(ValueError, match=r"expected a 2-vector, got shape \("):
+        entry(arena, value)
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf]])
