@@ -2,7 +2,6 @@
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -522,7 +521,7 @@ def test_argparse_rejects_unknown_suite(capsys):
 
 def _child(args, cwd, stdout):
     """``python <args>`` in a fresh interpreter that imports the package from
-    ``src``, its stderr a pipe, both streams block-buffered as a shell pipe
+    ``SRC``, its stderr a pipe, both streams block-buffered as a shell pipe
     makes them."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -547,22 +546,20 @@ def test_entry_exits_with_main_code(tmp_path, monkeypatch, capsys):
                       sim={"dt": 0.05, "t_max": 10.0, "integrator": "euler"}),
         3: run_config("bad.json"),
     }
+    for side in ("child", "main"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "main")
     for code in (0, 1, 2, 3):
         cfg = (str(write_json(tmp_path / f"cfg{code}.json", configs[code]))
                if code in configs else "never-there.json")
-        argv = ["run", cfg, "--output-dir", "out"]
-        for side in ("child", "main"):
-            (tmp_path / side).mkdir()
+        argv = ["run", cfg, "--output-dir", f"out{code}"]
         child = _child(["-m", "apf_rcbf", *argv], tmp_path / "child", subprocess.PIPE)
-        monkeypatch.chdir(tmp_path / "main")
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         assert child.returncode == code, child.stderr[-2000:]
         assert child.stdout.decode() == captured.out
         assert child.stderr.decode() == captured.err
         assert (code in (0, 1)) == bool(captured.out)
-        for side in ("child", "main"):
-            shutil.rmtree(tmp_path / side)
 
 
 def test_entry_with_stdout_closed_exits_as_the_interpreter_does(tmp_path):

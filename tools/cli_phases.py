@@ -80,7 +80,7 @@ def timed_main(argv=None, main=cli.main):
 cli.simulate = timed(cli.simulate, "rollouts")
 cli._write_outputs = timed(cli._write_outputs, "writes")
 cli.main = timed_main
-sys.argv = ["apf-rcbf", *ARGV]
+sys.argv = ["apf-rcbf", *sys.argv[1:]]
 runpy.run_module("apf_rcbf", run_name="__main__", alter_sys=True)
 """
 
@@ -88,8 +88,9 @@ runpy.run_module("apf_rcbf", run_name="__main__", alter_sys=True)
 def import_times(log):
     """``(numpy, package)`` import times in s from a ``-X importtime`` log:
     numpy's cumulative time, and that of the top-level ``apf_rcbf`` imports
-    less numpy's."""
-    numpy = package = 0.0
+    less numpy's where numpy loaded inside one of them.  The log prints each
+    import after the imports it made."""
+    numpy = package = nested = 0.0
     for line in log.splitlines():
         if not line.startswith("import time:") or line.endswith("imported package"):
             continue
@@ -97,10 +98,12 @@ def import_times(log):
         depth = (len(name) - len(name.lstrip(" ")) - 1) // 2
         name = name.strip()
         if name == "numpy":
-            numpy = int(cumulative) * 1e-6
-        elif depth == 0 and name.split(".")[0] == "apf_rcbf":
-            package += int(cumulative) * 1e-6
-    return numpy, package - numpy
+            numpy = nested = int(cumulative) * 1e-6
+        if depth == 0:
+            if name.split(".")[0] == "apf_rcbf":
+                package += int(cumulative) * 1e-6 - nested
+            nested = 0.0
+    return numpy, package
 
 
 def one_child(src, work):
@@ -108,9 +111,8 @@ def one_child(src, work):
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    child = CHILD.replace("*ARGV", f"*{ARGV!r}")
     t_spawn = time.clock_gettime(time.CLOCK_MONOTONIC)
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", child], cwd=work,
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", CHILD, *ARGV], cwd=work,
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True, timeout=120)
     t_end = time.clock_gettime(time.CLOCK_MONOTONIC)
