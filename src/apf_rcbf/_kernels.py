@@ -31,9 +31,12 @@ Packing conventions used throughout:
   CSV rows ``t, x, y, ux, uy, h_min, V, phi_1 .. phi_m``; :func:`_integrate`
   buffers per sample only what its loop computes (``x, y, ux, uy``, and the
   row, ``h_min`` and margins of a sample evaluated in full), writes them in
-  chunks of whole rows, and forms ``t``, ``V`` and the free rows' ``h_min``
-  and margins array-at-a-time after the loop, with the scalar expressions in
-  the scalar order
+  chunks of whole rows (:func:`_flush`: the bytes of one ``struct`` pack
+  per list, and one scatter of the full rows), and forms ``t``, ``V`` and
+  the free rows' ``h_min`` and margins array-at-a-time after the loop, with
+  the scalar expressions in the scalar order (``t`` straight into its
+  column); a stall's tail is doubling block copies of whole rows
+  (:func:`_repeat_row`), about half the cost of broadcasting the row
 * terminal status: 0 = reached goal, 1 = timeout, 2 = domain error
 
 Kernels never raise: domain violations are reported through return codes and
@@ -124,6 +127,7 @@ the definition.
 from __future__ import annotations
 
 import math
+from struct import Struct
 
 import numpy as np
 
@@ -356,22 +360,31 @@ def _eval_controls(xs, ys, model):
 
 def _flush(rec, row, smp, hms):
     """Write the samples buffered in the flat lists ``smp`` (``x, y, ux, uy``
-    per sample) and ``hms`` (``k, h_min, phi_1 .. phi_m`` per sample
+    per sample) and ``hms`` (``k, h_min, 0.0, phi_1 .. phi_m`` per sample
     evaluated in full, ``k`` its row) into ``rec`` from ``row`` on, by row
     slice and row index (so any memory layout of ``rec`` is filled), with
     ``h_min`` NaN on the rows ``hms`` does not name; empty both lists and
-    return the next row to write."""
+    return the next row to write.
+
+    A list becomes an array as the bytes of ``Struct(f"{len}d").pack``,
+    which stores each float's bits as they are (signed zeros, subnormals
+    and NaN payloads included) at about a third of the cost of
+    ``np.fromiter``; a ``Struct`` of its own keeps ``struct``'s format
+    cache, which would take one entry per list length, from growing.  Each
+    list is emptied once packed, so its floats and their bytes are not held
+    together with the other list's.  A full sample's 0.0 stands in the
+    ``V`` column, which the caller writes after the loop, so its row from
+    ``h_min`` on is one scatter.
+    """
     rows = len(smp) // 4
     end = row + rows
-    rec[row:end, 1:5] = np.fromiter(smp, np.float64, len(smp)).reshape(rows, 4)
+    rec[row:end, 1:5] = np.frombuffer(Struct(f"{len(smp)}d").pack(*smp)).reshape(rows, 4)
+    smp.clear()
     rec[row:end, 5] = math.nan
     if hms:
-        full = np.fromiter(hms, np.float64, len(hms)).reshape(-1, rec.shape[1] - 5)
-        idx = full[:, 0].astype(np.intp)
-        rec[idx, 5] = full[:, 1]
-        rec[idx, 7:] = full[:, 2:]
-    smp.clear()
-    hms.clear()
+        full = np.frombuffer(Struct(f"{len(hms)}d").pack(*hms)).reshape(-1, rec.shape[1] - 4)
+        hms.clear()
+        rec[full[:, 0].astype(np.intp), 5:] = full[:, 1:]
     return end
 
 
@@ -389,8 +402,9 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     overflows), because every later state would be NaN.
 
     The loop records only what it computes per sample: ``x, y, ux, uy`` of
-    every sample and, of each sample evaluated in full, its row, ``h_min``
-    and margins.  Both go into flat Python lists that :func:`_flush` writes
+    every sample and, of each sample evaluated in full, its row, ``h_min``,
+    a 0.0 in the place of ``V`` and the margins.  Both go into flat Python
+    lists that :func:`_flush` writes
     into ``rec`` every ``ceil(RECORD_CHUNK_FLOATS / (7 + m))`` samples (a
     chunk of whole record rows, due when the sample index reaches the
     chunk's last row, so no list length is taken per sample) and once more
@@ -399,9 +413,10 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     NaN, which a full one never has (the closure's minimum starts at +inf).
     After the loop, array-at-a-time: :func:`_fill_free` writes the
     ``h_min`` and margins of those rows, and ``V`` is ``fields.u_att``'s
-    ``0.5 * k_att * (dx * dx + dy * dy)`` and ``t`` is ``k * dt``, the
-    scalar expressions in the scalar order.  Rows past the returned sample
-    count are left as they were.
+    ``0.5 * k_att * (dx * dx + dy * dy)`` and ``t`` is ``k * dt`` (``k``
+    as a float, exact below 2**53, times ``dt`` straight into the column),
+    the scalar expressions in the scalar order.  Rows past the returned
+    sample count are left as they were.
 
     The controller is bound once per call, by the module's :func:`bind` as
     it is at call time, and each stage offset ``c * dt`` is formed once.
@@ -426,7 +441,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     where ``dt * |u|`` is below half an ulp of the state), every later step
     would repeat it: the controller is a pure function of the state, and so
     is the goal test.  The remaining rows are filled with copies of the last
-    one, their times are ``k * dt`` as for every row, the status is a
+    one by :func:`_repeat_row`, their times are ``k * dt`` as for every
+    row, the status is a
     timeout, and the negative-tightening count advances by the evaluations
     the skipped steps would have made.
 
@@ -509,7 +525,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
             if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
                 status = DOMAIN_ERROR
                 break
-            hms += (k, hmin)
+            hms += (k, hmin, 0.0)
             hms += phis
             basex = xx
             basey = yy
@@ -586,11 +602,24 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     _fill_free(rec, np.isnan(rec[:n, 5]), n, model)
     rec[:n, 6] = _potential(rec[:n, 1], rec[:n, 2], gx, gy, k_att)
     if stall >= 0:
-        # rows stall+1 .. n_max repeat row stall
-        rec[stall + 1:n_max + 1, 1:] = rec[stall, 1:]
+        # rows stall+1 .. n_max repeat row stall; t is written below
         n = n_max + 1
-    rec[:n, 0] = np.arange(n) * dt
+        _repeat_row(rec, stall, n)
+    np.multiply(np.arange(n, dtype=np.float64), dt, out=rec[:n, 0])
     return n, status, ming, negcount
+
+
+def _repeat_row(rec, k, n):
+    """Copy row ``k`` of ``rec`` onto rows ``k + 1 .. n - 1``, every column,
+    by block copies of whole rows that double the block: rows ``k .. done -
+    1`` hold the row, and the next copy takes as many of them as fit.  It
+    takes about half the time of one broadcast of the row, in any memory
+    layout of ``rec``."""
+    done = k + 1
+    while done < n:
+        size = min(done - k, n - done)
+        rec[done:done + size] = rec[k:k + size]
+        done += size
 
 
 def _potential(xs, ys, gx, gy, k_att):

@@ -198,13 +198,24 @@ def rho(x, obs: Obstacle) -> float:
     return _clearance(*_as_point(x), obs)
 
 
-def classify_safety(x, scenario: Scenario) -> SafeSetSample:
-    """Minimum clearance over all obstacles (+inf when there are none)."""
-    px, py = _as_point(x)
+def _min_clearance(px, py, obstacles) -> float:
+    """Smallest :func:`rho` of ``obstacles`` at the point ``(px, py)``: +inf
+    when there are none, and NaN, as :func:`rho` gives, when a coordinate is
+    NaN.  An infinite coordinate gives +inf."""
+    if math.isnan(px) or math.isnan(py):
+        return math.nan
     h = math.inf
-    for obs in scenario.obstacles:
-        h = min(h, _clearance(px, py, obs))
-    return SafeSetSample(h)
+    for obs in obstacles:
+        c = _clearance(px, py, obs)
+        if c < h:
+            h = c
+    return h
+
+
+def classify_safety(x, scenario: Scenario) -> SafeSetSample:
+    """Minimum clearance over all obstacles (+inf when there are none, NaN
+    at a NaN coordinate, which is neither interior nor on the boundary)."""
+    return SafeSetSample(_min_clearance(*_as_point(x), scenario.obstacles))
 
 
 def scenario_violations(scenario: Scenario) -> list:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import UNIT_PACKING, GammaSelector, SigmaSelector
-from .scenario import Scenario, classify_safety, validate_scenario
+from .scenario import Scenario, _as_point, _min_clearance, validate_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -125,9 +125,20 @@ class TrajectoryMetrics:
     oscillation: float
 
 
+def _columns(rec, lo, hi):
+    """An owned, C-contiguous copy of columns ``lo .. hi - 1`` of ``rec``,
+    one column at a time: numpy copies a column of a row-major record as one
+    strided run, and a block of columns a few elements per row."""
+    out = np.empty((rec.shape[0], hi - lo))
+    for j in range(lo, hi):
+        out[:, j - lo] = rec[:, j]
+    return out
+
+
 def _trajectory(rec, terminal: str) -> Trajectory:
     """Read-only column copies of ``rec``, whose rows are the CSV rows."""
-    cols = [rec[:, j].copy() for j in (0, slice(1, 3), slice(3, 5), 5, 6, slice(7, None))]
+    cols = [rec[:, 0].copy(), _columns(rec, 1, 3), _columns(rec, 3, 5), rec[:, 5].copy(),
+            rec[:, 6].copy(), _columns(rec, 7, rec.shape[1])]
     for arr in cols:
         arr.setflags(write=False)
     return Trajectory(*cols, terminal=terminal)
@@ -137,11 +148,14 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
     """Roll out the closed loop from ``x0`` until goal, timeout, or crash."""
     validate_scenario(scenario)
     model = _k.pack_model(scenario, ctrl.packing())
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (2,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be a finite 2-vector, got {x0!r}")
-    h0 = classify_safety(x0, scenario).h
-    if h0 <= 0.0:
+    try:
+        px, py = _as_point(x0)
+    except ValueError:
+        px = py = math.nan
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError(f"x0 must be a finite 2-vector, got {np.asarray(x0, dtype=np.float64)!r}")
+    h0 = _min_clearance(px, py, scenario.obstacles)
+    if not h0 > 0.0:
         raise ValueError(
             f"x0 must lie strictly outside every obstacle (clearance {h0:.6g})")
     if scenario.obstacles:
@@ -162,7 +176,7 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
     rec = np.empty((n_max + 1, 7 + m))
 
     n, status, ming, negcount = _k._integrate(
-        float(x0[0]), float(x0[1]), model,
+        px, py, model,
         float(cfg.dt), n_max, float(cfg.goal_tolerance), INTEGRATORS[cfg.integrator], rec)
     if negcount and ctrl.kind in ("special_filter", "generalized"):
         # The pure potential-field packing shares the kernel but advertises no

@@ -1089,6 +1089,111 @@ def test_record_of_any_layout_is_filled(layout, case, arena):
         assert (base[1::2] == -1.0).all()
 
 
+def _in_layout(values, layout):
+    """A copy of the 2-D ``values`` in a record of ``layout``: "c",
+    "fortran", or "strided" (every other row of a base twice as tall, whose
+    other rows hold -1.0); returns the record and its base."""
+    if layout == "c":
+        rec = values.copy()
+    elif layout == "fortran":
+        rec = np.asfortranarray(values)
+    else:
+        base = np.full((2 * values.shape[0], values.shape[1]), -1.0)
+        base[::2] = values
+        return base[::2], base
+    return rec, rec
+
+
+# Bit patterns a flush must store as they are: +-0, +-inf, the extreme
+# subnormals, quiet NaNs (one with a payload) and signalling NaNs
+SPECIAL_BITS = (0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+                0x7FF8000000000000, 0xFFF8000000000123, 0x7FF0000000000001,
+                0xFFF4000000000ABC)
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+def test_flush_writes_every_bit_verbatim(layout):
+    """Each special value stands in every buffered column, x, y, ux, uy,
+    h_min and both margins, and reaches the record with its bits; a row
+    ``hms`` does not name gets h_min NaN, and nothing else of the record
+    moves (``V`` aside, which the caller writes after the loop)."""
+    vals = [struct.unpack("<d", struct.pack("<Q", b))[0] for b in SPECIAL_BITS]
+    assert _bits(vals) == [struct.pack("<Q", b) for b in SPECIAL_BITS]
+    nv = len(vals)
+    row, n, width = 5, 12, 9
+    full = [0, 1, 2, 4, 5, 6, 7, 9, 10, 11]  # every value in every column of hms
+    smp, hms = [], []
+    for i in range(n):
+        smp += [vals[(i + j) % nv] for j in range(4)]
+    for t, i in enumerate(full):
+        hms += (row + i, vals[t], 0.0, vals[(t + 1) % nv], vals[(t + 2) % nv])
+    before = np.arange(20.0 * width).reshape(20, width)
+    rec, base = _in_layout(before, layout)
+    want = [list(r) for r in before.tolist()]
+    for i in range(n):
+        want[row + i][1:5] = smp[4 * i:4 * i + 4]
+        want[row + i][5] = math.nan
+    for t, i in enumerate(full):
+        want[row + i][5:] = hms[5 * t + 1:5 * t + 5]
+    assert _k._flush(rec, row, smp, hms) == row + n
+    assert smp == [] and hms == []
+    got = rec.tolist()
+    for r in range(20):
+        for c in range(width):
+            if c == 5 and row <= r < row + n and r - row not in full:
+                assert math.isnan(got[r][c])
+            elif not (c == 6 and r - row in full):
+                assert _bits([got[r][c]]) == _bits([want[r][c]]), (r, c)
+    if layout == "strided":
+        assert (base[1::2] == -1.0).all()
+
+
+@pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+@pytest.mark.parametrize("tail", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1023, 1025])
+def test_repeat_row_is_the_row_by_row_copy(tail, layout):
+    """The doubling block copy of a stall's last row onto the tail equals
+    copying the row onto each tail row in turn, bit for bit (random bit
+    patterns, NaN payloads included), at every tail length where the last
+    block is cut short or not, and leaves the rows around it alone."""
+    k, width = 3, 9
+    n = k + 1 + tail
+    bits = np.random.default_rng(tail).integers(0, 2 ** 64, size=(n + 4, width),
+                                                 dtype=np.uint64)
+    rec, base = _in_layout(bits.view(np.float64), layout)
+    want = bits.copy()
+    for j in range(k + 1, n):
+        want[j] = want[k]
+    _k._repeat_row(rec, k, n)
+    assert np.array_equal(np.array(rec).view(np.uint64), want)
+    if layout == "strided":
+        assert (base[1::2] == -1.0).all()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+@pytest.mark.parametrize("tail", [1, 2, 3, 7, 9, 17, 33])
+def test_stall_tail_is_the_row_by_row_definition(tail, layout):
+    """The overlap run of test_record_of_any_layout_is_filled stands still
+    from step 199: with n_max = 199 + tail every row past it repeats row 199
+    but for t, which is k * dt, and the rows before it are the C-ordered
+    run's."""
+    n_max = 199 + tail
+    model = _k.pack_model(_overlap(), _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    ref = np.full((n_max + 1, 9), -1.0)
+    out = _k._integrate(0.0, 0.1, model, 0.004, n_max, 0.05, _k.RK4_STAGES, ref)
+    assert out[:2] == (n_max + 1, _k.TIMEOUT)
+    rec, base = _in_layout(np.full((n_max + 1, 9), -1.0), layout)
+    assert _k._integrate(0.0, 0.1, model, 0.004, n_max, 0.05, _k.RK4_STAGES, rec) == out
+    got = rec.tolist()
+    assert got[198][1:] != got[199][1:]
+    for k in range(200, n_max + 1):
+        assert _bits(got[k][1:]) == _bits(got[199][1:])
+        assert _bits([got[k][0]]) == _bits([k * 0.004])
+    assert _bits(rec.ravel().tolist()) == _bits(ref.ravel().tolist())
+    if layout == "strided":
+        assert (base[1::2] == -1.0).all()
+
+
 # The loop records x, y and the control of each sample; t and V are formed
 # after it, array-at-a-time.  On free rows, full rows and the rows a stall
 # fills alike they must be the scalar k * dt and 0.5 * k_att * dd2, bit for

@@ -145,6 +145,28 @@ def test_classify_safety_empty_workspace():
     assert sample.in_interior
 
 
+@pytest.mark.parametrize("x", [[math.nan, 0.0], [0.0, math.nan], [math.nan, math.inf]])
+@pytest.mark.parametrize("m", [0, 2])
+def test_classify_safety_at_a_nan_coordinate_is_nan(x, m):
+    """A NaN coordinate has NaN clearance, as ``rho`` gives, with or without
+    obstacles: neither interior nor on the boundary.  ``min(inf, nan)``
+    would keep +inf and read the state as safe."""
+    s = Scenario(goal=[10, 0], obstacles=(make_obstacle(0, 0), make_obstacle(3, 0))[:m])
+    assert all(math.isnan(rho(x, obs)) for obs in s.obstacles)
+    sample = classify_safety(x, s)
+    assert math.isnan(sample.h)
+    assert not sample.in_interior and not sample.on_boundary
+
+
+@pytest.mark.parametrize("x", [[math.inf, 0.0], [0.0, -math.inf], [math.inf, -math.inf]])
+@pytest.mark.parametrize("m", [0, 2])
+def test_classify_safety_at_an_infinite_coordinate_is_inf(x, m):
+    s = Scenario(goal=[10, 0], obstacles=(make_obstacle(0, 0), make_obstacle(3, 0))[:m])
+    sample = classify_safety(x, s)
+    assert sample.h == math.inf
+    assert sample.in_interior and not sample.on_boundary
+
+
 def test_violations_collects_everything_at_once():
     s = Scenario(
         goal=[0.0, 0.0],

@@ -90,6 +90,34 @@ def test_simulate_rejects_bad_start(single):
         simulate(single, spec_nominal(), SimConfig(goal_tolerance=0.5), [0.0, 0.0])
 
 
+def test_simulate_start_errors_keep_their_messages(single):
+    """simulate reads x0 as two floats, and its messages still print x0 as
+    the array it used to build."""
+    from apf_rcbf import SimConfig
+    for bad, shown in (([np.nan, 0.0], "array([nan,  0.])"),
+                       ([0.0, 0.0, 1.0], "array([0., 0., 1.])"),
+                       ([[0.0], [0.0]], "array([[0.],\n       [0.]])"),
+                       ((np.inf, 1.0), "array([inf,  1.])")):
+        with pytest.raises(ValueError) as err:
+            simulate(single, spec_nominal(), SimConfig(), bad)
+        assert str(err.value) == f"x0 must be a finite 2-vector, got {shown}"
+    with pytest.raises(ValueError) as err:
+        simulate(single, spec_nominal(), SimConfig(), np.array([2.5, 0.0]))
+    assert str(err.value) == "x0 must lie strictly outside every obstacle (clearance 0)"
+
+
+def test_simulate_reads_the_start_clearance_with_the_nan_rule(single, monkeypatch):
+    """The start's clearance is classify_safety's, NaN rule included, and a
+    NaN clearance is refused as not strictly outside."""
+    import sys
+    from apf_rcbf import SimConfig, scenario
+    sim = sys.modules["apf_rcbf.simulate"]
+    assert sim._min_clearance is scenario._min_clearance
+    monkeypatch.setattr(sim, "_min_clearance", lambda px, py, obstacles: math.nan)
+    with pytest.raises(ValueError, match=r"strictly outside every obstacle \(clearance nan\)"):
+        simulate(single, spec_nominal(), SimConfig(), [0.0, 0.0])
+
+
 def test_simulate_validates_scenario():
     from apf_rcbf import ScenarioValidationError, SimConfig
     bad = Scenario(goal=[1, 0], k_att=-1.0)
@@ -442,6 +470,26 @@ def test_trajectory_columns_are_owned_read_only_copies(arena, tmp_path, case):
             assert arr.shape == shape and arr.dtype == np.float64, name
             assert not arr.flags.writeable and arr.flags.c_contiguous, name
             assert arr.base is None, name
+
+
+@pytest.mark.parametrize("n", [0, 1, 10_001])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_trajectory_columns_are_bitwise_copies_of_the_record(m, n):
+    """Each column of ``_trajectory`` is an owned, C-contiguous, read-only
+    copy of its record columns, bit for bit (random bit patterns, NaN
+    payloads included), from the leading rows of a taller record, as
+    simulate passes it."""
+    from apf_rcbf.simulate import _trajectory
+    bits = np.random.default_rng(10 * m + n).integers(0, 2 ** 64, size=(n + 3, 7 + m),
+                                                      dtype=np.uint64)
+    tr = _trajectory(bits.view(np.float64)[:n], "timeout")
+    for name, cols in (("t", 0), ("x", slice(1, 3)), ("u", slice(3, 5)), ("h_min", 5),
+                       ("V", 6), ("phi", slice(7, None))):
+        arr = getattr(tr, name)
+        want = bits[:n, cols]
+        assert arr.shape == want.shape and arr.dtype == np.float64, name
+        assert arr.base is None and arr.flags.c_contiguous and not arr.flags.writeable, name
+        assert np.array_equal(arr.view(np.uint64), want), name
 
 
 @pytest.mark.parametrize("m, n", [
