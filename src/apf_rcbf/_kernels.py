@@ -404,12 +404,12 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     The loop records only what it computes per sample: ``x, y, ux, uy`` of
     every sample and, of each sample evaluated in full, its row, ``h_min``,
     a 0.0 in the place of ``V`` and the margins.  Both go into flat Python
-    lists that :func:`_flush` writes
-    into ``rec`` every ``ceil(RECORD_CHUNK_FLOATS / (7 + m))`` samples (a
-    chunk of whole record rows, due when the sample index reaches the
-    chunk's last row, so no list length is taken per sample) and once more
-    after the loop: one numpy element store costs about three list appends,
-    and no list grows with the run.  A free row is flushed with ``h_min``
+    lists that :func:`_flush` writes into ``rec`` every
+    ``ceil(RECORD_CHUNK_FLOATS / (7 + m))`` samples (a chunk of whole
+    record rows, due when the sample index reaches the chunk's last row, so
+    no list length is taken per sample) and once more after the loop: one
+    numpy element store costs about three list appends, and no list grows
+    with the run.  A free row is flushed with ``h_min``
     NaN, which a full one never has (the closure's minimum starts at +inf).
     After the loop, array-at-a-time: :func:`_fill_free` writes the
     ``h_min`` and margins of those rows, and ``V`` is ``fields.u_att``'s
@@ -470,8 +470,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     # for the grad-norm-squared sigma, 0 (never) for the others
     unit_cap = inf if skind == 0 else 0.0
     goal_q = _goal_threshold(goal_tol)
-    # x, y, ux, uy of every sample, and row, h_min and margins of the full
-    # ones, flushed once a chunk of whole record rows is buffered
+    # x, y, ux, uy of every sample, and row, h_min, a 0.0 for V and margins
+    # of the full ones, flushed once a chunk of whole record rows is buffered
     smp = []
     hms = []
     chunk = -(-RECORD_CHUNK_FLOATS // (7 + len(obstacles)))

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -109,7 +110,6 @@ def test_simulate_start_errors_keep_their_messages(single):
 def test_simulate_reads_the_start_clearance_with_the_nan_rule(single, monkeypatch):
     """The start's clearance is classify_safety's, NaN rule included, and a
     NaN clearance is refused as not strictly outside."""
-    import sys
     from apf_rcbf import SimConfig, scenario
     sim = sys.modules["apf_rcbf.simulate"]
     assert sim._min_clearance is scenario._min_clearance
