@@ -26,36 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .scenario import Scenario, _as_point
+from .scenario import Scenario, _as_point, _finite, _finite_array
 
 _SIGMA_KINDS = {"grad_norm_squared": 0, "scaled_value": 1, "scaled_norm": 2, "custom": 3}
 _GAMMA_KINDS = {"zero": 0, "scaled_special": 1, "custom": 2}
 
 
 def _freeze_table(xs, ys, name):
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    xs = _finite_array(xs, f"{name} table knots must be finite numbers")
+    ys = _finite_array(ys, f"{name} table values must be finite numbers")
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ValueError(f"{name} table needs matching 1-d knot/value arrays (>= 2 points)")
-    if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
-        raise ValueError(f"{name} table must be finite")
     if not np.all(np.diff(xs) > 0):
         raise ValueError(f"{name} table knots must be strictly increasing")
-    xs.setflags(write=False)
-    ys.setflags(write=False)
     return xs, ys
-
-
-def _positive(value, message):
-    """``value`` as a positive float; ``ValueError(message)`` for anything
-    else, values that are not numbers included."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(message) from None
-    if not value > 0.0:
-        raise ValueError(message)
-    return value
 
 
 @dataclass(frozen=True)
@@ -76,8 +60,9 @@ class SigmaSelector:
         if self.kind not in _SIGMA_KINDS:
             raise ValueError(f"unknown sigma selector kind: {self.kind!r}")
         if self.kind in ("scaled_value", "scaled_norm"):
-            object.__setattr__(self, "coefficient", _positive(
-                self.coefficient, f"{self.kind} selector requires a positive coefficient"))
+            object.__setattr__(self, "coefficient", _finite(
+                self.coefficient, f"{self.kind} selector requires a positive coefficient",
+                positive=True))
         if self.kind == "custom":
             if self.table is None:
                 raise ValueError("custom sigma selector requires a table")
@@ -130,8 +115,8 @@ class GammaSelector:
         if self.kind not in _GAMMA_KINDS:
             raise ValueError(f"unknown gamma selector kind: {self.kind!r}")
         if self.kind == "scaled_special":
-            object.__setattr__(self, "lam", _positive(
-                self.lam, "scaled_special selector requires a positive lambda"))
+            object.__setattr__(self, "lam", _finite(
+                self.lam, "scaled_special selector requires a positive lambda", positive=True))
         if self.kind == "custom":
             if self.table is None:
                 raise ValueError("custom gamma selector requires a table")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .clf import GammaSelector, SigmaSelector
 from .errors import ConfigError, ScenarioValidationError
-from .scenario import Scenario, load_scenario, refuse_booleans
+from .scenario import Scenario, _vec2, load_scenario, refuse_booleans
 from .simulate import (ControllerSpec, SimConfig, metrics, simulate,
                        write_trajectory_csv)
 
@@ -58,21 +58,18 @@ class RunConfig:
     seed: int
 
 
-def _data_path(name: str):
-    candidate = resources.files("apf_rcbf").joinpath("data", name)
-    return Path(str(candidate))
-
-
-def resolve_config_path(arg: str) -> Path:
-    """The given path, or the bundled config of that name."""
-    path = Path(arg)
-    if path.exists():
-        return path
-    if str(path) == path.name:  # bare name: try the bundled configs
-        bundled = _data_path(path.name)
+def resolve_config_path(arg: str, base: Path = Path(), kind: str = "config") -> Path:
+    """The path ``arg`` read from the directory ``base`` (an absolute one as
+    it is), or, for a bare file name not found there, the bundled file of
+    that name; ``ConfigError`` naming the ``kind`` of file otherwise."""
+    given = Path(arg)
+    if (base / given).exists():
+        return base / given
+    if str(given) == given.name:  # bare name: try the bundled files
+        bundled = Path(str(resources.files("apf_rcbf").joinpath("data", given.name)))
         if bundled.exists():
             return bundled
-    raise ConfigError(f"config file not found: {arg}")
+    raise ConfigError(f"{kind} file not found: {arg}")
 
 
 def _parse_table(data, what: str):
@@ -184,26 +181,11 @@ def load_run_config(path: Path) -> RunConfig:
         raise ConfigError(f"invalid sim config: {exc}") from exc
 
     try:
-        x0 = np.asarray(data["x0"], dtype=np.float64)
-    except (TypeError, ValueError):
-        x0 = None
-    if x0 is None or x0.shape != (2,) or not np.all(np.isfinite(x0)):
-        raise ConfigError(f"x0 must be a finite 2-vector, got {data['x0']!r}")
+        x0 = _vec2(data["x0"], "x0")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     seed = _check_seed(data.get("seed", 0))
-
-    scenario_path = Path(str(data["scenario_path"]))
-    if not scenario_path.is_absolute():
-        local = path.parent / scenario_path
-        if local.exists():
-            scenario_path = local
-        else:
-            bundled = _data_path(scenario_path.name)
-            if bundled.exists():
-                scenario_path = bundled
-            else:
-                raise ConfigError(f"scenario file not found: {data['scenario_path']}")
-    elif not scenario_path.exists():
-        raise ConfigError(f"scenario file not found: {data['scenario_path']}")
+    scenario_path = resolve_config_path(str(data["scenario_path"]), path.parent, "scenario")
 
     return RunConfig(
         scenario_path=scenario_path,

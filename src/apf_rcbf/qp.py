@@ -21,6 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .scenario import _as_number, _as_point, _vec2
+
 FEASIBILITY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-12
 CONDITION_LIMIT = 1e12
@@ -35,14 +37,8 @@ class HalfSpaceConstraint:
     normal: np.ndarray
 
     def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=np.float64)
-        if normal.shape != (2,):
-            raise ValueError(f"normal must be a 2-vector, got shape {normal.shape}")
-        if not np.all(np.isfinite(normal)):
-            raise ValueError("normal must be finite")
-        normal.setflags(write=False)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "normal", _vec2(self.normal, "normal"))
+        object.__setattr__(self, "offset", _as_number(self.offset, "offset must be a number"))
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ def solve_projection(u_nom, constraints) -> QpSolution:
 
     ``feasible=False`` (with NaN ``u_star``) when the intersection is empty.
     """
-    u_nom = np.asarray(u_nom, dtype=np.float64)
+    u_nom = np.array(_as_point(u_nom))
     m = len(constraints)
     if m > MAX_CONSTRAINTS:
         raise ValueError(f"at most {MAX_CONSTRAINTS} constraints supported, got {m}")
@@ -221,9 +217,8 @@ def solve_projection_many(u_noms, offsets, normals):
 
 def sample_feasibility_check(u, constraints) -> bool:
     """True iff every constraint is satisfied at ``u`` within tolerance."""
-    u = np.asarray(u, dtype=np.float64)
+    ux, uy = _as_point(u)
     for c in constraints:
-        if c.offset + float(c.normal[0]) * float(u[0]) + float(c.normal[1]) * float(u[1]) \
-                > FEASIBILITY_TOL:
+        if c.offset + float(c.normal[0]) * ux + float(c.normal[1]) * uy > FEASIBILITY_TOL:
             return False
     return True

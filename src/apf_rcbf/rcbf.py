@@ -180,8 +180,11 @@ def generalized_control(x, scenario: Scenario, sigma_sel: SigmaSelector,
 
     b = f_att(x, scenario)
     bb = float(b[0]) * float(b[0]) + float(b[1]) * float(b[1])
-    sigma = sigma_value(x, scenario, sigma_sel)
-    g_att = -(sigma / bb) if bb > 0.0 else 0.0
+    if bb > 0.0:  # as in the kernel, the grad-norm-squared sigma / bb is 1, even at bb = inf
+        g_att = -1.0 if sigma_sel.kind == "grad_norm_squared" else -(
+            sigma_value(x, scenario, sigma_sel) / bb)
+    else:
+        g_att = 0.0
     diagnostics = []
     for i, obs in enumerate(scenario.obstacles):
         d = f_rep(x, obs, scenario)

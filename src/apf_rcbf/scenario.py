@@ -90,33 +90,65 @@ def refuse_booleans(doc, name: str) -> None:
             stack += [(v, f"{where}[{k!r}]") for k, v in pairs]
 
 
-def _vec2(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (2,):
-        raise ValueError(f"{name} must be a 2-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+# The readers of every value from outside the package: each refusal is a
+# ValueError whose message is the reader's ``refusal`` and what was given.
+
+def _as_number(value, refusal: str) -> float:
+    """``value`` as a float, finite or not."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{refusal}, got {value!r}") from None
+
+
+def _finite(value, refusal: str, positive: bool = False) -> float:
+    """``value`` as a finite float, a positive one if ``positive``."""
+    out = _as_number(value, refusal)
+    if not math.isfinite(out) or (positive and not out > 0.0):
+        raise ValueError(f"{refusal}, got {out!r}")
+    return out
+
+
+def _finite_array(value, refusal: str, shape=None) -> np.ndarray:
+    """``value`` as a new read-only float64 array of finite entries, of
+    ``shape`` if one is given."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{refusal}, got {value!r}") from None
+    if (shape is not None and arr.shape != shape) or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{refusal}, got {arr!r}")
     arr.setflags(write=False)
     return arr
 
 
+def _vec2(value, name: str) -> np.ndarray:
+    return _finite_array(value, f"{name} must be a finite 2-vector", (2,))
+
+
 def _as_point(x):
-    """``x`` as two floats; ``ValueError`` unless it is a 2-vector.  Every
-    public state or control argument of the package is read through here."""
-    arr = np.asarray(x, dtype=np.float64)
+    """``x`` as two floats, finite or not; ``ValueError`` unless it is a
+    2-vector of numbers.  Every public state or control argument of the
+    package is read through here."""
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 2-vector of numbers, got {x!r}") from None
     if arr.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {arr.shape}")
     return float(arr[0]), float(arr[1])
 
 
-def _finite(value, name: str) -> float:
+def _finite_point(x, name: str):
+    """:func:`_vec2` as two floats, read by :func:`_as_point`: the array is
+    built only for the refusal's message."""
     try:
-        out = float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ValueError(f"{name} must be finite, got {out}")
-    return out
+        px, py = _as_point(x)
+        if math.isfinite(px) and math.isfinite(py):
+            return px, py
+    except ValueError:
+        pass
+    return tuple(_vec2(x, name).tolist())  # raises
 
 
 @dataclass(frozen=True)
@@ -129,9 +161,9 @@ class Obstacle:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec2(self.center, "obstacle center"))
-        object.__setattr__(self, "radius", _finite(self.radius, "radius"))
-        object.__setattr__(
-            self, "influence_margin", _finite(self.influence_margin, "influence_margin"))
+        for attr in ("radius", "influence_margin"):
+            object.__setattr__(self, attr, _finite(
+                getattr(self, attr), f"{attr} must be a finite number"))
 
     @property
     def rho0(self) -> float:
@@ -152,9 +184,9 @@ class Scenario:
         for i, obs in enumerate(self.obstacles):
             if not isinstance(obs, Obstacle):
                 raise ValueError(f"obstacle {i} must be an Obstacle, got {obs!r}")
-        object.__setattr__(self, "k_att", _finite(self.k_att, "k_att"))
-        object.__setattr__(self, "k_rep", _finite(self.k_rep, "k_rep"))
-        object.__setattr__(self, "alpha_gain", _finite(self.alpha_gain, "alpha_gain"))
+        for gain in ("k_att", "k_rep", "alpha_gain"):
+            object.__setattr__(self, gain, _finite(
+                getattr(self, gain), f"{gain} must be a finite number"))
 
     def packed(self):
         """New read-only float64 arrays: centers (m, 2), radii (m,), rho0s (m,)."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import UNIT_PACKING, GammaSelector, SigmaSelector
-from .scenario import Scenario, _as_point, _min_clearance, validate_scenario
+from .scenario import Scenario, _finite_point, _min_clearance, validate_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -148,12 +148,7 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
     """Roll out the closed loop from ``x0`` until goal, timeout, or crash."""
     validate_scenario(scenario)
     model = _k.pack_model(scenario, ctrl.packing())
-    try:
-        px, py = _as_point(x0)
-    except ValueError:
-        px = py = math.nan
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise ValueError(f"x0 must be a finite 2-vector, got {np.asarray(x0, dtype=np.float64)!r}")
+    px, py = _finite_point(x0, "x0")
     h0 = _min_clearance(px, py, scenario.obstacles)
     if not h0 > 0.0:
         raise ValueError(

@@ -1,5 +1,7 @@
 """Tightened decrease condition, sigma selectors, and the min-norm stabilizer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,9 @@ def test_selector_validation():
         SigmaSelector.scaled_norm(-1.0)
     with pytest.raises(ValueError, match="positive coefficient"):
         SigmaSelector.scaled_value(0.0)
+    for bad in (math.inf, math.nan, object()):
+        with pytest.raises(ValueError, match="positive coefficient"):
+            SigmaSelector.scaled_value(bad)
 
 
 def test_custom_table_validation():
@@ -46,6 +51,11 @@ def test_custom_table_validation():
         SigmaSelector.custom([0.0, np.inf], [0.0, 1.0])
     with pytest.raises(ValueError, match=">= 2 points"):
         SigmaSelector.custom([0.0], [0.0])
+    for bad in ({"x": 1.0}, object(), [0.0, {"a": 1}]):
+        with pytest.raises(ValueError, match="knots must be finite numbers"):
+            SigmaSelector.custom(bad, [0.0, 1.0])
+        with pytest.raises(ValueError, match="values must be finite numbers"):
+            SigmaSelector.custom([0.0, 1.0], bad)
     sel = SigmaSelector.custom([0.0, 1.0, 5.0], [0.0, 2.0, 3.0])
     assert sel.kind == "custom"
     assert not sel.table[0].flags.writeable

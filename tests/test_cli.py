@@ -325,6 +325,49 @@ def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, m
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mutate_cfg, mutate_scen", [
+    (None, lambda s: s.update(goal={"x": 1})),
+    (lambda c: c["controllers"][1].update(
+        sigma={"kind": "custom", "table": {"x": [0, {"a": 1}], "y": [0, 1]}}), None),
+    (lambda c: c["controllers"].append(
+        {"name": "nominal", "kind": "nominal_only",
+         "sigma": {"kind": "scaled_value", "coef": float("inf")}}), None),
+    (lambda c: c.update(scenario_path="no_such_dir/fig2_scenario.json"), None),
+], ids=["goal-object", "sigma-table-object", "coef-infinity", "scenario-in-missing-dir"])
+def test_refused_input_is_one_error_line_and_no_output(tmp_path, capsys, mutate_cfg,
+                                                       mutate_scen):
+    """A goal or table entry that is no number, an infinite coefficient
+    (Python's json reads ``Infinity``) and a scenario path into a missing
+    directory (only a bare file name falls back to the bundled file) end
+    with exit 2 and one ``error:`` line, before any output is written."""
+    scen = crash_scenario()
+    cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
+    if mutate_scen:
+        mutate_scen(scen)
+    if mutate_cfg:
+        mutate_cfg(cfg)
+    write_json(tmp_path / "scen.json", scen)
+    rc = cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_path_is_read_from_the_config_directory(tmp_path, capsys):
+    """A relative scenario path is read from the config's directory, an
+    absolute one as it is; a bare name missing there is the bundled file."""
+    (tmp_path / "sub").mkdir()
+    scen = write_json(tmp_path / "sub" / "scen.json", crash_scenario())
+    for given in ("sub/scen.json", str(scen)):
+        cfg = cli.load_run_config(write_json(tmp_path / "cfg.json", run_config(given)))
+        assert cfg.scenario_path == scen and cfg.scenario_ref == given
+    with pytest.raises(ConfigError, match="scenario file not found: sub/fig2_scenario.json"):
+        cli.load_run_config(write_json(tmp_path / "cfg.json",
+                                       run_config("sub/fig2_scenario.json")))
+
+
 @pytest.mark.parametrize("mutate_cfg, mutate_scen, where", [
     (lambda c: c["controllers"][1]["gamma"].update({"lambda": True}), None,
      "config['controllers'][1]['gamma']['lambda']"),

@@ -1286,7 +1286,10 @@ def test_loop_buffers_stay_within_a_chunk(monkeypatch):
     Under tracemalloc, ``rec`` allocated before, the peak up to the last
     flush -- the loop's; t, V and the free rows are formed after it -- stays
     below one chunk of record rows held as Python floats and copied once
-    into an array, at n_max 5,000 and 50,000 alike."""
+    into an array, at n_max 5,000 and 50,000 alike.  The same call runs
+    once before tracing, so that ``struct``'s format cache and the float
+    free list are warm and the peak does not depend on the tests run
+    before this one."""
     flush = _k._flush
     peak = 0
 
@@ -1303,6 +1306,7 @@ def test_loop_buffers_stay_within_a_chunk(monkeypatch):
     bound = rows * width * (8 + sys.getsizeof(1.0) + 8)
     for n_max in (5_000, 50_000):
         rec = np.empty((n_max + 1, width))
+        _k._integrate(0.0, 0.1, model, 0.02, n_max, 0.05, (), rec)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

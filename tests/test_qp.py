@@ -20,6 +20,11 @@ def test_constraint_validation():
         HalfSpaceConstraint(0.0, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="finite"):
         HalfSpaceConstraint(0.0, [np.nan, 1.0])
+    for bad in ({"x": 1.0}, object()):
+        with pytest.raises(ValueError, match="normal must be a finite 2-vector"):
+            HalfSpaceConstraint(0.0, bad)
+        with pytest.raises(ValueError, match="offset must be a number"):
+            HalfSpaceConstraint(bad, [1.0, 0.0])
     c = hs(1.0, 0.5, -0.5)
     assert not c.normal.flags.writeable
     assert c.offset == 1.0

@@ -50,6 +50,9 @@ def test_gamma_selector_validation():
         GammaSelector("scaled_special")
     with pytest.raises(ValueError, match="positive lambda"):
         GammaSelector.scaled_special(0.0)
+    for bad in (math.inf, math.nan, object()):
+        with pytest.raises(ValueError, match="positive lambda"):
+            GammaSelector.scaled_special(bad)
     with pytest.raises(ValueError, match="requires a table"):
         GammaSelector("custom")
     with pytest.raises(ValueError, match="nonnegative"):
@@ -179,6 +182,51 @@ def test_equivalence_survives_an_overflowed_attractive_norm():
     for u in (apf_control([0.0, 0.0], s), special_filter_control([0.0, 0.0], s),
               nominal_control([0.0, 0.0], s, SigmaSelector.grad_norm_squared())):
         assert u.tobytes() == expected.tobytes()
+
+
+def test_generalized_reports_the_unit_gain_where_the_attractive_norm_overflows():
+    """At x = (2e154, 1) |F_att|^2 overflows, and the grad-norm-squared
+    stabilizer is -F_att there as in the kernel: sigma / |F_att|^2 is 1, so
+    every row reports g_att = -1, not inf / inf."""
+    s = Scenario(goal=[0.0, 0.0], obstacles=(Obstacle([5.0, 0.0], 0.5, 0.2),))
+    x = [2e154, 1.0]
+    u, diags = generalized_control(x, s, SigmaSelector.grad_norm_squared(),
+                                   GammaSelector.scaled_special(1.0))
+    assert u.tobytes() == (-f_att(x, s)).tobytes() == np.array([-2e154, -1.0]).tobytes()
+    assert [diag.g_att for diag in diags] == [-1.0]
+    assert not diags[0].active and math.isnan(diags[0].g_rep)
+
+
+@pytest.mark.parametrize("x", [[0.5, 0.0], [0.1, 0.0]], ids=["surface", "inside"])
+def test_filtered_controllers_refuse_a_state_on_or_inside_an_obstacle(single, x):
+    """The filter divides by the clearance, so both filtered controllers
+    raise at h <= 0; the unfiltered stabilizer is defined there."""
+    sigma = SigmaSelector.grad_norm_squared()
+    with pytest.raises(InsideObstacleError, match="repulsive potential undefined"):
+        special_filter_control(x, single)
+    with pytest.raises(InsideObstacleError, match="repulsive potential undefined"):
+        generalized_control(x, single, sigma, GammaSelector.zero())
+    np.testing.assert_array_equal(nominal_control(x, single, sigma), -f_att(x, single))
+
+
+def test_negative_unit_gamma_warning_from_special_filter(single, caplog):
+    """Near the outer edge of the shell, heading at the obstacle, lambda* =
+    (d.u_nom - alpha h) / |d|^2 exceeds 1, so the unit tightening is
+    negative there; special_filter_control logs it once and still returns
+    the potential-field control."""
+    x = [-0.699, 0.0]
+    obs = single.obstacles[0]
+    d = f_rep(x, obs, single)
+    lam_star = (float(d @ -f_att(x, single)) - rho(x, obs)) / float(d @ d)
+    assert 0.0 < rho(x, obs) < obs.influence_margin and lam_star > 1.0
+    with caplog.at_level(logging.WARNING, logger="apf_rcbf.rcbf"):
+        for _ in range(2):
+            np.testing.assert_array_equal(special_filter_control(x, single),
+                                          apf_control(x, single))
+    records = [r for r in caplog.records if "evaluated negative" in r.message]
+    assert len(records) == 1
+    assert "in special_filter_control" in records[0].message
+    assert "('scaled_special', 1.0)" in records[0].message
 
 
 def test_generalized_decomposition(arena, rng):

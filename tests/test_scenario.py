@@ -96,7 +96,16 @@ def test_point_arguments_must_be_2_vectors(arena, entry, value):
         entry(arena, value)
 
 
-@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf]])
+@pytest.mark.parametrize("value", [{"x": 1.0}, object()], ids=["dict", "object"])
+@pytest.mark.parametrize("entry", POINT_ARGUMENTS.values(), ids=POINT_ARGUMENTS.keys())
+def test_point_arguments_must_be_numbers(arena, entry, value):
+    """A value that does not convert to floats raises the same
+    ``ValueError``, not numpy's ``TypeError``."""
+    with pytest.raises(ValueError, match="expected a 2-vector of numbers, got "):
+        entry(arena, value)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], {"x": 1.0}, object()])
 def test_non_finite_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         Scenario(goal=bad)

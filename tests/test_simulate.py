@@ -83,8 +83,9 @@ def test_sim_config_validation():
 
 def test_simulate_rejects_bad_start(single):
     from apf_rcbf import SimConfig
-    with pytest.raises(ValueError, match="finite 2-vector"):
-        simulate(single, spec_nominal(), SimConfig(), [np.nan, 0.0])
+    for bad in ([np.nan, 0.0], object()):
+        with pytest.raises(ValueError, match="finite 2-vector"):
+            simulate(single, spec_nominal(), SimConfig(), bad)
     with pytest.raises(ValueError, match="strictly outside"):
         simulate(single, spec_nominal(), SimConfig(), [2.0, 0.1])
     with pytest.raises(ValueError, match="smaller than the smallest obstacle radius"):
@@ -93,12 +94,14 @@ def test_simulate_rejects_bad_start(single):
 
 def test_simulate_start_errors_keep_their_messages(single):
     """simulate reads x0 as two floats, and its messages still print x0 as
-    the array it used to build."""
+    the array it used to build, or as given where it is not numbers."""
     from apf_rcbf import SimConfig
     for bad, shown in (([np.nan, 0.0], "array([nan,  0.])"),
                        ([0.0, 0.0, 1.0], "array([0., 0., 1.])"),
                        ([[0.0], [0.0]], "array([[0.],\n       [0.]])"),
-                       ((np.inf, 1.0), "array([inf,  1.])")):
+                       ((np.inf, 1.0), "array([inf,  1.])"),
+                       ({"x": 1.0}, "{'x': 1.0}"),
+                       ([0.0, {"a": 1}], "[0.0, {'a': 1}]")):
         with pytest.raises(ValueError) as err:
             simulate(single, spec_nominal(), SimConfig(), bad)
         assert str(err.value) == f"x0 must be a finite 2-vector, got {shown}"
