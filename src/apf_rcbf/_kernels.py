@@ -28,15 +28,8 @@ Packing conventions used throughout:
   first (state offset ``c * dt`` along the previous slope, weight ``w``);
   ``()`` is explicit Euler, :data:`RK4_STAGES` classic RK4
 * rollout record: one ``(n_max + 1, 7 + m)`` float array whose rows are the
-  CSV rows ``t, x, y, ux, uy, h_min, V, phi_1 .. phi_m``; :func:`_integrate`
-  buffers per sample only what its loop computes (``x, y, ux, uy``, and the
-  row, ``h_min`` and margins of a sample evaluated in full), writes them in
-  chunks of whole rows (:func:`_flush`: the bytes of one ``struct`` pack
-  per list, and one scatter of the full rows), and forms ``t``, ``V`` and
-  the free rows' ``h_min`` and margins array-at-a-time after the loop, with
-  the scalar expressions in the scalar order (``t`` straight into its
-  column); a stall's tail is doubling block copies of whole rows
-  (:func:`_repeat_row`), about half the cost of broadcasting the row
+  CSV rows ``t, x, y, ux, uy, h_min, V, phi_1 .. phi_m``, filled by
+  :func:`_integrate`
 * terminal status: 0 = reached goal, 1 = timeout, 2 = domain error
 
 Kernels never raise: domain violations are reported through return codes and
@@ -58,9 +51,7 @@ d.u_nom formed once per state from the operands a live shell would use, in
 the same order, so its margins keep their bits, NaN propagation included.
 The correction needs |d|^2 > 0 and so skips it.  In a rollout, a sample or
 stage that flies free (below) makes no call at all: :func:`_integrate`
-forms its stabilizer inline, about 0.1 microseconds against 1.3 for the
-call on the three-obstacle fig2 arena (Python 3.11, one core of a 2-vCPU
-Xeon VM).
+forms its stabilizer inline.
 
 Free flight: :func:`_integrate` owns the rule, and :func:`_free_above` its
 one threshold, the largest rho0 of a model whose idle tightenings are known
@@ -110,10 +101,10 @@ that made it, so this proves more states free than a sum of step lengths.
 
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
-and a step returns its own state bit for bit.  :func:`_integrate` stops
-stepping there and fills the rest of the horizon with copies of the last
-sample, which is what stepping would have recorded: the controller is a pure
-function of the state.
+and a step returns its own state bit for bit (signed zeros included).
+:func:`_integrate` stops stepping there and fills the rest of the horizon
+with copies of the last sample, which is what stepping would have recorded:
+the controller is a pure function of the state, and so is the goal test.
 
 A note on arithmetic: the filtered controller computes its correction for the
 scaled-special tightening as ``phi = lam * D`` in closed form (the definition
@@ -180,14 +171,14 @@ def pack_model(scenario, packing):
             float(scenario.alpha_gain), *packing)
 
 
-def control(x, scenario, packing):
+def control(x, scenario, packing, rows=None):
     """``(u, hmin, min_gamma, phis)`` of a packed controller at one state,
-    ``phis`` one constraint margin per obstacle.  A filtered packing raises
-    ``InsideObstacleError`` at a nonpositive clearance; the unfiltered
-    stabilizer, defined everywhere, never raises."""
+    ``phis`` one constraint margin per obstacle (``rows`` as in :func:`bind`).
+    A filtered packing raises ``InsideObstacleError`` at a nonpositive
+    clearance; the unfiltered stabilizer, defined everywhere, never raises."""
     px, py = _as_point(x)
     phis = np.empty(len(scenario.obstacles), dtype=np.float64)
-    ux, uy, hmin, ming = bind(pack_model(scenario, packing))(px, py, phis)
+    ux, uy, hmin, ming = bind(pack_model(scenario, packing), rows)(px, py, phis)
     if packing[0] == 2 and hmin <= 0.0:
         raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
     return np.array([ux, uy]), hmin, ming, phis
@@ -255,7 +246,7 @@ def _goal_threshold(goal_tol):
     return q
 
 
-def bind(model):
+def bind(model, rows=None):
     """The controller of ``model``, unpacked once: returns ``point(x, y,
     phis) -> (ux, uy, hmin, min_gamma)``.
 
@@ -269,6 +260,11 @@ def bind(model):
     and :func:`_integrate`'s full evaluations call it alike; the rollout's
     free evaluations form the stabilizer without it (module docstring, "Free
     flight").
+
+    ``rows``, an output buffer of m + 1 slots, reports the evaluation: each
+    live shell writes its row ``(dx, dy, |d|^2)``, d = F_rep, into its slot
+    and g_att = -sigma / |F_att|^2 goes into the last; other slots keep what
+    they held.  Like ``phis``, it changes nothing ``point`` returns.
     """
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
@@ -278,6 +274,7 @@ def bind(model):
     interp = np.interp
     filtered = ckind == 2
     shells = [(i, cx, cy, r, rho0) for i, (cx, cy, r, rho0) in enumerate(obstacles)]
+    report = rows is not None
 
     def point(x, y, phis):
         bx = k_att * (x - gx)
@@ -290,6 +287,8 @@ def bind(model):
                 _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty) / bb)
         else:
             gatt = 0.0
+        if report:
+            rows[-1] = gatt
         unx = gatt * bx
         uny = gatt * by
         # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a
@@ -321,6 +320,8 @@ def bind(model):
                 dy = coef * oy
                 dd = dx * dx + dy * dy
                 du = dx * unx + dy * uny
+                if report:
+                    rows[i] = (dx, dy, dd)
             alphah = alpha_gain * rho
             if gkind == 1:
                 phi = glam * dd
@@ -368,9 +369,8 @@ def _flush(rec, row, smp, hms):
 
     A list becomes an array as the bytes of ``Struct(f"{len}d").pack``,
     which stores each float's bits as they are (signed zeros, subnormals
-    and NaN payloads included) at about a third of the cost of
-    ``np.fromiter``; a ``Struct`` of its own keeps ``struct``'s format
-    cache, which would take one entry per list length, from growing.  Each
+    and NaN payloads included); a ``Struct`` of its own keeps ``struct``'s
+    format cache, which would take one entry per list length, from growing.  Each
     list is emptied once packed, so its floats and their bytes are not held
     together with the other list's.  A full sample's 0.0 stands in the
     ``V`` column, which the caller writes after the loop, so its row from
@@ -403,48 +403,35 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
 
     The loop records only what it computes per sample: ``x, y, ux, uy`` of
     every sample and, of each sample evaluated in full, its row, ``h_min``,
-    a 0.0 in the place of ``V`` and the margins.  Both go into flat Python
-    lists that :func:`_flush` writes into ``rec`` every
-    ``ceil(RECORD_CHUNK_FLOATS / (7 + m))`` samples (a chunk of whole
-    record rows, due when the sample index reaches the chunk's last row, so
-    no list length is taken per sample) and once more after the loop: one
-    numpy element store costs about three list appends, and no list grows
-    with the run.  A free row is flushed with ``h_min``
-    NaN, which a full one never has (the closure's minimum starts at +inf).
-    After the loop, array-at-a-time: :func:`_fill_free` writes the
-    ``h_min`` and margins of those rows, and ``V`` is ``fields.u_att``'s
-    ``0.5 * k_att * (dx * dx + dy * dy)`` and ``t`` is ``k * dt`` (``k``
-    as a float, exact below 2**53, times ``dt`` straight into the column),
-    the scalar expressions in the scalar order.  Rows past the returned
-    sample count are left as they were.
+    a 0.0 in the place of ``V`` and the margins, in flat lists that
+    :func:`_flush` writes into ``rec`` whenever a chunk of
+    ``ceil(RECORD_CHUNK_FLOATS / (7 + m))`` whole rows is due, and once
+    after the loop.  A free row is flushed with ``h_min`` NaN, which a full
+    one never has.  After the loop, array-at-a-time with the scalar
+    expressions in the scalar order: :func:`_fill_free` writes the free
+    rows' ``h_min`` and margins, :func:`_potential` the ``V`` column, and
+    ``t`` is ``k * dt`` (``k`` as a float, exact below 2**53).  Rows past
+    the returned sample count are left as they were.
 
     The controller is bound once per call, by the module's :func:`bind` as
     it is at call time, and each stage offset ``c * dt`` is formed once.
     The free-flight rule lives here alone (module docstring, "Free
     flight"): a sample or stage whose squared distance from the base -- the
     last sample evaluated in full -- is below the base's :func:`_free_r2`
-    forms u_nom inline and flies free without calling the closure; every
-    other evaluation calls it, and the closure runs every shell.  The
-    threshold :func:`_free_above` and the radius :func:`_free_r2` are read
-    from the module at call time.  The record and the returned count and
-    minimum are those of evaluating every shell everywhere.
+    forms u_nom inline; every other evaluation calls the closure, which
+    runs every shell.  :func:`_free_above` and :func:`_free_r2` are read at
+    call time.  The record, count and minimum are those of evaluating every
+    shell everywhere.
 
     The goal test takes no square root: it compares the squared distance
-    ``dx * dx + dy * dy`` with q*, the :func:`_goal_threshold` of
-    ``goal_tol``, formed once per call.  As the square root is correctly
-    rounded and monotone, ``q < q*`` holds exactly where ``sqrt(q) <
-    goal_tol`` does, for every q the test can see (+-0, inf and NaN
-    included), so the same samples reach the goal.
+    with q*, the :func:`_goal_threshold` of ``goal_tol``, formed once per
+    call, so the same samples reach the goal as with ``sqrt(q) < goal_tol``.
 
-    A stationary state ends the stepping early with the same record.  When a
-    step returns its own state bit for bit (signed zeros included; a stall,
-    where ``dt * |u|`` is below half an ulp of the state), every later step
-    would repeat it: the controller is a pure function of the state, and so
-    is the goal test.  The remaining rows are filled with copies of the last
-    one by :func:`_repeat_row`, their times are ``k * dt`` as for every
-    row, the status is a
-    timeout, and the negative-tightening count advances by the evaluations
-    the skipped steps would have made.
+    A stationary state (module docstring, "Stationary states") ends the
+    stepping early with the same record: the remaining rows are copies of
+    the last one (:func:`_repeat_row`), the status is a timeout, and the
+    negative-tightening count advances by the evaluations the skipped steps
+    would have made.
 
     Returns ``(n_samples, status, min_negative_gamma,
     n_negative_gamma_evals)``: the smallest tightening value below zero
@@ -612,9 +599,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
 def _repeat_row(rec, k, n):
     """Copy row ``k`` of ``rec`` onto rows ``k + 1 .. n - 1``, every column,
     by block copies of whole rows that double the block: rows ``k .. done -
-    1`` hold the row, and the next copy takes as many of them as fit.  It
-    takes about half the time of one broadcast of the row, in any memory
-    layout of ``rec``."""
+    1`` hold the row, and the next copy takes as many of them as fit, in any
+    memory layout of ``rec``."""
     done = k + 1
     while done < n:
         size = min(done - k, n - done)

@@ -145,11 +145,6 @@ class GammaSelector:
         gtx, gty = self.table if self.kind == "custom" else (None, None)
         return gkind, glam, gtx, gty
 
-    def _key(self):
-        if self.kind == "scaled_special":
-            return ("scaled_special", self.lam)
-        return (self.kind,)
-
 
 # The unit pair, under which the filtered stabilizer is the combined
 # potential-field controller; ``apf`` and ``special_filter`` run its packing.

@@ -160,6 +160,9 @@ def load_run_config(path: Path) -> RunConfig:
     for key in ("scenario_path", "controllers", "x0"):
         if key not in data:
             raise ConfigError(f"config key {key!r} is required")
+    for key in ("scenario_path", "output_dir"):
+        if not isinstance(data.get(key, ""), str):
+            raise ConfigError(f"{key} must be a string, got {data[key]!r}")
 
     controllers = data["controllers"]
     if not isinstance(controllers, list) or not controllers:
@@ -185,15 +188,15 @@ def load_run_config(path: Path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     seed = _check_seed(data.get("seed", 0))
-    scenario_path = resolve_config_path(str(data["scenario_path"]), path.parent, "scenario")
+    scenario_path = resolve_config_path(data["scenario_path"], path.parent, "scenario")
 
     return RunConfig(
         scenario_path=scenario_path,
-        scenario_ref=str(data["scenario_path"]),
+        scenario_ref=data["scenario_path"],
         controllers=parsed,
         sim=sim,
         x0=x0,
-        output_dir=Path(str(data.get("output_dir", "apf-rcbf-out"))),
+        output_dir=Path(data.get("output_dir", "apf-rcbf-out")),
         seed=seed,
     )
 

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .clf import UNIT_GAMMA, UNIT_PACKING, UNIT_SIGMA, GammaSelector, SigmaSelector, sigma_value
+from .clf import UNIT_GAMMA, UNIT_PACKING, UNIT_SIGMA, GammaSelector, SigmaSelector
 from .errors import InfeasibleConstraintError, NegativeGammaError
-from .fields import f_att, f_rep, u_rep
+from .fields import f_rep, u_rep
 from .scenario import Obstacle, Scenario, _as_point, rho
 
 logger = logging.getLogger(__name__)
@@ -48,8 +48,9 @@ INFEASIBLE_MSG = "constraint infeasible at state"
 _warned_negative_gamma = set()
 
 
-def _warn_negative_gamma(key, min_gamma, where):
-    """Log (once per selector per process) that a tightening went negative.
+def _warn_negative_gamma(lam, min_gamma, where):
+    """Log (once per lam per process) that a scaled-special tightening went
+    negative; the zero and table ones never do.
 
     A negative evaluated Gamma means the tightened-condition certificate does
     not hold at that state; the filter itself stays feasible and its output
@@ -57,6 +58,7 @@ def _warn_negative_gamma(key, min_gamma, where):
     simulation mid-flight.  Term-level evaluation via :func:`rcbf_terms`
     treats the same condition as a hard error.
     """
+    key = ("scaled_special", lam)
     if key in _warned_negative_gamma:
         return
     _warned_negative_gamma.add(key)
@@ -119,16 +121,18 @@ def rcbf_terms(x, obs: Obstacle, scenario: Scenario, u_nom, sel: GammaSelector) 
     return RcbfTerms(B=B, h=h, c=c, d=d, gamma=gamma, c_tilde=c + gamma)
 
 
-def _diagnostics(phi, d, dd, g_att):
-    """One constraint's diagnostics: active when phi > 0, gain g_rep =
-    -phi/dd (NaN for a zero row, dd = |d|^2 = 0), and the correction g_rep d,
-    applied only when active on a nonzero row.  Raises for a zero row (also
-    one whose |d|^2 underflows) with a positive margin: no control fits."""
+def _diagnostics(phi, row, g_att):
+    """One constraint's diagnostics from its row ``(dx, dy, dd = |d|^2)``:
+    active when phi > 0, gain g_rep = -phi/dd (NaN for a zero row, dd = 0),
+    and the correction g_rep d, applied only when active on a nonzero row.
+    Raises for a zero row (also one whose |d|^2 underflows) with a positive
+    margin: no control fits."""
+    dx, dy, dd = row
     if dd == 0.0 and phi > 0.0:
         raise InfeasibleConstraintError(INFEASIBLE_MSG)
     g_rep = -(phi / dd) if dd > 0.0 else math.nan
     active = phi > 0.0
-    correction = g_rep * d if active and dd > 0.0 else np.zeros(2)
+    correction = np.array([g_rep * dx, g_rep * dy]) if active and dd > 0.0 else np.zeros(2)
     return FilterDiagnostics(phi=phi, active=active, correction=correction,
                              g_att=g_att, g_rep=g_rep)
 
@@ -140,10 +144,10 @@ def safety_filter(u_nom, terms: RcbfTerms):
     control at all (zero row with positive margin).
     """
     ux, uy = _as_point(u_nom)
-    d = terms.d
-    dd = float(d[0]) * float(d[0]) + float(d[1]) * float(d[1])
-    phi = terms.c_tilde + float(d[0]) * ux + float(d[1]) * uy
-    diag = _diagnostics(phi, d, dd, math.nan)
+    dx, dy = float(terms.d[0]), float(terms.d[1])
+    dd = dx * dx + dy * dy
+    phi = terms.c_tilde + dx * ux + dy * uy
+    diag = _diagnostics(phi, (dx, dy, dd), math.nan)
     u = np.array([ux, uy])
     return (u + diag.correction if diag.active else u), diag
 
@@ -157,7 +161,7 @@ def special_filter_control(x, scenario: Scenario) -> np.ndarray:
     """
     u, _, ming, _ = _k.control(x, scenario, UNIT_PACKING)
     if ming < 0.0:
-        _warn_negative_gamma(UNIT_GAMMA._key(), ming, "in special_filter_control")
+        _warn_negative_gamma(UNIT_GAMMA.lam, ming, "in special_filter_control")
     return u
 
 
@@ -173,21 +177,11 @@ def generalized_control(x, scenario: Scenario, sigma_sel: SigmaSelector,
     Like :func:`safety_filter`, raises on a zero row with a positive margin
     (a custom Gamma above alpha_gain h beyond the shell); a rollout there
     runs on, since kernels never raise, and the row takes no correction.
+    The gains and rows are the kernel's own, read from its ``rows`` buffer.
     """
-    u, _, ming, phis = _k.control(x, scenario, _k.pack_controller(sigma_sel, gamma_sel))
+    rows = [(0.0, 0.0, 0.0)] * len(scenario.obstacles) + [0.0]  # an idle row stays zero
+    u, _, ming, phis = _k.control(x, scenario, _k.pack_controller(sigma_sel, gamma_sel), rows)
     if ming < 0.0:
-        _warn_negative_gamma(gamma_sel._key(), ming, "in generalized_control")
-
-    b = f_att(x, scenario)
-    bb = float(b[0]) * float(b[0]) + float(b[1]) * float(b[1])
-    if bb > 0.0:  # as in the kernel, the grad-norm-squared sigma / bb is 1, even at bb = inf
-        g_att = -1.0 if sigma_sel.kind == "grad_norm_squared" else -(
-            sigma_value(x, scenario, sigma_sel) / bb)
-    else:
-        g_att = 0.0
-    diagnostics = []
-    for i, obs in enumerate(scenario.obstacles):
-        d = f_rep(x, obs, scenario)
-        dd = float(d[0]) * float(d[0]) + float(d[1]) * float(d[1])
-        diagnostics.append(_diagnostics(float(phis[i]), d, dd, g_att))
-    return u, tuple(diagnostics)
+        _warn_negative_gamma(gamma_sel.lam, ming, "in generalized_control")
+    g_att = rows[-1]
+    return u, tuple(_diagnostics(phi, row, g_att) for phi, row in zip(phis.tolist(), rows))

@@ -92,13 +92,26 @@ def refuse_booleans(doc, name: str) -> None:
 
 # The readers of every value from outside the package: each refusal is a
 # ValueError whose message is the reader's ``refusal`` and what was given.
+# None reads a number written as text, which ``float`` and numpy would parse.
+
+def _holds_text(value) -> bool:
+    """Whether ``value`` is a str or bytes, or a list, tuple or array holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_text, value))
+    if isinstance(value, np.ndarray):
+        kind = value.dtype.kind
+        return kind in "SU" or (kind == "O" and any(map(_holds_text, value.flat)))
+    return isinstance(value, (str, bytes, bytearray))
+
 
 def _as_number(value, refusal: str) -> float:
     """``value`` as a float, finite or not."""
     try:
-        return float(value)
+        if not _holds_text(value):
+            return float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{refusal}, got {value!r}") from None
+        pass
+    raise ValueError(f"{refusal}, got {value!r}")
 
 
 def _finite(value, refusal: str, positive: bool = False) -> float:
@@ -115,7 +128,9 @@ def _finite_array(value, refusal: str, shape=None) -> np.ndarray:
     try:
         arr = np.array(value, dtype=np.float64)
     except (TypeError, ValueError):
-        raise ValueError(f"{refusal}, got {value!r}") from None
+        arr = None
+    if arr is None or _holds_text(value):
+        raise ValueError(f"{refusal}, got {value!r}")
     if (shape is not None and arr.shape != shape) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{refusal}, got {arr!r}")
     arr.setflags(write=False)
@@ -133,7 +148,9 @@ def _as_point(x):
     try:
         arr = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
-        raise ValueError(f"expected a 2-vector of numbers, got {x!r}") from None
+        arr = None
+    if arr is None or (arr is not x and _holds_text(x)):
+        raise ValueError(f"expected a 2-vector of numbers, got {x!r}")
     if arr.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {arr.shape}")
     return float(arr[0]), float(arr[1])

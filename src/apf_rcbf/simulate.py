@@ -27,7 +27,8 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import UNIT_PACKING, GammaSelector, SigmaSelector
-from .scenario import Scenario, _finite_point, _min_clearance, validate_scenario
+from .scenario import (Scenario, _as_number, _finite, _finite_point, _min_clearance,
+                       validate_scenario)
 
 logger = logging.getLogger(__name__)
 
@@ -85,13 +86,18 @@ class SimConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 0.05:
-            raise ValueError(f"dt must lie in (0, 0.05], got {self.dt}")
-        if not self.t_max > 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if not self.goal_tolerance > 0.0:
-            raise ValueError(f"goal_tolerance must be positive, got {self.goal_tolerance}")
-        if self.integrator not in INTEGRATORS:
+        dt = _finite(self.dt, "dt must lie in (0, 0.05]", positive=True)
+        if not dt <= 0.05:
+            raise ValueError(f"dt must lie in (0, 0.05], got {dt!r}")
+        # an infinite t_max is read; simulate refuses it by record size
+        t_max = _as_number(self.t_max, "t_max must be positive")
+        if not t_max > 0.0:
+            raise ValueError(f"t_max must be positive, got {t_max!r}")
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "goal_tolerance", _finite(
+            self.goal_tolerance, "goal_tolerance must be positive and finite", positive=True))
+        if not isinstance(self.integrator, str) or self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {sorted(INTEGRATORS)}, "
                              f"got {self.integrator!r}")
 
@@ -171,8 +177,7 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
     rec = np.empty((n_max + 1, 7 + m))
 
     n, status, ming, negcount = _k._integrate(
-        px, py, model,
-        float(cfg.dt), n_max, float(cfg.goal_tolerance), INTEGRATORS[cfg.integrator], rec)
+        px, py, model, cfg.dt, n_max, cfg.goal_tolerance, INTEGRATORS[cfg.integrator], rec)
     if negcount and ctrl.kind in ("special_filter", "generalized"):
         # The pure potential-field packing shares the kernel but advertises no
         # tightening, so the certificate diagnostic would only confuse there.

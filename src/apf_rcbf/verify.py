@@ -210,18 +210,17 @@ def oracle_suite(n=100000, seed=0) -> SuiteResult:
     return SuiteResult("oracle", lines, max_error, passed, elapsed)
 
 
-SUITE_NAMES = ("equivalence", "gradients", "oracle")
+# name -> the suite run on (scenario, seed), in the order ``all`` runs them
+_SUITES = {"equivalence": lambda scenario, seed: equivalence_suite(scenario),
+           "gradients": lambda scenario, seed: gradient_suite(scenario, seed=seed),
+           "oracle": lambda scenario, seed: oracle_suite(seed=seed)}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(scenario: Scenario, names, seed=0):
     results = []
     for name in names:
-        if name == "equivalence":
-            results.append(equivalence_suite(scenario))
-        elif name == "gradients":
-            results.append(gradient_suite(scenario, seed=seed))
-        elif name == "oracle":
-            results.append(oracle_suite(seed=seed))
-        else:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite: {name!r}")
+        results.append(_SUITES[name](scenario, seed))
     return results

@@ -333,13 +333,29 @@ def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, m
         {"name": "nominal", "kind": "nominal_only",
          "sigma": {"kind": "scaled_value", "coef": float("inf")}}), None),
     (lambda c: c.update(scenario_path="no_such_dir/fig2_scenario.json"), None),
-], ids=["goal-object", "sigma-table-object", "coef-infinity", "scenario-in-missing-dir"])
-def test_refused_input_is_one_error_line_and_no_output(tmp_path, capsys, mutate_cfg,
-                                                       mutate_scen):
+    (lambda c: c.update(output_dir={"a": [1, 2]}), None),
+    (lambda c: c.update(output_dir=7), None),
+    (lambda c: c.update(scenario_path=7), None),
+    (lambda c: c.update(scenario_path=["scen.json"]), None),
+    (None, lambda s: s.update(goal=["5", "0"])),
+    (None, lambda s: s["obstacles"][0].update(radius="0.5")),
+    (None, lambda s: s.update(k_att="1")),
+    (lambda c: c.update(x0=["-2", "0"]), None),
+    (lambda c: c["sim"].update(dt="0.01"), None),
+    (lambda c: c["controllers"][1]["gamma"].update({"lambda": "8"}), None),
+], ids=["goal-object", "sigma-table-object", "coef-infinity", "scenario-in-missing-dir",
+        "output-dir-object", "output-dir-number", "scenario-path-number",
+        "scenario-path-list", "goal-strings", "radius-string", "k_att-string",
+        "x0-strings", "dt-string", "lambda-string"])
+def test_refused_input_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch,
+                                                       mutate_cfg, mutate_scen):
     """A goal or table entry that is no number, an infinite coefficient
-    (Python's json reads ``Infinity``) and a scenario path into a missing
-    directory (only a bare file name falls back to the bundled file) end
-    with exit 2 and one ``error:`` line, before any output is written."""
+    (Python's json reads ``Infinity``), a scenario path into a missing
+    directory (only a bare file name falls back to the bundled file), an
+    output directory or scenario path that is no string, and a number
+    written as a string end with exit 2 and one ``error:`` line, before any
+    output is written."""
+    monkeypatch.chdir(tmp_path)
     scen = crash_scenario()
     cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
     if mutate_scen:
@@ -352,7 +368,7 @@ def test_refused_input_is_one_error_line_and_no_output(tmp_path, capsys, mutate_
     assert rc == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
-    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scen.json"]
 
 
 def test_scenario_path_is_read_from_the_config_directory(tmp_path, capsys):

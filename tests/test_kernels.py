@@ -208,7 +208,7 @@ def test_stalled_rollout_stops_evaluating(monkeypatch):
 # |F_att|^2 as 1 for the grad-norm-squared sigma (so u_nom = -F_att, also
 # where |F_att|^2 overflows); its bits must stay these.
 
-def _reference_control_point(x, y, model, phis):
+def _reference_control_point(x, y, model, phis, rows=None):
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
     bx = k_att * (x - gx)
@@ -216,6 +216,8 @@ def _reference_control_point(x, y, model, phis):
     bb = bx * bx + by * by
     sig = _k._sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty)
     gatt = (-1.0 if skind == 0 else -(sig / bb)) if bb > 0.0 else 0.0
+    if rows is not None:
+        rows[-1] = gatt
     unx = gatt * bx
     uny = gatt * by
     ux, uy, hmin, ming = unx, uny, math.inf, math.inf
@@ -236,6 +238,8 @@ def _reference_control_point(x, y, model, phis):
             dx = coef * ox
             dy = coef * oy
             dd = dx * dx + dy * dy
+            if rows is not None:
+                rows[i] = (dx, dy, dd)
         alphah = alpha_gain * rho
         if ckind == 1:
             phis[i] = -alphah + (dx * unx + dy * uny)
@@ -311,6 +315,50 @@ def test_control_point_is_bitwise_the_general_expressions(case):
     ref = _reference_control_point(x, y, model, ref_phis)
     assert _bits(out) == _bits(ref)
     assert _bits(phis) == _bits(ref_phis)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_model_and_state())
+def test_rows_buffer_reports_the_evaluation_and_changes_nothing(case):
+    """``bind(model, rows)`` returns and records what ``bind(model)`` does,
+    and fills ``rows`` with each live shell's ``(dx, dy, |d|^2)`` and g_att,
+    leaving the other slots as they were."""
+    model, x, y = case
+    m = len(model[2])
+    phis, row_phis = [0.0] * m, [0.0] * m
+    unset = (-7.0, -7.0, -7.0)
+    rows, ref_rows = [unset] * m + [-7.0], [unset] * m + [-7.0]
+    out = _k.bind(model)(x, y, phis)
+    assert _bits(_k.bind(model, rows)(x, y, row_phis)) == _bits(out)
+    assert _bits(row_phis) == _bits(phis)
+    _reference_control_point(x, y, model, [0.0] * m, ref_rows)
+    assert _bits(rows[m:]) == _bits(ref_rows[m:])
+    assert [_bits(row) for row in rows[:m]] == [_bits(row) for row in ref_rows[:m]]
+
+
+def test_single_state_door_passes_rows_and_rollouts_pass_none(monkeypatch, arena):
+    """``control`` hands its ``rows`` to ``bind``; a rollout and the grid
+    bind without one."""
+    calls = []
+    bind = _k.bind
+
+    def spy(model, *args, **kwargs):
+        calls.append((args, kwargs))
+        return bind(model, *args, **kwargs)
+
+    monkeypatch.setattr(_k, "bind", spy)
+    packing = _k.pack_controller(SigmaSelector.scaled_value(2.0), GammaSelector.zero())
+    rows = [(0.0, 0.0, 0.0)] * 3 + [0.0]
+    _k.control([2.0, 3.95], arena, packing, rows)
+    assert calls == [((rows,), {})] and rows[3] < 0.0
+    calls.clear()
+    cfg = SimConfig(dt=0.02, t_max=1.0)
+    for spec in (ControllerSpec("apf"), ControllerSpec("nominal_only", UNIT_SIGMA),
+                 ControllerSpec("generalized", SigmaSelector.scaled_value(2.0), UNIT_GAMMA)):
+        simulate(arena, spec, cfg, [-2.0, 0.5])
+    _k._eval_controls(np.array([0.0, 2.0]), np.array([3.7, 3.95]),
+                      _k.pack_model(arena, packing))
+    assert calls == [((), {})] * 4
 
 
 def test_reference_cases_reach_every_branch():

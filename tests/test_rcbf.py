@@ -430,3 +430,136 @@ def test_every_kernel_route_refuses_an_over_bound_lambda(arena, monkeypatch):
     for gamma in (GammaSelector.zero(), GammaSelector.custom([0.0, 1.0], [0.0, 1.0])):
         simulate(arena, ControllerSpec("generalized", sigma, gamma), cfg, [-2.0, 0.0])
         generalized_control([-2.0, 0.0], arena, sigma, gamma)
+
+
+def _reference_generalized(x, scenario, sigma_sel, gamma_sel):
+    """``(u, diagnostics)`` of ``generalized_control`` as it was computed
+    before the kernel reported its rows: the control from the kernel, then
+    F_att, sigma, the g_att rule and every F_rep evaluated a second time from
+    the field formulas, each diagnostic as a ``(phi, active, correction,
+    g_att, g_rep)`` tuple."""
+    from apf_rcbf import _kernels as _k
+
+    u, _, _, phis = _k.control(x, scenario, _k.pack_controller(sigma_sel, gamma_sel))
+    b = f_att(x, scenario)
+    bb = float(b[0]) * float(b[0]) + float(b[1]) * float(b[1])
+    if bb > 0.0:
+        g_att = -1.0 if sigma_sel.kind == "grad_norm_squared" else -(
+            sigma_value(x, scenario, sigma_sel) / bb)
+    else:
+        g_att = 0.0
+    diagnostics = []
+    for i, obs in enumerate(scenario.obstacles):
+        d = f_rep(x, obs, scenario)
+        dd = float(d[0]) * float(d[0]) + float(d[1]) * float(d[1])
+        phi = float(phis[i])
+        if dd == 0.0 and phi > 0.0:
+            raise InfeasibleConstraintError("infeasible")
+        g_rep = -(phi / dd) if dd > 0.0 else math.nan
+        active = phi > 0.0
+        correction = g_rep * d if active and dd > 0.0 else np.zeros(2)
+        diagnostics.append((phi, active, correction, g_att, g_rep))
+    return u, diagnostics
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _overlap(shift):
+    return Scenario(goal=[5.0 + shift, 0.0 + shift],
+                    obstacles=(Obstacle([2.0 + shift, 0.6 + shift], 0.5, 0.4),
+                               Obstacle([2.0 + shift, -0.6 + shift], 0.5, 0.4)))
+
+
+def _shifted(scenario, shift):
+    return Scenario(goal=scenario.goal + shift,
+                    obstacles=tuple(Obstacle(obs.center + shift, obs.radius,
+                                             obs.influence_margin)
+                                    for obs in scenario.obstacles),
+                    k_att=scenario.k_att, k_rep=scenario.k_rep,
+                    alpha_gain=scenario.alpha_gain)
+
+
+_REPORT_SIGMAS = (SigmaSelector.grad_norm_squared(), SigmaSelector.scaled_value(2.0),
+                  SigmaSelector.scaled_norm(0.5),
+                  SigmaSelector.custom([0.0, 1.0, 6.0], [0.0, 0.4, 3.0]))
+_REPORT_GAMMAS = (GammaSelector.zero(), GammaSelector.scaled_special(1.0),
+                  GammaSelector.scaled_special(8.0),
+                  GammaSelector.custom([0.0, 0.1, 0.3], [0.5, 0.2, 0.0]))
+
+
+def _report_states(scenario, shift, rng):
+    """Random states around the obstacles, the goal, an overflowed
+    |F_att|^2, each obstacle's center, each shell's edge (on it and one ulp
+    either side, on the axis) and a NaN coordinate."""
+    gx, gy = scenario.goal.tolist()
+    states = [tuple(p) for p in rng.uniform((-1.0, -1.5), (6.0, 1.5), size=(40, 2)) + shift]
+    states += [(gx, gy), (2e154, 1.0), (math.nan, 1.0 + shift)]
+    for obs in scenario.obstacles:
+        cx, cy = obs.center.tolist()
+        edge = cx - (obs.radius + obs.influence_margin)
+        states += [(cx, cy), (edge, cy), (math.nextafter(edge, -math.inf), cy),
+                   (math.nextafter(edge, math.inf), cy)]
+    return states
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6], ids=["origin", "offset"])
+@pytest.mark.parametrize("which", ["fig2", "overlap"])
+def test_generalized_reports_the_kernels_evaluation_bit_for_bit(arena, which, shift):
+    """Every output of ``generalized_control``, u and each diagnostic field,
+    has the bits of the second computation from the field formulas it once
+    made, over every sigma kind against the zero tightening, lam = 1, lam =
+    8 and a table; states it refuses, it refuses alike."""
+    scenario = _shifted(arena, shift) if which == "fig2" else _overlap(shift)
+    states = _report_states(scenario, shift, np.random.default_rng(7))
+    seen = set()
+    for sigma in _REPORT_SIGMAS:
+        for gamma in _REPORT_GAMMAS:
+            for x in states:
+                try:
+                    ref_u, ref = _reference_generalized(x, scenario, sigma, gamma)
+                except (InsideObstacleError, InfeasibleConstraintError) as exc:
+                    with pytest.raises(type(exc)):
+                        generalized_control(x, scenario, sigma, gamma)
+                    seen.add(type(exc).__name__)
+                    continue
+                u, diags = generalized_control(x, scenario, sigma, gamma)
+                assert u.tobytes() == ref_u.tobytes()
+                assert len(diags) == len(ref)
+                for diag, (phi, active, correction, g_att, g_rep) in zip(diags, ref):
+                    assert diag.active is active
+                    assert diag.correction.tobytes() == correction.tobytes()
+                    assert _bits(diag.phi, diag.g_att, diag.g_rep) == _bits(phi, g_att, g_rep)
+                    seen.add(("active" if active else "inactive",
+                              "g_att 0" if g_att == 0.0 else "g_att"))
+    # the set reaches a refusal, the goal's zero gain and live corrections
+    assert {"InsideObstacleError", ("active", "g_att"), ("inactive", "g_att 0")} <= seen
+
+
+def test_generalized_computes_nothing_a_second_time(arena, monkeypatch):
+    """The gains and rows come from the kernel's own evaluation: no field
+    formula and no sigma evaluation runs in ``generalized_control``."""
+    import apf_rcbf.clf as clf_mod
+    import apf_rcbf.fields as fields_mod
+
+    calls = []
+
+    def spy(name):
+        def refused(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"generalized_control called {name}")
+        return refused
+
+    for name, value in vars(fields_mod).items():
+        if callable(value) and getattr(value, "__module__", None) == fields_mod.__name__:
+            monkeypatch.setattr(fields_mod, name, spy(name))
+            if hasattr(rcbf_mod, name):
+                monkeypatch.setattr(rcbf_mod, name, spy(name))
+    monkeypatch.setattr(clf_mod, "sigma_value", spy("sigma_value"))
+    monkeypatch.setattr(rcbf_mod, "sigma_value", spy("sigma_value"), raising=False)
+    sigma = SigmaSelector.scaled_value(2.0)
+    for x in ([1.0, 3.7], [-2.0, 0.0], [2.0, 3.95]):
+        for gamma in (GammaSelector.zero(), GammaSelector.scaled_special(1.0)):
+            generalized_control(x, arena, sigma, gamma)
+    assert calls == []

@@ -96,7 +96,11 @@ def test_point_arguments_must_be_2_vectors(arena, entry, value):
         entry(arena, value)
 
 
-@pytest.mark.parametrize("value", [{"x": 1.0}, object()], ids=["dict", "object"])
+@pytest.mark.parametrize("value", [{"x": 1.0}, object(), ["1", "2"], (1.0, b"2"),
+                                   np.array(["1", "2"]), np.array([1.0, "2"], dtype=object),
+                                   "12"],
+                         ids=["dict", "object", "strings", "bytes", "string-array",
+                              "object-array", "string"])
 @pytest.mark.parametrize("entry", POINT_ARGUMENTS.values(), ids=POINT_ARGUMENTS.keys())
 def test_point_arguments_must_be_numbers(arena, entry, value):
     """A value that does not convert to floats raises the same
@@ -113,6 +117,37 @@ def test_non_finite_rejected(bad):
         Obstacle(center=bad, radius=1.0, influence_margin=0.1)
     with pytest.raises(ValueError, match="finite"):
         Obstacle(center=[0, 0], radius=math.nan, influence_margin=0.1)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(goal=["5", "0"]),
+    lambda d: d["obstacles"][0].update(radius="0.5"),
+    lambda d: d["obstacles"][0].update(center=[1.0, b"0"]),
+    lambda d: d.update(k_att="1"),
+    lambda d: d.update(alpha_gain="inf"),
+], ids=["goal", "radius", "center-bytes", "k_att", "alpha_gain"])
+def test_numbers_written_as_text_are_refused(mutate):
+    """``float`` and numpy parse a number written as a string; the readers
+    refuse it, as they refuse ``true``."""
+    doc = {"goal": [5.0, 0.0], "obstacles": [{"center": [2.0, 0.0], "radius": 0.5, "rho0": 0.3}],
+           "k_att": 1.0, "k_rep": 1.0, "alpha_gain": 1.0}
+    scenario_from_dict(doc)
+    mutate(doc)
+    with pytest.raises(ValueError, match="must be a finite"):
+        scenario_from_dict(doc)
+
+
+def test_numeric_input_keeps_its_bits():
+    """Numbers of any numeric type read as the float they convert to."""
+    s = Scenario(goal=np.array([1.5, -0.0], dtype=np.float32),
+                 obstacles=(Obstacle((np.int64(3), 0.1), np.float32(0.25), 1),),
+                 k_att=np.float64(0.1), k_rep=2, alpha_gain=np.float16(0.5))
+    assert s.goal.tobytes() == np.array([1.5, -0.0]).tobytes()
+    assert s.obstacles[0].center.tolist() == [3.0, 0.1]
+    assert (s.obstacles[0].radius, s.obstacles[0].influence_margin) == (0.25, 1.0)
+    assert [type(v) for v in (s.k_att, s.k_rep, s.alpha_gain)] == [float] * 3
+    assert (s.k_att, s.k_rep, s.alpha_gain) == (0.1, 2.0, 0.5)
+    assert rho(np.array([3.5, 0.1], dtype=np.float32), s.obstacles[0]) == 0.25
 
 
 def test_scenario_is_frozen():

@@ -81,6 +81,28 @@ def test_sim_config_validation():
         (0.01, 40.0, 0.05, "rk4")
 
 
+def test_sim_config_reads_its_numbers(single):
+    """dt and goal_tolerance are finite positive numbers, t_max a positive
+    one: text, NaN and an infinite tolerance are refused with the pinned
+    prefixes, and the fields are stored as floats.  An infinite t_max is
+    read, and ``simulate`` refuses it by record size."""
+    from apf_rcbf import SimConfig
+    for kwargs, prefix in [({"dt": "0.01"}, "dt must lie"), ({"dt": math.nan}, "dt must lie"),
+                           ({"dt": math.inf}, "dt must lie"),
+                           ({"t_max": "40"}, "t_max must be positive"),
+                           ({"t_max": math.nan}, "t_max must be positive"),
+                           ({"goal_tolerance": math.inf}, "goal_tolerance must be positive"),
+                           ({"goal_tolerance": "0.05"}, "goal_tolerance must be positive"),
+                           ({"integrator": ["rk4"]}, "integrator must be one of")]:
+        with pytest.raises(ValueError, match=f"^{prefix}"):
+            SimConfig(**kwargs)
+    cfg = SimConfig(dt=np.float32(0.03125), t_max=np.int64(2), goal_tolerance=1)
+    assert [type(v) for v in (cfg.dt, cfg.t_max, cfg.goal_tolerance)] == [float] * 3
+    assert (cfg.dt, cfg.t_max, cfg.goal_tolerance) == (0.03125, 2.0, 1.0)
+    with pytest.raises(ValueError, match="would record more than"):
+        simulate(single, spec_nominal(), SimConfig(t_max=math.inf), [-2.0, 0.0])
+
+
 def test_simulate_rejects_bad_start(single):
     from apf_rcbf import SimConfig
     for bad in ([np.nan, 0.0], object()):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import apf_rcbf
 import apf_rcbf.verify
 from apf_rcbf import _kernels as _k
@@ -61,3 +63,26 @@ def test_scaled_correction_fails_verify(tmp_path):
     assert proc.returncode == 1, proc.stderr[-2000:]
     assert "8.277212e-01" in proc.stdout
     assert "FAIL" in proc.stdout
+
+
+def test_run_suites_dispatches_every_name(arena, monkeypatch):
+    """Each suite name runs its suite with the scenario and seed it takes,
+    in the order given; an unknown name raises ``ValueError``."""
+    calls = []
+    for fn in ("equivalence_suite", "gradient_suite", "oracle_suite"):
+        monkeypatch.setattr(apf_rcbf.verify, fn,
+                            lambda *args, fn=fn, **kwargs: calls.append((fn, args, kwargs)) or fn)
+    assert apf_rcbf.verify.SUITE_NAMES == ("equivalence", "gradients", "oracle")
+    results = apf_rcbf.verify.run_suites(arena, ("oracle", "equivalence", "gradients"), seed=5)
+    assert results == ["oracle_suite", "equivalence_suite", "gradient_suite"]
+    assert calls == [("oracle_suite", (), {"seed": 5}), ("equivalence_suite", (arena,), {}),
+                     ("gradient_suite", (arena,), {"seed": 5})]
+    with pytest.raises(ValueError, match="unknown suite: 'grid'"):
+        apf_rcbf.verify.run_suites(arena, ("equivalence", "grid"))
+
+
+def test_run_suites_runs_each_suite_in_process(arena):
+    """The real suites, each called through ``run_suites`` by name."""
+    results = apf_rcbf.verify.run_suites(arena, apf_rcbf.verify.SUITE_NAMES, seed=3)
+    assert [r.name for r in results] == list(apf_rcbf.verify.SUITE_NAMES)
+    assert all(r.passed for r in results)
