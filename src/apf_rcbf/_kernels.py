@@ -586,7 +586,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
         status = DOMAIN_ERROR
         break
     n = _flush(rec, row, smp, hms)
-    _fill_free(rec, np.isnan(rec[:n, 5]), n, model)
+    _fill_free(rec, n, model)
     rec[:n, 6] = _potential(rec[:n, 1], rec[:n, 2], gx, gy, k_att)
     if stall >= 0:
         # rows stall+1 .. n_max repeat row stall; t is written below
@@ -637,15 +637,14 @@ def _idle_clearances(xs, ys, obstacles):
     return rho
 
 
-def _fill_free(rec, free, n, model):
-    """Write ``h_min`` and the margins of the rows among the first ``n`` of
-    ``rec`` that ``free`` marks (one byte per row, nonzero on a free row: a
-    bytearray or a boolean array), array-at-a-time, with the expressions of
-    :func:`bind`'s margin block on an idle shell.  On a free row the control
-    is u_nom, so d.u_nom on an idle shell is formed from it as the kernel
-    forms it.  A free row's tightenings are never negative, so they leave
-    the run's count and minimum as they are."""
-    rows = np.flatnonzero(np.frombuffer(free, np.uint8, n))
+def _fill_free(rec, n, model):
+    """Write ``h_min`` and the margins of the free rows among the first
+    ``n`` of ``rec``, those whose ``h_min`` is the NaN mark, array-at-a-time,
+    with the expressions of :func:`bind`'s margin block on an idle shell.
+    On a free row the control is u_nom, so d.u_nom on an idle shell is
+    formed from it as the kernel forms it.  A free row's tightenings are
+    never negative, so they leave the run's count and minimum as they are."""
+    rows = np.flatnonzero(np.isnan(rec[:n, 5]))
     if not rows.size:
         return
     alpha_gain, gkind, glam = model[5], model[11], model[12]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import INSIDE_OBSTACLE_MSG, InsideObstacleError
-from .scenario import Obstacle, Scenario, _as_point
+from .scenario import Obstacle, Scenario, _as_number, _as_point
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,7 @@ def alpha_bar(h: float, scenario: Scenario, rho0: float | None = None) -> float:
     When the scenario's obstacles share a common influence margin it is used
     automatically; otherwise (or for an obstacle-free scenario) pass ``rho0``.
     """
+    h = _as_number(h, "h must be a number")
     if rho0 is None:
         margins = {obs.influence_margin for obs in scenario.obstacles}
         if not margins:
@@ -120,9 +121,9 @@ def alpha_bar(h: float, scenario: Scenario, rho0: float | None = None) -> float:
             raise ValueError(
                 "obstacles have different influence margins; pass rho0 explicitly")
         (rho0,) = margins
-    h = float(h)
+    else:
+        rho0 = _as_number(rho0, "rho0 must be a number")
     if not 0.0 <= h < rho0:
         raise ValueError(f"h must lie in [0, rho0): got h={h}, rho0={rho0}")
-    rho0 = float(rho0)
     q = rho0 * h / (rho0 - h)
     return (2.0 / scenario.k_rep) * q * q

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .scenario import _as_number, _as_point, _vec2
+from .scenario import _as_array, _as_number, _as_point, _vec2
 
 FEASIBILITY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-12
@@ -152,13 +152,13 @@ def solve_projection_many(u_noms, offsets, normals):
     meets a singular matrix is solved one problem at a time, and a singular
     problem skips the set, as there.
     """
-    u_noms = np.asarray(u_noms, dtype=np.float64).reshape(-1, 2)
+    u_noms = _as_array(u_noms, "u_noms must be numbers").reshape(-1, 2)
     k = len(u_noms)
-    offsets = np.asarray(offsets, dtype=np.float64).reshape(k, -1)
+    offsets = _as_array(offsets, "offsets must be numbers").reshape(k, -1)
     m = offsets.shape[1]
     if m > MAX_CONSTRAINTS:
         raise ValueError(f"at most {MAX_CONSTRAINTS} constraints supported, got {m}")
-    normals = np.asarray(normals, dtype=np.float64).reshape(k, m, 2)
+    normals = _as_array(normals, "normals must be numbers").reshape(k, m, 2)
 
     u_star = np.full((k, 2), np.nan)
     active_sets = [()] * k

@@ -92,26 +92,33 @@ def refuse_booleans(doc, name: str) -> None:
 
 # The readers of every value from outside the package: each refusal is a
 # ValueError whose message is the reader's ``refusal`` and what was given.
-# None reads a number written as text, which ``float`` and numpy would parse.
+# Each reads through :func:`_as_array`, the one rule for what is a number.
 
-def _holds_text(value) -> bool:
-    """Whether ``value`` is a str or bytes, or a list, tuple or array holding one."""
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_text, value))
-    if isinstance(value, np.ndarray):
-        kind = value.dtype.kind
-        return kind in "SU" or (kind == "O" and any(map(_holds_text, value.flat)))
-    return isinstance(value, (str, bytes, bytearray))
+def _as_array(value, refusal: str) -> np.ndarray:
+    """``value`` as numpy reads it, as a float64 array (``value`` itself
+    where it is one), finite or not: booleans, integers, reals, and object
+    arrays of values that convert to floats.  Refused is text, which
+    ``float`` and numpy would parse: what numpy reads as strings, a
+    bytearray, which it reads as uint8, and an object array holding a str or
+    bytes; also None, which numpy reads as NaN, and complex numbers."""
+    try:
+        arr = np.asarray(value)
+        kind = arr.dtype.kind
+        if (kind in "fib" or kind == "u" and not isinstance(value, bytearray)
+                or kind == "O" and not any(v is None or isinstance(v, (str, bytes, bytearray))
+                                           for v in arr.flat)):
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{refusal}, got {value!r}")
 
 
 def _as_number(value, refusal: str) -> float:
     """``value`` as a float, finite or not."""
-    try:
-        if not _holds_text(value):
-            return float(value)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{refusal}, got {value!r}")
+    arr = _as_array(value, refusal)
+    if arr.ndim:
+        raise ValueError(f"{refusal}, got {value!r}")
+    return float(arr)
 
 
 def _finite(value, refusal: str, positive: bool = False) -> float:
@@ -125,12 +132,7 @@ def _finite(value, refusal: str, positive: bool = False) -> float:
 def _finite_array(value, refusal: str, shape=None) -> np.ndarray:
     """``value`` as a new read-only float64 array of finite entries, of
     ``shape`` if one is given."""
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or _holds_text(value):
-        raise ValueError(f"{refusal}, got {value!r}")
+    arr = np.array(_as_array(value, refusal))
     if (shape is not None and arr.shape != shape) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{refusal}, got {arr!r}")
     arr.setflags(write=False)
@@ -141,31 +143,14 @@ def _vec2(value, name: str) -> np.ndarray:
     return _finite_array(value, f"{name} must be a finite 2-vector", (2,))
 
 
-def _as_point(x):
-    """``x`` as two floats, finite or not; ``ValueError`` unless it is a
-    2-vector of numbers.  Every public state or control argument of the
-    package is read through here."""
-    try:
-        arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or (arr is not x and _holds_text(x)):
-        raise ValueError(f"expected a 2-vector of numbers, got {x!r}")
+def _as_point(x) -> list:
+    """``x`` as a list of two floats, finite or not; ``ValueError`` unless
+    it is a 2-vector of numbers.  Every public state or control argument of
+    the package is read through here."""
+    arr = _as_array(x, "expected a 2-vector of numbers")
     if arr.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {arr.shape}")
-    return float(arr[0]), float(arr[1])
-
-
-def _finite_point(x, name: str):
-    """:func:`_vec2` as two floats, read by :func:`_as_point`: the array is
-    built only for the refusal's message."""
-    try:
-        px, py = _as_point(x)
-        if math.isfinite(px) and math.isfinite(py):
-            return px, py
-    except ValueError:
-        pass
-    return tuple(_vec2(x, name).tolist())  # raises
+    return arr.tolist()
 
 
 @dataclass(frozen=True)
@@ -229,7 +214,7 @@ class SafeSetSample:
     on_boundary: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", _as_number(self.h, "h must be a number"))
         object.__setattr__(self, "in_interior", self.h > 0.0)
         object.__setattr__(self, "on_boundary", abs(self.h) <= BOUNDARY_TOL)
 

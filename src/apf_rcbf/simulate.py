@@ -27,8 +27,7 @@ import numpy as np
 
 from . import _kernels as _k
 from .clf import UNIT_PACKING, GammaSelector, SigmaSelector
-from .scenario import (Scenario, _as_number, _finite, _finite_point, _min_clearance,
-                       validate_scenario)
+from .scenario import Scenario, _as_number, _finite, _min_clearance, _vec2, validate_scenario
 
 logger = logging.getLogger(__name__)
 
@@ -154,7 +153,7 @@ def simulate(scenario: Scenario, ctrl: ControllerSpec, cfg: SimConfig, x0) -> Tr
     """Roll out the closed loop from ``x0`` until goal, timeout, or crash."""
     validate_scenario(scenario)
     model = _k.pack_model(scenario, ctrl.packing())
-    px, py = _finite_point(x0, "x0")
+    px, py = _vec2(x0, "x0").tolist()
     h0 = _min_clearance(px, py, scenario.obstacles)
     if not h0 > 0.0:
         raise ValueError(

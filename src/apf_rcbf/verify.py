@@ -218,9 +218,9 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(scenario: Scenario, names, seed=0):
-    results = []
+    """The suites ``names``, in order; every name is checked before any runs."""
+    names = tuple(names)
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite: {name!r}")
-        results.append(_SUITES[name](scenario, seed))
-    return results
+    return [_SUITES[name](scenario, seed) for name in names]

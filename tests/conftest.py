@@ -1,5 +1,6 @@
-"""Shared fixtures: the bundled three-obstacle workspace, a seeded generator,
-and an import parser."""
+"""Shared fixtures and arenas: the bundled three-obstacle workspace, the
+overlap arena, translated copies of an arena, a seeded generator, and an
+import parser.  Test modules import ``OVERLAP`` and ``shifted`` from here."""
 
 import ast
 from importlib import resources
@@ -8,7 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apf_rcbf import Scenario, load_scenario
+from apf_rcbf import Obstacle, Scenario, load_scenario
+
+# two obstacles whose influence shells overlap in the gap between them, in
+# front of the goal: two filter corrections are live at once, and apf runs
+# from (0, 0.1) stall in front of the gap long before t_max
+OVERLAP = Scenario(goal=[5.0, 0.0],
+                   obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
+                              Obstacle([2.0, -0.6], 0.5, 0.4)))
+
+
+def shifted(scenario: Scenario, shift: float) -> Scenario:
+    """``scenario`` translated by ``shift`` along both axes."""
+    return Scenario(goal=scenario.goal + shift,
+                    obstacles=tuple(Obstacle(o.center + shift, o.radius, o.influence_margin)
+                                    for o in scenario.obstacles),
+                    k_att=scenario.k_att, k_rep=scenario.k_rep,
+                    alpha_gain=scenario.alpha_gain)
 
 
 def bundled_data(name: str) -> Path:

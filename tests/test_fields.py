@@ -233,6 +233,19 @@ def test_alpha_bar_domain_errors(single):
         alpha_bar(0.2, single)
 
 
+@pytest.mark.parametrize("h, rho0", [("0.1", None), (object(), None), ([0.1], None),
+                                     (None, None), (0.1, [0.2]), (0.1, "0.2"), (0.1, object())],
+                         ids=["h-string", "h-object", "h-list", "h-none", "rho0-list",
+                              "rho0-string", "rho0-object"])
+def test_alpha_bar_reads_numbers(single, h, rho0):
+    """h and rho0 are read as numbers: anything else raises ``ValueError``
+    naming the argument, never a ``TypeError``, and text is not parsed."""
+    assert alpha_bar(np.float32(0.125), single, rho0=np.float64(0.2)) == alpha_bar(0.125, single)
+    name = "h" if rho0 is None else "rho0"
+    with pytest.raises(ValueError, match=f"{name} must be a number, got "):
+        alpha_bar(h, single, rho0=rho0)
+
+
 def test_alpha_bar_margin_resolution():
     empty = Scenario(goal=[1, 1])
     with pytest.raises(ValueError, match="no obstacles"):

@@ -17,6 +17,7 @@ import pytest
 from apf_rcbf import (ControllerSpec, GammaSelector, Obstacle, Scenario, SigmaSelector,
                       SimConfig, simulate, write_trajectory_csv)
 from apf_rcbf import _kernels as _k
+from conftest import OVERLAP, shifted
 
 SQ = SigmaSelector.grad_norm_squared()
 
@@ -37,12 +38,6 @@ SPECS = {
     "norm_nominal": ControllerSpec("nominal_only", sigma_sel=SigmaSelector.scaled_norm(1.3)),
 }
 
-# two obstacles whose influence shells overlap in the gap between them, so
-# two filter corrections are live at once
-OVERLAP = Scenario(goal=[5.0, 0.0],
-                   obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
-                              Obstacle([2.0, -0.6], 0.5, 0.4)))
-
 # one obstacle straight ahead of a blind stabilizer: an RK4 stage state lands
 # inside it and the run ends with domain_error
 SINGLE = Scenario(goal=[4.0, 0.0], obstacles=(Obstacle([2.0, 0.0], 0.5, 0.2),))
@@ -58,12 +53,6 @@ FIG2_X0 = (-2.0, 0.0)
 # size, is larger than most steps
 FAR_SHIFT = 1e6
 
-
-def _far(arena):
-    return Scenario(goal=arena.goal + FAR_SHIFT,
-                    obstacles=tuple(Obstacle(o.center + FAR_SHIFT, o.radius, o.influence_margin)
-                                    for o in arena.obstacles),
-                    k_att=arena.k_att, k_rep=arena.k_rep, alpha_gain=arena.alpha_gain)
 
 # (arena, controller, integrator, dt, t_max, x0) -> (terminal, sha256 of CSV)
 GOLDEN = {
@@ -183,7 +172,7 @@ WARNINGS = {
 
 def _scenario(name, arena):
     if name == "fig2_far":
-        return _far(arena)
+        return shifted(arena, FAR_SHIFT)
     return {"fig2": arena, "overlap": OVERLAP, "single": SINGLE, "axis": AXIS}[name]
 
 

@@ -8,6 +8,7 @@ timing anything.
 """
 
 import collections
+import dataclasses
 import itertools
 import math
 import struct
@@ -24,6 +25,7 @@ from apf_rcbf import (ControllerSpec, GammaSelector, Obstacle, Scenario, SigmaSe
                       SimConfig, simulate)
 from apf_rcbf import _kernels as _k
 from apf_rcbf.rcbf import UNIT_GAMMA, UNIT_SIGMA
+from conftest import OVERLAP, shifted
 
 # obstacles given as numpy arrays and numpy scalars on purpose
 SCENARIO = Scenario(goal=np.array([4.0, 0.0]),
@@ -194,10 +196,8 @@ def test_stalled_rollout_stops_evaluating(monkeypatch):
 
     monkeypatch.setattr(_k, "bind", spy_bind)
     _fly_nothing_free(monkeypatch)
-    overlap = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
-                                                   Obstacle([2.0, -0.6], 0.5, 0.4)))
     cfg = SimConfig(dt=0.004, t_max=40.0, goal_tolerance=0.05, integrator="rk4")
-    tr = simulate(overlap, ControllerSpec("apf"), cfg, [0.0, 0.1])
+    tr = simulate(OVERLAP, ControllerSpec("apf"), cfg, [0.0, 0.1])
     assert (tr.terminal, tr.n_samples) == ("timeout", 10001)
     assert count <= 4 * (199 + 2)
 
@@ -593,8 +593,8 @@ def _check_free(model, x, y, u):
     assert _bits(u) == _bits(full[:2])
     assert full[3] >= 0.0
     rec = np.full((1, 7 + m), -1.0)
-    rec[0, 1:5] = x, y, u[0], u[1]
-    _k._fill_free(rec, bytearray(b"\x01"), 1, model)
+    rec[0, 1:6] = x, y, u[0], u[1], math.nan
+    _k._fill_free(rec, 1, model)
     assert _bits(rec[0, 7:].tolist()) == _bits(phis)
     assert _bits([rec[0, 5]]) == _bits([full[2]])
 
@@ -648,11 +648,6 @@ def _check_threshold(model, x0, dt, stages, evals, samples):
             assert (moved[i].u is not None) == flies
 
 
-def _overlap():
-    return Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
-                                                 Obstacle([2.0, -0.6], 0.5, 0.4)))
-
-
 @pytest.mark.parametrize("dt", [0.004, 0.02])
 @pytest.mark.parametrize("spec", [ControllerSpec("apf"),
                                   ControllerSpec("generalized", sigma_sel=UNIT_SIGMA,
@@ -669,7 +664,7 @@ def test_rollout_passes_each_stage_its_reach_and_skips_nothing_that_counts(
     every evaluation that does not fly free runs every shell, and the run
     equals one that evaluates every shell at every stage, record and return
     alike."""
-    scenario, x0 = (arena, (-2.0, 0.0)) if where == "fig2" else (_overlap(), (0.0, 0.1))
+    scenario, x0 = (arena, (-2.0, 0.0)) if where == "fig2" else (OVERLAP, (0.0, 0.1))
     model = _k.pack_model(scenario, spec.packing())
     evals = _check_free_rollout(model, x0, dt, 400, _k.RK4_STAGES)
     assert _free_counts(evals)[1] > 0
@@ -940,10 +935,7 @@ def test_rollout_passes_each_evaluation_its_chain(where, spec, dt, integ, arena)
     stages (RK4) are pinned to the last bit of their squared distance from
     the base."""
     shift = 1e6 if where == "fig2+1e6" else 0.0
-    scenario = _overlap() if where == "overlap" else Scenario(
-        goal=arena.goal + shift, obstacles=[Obstacle(o.center + shift, o.radius,
-                                                     o.influence_margin)
-                                            for o in arena.obstacles])
+    scenario = OVERLAP if where == "overlap" else shifted(arena, shift)
     x0 = (0.0, 0.1) if where == "overlap" else (0.5 + shift, 1.5 + shift)
     model = _k.pack_model(scenario, spec.packing())
     stages = ((), _k.RK4_STAGES)[integ]
@@ -970,11 +962,7 @@ def test_rollout_flies_free_and_keeps_every_bit(shift, spec, x0, dt, integ, aren
     slack of each radius is larger than most steps: samples and stages fly
     free, each one equal to its full evaluation, and the run equals one that
     evaluates every shell everywhere."""
-    scenario = Scenario(goal=arena.goal + shift, k_att=arena.k_att, k_rep=arena.k_rep,
-                        alpha_gain=arena.alpha_gain,
-                        obstacles=[Obstacle(o.center + shift, o.radius, o.influence_margin)
-                                   for o in arena.obstacles])
-    model = _k.pack_model(scenario, spec.packing())
+    model = _k.pack_model(shifted(arena, shift), spec.packing())
     stages = ((), _k.RK4_STAGES)[integ]
     samples, stage_count = _free_counts(_check_free_rollout(
         model, (x0[0] + shift, x0[1] + shift), dt, int(40.0 / dt), stages))
@@ -1100,8 +1088,8 @@ def test_free_rows_carry_the_sign_of_a_zero_margin():
         phis = [0.0, 0.0]
         ux, uy, hmin, _ = _k.bind(model)(3.0, 0.0, phis)
         rec = np.full((1, 9), -1.0)
-        rec[0, 1:5] = 3.0, 0.0, ux, uy
-        _k._fill_free(rec, bytearray(b"\x01"), 1, model)
+        rec[0, 1:6] = 3.0, 0.0, ux, uy, math.nan
+        _k._fill_free(rec, 1, model)
         assert _bits(rec[0, 7:].tolist()) == _bits(phis) and rec[0, 5] == hmin
         signs.append(math.copysign(1.0, phis[0]))
     assert signs == [-1.0, 1.0]
@@ -1114,8 +1102,7 @@ def test_free_rows_carry_the_sign_of_a_zero_margin():
 @pytest.mark.parametrize("case", ["overlap-stall", "fig2-goal"])
 def test_record_of_any_layout_is_filled(layout, case, arena):
     if case == "overlap-stall":  # stands still from step 199; 114-row chunks
-        scenario = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
-                                                        Obstacle([2.0, -0.6], 0.5, 0.4)))
+        scenario = OVERLAP
         x0, n_max, expected = (0.0, 0.1), 500, (501, _k.TIMEOUT)
     else:  # 103-row chunks, the goal reached mid-chunk
         scenario, x0, n_max, expected = arena, (-2.0, 0.0), 2000, (1388, _k.REACHED_GOAL)
@@ -1226,7 +1213,7 @@ def test_stall_tail_is_the_row_by_row_definition(tail, layout):
     but for t, which is k * dt, and the rows before it are the C-ordered
     run's."""
     n_max = 199 + tail
-    model = _k.pack_model(_overlap(), _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    model = _k.pack_model(OVERLAP, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     ref = np.full((n_max + 1, 9), -1.0)
     out = _k._integrate(0.0, 0.1, model, 0.004, n_max, 0.05, _k.RK4_STAGES, ref)
     assert out[:2] == (n_max + 1, _k.TIMEOUT)
@@ -1299,10 +1286,7 @@ def test_t_and_v_are_the_scalar_expressions_on_every_row(shift, k_att, integ, ar
     until a step no longer moves the state, so it has free rows, full rows
     and a stall tail.  A k_att of 1.3 (the arena's is 1) makes a regrouped
     V, such as 0.5 k_att dx^2 + 0.5 k_att dy^2, round differently."""
-    scenario = Scenario(goal=arena.goal + shift, k_att=k_att or arena.k_att, k_rep=arena.k_rep,
-                        alpha_gain=arena.alpha_gain,
-                        obstacles=[Obstacle(o.center + shift, o.radius, o.influence_margin)
-                                   for o in arena.obstacles])
+    scenario = dataclasses.replace(shifted(arena, shift), k_att=k_att or arena.k_att)
     model = _k.pack_model(scenario, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     stages = ((), _k.RK4_STAGES)[integ]
     out, rec, kinds = _classified_rollout(model, (-2.0 + shift, shift), 0.02, 2000, stages, 0.0)
@@ -1347,7 +1331,7 @@ def test_loop_buffers_stay_within_a_chunk(monkeypatch):
         return flush(*args)
 
     monkeypatch.setattr(_k, "_flush", spy)
-    model = _k.pack_model(_overlap(), _k.pack_controller(
+    model = _k.pack_model(OVERLAP, _k.pack_controller(
         UNIT_SIGMA, GammaSelector.scaled_special(8.0)))
     width = 9
     rows = -(-_k.RECORD_CHUNK_FLOATS // width)

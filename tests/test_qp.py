@@ -1,5 +1,7 @@
 """Exhaustive active-set projection solver: hand cases, KKT checks, optimality."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def test_constraint_validation():
         HalfSpaceConstraint(0.0, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="finite"):
         HalfSpaceConstraint(0.0, [np.nan, 1.0])
-    for bad in ({"x": 1.0}, object()):
+    for bad in ({"x": 1.0}, object(), "1", deque(["1", "0"]), 1j):
         with pytest.raises(ValueError, match="normal must be a finite 2-vector"):
             HalfSpaceConstraint(0.0, bad)
         with pytest.raises(ValueError, match="offset must be a number"):
@@ -295,6 +297,22 @@ def test_singular_stack_is_solved_one_problem_at_a_time():
     assert solved.tolist() == [True, False, True]
     for i in (0, 2):
         assert x[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
+
+
+@pytest.mark.parametrize("which", ["u_noms", "offsets", "normals"])
+@pytest.mark.parametrize("bad", [lambda a: a.astype(str).tolist(), lambda a: a.astype(str),
+                                 lambda a: np.array(a.astype(str), dtype=object),
+                                 lambda a: np.full(a.shape, None)],
+                         ids=["text-lists", "string-array", "object-strings", "object-none"])
+def test_stacked_solver_reads_only_numbers(which, bad):
+    """Each array is read as numbers or refused with a ``ValueError``: a
+    problem written as text is not solved."""
+    arrays = {"u_noms": np.array([[1.0, 2.0]]), "offsets": np.array([[0.5]]),
+              "normals": np.array([[[1.0, 0.0]]])}
+    assert solve_projection_many(*arrays.values())[3].tolist() == [True]
+    arrays[which] = bad(arrays[which])
+    with pytest.raises(ValueError, match=f"{which} must be numbers, got "):
+        solve_projection_many(*arrays.values())
 
 
 def test_stacked_solver_constraint_count_limit():

@@ -28,6 +28,7 @@ from apf_rcbf import (
     special_filter_control,
     u_rep,
 )
+from conftest import OVERLAP, shifted
 
 
 @pytest.fixture(scope="module")
@@ -466,21 +467,6 @@ def _bits(*values):
     return np.array(values, dtype=np.float64).tobytes()
 
 
-def _overlap(shift):
-    return Scenario(goal=[5.0 + shift, 0.0 + shift],
-                    obstacles=(Obstacle([2.0 + shift, 0.6 + shift], 0.5, 0.4),
-                               Obstacle([2.0 + shift, -0.6 + shift], 0.5, 0.4)))
-
-
-def _shifted(scenario, shift):
-    return Scenario(goal=scenario.goal + shift,
-                    obstacles=tuple(Obstacle(obs.center + shift, obs.radius,
-                                             obs.influence_margin)
-                                    for obs in scenario.obstacles),
-                    k_att=scenario.k_att, k_rep=scenario.k_rep,
-                    alpha_gain=scenario.alpha_gain)
-
-
 _REPORT_SIGMAS = (SigmaSelector.grad_norm_squared(), SigmaSelector.scaled_value(2.0),
                   SigmaSelector.scaled_norm(0.5),
                   SigmaSelector.custom([0.0, 1.0, 6.0], [0.0, 0.4, 3.0]))
@@ -511,7 +497,7 @@ def test_generalized_reports_the_kernels_evaluation_bit_for_bit(arena, which, sh
     has the bits of the second computation from the field formulas it once
     made, over every sigma kind against the zero tightening, lam = 1, lam =
     8 and a table; states it refuses, it refuses alike."""
-    scenario = _shifted(arena, shift) if which == "fig2" else _overlap(shift)
+    scenario = shifted(arena if which == "fig2" else OVERLAP, shift)
     states = _report_states(scenario, shift, np.random.default_rng(7))
     seen = set()
     for sigma in _REPORT_SIGMAS:

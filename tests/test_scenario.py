@@ -1,5 +1,6 @@
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from apf_rcbf import (
     GammaSelector,
     Obstacle,
     RcbfTerms,
+    SafeSetSample,
     Scenario,
     ScenarioValidationError,
     SigmaSelector,
@@ -98,9 +100,11 @@ def test_point_arguments_must_be_2_vectors(arena, entry, value):
 
 @pytest.mark.parametrize("value", [{"x": 1.0}, object(), ["1", "2"], (1.0, b"2"),
                                    np.array(["1", "2"]), np.array([1.0, "2"], dtype=object),
-                                   "12"],
+                                   "12", deque(["1", "2"]), deque([1.0, b"2"]),
+                                   bytearray(b"\x01\x02"), [None, 1.0], [1j, 2.0]],
                          ids=["dict", "object", "strings", "bytes", "string-array",
-                              "object-array", "string"])
+                              "object-array", "string", "deque-strings", "deque-bytes",
+                              "bytearray", "none", "complex"])
 @pytest.mark.parametrize("entry", POINT_ARGUMENTS.values(), ids=POINT_ARGUMENTS.keys())
 def test_point_arguments_must_be_numbers(arena, entry, value):
     """A value that does not convert to floats raises the same
@@ -125,7 +129,10 @@ def test_non_finite_rejected(bad):
     lambda d: d["obstacles"][0].update(center=[1.0, b"0"]),
     lambda d: d.update(k_att="1"),
     lambda d: d.update(alpha_gain="inf"),
-], ids=["goal", "radius", "center-bytes", "k_att", "alpha_gain"])
+    lambda d: d.update(goal=deque(["5", "0"])),
+    lambda d: d["obstacles"][0].update(center=np.array(["1", "0"], dtype=object)),
+], ids=["goal", "radius", "center-bytes", "k_att", "alpha_gain", "goal-deque",
+        "center-object-array"])
 def test_numbers_written_as_text_are_refused(mutate):
     """``float`` and numpy parse a number written as a string; the readers
     refuse it, as they refuse ``true``."""
@@ -148,6 +155,13 @@ def test_numeric_input_keeps_its_bits():
     assert [type(v) for v in (s.k_att, s.k_rep, s.alpha_gain)] == [float] * 3
     assert (s.k_att, s.k_rep, s.alpha_gain) == (0.1, 2.0, 0.5)
     assert rho(np.array([3.5, 0.1], dtype=np.float32), s.obstacles[0]) == 0.25
+    # a sequence of floats of any type, and an object array of numbers
+    assert rho(deque([3.5, 0.1]), s.obstacles[0]) == 0.25
+    assert rho(np.array([np.float32(3.5), 0.1], dtype=object), s.obstacles[0]) == 0.25
+    t = Scenario(goal=deque([1.5, -0.0]),
+                 obstacles=(Obstacle(np.array([3, 0.1], dtype=object), 0.25, 1.0),))
+    assert t.goal.tobytes() == s.goal.tobytes()
+    assert t.obstacles[0].center.tobytes() == s.obstacles[0].center.tobytes()
 
 
 def test_scenario_is_frozen():
@@ -181,6 +195,16 @@ def test_classify_safety_minimum_over_obstacles():
 
     inside = classify_safety([0.1, 0.0], s)
     assert inside.h < 0 and not inside.in_interior
+
+
+@pytest.mark.parametrize("h", ["0.5", b"0.5", [0.5], None, object()],
+                         ids=["string", "bytes", "list", "none", "object"])
+def test_safe_set_sample_reads_a_number(h):
+    """A sample's clearance is read as a float, as every outside number is."""
+    sample = SafeSetSample(np.float32(0.5))
+    assert type(sample.h) is float and sample.h == 0.5 and sample.in_interior
+    with pytest.raises(ValueError, match="h must be a number, got "):
+        SafeSetSample(h)
 
 
 def test_classify_safety_empty_workspace():

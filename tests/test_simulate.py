@@ -2,6 +2,7 @@
 
 import logging
 import math
+from collections import deque
 import sys
 import tracemalloc
 
@@ -25,6 +26,7 @@ from apf_rcbf import (
     write_trajectory_csv,
 )
 from apf_rcbf.simulate import CSV_BLOCK_ROWS, csv_header
+from conftest import OVERLAP
 
 SQ = SigmaSelector.grad_norm_squared()
 
@@ -115,15 +117,16 @@ def test_simulate_rejects_bad_start(single):
 
 
 def test_simulate_start_errors_keep_their_messages(single):
-    """simulate reads x0 as two floats, and its messages still print x0 as
-    the array it used to build, or as given where it is not numbers."""
+    """simulate reads x0 as a finite 2-vector, and its messages print x0 as
+    the array read, or as given where it is not numbers."""
     from apf_rcbf import SimConfig
     for bad, shown in (([np.nan, 0.0], "array([nan,  0.])"),
                        ([0.0, 0.0, 1.0], "array([0., 0., 1.])"),
                        ([[0.0], [0.0]], "array([[0.],\n       [0.]])"),
                        ((np.inf, 1.0), "array([inf,  1.])"),
                        ({"x": 1.0}, "{'x': 1.0}"),
-                       ([0.0, {"a": 1}], "[0.0, {'a': 1}]")):
+                       ([0.0, {"a": 1}], "[0.0, {'a': 1}]"),
+                       (deque(["1", "0"]), "deque(['1', '0'])")):
         with pytest.raises(ValueError) as err:
             simulate(single, spec_nominal(), SimConfig(), bad)
         assert str(err.value) == f"x0 must be a finite 2-vector, got {shown}"
@@ -214,13 +217,6 @@ def test_rk4_matches_hand_stepping():
     nx = xx + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     ny = yy + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     assert (tr.x[1, 0], tr.x[1, 1]) == (nx, ny)
-
-
-# two obstacles whose shells overlap in front of the goal: apf starts from
-# (0, 0.1) stall in front of the gap and stop moving long before t_max
-OVERLAP = Scenario(goal=[5.0, 0.0],
-                   obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
-                              Obstacle([2.0, -0.6], 0.5, 0.4)))
 
 
 def _step_apf(scenario, integrator, dt, n_max, x0):
@@ -473,9 +469,7 @@ def test_trajectory_columns_are_owned_read_only_copies(arena, tmp_path, case):
     scenario, x0 = {
         "arena-goal": (arena, [-2.0, 0.5]),
         "obstacle-free": (Scenario(goal=[1.0, 0.0]), [0.0, -0.5]),
-        "overlap-stall": (Scenario(goal=[5.0, 0.0],
-                                   obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
-                                              Obstacle([2.0, -0.6], 0.5, 0.4))), [0.0, 0.1]),
+        "overlap-stall": (OVERLAP, [0.0, 0.1]),
     }[case]
     cfg = SimConfig(dt=0.01, t_max=40.0, goal_tolerance=0.05)
     m = len(scenario.obstacles)

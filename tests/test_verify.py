@@ -1,6 +1,7 @@
 """The equivalence suite: one kernel pass, no simulator, and a gap that a
 one-ulp-scale change to the filter correction moves."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -13,6 +14,8 @@ import apf_rcbf
 import apf_rcbf.verify
 from apf_rcbf import _kernels as _k
 from apf_rcbf.verify import equivalence_suite
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # the filter correction in the controller that _kernels.bind returns
 CORRECTION = "grep = -(phi / dd)"
@@ -66,23 +69,33 @@ def test_scaled_correction_fails_verify(tmp_path):
 
 
 def test_run_suites_dispatches_every_name(arena, monkeypatch):
-    """Each suite name runs its suite with the scenario and seed it takes,
-    in the order given; an unknown name raises ``ValueError``."""
+    """Each suite name, from any iterable, runs its suite with the scenario
+    and seed it takes, in the order given; an unknown name raises
+    ``ValueError`` before any suite runs, wherever it stands among the
+    names."""
     calls = []
     for fn in ("equivalence_suite", "gradient_suite", "oracle_suite"):
         monkeypatch.setattr(apf_rcbf.verify, fn,
                             lambda *args, fn=fn, **kwargs: calls.append((fn, args, kwargs)) or fn)
     assert apf_rcbf.verify.SUITE_NAMES == ("equivalence", "gradients", "oracle")
-    results = apf_rcbf.verify.run_suites(arena, ("oracle", "equivalence", "gradients"), seed=5)
+    results = apf_rcbf.verify.run_suites(arena, iter(("oracle", "equivalence", "gradients")),
+                                         seed=5)
     assert results == ["oracle_suite", "equivalence_suite", "gradient_suite"]
     assert calls == [("oracle_suite", (), {"seed": 5}), ("equivalence_suite", (arena,), {}),
                      ("gradient_suite", (arena,), {"seed": 5})]
-    with pytest.raises(ValueError, match="unknown suite: 'grid'"):
-        apf_rcbf.verify.run_suites(arena, ("equivalence", "grid"))
+    calls.clear()
+    for names in (("equivalence", "grid"), ("oracle", "gradients", "grid"), ("grid", "oracle")):
+        with pytest.raises(ValueError, match="unknown suite: 'grid'"):
+            apf_rcbf.verify.run_suites(arena, names)
+    assert calls == []
 
 
 def test_run_suites_runs_each_suite_in_process(arena):
-    """The real suites, each called through ``run_suites`` by name."""
+    """The real suites, each called through ``run_suites`` by name, report
+    the lines that ``apf-rcbf verify fig2.json --seed 3`` prints, as
+    recorded in ``perfbench/verify_reference.json``."""
     results = apf_rcbf.verify.run_suites(arena, apf_rcbf.verify.SUITE_NAMES, seed=3)
     assert [r.name for r in results] == list(apf_rcbf.verify.SUITE_NAMES)
     assert all(r.passed for r in results)
+    reference = json.loads((ROOT / "perfbench" / "verify_reference.json").read_text("utf-8"))
+    assert [line for r in results for line in r.lines] == reference["3"]
