@@ -43,15 +43,27 @@ squared repulsive gradient stays finite at every positive clearance, and the
 lam bound keeps lam times it finite too.)
 
 Per-state cost: :func:`bind` unpacks a model once per rollout, grid or
-single-state call and returns the controller as one closure, which
-evaluates every shell.  Most obstacles of a state lie beyond their influence
-shell, where d = F_rep = (0, 0).  Every shell runs one margin block on
-|d|^2 and d.u_nom.  An idle shell does not form d: it takes |d|^2 = 0 and a
-d.u_nom formed once per state from the operands a live shell would use, in
-the same order, so its margins keep their bits, NaN propagation included.
-The correction needs |d|^2 > 0 and so skips it.  In a rollout, a sample or
-stage that flies free (below) makes no call at all: :func:`_integrate`
-forms its stabilizer inline.
+single-state call into ``point``, the one full evaluation, which evaluates
+every shell.  ``point`` comes from one source template, :data:`_POINT`,
+compiled once per process for each shape ``(m, gkind, ckind == 2, rows is
+not None, skind == 0)``: the m shells are unrolled, each shell carries only
+its gamma kind's margin expressions, the ``rows`` stores and the correction
+appear only where the shape has them, and the model's constants are closure
+cells, so an evaluation runs no loop and tests no kind.  Its expressions are
+those of one closure that loops over the shells and tests every kind per
+call, each rounded alike, so the bits are too (``tests/test_kernels.py``
+keeps that evaluation as its reference); only temporaries are inlined, and
+an idle shell skips the correction test, which it always fails.  Compiling a
+shape costs time linear in m, about 0.5 ms at m = 2, 0.7 ms at m = 3 and 3
+to 4 ms at m = 20 (2-vCPU Xeon VM, Python 3.11), once per shape per process;
+a later bind of the shape is one call.  Most obstacles of a state lie beyond
+their influence shell, where d = F_rep = (0, 0).  Every shell runs one
+margin block on |d|^2 and d.u_nom.  An idle shell does not form d: it takes
+|d|^2 = 0 and a d.u_nom formed once per state from the operands a live shell
+would use, in the same order, so its margins keep their bits, NaN
+propagation included.  The correction needs |d|^2 > 0 and so skips it.  In a
+rollout, a sample or stage that flies free (below) makes no call at all:
+:func:`_integrate` forms its stabilizer inline.
 
 Free flight: :func:`_integrate` owns the rule, and :func:`_free_above` its
 one threshold, the largest rho0 of a model whose idle tightenings are known
@@ -117,6 +129,7 @@ the definition.
 
 from __future__ import annotations
 
+import linecache
 import math
 from struct import Struct
 
@@ -246,6 +259,126 @@ def _goal_threshold(goal_tol):
     return q
 
 
+# The controller's one source: bind compiles it once per shape into a
+# factory, which unpacks a model into closure cells and returns ``point``.  A
+# shape fills the slots: the obstacles' unpacking, g_att of its sigma kind
+# (_GATT), the rows stores where it reports, and one copy of _SHELL per
+# obstacle, each with the margin block of its gamma kind (_MARGINS) and, where
+# it is filtered, the running minimum and the correction (_FILTERED).  So
+# ``point`` holds no loop and tests no kind.
+_POINT = """\
+def factory(model, rows):
+    (gx, gy, obstacles, k_att, k_rep, alpha_gain,
+     ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model{obstacles}
+    sqrt = math.sqrt
+    inf = math.inf
+    nan = math.nan
+    interp = np.interp
+    sigma = _sigma_value
+
+    def point(x, y, phis):
+        bx = k_att * (x - gx)
+        by = k_att * (y - gy)
+        bb = bx * bx + by * by
+        if bb > 0.0:
+            gatt = {gatt}
+        else:
+            gatt = 0.0{report}
+        unx = gatt * bx
+        uny = gatt * by
+        idle_du = 0.0 * unx + 0.0 * uny
+        ux = unx
+        uy = uny
+        hmin = inf
+        ming = inf{shells}
+        return ux, uy, hmin, {ming}
+
+    return point
+"""
+
+# One shell, obstacle {i}.  idle_du is d.u_nom on an idle shell, where d =
+# F_rep = (0, 0): the product a live shell forms, so NaN or inf in u_nom
+# propagates alike.  An idle shell's margin block takes |d|^2 = 0.0 and
+# idle_du, and skips the correction, which needs |d|^2 > 0 (a NaN clearance
+# fails the idle test and keeps the live branch's bits); a live one forms d
+# with fields.f_rep's expressions in its order, bitwise superposition.
+_SHELL = """
+        ox = x - cx_{i}
+        oy = y - cy_{i}
+        dist = sqrt(ox * ox + oy * oy)
+        rho = dist - r_{i}
+        if rho < hmin:
+            hmin = rho
+        if rho <= 0.0:
+            phis[{i}] = nan
+        elif rho >= rho0_{i}:{idle}
+        else:
+            coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0_{i}) / dist
+            dx = coef * ox
+            dy = coef * oy
+            dd = dx * dx + dy * dy{store}{live}{correct}"""
+
+_STORE = """
+            rows[{i}] = (dx, dy, dd)"""
+
+# The margin block of each gamma kind on |d|^2 and d.u_nom: {dd} and {du}
+# are 0.0 and idle_du on an idle shell, dd and its product on a live one.
+# Kind 1, scaled-special, takes phi = lam * D in closed form (module
+# docstring, "A note on arithmetic"); a kind other than 0 and 1 is the table.
+_MARGINS = {
+    1: """
+            phi = glam * {dd}
+            gam = phi + alpha_gain * rho - {du}""",
+    0: """
+            gam = 0.0
+            phi = -(alpha_gain * rho) + {du}""",
+    2: """
+            gam = float(interp(rho, gtx, gty))
+            phi = (-(alpha_gain * rho) + gam) + {du}""",
+}
+
+# sigma / bb: bb / bb is 1 for the grad-norm-squared sigma (kind 0), also
+# where bb overflows, so u_nom is -b there
+_GATT = {True: "-1.0",
+         False: "-(sigma(x, y, gx, gy, k_att, skind, scoef, stx, sty) / bb)"}
+
+# a filtered shape's running minimum of the tightening, and its correction
+_FILTERED = ("""
+            if gam < ming:
+                ming = gam""", """
+            if phi > 0.0 and dd > 0.0:
+                grep = -(phi / dd)
+                ux += grep * dx
+                uy += grep * dy""")
+
+# the factory of each shape (m, gkind, filtered, reports, sigma kind 0) bound
+# so far in this process
+_FACTORIES = {}
+
+
+def _compile(m, gkind, filtered, report, unit_sigma):
+    """The factory of one shape: :data:`_POINT` with its slots filled,
+    compiled; its source is kept in ``linecache`` for tracebacks."""
+    margin = _MARGINS[gkind if gkind in (0, 1) else 2]
+    minimum, correct = _FILTERED if filtered else ("", "")
+    idle, live = (margin.format(dd=dd, du=du) + minimum + "\n            phis[{i}] = phi"
+                  for dd, du in (("0.0", "idle_du"), ("dd", "(dx * unx + dy * uny)")))
+    shell = _SHELL.format(i="{i}", idle=idle, live=live, correct=correct,
+                          store=_STORE if report else "")
+    unpack = ", ".join(f"(cx_{i}, cy_{i}, r_{i}, rho0_{i})" for i in range(m))
+    source = _POINT.format(obstacles=f"\n    ({unpack},) = obstacles" if m else "",
+                           gatt=_GATT[unit_sigma],
+                           report="\n        rows[-1] = gatt" if report else "",
+                           shells="".join(shell.format(i=i) for i in range(m)),
+                           ming="ming" if filtered else "inf")
+    name = (f"<_kernels.bind m={m} gkind={gkind} filtered={filtered} rows={report} "
+            f"unit_sigma={unit_sigma}>")
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    scope = {}
+    exec(compile(source, name, "exec"), globals(), scope)
+    return scope["factory"]
+
+
 def bind(model, rows=None):
     """The controller of ``model``, unpacked once: returns ``point(x, y,
     phis) -> (ux, uy, hmin, min_gamma)``.
@@ -265,84 +398,20 @@ def bind(model, rows=None):
     live shell writes its row ``(dx, dy, |d|^2)``, d = F_rep, into its slot
     and g_att = -sigma / |F_att|^2 goes into the last; other slots keep what
     they held.  Like ``phis``, it changes nothing ``point`` returns.
+
+    ``point`` is compiled from the one template :data:`_POINT` once per
+    process for each shape ``(m, gkind, ckind == 2, rows is not None, skind
+    == 0)`` and cached in :data:`_FACTORIES`; the shape's factory unpacks
+    ``model`` into closure cells (module docstring, "Per-state cost").  Its
+    expressions are those of one loop over the shells that tests every kind
+    per call, ``1.0 / rho0`` included, so a bind computes nothing and raises
+    only where unpacking the model does.
     """
-    (gx, gy, obstacles, k_att, k_rep, alpha_gain,
-     ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model
-    sqrt = math.sqrt
-    inf = math.inf
-    nan = math.nan
-    interp = np.interp
-    filtered = ckind == 2
-    shells = [(i, cx, cy, r, rho0) for i, (cx, cy, r, rho0) in enumerate(obstacles)]
-    report = rows is not None
-
-    def point(x, y, phis):
-        bx = k_att * (x - gx)
-        by = k_att * (y - gy)
-        bb = bx * bx + by * by
-        if bb > 0.0:
-            # sigma / bb: bb / bb is 1 for the grad-norm-squared sigma, also
-            # where bb overflows, so u_nom is -b there
-            gatt = -1.0 if skind == 0 else -(
-                _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty) / bb)
-        else:
-            gatt = 0.0
-        if report:
-            rows[-1] = gatt
-        unx = gatt * bx
-        uny = gatt * by
-        # d.u_nom on an idle shell, where d = F_rep = (0, 0): the product a
-        # live shell forms, so NaN or inf in u_nom propagates alike
-        idle_du = 0.0 * unx + 0.0 * uny
-        ux = unx
-        uy = uny
-        hmin = inf
-        ming = inf
-        for i, cx, cy, r, rho0 in shells:
-            ox = x - cx
-            oy = y - cy
-            dist = sqrt(ox * ox + oy * oy)
-            rho = dist - r
-            if rho < hmin:
-                hmin = rho
-            if rho <= 0.0:
-                phis[i] = nan
-                continue
-            if rho >= rho0:
-                # idle shell: a zero row, which takes no correction (a NaN
-                # clearance fails this test and keeps the live branch's bits)
-                dd = 0.0
-                du = idle_du
-            else:
-                # fields.f_rep's expressions in its order: bitwise superposition
-                coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0) / dist
-                dx = coef * ox
-                dy = coef * oy
-                dd = dx * dx + dy * dy
-                du = dx * unx + dy * uny
-                if report:
-                    rows[i] = (dx, dy, dd)
-            alphah = alpha_gain * rho
-            if gkind == 1:
-                phi = glam * dd
-                gam = phi + alphah - du
-            elif gkind == 0:
-                gam = 0.0
-                phi = -alphah + du
-            else:
-                gam = float(interp(rho, gtx, gty))
-                phi = (-alphah + gam) + du
-            if gam < ming:
-                ming = gam
-            phis[i] = phi
-            if phi > 0.0 and dd > 0.0 and filtered:
-                grep = -(phi / dd)
-                ux += grep * dx
-                uy += grep * dy
-        # the unfiltered stabilizer records its margins but evaluates no tightening
-        return ux, uy, hmin, ming if filtered else inf
-
-    return point
+    shape = (len(model[2]), model[11], model[6] == 2, rows is not None, model[7] == 0)
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        factory = _FACTORIES[shape] = _compile(*shape)
+    return factory(model, rows)
 
 
 def _eval_controls(xs, ys, model):

@@ -142,7 +142,8 @@ def _solve_each(a, b):
 def solve_projection_many(u_noms, offsets, normals):
     """:func:`solve_projection` for ``k`` problems of ``m`` constraints each,
     given as arrays ``u_noms`` (k, 2), ``offsets`` (k, m) and ``normals``
-    (k, m, 2).  Returns ``(u_star, active_sets, kkt_residuals, feasible)``:
+    (k, m, 2); ``ValueError`` for ``offsets`` or ``normals`` of another
+    shape.  Returns ``(u_star, active_sets, kkt_residuals, feasible)``:
     arrays of shape (k, 2), (k,) and (k,) and a list of k tuples.
 
     It makes :func:`solve_projection`'s numpy calls on stacks, one active set
@@ -154,11 +155,18 @@ def solve_projection_many(u_noms, offsets, normals):
     """
     u_noms = _as_array(u_noms, "u_noms must be numbers").reshape(-1, 2)
     k = len(u_noms)
-    offsets = _as_array(offsets, "offsets must be numbers").reshape(k, -1)
+    offsets = _as_array(offsets, "offsets must be numbers")
+    if offsets.ndim != 2 or len(offsets) != k:
+        raise ValueError(f"offsets must have shape ({k}, m), got {offsets.shape}")
     m = offsets.shape[1]
     if m > MAX_CONSTRAINTS:
         raise ValueError(f"at most {MAX_CONSTRAINTS} constraints supported, got {m}")
-    normals = _as_array(normals, "normals must be numbers").reshape(k, m, 2)
+    normals = _as_array(normals, "normals must be numbers")
+    # k problems without constraints, [[]] * k, read as (k, 0): no normal
+    # gives the last axis
+    if normals.shape != (k, m, 2) and not (m == 0 and normals.shape == (k, 0)):
+        raise ValueError(f"normals must have shape {(k, m, 2)}, got {normals.shape}")
+    normals = normals.reshape(k, m, 2)
 
     u_star = np.full((k, 2), np.nan)
     active_sets = [()] * k

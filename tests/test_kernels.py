@@ -388,6 +388,100 @@ def test_reference_cases_reach_every_branch():
     assert math.isnan(phis[0]) and math.isnan(phis[1])
 
 
+# bind compiles one kernel per shape (m, gamma kind, filtered, rows given,
+# sigma kind 0).  The property tests above draw one to three obstacles; these
+# cases check every shape of the packings above at m = 0, 1, 4 and 7 against
+# the reference, state by state.
+
+def _row_of_obstacles(m):
+    """m obstacles of radius 0.5 in a row, 1.5 apart, so that neighbouring
+    shells overlap; rho0 cycles through 0.25, 0.5 and 0.75, but for the
+    sixth, whose rho0 is 0.0: a shell that is never live."""
+    return tuple((1.5 * j, 0.5 * (j % 2), 0.5, 0.0 if j == 5 else (0.25, 0.5, 0.75)[j % 3])
+                 for j in range(m))
+
+
+def _shape_states(obstacles, goal):
+    """The goal (|F_att| = 0), a state far from everything, and per obstacle
+    its center (inside), the edge of its shell along +x (rho == rho0
+    exactly, all values being binary fractions), a point in its shell, and
+    the gap to its neighbour."""
+    states = [goal, (-3.0, 4.0)]
+    for cx, cy, r, rho0 in obstacles:
+        states += [(cx, cy), (cx + r + rho0, cy), (cx, cy - r - 0.125), (cx + 0.75, cy + 0.25)]
+    return states
+
+
+@pytest.mark.parametrize("report", [False, True], ids=["no-rows", "rows"])
+@pytest.mark.parametrize("packing", PACKINGS)
+@pytest.mark.parametrize("m", [0, 1, 4, 7])
+def test_every_shape_is_bitwise_the_general_expressions(m, packing, report):
+    """k_att = 1e307 overflows |F_att|^2 everywhere and the scaled value
+    sigma far from the goal, so that u_nom is -F_att (sigma kind 0), -0 or
+    NaN there, on idle and live shells alike."""
+    obstacles = _row_of_obstacles(m)
+    goal = (1.5 * m + 2.0, 0.25)
+    unset = (-7.0, -7.0, -7.0)
+    reached = set()
+    for k_att in (1.5, 1e307):
+        model = (*goal, obstacles, k_att, 2.0, 0.5, *packing)
+        rows, ref_rows = [unset] * m + [-7.0], [unset] * m + [-7.0]
+        point = _k.bind(model, rows if report else None)
+        for x, y in _shape_states(obstacles, goal):
+            phis, ref_phis = [0.0] * m, [0.0] * m
+            ref = _reference_control_point(x, y, model, ref_phis, ref_rows)
+            assert _bits(point(x, y, phis)) == _bits(ref), (k_att, x, y)
+            assert _bits(phis) == _bits(ref_phis), (k_att, x, y)
+            reached.update((phi > 0.0, math.isnan(phi)) for phi in phis)
+        if report:
+            assert _bits(rows[m:]) == _bits(ref_rows[m:])
+            assert [_bits(row) for row in rows[:m]] == [_bits(row) for row in ref_rows[:m]]
+            assert m == 0 or rows[:m] != [unset] * m
+        else:
+            assert rows == [unset] * m + [-7.0]
+    if m:
+        assert (False, True) in reached  # inside an obstacle
+
+
+def test_models_of_one_shape_keep_their_own_constants():
+    """Two models of one shape share a compiled factory, not their
+    constants: the first ``point`` still evaluates its own model after the
+    second is bound."""
+    packing = _k.pack_controller(SIGMAS[1], GAMMAS[1])
+    first = (4.0, 0.0, ((2.0, 0.0, 0.5, 0.4), (2.0, 1.6, 0.5, 0.25)), 1.5, 2.0, 0.5, *packing)
+    second = (-1.0, 3.0, ((0.0, 1.0, 0.75, 0.5), (1.0, -1.0, 0.25, 1.0)), 0.5, 4.0, 2.0,
+              *_k.pack_controller(SigmaSelector.scaled_value(3.0),
+                                  GammaSelector.scaled_special(7.0)))
+    point = _k.bind(first)
+    other = _k.bind(second)
+    for x, y in STATES:
+        phis, ref_phis = [0.0, 0.0], [0.0, 0.0]
+        assert _bits(point(x, y, phis)) == _bits(_reference_control_point(x, y, first, ref_phis))
+        assert _bits(phis) == _bits(ref_phis)
+        assert _bits(point(x, y, phis)) != _bits(other(x, y, [0.0, 0.0]))
+
+
+def test_binding_a_shape_twice_compiles_it_once(monkeypatch):
+    compiled = []
+    compile_shape = _k._compile
+
+    def spy(*shape):
+        compiled.append(shape)
+        return compile_shape(*shape)
+
+    monkeypatch.setattr(_k, "_FACTORIES", {})
+    monkeypatch.setattr(_k, "_compile", spy)
+    model = _k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[2], GAMMAS[1]))
+    shifted_model = _k.pack_model(shifted(SCENARIO, 3.0), _k.pack_controller(SIGMAS[1], GAMMAS[1]))
+    for _ in range(2):
+        _k.bind(model)
+        _k.bind(shifted_model)
+    assert compiled == [(2, 1, True, False, False)]
+    _k.bind(model, [None] * 3)
+    _k.bind(_k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[0], None)))
+    assert compiled[1:] == [(2, 1, True, True, False), (2, 0, False, False, True)]
+
+
 # the real binder and free radius, for spies that wrap them while patched
 _BIND = _k.bind
 _FREE_R2 = _k._free_r2

@@ -319,3 +319,20 @@ def test_stacked_solver_constraint_count_limit():
     with pytest.raises(ValueError, match="at most"):
         solve_projection_many(np.zeros((1, 2)), np.zeros((1, MAX_CONSTRAINTS + 1)),
                               np.zeros((1, MAX_CONSTRAINTS + 1, 2)))
+
+
+@pytest.mark.parametrize("offsets, normals", [
+    ([[1.0, 2.0]], [[[1.0, 0.0]], [[0.0, 1.0]]]),
+    (np.ones(2), [[[1.0, 0.0]], [[0.0, 1.0]]]),
+    ([[1.0], [2.0]], [1.0, 0.0, 0.0, 1.0]),
+    ([[1.0], [2.0]], [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["one-row-of-two", "flat-offsets", "flat-normals", "normals-without-m"])
+def test_stacked_solver_refuses_misshapen_problems(offsets, normals):
+    """Two problems of one constraint each are (2, 1) offsets and (2, 1, 2)
+    normals; any other shape is refused, not read as other problems."""
+    u_noms = np.zeros((2, 2))
+    assert solve_projection_many(u_noms, [[1.0], [2.0]],
+                                 [[[1.0, 0.0]], [[0.0, 1.0]]])[3].tolist() == [True, True]
+    which = "offsets" if np.shape(offsets) != (2, 1) else "normals"
+    with pytest.raises(ValueError, match=f"{which} must have shape "):
+        solve_projection_many(u_noms, offsets, normals)

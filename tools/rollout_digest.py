@@ -9,6 +9,11 @@ minimum, negative count)`` enter the digest; a minimum at or above zero is
 taken as +inf, so trees whose kernel returns the smallest tightening and
 trees that return only the smallest negative one digest alike.
 
+A second digest continues the first over two more arenas on the same grid,
+one without obstacles and one with a single obstacle, so that the kernels
+compiled for m = 0 and m = 1 enter it too.  The first digest and everything
+printed before it do not depend on them.
+
 Run it against a source tree with, for example::
 
     PYTHONPATH=src python3 tools/rollout_digest.py [--per-case]
@@ -45,13 +50,22 @@ GOAL_TOL = 0.05
 
 
 def arenas():
-    """(name, scenario, starts) at the origin."""
+    """(name, scenario, starts) at the origin, in digest order."""
     path = resources.files("apf_rcbf").joinpath("data", "fig2_scenario.json")
     fig2 = load_scenario(str(path))
     overlap = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.6], 0.5, 0.4),
                                                    Obstacle([2.0, -0.6], 0.5, 0.4)))
     return (("fig2", fig2, ((-2.0, 0.0), (0.5, 1.5), (6.0, 5.5))),
             ("overlap", overlap, ((0.0, 0.1), (0.0, 1.5), (-1.0, -1.2))))
+
+
+def more_arenas():
+    """(name, scenario, starts) of the second digest: no obstacle, and one
+    obstacle in front of the goal."""
+    free = Scenario(goal=[5.0, 0.0], obstacles=())
+    single = Scenario(goal=[5.0, 0.0], obstacles=(Obstacle([2.0, 0.3], 0.5, 0.4),))
+    return (("free", free, ((0.0, 0.1), (0.0, 1.5), (-1.0, -1.2))),
+            ("single", single, ((0.0, 0.1), (0.0, 1.5), (-1.0, -1.2))))
 
 
 def shifted(scenario, shift):
@@ -61,16 +75,11 @@ def shifted(scenario, shift):
                                for o in scenario.obstacles])
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--per-case", action="store_true",
-                        help="print each rollout's own digest before the combined one")
-    args = parser.parse_args(argv)
-    digest = hashlib.sha256()
-    runs = 0
-    statuses = [0, 0, 0]
-    negative_runs = 0
-    for (name, base, starts), shift in itertools.product(arenas(), SHIFTS):
+def digest_grid(arena_list, digest, counts, per_case):
+    """Feed every rollout of the grid over ``arena_list`` to ``digest``;
+    ``counts`` holds the runs, the three status counts and the runs with a
+    negative tightening."""
+    for (name, base, starts), shift in itertools.product(arena_list, SHIFTS):
         scenario = shifted(base, shift)
         for (i, sigma), (j, gamma) in itertools.product(enumerate(SIGMAS), enumerate(GAMMAS)):
             model = _k.pack_model(scenario, _k.pack_controller(sigma, gamma))
@@ -84,15 +93,27 @@ def main(argv=None):
                 case = (struct.pack("<qqdq", n, status, ming, negcount)
                         + np.ascontiguousarray(rec[:n]).tobytes())
                 digest.update(case)
-                if args.per_case:
+                if per_case:
                     print(f"{name} {shift:+g} sigma{i} gamma{j} {integ} {dt} {x0}: "
                           f"{hashlib.sha256(case).hexdigest()}")
-                runs += 1
-                statuses[status] += 1
-                negative_runs += negcount > 0
-    print(f"rollouts: {runs} (reached goal {statuses[0]}, timeout {statuses[1]}, "
-          f"domain error {statuses[2]}; {negative_runs} with a negative tightening)")
-    print(f"sha256: {digest.hexdigest()}")
+                counts[0] += 1
+                counts[1 + status] += 1
+                counts[4] += negcount > 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--per-case", action="store_true",
+                        help="print each rollout's own digest before the combined one")
+    args = parser.parse_args(argv)
+    digest = hashlib.sha256()
+    counts = [0] * 5
+    for arena_list, label in ((arenas(), ""),
+                              (more_arenas(), " with the free and one-obstacle arenas")):
+        digest_grid(arena_list, digest, counts, args.per_case)
+        print(f"rollouts{label}: {counts[0]} (reached goal {counts[1]}, timeout {counts[2]}, "
+              f"domain error {counts[3]}; {counts[4]} with a negative tightening)")
+        print(f"sha256{label}: {digest.hexdigest()}")
     return 0
 
 
