@@ -34,13 +34,14 @@ Packing conventions used throughout:
 
 Kernels never raise: domain violations are reported through return codes and
 NaN diagnostics, which :func:`control`, the one door for single states,
-turns into typed exceptions; only the packer, :func:`pack_model`, which every
-kernel route goes through, refuses a scaled-special lam above
-``scenario.max_lambda``.  ``fields`` does not use this module, so its descent
-law is an independent check of the filter kernel.  (``validate_scenario``
-keeps obstacle radii at or above ``scenario.min_radius(k_rep)``, so the
-squared repulsive gradient stays finite at every positive clearance, and the
-lam bound keeps lam times it finite too.)
+turns into typed exceptions; only the packers, which every kernel route goes
+through, refuse: :func:`pack_controller` a selector of the wrong class and
+:func:`pack_model` a scaled-special lam above ``scenario.max_lambda``.
+``fields`` does not use this module, so its descent law is an independent
+check of the filter kernel.  (``validate_scenario`` keeps obstacle radii at
+or above ``scenario.min_radius(k_rep)``, so the squared repulsive gradient
+stays finite at every positive clearance, and the lam bound keeps lam times
+it finite too.)
 
 Per-state cost: :func:`bind` unpacks a model once per rollout, grid or
 single-state call into ``point``, the one full evaluation, which evaluates
@@ -54,16 +55,15 @@ those of one closure that loops over the shells and tests every kind per
 call, each rounded alike, so the bits are too (``tests/test_kernels.py``
 keeps that evaluation as its reference); only temporaries are inlined, and
 an idle shell skips the correction test, which it always fails.  Compiling a
-shape costs time linear in m, about 0.5 ms at m = 2, 0.7 ms at m = 3 and 3
-to 4 ms at m = 20 (2-vCPU Xeon VM, Python 3.11), once per shape per process;
-a later bind of the shape is one call.  Most obstacles of a state lie beyond
-their influence shell, where d = F_rep = (0, 0).  Every shell runs one
-margin block on |d|^2 and d.u_nom.  An idle shell does not form d: it takes
-|d|^2 = 0 and a d.u_nom formed once per state from the operands a live shell
-would use, in the same order, so its margins keep their bits, NaN
-propagation included.  The correction needs |d|^2 > 0 and so skips it.  In a
-rollout, a sample or stage that flies free (below) makes no call at all:
-:func:`_integrate` forms its stabilizer inline.
+shape costs time linear in m, once per shape per process; a later bind of
+the shape is one call.  Most obstacles of a state lie beyond their influence
+shell, where d = F_rep = (0, 0).  Every shell runs one margin block on
+|d|^2 and d.u_nom.  An idle shell does not form d: it takes |d|^2 = 0 and a
+d.u_nom formed once per state from the operands a live shell would use, in
+the same order, so its margins keep their bits, NaN propagation included.
+The correction needs |d|^2 > 0 and so skips it.  In a rollout, a sample or
+stage that flies free (below) makes no call at all: :func:`_integrate` forms
+its stabilizer inline.
 
 Free flight: :func:`_integrate` owns the rule, and :func:`_free_above` its
 one threshold, the largest rho0 of a model whose idle tightenings are known
@@ -160,7 +160,15 @@ FREE_SPAN_LIMIT = 2.0 ** 500
 
 def pack_controller(sigma_sel, gamma_sel):
     """The controller packing for the given tightening selectors;
-    ``gamma_sel=None`` packs the unfiltered stabilizer."""
+    ``gamma_sel=None`` packs the unfiltered stabilizer.  ``ValueError``
+    unless ``sigma_sel`` is a ``SigmaSelector`` and ``gamma_sel`` a
+    ``GammaSelector`` or None, so that swapped selectors never pack."""
+    from .clf import GammaSelector, SigmaSelector  # clf imports this module
+
+    if not isinstance(sigma_sel, SigmaSelector):
+        raise ValueError(f"sigma selector must be a SigmaSelector, got {sigma_sel!r}")
+    if gamma_sel is not None and not isinstance(gamma_sel, GammaSelector):
+        raise ValueError(f"gamma selector must be a GammaSelector or None, got {gamma_sel!r}")
     if gamma_sel is None:
         return (1, *sigma_sel.packed(), 0, 0.0, None, None)
     return (2, *sigma_sel.packed(), *gamma_sel.packed())

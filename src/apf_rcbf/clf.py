@@ -28,8 +28,25 @@ import numpy as np
 from . import _kernels as _k
 from .scenario import Scenario, _as_point, _finite, _finite_array
 
-_SIGMA_KINDS = {"grad_norm_squared": 0, "scaled_value": 1, "scaled_norm": 2, "custom": 3}
-_GAMMA_KINDS = {"zero": 0, "scaled_special": 1, "custom": 2}
+# Per selector kind: its kernel code and the field it takes, if any.
+_SIGMA_KINDS = {"grad_norm_squared": (0, None), "scaled_value": (1, "coefficient"),
+                "scaled_norm": (2, "coefficient"), "custom": (3, "table")}
+_GAMMA_KINDS = {"zero": (0, None), "scaled_special": (1, "lam"), "custom": (2, "table")}
+
+
+def _takes(sel, name: str, kinds: dict, param: str, label: str):
+    """The field that ``sel``'s kind takes, per ``kinds``: its ``param``
+    (called ``label`` in messages), ``"table"`` or None.  ``ValueError`` for
+    a kind not in ``kinds``, and for a ``param`` or table that the kind does
+    not take."""
+    if not isinstance(sel.kind, str) or sel.kind not in kinds:
+        raise ValueError(f"unknown {name} selector kind: {sel.kind!r}")
+    takes = kinds[sel.kind][1]
+    for attr, what in ((param, label), ("table", "table")):
+        if attr != takes and getattr(sel, attr) is not None:
+            raise ValueError(f"{name} selector {sel.kind!r} takes no {what}, "
+                             f"got {getattr(sel, attr)!r}")
+    return takes
 
 
 def _freeze_table(xs, ys, name):
@@ -57,13 +74,12 @@ class SigmaSelector:
     table: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _SIGMA_KINDS:
-            raise ValueError(f"unknown sigma selector kind: {self.kind!r}")
-        if self.kind in ("scaled_value", "scaled_norm"):
+        takes = _takes(self, "sigma", _SIGMA_KINDS, "coefficient", "coefficient")
+        if takes == "coefficient":
             object.__setattr__(self, "coefficient", _finite(
-                self.coefficient, f"{self.kind} selector requires a positive coefficient",
+                self.coefficient, f"{self.kind} sigma selector requires a positive coefficient",
                 positive=True))
-        if self.kind == "custom":
+        if takes == "table":
             if self.table is None:
                 raise ValueError("custom sigma selector requires a table")
             xs, ys = _freeze_table(self.table[0], self.table[1], "sigma")
@@ -92,7 +108,7 @@ class SigmaSelector:
         return cls("custom", table=(distances, values))
 
     def packed(self):
-        skind = _SIGMA_KINDS[self.kind]
+        skind = _SIGMA_KINDS[self.kind][0]
         scoef = self.coefficient if self.coefficient is not None else 1.0
         stx, sty = self.table if self.kind == "custom" else (None, None)
         return skind, scoef, stx, sty
@@ -112,12 +128,12 @@ class GammaSelector:
     table: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _GAMMA_KINDS:
-            raise ValueError(f"unknown gamma selector kind: {self.kind!r}")
-        if self.kind == "scaled_special":
+        takes = _takes(self, "gamma", _GAMMA_KINDS, "lam", "lambda")
+        if takes == "lam":
             object.__setattr__(self, "lam", _finite(
-                self.lam, "scaled_special selector requires a positive lambda", positive=True))
-        if self.kind == "custom":
+                self.lam, "scaled_special gamma selector requires a positive lambda",
+                positive=True))
+        if takes == "table":
             if self.table is None:
                 raise ValueError("custom gamma selector requires a table")
             xs, ys = _freeze_table(self.table[0], self.table[1], "gamma")
@@ -140,7 +156,7 @@ class GammaSelector:
         return cls("custom", table=(clearances, values))
 
     def packed(self):
-        gkind = _GAMMA_KINDS[self.kind]
+        gkind = _GAMMA_KINDS[self.kind][0]
         glam = self.lam if self.lam is not None else 0.0
         gtx, gty = self.table if self.kind == "custom" else (None, None)
         return gkind, glam, gtx, gty

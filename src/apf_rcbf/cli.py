@@ -38,13 +38,14 @@ import numpy as np
 
 from .clf import GammaSelector, SigmaSelector
 from .errors import ConfigError, ScenarioValidationError
-from .scenario import Scenario, _vec2, load_scenario, refuse_booleans
+from .scenario import Scenario, _object, _vec2, load_scenario, refuse_booleans
 from .simulate import (ControllerSpec, SimConfig, metrics, simulate,
                        write_trajectory_csv)
 
-_RUN_KEYS = {"scenario_path", "controllers", "sim", "x0", "output_dir", "seed"}
-_CONTROLLER_KEYS = {"name", "kind", "sigma", "gamma"}
-_SIM_KEYS = {"dt", "t_max", "goal_tolerance", "integrator"}
+_RUN_KEYS = ("scenario_path", "controllers", "sim", "x0", "output_dir", "seed")
+_RUN_REQUIRED = ("scenario_path", "controllers", "x0")
+_CONTROLLER_KEYS = ("name", "kind", "sigma", "gamma")
+_SIM_KEYS = ("dt", "t_max", "goal_tolerance", "integrator")
 
 
 @dataclass(frozen=True)
@@ -72,68 +73,42 @@ def resolve_config_path(arg: str, base: Path = Path(), kind: str = "config") -> 
     raise ConfigError(f"{kind} file not found: {arg}")
 
 
-def _parse_table(data, what: str):
-    if not isinstance(data, dict) or set(data) != {"x", "y"}:
-        raise ConfigError(f"{what} table must be an object with 'x' and 'y' arrays")
-    return data["x"], data["y"]
-
-
-# Per selector: its JSON parameter key, the kinds that take it, and its
-# class, whose constructor takes (kind, parameter, table) and checks them.
-_SELECTORS = {"sigma": ("coef", ("scaled_value", "scaled_norm"), SigmaSelector),
-              "gamma": ("lambda", ("scaled_special",), GammaSelector)}
-
-
-def _parse_selector(data, what: str):
-    param, param_kinds, cls = _SELECTORS[what]
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError(f"{what} selector must be an object with a 'kind'")
-    kind = data["kind"]
-    extra = set(data) - {"kind", param, "table"}
-    if extra:
-        raise ConfigError(f"unknown {what} selector key(s): {sorted(extra)}")
-    if not isinstance(kind, str):
-        raise ConfigError(f"unknown {what} selector kind: {kind!r}")
-    if kind in param_kinds and param not in data:
-        raise ConfigError(f"{what} selector {kind!r} requires {param!r}")
-    value = data[param] if kind in param_kinds else None
-    table = None
-    if kind == "custom" and "table" in data:
-        table = _parse_table(data["table"], what)
+def _parse_selector(data, what: str, param: str, cls):
+    """The ``what`` selector of the JSON object ``data``: ``cls(kind,
+    data[param], (table x, table y))``, whose constructor refuses a
+    parameter or table that the kind does not take."""
     try:
-        return cls(kind, value, table)
+        data = _object(data, f"{what} selector", ("kind", param, "table"), ("kind",))
+        table = None
+        if "table" in data:
+            table = _object(data["table"], f"{what} table", ("x", "y"))
+            table = table["x"], table["y"]
+        return cls(data["kind"], data.get(param), table)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def parse_sigma(data) -> SigmaSelector:
-    return _parse_selector(data, "sigma")
+    return _parse_selector(data, "sigma", "coef", SigmaSelector)
 
 
 def parse_gamma(data) -> GammaSelector:
-    return _parse_selector(data, "gamma")
+    return _parse_selector(data, "gamma", "lambda", GammaSelector)
 
 
 def parse_controller(entry) -> tuple:
-    if not isinstance(entry, dict):
-        raise ConfigError("controller entries must be objects")
-    unknown = set(entry) - _CONTROLLER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown controller key(s): {sorted(unknown)}")
-    if "name" not in entry or "kind" not in entry:
-        raise ConfigError("controller entries require 'name' and 'kind'")
-    name = entry["name"]
-    # the name becomes the file name of the controller's trajectory CSV
-    if (not isinstance(name, str) or name in ("", ".", "..")
-            or any(sep in name for sep in ("/", os.sep, "\0"))):
-        raise ConfigError(f"controller name must be a single file name, got {name!r}")
-    sigma = parse_sigma(entry["sigma"]) if "sigma" in entry else None
-    gamma = parse_gamma(entry["gamma"]) if "gamma" in entry else None
     try:
-        spec = ControllerSpec(entry["kind"], sigma_sel=sigma, gamma_sel=gamma)
+        entry = _object(entry, "controller", _CONTROLLER_KEYS, ("name", "kind"))
+        name = entry["name"]
+        # the name becomes the file name of the controller's trajectory CSV
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or any(sep in name for sep in ("/", os.sep, "\0"))):
+            raise ValueError(f"controller name must be a single file name, got {name!r}")
+        sigma = parse_sigma(entry["sigma"]) if "sigma" in entry else None
+        gamma = parse_gamma(entry["gamma"]) if "gamma" in entry else None
+        return name, ControllerSpec(entry["kind"], sigma_sel=sigma, gamma_sel=gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return name, spec
 
 
 def _check_seed(seed):
@@ -141,6 +116,15 @@ def _check_seed(seed):
     if type(seed) is not int or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return seed
+
+
+def _output_dir(value, name: str) -> Path:
+    """The output directory given as ``name`` (the config's ``output_dir`` or
+    ``--output-dir``), if a nonempty string: an empty one would be the
+    working directory."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a nonempty string, got {value!r}")
+    return Path(value)
 
 
 def load_run_config(path: Path) -> RunConfig:
@@ -151,54 +135,34 @@ def load_run_config(path: Path) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    refuse_booleans(data, "config")
-    unknown = set(data) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    for key in ("scenario_path", "controllers", "x0"):
-        if key not in data:
-            raise ConfigError(f"config key {key!r} is required")
-    for key in ("scenario_path", "output_dir"):
-        if not isinstance(data.get(key, ""), str):
-            raise ConfigError(f"{key} must be a string, got {data[key]!r}")
-
-    controllers = data["controllers"]
-    if not isinstance(controllers, list) or not controllers:
-        raise ConfigError("no controllers configured")
-    parsed = tuple(parse_controller(entry) for entry in controllers)
-    names = [name for name, _ in parsed]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"controller names must be unique, got {names}")
-
-    sim_data = data.get("sim", {})
-    if not isinstance(sim_data, dict):
-        raise ConfigError("'sim' must be an object")
-    unknown = set(sim_data) - _SIM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown sim key(s): {sorted(unknown)}")
     try:
-        sim = SimConfig(**sim_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sim config: {exc}") from exc
-
-    try:
-        x0 = _vec2(data["x0"], "x0")
+        data = _object(data, "config", _RUN_KEYS, _RUN_REQUIRED)
+        refuse_booleans(data, "config")
+        if not isinstance(data["scenario_path"], str):
+            raise ValueError(f"scenario_path must be a string, got {data['scenario_path']!r}")
+        controllers = data["controllers"]
+        if not isinstance(controllers, list) or not controllers:
+            raise ValueError("no controllers configured")
+        parsed = tuple(parse_controller(entry) for entry in controllers)
+        names = [name for name, _ in parsed]
+        if len(set(names)) != len(names):
+            raise ValueError(f"controller names must be unique, got {names}")
+        sim = _object(data.get("sim", {}), "sim", _SIM_KEYS, ())
+        try:
+            sim = SimConfig(**sim)
+        except ValueError as exc:
+            raise ValueError(f"invalid sim config: {exc}") from exc
+        return RunConfig(
+            scenario_path=resolve_config_path(data["scenario_path"], path.parent, "scenario"),
+            scenario_ref=data["scenario_path"],
+            controllers=parsed,
+            sim=sim,
+            x0=_vec2(data["x0"], "x0"),
+            output_dir=_output_dir(data.get("output_dir", "apf-rcbf-out"), "output_dir"),
+            seed=_check_seed(data.get("seed", 0)),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    seed = _check_seed(data.get("seed", 0))
-    scenario_path = resolve_config_path(data["scenario_path"], path.parent, "scenario")
-
-    return RunConfig(
-        scenario_path=scenario_path,
-        scenario_ref=data["scenario_path"],
-        controllers=parsed,
-        sim=sim,
-        x0=x0,
-        output_dir=Path(data.get("output_dir", "apf-rcbf-out")),
-        seed=seed,
-    )
 
 
 def _load_scenario_checked(path: Path) -> Scenario:
@@ -255,7 +219,8 @@ def cmd_run(args) -> int:
     config_path = resolve_config_path(args.config)
     cfg = load_run_config(config_path)
     scenario = _load_scenario_checked(cfg.scenario_path)
-    out_dir = Path(args.output_dir) if args.output_dir else cfg.output_dir
+    out_dir = (cfg.output_dir if args.output_dir is None
+               else _output_dir(args.output_dir, "--output-dir"))
 
     # every rollout runs before anything is written: a controller that
     # simulate refuses leaves no partial output

@@ -72,8 +72,8 @@ def max_lambda(k_rep: float, radius: float) -> float:
     return math.ldexp(1.0, exp) if exp < 1024 else math.inf
 
 
-_SCENARIO_KEYS = {"goal", "obstacles", "k_att", "k_rep", "alpha_gain"}
-_OBSTACLE_KEYS = {"center", "radius", "rho0"}
+_SCENARIO_KEYS = ("goal", "obstacles", "k_att", "k_rep", "alpha_gain")
+_OBSTACLE_KEYS = ("center", "radius", "rho0")
 
 
 def refuse_booleans(doc, name: str) -> None:
@@ -90,9 +90,11 @@ def refuse_booleans(doc, name: str) -> None:
             stack += [(v, f"{where}[{k!r}]") for k, v in pairs]
 
 
-# The readers of every value from outside the package: each refusal is a
-# ValueError whose message is the reader's ``refusal`` and what was given.
-# Each reads through :func:`_as_array`, the one rule for what is a number.
+# The readers of every value from outside the package, each refusing with a
+# ValueError.  A number reads through :func:`_as_array`, the one rule for
+# what is a number, and its refusal's message is the reader's ``refusal``
+# and what was given; each JSON object of a scenario or run config reads
+# through :func:`_object`.
 
 def _as_array(value, refusal: str) -> np.ndarray:
     """``value`` as numpy reads it, as a float64 array (``value`` itself
@@ -151,6 +153,21 @@ def _as_point(x) -> list:
     if arr.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {arr.shape}")
     return arr.tolist()
+
+
+def _object(doc, what: str, keys, required=None) -> dict:
+    """``doc`` if it is a dict whose keys are among ``keys`` and include
+    every key of ``required`` (all of ``keys`` when not given); otherwise a
+    ``ValueError`` naming ``what``, the part of the document ``doc`` is."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = set(doc).difference(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {sorted(unknown)}")
+    missing = set(keys if required is None else required).difference(doc)
+    if missing:
+        raise ValueError(f"missing {what} key(s): {sorted(missing)}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -285,36 +302,15 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ValueError("scenario document must be a JSON object")
+    data = _object(data, "scenario", _SCENARIO_KEYS)
     refuse_booleans(data, "scenario")
-    unknown = set(data) - _SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown scenario key(s): {sorted(unknown)}")
-    missing = _SCENARIO_KEYS - set(data)
-    if missing:
-        raise ValueError(f"missing scenario key(s): {sorted(missing)}")
     if not isinstance(data["obstacles"], list):
         raise ValueError(f"obstacles must be an array, got {data['obstacles']!r}")
     obstacles = []
     for i, entry in enumerate(data["obstacles"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"obstacle {i} must be an object")
-        unknown = set(entry) - _OBSTACLE_KEYS
-        if unknown:
-            raise ValueError(f"obstacle {i}: unknown key(s): {sorted(unknown)}")
-        missing = _OBSTACLE_KEYS - set(entry)
-        if missing:
-            raise ValueError(f"obstacle {i}: missing key(s): {sorted(missing)}")
+        entry = _object(entry, f"obstacle {i}", _OBSTACLE_KEYS)
         obstacles.append(Obstacle(entry["center"], entry["radius"], entry["rho0"]))
-    scenario = Scenario(
-        goal=data["goal"],
-        obstacles=tuple(obstacles),
-        k_att=data["k_att"],
-        k_rep=data["k_rep"],
-        alpha_gain=data["alpha_gain"],
-    )
-    return validate_scenario(scenario)
+    return validate_scenario(Scenario(**{**data, "obstacles": tuple(obstacles)}))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -69,6 +69,7 @@ class ControllerSpec:
         if self.kind in ("apf", "special_filter"):
             if self.sigma_sel is not None or self.gamma_sel is not None:
                 raise ValueError(f"{self.kind} controller takes no selectors")
+        self.packing()  # a selector of the wrong class is refused here
 
     def packing(self):
         """Kernel packing tuple; ``apf`` and ``special_filter`` are the unit pair."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apf_rcbf import (
+    GammaSelector,
     HalfSpaceConstraint,
     Scenario,
     SigmaSelector,
@@ -36,6 +37,23 @@ def test_selector_validation():
     for bad in (math.inf, math.nan, object()):
         with pytest.raises(ValueError, match="positive coefficient"):
             SigmaSelector.scaled_value(bad)
+
+
+@pytest.mark.parametrize("args, kwargs, msg", [
+    (("grad_norm_squared",), {"coefficient": 3.0},
+     r"^sigma selector 'grad_norm_squared' takes no coefficient, got 3.0$"),
+    (("custom",), {"coefficient": 1.0, "table": ([0.0, 1.0], [0.0, 1.0])},
+     r"^sigma selector 'custom' takes no coefficient, got 1.0$"),
+    (("scaled_value", 2.0), {"table": ([0.0, 1.0], [0.0, 1.0])},
+     r"^sigma selector 'scaled_value' takes no table"),
+    ((["custom"],), {}, r"^unknown sigma selector kind: \['custom'\]$"),
+], ids=["grad-norm-squared-coefficient", "custom-coefficient", "scaled-value-table",
+        "list-kind"])
+def test_sigma_selector_refuses_what_its_kind_does_not_take(args, kwargs, msg):
+    """A coefficient or table is taken only by the kinds that use one, and
+    the kind is a string: an unhashable kind is a ValueError too."""
+    with pytest.raises(ValueError, match=msg):
+        SigmaSelector(*args, **kwargs)
 
 
 def test_custom_table_validation():
@@ -174,3 +192,10 @@ def test_nominal_matches_projection_oracle(plain, rng):
             assert sol.feasible
             u = nominal_control(x, plain, sel)
             assert float(np.max(np.abs(u - sol.u_star))) <= 1e-9
+
+
+def test_nominal_control_refuses_a_gamma_selector_as_sigma(plain):
+    """A Gamma selector passed where the sigma selector goes is refused, not
+    packed as the sigma kind with its code."""
+    with pytest.raises(ValueError, match="sigma selector must be a SigmaSelector"):
+        nominal_control([1.0, 2.0], plain, GammaSelector.scaled_special(3.0))

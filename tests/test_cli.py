@@ -29,6 +29,11 @@ def crash_scenario():
     }
 
 
+def without(doc, key):
+    """A copy of the object ``doc`` without ``key``."""
+    return {k: v for k, v in doc.items() if k != key}
+
+
 def run_config(scenario_path, **overrides):
     doc = {
         "scenario_path": str(scenario_path),
@@ -81,13 +86,19 @@ def test_parse_sigma_kinds():
     assert sel.kind == "custom"
 
 
+# The id of a row names the rule it checks; the message pins what is said.
 @pytest.mark.parametrize("doc,msg", [
-    ("nope", "must be an object with a 'kind'"),
-    ({}, "must be an object with a 'kind'"),
+    pytest.param("nope", r"^sigma selector must be a JSON object, got 'nope'$",
+                 id="nope-must be an object with a 'kind'"),
+    pytest.param({}, r"^missing sigma selector key\(s\): \['kind'\]$",
+                 id="doc1-must be an object with a 'kind'"),
     ({"kind": "grad_norm_squared", "zeta": 1}, "unknown sigma selector key"),
-    ({"kind": "scaled_value"}, "requires 'coef'"),
+    pytest.param({"kind": "scaled_value"},
+                 "^scaled_value sigma selector requires a positive coefficient, got None$",
+                 id="doc3-requires 'coef'"),
     ({"kind": "custom"}, "requires a table"),
-    ({"kind": "custom", "table": {"x": [0, 1]}}, "'x' and 'y'"),
+    pytest.param({"kind": "custom", "table": {"x": [0, 1]}},
+                 r"^missing sigma table key\(s\): \['y'\]$", id="doc5-'x' and 'y'"),
     ({"kind": "banana"}, "unknown sigma selector kind"),
     ({"kind": "scaled_value", "coef": -2.0}, "positive"),
     ({"kind": ["custom"]}, "unknown sigma selector kind"),
@@ -107,10 +118,13 @@ def test_parse_gamma_kinds():
 
 
 @pytest.mark.parametrize("doc,msg", [
-    ({"kind": "scaled_special"}, "requires 'lambda'"),
+    pytest.param({"kind": "scaled_special"},
+                 "^scaled_special gamma selector requires a positive lambda, got None$",
+                 id="doc0-requires 'lambda'"),
     ({"kind": "zero", "lam": 1}, "unknown gamma selector key"),
     ({"kind": "what"}, "unknown gamma selector kind"),
-    ({"kind": "custom", "table": [0, 1]}, "'x' and 'y'"),
+    pytest.param({"kind": "custom", "table": [0, 1]},
+                 r"^gamma table must be a JSON object, got \[0, 1\]$", id="doc3-'x' and 'y'"),
     ({"kind": ["custom"]}, "unknown gamma selector kind"),
 ])
 def test_parse_gamma_rejects(doc, msg):
@@ -119,11 +133,11 @@ def test_parse_gamma_rejects(doc, msg):
 
 
 def test_parse_controller_rejects():
-    with pytest.raises(ConfigError, match="must be objects"):
+    with pytest.raises(ConfigError, match=r"^controller must be a JSON object, got \['apf'\]$"):
         cli.parse_controller(["apf"])
     with pytest.raises(ConfigError, match="unknown controller key"):
         cli.parse_controller({"name": "a", "kind": "apf", "speed": 9})
-    with pytest.raises(ConfigError, match="require 'name' and 'kind'"):
+    with pytest.raises(ConfigError, match=r"^missing controller key\(s\): \['name'\]$"):
         cli.parse_controller({"kind": "apf"})
     # selector rules surface as config errors, not bare ValueErrors
     with pytest.raises(ConfigError, match="takes no selectors"):
@@ -158,14 +172,19 @@ def test_load_run_config_bundled_scenario_fallback(tmp_path):
 
 @pytest.mark.parametrize("mutate,msg", [
     (lambda d: d.update(extra=1), "unknown config key"),
-    (lambda d: d.pop("scenario_path"), "'scenario_path' is required"),
-    (lambda d: d.pop("controllers"), "'controllers' is required"),
-    (lambda d: d.pop("x0"), "'x0' is required"),
+    pytest.param(lambda d: d.pop("scenario_path"),
+                 r"^missing config key\(s\): \['scenario_path'\]$",
+                 id="<lambda>-'scenario_path' is required"),
+    pytest.param(lambda d: d.pop("controllers"), r"^missing config key\(s\): \['controllers'\]$",
+                 id="<lambda>-'controllers' is required"),
+    pytest.param(lambda d: d.pop("x0"), r"^missing config key\(s\): \['x0'\]$",
+                 id="<lambda>-'x0' is required"),
     (lambda d: d.update(controllers=[]), "no controllers configured"),
     (lambda d: d.update(controllers="apf"), "no controllers configured"),
     (lambda d: d.update(controllers=d["controllers"] + [d["controllers"][0]]),
      "names must be unique"),
-    (lambda d: d.update(sim=[1]), "'sim' must be an object"),
+    pytest.param(lambda d: d.update(sim=[1]), r"^sim must be a JSON object, got \[1\]$",
+                 id="<lambda>-'sim' must be an object"),
     (lambda d: d["sim"].update(step=0.1), "unknown sim key"),
     (lambda d: d["sim"].update(dt=1.0), "invalid sim config"),
     (lambda d: d.update(x0=[1.0]), "x0 must be a finite 2-vector"),
@@ -343,31 +362,89 @@ def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, m
     (lambda c: c.update(x0=["-2", "0"]), None),
     (lambda c: c["sim"].update(dt="0.01"), None),
     (lambda c: c["controllers"][1]["gamma"].update({"lambda": "8"}), None),
+    (lambda c: c.update(output_dir=""), None),
+    # each JSON object of the two documents: not an object, an unknown key,
+    # a missing key (no key of sim is required)
+    (None, lambda s: [s]),
+    (None, lambda s: s.update(extra=1)),
+    (None, lambda s: without(s, "k_rep")),
+    (None, lambda s: s.update(obstacles=[[2.0, 0.0, 0.5, 0.2]])),
+    (None, lambda s: s["obstacles"][0].update(color="red")),
+    (None, lambda s: s.update(obstacles=[without(s["obstacles"][0], "rho0")])),
+    (lambda c: [c], None),
+    (lambda c: c.update(extra=1), None),
+    (lambda c: without(c, "x0"), None),
+    (lambda c: c.update(controllers=["apf"]), None),
+    (lambda c: c["controllers"][0].update(speed=9), None),
+    (lambda c: c.update(controllers=[without(c["controllers"][0], "name")]), None),
+    (lambda c: c.update(sim=[0.01]), None),
+    (lambda c: c["sim"].update(step=0.1), None),
+    (lambda c: c["controllers"][1].update(gamma="scaled_special"), None),
+    (lambda c: c["controllers"][1]["gamma"].update(zeta=1), None),
+    (lambda c: c["controllers"][1].update(gamma={"lambda": 1.0}), None),
+    (lambda c: c["controllers"][1].update(sigma={"kind": "custom", "table": [[0, 0], [1, 1]]}),
+     None),
+    (lambda c: c["controllers"][1].update(
+        sigma={"kind": "custom", "table": {"x": [0, 1], "y": [0, 1], "z": [0, 1]}}), None),
+    (lambda c: c["controllers"][1].update(sigma={"kind": "custom", "table": {"x": [0, 1]}}),
+     None),
+    # a key that the selector's kind does not take
+    (lambda c: c["controllers"][1].update(gamma={"kind": "zero", "lambda": 5}), None),
+    (lambda c: c["controllers"][1].update(
+        gamma={"kind": "scaled_special", "lambda": 1, "table": {"x": [0, 1], "y": [0, 1]}}),
+     None),
+    (lambda c: c["controllers"][1].update(
+        sigma={"kind": "scaled_value", "coef": 2, "table": "garbage"}), None),
 ], ids=["goal-object", "sigma-table-object", "coef-infinity", "scenario-in-missing-dir",
         "output-dir-object", "output-dir-number", "scenario-path-number",
         "scenario-path-list", "goal-strings", "radius-string", "k_att-string",
-        "x0-strings", "dt-string", "lambda-string"])
+        "x0-strings", "dt-string", "lambda-string", "output-dir-empty",
+        "scenario-not-object", "scenario-unknown-key", "scenario-missing-key",
+        "obstacle-not-object", "obstacle-unknown-key", "obstacle-missing-key",
+        "config-not-object", "config-unknown-key", "config-missing-key",
+        "controller-not-object", "controller-unknown-key", "controller-missing-key",
+        "sim-not-object", "sim-unknown-key",
+        "selector-not-object", "selector-unknown-key", "selector-missing-key",
+        "table-not-object", "table-unknown-key", "table-missing-key",
+        "zero-with-lambda", "scaled_special-with-table", "scaled_value-with-table"])
 def test_refused_input_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch,
                                                        mutate_cfg, mutate_scen):
     """A goal or table entry that is no number, an infinite coefficient
     (Python's json reads ``Infinity``), a scenario path into a missing
     directory (only a bare file name falls back to the bundled file), an
-    output directory or scenario path that is no string, and a number
-    written as a string end with exit 2 and one ``error:`` line, before any
-    output is written."""
+    output directory or scenario path that is no string or is empty, a
+    number written as a string, a JSON object of either document that is no
+    object or has an unknown or missing key, and a selector key that its
+    kind does not take end with exit 2 and one ``error:`` line, before any
+    output is written.  A mutation edits its document in place or returns
+    the document to write instead."""
     monkeypatch.chdir(tmp_path)
     scen = crash_scenario()
     cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
     if mutate_scen:
-        mutate_scen(scen)
+        scen = mutate_scen(scen) or scen
     if mutate_cfg:
-        mutate_cfg(cfg)
+        cfg = mutate_cfg(cfg) or cfg
     write_json(tmp_path / "scen.json", scen)
     rc = cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scen.json"]
+
+
+def test_empty_output_dir_flag_is_refused(tmp_path, capsys, monkeypatch):
+    """``--output-dir ""`` would be the working directory, not the config's
+    output directory: exit 2, one ``error:`` line, and nothing written."""
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "scen.json", crash_scenario())
+    cfg_path = write_json(tmp_path / "cfg.json",
+                          run_config("scen.json", output_dir=str(tmp_path / "out")))
+    assert cli.main(["run", str(cfg_path), "--output-dir", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --output-dir must be a nonempty string, got ''\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scen.json"]
 
 

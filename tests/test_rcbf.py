@@ -64,6 +64,33 @@ def test_gamma_selector_validation():
     assert GammaSelector.scaled_special(8.0).lam == 8.0
 
 
+@pytest.mark.parametrize("args, kwargs, msg", [
+    (("zero",), {"lam": 5.0}, r"^gamma selector 'zero' takes no lambda, got 5.0$"),
+    (("custom",), {"lam": 1.0, "table": ([0.0, 1.0], [0.0, 1.0])},
+     r"^gamma selector 'custom' takes no lambda, got 1.0$"),
+    (("scaled_special", 1.0), {"table": ([0.0, 1.0], [0.0, 1.0])},
+     r"^gamma selector 'scaled_special' takes no table"),
+    (("zero",), {"table": ([0.0, 1.0], [0.0, 1.0])}, r"^gamma selector 'zero' takes no table"),
+    (({"a": 1},), {}, r"^unknown gamma selector kind: \{'a': 1\}$"),
+], ids=["zero-lambda", "custom-lambda", "scaled-special-table", "zero-table", "dict-kind"])
+def test_gamma_selector_refuses_what_its_kind_does_not_take(args, kwargs, msg):
+    """A lambda or table is taken only by the kinds that use one, and the
+    kind is a string: an unhashable kind is a ValueError too."""
+    with pytest.raises(ValueError, match=msg):
+        GammaSelector(*args, **kwargs)
+
+
+def test_generalized_control_refuses_swapped_selectors(single):
+    """Selectors passed in each other's place are refused, not packed as the
+    other side's kind codes."""
+    with pytest.raises(ValueError, match="sigma selector must be a SigmaSelector"):
+        generalized_control([-2.0, 0.0], single, GammaSelector.zero(),
+                            SigmaSelector.grad_norm_squared())
+    with pytest.raises(ValueError, match="gamma selector must be a GammaSelector or None"):
+        generalized_control([-2.0, 0.0], single, SigmaSelector.grad_norm_squared(),
+                            SigmaSelector.grad_norm_squared())
+
+
 def test_terms_pieces(single):
     obs = single.obstacles[0]
     x = [0.6, 0.0]

@@ -372,17 +372,17 @@ def test_from_dict_rejects_missing_keys():
 def test_from_dict_rejects_bad_obstacle_entries():
     doc = valid_doc()
     doc["obstacles"][0]["color"] = "red"
-    with pytest.raises(ValueError, match="obstacle 0: unknown key"):
+    with pytest.raises(ValueError, match=r"^unknown obstacle 0 key\(s\): \['color'\]$"):
         scenario_from_dict(doc)
 
     doc = valid_doc()
     del doc["obstacles"][0]["rho0"]
-    with pytest.raises(ValueError, match="obstacle 0: missing key"):
+    with pytest.raises(ValueError, match=r"^missing obstacle 0 key\(s\): \['rho0'\]$"):
         scenario_from_dict(doc)
 
     doc = valid_doc()
     doc["obstacles"][0] = [0, 0, 0.5]
-    with pytest.raises(ValueError, match="obstacle 0 must be an object"):
+    with pytest.raises(ValueError, match=r"^obstacle 0 must be a JSON object, got \[0, 0, 0.5\]$"):
         scenario_from_dict(doc)
 
 

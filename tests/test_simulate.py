@@ -66,6 +66,18 @@ def test_nominal_only_refuses_a_gamma_selector():
         ControllerSpec("nominal_only", sigma_sel=SQ, gamma_sel=GammaSelector.zero())
 
 
+def test_controller_spec_refuses_swapped_selectors():
+    """A selector in the other's place fails when the spec is built: a Gamma
+    as sigma would otherwise pack as the sigma of its kind code, and run a
+    different controller."""
+    with pytest.raises(ValueError, match="sigma selector must be a SigmaSelector"):
+        ControllerSpec("nominal_only", GammaSelector.scaled_special(3.0))
+    with pytest.raises(ValueError, match="sigma selector must be a SigmaSelector"):
+        ControllerSpec("generalized", GammaSelector.zero(), SigmaSelector.grad_norm_squared())
+    with pytest.raises(ValueError, match="gamma selector must be a GammaSelector or None"):
+        ControllerSpec("generalized", SQ, SQ)
+
+
 def test_sim_config_validation():
     from apf_rcbf import SimConfig
     with pytest.raises(ValueError, match="dt must lie"):

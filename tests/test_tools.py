@@ -50,3 +50,37 @@ def test_cli_phases_reports_every_phase(tmp_path):
     assert list(tree["median"]) == CLI_PHASES
     assert all(math.isfinite(v) for v in tree["median"].values())
     assert tree["median"]["total"] > 0.0
+
+
+def test_code_lines_counts_every_module(tmp_path):
+    """One line per module of the package, each a positive count, and a
+    total that is their sum."""
+    src = TOOLS.parent / "src"
+    proc = subprocess.run([sys.executable, str(TOOLS / "code_lines.py"), str(src)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    *modules, total = [line.split() for line in proc.stdout.splitlines()]
+    assert sorted(name for name, _ in modules) == sorted(
+        p.stem for p in (src / "apf_rcbf").glob("*.py"))
+    assert all(int(count) > 0 for _, count in modules)
+    assert total[0] == "total" and int(total[1]) == sum(int(count) for _, count in modules)
+
+
+def test_code_lines_skips_comments_blank_lines_and_docstrings(tmp_path):
+    """Docstrings, comments and blank lines are not code; every line of any
+    other string, and of a bracketed continuation, is."""
+    sys.path.insert(0, str(TOOLS))
+    try:
+        from code_lines import code_lines
+    finally:
+        sys.path.remove(str(TOOLS))
+    source = ('"""Module\n\ndocstring."""\n'
+              "# a comment\n"
+              "\n"
+              "def f(x):  # trailing\n"
+              '    """Function docstring."""\n'
+              '    template = """line one\n'
+              'line two"""\n'
+              "    return (x +\n"
+              "            1)\n")
+    assert code_lines(source) == 5
