@@ -65,6 +65,21 @@ The correction needs |d|^2 > 0 and so skips it.  In a rollout, a sample or
 stage that flies free (below) makes no call at all: :func:`_integrate` forms
 its stabilizer inline.
 
+The rollout loop: :func:`_integrate`'s stepping loop comes from one source
+template, :data:`_LOOP`, compiled once per process for each shape ``(stage
+weights, skind == 0)``, the weights taken as their ``repr(float(w))``
+literals (so an int weight shares its float's loop and -0.0 does not share
+0.0's).  The stages are unrolled, each weight a literal and each offset ``c
+* dt`` a local formed once per call; Euler has no stage bookkeeping and its
+stall count no stage term.  One free-flight snippet serves the sample and
+every stage; a sigma of kind 0 has no ``sigma(...)`` branch, and any other
+kind no -b shortcut.  The horizon test rides on the flush test: the sample
+that fills a chunk is never past n_max.  So a step iterates no table and
+tests no kind, with the expressions, order and so bits of the loop that did
+(``tests/test_kernels.py`` keeps that loop as its reference).  ``point`` is
+still bound per call, and ``bind``, :func:`_free_above`, :func:`_free_r2`
+and :func:`_flush` are read from the module at call time.
+
 Free flight: :func:`_integrate` owns the rule, and :func:`_free_above` its
 one threshold, the largest rho0 of a model whose idle tightenings are known
 in closed form.  It keeps a *base* b, the last sample it evaluated in full,
@@ -345,10 +360,10 @@ _MARGINS = {
             phi = (-(alpha_gain * rho) + gam) + {du}""",
 }
 
-# sigma / bb: bb / bb is 1 for the grad-norm-squared sigma (kind 0), also
-# where bb overflows, so u_nom is -b there
+# sigma / bb at the state ({x}, {y}): bb / bb is 1 for the grad-norm-squared
+# sigma (kind 0), also where bb overflows, so u_nom is -b there
 _GATT = {True: "-1.0",
-         False: "-(sigma(x, y, gx, gy, k_att, skind, scoef, stx, sty) / bb)"}
+         False: "-(sigma({x}, {y}, gx, gy, k_att, skind, scoef, stx, sty) / bb)"}
 
 # a filtered shape's running minimum of the tightening, and its correction
 _FILTERED = ("""
@@ -364,9 +379,19 @@ _FILTERED = ("""
 _FACTORIES = {}
 
 
+def _exec(source, name):
+    """The one function that ``source`` defines, compiled under ``name``;
+    the source is kept in ``linecache`` for tracebacks."""
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    scope = {}
+    exec(compile(source, name, "exec"), globals(), scope)
+    (function,) = scope.values()
+    return function
+
+
 def _compile(m, gkind, filtered, report, unit_sigma):
     """The factory of one shape: :data:`_POINT` with its slots filled,
-    compiled; its source is kept in ``linecache`` for tracebacks."""
+    compiled by :func:`_exec`."""
     margin = _MARGINS[gkind if gkind in (0, 1) else 2]
     minimum, correct = _FILTERED if filtered else ("", "")
     idle, live = (margin.format(dd=dd, du=du) + minimum + "\n            phis[{i}] = phi"
@@ -375,16 +400,12 @@ def _compile(m, gkind, filtered, report, unit_sigma):
                           store=_STORE if report else "")
     unpack = ", ".join(f"(cx_{i}, cy_{i}, r_{i}, rho0_{i})" for i in range(m))
     source = _POINT.format(obstacles=f"\n    ({unpack},) = obstacles" if m else "",
-                           gatt=_GATT[unit_sigma],
+                           gatt=_GATT[unit_sigma].format(x="x", y="y"),
                            report="\n        rows[-1] = gatt" if report else "",
                            shells="".join(shell.format(i=i) for i in range(m)),
                            ming="ming" if filtered else "inf")
-    name = (f"<_kernels.bind m={m} gkind={gkind} filtered={filtered} rows={report} "
-            f"unit_sigma={unit_sigma}>")
-    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-    scope = {}
-    exec(compile(source, name, "exec"), globals(), scope)
-    return scope["factory"]
+    return _exec(source, f"<_kernels.bind m={m} gkind={gkind} filtered={filtered} "
+                         f"rows={report} unit_sigma={unit_sigma}>")
 
 
 def bind(model, rows=None):
@@ -465,6 +486,156 @@ def _flush(rec, row, smp, hms):
     return end
 
 
+# The rollout loop's one source: _integrate compiles it once per shape into
+# ``loop``.  A shape fills the slots: one copy of the free-flight snippet
+# (_FREE, with _UNOM) for the sample and for each stage, the stages unrolled
+# (_STAGE, each weight a literal and each offset ``c * dt`` a local), and the
+# stall count's stage term only where there are stages.  So ``loop`` iterates
+# no stage table and tests no sigma kind.  ``due``, the sample that fills a
+# chunk, never passes n_max, so one compare per sample tests both.
+_LOOP = """\
+def loop(xx, yy, model, point, offsets, step, n_max, goal_q, free_above, corner, rec,
+         smp, hms, chunk):
+    (gx, gy, obstacles, k_att, _, _, _, skind, scoef, stx, sty) = model[:11]
+    [{offsets}] = offsets
+    free_r2 = _free_r2
+    sigma = _sigma_value
+    isfinite = math.isfinite
+    inf = math.inf
+    phis = [0.0] * len(obstacles)
+    scratch = [0.0] * len(obstacles)
+    row = 0
+    due = min(chunk - 1, n_max)
+    ming = inf
+    negcount = 0
+    status = TIMEOUT
+    stall = -1
+    # the base (basex, basey) is the last sample evaluated in full, r2 its
+    # squared free radius; -1 flies nothing free before the first
+    basex = basey = 0.0
+    r2 = -1.0
+    for k in range(n_max + 1):
+        ddx = xx - gx
+        ddy = yy - gy{sample}
+        if not flies:
+            ux, uy, hmin, mg = point(xx, yy, phis)
+            if mg < 0.0:
+                negcount += 1
+                if mg < ming:
+                    ming = mg
+            # a free sample's control is u_nom, finite by the free test
+            if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
+                status = DOMAIN_ERROR
+                break
+            hms += (k, hmin, 0.0)
+            hms += phis
+            basex = xx
+            basey = yy
+            # the helper gives -1 as well at or below free_above, where the
+            # shells are: the test only saves the call there
+            r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0
+        smp += (xx, yy, ux, uy)
+        if ddx * ddx + ddy * ddy < goal_q:
+            status = REACHED_GOAL
+            break
+        if k == due:
+            if k == n_max:
+                break
+            row = _flush(rec, row, smp, hms)
+            due = min(due + chunk, n_max){stages}
+        nx = xx + step * {sx}
+        ny = yy + step * {sy}
+        if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
+                and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
+            # stationary: each skipped step evaluates its sample (counted
+            # only if it was full: a free one's tightening is never
+            # negative), and every one but the last its stages
+            stall = k
+            rest = n_max - k
+            negcount += rest * (not flies and mg < 0.0){stall}
+            break
+        xx = nx
+        yy = ny
+    return row, status, stall, ming, negcount
+"""
+
+# Free flight at the state ({x}, {y}), {dx} and {dy} its offsets from the
+# goal: u_nom with bind's closure's bits into ({ux}, {uy}); the state flies
+# free if u_nom is -b, or else if d.u_nom on an idle shell is +-0 (u_nom
+# finite).  _UNOM forms u_nom from g_att; for the grad-norm-squared sigma it
+# is the fallback of -b, which 0 < |b|^2 < inf makes finite.
+_FREE = """
+        ex = {x} - basex
+        ey = {y} - basey
+        {free} = ex * ex + ey * ey < r2
+        if {free}:
+            bx = k_att * {dx}
+            by = k_att * {dy}
+            bb = bx * bx + by * by"""
+
+_UNIT = """
+            if 0.0 < bb < inf:
+                {ux} = -bx
+                {uy} = -by
+            else:"""
+
+_UNOM = """
+            gatt = {gatt} if bb > 0.0 else 0.0
+            {ux} = gatt * bx
+            {uy} = gatt * by
+            {free} = 0.0 * {ux} + 0.0 * {uy} == 0.0"""
+
+# the stages after the first: kx, ky the last slope, sx, sy the weighted
+# slopes summed left to right (k1 + 2 k2 + 2 k3 + k4 for RK4); (c * dt) * kx
+# is how ``xx + c * dt * kx`` groups, so the stage states keep their bits
+_SLOPES = """
+        neg_before = negcount
+        kx = sx = ux
+        ky = sy = uy"""
+
+_STAGE = """
+        px = xx + h{j} * kx
+        py = yy + h{j} * ky{free}
+        if not free:
+            kx, ky, hk, mgk = point(px, py, scratch)
+            if mgk < 0.0:
+                negcount += 1
+                if mgk < ming:
+                    ming = mgk
+            # a stage state touched an obstacle
+            if hk <= 0.0:
+                status = DOMAIN_ERROR
+                break
+        sx = sx + {w} * kx
+        sy = sy + {w} * ky"""
+
+# the loop of each shape (stage weights, sigma kind 0) run so far in this
+# process
+_LOOPS = {}
+
+
+def _compile_loop(weights, unit_sigma):
+    """The rollout loop of one shape, ``weights`` the stage weights as
+    ``repr(float(w))`` literals: :data:`_LOOP` with its slots filled,
+    compiled by :func:`_exec`."""
+    unom = _UNIT + _UNOM.replace("\n", "\n    ") if unit_sigma else _UNOM
+
+    def free(x, y, dx, dy, ux, uy, flag):
+        return (_FREE + unom).format(x=x, y=y, dx=dx, dy=dy, ux=ux, uy=uy, free=flag,
+                                     gatt=_GATT[unit_sigma].format(x=x, y=y))
+
+    stage = free("px", "py", "(px - gx)", "(py - gy)", "kx", "ky", "free")
+    source = _LOOP.format(
+        offsets=", ".join(f"h{j}" for j in range(len(weights))),
+        sample=free("xx", "yy", "ddx", "ddy", "ux", "uy", "flies"),
+        stages=(_SLOPES + "".join(_STAGE.format(j=j, w=w, free=stage)
+                                  for j, w in enumerate(weights))) if weights else "",
+        sx="sx" if weights else "ux", sy="sy" if weights else "uy",
+        stall=" + (rest - 1) * (negcount - neg_before)" if weights else "")
+    return _exec(source, f"<_kernels._integrate weights=({', '.join(weights)}) "
+                         f"unit_sigma={unit_sigma}>")
+
+
 def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     """Closed-loop rollout of the single integrator under one controller.
 
@@ -490,13 +661,18 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     ``t`` is ``k * dt`` (``k`` as a float, exact below 2**53).  Rows past
     the returned sample count are left as they were.
 
-    The controller is bound once per call, by the module's :func:`bind` as
-    it is at call time, and each stage offset ``c * dt`` is formed once.
-    The free-flight rule lives here alone (module docstring, "Free
-    flight"): a sample or stage whose squared distance from the base -- the
-    last sample evaluated in full -- is below the base's :func:`_free_r2`
-    forms u_nom inline; every other evaluation calls the closure, which
-    runs every shell.  :func:`_free_above` and :func:`_free_r2` are read at
+    The stepping loop is compiled from the one template :data:`_LOOP` once
+    per process for each shape ``(stage weights, skind == 0)`` and cached
+    in :data:`_LOOPS` (module docstring, "The rollout loop"): the stages
+    are unrolled, each weight a literal, and the free-flight block is
+    written once for the sample and every stage.  The controller is bound
+    once per call, by the module's :func:`bind` as it is at call time, and
+    each stage offset ``c * dt`` is formed once.  The free-flight rule lives
+    here alone (module docstring, "Free flight"): a sample or stage whose
+    squared distance from the base -- the last sample evaluated in full --
+    is below the base's :func:`_free_r2` forms u_nom inline; every other
+    evaluation calls the closure, which runs every shell.
+    :func:`_free_above`, :func:`_free_r2` and :func:`_flush` are read at
     call time.  The record, count and minimum are those of evaluating every
     shell everywhere.
 
@@ -515,153 +691,22 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     that any evaluation gave, +inf if none did, and the number of such
     evaluations.
     """
-    (gx, gy, obstacles, k_att, _, _,
-     _, skind, scoef, stx, sty) = model[:11]
-    point = bind(model)
-    free_r2 = _free_r2
-    sigma = _sigma_value
-    isfinite = math.isfinite
-    inf = math.inf
-    phis = [0.0] * len(obstacles)
-    scratch = [0.0] * len(obstacles)
-    # (c * dt) * kx is how ``xx + c * dt * kx`` groups, so the stage states
-    # keep their bits
-    offsets = tuple((c * dt, w) for c, w in stages)
+    gx, gy, obstacles, k_att = model[:4]
+    shape = (tuple(repr(float(w)) for _, w in stages), model[7] == 0)
+    loop = _LOOPS.get(shape)
+    if loop is None:
+        loop = _LOOPS[shape] = _compile_loop(*shape)
     corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
                  default=0.0) + FREE_FLOOR
-    free_above = _free_above(model)
-    # u_nom is -b, the closure's (-1.0) * b, where 0 < |b|^2 < unit_cap: +inf
-    # for the grad-norm-squared sigma, 0 (never) for the others
-    unit_cap = inf if skind == 0 else 0.0
-    goal_q = _goal_threshold(goal_tol)
     # x, y, ux, uy of every sample, and row, h_min, a 0.0 for V and margins
     # of the full ones, flushed once a chunk of whole record rows is buffered
     smp = []
     hms = []
-    chunk = -(-RECORD_CHUNK_FLOATS // (7 + len(obstacles)))
-    row = 0
-    # the sample that fills a chunk: the buffer holds samples row .. k
-    due = chunk - 1
-    step = dt / (1.0 + sum(w for _, w in stages))
-    ming = inf
-    negcount = 0
-    xx = x0x
-    yy = x0y
-    status = TIMEOUT
-    stall = -1
-    # the base (basex, basey) is the last sample evaluated in full, r2 its
-    # squared free radius; -1 flies nothing free before the first
-    basex = basey = 0.0
-    r2 = -1.0
-    for k in range(n_max + 1):
-        ddx = xx - gx
-        ddy = yy - gy
-        # free flight: u_nom with bind's closure's bits; the sample flies
-        # free if u_nom is -b, or else if d.u_nom on an idle shell is +-0
-        # (u_nom finite)
-        ex = xx - basex
-        ey = yy - basey
-        flies = ex * ex + ey * ey < r2
-        if flies:
-            bx = k_att * ddx
-            by = k_att * ddy
-            bb = bx * bx + by * by
-            if 0.0 < bb < unit_cap:
-                # -b, finite as |b|^2 is
-                ux = -bx
-                uy = -by
-            else:
-                if bb > 0.0:
-                    gatt = -1.0 if skind == 0 else -(
-                        sigma(xx, yy, gx, gy, k_att, skind, scoef, stx, sty) / bb)
-                else:
-                    gatt = 0.0
-                ux = gatt * bx
-                uy = gatt * by
-                flies = 0.0 * ux + 0.0 * uy == 0.0
-        if not flies:
-            ux, uy, hmin, mg = point(xx, yy, phis)
-            if mg < 0.0:
-                negcount += 1
-                if mg < ming:
-                    ming = mg
-            # a free sample's control is u_nom, finite by the free test
-            if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
-                status = DOMAIN_ERROR
-                break
-            hms += (k, hmin, 0.0)
-            hms += phis
-            basex = xx
-            basey = yy
-            # the helper gives -1 as well at or below free_above, where the
-            # shells are: the test only saves the call there
-            r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0
-        smp += (xx, yy, ux, uy)
-        if k == due:
-            row = _flush(rec, row, smp, hms)
-            due += chunk
-        if ddx * ddx + ddy * ddy < goal_q:
-            status = REACHED_GOAL
-            break
-        if k == n_max:
-            break
-        neg_before_stages = negcount
-        # sx, sy accumulate the weighted stage slopes left to right
-        # (k1 + 2 k2 + 2 k3 + k4 for RK4)
-        kx = sx = ux
-        ky = sy = uy
-        for h, w in offsets:
-            px = xx + h * kx
-            py = yy + h * ky
-            # free flight as at a sample
-            ex = px - basex
-            ey = py - basey
-            stage_flies = ex * ex + ey * ey < r2
-            if stage_flies:
-                bx = k_att * (px - gx)
-                by = k_att * (py - gy)
-                bb = bx * bx + by * by
-                if 0.0 < bb < unit_cap:
-                    kx = -bx
-                    ky = -by
-                else:
-                    if bb > 0.0:
-                        gatt = -1.0 if skind == 0 else -(
-                            sigma(px, py, gx, gy, k_att, skind, scoef, stx, sty) / bb)
-                    else:
-                        gatt = 0.0
-                    kx = gatt * bx
-                    ky = gatt * by
-                    stage_flies = 0.0 * kx + 0.0 * ky == 0.0
-            if not stage_flies:
-                kx, ky, hk, mgk = point(px, py, scratch)
-                if mgk < 0.0:
-                    negcount += 1
-                    if mgk < ming:
-                        ming = mgk
-                if hk <= 0.0:
-                    # a stage state touched an obstacle
-                    break
-            sx = sx + w * kx
-            sy = sy + w * ky
-        else:
-            nx = xx + step * sx
-            ny = yy + step * sy
-            if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
-                    and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
-                # stationary: each skipped step evaluates its sample (counted
-                # only if it was full: a free one's tightening is never
-                # negative), and every one but the last its stages
-                stall = k
-                rest = n_max - k
-                negcount += (rest * (not flies and mg < 0.0)
-                             + (rest - 1) * (negcount - neg_before_stages))
-                break
-            xx = nx
-            yy = ny
-            continue
-        status = DOMAIN_ERROR
-        break
+    row, status, stall, ming, negcount = loop(
+        x0x, x0y, model, bind(model), [c * dt for c, _ in stages],
+        dt / (1.0 + sum(w for _, w in stages)), n_max, _goal_threshold(goal_tol),
+        _free_above(model), corner, rec, smp, hms,
+        -(-RECORD_CHUNK_FLOATS // (7 + len(obstacles))))
     n = _flush(rec, row, smp, hms)
     _fill_free(rec, n, model)
     rec[:n, 6] = _potential(rec[:n, 1], rec[:n, 2], gx, gy, k_att)

@@ -33,19 +33,26 @@ _SIGMA_KINDS = {"grad_norm_squared": (0, None), "scaled_value": (1, "coefficient
                 "scaled_norm": (2, "coefficient"), "custom": (3, "table")}
 _GAMMA_KINDS = {"zero": (0, None), "scaled_special": (1, "lam"), "custom": (2, "table")}
 
+# The default of a selector's parameter and table: not given.  A given None
+# is a value, refused by a kind that takes no such field, so that a JSON key
+# set to null is not read as a missing one.
+NOT_GIVEN = object()
+
 
 def _takes(sel, name: str, kinds: dict, param: str, label: str):
     """The field that ``sel``'s kind takes, per ``kinds``: its ``param``
     (called ``label`` in messages), ``"table"`` or None.  ``ValueError`` for
-    a kind not in ``kinds``, and for a ``param`` or table that the kind does
-    not take."""
+    a kind not in ``kinds``, and for a ``param`` or table given to a kind
+    that does not take it, None included; a field not given becomes None."""
     if not isinstance(sel.kind, str) or sel.kind not in kinds:
         raise ValueError(f"unknown {name} selector kind: {sel.kind!r}")
     takes = kinds[sel.kind][1]
     for attr, what in ((param, label), ("table", "table")):
-        if attr != takes and getattr(sel, attr) is not None:
-            raise ValueError(f"{name} selector {sel.kind!r} takes no {what}, "
-                             f"got {getattr(sel, attr)!r}")
+        value = getattr(sel, attr)
+        if value is NOT_GIVEN:
+            object.__setattr__(sel, attr, None)
+        elif attr != takes:
+            raise ValueError(f"{name} selector {sel.kind!r} takes no {what}, got {value!r}")
     return takes
 
 
@@ -70,8 +77,8 @@ class SigmaSelector:
     """
 
     kind: str
-    coefficient: float | None = None
-    table: tuple | None = None
+    coefficient: float | None = NOT_GIVEN
+    table: tuple | None = NOT_GIVEN
 
     def __post_init__(self):
         takes = _takes(self, "sigma", _SIGMA_KINDS, "coefficient", "coefficient")
@@ -124,8 +131,8 @@ class GammaSelector:
     """
 
     kind: str
-    lam: float | None = None
-    table: tuple | None = None
+    lam: float | None = NOT_GIVEN
+    table: tuple | None = NOT_GIVEN
 
     def __post_init__(self):
         takes = _takes(self, "gamma", _GAMMA_KINDS, "lam", "lambda")

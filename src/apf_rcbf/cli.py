@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clf import GammaSelector, SigmaSelector
+from .clf import NOT_GIVEN, GammaSelector, SigmaSelector
 from .errors import ConfigError, ScenarioValidationError
 from .scenario import Scenario, _object, _vec2, load_scenario, refuse_booleans
 from .simulate import (ControllerSpec, SimConfig, metrics, simulate,
@@ -75,15 +75,16 @@ def resolve_config_path(arg: str, base: Path = Path(), kind: str = "config") -> 
 
 def _parse_selector(data, what: str, param: str, cls):
     """The ``what`` selector of the JSON object ``data``: ``cls(kind,
-    data[param], (table x, table y))``, whose constructor refuses a
-    parameter or table that the kind does not take."""
+    data[param], (table x, table y))``, each key passed as given (null
+    included) or, where absent, as not given, so that the constructor
+    refuses any parameter or table that the kind does not take."""
     try:
         data = _object(data, f"{what} selector", ("kind", param, "table"), ("kind",))
-        table = None
+        table = NOT_GIVEN
         if "table" in data:
             table = _object(data["table"], f"{what} table", ("x", "y"))
             table = table["x"], table["y"]
-        return cls(data["kind"], data.get(param), table)
+        return cls(data["kind"], data.get(param, NOT_GIVEN), table)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -143,7 +144,12 @@ def load_run_config(path: Path) -> RunConfig:
         controllers = data["controllers"]
         if not isinstance(controllers, list) or not controllers:
             raise ValueError("no controllers configured")
-        parsed = tuple(parse_controller(entry) for entry in controllers)
+        parsed = []
+        for i, entry in enumerate(controllers):
+            try:
+                parsed.append(parse_controller(entry))
+            except ConfigError as exc:
+                raise ValueError(f"controller {i}: {exc}") from exc
         names = [name for name, _ in parsed]
         if len(set(names)) != len(names):
             raise ValueError(f"controller names must be unique, got {names}")
@@ -155,7 +161,7 @@ def load_run_config(path: Path) -> RunConfig:
         return RunConfig(
             scenario_path=resolve_config_path(data["scenario_path"], path.parent, "scenario"),
             scenario_ref=data["scenario_path"],
-            controllers=parsed,
+            controllers=tuple(parsed),
             sim=sim,
             x0=_vec2(data["x0"], "x0"),
             output_dir=_output_dir(data.get("output_dir", "apf-rcbf-out"), "output_dir"),

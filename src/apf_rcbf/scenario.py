@@ -309,7 +309,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     obstacles = []
     for i, entry in enumerate(data["obstacles"]):
         entry = _object(entry, f"obstacle {i}", _OBSTACLE_KEYS)
-        obstacles.append(Obstacle(entry["center"], entry["radius"], entry["rho0"]))
+        try:
+            obstacles.append(Obstacle(entry["center"], entry["radius"], entry["rho0"]))
+        except ValueError as exc:
+            raise ValueError(f"obstacle {i}: {exc}") from exc
     return validate_scenario(Scenario(**{**data, "obstacles": tuple(obstacles)}))
 
 

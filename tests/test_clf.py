@@ -47,13 +47,27 @@ def test_selector_validation():
     (("scaled_value", 2.0), {"table": ([0.0, 1.0], [0.0, 1.0])},
      r"^sigma selector 'scaled_value' takes no table"),
     ((["custom"],), {}, r"^unknown sigma selector kind: \['custom'\]$"),
+    (("grad_norm_squared", None), {},
+     r"^sigma selector 'grad_norm_squared' takes no coefficient, got None$"),
+    (("scaled_norm", 2.0, None), {}, r"^sigma selector 'scaled_norm' takes no table, got None$"),
 ], ids=["grad-norm-squared-coefficient", "custom-coefficient", "scaled-value-table",
-        "list-kind"])
+        "list-kind", "grad-norm-squared-none-coefficient", "scaled-norm-none-table"])
 def test_sigma_selector_refuses_what_its_kind_does_not_take(args, kwargs, msg):
     """A coefficient or table is taken only by the kinds that use one, and
     the kind is a string: an unhashable kind is a ValueError too."""
     with pytest.raises(ValueError, match=msg):
         SigmaSelector(*args, **kwargs)
+
+
+def test_a_field_not_given_reads_none():
+    """The parameter and table a selector is built without read None, so
+    its repr, equality and packing do not show the not-given default."""
+    assert repr(SigmaSelector.grad_norm_squared()) == (
+        "SigmaSelector(kind='grad_norm_squared', coefficient=None, table=None)")
+    assert repr(GammaSelector.scaled_special(2.0)) == (
+        "GammaSelector(kind='scaled_special', lam=2.0, table=None)")
+    assert SigmaSelector.custom([0.0, 1.0], [0.0, 1.0]).coefficient is None
+    assert GammaSelector.zero() == GammaSelector("zero")
 
 
 def test_custom_table_validation():

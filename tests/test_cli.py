@@ -102,6 +102,16 @@ def test_parse_sigma_kinds():
     ({"kind": "banana"}, "unknown sigma selector kind"),
     ({"kind": "scaled_value", "coef": -2.0}, "positive"),
     ({"kind": ["custom"]}, "unknown sigma selector kind"),
+    # a key set to null is given, not missing
+    pytest.param({"kind": "grad_norm_squared", "coef": None},
+                 r"^sigma selector 'grad_norm_squared' takes no coefficient, got None$",
+                 id="grad_norm_squared-null-coef"),
+    pytest.param({"kind": "custom", "coef": None, "table": {"x": [0, 1], "y": [0, 1]}},
+                 r"^sigma selector 'custom' takes no coefficient, got None$",
+                 id="custom-null-coef"),
+    pytest.param({"kind": "scaled_value", "coef": None},
+                 "^scaled_value sigma selector requires a positive coefficient, got None$",
+                 id="scaled_value-null-coef"),
 ])
 def test_parse_sigma_rejects(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -126,6 +136,14 @@ def test_parse_gamma_kinds():
     pytest.param({"kind": "custom", "table": [0, 1]},
                  r"^gamma table must be a JSON object, got \[0, 1\]$", id="doc3-'x' and 'y'"),
     ({"kind": ["custom"]}, "unknown gamma selector kind"),
+    # a key set to null is given, not missing
+    pytest.param({"kind": "zero", "lambda": None},
+                 r"^gamma selector 'zero' takes no lambda, got None$", id="zero-null-lambda"),
+    pytest.param({"kind": "custom", "lambda": None, "table": {"x": [0, 1], "y": [0, 1]}},
+                 r"^gamma selector 'custom' takes no lambda, got None$", id="custom-null-lambda"),
+    pytest.param({"kind": "scaled_special", "lambda": None},
+                 "^scaled_special gamma selector requires a positive lambda, got None$",
+                 id="scaled_special-null-lambda"),
 ])
 def test_parse_gamma_rejects(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -395,6 +413,8 @@ def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, m
      None),
     (lambda c: c["controllers"][1].update(
         sigma={"kind": "scaled_value", "coef": 2, "table": "garbage"}), None),
+    (lambda c: c["controllers"][1].update(gamma={"kind": "zero", "lambda": None}), None),
+    (lambda c: c["controllers"][1]["sigma"].update(coef=None), None),
 ], ids=["goal-object", "sigma-table-object", "coef-infinity", "scenario-in-missing-dir",
         "output-dir-object", "output-dir-number", "scenario-path-number",
         "scenario-path-list", "goal-strings", "radius-string", "k_att-string",
@@ -406,7 +426,8 @@ def test_exit_code_2_for_mistyped_value(tmp_path, capsys, command, mutate_cfg, m
         "sim-not-object", "sim-unknown-key",
         "selector-not-object", "selector-unknown-key", "selector-missing-key",
         "table-not-object", "table-unknown-key", "table-missing-key",
-        "zero-with-lambda", "scaled_special-with-table", "scaled_value-with-table"])
+        "zero-with-lambda", "scaled_special-with-table", "scaled_value-with-table",
+        "zero-with-null-lambda", "grad_norm_squared-with-null-coef"])
 def test_refused_input_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch,
                                                        mutate_cfg, mutate_scen):
     """A goal or table entry that is no number, an infinite coefficient
@@ -432,6 +453,35 @@ def test_refused_input_is_one_error_line_and_no_output(tmp_path, capsys, monkeyp
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scen.json"]
+
+
+@pytest.mark.parametrize("mutate_cfg, mutate_scen, error", [
+    (lambda c: c["controllers"].append({"name": "third", "kind": "apf", "speed": 9}), None,
+     "controller 2: unknown controller key(s): ['speed']"),
+    (lambda c: c["controllers"][1].pop("name"), None,
+     "controller 1: missing controller key(s): ['name']"),
+    (lambda c: c["controllers"][1]["gamma"].update({"lambda": None}), None,
+     "controller 1: scaled_special gamma selector requires a positive lambda, got None"),
+    (None, lambda s: s["obstacles"].append({"center": [2.0, 2.0], "radius": "0.5",
+                                            "rho0": 0.2}),
+     "cannot load scenario: obstacle 1: radius must be a finite number, got '0.5'"),
+    (None, lambda s: s["obstacles"][0].update(center=[2.0, None]),
+     "cannot load scenario: obstacle 0: obstacle center must be a finite 2-vector, "
+     "got [2.0, None]"),
+], ids=["third-controller-key", "second-controller-name", "second-controller-lambda",
+        "second-obstacle-radius", "first-obstacle-center"])
+def test_refusals_name_their_entry(tmp_path, capsys, mutate_cfg, mutate_scen, error):
+    """A refusal inside one controller entry or one obstacle names the
+    entry by its index in the document's array."""
+    scen = crash_scenario()
+    cfg = run_config("scen.json", output_dir=str(tmp_path / "out"))
+    if mutate_scen:
+        mutate_scen(scen)
+    if mutate_cfg:
+        mutate_cfg(cfg)
+    write_json(tmp_path / "scen.json", scen)
+    assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_empty_output_dir_flag_is_refused(tmp_path, capsys, monkeypatch):
@@ -569,7 +619,8 @@ def test_exit_code_2_for_nominal_only_with_gamma(tmp_path, capsys):
                            "sigma": {"kind": "grad_norm_squared"},
                            "gamma": {"kind": "zero"}}]
     assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 2
-    assert capsys.readouterr().err == "error: nominal_only controller takes no gamma_sel\n"
+    assert capsys.readouterr().err == (
+        "error: controller 0: nominal_only controller takes no gamma_sel\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -594,7 +645,7 @@ def test_controller_name_must_be_a_single_file_name(tmp_path, capsys, name):
     cfg["controllers"][0]["name"] = name
     assert cli.main(["run", str(write_json(tmp_path / "cfg.json", cfg))]) == 2
     assert capsys.readouterr().err == (
-        f"error: controller name must be a single file name, got {name!r}\n")
+        f"error: controller 0: controller name must be a single file name, got {name!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scen.json"]
 
 

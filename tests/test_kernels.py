@@ -13,6 +13,7 @@ import itertools
 import math
 import struct
 import sys
+import traceback
 import tracemalloc
 import warnings
 
@@ -1650,3 +1651,329 @@ def test_free_u_nom_is_the_closures_at_the_edges(case, integ):
     assert _bits(rec[:out[0]].ravel().tolist()) == _bits(itertools.chain(*rows))
     samples, stage_count = _free_evaluations(evals, calls)
     assert (samples if not stages else stage_count) > 0 or not flies
+
+
+# The rollout loop is compiled per shape from one template.  Its reference
+# is the interpreted loop it replaced, kept here as it was: one loop over
+# the stage table, the sigma kind tested per free evaluation, the free-flight
+# block written for the sample and again for the stage, and the horizon
+# tested apart from the flush.  Both read bind, _free_above, _free_r2 and
+# _flush from the module at call time, so one spy or stub serves both.
+
+def _reference_integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
+    """``_integrate`` with its interpreted stepping loop."""
+    (gx, gy, obstacles, k_att, _, _,
+     _, skind, scoef, stx, sty) = model[:11]
+    point = _k.bind(model)
+    free_r2 = _k._free_r2
+    sigma = _k._sigma_value
+    isfinite = math.isfinite
+    inf = math.inf
+    phis = [0.0] * len(obstacles)
+    scratch = [0.0] * len(obstacles)
+    offsets = tuple((c * dt, w) for c, w in stages)
+    corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
+                 default=0.0) + _k.FREE_FLOOR
+    free_above = _k._free_above(model)
+    unit_cap = inf if skind == 0 else 0.0
+    goal_q = _k._goal_threshold(goal_tol)
+    smp = []
+    hms = []
+    chunk = -(-_k.RECORD_CHUNK_FLOATS // (7 + len(obstacles)))
+    row = 0
+    due = chunk - 1
+    step = dt / (1.0 + sum(w for _, w in stages))
+    ming = inf
+    negcount = 0
+    xx = x0x
+    yy = x0y
+    status = _k.TIMEOUT
+    stall = -1
+    basex = basey = 0.0
+    r2 = -1.0
+    for k in range(n_max + 1):
+        ddx = xx - gx
+        ddy = yy - gy
+        ex = xx - basex
+        ey = yy - basey
+        flies = ex * ex + ey * ey < r2
+        if flies:
+            bx = k_att * ddx
+            by = k_att * ddy
+            bb = bx * bx + by * by
+            if 0.0 < bb < unit_cap:
+                ux = -bx
+                uy = -by
+            else:
+                if bb > 0.0:
+                    gatt = -1.0 if skind == 0 else -(
+                        sigma(xx, yy, gx, gy, k_att, skind, scoef, stx, sty) / bb)
+                else:
+                    gatt = 0.0
+                ux = gatt * bx
+                uy = gatt * by
+                flies = 0.0 * ux + 0.0 * uy == 0.0
+        if not flies:
+            ux, uy, hmin, mg = point(xx, yy, phis)
+            if mg < 0.0:
+                negcount += 1
+                if mg < ming:
+                    ming = mg
+            if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
+                status = _k.DOMAIN_ERROR
+                break
+            hms += (k, hmin, 0.0)
+            hms += phis
+            basex = xx
+            basey = yy
+            r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0
+        smp += (xx, yy, ux, uy)
+        if k == due:
+            row = _k._flush(rec, row, smp, hms)
+            due += chunk
+        if ddx * ddx + ddy * ddy < goal_q:
+            status = _k.REACHED_GOAL
+            break
+        if k == n_max:
+            break
+        neg_before_stages = negcount
+        kx = sx = ux
+        ky = sy = uy
+        for h, w in offsets:
+            px = xx + h * kx
+            py = yy + h * ky
+            ex = px - basex
+            ey = py - basey
+            stage_flies = ex * ex + ey * ey < r2
+            if stage_flies:
+                bx = k_att * (px - gx)
+                by = k_att * (py - gy)
+                bb = bx * bx + by * by
+                if 0.0 < bb < unit_cap:
+                    kx = -bx
+                    ky = -by
+                else:
+                    if bb > 0.0:
+                        gatt = -1.0 if skind == 0 else -(
+                            sigma(px, py, gx, gy, k_att, skind, scoef, stx, sty) / bb)
+                    else:
+                        gatt = 0.0
+                    kx = gatt * bx
+                    ky = gatt * by
+                    stage_flies = 0.0 * kx + 0.0 * ky == 0.0
+            if not stage_flies:
+                kx, ky, hk, mgk = point(px, py, scratch)
+                if mgk < 0.0:
+                    negcount += 1
+                    if mgk < ming:
+                        ming = mgk
+                if hk <= 0.0:
+                    break
+            sx = sx + w * kx
+            sy = sy + w * ky
+        else:
+            nx = xx + step * sx
+            ny = yy + step * sy
+            if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
+                    and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
+                stall = k
+                rest = n_max - k
+                negcount += (rest * (not flies and mg < 0.0)
+                             + (rest - 1) * (negcount - neg_before_stages))
+                break
+            xx = nx
+            yy = ny
+            continue
+        status = _k.DOMAIN_ERROR
+        break
+    n = _k._flush(rec, row, smp, hms)
+    _k._fill_free(rec, n, model)
+    rec[:n, 6] = _k._potential(rec[:n, 1], rec[:n, 2], gx, gy, k_att)
+    if stall >= 0:
+        n = n_max + 1
+        _k._repeat_row(rec, stall, n)
+    np.multiply(np.arange(n, dtype=np.float64), dt, out=rec[:n, 0])
+    return n, status, ming, negcount
+
+
+# Euler, RK4, and stage tables with int offsets and weights (one with a zero
+# weight, whose literal must keep the product's sign)
+STAGE_TABLES = {"euler": (), "rk4": _k.RK4_STAGES, "heun": ((1, 1),),
+                "int3": ((1, 3), (0.5, 0), (1, 2))}
+
+# arenas of m = 0 .. 3 obstacles in front of the goal (4, 0)
+_SHELLS = ((2.0, 0.3, 0.5, 0.4), (2.0, 1.6, 0.5, 0.25), (3.1, -0.9, 0.3, 0.3))
+
+
+def _same_run(model, x0, dt, n_max, goal_tol, stages):
+    """Runs the compiled loop and the reference into records of -1.0 and
+    asserts the same return and the same record, every bit; returns the
+    return."""
+    recs = [np.full((n_max + 1, 7 + len(model[2])), -1.0) for _ in range(2)]
+    outs = [fn(*x0, model, dt, n_max, goal_tol, stages, rec)
+            for fn, rec in zip((_k._integrate, _reference_integrate), recs)]
+    assert _bits(outs[0]) == _bits(outs[1])
+    assert recs[0].tobytes() == recs[1].tobytes()
+    return outs[0]
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+@pytest.mark.parametrize("m", range(4))
+def test_compiled_loop_is_the_interpreted_loop(m, table):
+    """Every controller packing (sigma kinds 0-3 under gamma kinds 0-2 and
+    unfiltered) on arenas of 0 to 3 obstacles, from starts that pass the
+    shells, fly free and, where a chunk is full, flush in the loop: the
+    record and the return are the reference's bit for bit."""
+    statuses = set()
+    for param in PACKINGS:
+        model = (4.0, 0.0, _SHELLS[:m], 1.5, 2.0, 0.5, *param.values[0])
+        for x0 in ((-1.0, 0.1), (0.5, -1.5)):
+            n, status, _, _ = _same_run(model, x0, 0.02, 300, 0.05, STAGE_TABLES[table])
+            statuses.add(status)
+    assert _k.REACHED_GOAL in statuses
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["zero", "chunk-1", "chunk", "chunk+1"])
+def test_compiled_loop_ends_the_horizon_as_the_interpreted_loop(offset, table, monkeypatch):
+    """n_max of 0 and around a chunk (the end of the horizon and the flush
+    share one test), on a run that never reaches its far goal, and on a stub
+    whose every tightening is negative: the last sample takes no stage."""
+    model = (100.0, 0.0, _SHELLS[:1], 1.0, 1.0, 1.0, *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    chunk = -(-_k.RECORD_CHUNK_FLOATS // 8)
+    n_max = 0 if offset is None else chunk + offset
+    stages = STAGE_TABLES[table]
+    assert _same_run(model, (3.0, 0.3), 0.01, n_max, 0.05, stages)[:2] == (
+        n_max + 1, _k.TIMEOUT)
+    _fly_nothing_free(monkeypatch)
+    monkeypatch.setattr(_k, "bind", _stub_bind([], [(1.0, 0.5)]))
+    assert _same_run(FAR_GOAL, (0.0, 0.0), 0.01, n_max, 1e-3, stages) == (
+        n_max + 1, _k.TIMEOUT, -3.0, n_max + 1 + len(stages) * n_max)
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+def test_goal_reached_at_the_last_sample(table):
+    """A run that reaches the goal at sample k, cut at n_max = k, reaches it
+    there; cut one sample earlier, it times out."""
+    model = _k.pack_model(SCENARIO, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    stages = STAGE_TABLES[table]
+    n, status, _, _ = _same_run(model, (-1.0, -0.5), 0.02, 2000, 0.05, stages)
+    assert status == _k.REACHED_GOAL
+    assert _same_run(model, (-1.0, -0.5), 0.02, n - 1, 0.05, stages)[:2] == (
+        n, _k.REACHED_GOAL)
+    assert _same_run(model, (-1.0, -0.5), 0.02, n - 2, 0.05, stages)[:2] == (
+        n - 1, _k.TIMEOUT)
+
+
+@pytest.mark.parametrize("table", ["rk4", "heun"])
+def test_stage_domain_error_is_the_interpreted_loops(table):
+    """The unfiltered stabilizer heads through an obstacle: at dt 1 the
+    first stage state from (0, 0) is the obstacle's center, while the
+    sample is clear of it."""
+    model = (4.0, 0.0, ((2.0, 0.0, 0.5, 0.4),), 1.0, 1.0, 1.0, *_k.pack_controller(UNIT_SIGMA, None))
+    stages = STAGE_TABLES[table]
+    c = stages[0][0]
+    out = _same_run(model, (0.0, 0.0), 0.5 / c, 10, 0.05, stages)
+    assert out[:2] == (1, _k.DOMAIN_ERROR)
+
+
+def _stub_bind(calls, controls):
+    """A ``bind`` whose closure returns the next control of ``controls``,
+    clearance 2 and tightening -3, and counts its calls in ``calls``."""
+    def bind(model):
+        def point(x, y, phis, *_):
+            calls.append((x, y))
+            phis[:] = [0.25] * len(phis)
+            return (*controls[min(len(calls), len(controls)) - 1], 2.0, -3.0)
+        return point
+    return bind
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_control_is_the_interpreted_loops(bad, table, monkeypatch):
+    """A control that turns non-finite at the fifth evaluation ends both
+    loops alike, whether that evaluation is a sample or a stage; a k_att
+    that overflows b ends them at the first sample."""
+    _fly_nothing_free(monkeypatch)
+    stages = STAGE_TABLES[table]
+    outs = []
+    for fn in (_k._integrate, _reference_integrate):
+        calls = []
+        monkeypatch.setattr(_k, "bind", _stub_bind(calls, [(1.0, 0.5)] * 4 + [(bad, 0.0)]))
+        rec = np.full((41, 8), -1.0)
+        outs.append((fn(0.0, 0.0, FAR_GOAL, 0.01, 40, 1e-3, stages, rec), rec.tobytes(), calls))
+    assert _bits(outs[0][0]) == _bits(outs[1][0]) and outs[0][1:] == outs[1][1:]
+    monkeypatch.undo()
+    huge = (0.0, 0.0, _SHELLS[:1], 1e308, 1.0, 1.0, *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    assert _same_run(huge, (-10.0, 0.0), 0.01, 5, 0.05, stages)[:2] == (0, _k.DOMAIN_ERROR)
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+@pytest.mark.parametrize("x0", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)])
+def test_signed_zero_stall_is_the_interpreted_loops(x0, table, monkeypatch):
+    """Starts on the goal with goal_tol 0 and u_nom = +-0: a -0 coordinate
+    steps to +0 and the run stalls on the next step, or on the first; the
+    real kernel and a stub whose every tightening is negative alike count
+    the skipped evaluations as the reference does."""
+    stages = STAGE_TABLES[table]
+    model = (0.0, 0.0, _SHELLS[:1], 1.0, 1.0, 1.0, *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    assert _same_run(model, x0, 0.02, 50, 0.0, stages)[:2] == (51, _k.TIMEOUT)
+    _fly_nothing_free(monkeypatch)
+    outs = []
+    for fn in (_k._integrate, _reference_integrate):
+        monkeypatch.setattr(_k, "bind", _stub_bind([], [(0.0, 0.0)]))
+        rec = np.full((51, 8), -1.0)
+        outs.append((fn(*x0, FAR_GOAL, 0.02, 50, 0.0, stages, rec), rec.tobytes()))
+    assert outs[0] == outs[1]
+    assert outs[0][0][3] > 50  # every skipped sample counted
+
+
+def test_each_loop_shape_compiles_once(monkeypatch):
+    """A shape is the stage weights as float literals and whether sigma is
+    kind 0: int and float weights of one value share a loop, a weight of
+    -0.0 does not share 0.0's, and later runs of a shape compile nothing."""
+    compiled = []
+    compile_loop = _k._compile_loop
+
+    def spy(*shape):
+        compiled.append(shape)
+        return compile_loop(*shape)
+
+    monkeypatch.setattr(_k, "_LOOPS", {})
+    monkeypatch.setattr(_k, "_compile_loop", spy)
+    unit = _k.pack_model(SCENARIO, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    other = _k.pack_model(shifted(SCENARIO, 2.0), _k.pack_controller(SIGMAS[2], GAMMAS[1]))
+    for _ in range(2):
+        for model in (unit, other):
+            for stages in ((), ((1, 1),), ((1.0, 1.0),), ((1.0, -0.0),), ((1.0, 0.0),)):
+                _k._integrate(-1.0, 0.1, model, 0.02, 20, 0.05, stages, np.empty((21, 9)))
+    assert compiled == [(weights, unit_sigma) for unit_sigma in (True, False)
+                        for weights in ((), ("1.0",), ("-0.0",), ("0.0",))]
+
+
+@pytest.mark.parametrize("failing_call, line", [
+    (1, "ux, uy, hmin, mg = point(xx, yy, phis)"),
+    (2, "kx, ky, hk, mgk = point(px, py, scratch)"),
+])
+def test_traceback_shows_the_loop_template_line(failing_call, line, monkeypatch):
+    """An exception raised under the compiled loop names the template's
+    source line, kept in ``linecache``."""
+    calls = []
+
+    def bind(model):
+        def point(x, y, phis):
+            calls.append((x, y))
+            if len(calls) == failing_call:
+                raise ZeroDivisionError("stub")
+            return 1.0, 0.0, 2.0, math.inf
+        return point
+
+    monkeypatch.setattr(_k, "bind", bind)
+    _fly_nothing_free(monkeypatch)
+    with pytest.raises(ZeroDivisionError) as info:
+        _k._integrate(0.0, 0.0, FAR_GOAL, 0.01, 5, 1e-3, _k.RK4_STAGES, np.empty((6, 8)))
+    frames = [f for f in traceback.extract_tb(info.value.__traceback__)
+              if f.filename.startswith("<_kernels._integrate")]
+    assert [f.line for f in frames] == [line]
+    assert "".join(traceback.format_tb(info.value.__traceback__)).count(line) == 1

@@ -72,7 +72,9 @@ def test_gamma_selector_validation():
      r"^gamma selector 'scaled_special' takes no table"),
     (("zero",), {"table": ([0.0, 1.0], [0.0, 1.0])}, r"^gamma selector 'zero' takes no table"),
     (({"a": 1},), {}, r"^unknown gamma selector kind: \{'a': 1\}$"),
-], ids=["zero-lambda", "custom-lambda", "scaled-special-table", "zero-table", "dict-kind"])
+    (("zero",), {"lam": None}, r"^gamma selector 'zero' takes no lambda, got None$"),
+], ids=["zero-lambda", "custom-lambda", "scaled-special-table", "zero-table", "dict-kind",
+        "zero-none-lambda"])
 def test_gamma_selector_refuses_what_its_kind_does_not_take(args, kwargs, msg):
     """A lambda or table is taken only by the kinds that use one, and the
     kind is a string: an unhashable kind is a ValueError too."""

@@ -2,9 +2,9 @@
 
 ``rollout_phases.py`` and ``cli_phases.py`` wrap private functions of the
 package by name (``_kernels._flush``, ``_fill_free``, ``_potential``,
-``_integrate``, ``simulate._trajectory``, ``cli.simulate`` and
-``cli._write_outputs``), so renaming one breaks them; these runs, the
-smallest each script takes, notice that.
+``_integrate``, ``bind``, ``_free_above``, ``simulate._trajectory``,
+``cli.simulate`` and ``cli._write_outputs``), so renaming one breaks them;
+these runs, the smallest each script takes, notice that.
 """
 
 import json
@@ -41,6 +41,8 @@ def test_rollout_phases_reports_every_phase(tmp_path, workload):
     assert list(tree["phases"]) == ROLLOUT_PHASES
     assert all(math.isfinite(v) for v in tree["phases"].values())
     assert tree["total"] > 0.0
+    evals, full = tree["evaluations_per_start"], tree["full_evaluations_per_start"]
+    assert 0 < full < evals
 
 
 def test_cli_phases_reports_every_phase(tmp_path):

@@ -18,10 +18,20 @@ the call:
   _trajectory       ``simulate._trajectory``, the column copies
   other             ``simulate`` after ``_trajectory`` returns
 
+"loop" includes the one-time compile of each ``_integrate`` loop shape (and
+of each ``bind`` shape) on its first call in the process.
+
 Each rollout (one start in one cell) runs ``--reps`` times per tree; a
 phase's time is its minimum over the repetitions, taken per rollout, and
 the table sums those minima over the rollouts and divides by the starts: ms
-per start, with each phase's share of their sum.  With several trees every
+per start, with each phase's share of their sum.
+
+The traffic, per start: the control evaluations (every sample and stage
+evaluated) and the full ones, those that call ``point``, the others flying
+free.  One extra, untimed pass counts them with a counting ``bind``: each
+rollout runs as it is, which counts the full evaluations, and once more with
+nothing flying free (``_free_above`` made +inf), where every evaluation is
+full and the states are the same.  With several trees every
 repetition runs each tree in turn, the order reversed every other round.
 Each tree's package is loaded under its own module name, so the trees run
 side by side in one interpreter.
@@ -42,6 +52,7 @@ import importlib.util
 import itertools
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -130,6 +141,37 @@ class Timers:
         return dict(spent)
 
 
+def traffic(package, scenario, cells, starts):
+    """``(evaluations, full evaluations)`` per start, untimed (module
+    docstring, "The traffic")."""
+    sim = importlib.import_module(package.__name__ + ".simulate")
+    kern = importlib.import_module(package.__name__ + "._kernels")
+    bind, free_above = kern.bind, kern._free_above
+    count = [0]
+
+    def counting_bind(model, rows=None):
+        point = bind(model, rows)
+
+        def counted(*args):
+            count[0] += 1
+            return point(*args)
+        return counted
+
+    totals = []
+    kern.bind = counting_bind
+    try:
+        for nothing_free in (True, False):
+            kern._free_above = (lambda model: math.inf) if nothing_free else free_above
+            count[0] = 0
+            for x0 in starts:
+                for cell in cells:
+                    sim.simulate(scenario, cell.spec, cell.cfg, x0)
+            totals.append(count[0] / len(starts))
+    finally:
+        kern.bind, kern._free_above = bind, free_above
+    return tuple(totals)
+
+
 def workload_inputs(package, src, workload):
     """``(scenario, cells)`` of ``workload`` built from ``package``."""
     if workload == "sweep_fig2":
@@ -182,14 +224,18 @@ def main():
                 for phase in PHASES:
                     total[phase] += low[phase]
     per_start = [{p: total[p] / len(starts) * 1e3 for p in PHASES} for total in totals]
+    counts = [traffic(package, scen, cells, starts)
+              for package, (_, scen, cells) in zip(packages, trees)]
 
     if args.json:
         print(json.dumps({
             "workload": args.workload, "starts": len(starts), "reps": args.reps,
             "seed": args.seed, "unit": "ms per start, sum of per-rollout minima",
             "trees": [{"src": src, "phases": {p: round(v, 4) for p, v in ms.items()},
-                       "total": round(sum(ms.values()), 4)}
-                      for src, ms in zip(args.src, per_start)]}, indent=1))
+                       "total": round(sum(ms.values()), 4),
+                       "evaluations_per_start": evals, "full_evaluations_per_start": full}
+                      for src, ms, (evals, full) in zip(args.src, per_start, counts)]},
+            indent=1))
         return
     print(f"{args.workload}, seed {args.seed}: {len(starts)} starts x {len(trees[0][2])} cells, "
           f"minimum of {args.reps} repetitions per rollout, ms per start (share)")
@@ -201,6 +247,9 @@ def main():
         print(f"{p:<18}" + "".join(f"{ms[p]:>10.3f} ({ms[p] / s:5.1%})"
                                    for ms, s in zip(per_start, sums)))
     print(f"{'total':<18}" + "".join(f"{s:>10.3f} {'':>7}" for s in sums))
+    print("evaluations per start (full, calling point):")
+    for i, (evals, full) in enumerate(counts):
+        print(f"  [{i}] {evals:,.1f} ({full:,.1f} full, {full / evals:.1%})")
 
 
 if __name__ == "__main__":
