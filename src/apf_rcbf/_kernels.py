@@ -43,57 +43,66 @@ or above ``scenario.min_radius(k_rep)``, so the squared repulsive gradient
 stays finite at every positive clearance, and the lam bound keeps lam times
 it finite too.)
 
-Per-state cost: :func:`bind` unpacks a model once per rollout, grid or
-single-state call into ``point``, the one full evaluation, which evaluates
-every shell.  ``point`` comes from one source template, :data:`_POINT`,
-compiled once per process for each shape ``(m, gkind, ckind == 2, rows is
-not None, skind == 0)``: the m shells are unrolled, each shell carries only
-its gamma kind's margin expressions, the ``rows`` stores and the correction
-appear only where the shape has them, and the model's constants are closure
-cells, so an evaluation runs no loop and tests no kind.  Its expressions are
-those of one closure that loops over the shells and tests every kind per
-call, each rounded alike, so the bits are too (``tests/test_kernels.py``
-keeps that evaluation as its reference); only temporaries are inlined, and
-an idle shell skips the correction test, which it always fails.  Compiling a
-shape costs time linear in m, once per shape per process; a later bind of
-the shape is one call.  Most obstacles of a state lie beyond their influence
-shell, where d = F_rep = (0, 0).  Every shell runs one margin block on
-|d|^2 and d.u_nom.  An idle shell does not form d: it takes |d|^2 = 0 and a
-d.u_nom formed once per state from the operands a live shell would use, in
-the same order, so its margins keep their bits, NaN propagation included.
-The correction needs |d|^2 > 0 and so skips it.  In a rollout, a sample or
-stage that flies free (below) makes no call at all: :func:`_integrate` forms
-its stabilizer inline.
+Per-state cost: one full evaluation, which evaluates every shell, comes
+from one source, :data:`_ATT` then :data:`_EVAL` with one :data:`_SHELL` per
+obstacle, written for a shape ``(m, gamma kind, filtered, rows reported, skind == 0)``
+at a site (:data:`_SITES`): the m shells are unrolled, each shell carries
+only its gamma kind's margin expressions, and the ``rows`` stores and the
+correction appear only where the shape has them, so an evaluation runs no
+loop and tests no kind.  Its expressions are those of one closure that loops
+over the shells and tests every kind per call, each rounded alike, so the
+bits are too (``tests/test_kernels.py`` keeps that evaluation as its
+reference); only temporaries are inlined, and an idle shell skips the
+correction test, which it always fails.  Most obstacles of a state lie
+beyond their influence shell, where d = F_rep = (0, 0).  Every shell runs
+one margin block on |d|^2 and d.u_nom.  An idle shell does not form d: it
+takes |d|^2 = 0 and a d.u_nom formed once per state from the operands a live
+shell would use, in the same order, so its margins keep their bits, NaN
+propagation included.  The correction needs |d|^2 > 0 and so skips it.
+:func:`bind` compiles the evaluation once per process and shape as the body
+of ``point``, whose model constants are closure cells: the door of
+:func:`control`, the grid and verify.  A rollout never calls it (below).
+Compiling a shape costs time linear in m, once per shape per process.
 
 The rollout loop: :func:`_integrate`'s stepping loop comes from one source
-template, :data:`_LOOP`, compiled once per process for each shape ``(stage
-weights, skind == 0)``, the weights taken as their ``repr(float(w))``
-literals (so an int weight shares its float's loop and -0.0 does not share
-0.0's).  The stages are unrolled, each weight a literal and each offset ``c
-* dt`` a local formed once per call; Euler has no stage bookkeeping and its
-stall count no stage term.  One free-flight snippet serves the sample and
-every stage; a sigma of kind 0 has no ``sigma(...)`` branch, and any other
+template, :data:`_LOOP`, compiled once per process for each rollout shape
+``(stage weights, skind == 0, m, gamma class, filtered, traced)``, the
+weights taken as their ``repr(float(w))`` literals (so an int weight shares
+its float's loop and -0.0 does not share 0.0's) and the gamma class being 0,
+1 or any table.  The model is unpacked into locals once per call.  The
+stages are unrolled, each weight a literal and each offset ``c * dt`` a
+local formed once per call; Euler has no stage bookkeeping and its stall
+count no stage term.  The sample and every stage carry one copy of b =
+F_att and |b|^2, of the free-flight snippet and of the rest of the full
+evaluation, written inline under the state's and the outputs' names, so no
+evaluation is a call and b is formed once per evaluation: a sample's
+margins go from locals straight into the record's buffer, and a stage
+stores none.  A sigma of kind 0 has no ``sigma(...)`` branch, and any other
 kind no -b shortcut.  The horizon test rides on the flush test: the sample
-that fills a chunk is never past n_max.  So a step iterates no table and
-tests no kind, with the expressions, order and so bits of the loop that did
-(``tests/test_kernels.py`` keeps that loop as its reference).  ``point`` is
-still bound per call, and ``bind``, :func:`_free_above`, :func:`_free_r2`
-and :func:`_flush` are read from the module at call time.
+that fills a chunk is never past n_max.  So a step iterates no table or
+shell, tests no kind and calls no controller, with the expressions, order
+and so bits of the interpreted loop that called ``point``
+(``tests/test_kernels.py`` keeps that loop as its reference).  A traced
+shape appends the state of each full evaluation to a list, and only a run
+that asks for the trace runs one.  :func:`_free_above`, :func:`_free_r2`
+and :func:`_flush` stay calls, read from the module at call time.
+Compiling a rollout shape costs time linear in m times its evaluation
+sites (the sample and each stage), once per shape per process.
 
 Free flight: :func:`_integrate` owns the rule, and :func:`_free_above` its
 one threshold, the largest rho0 of a model whose idle tightenings are known
 in closed form.  It keeps a *base* b, the last sample it evaluated in full,
 and :func:`_free_r2` forms from that sample's smallest clearance h the
 base's squared free radius r2.  A sample or stage state p with
-fl((px - bx)^2 + (py - by)^2) < r2 forms u_nom inline with the closure's
-bits: b = F_att and |b|^2 as the closure forms them, then, for the
-grad-norm-squared sigma with |b|^2 in (0, inf), u_nom = -b, which is
-bitwise the closure's (-1.0) * b (negation and a product with -1.0 round
-alike) and finite because |b|^2 is, so the state flies free; otherwise the
-closure's expressions in the closure's order, u_nom = -(sigma / |b|^2) * b
-(sigma / |b|^2 taken as 1 for the grad-norm-squared sigma, and 0 where
-|b|^2 is 0), and the state flies free if d.u_nom on an idle shell is +-0
-(u_nom finite).  Any other evaluation calls the closure.  Every clearance
+fl((px - bx)^2 + (py - by)^2) < r2 forms u_nom alone with the full
+evaluation's bits: b = F_att and |b|^2 as the full evaluation forms them,
+then, for the grad-norm-squared sigma with |b|^2 in (0, inf), u_nom = -b,
+which is bitwise the full evaluation's (-1.0) * b (negation and a product
+with -1.0 round alike) and finite because |b|^2 is, so the state flies free;
+otherwise the full evaluation's expressions in its order, u_nom = -(sigma /
+|b|^2) * b (sigma / |b|^2 taken as 1 for the grad-norm-squared sigma, and 0
+where |b|^2 is 0), and the state flies free if d.u_nom on an idle shell is
++-0 (u_nom finite).  Any other evaluation is full.  Every clearance
 computed at p then exceeds every rho0 (the lemma below), so every shell is
 idle and outside, the control is u_nom and the clearance positive, and what
 the margin block would have given is known in closed form: margins glam * 0
@@ -282,27 +291,45 @@ def _goal_threshold(goal_tol):
     return q
 
 
-# The controller's one source: bind compiles it once per shape into a
-# factory, which unpacks a model into closure cells and returns ``point``.  A
-# shape fills the slots: the obstacles' unpacking, g_att of its sigma kind
-# (_GATT), the rows stores where it reports, and one copy of _SHELL per
-# obstacle, each with the margin block of its gamma kind (_MARGINS) and, where
-# it is filtered, the running minimum and the correction (_FILTERED).  So
-# ``point`` holds no loop and tests no kind.
-_POINT = """\
-def factory(model, rows):
+# The model's constants and the helpers a full evaluation reads, bound once:
+# bind's factory and _integrate's loop open with it
+_UNPACK = """
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
      ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model{obstacles}
     sqrt = math.sqrt
     inf = math.inf
     nan = math.nan
     interp = np.interp
-    sigma = _sigma_value
+    sigma = _sigma_value"""
 
-    def point(x, y, phis):
-        bx = k_att * (x - gx)
-        by = k_att * (y - gy)
-        bb = bx * bx + by * by
+# The controller's door: bind compiles it once per shape into a factory,
+# which unpacks a model into closure cells and returns ``point``, whose body
+# is the full evaluation (_EVAL) at its "point" site.
+_POINT = """\
+def factory(model, rows):{unpack}
+
+    def point(x, y, phis):{attraction}{evaluation}
+        return ux, uy, hmin, ming
+
+    return point
+"""
+
+# b = F_att at the state ({x}, {y}) of a site (_SITES), {dx} and {dy} its
+# offsets from the goal, and |b|^2: the full evaluation and free flight both
+# start from them
+_ATT = """
+        bx = k_att * {dx}
+        by = k_att * {dy}
+        bb = bx * bx + by * by"""
+
+# The one full evaluation after _ATT, written at a site: the state ({x},
+# {y}) into the control ({ux}, {uy}), the smallest clearance {hmin} and
+# tightening {ming}.  A shape fills the slots: g_att of its sigma kind
+# (_GATT), the rows stores where it reports, and one copy of _SHELL per
+# obstacle, each with the margin block of its gamma kind (_MARGINS) and,
+# where it is filtered, the running minimum and the correction (_FILTERED).
+# So an evaluation holds no loop and tests no kind.
+_EVAL = """
         if bb > 0.0:
             gatt = {gatt}
         else:
@@ -310,38 +337,36 @@ def factory(model, rows):
         unx = gatt * bx
         uny = gatt * by
         idle_du = 0.0 * unx + 0.0 * uny
-        ux = unx
-        uy = uny
-        hmin = inf
-        ming = inf{shells}
-        return ux, uy, hmin, {ming}
-
-    return point
-"""
+        {ux} = unx
+        {uy} = uny
+        {hmin} = inf
+        {ming} = inf{shells}"""
 
 # One shell, obstacle {i}.  idle_du is d.u_nom on an idle shell, where d =
 # F_rep = (0, 0): the product a live shell forms, so NaN or inf in u_nom
 # propagates alike.  An idle shell's margin block takes |d|^2 = 0.0 and
 # idle_du, and skips the correction, which needs |d|^2 > 0 (a NaN clearance
 # fails the idle test and keeps the live branch's bits); a live one forms d
-# with fields.f_rep's expressions in its order, bitwise superposition.
+# with fields.f_rep's expressions in its order, bitwise superposition.  The
+# site's {store} keeps the margin phi, and {inside} is what a state inside
+# the obstacle records.
 _SHELL = """
-        ox = x - cx_{i}
-        oy = y - cy_{i}
+        ox = {x} - cx_{i}
+        oy = {y} - cy_{i}
         dist = sqrt(ox * ox + oy * oy)
         rho = dist - r_{i}
-        if rho < hmin:
-            hmin = rho
+        if rho < {hmin}:
+            {hmin} = rho
         if rho <= 0.0:
-            phis[{i}] = nan
+            {inside}
         elif rho >= rho0_{i}:{idle}
         else:
             coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0_{i}) / dist
             dx = coef * ox
             dy = coef * oy
-            dd = dx * dx + dy * dy{store}{live}{correct}"""
+            dd = dx * dx + dy * dy{rows}{live}{correct}"""
 
-_STORE = """
+_ROWS = """
             rows[{i}] = (dx, dy, dd)"""
 
 # The margin block of each gamma kind on |d|^2 and d.u_nom: {dd} and {du}
@@ -367,12 +392,54 @@ _GATT = {True: "-1.0",
 
 # a filtered shape's running minimum of the tightening, and its correction
 _FILTERED = ("""
-            if gam < ming:
-                ming = gam""", """
+            if gam < {ming}:
+                {ming} = gam""", """
             if phi > 0.0 and dd > 0.0:
                 grep = -(phi / dd)
-                ux += grep * dx
-                uy += grep * dy""")
+                {ux} += grep * dx
+                {uy} += grep * dy""")
+
+# The names of each site of the full evaluation.  ``point`` stores the
+# margins in ``phis``; a rollout's sample keeps them in locals phi_0 ..
+# phi_{m-1}, which go to the record's buffer as they are, and a stage keeps
+# none.  A sample or stage inside an obstacle ends the rollout, which
+# records nothing of it.
+_SITES = {
+    "point": dict(x="x", y="y", dx="(x - gx)", dy="(y - gy)", ux="ux", uy="uy", hmin="hmin",
+                  ming="ming", store="\n            phis[{i}] = phi", inside="phis[{i}] = nan"),
+    "sample": dict(x="xx", y="yy", dx="ddx", dy="ddy", ux="ux", uy="uy", hmin="hmin",
+                   ming="mg", store="\n            phi_{i} = phi", inside="pass"),
+    "stage": dict(x="px", y="py", dx="(px - gx)", dy="(py - gy)", ux="kx", uy="ky",
+                  hmin="hk", ming="mgk", store="", inside="pass"),
+}
+
+
+def _gamma_class(gkind):
+    """The key of ``gkind``'s margin block in :data:`_MARGINS`."""
+    return gkind if gkind in (0, 1) else 2
+
+
+def _evaluation(site, m, gclass, filtered, report, unit_sigma):
+    """The source of one full evaluation (after :data:`_ATT`) of the shape
+    ``(m, gclass, filtered, report, unit_sigma)`` at ``site``, a key of
+    :data:`_SITES`, indented as ``point``'s body."""
+    names = _SITES[site]
+    minimum, correct = _FILTERED if filtered else ("", "")
+    idle, live = ((_MARGINS[gclass] + minimum).format(dd=dd, du=du, **names) + names["store"]
+                  for dd, du in (("0.0", "idle_du"), ("dd", "(dx * unx + dy * uny)")))
+    # {i} passes through the site's names and is filled per shell
+    shell = _SHELL.format(i="{i}", idle=idle, live=live, correct=correct.format(**names),
+                          rows=_ROWS if report else "", **names)
+    return _EVAL.format(gatt=_GATT[unit_sigma].format(**names),
+                        report="\n        rows[-1] = gatt" if report else "",
+                        shells="".join(shell.format(i=i) for i in range(m)), **names)
+
+
+def _unpack(m):
+    """The source of :data:`_UNPACK` for a model of ``m`` obstacles."""
+    cells = ", ".join(f"(cx_{i}, cy_{i}, r_{i}, rho0_{i})" for i in range(m))
+    return _UNPACK.format(obstacles=f"\n    ({cells},) = obstacles" if m else "")
+
 
 # the factory of each shape (m, gkind, filtered, reports, sigma kind 0) bound
 # so far in this process
@@ -392,18 +459,9 @@ def _exec(source, name):
 def _compile(m, gkind, filtered, report, unit_sigma):
     """The factory of one shape: :data:`_POINT` with its slots filled,
     compiled by :func:`_exec`."""
-    margin = _MARGINS[gkind if gkind in (0, 1) else 2]
-    minimum, correct = _FILTERED if filtered else ("", "")
-    idle, live = (margin.format(dd=dd, du=du) + minimum + "\n            phis[{i}] = phi"
-                  for dd, du in (("0.0", "idle_du"), ("dd", "(dx * unx + dy * uny)")))
-    shell = _SHELL.format(i="{i}", idle=idle, live=live, correct=correct,
-                          store=_STORE if report else "")
-    unpack = ", ".join(f"(cx_{i}, cy_{i}, r_{i}, rho0_{i})" for i in range(m))
-    source = _POINT.format(obstacles=f"\n    ({unpack},) = obstacles" if m else "",
-                           gatt=_GATT[unit_sigma].format(x="x", y="y"),
-                           report="\n        rows[-1] = gatt" if report else "",
-                           shells="".join(shell.format(i=i) for i in range(m)),
-                           ming="ming" if filtered else "inf")
+    source = _POINT.format(unpack=_unpack(m), attraction=_ATT.format(**_SITES["point"]),
+                           evaluation=_evaluation("point", m, _gamma_class(gkind), filtered,
+                                                  report, unit_sigma))
     return _exec(source, f"<_kernels.bind m={m} gkind={gkind} filtered={filtered} "
                          f"rows={report} unit_sigma={unit_sigma}>")
 
@@ -418,19 +476,20 @@ def bind(model, rows=None):
     control, the smallest clearance and ``min_gamma``, the smallest
     tightening value evaluated at this state (+inf if there was none, and
     always for the unfiltered stabilizer).  Callers must treat the control
-    as undefined when ``hmin <= 0``.  :func:`control`, :func:`_eval_controls`
-    and :func:`_integrate`'s full evaluations call it alike; the rollout's
-    free evaluations form the stabilizer without it (module docstring, "Free
-    flight").
+    as undefined when ``hmin <= 0``.  :func:`control` and
+    :func:`_eval_controls` call it; :func:`_integrate` does not, its loop
+    holding the same full evaluation inline (module docstring, "The rollout
+    loop").
 
     ``rows``, an output buffer of m + 1 slots, reports the evaluation: each
     live shell writes its row ``(dx, dy, |d|^2)``, d = F_rep, into its slot
     and g_att = -sigma / |F_att|^2 goes into the last; other slots keep what
     they held.  Like ``phis``, it changes nothing ``point`` returns.
 
-    ``point`` is compiled from the one template :data:`_POINT` once per
-    process for each shape ``(m, gkind, ckind == 2, rows is not None, skind
-    == 0)`` and cached in :data:`_FACTORIES`; the shape's factory unpacks
+    ``point`` is compiled from the one template :data:`_POINT`, its body
+    the full evaluation :data:`_EVAL`, once per process for each shape
+    ``(m, gkind, ckind == 2, rows is not None, skind == 0)`` and cached in
+    :data:`_FACTORIES`; the shape's factory unpacks
     ``model`` into closure cells (module docstring, "Per-state cost").  Its
     expressions are those of one loop over the shells that tests every kind
     per call, ``1.0 / rho0`` included, so a bind computes nothing and raises
@@ -487,23 +546,20 @@ def _flush(rec, row, smp, hms):
 
 
 # The rollout loop's one source: _integrate compiles it once per shape into
-# ``loop``.  A shape fills the slots: one copy of the free-flight snippet
-# (_FREE, with _UNOM) for the sample and for each stage, the stages unrolled
-# (_STAGE, each weight a literal and each offset ``c * dt`` a local), and the
-# stall count's stage term only where there are stages.  So ``loop`` iterates
-# no stage table and tests no sigma kind.  ``due``, the sample that fills a
-# chunk, never passes n_max, so one compare per sample tests both.
+# ``loop``.  A shape fills the slots: one copy of b (_ATT), the free-flight
+# snippet (_FREE, with _UNOM) and the rest of the full evaluation (_EVAL at
+# its "sample" or "stage" site) for the sample and for each stage, the
+# stages unrolled (_STAGE, each weight a literal and each offset ``c * dt``
+# a local), the stall count's stage term only where there are stages, and
+# the trace only where it is asked for.  So ``loop`` iterates no stage table
+# or shell, tests no kind and calls no controller.  ``due``, the sample that
+# fills a chunk, never passes n_max, so one compare per sample tests both.
 _LOOP = """\
-def loop(xx, yy, model, point, offsets, step, n_max, goal_q, free_above, corner, rec,
-         smp, hms, chunk):
-    (gx, gy, obstacles, k_att, _, _, _, skind, scoef, stx, sty) = model[:11]
+def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rec, smp, hms,
+         chunk, trace):{unpack}
     [{offsets}] = offsets
     free_r2 = _free_r2
-    sigma = _sigma_value
     isfinite = math.isfinite
-    inf = math.inf
-    phis = [0.0] * len(obstacles)
-    scratch = [0.0] * len(obstacles)
     row = 0
     due = min(chunk - 1, n_max)
     ming = inf
@@ -517,8 +573,7 @@ def loop(xx, yy, model, point, offsets, step, n_max, goal_q, free_above, corner,
     for k in range(n_max + 1):
         ddx = xx - gx
         ddy = yy - gy{sample}
-        if not flies:
-            ux, uy, hmin, mg = point(xx, yy, phis)
+        if not flies:{trace_sample}{evaluate_sample}
             if mg < 0.0:
                 negcount += 1
                 if mg < ming:
@@ -527,8 +582,7 @@ def loop(xx, yy, model, point, offsets, step, n_max, goal_q, free_above, corner,
             if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
                 status = DOMAIN_ERROR
                 break
-            hms += (k, hmin, 0.0)
-            hms += phis
+            hms += (k, hmin, 0.0{margins})
             basex = xx
             basey = yy
             # the helper gives -1 as well at or below free_above, where the
@@ -559,19 +613,16 @@ def loop(xx, yy, model, point, offsets, step, n_max, goal_q, free_above, corner,
     return row, status, stall, ming, negcount
 """
 
-# Free flight at the state ({x}, {y}), {dx} and {dy} its offsets from the
-# goal: u_nom with bind's closure's bits into ({ux}, {uy}); the state flies
-# free if u_nom is -b, or else if d.u_nom on an idle shell is +-0 (u_nom
-# finite).  _UNOM forms u_nom from g_att; for the grad-norm-squared sigma it
-# is the fallback of -b, which 0 < |b|^2 < inf makes finite.
+# Free flight at the state ({x}, {y}), after _ATT: u_nom with the full
+# evaluation's bits into ({ux}, {uy}); the state flies free if u_nom is -b,
+# or else if d.u_nom on an idle shell is +-0 (u_nom finite).  _UNOM forms
+# u_nom from g_att; for the grad-norm-squared sigma it is the fallback of
+# -b, which 0 < |b|^2 < inf makes finite.
 _FREE = """
         ex = {x} - basex
         ey = {y} - basey
         {free} = ex * ex + ey * ey < r2
-        if {free}:
-            bx = k_att * {dx}
-            by = k_att * {dy}
-            bb = bx * bx + by * by"""
+        if {free}:"""
 
 _UNIT = """
             if 0.0 < bb < inf:
@@ -596,8 +647,7 @@ _SLOPES = """
 _STAGE = """
         px = xx + h{j} * kx
         py = yy + h{j} * ky{free}
-        if not free:
-            kx, ky, hk, mgk = point(px, py, scratch)
+        if not free:{trace}{evaluate}
             if mgk < 0.0:
                 negcount += 1
                 if mgk < ming:
@@ -609,34 +659,45 @@ _STAGE = """
         sx = sx + {w} * kx
         sy = sy + {w} * ky"""
 
-# the loop of each shape (stage weights, sigma kind 0) run so far in this
-# process
+# the loop of each shape (stage weights, sigma kind 0, m, gamma class,
+# filtered, traced) run so far in this process
 _LOOPS = {}
 
 
-def _compile_loop(weights, unit_sigma):
+def _compile_loop(weights, unit_sigma, m, gclass, filtered, traced):
     """The rollout loop of one shape, ``weights`` the stage weights as
     ``repr(float(w))`` literals: :data:`_LOOP` with its slots filled,
     compiled by :func:`_exec`."""
     unom = _UNIT + _UNOM.replace("\n", "\n    ") if unit_sigma else _UNOM
 
-    def free(x, y, dx, dy, ux, uy, flag):
-        return (_FREE + unom).format(x=x, y=y, dx=dx, dy=dy, ux=ux, uy=uy, free=flag,
-                                     gatt=_GATT[unit_sigma].format(x=x, y=y))
+    def free(site, flag):
+        names = _SITES[site]
+        return (_ATT + _FREE + unom).format(free=flag, gatt=_GATT[unit_sigma].format(**names),
+                                            **names)
 
-    stage = free("px", "py", "(px - gx)", "(py - gy)", "kx", "ky", "free")
+    def evaluate(site):
+        # point's body, one level deeper: under ``if not flies:``
+        return _evaluation(site, m, gclass, filtered, False, unit_sigma).replace("\n", "\n    ")
+
+    def trace(site):
+        return "\n            trace.append(({x}, {y}))".format(**_SITES[site]) if traced else ""
+
+    stage = dict(free=free("stage", "free"), trace=trace("stage"), evaluate=evaluate("stage"))
     source = _LOOP.format(
-        offsets=", ".join(f"h{j}" for j in range(len(weights))),
-        sample=free("xx", "yy", "ddx", "ddy", "ux", "uy", "flies"),
-        stages=(_SLOPES + "".join(_STAGE.format(j=j, w=w, free=stage)
+        unpack=_unpack(m), offsets=", ".join(f"h{j}" for j in range(len(weights))),
+        sample=free("sample", "flies"), trace_sample=trace("sample"),
+        evaluate_sample=evaluate("sample"),
+        margins="".join(f", phi_{i}" for i in range(m)),
+        stages=(_SLOPES + "".join(_STAGE.format(j=j, w=w, **stage)
                                   for j, w in enumerate(weights))) if weights else "",
         sx="sx" if weights else "ux", sy="sy" if weights else "uy",
         stall=" + (rest - 1) * (negcount - neg_before)" if weights else "")
     return _exec(source, f"<_kernels._integrate weights=({', '.join(weights)}) "
-                         f"unit_sigma={unit_sigma}>")
+                         f"unit_sigma={unit_sigma} m={m} gamma={gclass} filtered={filtered} "
+                         f"traced={traced}>")
 
 
-def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
+def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec, trace=None):
     """Closed-loop rollout of the single integrator under one controller.
 
     Samples are recorded as rows of the rollout record ``rec`` at the top of
@@ -661,20 +722,25 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     ``t`` is ``k * dt`` (``k`` as a float, exact below 2**53).  Rows past
     the returned sample count are left as they were.
 
-    The stepping loop is compiled from the one template :data:`_LOOP` once
-    per process for each shape ``(stage weights, skind == 0)`` and cached
-    in :data:`_LOOPS` (module docstring, "The rollout loop"): the stages
-    are unrolled, each weight a literal, and the free-flight block is
-    written once for the sample and every stage.  The controller is bound
-    once per call, by the module's :func:`bind` as it is at call time, and
-    each stage offset ``c * dt`` is formed once.  The free-flight rule lives
-    here alone (module docstring, "Free flight"): a sample or stage whose
-    squared distance from the base -- the last sample evaluated in full --
-    is below the base's :func:`_free_r2` forms u_nom inline; every other
-    evaluation calls the closure, which runs every shell.
-    :func:`_free_above`, :func:`_free_r2` and :func:`_flush` are read at
-    call time.  The record, count and minimum are those of evaluating every
-    shell everywhere.
+    The stepping loop is one function per rollout shape, compiled from the
+    one template :data:`_LOOP` once per process for each ``(stage weights,
+    skind == 0, m, gamma class, filtered, traced)`` and cached in
+    :data:`_LOOPS` (module docstring, "The rollout loop"): the stages are
+    unrolled, each weight a literal, and the free-flight block and the full
+    evaluation are written inline for the sample and every stage, so no
+    evaluation is a call.  The model is unpacked and each stage offset ``c
+    * dt`` formed once per call.  The free-flight rule lives here alone
+    (module docstring, "Free flight"): a sample or stage whose squared
+    distance from the base -- the last sample evaluated in full -- is below
+    the base's :func:`_free_r2` forms u_nom alone; every other evaluation is
+    full and runs every shell.  :func:`_free_above`, :func:`_free_r2` and
+    :func:`_flush` are read at call time.  The record, count and minimum
+    are those of evaluating every shell everywhere.
+
+    ``trace``, a list, runs the traced shape of the loop, which appends the
+    state ``(x, y)`` of each full evaluation, sample or stage, in order;
+    the run is otherwise the same.  The measurement tools and the tests
+    read it; without one the loop traces nothing.
 
     The goal test takes no square root: it compares the squared distance
     with q*, the :func:`_goal_threshold` of ``goal_tol``, formed once per
@@ -692,7 +758,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     evaluations.
     """
     gx, gy, obstacles, k_att = model[:4]
-    shape = (tuple(repr(float(w)) for _, w in stages), model[7] == 0)
+    shape = (tuple(repr(float(w)) for _, w in stages), model[7] == 0, len(obstacles),
+             _gamma_class(model[11]), model[6] == 2, trace is not None)
     loop = _LOOPS.get(shape)
     if loop is None:
         loop = _LOOPS[shape] = _compile_loop(*shape)
@@ -703,10 +770,10 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     smp = []
     hms = []
     row, status, stall, ming, negcount = loop(
-        x0x, x0y, model, bind(model), [c * dt for c, _ in stages],
+        x0x, x0y, model, [c * dt for c, _ in stages],
         dt / (1.0 + sum(w for _, w in stages)), n_max, _goal_threshold(goal_tol),
         _free_above(model), corner, rec, smp, hms,
-        -(-RECORD_CHUNK_FLOATS // (7 + len(obstacles))))
+        -(-RECORD_CHUNK_FLOATS // (7 + len(obstacles))), trace)
     n = _flush(rec, row, smp, hms)
     _fill_free(rec, n, model)
     rec[:n, 6] = _potential(rec[:n, 1], rec[:n, 2], gx, gy, k_att)

@@ -136,7 +136,7 @@ def _finite_array(value, refusal: str, shape=None) -> np.ndarray:
     ``shape`` if one is given."""
     arr = np.array(_as_array(value, refusal))
     if (shape is not None and arr.shape != shape) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{refusal}, got {arr!r}")
+        raise ValueError(f"{refusal}, got {value!r}")
     arr.setflags(write=False)
     return arr
 

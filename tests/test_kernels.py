@@ -92,45 +92,44 @@ def test_control_point_exercises_every_branch():
 
 def _fly_nothing_free(mp):
     """Makes ``_integrate`` fly nothing free (it reads ``_free_above`` at
-    call time), so every evaluation calls the bound closure."""
+    call time), so every evaluation runs every shell."""
     mp.setattr(_k, "_free_above", lambda model: math.inf)
+
+
+def _traced(mp, trace):
+    """Makes every ``_integrate`` call append the states it evaluates in
+    full to ``trace``."""
+    integrate = _k._integrate
+    mp.setattr(_k, "_integrate", lambda *args: integrate(*args, trace=trace))
 
 
 def test_rollout_states_stay_floats(monkeypatch):
     """numpy-typed start, step and tolerance are unboxed before the loop, so
     every state the rollout evaluates is a Python float (nothing flies free,
-    so the spy sees every state)."""
-    seen = set()
-    bind = _k.bind
-
-    def spy_bind(model):
-        point = bind(model)
-
-        def spy(x, y, *args):
-            seen.add((type(x), type(y)))
-            return point(x, y, *args)
-        return spy
-
-    monkeypatch.setattr(_k, "bind", spy_bind)
+    so the trace holds every state)."""
+    trace = []
+    _traced(monkeypatch, trace)
     _fly_nothing_free(monkeypatch)
     cfg = SimConfig(dt=np.float64(0.01), t_max=0.5, goal_tolerance=np.float64(0.05))
     tr = simulate(SCENARIO, ControllerSpec("apf"), cfg, np.array([1.0, 0.2]))
     assert tr.n_samples == 51 and tr.h_min.min() < 0.4  # crossed a live shell
-    assert seen == {(float, float)}
+    assert len(trace) == 51 + 3 * 50  # RK4, every sample and stage
+    assert {(type(x), type(y)) for x, y in trace} == {(float, float)}
 
 
 # A state that repeats itself under a step is a stall: the rest of the run is
-# filled in without stepping.  These stubs stand in for the controller so the
-# fill and its bookkeeping can be checked against exact counts; nothing flies
-# free, so every evaluation calls them.
+# filled in without stepping.  These runs start on the goal, where u_nom is
+# +-0, so the fill and its bookkeeping can be checked against exact counts.
 
-def _rollout(model, n_max, integ, x0, dt=0.01):
+def _rollout(model, n_max, integ, x0, dt=0.01, goal_tol=1e-3):
     """Runs ``_integrate`` (``integ`` 0 = Euler, 1 = RK4) into a fresh record;
-    returns its result, the seven base columns and the margins."""
+    returns its result, the seven base columns, the margins and the states
+    it evaluated in full."""
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     stages = ((), _k.RK4_STAGES)[integ]
-    out = _k._integrate(*x0, model, dt, n_max, 1e-3, stages, rec)
-    return out, list(rec[:, :7].T), rec[:, 7:]
+    trace = []
+    out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec, trace)
+    return out, list(rec[:, :7].T), rec[:, 7:], trace
 
 
 FAR_GOAL = _k.pack_model(Scenario(goal=[100.0, 0.0],
@@ -138,69 +137,62 @@ FAR_GOAL = _k.pack_model(Scenario(goal=[100.0, 0.0],
                          _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
 
 
-def test_signed_zero_step_is_not_stationary(monkeypatch):
-    """-0.0 + dt * 0.0 is +0.0: equal under ``==`` but a different state,
-    where the controller may answer differently, so the step is taken."""
-    def stub(x, y, phis, *stage):
-        phis[0] = 0.5
-        if math.copysign(1.0, y) < 0.0:
-            return 0.0, 0.0, 1.0, math.inf
-        return 1.0, 0.0, 1.0, math.inf
+def _negative_gamma(goal):
+    """The unit sigma under a Gamma table that is -3 at every clearance, one
+    obstacle far from ``goal`` (at (50, 50)): every evaluation's tightening
+    is -3, and nothing flies free.  ``GammaSelector`` refuses a negative
+    value; the kernel's table slot takes it."""
+    table = GammaSelector.custom([0.0, 100.0], [1.0, 1.0])
+    return (*goal, ((50.0, 50.0, 0.5, 0.4),), 1.0, 1.0, 1.0,
+            *_k.pack_controller(UNIT_SIGMA, table)[:-1], np.array([-3.0, -3.0]))
 
-    monkeypatch.setattr(_k, "bind", lambda model: stub)
-    _fly_nothing_free(monkeypatch)
-    (n, status, _, _), (ts, xs, ys, uxs, uys, _, _), _ = _rollout(FAR_GOAL, 5, 0, (0.0, -0.0))
+
+def test_signed_zero_step_is_not_stationary():
+    """-0.0 + dt * +0.0 is +0.0: equal under ``==`` but a different state,
+    where the controller may answer differently, so the step is taken.  On
+    the goal (1, -0), y - g_y is +0, so u_nom is (+0, +0): the first step
+    goes to (1, +0), the run records it as a sample of its own, and only
+    the next step, which returns its own state, stalls."""
+    model = (1.0, -0.0, *FAR_GOAL[2:])
+    (n, status, _, _), (ts, xs, ys, uxs, uys, _, _), _, trace = _rollout(
+        model, 5, 0, (1.0, -0.0), goal_tol=0.0)
     assert (n, status) == (6, _k.TIMEOUT)
-    assert math.copysign(1.0, ys[0]) < 0.0 and math.copysign(1.0, ys[1]) > 0.0
-    assert (uxs[0], uxs[1]) == (0.0, 1.0)
-    assert xs.tolist() == [0.0, 0.0, 0.01, 0.02, 0.03, 0.04]
+    assert [math.copysign(1.0, y) for y in ys] == [-1.0] + [1.0] * 5
+    assert set(xs.tolist()) == {1.0} and _bits(uys[:2]) == _bits([0.0, 0.0])
+    assert _bits(itertools.chain(*trace)) == _bits([1.0, -0.0])  # the second sample flew free
+    assert _same_run(model, (1.0, -0.0), 0.01, 5, 0.0, ())[:2] == (n, status)
 
 
 @pytest.mark.parametrize("integ, expected", [(0, 41), (1, 41 + 3 * 40)])
-def test_stationary_fill_counts_every_skipped_evaluation(monkeypatch, integ, expected):
-    """A state that never moves and a tightening that is always negative:
-    the count covers n_max + 1 samples plus, for RK4, three stages in each of
-    the n_max steps, exactly as stepping every sample would."""
-    calls = []
-
-    def stub(x, y, phis, *stage):
-        calls.append((x, y))
-        phis[0] = 0.25
-        return 0.0, 0.0, 2.0, -3.0
-
-    monkeypatch.setattr(_k, "bind", lambda model: stub)
-    _fly_nothing_free(monkeypatch)
-    out, (ts, xs, ys, uxs, uys, hs, vs), phis = _rollout(FAR_GOAL, 40, integ, (1.0, 2.0))
+def test_stationary_fill_counts_every_skipped_evaluation(integ, expected):
+    """A state that never moves, the goal, and a tightening that is always
+    negative: the count covers n_max + 1 samples plus, for RK4, three stages
+    in each of the n_max steps, exactly as stepping every sample would."""
+    model = _negative_gamma((1.0, 2.0))
+    out, (ts, xs, ys, uxs, uys, hs, vs), phis, trace = _rollout(
+        model, 40, integ, (1.0, 2.0), goal_tol=0.0)
     assert out == (41, _k.TIMEOUT, -3.0, expected)
-    assert len(calls) == (1 if integ == 0 else 4)  # only the first step is taken
+    assert len(trace) == (1 if integ == 0 else 4)  # only the first step is taken
+    margins = [0.0]
+    _, _, hmin, _ = _BIND(model)(1.0, 2.0, margins)
+    assert margins[0] < 0.0
     assert ts.tolist() == [k * 0.01 for k in range(41)]
     assert set(xs.tolist()) == {1.0} and set(ys.tolist()) == {2.0}
-    assert set(uxs.tolist()) == set(uys.tolist()) == {0.0} and set(hs.tolist()) == {2.0}
-    assert set(vs.tolist()) == {vs[0]} and set(phis[:, 0].tolist()) == {0.25}
+    assert set(uxs.tolist()) == set(uys.tolist()) == {0.0} and set(hs.tolist()) == {hmin}
+    assert set(vs.tolist()) == {vs[0]} and set(phis[:, 0].tolist()) == {margins[0]}
 
 
 def test_stalled_rollout_stops_evaluating(monkeypatch):
     """The overlap apf run stands still from step 199 on; after that step
     the remaining 9,801 samples of its 10,001 cost no evaluation (nothing
-    flies free, so the spy counts every evaluation)."""
-    count = 0
-    bind = _k.bind
-
-    def spy_bind(model):
-        point = bind(model)
-
-        def spy(*args):
-            nonlocal count
-            count += 1
-            return point(*args)
-        return spy
-
-    monkeypatch.setattr(_k, "bind", spy_bind)
+    flies free, so the trace counts every evaluation)."""
+    trace = []
+    _traced(monkeypatch, trace)
     _fly_nothing_free(monkeypatch)
     cfg = SimConfig(dt=0.004, t_max=40.0, goal_tolerance=0.05, integrator="rk4")
     tr = simulate(OVERLAP, ControllerSpec("apf"), cfg, [0.0, 0.1])
     assert (tr.terminal, tr.n_samples) == ("timeout", 10001)
-    assert count <= 4 * (199 + 2)
+    assert len(trace) <= 4 * (199 + 2)
 
 
 # The general per-obstacle expressions: every shell forms d = F_rep, |d|^2
@@ -338,8 +330,8 @@ def test_rows_buffer_reports_the_evaluation_and_changes_nothing(case):
 
 
 def test_single_state_door_passes_rows_and_rollouts_pass_none(monkeypatch, arena):
-    """``control`` hands its ``rows`` to ``bind``; a rollout and the grid
-    bind without one."""
+    """``control`` hands its ``rows`` to ``bind`` and the grid binds without
+    one; a rollout binds nothing, its loop evaluating inline."""
     calls = []
     bind = _k.bind
 
@@ -357,9 +349,10 @@ def test_single_state_door_passes_rows_and_rollouts_pass_none(monkeypatch, arena
     for spec in (ControllerSpec("apf"), ControllerSpec("nominal_only", UNIT_SIGMA),
                  ControllerSpec("generalized", SigmaSelector.scaled_value(2.0), UNIT_GAMMA)):
         simulate(arena, spec, cfg, [-2.0, 0.5])
+    assert calls == []
     _k._eval_controls(np.array([0.0, 2.0]), np.array([3.7, 3.95]),
                       _k.pack_model(arena, packing))
-    assert calls == [((), {})] * 4
+    assert calls == [((), {})]
 
 
 def test_reference_cases_reach_every_branch():
@@ -562,11 +555,12 @@ def _free_u(nominal, m, q, r2, x, y):
     return u if 0.0 * u[0] + 0.0 * u[1] == 0.0 else None
 
 
-def _replay(model, x0, dt, n_max, stages):
-    """``_integrate``'s loop (goal tolerance 0.05) with the free rule as the
-    module docstring documents it, every state also evaluated in full: one
-    ``_Eval`` per evaluation the kernel makes, in its order.  It reads
-    ``_free_above`` and ``_free_r2`` from the module, as the kernel does."""
+def _replay(model, x0, dt, n_max, stages, goal_tol=0.05):
+    """``_integrate``'s loop (goal tolerance ``goal_tol``) with the free
+    rule as the module docstring documents it, every state also evaluated in
+    full: one ``_Eval`` per evaluation the kernel makes, in its order.  It
+    reads ``_free_above`` and ``_free_r2`` from the module, as the kernel
+    does."""
     m = len(model[2])
     point, nominal = _BIND(model), _nominal(model)
     gx, gy = model[:2]
@@ -585,7 +579,7 @@ def _replay(model, x0, dt, n_max, stages):
             if full[2] <= 0.0 or not (math.isfinite(u[0]) and math.isfinite(u[1])):
                 break
             base, r2 = (xx, yy), _k._free_r2(full[2], xx, yy, free_above, corner)
-        if math.sqrt((xx - gx) * (xx - gx) + (yy - gy) * (yy - gy)) < 0.05 or k == n_max:
+        if math.sqrt((xx - gx) * (xx - gx) + (yy - gy) * (yy - gy)) < goal_tol or k == n_max:
             break
         kx = sx = u[0]
         ky = sy = u[1]
@@ -615,54 +609,47 @@ def _capped(mp, cap):
     mp.setattr(_k, "_free_r2", lambda *args: min(_FREE_R2(*args), cap))
 
 
-def _spied_run(model, x0, dt, n_max, stages, cap=None):
-    """``_integrate`` (goal tolerance 0.05) with a spy on the bound closure,
-    and the free radius capped at ``cap`` if given.  Returns the run's
-    output and record and the states where it called the closure."""
-    calls = []
-
-    def spy_bind(model):
-        point = _BIND(model)
-
-        def spy(x, y, phis):
-            phis[:] = [_UNSET] * len(phis)
-            out = point(x, y, phis)
-            assert _UNSET not in phis  # a full evaluation writes every margin
-            calls.append((x, y))
-            return out
-        return spy
-
+def _traced_run(model, x0, dt, n_max, stages, cap=None, goal_tol=0.05):
+    """``_integrate`` (goal tolerance ``goal_tol``) with its trace kept, and
+    the free radius capped at ``cap`` if given.  Returns the run's output
+    and record and the states it evaluated in full.  Each recorded sample at
+    such a state holds the full evaluation's control, h_min and margins."""
+    trace = []
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_k, "bind", spy_bind)
         if cap is not None:
             _capped(mp, cap)
-        out = _k._integrate(*x0, model, dt, n_max, 0.05, stages, rec)
-    return out, rec, calls
+        out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec, trace)
+    point, full = _BIND(model), set(trace)
+    for row in rec[:out[0]].tolist():
+        if (row[1], row[2]) in full:
+            phis = [_UNSET] * len(model[2])
+            ux, uy, hmin, _ = point(row[1], row[2], phis)
+            assert _bits(row[3:6] + row[7:]) == _bits([ux, uy, hmin, *phis])
+    return out, rec, trace
 
 
-def _same_decisions(model, x0, dt, n_max, stages, cap=None):
+def _same_decisions(model, x0, dt, n_max, stages, cap=None, goal_tol=0.05):
     """Runs the kernel and the replay, the free radius capped at ``cap`` if
-    given: the kernel must call the closure at exactly the states the replay
-    evaluates in full.  Returns the replay, and the run's output and
-    record."""
+    given: the kernel must evaluate in full exactly the states the replay
+    does.  Returns the replay, and the run's output and record."""
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             _capped(mp, cap)
-        evals = _replay(model, x0, dt, n_max, stages)
-    out, rec, calls = _spied_run(model, x0, dt, n_max, stages, cap)
-    assert _bits(itertools.chain(*calls)) == _bits(
+        evals = _replay(model, x0, dt, n_max, stages, goal_tol)
+    out, rec, trace = _traced_run(model, x0, dt, n_max, stages, cap, goal_tol)
+    assert _bits(itertools.chain(*trace)) == _bits(
         itertools.chain(*(e.state for e in evals if e.u is None)))
     return evals, out, rec
 
 
-def _full_run(model, x0, dt, n_max, stages):
+def _full_run(model, x0, dt, n_max, stages, goal_tol=0.05):
     """The same run with nothing flying free, so every evaluation runs every
     shell: its output and record."""
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     with pytest.MonkeyPatch.context() as mp:
         _fly_nothing_free(mp)
-        out = _k._integrate(*x0, model, dt, n_max, 0.05, stages, rec)
+        out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec)
     return out, rec
 
 
@@ -694,18 +681,18 @@ def _check_free(model, x, y, u):
     assert _bits([rec[0, 5]]) == _bits([full[2]])
 
 
-def _check_free_rollout(model, x0, dt, n_max, stages):
+def _check_free_rollout(model, x0, dt, n_max, stages, goal_tol=0.05):
     """Checks a run against the replay of the documented rule: every free
     evaluation against the full one, the kernel's decisions against the
     replay's, and the whole run against one that evaluates every shell at
     every state.  Returns the replay."""
-    evals, out, rec = _same_decisions(model, x0, dt, n_max, stages)
+    evals, out, rec = _same_decisions(model, x0, dt, n_max, stages, goal_tol=goal_tol)
     for e in evals:
         if e.u is not None:
             assert e.q < e.r2
             _check_free(model, *e.state, e.u)
-    full_out, full = _full_run(model, x0, dt, n_max, stages)
-    assert full_out == out
+    full_out, full = _full_run(model, x0, dt, n_max, stages, goal_tol)
+    assert _bits(full_out) == _bits(out)
     assert _bits(full.ravel().tolist()) == _bits(rec.ravel().tolist())
     return evals
 
@@ -839,9 +826,9 @@ def test_run_without_a_negative_tightening_returns_inf_and_zero(gamma, arena):
     +inf and 0, flying free and with nothing free alike."""
     model = _k.pack_model(arena, _k.pack_controller(UNIT_SIGMA, gamma))
     x0 = (-0.4, 0.85)
-    out, rec, calls = _spied_run(model, x0, 0.004, 3000, _k.RK4_STAGES)
+    out, rec, trace = _traced_run(model, x0, 0.004, 3000, _k.RK4_STAGES)
     assert out[1] == _k.REACHED_GOAL and rec[0, 5] < 0.2
-    assert len(calls) < out[0]  # most evaluations flew free
+    assert len(trace) < out[0]  # most evaluations flew free
     assert out[2:] == (math.inf, 0)
     full_out, full = _full_run(model, x0, 0.004, 3000, _k.RK4_STAGES)
     assert full_out == out
@@ -977,9 +964,9 @@ def test_free_path_needs_finite_u_nom_and_no_table():
     (``test_non_finite_u_nom_never_flies_free``)."""
     def free(model):
         model = _freeze(model)
-        out, _, calls = _spied_run(model, (2.0, 0.0), 0.01, 1, ())
+        out, _, trace = _traced_run(model, (2.0, 0.0), 0.01, 1, ())
         assert out[0] == 2
-        flies = len(calls) == 1
+        flies = len(trace) == 1
         assert flies == (_k._free_above(model) < math.inf)
         return flies
 
@@ -1077,52 +1064,10 @@ def test_any_rollout_keeps_every_bit_in_free_flight(case, stages, dt):
 
 
 # The inline stabilizer: ``_integrate`` forms u_nom for a free evaluation
-# with the closure's bits.  A stub closure
-# evaluates the first sample with clearance 1000, and with the threshold at
-# 0.5 every evaluation within about 999 of it whose u_nom is finite flies
-# free.
-
-def _stub_run(model, x0, slope, dt, stages):
-    """A one-step ``_integrate`` run (goal tolerance 0, threshold 0.5) whose
-    first sample the stub gives the control ``slope``; returns the record
-    and the states where it called the stub."""
-    calls = []
-
-    def stub(x, y, phis):
-        calls.append((x, y))
-        return (*slope, 1e3, math.inf) if len(calls) == 1 else (0.0, 0.0, 1.0, math.inf)
-
-    rec = np.full((2, 7 + len(model[2])), -1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_k, "bind", lambda model: stub)
-        mp.setattr(_k, "_free_above", lambda model: 0.5)
-        _k._integrate(*x0, model, dt, 1, 0.0, stages, rec)
-    return rec, calls
-
-
-def _free_sample(model, x, y):
-    """The state an Euler step of 1 reaches at ``(x, y)`` -- from a zero of
-    each coordinate's sign, so x + 0 is x; (0, 0) from (1, 1) -- and the
-    control ``_integrate`` records there, or None if it called the closure."""
-    x0, slope = (math.copysign(0.0, x), math.copysign(0.0, y)), (x, y)
-    if x == y == 0.0:
-        x0, slope = (1.0, 1.0), (-1.0, -1.0)
-    rec, calls = _stub_run(model, x0, slope, 1.0, ())
-    return tuple(rec[1, 1:3].tolist()), (None if len(calls) > 1 else tuple(rec[1, 3:5].tolist()))
-
-
-def _free_stage(model, x, y):
-    """The next sample of a one-stage step (c 1, w 1, dt 2) from ``(x, y)``,
-    whose slope there is a zero of each coordinate's sign, so the stage
-    state is ``(x, y)`` itself and the next sample is ``(x, y)`` plus the
-    stage's control; None if it called the closure at the stage."""
-    x0 = (x, y)
-    rec, calls = _stub_run(model, x0, (math.copysign(0.0, x), math.copysign(0.0, y)),
-                           2.0, ((1.0, 1.0),))
-    if len(calls) > 1 and _bits(calls[1]) == _bits(x0):
-        return None
-    return tuple(rec[1, 1:3].tolist())
-
+# with the full evaluation's bits.  With the threshold at 0.5 and every free
+# radius +inf, the first sample, about 1,400 from the only shell, is the
+# base of every later evaluation, and each one whose squared distance from
+# it and u_nom are finite flies free.
 
 _offsets = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 10.0))
 
@@ -1131,44 +1076,58 @@ _offsets = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-10.0, 1
 @given(x=_offsets, y=_offsets, goal=st.tuples(_offsets, _offsets), at_goal=st.booleans(),
        k_att=st.sampled_from([1e-170, 1e-160, 0.5, 1.0, 1e154, 1e200, 1e308]),
        sigma=st.one_of(_sigma_sels, st.just(SigmaSelector.scaled_value(1e-300))),
-       gamma=st.one_of(st.none(), _gamma_sels))
+       gamma=st.one_of(st.none(), _gamma_sels), reach=st.sampled_from([0.25, 1.0, 2.5]),
+       per_k=st.booleans(), stages=st.sampled_from([(), ((1.0, 1.0),), _k.RK4_STAGES]))
 # |b|^2 = 0 at the goal, subnormal (1e-160 * 1), overflowed (1e200 * 4), b
 # itself overflowed (1e308 * 4), and +-0 offsets on one axis
-@example(x=1.0, y=2.0, goal=(1.0, 2.0), at_goal=False, k_att=1.0, sigma=SIGMAS[0], gamma=None)
+@example(x=1.0, y=2.0, goal=(1.0, 2.0), at_goal=False, k_att=1.0, sigma=SIGMAS[0], gamma=None,
+         reach=1.0, per_k=False, stages=((1.0, 1.0),))
 @example(x=1.0, y=0.0, goal=(0.0, 0.0), at_goal=False, k_att=1e-160, sigma=SIGMAS[0],
-         gamma=GAMMAS[1])
+         gamma=GAMMAS[1], reach=1.0, per_k=False, stages=((1.0, 1.0),))
 @example(x=0.0, y=0.0, goal=(4.0, 0.0), at_goal=False, k_att=1e200, sigma=SIGMAS[0],
-         gamma=GAMMAS[1])
-@example(x=0.0, y=0.0, goal=(4.0, 0.0), at_goal=False, k_att=1e308, sigma=SIGMAS[0],
-         gamma=GAMMAS[1])
+         gamma=GAMMAS[1], reach=0.25, per_k=True, stages=((1.0, 1.0),))
+@example(x=0.0, y=0.0, goal=(1.0, 0.0), at_goal=False, k_att=1e308, sigma=SIGMAS[0],
+         gamma=GAMMAS[1], reach=0.25, per_k=True, stages=((1.0, 1.0),))
 @example(x=-0.0, y=3.0, goal=(0.0, 0.0), at_goal=False, k_att=1.0, sigma=SIGMAS[2],
-         gamma=GAMMAS[0])
+         gamma=GAMMAS[0], reach=1.0, per_k=False, stages=((1.0, 1.0),))
 @example(x=-0.0, y=-0.0, goal=(4.0, 0.0), at_goal=False, k_att=1.0,
-         sigma=SigmaSelector.scaled_value(1e308), gamma=GAMMAS[1])
-def test_inline_u_nom_is_the_closures(x, y, goal, at_goal, k_att, sigma, gamma):
+         sigma=SigmaSelector.scaled_value(1e308), gamma=GAMMAS[1], reach=1.0, per_k=False,
+         stages=((1.0, 1.0),))
+# u_nom finite at the start, not at the next sample or stage, which lies
+# within the free radius (test_non_finite_u_nom_never_flies_free's runs)
+@example(x=1.5e4, y=0.0, goal=(0.0, 0.0), at_goal=False, k_att=1.0,
+         sigma=SigmaSelector.scaled_value(1e300), gamma=GAMMAS[0], reach=5.6e-300, per_k=False,
+         stages=())
+@example(x=1.5e4, y=0.0, goal=(0.0, 0.0), at_goal=False, k_att=1.0,
+         sigma=SigmaSelector.scaled_value(1e300), gamma=GAMMAS[0], reach=5.6e-300, per_k=False,
+         stages=((1.0, 1.0),))
+@example(x=1e100, y=0.0, goal=(0.0, 0.0), at_goal=False, k_att=1e208, sigma=SIGMAS[0],
+         gamma=GAMMAS[0], reach=2.8e-208, per_k=False, stages=())
+@example(x=1e100, y=0.0, goal=(0.0, 0.0), at_goal=False, k_att=1e208, sigma=SIGMAS[0],
+         gamma=GAMMAS[0], reach=2.8e-208, per_k=False, stages=((1.0, 1.0),))
+def test_inline_u_nom_is_the_closures(x, y, goal, at_goal, k_att, sigma, gamma, reach, per_k,
+                                      stages):
     """Every sigma kind, with |b|^2 zero, subnormal or overflowed, +-0
-    offsets from the goal and a 1e308 sigma scale: a free sample's control
-    and a free stage's slope are ``bind(model)(x, y, phis)[:2]`` bit for
-    bit (the only shell is far away and idle), and an evaluation flies free
-    exactly where that is finite."""
+    offsets from the goal and a 1e308 sigma scale, from the start ``(x, y)``
+    with dt = ``reach`` (``reach / k_att`` with ``per_k``): the run evaluates
+    in full exactly where the documented rule's replay does, so an
+    evaluation flies free exactly where u_nom is finite; every free
+    evaluation's u_nom is ``bind(model)(x, y, phis)[:2]`` bit for bit (the
+    only shell is far away and idle); and the record and return equal those
+    of the run that evaluates every state in full, so every free sample's
+    control and every free stage's slope are the full evaluation's."""
     if at_goal:
         goal = (x, goal[1])
     model = (*goal, ((1e3, 1e3, 0.5, 0.4),), k_att, 1.0, 1.0, *_k.pack_controller(sigma, gamma))
-    point = _BIND(model)
-    state, u = _free_sample(model, x, y)
-    ref = point(*state, [0.0])[:2]
-    finite = math.isfinite(ref[0]) and math.isfinite(ref[1])
-    assert (u is not None) == finite
-    if finite:
-        assert _bits(u) == _bits(ref)
-    ref = point(x, y, [0.0])[:2]
-    finite = math.isfinite(ref[0]) and math.isfinite(ref[1])
-    nxt = _free_stage(model, x, y)
-    assert (nxt is not None) == finite
-    if finite:
-        zx, zy = math.copysign(0.0, x), math.copysign(0.0, y)
-        assert _bits(nxt) == _bits([x + 1.0 * (zx + 1.0 * ref[0]), y + 1.0 * (zy + 1.0 * ref[1])])
-    event(f"finite: {finite}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "_free_above", lambda model: 0.5)
+        mp.setattr(_k, "_free_r2", lambda *args: math.inf)
+        evals = _check_free_rollout(model, (x, y), reach / k_att if per_k else reach, 3, stages,
+                                    goal_tol=0.0)
+    samples, stage_count = _free_counts(evals)
+    refused = sum(e.u is None and e.q < e.r2 for e in evals)
+    event(f"free samples: {min(samples, 1)}, free stages: {min(stage_count, 1)}, "
+          f"refused: {min(refused, 1)}")
 
 
 def test_free_rows_carry_the_sign_of_a_zero_margin():
@@ -1330,32 +1289,23 @@ def test_stall_tail_is_the_row_by_row_definition(tail, layout):
 # bit, overflow included, and no floating-point warning may escape.
 
 def _classified_rollout(model, x0, dt, n_max, stages, goal_tol):
-    """Runs ``_integrate`` with warnings as errors and a spy on the closure;
+    """Runs ``_integrate`` with warnings as errors and its trace kept;
     returns the result, the record and the row kinds: "full" for a sample
-    the closure evaluated, "free" for one it did not, "stall" past the
+    evaluated in full, "free" for one that flew free, "stall" past the
     first step that repeated its state."""
-    calls = set()
-
-    def spy_bind(m):
-        point = _BIND(m)
-
-        def spy(x, y, phis):
-            calls.add((x, y))
-            return point(x, y, phis)
-        return spy
-
+    trace = []
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mp.setattr(_k, "bind", spy_bind)
-        out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec)
+        out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec, trace)
+    full = set(trace)
     xy = [tuple(p) for p in rec[:out[0], 1:3].tolist()]
     kinds = []
     for k, p in enumerate(xy):
         if kinds and (kinds[-1] == "stall" or p == xy[k - 1]):
             kinds.append("stall")
         else:
-            kinds.append("full" if p in calls else "free")
+            kinds.append("full" if p in full else "free")
     return out, rec, kinds
 
 
@@ -1573,17 +1523,17 @@ def _point_rollout(model, x0, dt, n_max, goal_tol, stages):
     return (len(rows), status, ming, neg), rows, evals[:stall]
 
 
-def _free_evaluations(evals, calls):
+def _free_evaluations(evals, trace):
     """The numbers of free samples and free stages: the evaluations the
-    kernel made without calling the closure, given the states it called it
-    at, in order (they must be a subsequence of ``evals``)."""
+    kernel made without running every shell, given the states it evaluated
+    in full, in order (they must be a subsequence of ``evals``)."""
     free, j = [0, 0], 0
     for x, y, stage in evals:
-        if j < len(calls) and _bits(calls[j]) == _bits([x, y]):
+        if j < len(trace) and _bits(trace[j]) == _bits([x, y]):
             j += 1
         else:
             free[stage is not None] += 1
-    assert j == len(calls)
+    assert j == len(trace)
     return tuple(free)
 
 
@@ -1632,33 +1582,24 @@ def test_free_u_nom_is_the_closures_at_the_edges(case, integ):
     model, x0, dt, n_max, goal_tol, flies = case
     stages = ((), _k.RK4_STAGES)[integ]
     ref_out, rows, evals = _point_rollout(model, x0, dt, n_max, goal_tol, stages)
-    calls = []
-
-    def spy_bind(model):
-        point = _BIND(model)
-
-        def spy(x, y, phis):
-            calls.append((x, y))
-            return point(x, y, phis)
-        return spy
-
+    trace = []
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_k, "bind", spy_bind)
-        out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec)
+    out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec, trace)
     assert _bits(out[2:3]) == _bits(ref_out[2:3])
     assert out[:2] == ref_out[:2] and out[3] == ref_out[3]
     assert _bits(rec[:out[0]].ravel().tolist()) == _bits(itertools.chain(*rows))
-    samples, stage_count = _free_evaluations(evals, calls)
+    samples, stage_count = _free_evaluations(evals, trace)
     assert (samples if not stages else stage_count) > 0 or not flies
 
 
-# The rollout loop is compiled per shape from one template.  Its reference
+# The rollout loop is compiled per shape from one template, the full
+# evaluation written inline at the sample and at every stage.  Its reference
 # is the interpreted loop it replaced, kept here as it was: one loop over
-# the stage table, the sigma kind tested per free evaluation, the free-flight
-# block written for the sample and again for the stage, and the horizon
-# tested apart from the flush.  Both read bind, _free_above, _free_r2 and
-# _flush from the module at call time, so one spy or stub serves both.
+# the stage table that calls the bound closure for every full evaluation,
+# the sigma kind tested per free evaluation, the free-flight block written
+# for the sample and again for the stage, and the horizon tested apart from
+# the flush.  Both read _free_above, _free_r2 and _flush from the module at
+# call time, so one patch serves both.
 
 def _reference_integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec):
     """``_integrate`` with its interpreted stepping loop."""
@@ -1833,21 +1774,54 @@ def test_compiled_loop_is_the_interpreted_loop(m, table):
     assert _k.REACHED_GOAL in statuses
 
 
+# the arenas of the fused-loop property: the overlap arena, whose two shells
+# are live at once in the gap (perfbench's OVERLAP_SCENARIO), and m = 0 .. 3
+# of _SHELLS in front of the goal (4, 0); each with the box its starts are
+# drawn from
+_FUSED_ARENAS = {
+    "overlap": (lambda packing: _k.pack_model(OVERLAP, packing), (-1.0, 4.5), (-1.5, 1.5)),
+    **{f"shells{m}": ((lambda packing, m=m: (4.0, 0.0, _SHELLS[:m], 1.5, 2.0, 0.5, *packing)),
+                      (-1.5, 4.5), (-2.0, 2.0)) for m in range(4)},
+}
+
+
+@st.composite
+def _fused_case(draw):
+    """An arena of ``_FUSED_ARENAS``, a start in its box (inside a shell or
+    an obstacle too), a step and a horizon."""
+    build, (x_lo, x_hi), (y_lo, y_hi) = _FUSED_ARENAS[draw(st.sampled_from(list(_FUSED_ARENAS)))]
+    x0 = (draw(st.floats(x_lo, x_hi)), draw(st.floats(y_lo, y_hi)))
+    return build, x0, draw(st.sampled_from([0.004, 0.02, 0.05])), draw(st.integers(0, 300))
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+@pytest.mark.parametrize("packing", PACKINGS)
+@settings(max_examples=25, deadline=None)
+@given(case=_fused_case())
+def test_fused_loop_is_the_reference_on_every_bit(packing, table, case):
+    """The loop with the full evaluation inline equals the reference, which
+    calls ``bind``'s ``point`` for every full evaluation: the record and
+    ``(n, status, ming, negcount)``, every bit, for every packing and stage
+    table, on the overlap arena and on 0 to 3 shells."""
+    build, x0, dt, n_max = case
+    _, status, _, negcount = _same_run(build(packing), x0, dt, n_max, 0.05, STAGE_TABLES[table])
+    event(f"status {status}, negative tightening {negcount > 0}")
+
+
 @pytest.mark.parametrize("table", list(STAGE_TABLES))
 @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["zero", "chunk-1", "chunk", "chunk+1"])
-def test_compiled_loop_ends_the_horizon_as_the_interpreted_loop(offset, table, monkeypatch):
+def test_compiled_loop_ends_the_horizon_as_the_interpreted_loop(offset, table):
     """n_max of 0 and around a chunk (the end of the horizon and the flush
-    share one test), on a run that never reaches its far goal, and on a stub
-    whose every tightening is negative: the last sample takes no stage."""
+    share one test), on a run that never reaches its far goal, once flying
+    free and once under a Gamma table whose every tightening is negative:
+    the last sample takes no stage."""
     model = (100.0, 0.0, _SHELLS[:1], 1.0, 1.0, 1.0, *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     chunk = -(-_k.RECORD_CHUNK_FLOATS // 8)
     n_max = 0 if offset is None else chunk + offset
     stages = STAGE_TABLES[table]
     assert _same_run(model, (3.0, 0.3), 0.01, n_max, 0.05, stages)[:2] == (
         n_max + 1, _k.TIMEOUT)
-    _fly_nothing_free(monkeypatch)
-    monkeypatch.setattr(_k, "bind", _stub_bind([], [(1.0, 0.5)]))
-    assert _same_run(FAR_GOAL, (0.0, 0.0), 0.01, n_max, 1e-3, stages) == (
+    assert _same_run(_negative_gamma((100.0, 0.0)), (0.0, 0.0), 0.01, n_max, 1e-3, stages) == (
         n_max + 1, _k.TIMEOUT, -3.0, n_max + 1 + len(stages) * n_max)
 
 
@@ -1877,62 +1851,70 @@ def test_stage_domain_error_is_the_interpreted_loops(table):
     assert out[:2] == (1, _k.DOMAIN_ERROR)
 
 
-def _stub_bind(calls, controls):
-    """A ``bind`` whose closure returns the next control of ``controls``,
-    clearance 2 and tightening -3, and counts its calls in ``calls``."""
-    def bind(model):
-        def point(x, y, phis, *_):
-            calls.append((x, y))
-            phis[:] = [0.25] * len(phis)
-            return (*controls[min(len(calls), len(controls)) - 1], 2.0, -3.0)
-        return point
-    return bind
+_FAR_SHELL = ((50.0, 50.0, 0.5, 0.4),)
 
 
 @pytest.mark.parametrize("table", list(STAGE_TABLES))
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_non_finite_control_is_the_interpreted_loops(bad, table, monkeypatch):
-    """A control that turns non-finite at the fifth evaluation ends both
-    loops alike, whether that evaluation is a sample or a stage; a k_att
-    that overflows b ends them at the first sample."""
-    _fly_nothing_free(monkeypatch)
+def test_non_finite_control_is_the_interpreted_loops(bad, table):
+    """A control that turns non-finite after finite ones ends both loops
+    alike, whether the first non-finite evaluation is a sample (Euler; int3
+    for +-inf) or a stage (RK4, heun; int3 for the NaN).
+    With k_att 1e308 and k_att dt = 3, each step doubles the offset from the
+    goal and flips its side until b overflows: u_nom = -b is then +inf from
+    one side of the goal and -inf from the other.  A 1e308 scaled value
+    moves the first step 1e160 from the goal, where sigma and |b|^2 both
+    overflow: u_nom = -(inf / inf) b is NaN.  A k_att that overflows b at
+    the start ends both loops at the first sample."""
     stages = STAGE_TABLES[table]
-    outs = []
-    for fn in (_k._integrate, _reference_integrate):
-        calls = []
-        monkeypatch.setattr(_k, "bind", _stub_bind(calls, [(1.0, 0.5)] * 4 + [(bad, 0.0)]))
-        rec = np.full((41, 8), -1.0)
-        outs.append((fn(0.0, 0.0, FAR_GOAL, 0.01, 40, 1e-3, stages, rec), rec.tobytes(), calls))
-    assert _bits(outs[0][0]) == _bits(outs[1][0]) and outs[0][1:] == outs[1][1:]
-    monkeypatch.undo()
+    if math.isnan(bad):
+        sigma, k_att, starts, dt = SigmaSelector.scaled_value(1e308), 1.0, [(1.0, 0.0)], 2e-148
+    else:
+        sigma, k_att, starts, dt = UNIT_SIGMA, 1e308, [(-0.15, 0.0), (0.15, 0.0)], 3e-308
+    model = (0.0, 0.0, ((50.0, 50.0, 0.5, 0.4),), k_att, 1.0, 1.0,
+             *_k.pack_controller(sigma, UNIT_GAMMA))
+    point = _BIND(model)
+    hits = []
+    for x0 in starts:
+        n, status, _, _ = _same_run(model, x0, dt, 40, 1e-3, stages)
+        assert status == _k.DOMAIN_ERROR and n >= 1
+        # nothing free: the trace holds every evaluation, in order
+        trace = []
+        with pytest.MonkeyPatch.context() as mp:
+            _fly_nothing_free(mp)
+            assert _same_run(model, x0, dt, 40, 1e-3, stages)[:2] == (n, status)
+            _k._integrate(*x0, model, dt, 40, 1e-3, stages, np.full((41, 8), -1.0), trace)
+        controls = [point(x, y, [0.0])[:2] for x, y in trace]
+        first = next(i for i, u in enumerate(controls) if not np.isfinite(u).all())
+        u = controls[first][0]
+        if math.isnan(u) if math.isnan(bad) else u == bad:
+            hits.append(first % (1 + len(stages)) == 0)
+    assert hits == [table == "euler" or table == "int3" and not math.isnan(bad)]
     huge = (0.0, 0.0, _SHELLS[:1], 1e308, 1.0, 1.0, *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     assert _same_run(huge, (-10.0, 0.0), 0.01, 5, 0.05, stages)[:2] == (0, _k.DOMAIN_ERROR)
 
 
 @pytest.mark.parametrize("table", list(STAGE_TABLES))
 @pytest.mark.parametrize("x0", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)])
-def test_signed_zero_stall_is_the_interpreted_loops(x0, table, monkeypatch):
+def test_signed_zero_stall_is_the_interpreted_loops(x0, table):
     """Starts on the goal with goal_tol 0 and u_nom = +-0: a -0 coordinate
     steps to +0 and the run stalls on the next step, or on the first; the
-    real kernel and a stub whose every tightening is negative alike count
-    the skipped evaluations as the reference does."""
+    unit pair and a Gamma table whose every tightening is negative alike
+    count the skipped evaluations as the reference does."""
     stages = STAGE_TABLES[table]
     model = (0.0, 0.0, _SHELLS[:1], 1.0, 1.0, 1.0, *_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     assert _same_run(model, x0, 0.02, 50, 0.0, stages)[:2] == (51, _k.TIMEOUT)
-    _fly_nothing_free(monkeypatch)
-    outs = []
-    for fn in (_k._integrate, _reference_integrate):
-        monkeypatch.setattr(_k, "bind", _stub_bind([], [(0.0, 0.0)]))
-        rec = np.full((51, 8), -1.0)
-        outs.append((fn(*x0, FAR_GOAL, 0.02, 50, 0.0, stages, rec), rec.tobytes()))
-    assert outs[0] == outs[1]
-    assert outs[0][0][3] > 50  # every skipped sample counted
+    out = _same_run(_negative_gamma((0.0, 0.0)), x0, 0.02, 50, 0.0, stages)
+    assert out[:3] == (51, _k.TIMEOUT, -3.0)
+    assert out[3] == 51 + 50 * len(stages)  # every skipped sample and stage counted
 
 
 def test_each_loop_shape_compiles_once(monkeypatch):
-    """A shape is the stage weights as float literals and whether sigma is
-    kind 0: int and float weights of one value share a loop, a weight of
-    -0.0 does not share 0.0's, and later runs of a shape compile nothing."""
+    """A shape is the stage weights as float literals, whether sigma is kind
+    0, the obstacle count, the gamma class (0, 1 or a table), whether the
+    controller is filtered, and whether the run is traced: int and float
+    weights of one value share a loop, a weight of -0.0 does not share
+    0.0's, and later runs of a shape compile nothing."""
     compiled = []
     compile_loop = _k._compile_loop
 
@@ -1944,35 +1926,39 @@ def test_each_loop_shape_compiles_once(monkeypatch):
     monkeypatch.setattr(_k, "_compile_loop", spy)
     unit = _k.pack_model(SCENARIO, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     other = _k.pack_model(shifted(SCENARIO, 2.0), _k.pack_controller(SIGMAS[2], GAMMAS[1]))
+    table = _k.pack_model(SCENARIO, _k.pack_controller(UNIT_SIGMA, GAMMAS[2]))
+    nominal = _k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[1], None))
+    single = _k.pack_model(dataclasses.replace(SCENARIO, obstacles=SCENARIO.obstacles[:1]),
+                           _k.pack_controller(UNIT_SIGMA, GAMMAS[0]))
     for _ in range(2):
         for model in (unit, other):
             for stages in ((), ((1, 1),), ((1.0, 1.0),), ((1.0, -0.0),), ((1.0, 0.0),)):
                 _k._integrate(-1.0, 0.1, model, 0.02, 20, 0.05, stages, np.empty((21, 9)))
-    assert compiled == [(weights, unit_sigma) for unit_sigma in (True, False)
-                        for weights in ((), ("1.0",), ("-0.0",), ("0.0",))]
+        for model in (table, nominal, single):
+            _k._integrate(-1.0, 0.1, model, 0.02, 20, 0.05, (), np.empty((21, 7 + len(model[2]))))
+        _k._integrate(-1.0, 0.1, unit, 0.02, 20, 0.05, (), np.empty((21, 9)), [])
+    assert compiled == [(weights, unit_sigma, 2, 1, True, False) for unit_sigma in (True, False)
+                        for weights in ((), ("1.0",), ("-0.0",), ("0.0",))] + [
+        ((), True, 2, 2, True, False), ((), False, 2, 0, False, False),
+        ((), True, 1, 0, True, False), ((), True, 2, 1, True, True)]
 
 
-@pytest.mark.parametrize("failing_call, line", [
-    (1, "ux, uy, hmin, mg = point(xx, yy, phis)"),
-    (2, "kx, ky, hk, mgk = point(px, py, scratch)"),
+@pytest.mark.parametrize("helper, line", [
+    pytest.param("_flush", "row = _flush(rec, row, smp, hms)", id="flush"),
+    pytest.param("_free_r2",
+                 "r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0",
+                 id="free_r2"),
 ])
-def test_traceback_shows_the_loop_template_line(failing_call, line, monkeypatch):
+def test_traceback_shows_the_loop_template_line(helper, line, monkeypatch):
     """An exception raised under the compiled loop names the template's
-    source line, kept in ``linecache``."""
-    calls = []
+    source line, kept in ``linecache``: a helper the loop calls raises (the
+    first flush, one chunk in, or the first sample's free radius)."""
+    def failing(*args):
+        raise ZeroDivisionError("stub")
 
-    def bind(model):
-        def point(x, y, phis):
-            calls.append((x, y))
-            if len(calls) == failing_call:
-                raise ZeroDivisionError("stub")
-            return 1.0, 0.0, 2.0, math.inf
-        return point
-
-    monkeypatch.setattr(_k, "bind", bind)
-    _fly_nothing_free(monkeypatch)
+    monkeypatch.setattr(_k, helper, failing)
     with pytest.raises(ZeroDivisionError) as info:
-        _k._integrate(0.0, 0.0, FAR_GOAL, 0.01, 5, 1e-3, _k.RK4_STAGES, np.empty((6, 8)))
+        _k._integrate(0.0, 0.0, FAR_GOAL, 0.01, 200, 1e-3, _k.RK4_STAGES, np.empty((201, 8)))
     frames = [f for f in traceback.extract_tb(info.value.__traceback__)
               if f.filename.startswith("<_kernels._integrate")]
     assert [f.line for f in frames] == [line]

@@ -8,8 +8,9 @@ the call:
 
   pre-loop          ``simulate`` up to ``_kernels._integrate``: validation,
                     packing, the x0 checks, the record allocation
-  loop              ``_integrate`` less the four phases below: binding, the
-                    stepping loop, the loop's own flush calls' wrappers
+  loop              ``_integrate`` less the four phases below: the stepping
+                    loop, with every control evaluation, and the loop's own
+                    flush calls' wrappers
   flushes           every ``_kernels._flush`` call, the one after the loop too
   _fill_free        ``_kernels._fill_free``
   _potential        ``_kernels._potential``, the ``V`` column
@@ -18,8 +19,8 @@ the call:
   _trajectory       ``simulate._trajectory``, the column copies
   other             ``simulate`` after ``_trajectory`` returns
 
-"loop" includes the one-time compile of each ``_integrate`` loop shape (and
-of each ``bind`` shape) on its first call in the process.
+"loop" includes the one-time compile of each ``_integrate`` loop shape on
+its first call in the process.
 
 Each rollout (one start in one cell) runs ``--reps`` times per tree; a
 phase's time is its minimum over the repetitions, taken per rollout, and
@@ -27,14 +28,15 @@ the table sums those minima over the rollouts and divides by the starts: ms
 per start, with each phase's share of their sum.
 
 The traffic, per start: the control evaluations (every sample and stage
-evaluated) and the full ones, those that call ``point``, the others flying
-free.  One extra, untimed pass counts them with a counting ``bind``: each
-rollout runs as it is, which counts the full evaluations, and once more with
-nothing flying free (``_free_above`` made +inf), where every evaluation is
-full and the states are the same.  With several trees every
-repetition runs each tree in turn, the order reversed every other round.
-Each tree's package is loaded under its own module name, so the trees run
-side by side in one interpreter.
+evaluated) and the full ones, those that run every shell, the others flying
+free.  One extra, untimed pass counts the full ones in the trace that
+``_integrate(..., trace=[])`` keeps (with a counting ``bind`` on a tree whose
+loop calls ``point`` and takes no trace): each rollout runs as it is, which
+counts the full evaluations, and once more with nothing flying free
+(``_free_above`` made +inf), where every evaluation is full and the states
+are the same.  With several trees every repetition runs each tree in turn,
+the order reversed every other round.  Each tree's package is loaded under
+its own module name, so the trees run side by side in one interpreter.
 
 Run it from a checkout, giving one or more source trees::
 
@@ -49,6 +51,7 @@ to one CPU (``taskset -c 1``) for steadier numbers.
 import argparse
 import importlib
 import importlib.util
+import inspect
 import itertools
 import json
 import logging
@@ -126,6 +129,7 @@ class Timers:
         kern._integrate = integrate_timed
         self.sim._trajectory = trajectory_timed
         self.marks = marks
+        self.integrate = integrate
 
     def run(self, scenario, spec, cfg, x0):
         """One ``simulate`` call; returns its phases in s."""
@@ -141,13 +145,20 @@ class Timers:
         return dict(spent)
 
 
-def traffic(package, scenario, cells, starts):
+def traffic(package, integrate, scenario, cells, starts):
     """``(evaluations, full evaluations)`` per start, untimed (module
-    docstring, "The traffic")."""
+    docstring, "The traffic"); ``integrate`` is the tree's own
+    ``_integrate``."""
     sim = importlib.import_module(package.__name__ + ".simulate")
     kern = importlib.import_module(package.__name__ + "._kernels")
-    bind, free_above = kern.bind, kern._free_above
+    bind, free_above, wrapped = kern.bind, kern._free_above, kern._integrate
     count = [0]
+
+    def traced(*args):
+        trace = []
+        out = integrate(*args, trace=trace)
+        count[0] += len(trace)
+        return out
 
     def counting_bind(model, rows=None):
         point = bind(model, rows)
@@ -158,7 +169,10 @@ def traffic(package, scenario, cells, starts):
         return counted
 
     totals = []
-    kern.bind = counting_bind
+    if "trace" in inspect.signature(integrate).parameters:
+        kern._integrate = traced
+    else:
+        kern.bind = counting_bind
     try:
         for nothing_free in (True, False):
             kern._free_above = (lambda model: math.inf) if nothing_free else free_above
@@ -168,7 +182,7 @@ def traffic(package, scenario, cells, starts):
                     sim.simulate(scenario, cell.spec, cell.cfg, x0)
             totals.append(count[0] / len(starts))
     finally:
-        kern.bind, kern._free_above = bind, free_above
+        kern.bind, kern._free_above, kern._integrate = bind, free_above, wrapped
     return tuple(totals)
 
 
@@ -224,8 +238,8 @@ def main():
                 for phase in PHASES:
                     total[phase] += low[phase]
     per_start = [{p: total[p] / len(starts) * 1e3 for p in PHASES} for total in totals]
-    counts = [traffic(package, scen, cells, starts)
-              for package, (_, scen, cells) in zip(packages, trees)]
+    counts = [traffic(package, timers.integrate, scen, cells, starts)
+              for package, (timers, scen, cells) in zip(packages, trees)]
 
     if args.json:
         print(json.dumps({
@@ -247,7 +261,7 @@ def main():
         print(f"{p:<18}" + "".join(f"{ms[p]:>10.3f} ({ms[p] / s:5.1%})"
                                    for ms, s in zip(per_start, sums)))
     print(f"{'total':<18}" + "".join(f"{s:>10.3f} {'':>7}" for s in sums))
-    print("evaluations per start (full, calling point):")
+    print("evaluations per start (full, running every shell):")
     for i, (evals, full) in enumerate(counts):
         print(f"  [{i}] {evals:,.1f} ({full:,.1f} full, {full / evals:.1%})")
 
