@@ -44,9 +44,10 @@ stays finite at every positive clearance, and the lam bound keeps lam times
 it finite too.)
 
 Per-state cost: one full evaluation, which evaluates every shell, comes
-from one source, :data:`_ATT` then :data:`_EVAL` with one :data:`_SHELL` per
-obstacle, written for a shape ``(m, gamma kind, filtered, rows reported, skind == 0)``
-at a site (:data:`_SITES`): the m shells are unrolled, each shell carries
+from one source, :data:`_ATT` (b = F_att), :data:`_NOM` (u_nom) and
+:data:`_EVAL` with one :data:`_SHELL` per obstacle, written for a shape
+``(m, gamma class, filtered, rows reported, skind == 0)`` at a site
+(:data:`_SITES`): the m shells are unrolled, each shell carries
 only its gamma kind's margin expressions, and the ``rows`` stores and the
 correction appear only where the shape has them, so an evaluation runs no
 loop and tests no kind.  Its expressions are those of one closure that loops
@@ -72,43 +73,44 @@ its float's loop and -0.0 does not share 0.0's) and the gamma class being 0,
 1 or any table.  The model is unpacked into locals once per call.  The
 stages are unrolled, each weight a literal and each offset ``c * dt`` a
 local formed once per call; Euler has no stage bookkeeping and its stall
-count no stage term.  The sample and every stage carry one copy of b =
-F_att and |b|^2, of the free-flight snippet and of the rest of the full
-evaluation, written inline under the state's and the outputs' names, so no
-evaluation is a call and b is formed once per evaluation: a sample's
-margins go from locals straight into the record's buffer, and a stage
-stores none.  A sigma of kind 0 has no ``sigma(...)`` branch, and any other
-kind no -b shortcut.  The horizon test rides on the flush test: the sample
-that fills a chunk is never past n_max.  So a step iterates no table or
-shell, tests no kind and calls no controller, with the expressions, order
-and so bits of the interpreted loop that called ``point``
-(``tests/test_kernels.py`` keeps that loop as its reference).  A traced
-shape appends the state of each full evaluation to a list, and only a run
-that asks for the trace runs one.  :func:`_free_above`, :func:`_free_r2`
+count no stage term.  The sample and every stage are evaluation sites, each
+one copy of the block :data:`_SITE` under its names: b, the free test
+(below), u_nom, and only where the state does not fly free the trace, the
+rest of the full evaluation, the count of negative tightenings and the
+domain test.  u_nom is formed once per evaluation, and a free state's
+control is that u_nom.  After its block the sample keeps its own lines: its
+margins go from locals straight into the record's buffer, and it becomes the
+base; a stage stores none.  A sigma of kind 0 has no ``sigma(...)`` branch,
+and any other kind no -b shortcut.  The horizon test rides on the flush
+test: the sample that fills a chunk is never past n_max.  So a step iterates
+no table or shell, tests no kind and calls no controller, with the
+expressions, order and so bits of the interpreted loop that called
+``point`` (``tests/test_kernels.py`` keeps that loop as its reference).  A
+traced shape appends the state of each full evaluation to a list, and only a
+run that asks for the trace runs one.  :func:`_free_above`, :func:`_free_r2`
 and :func:`_flush` stay calls, read from the module at call time.
 Compiling a rollout shape costs time linear in m times its evaluation
-sites (the sample and each stage), once per shape per process.
+sites, once per shape per process.
 
 Free flight: :func:`_integrate` owns the rule, and :func:`_free_above` its
 one threshold, the largest rho0 of a model whose idle tightenings are known
 in closed form.  It keeps a *base* b, the last sample it evaluated in full,
 and :func:`_free_r2` forms from that sample's smallest clearance h the
 base's squared free radius r2.  A sample or stage state p with
-fl((px - bx)^2 + (py - by)^2) < r2 forms u_nom alone with the full
-evaluation's bits: b = F_att and |b|^2 as the full evaluation forms them,
-then, for the grad-norm-squared sigma with |b|^2 in (0, inf), u_nom = -b,
-which is bitwise the full evaluation's (-1.0) * b (negation and a product
-with -1.0 round alike) and finite because |b|^2 is, so the state flies free;
-otherwise the full evaluation's expressions in its order, u_nom = -(sigma /
-|b|^2) * b (sigma / |b|^2 taken as 1 for the grad-norm-squared sigma, and 0
-where |b|^2 is 0), and the state flies free if d.u_nom on an idle shell is
-+-0 (u_nom finite).  Any other evaluation is full.  Every clearance
-computed at p then exceeds every rho0 (the lemma below), so every shell is
-idle and outside, the control is u_nom and the clearance positive, and what
-the margin block would have given is known in closed form: margins glam * 0
-(gamma kind 1) or -(alpha_gain * rho) + d.u_nom (kind 0 and the unfiltered
-stabilizer), and tightenings glam * 0 + alpha_gain * rho (kind 1 with
-alpha_gain >= 0), 0 (kind 0) or none (unfiltered), none of them negative.
+fl((px - bx)^2 + (py - by)^2) < r2 takes the site's u_nom: for the
+grad-norm-squared sigma with |b|^2 in (0, inf), u_nom = -b, which is
+bitwise the full evaluation's (-1.0) * b (negation and a product with -1.0
+round alike) and finite because |b|^2 is, so the state flies free;
+otherwise the full evaluation's u_nom = -(sigma / |b|^2) * b (sigma / |b|^2
+taken as 1 for the grad-norm-squared sigma, and 0 where |b|^2 is 0), and
+the state flies free if d.u_nom on an idle shell is +-0 (u_nom finite).
+Any other evaluation is full.  Every clearance computed at p then exceeds
+every rho0 (the lemma below), so every shell is idle and outside, the
+control is u_nom and the clearance positive, and what the margin block
+would have given is known in closed form: margins glam * 0 (gamma kind 1)
+or -(alpha_gain * rho) + d.u_nom (kind 0 and the unfiltered stabilizer),
+and tightenings glam * 0 + alpha_gain * rho (kind 1 with alpha_gain >= 0),
+0 (kind 0) or none (unfiltered), none of them negative.
 Of the tightenings the run returns only the negative ones, their count and
 their smallest value, so a free evaluation is neither counted nor that
 minimum.  A Gamma table, a shell without a positive rho0, kind 1 with a
@@ -304,52 +306,52 @@ _UNPACK = """
 
 # The controller's door: bind compiles it once per shape into a factory,
 # which unpacks a model into closure cells and returns ``point``, whose body
-# is the full evaluation (_EVAL) at its "point" site.
+# is one evaluation (_ATT, _NOM, then _EVAL) at its "point" site.
 _POINT = """\
 def factory(model, rows):{unpack}
 
-    def point(x, y, phis):{attraction}{evaluation}
+    def point(x, y, phis):{evaluation}
         return ux, uy, hmin, ming
 
     return point
 """
 
 # b = F_att at the state ({x}, {y}) of a site (_SITES), {dx} and {dy} its
-# offsets from the goal, and |b|^2: the full evaluation and free flight both
-# start from them
+# offsets from the goal, and |b|^2
 _ATT = """
         bx = k_att * {dx}
         by = k_att * {dy}
         bb = bx * bx + by * by"""
 
-# The one full evaluation after _ATT, written at a site: the state ({x},
-# {y}) into the control ({ux}, {uy}), the smallest clearance {hmin} and
-# tightening {ming}.  A shape fills the slots: g_att of its sigma kind
-# (_GATT), the rows stores where it reports, and one copy of _SHELL per
-# obstacle, each with the margin block of its gamma kind (_MARGINS) and,
-# where it is filtered, the running minimum and the correction (_FILTERED).
-# So an evaluation holds no loop and tests no kind.
-_EVAL = """
-        if bb > 0.0:
-            gatt = {gatt}
-        else:
-            gatt = 0.0{report}
-        unx = gatt * bx
-        uny = gatt * by
-        idle_du = 0.0 * unx + 0.0 * uny
-        {ux} = unx
-        {uy} = uny
+# u_nom = g_att * b, g_att of the shape's sigma kind (_GATT) and 0 where
+# |b|^2 is 0, into the control ({ux}, {uy}) and into (unx, uny), which the
+# corrections leave as they are; and idle_du, d.u_nom on an idle shell, where
+# d = F_rep = (0, 0): the product a live shell forms, so NaN or inf in u_nom
+# propagates alike.  Formed once per evaluation: the full evaluation and
+# free flight both read it.
+_NOM = """
+        gatt = {gatt} if bb > 0.0 else 0.0
+        {ux} = unx = gatt * bx
+        {uy} = uny = gatt * by
+        idle_du = 0.0 * unx + 0.0 * uny"""
+
+# The rest of the one full evaluation, after _ATT and _NOM, written at a
+# site: the smallest clearance {hmin} and tightening {ming}, and the
+# corrections added to the control.  A shape fills the slots: the rows
+# stores where it reports, and one copy of _SHELL per obstacle, each with the
+# margin block of its gamma kind (_MARGINS) and, where it is filtered, the
+# running minimum and the correction (_FILTERED).  So an evaluation holds no
+# loop and tests no kind.
+_EVAL = """{report}
         {hmin} = inf
         {ming} = inf{shells}"""
 
-# One shell, obstacle {i}.  idle_du is d.u_nom on an idle shell, where d =
-# F_rep = (0, 0): the product a live shell forms, so NaN or inf in u_nom
-# propagates alike.  An idle shell's margin block takes |d|^2 = 0.0 and
-# idle_du, and skips the correction, which needs |d|^2 > 0 (a NaN clearance
-# fails the idle test and keeps the live branch's bits); a live one forms d
-# with fields.f_rep's expressions in its order, bitwise superposition.  The
-# site's {store} keeps the margin phi, and {inside} is what a state inside
-# the obstacle records.
+# One shell, obstacle {i}.  An idle shell's margin block takes |d|^2 = 0.0
+# and idle_du, and skips the correction, which needs |d|^2 > 0 (a NaN
+# clearance fails the idle test and keeps the live branch's bits); a live
+# one forms d with fields.f_rep's expressions in its order, bitwise
+# superposition.  The site's {store} keeps the margin phi, and {inside} is
+# what a state inside the obstacle records.
 _SHELL = """
         ox = {x} - cx_{i}
         oy = {y} - cy_{i}
@@ -399,18 +401,22 @@ _FILTERED = ("""
                 {ux} += grep * dx
                 {uy} += grep * dy""")
 
-# The names of each site of the full evaluation.  ``point`` stores the
-# margins in ``phis``; a rollout's sample keeps them in locals phi_0 ..
-# phi_{m-1}, which go to the record's buffer as they are, and a stage keeps
-# none.  A sample or stage inside an obstacle ends the rollout, which
-# records nothing of it.
+# The names of each evaluation site.  ``point`` stores the margins in
+# ``phis``; a rollout's sample keeps them in locals phi_0 .. phi_{m-1},
+# which go to the record's buffer as they are, and a stage keeps none.  A
+# rollout site's state flies free where {free} holds (_SITE), and a state
+# evaluated in full where {domain} holds ends the rollout, which records
+# nothing of it: a state inside an obstacle, or a sample whose control is
+# not finite (a free sample's, u_nom, is finite by the free test).
 _SITES = {
     "point": dict(x="x", y="y", dx="(x - gx)", dy="(y - gy)", ux="ux", uy="uy", hmin="hmin",
                   ming="ming", store="\n            phis[{i}] = phi", inside="phis[{i}] = nan"),
     "sample": dict(x="xx", y="yy", dx="ddx", dy="ddy", ux="ux", uy="uy", hmin="hmin",
-                   ming="mg", store="\n            phi_{i} = phi", inside="pass"),
+                   ming="mg", store="\n            phi_{i} = phi", inside="pass", free="flies",
+                   domain="hmin <= 0.0 or not (isfinite(ux) and isfinite(uy))"),
     "stage": dict(x="px", y="py", dx="(px - gx)", dy="(py - gy)", ux="kx", uy="ky",
-                  hmin="hk", ming="mgk", store="", inside="pass"),
+                  hmin="hk", ming="mgk", store="", inside="pass", free="free",
+                  domain="hk <= 0.0"),
 }
 
 
@@ -419,10 +425,16 @@ def _gamma_class(gkind):
     return gkind if gkind in (0, 1) else 2
 
 
-def _evaluation(site, m, gclass, filtered, report, unit_sigma):
-    """The source of one full evaluation (after :data:`_ATT`) of the shape
-    ``(m, gclass, filtered, report, unit_sigma)`` at ``site``, a key of
-    :data:`_SITES`, indented as ``point``'s body."""
+def _nominal(site, unit_sigma):
+    """The source of :data:`_NOM` at ``site``, a key of :data:`_SITES`, for
+    the sigma kind."""
+    names = _SITES[site]
+    return _NOM.format(gatt=_GATT[unit_sigma].format(**names), **names)
+
+
+def _evaluation(site, m, gclass, filtered, report):
+    """The source of :data:`_EVAL` of the shape ``(m, gclass, filtered,
+    report)`` at ``site``, indented as ``point``'s body."""
     names = _SITES[site]
     minimum, correct = _FILTERED if filtered else ("", "")
     idle, live = ((_MARGINS[gclass] + minimum).format(dd=dd, du=du, **names) + names["store"]
@@ -430,8 +442,7 @@ def _evaluation(site, m, gclass, filtered, report, unit_sigma):
     # {i} passes through the site's names and is filled per shell
     shell = _SHELL.format(i="{i}", idle=idle, live=live, correct=correct.format(**names),
                           rows=_ROWS if report else "", **names)
-    return _EVAL.format(gatt=_GATT[unit_sigma].format(**names),
-                        report="\n        rows[-1] = gatt" if report else "",
+    return _EVAL.format(report="\n        rows[-1] = gatt" if report else "",
                         shells="".join(shell.format(i=i) for i in range(m)), **names)
 
 
@@ -441,8 +452,8 @@ def _unpack(m):
     return _UNPACK.format(obstacles=f"\n    ({cells},) = obstacles" if m else "")
 
 
-# the factory of each shape (m, gkind, filtered, reports, sigma kind 0) bound
-# so far in this process
+# the factory of each shape (m, gamma class, filtered, reports, sigma kind
+# 0) bound so far in this process
 _FACTORIES = {}
 
 
@@ -456,13 +467,13 @@ def _exec(source, name):
     return function
 
 
-def _compile(m, gkind, filtered, report, unit_sigma):
+def _compile(m, gclass, filtered, report, unit_sigma):
     """The factory of one shape: :data:`_POINT` with its slots filled,
     compiled by :func:`_exec`."""
-    source = _POINT.format(unpack=_unpack(m), attraction=_ATT.format(**_SITES["point"]),
-                           evaluation=_evaluation("point", m, _gamma_class(gkind), filtered,
-                                                  report, unit_sigma))
-    return _exec(source, f"<_kernels.bind m={m} gkind={gkind} filtered={filtered} "
+    source = _POINT.format(unpack=_unpack(m), evaluation=(
+        _ATT.format(**_SITES["point"]) + _nominal("point", unit_sigma)
+        + _evaluation("point", m, gclass, filtered, report)))
+    return _exec(source, f"<_kernels.bind m={m} gamma={gclass} filtered={filtered} "
                          f"rows={report} unit_sigma={unit_sigma}>")
 
 
@@ -487,15 +498,17 @@ def bind(model, rows=None):
     they held.  Like ``phis``, it changes nothing ``point`` returns.
 
     ``point`` is compiled from the one template :data:`_POINT`, its body
-    the full evaluation :data:`_EVAL`, once per process for each shape
-    ``(m, gkind, ckind == 2, rows is not None, skind == 0)`` and cached in
-    :data:`_FACTORIES`; the shape's factory unpacks
+    one full evaluation, once per process for each shape ``(m, gamma class,
+    ckind == 2, rows is not None, skind == 0)``, the gamma class 0, 1 or
+    any table (:func:`_gamma_class`), and cached in :data:`_FACTORIES`; the
+    shape's factory unpacks
     ``model`` into closure cells (module docstring, "Per-state cost").  Its
     expressions are those of one loop over the shells that tests every kind
     per call, ``1.0 / rho0`` included, so a bind computes nothing and raises
     only where unpacking the model does.
     """
-    shape = (len(model[2]), model[11], model[6] == 2, rows is not None, model[7] == 0)
+    shape = (len(model[2]), _gamma_class(model[11]), model[6] == 2, rows is not None,
+             model[7] == 0)
     factory = _FACTORIES.get(shape)
     if factory is None:
         factory = _FACTORIES[shape] = _compile(*shape)
@@ -546,13 +559,9 @@ def _flush(rec, row, smp, hms):
 
 
 # The rollout loop's one source: _integrate compiles it once per shape into
-# ``loop``.  A shape fills the slots: one copy of b (_ATT), the free-flight
-# snippet (_FREE, with _UNOM) and the rest of the full evaluation (_EVAL at
-# its "sample" or "stage" site) for the sample and for each stage, the
-# stages unrolled (_STAGE, each weight a literal and each offset ``c * dt``
-# a local), the stall count's stage term only where there are stages, and
-# the trace only where it is asked for.  So ``loop`` iterates no stage table
-# or shell, tests no kind and calls no controller.  ``due``, the sample that
+# ``loop`` (module docstring, "The rollout loop").  The sample is one
+# evaluation site (_SITE), followed by its own lines under ``if not flies:``;
+# the stages are unrolled (_STAGE), each one site.  ``due``, the sample that
 # fills a chunk, never passes n_max, so one compare per sample tests both.
 _LOOP = """\
 def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rec, smp, hms,
@@ -573,15 +582,6 @@ def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rec, s
     for k in range(n_max + 1):
         ddx = xx - gx
         ddy = yy - gy{sample}
-        if not flies:{trace_sample}{evaluate_sample}
-            if mg < 0.0:
-                negcount += 1
-                if mg < ming:
-                    ming = mg
-            # a free sample's control is u_nom, finite by the free test
-            if hmin <= 0.0 or not (isfinite(ux) and isfinite(uy)):
-                status = DOMAIN_ERROR
-                break
             hms += (k, hmin, 0.0{margins})
             basex = xx
             basey = yy
@@ -613,28 +613,35 @@ def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rec, s
     return row, status, stall, ming, negcount
 """
 
-# Free flight at the state ({x}, {y}), after _ATT: u_nom with the full
-# evaluation's bits into ({ux}, {uy}); the state flies free if u_nom is -b,
-# or else if d.u_nom on an idle shell is +-0 (u_nom finite).  _UNOM forms
-# u_nom from g_att; for the grad-norm-squared sigma it is the fallback of
-# -b, which 0 < |b|^2 < inf makes finite.
-_FREE = """
+# One evaluation site of the loop, the sample or a stage, at the state ({x},
+# {y}) (module docstring, "The rollout loop"); {nominal} is _NOM and _FREE
+_SITE = _ATT + """
         ex = {x} - basex
         ey = {y} - basey
-        {free} = ex * ex + ey * ey < r2
-        if {free}:"""
+        {free} = ex * ex + ey * ey < r2{nominal}
+        if not {free}:{trace}{evaluation}
+            if {ming} < 0.0:
+                negcount += 1
+                if {ming} < ming:
+                    ming = {ming}
+            if {domain}:
+                status = DOMAIN_ERROR
+                break"""
 
+# a state in the free radius flies free if d.u_nom on an idle shell is +-0
+# (u_nom finite); the update is guarded, so a full evaluation stores nothing
+_FREE = """
+        if {free}:
+            {free} = idle_du == 0.0"""
+
+# the grad-norm-squared sigma's shortcut: with |b|^2 in (0, inf) a state in
+# the free radius takes u_nom = -b, finite, and flies free; _NOM and _FREE
+# go under its else
 _UNIT = """
-            if 0.0 < bb < inf:
-                {ux} = -bx
-                {uy} = -by
-            else:"""
-
-_UNOM = """
-            gatt = {gatt} if bb > 0.0 else 0.0
-            {ux} = gatt * bx
-            {uy} = gatt * by
-            {free} = 0.0 * {ux} + 0.0 * {uy} == 0.0"""
+        if {free} and 0.0 < bb < inf:
+            {ux} = -bx
+            {uy} = -by
+        else:"""
 
 # the stages after the first: kx, ky the last slope, sx, sy the weighted
 # slopes summed left to right (k1 + 2 k2 + 2 k3 + k4 for RK4); (c * dt) * kx
@@ -646,16 +653,7 @@ _SLOPES = """
 
 _STAGE = """
         px = xx + h{j} * kx
-        py = yy + h{j} * ky{free}
-        if not free:{trace}{evaluate}
-            if mgk < 0.0:
-                negcount += 1
-                if mgk < ming:
-                    ming = mgk
-            # a stage state touched an obstacle
-            if hk <= 0.0:
-                status = DOMAIN_ERROR
-                break
+        py = yy + h{j} * ky{site}
         sx = sx + {w} * kx
         sy = sy + {w} * ky"""
 
@@ -668,27 +666,23 @@ def _compile_loop(weights, unit_sigma, m, gclass, filtered, traced):
     """The rollout loop of one shape, ``weights`` the stage weights as
     ``repr(float(w))`` literals: :data:`_LOOP` with its slots filled,
     compiled by :func:`_exec`."""
-    unom = _UNIT + _UNOM.replace("\n", "\n    ") if unit_sigma else _UNOM
 
-    def free(site, flag):
-        names = _SITES[site]
-        return (_ATT + _FREE + unom).format(free=flag, gatt=_GATT[unit_sigma].format(**names),
-                                            **names)
+    def site(name):
+        names = _SITES[name]
+        nominal = _nominal(name, unit_sigma) + _FREE.format(**names)
+        if unit_sigma:
+            nominal = _UNIT.format(**names) + nominal.replace("\n", "\n    ")
+        trace = "\n            trace.append(({x}, {y}))" if traced else ""
+        # point's evaluation one level deeper: under ``if not {free}:``
+        evaluation = _evaluation(name, m, gclass, filtered, False).replace("\n", "\n    ")
+        return _SITE.format(nominal=nominal, trace=trace.format(**names),
+                            evaluation=evaluation, **names)
 
-    def evaluate(site):
-        # point's body, one level deeper: under ``if not flies:``
-        return _evaluation(site, m, gclass, filtered, False, unit_sigma).replace("\n", "\n    ")
-
-    def trace(site):
-        return "\n            trace.append(({x}, {y}))".format(**_SITES[site]) if traced else ""
-
-    stage = dict(free=free("stage", "free"), trace=trace("stage"), evaluate=evaluate("stage"))
+    stage = site("stage")
     source = _LOOP.format(
         unpack=_unpack(m), offsets=", ".join(f"h{j}" for j in range(len(weights))),
-        sample=free("sample", "flies"), trace_sample=trace("sample"),
-        evaluate_sample=evaluate("sample"),
-        margins="".join(f", phi_{i}" for i in range(m)),
-        stages=(_SLOPES + "".join(_STAGE.format(j=j, w=w, **stage)
+        sample=site("sample"), margins="".join(f", phi_{i}" for i in range(m)),
+        stages=(_SLOPES + "".join(_STAGE.format(j=j, w=w, site=stage)
                                   for j, w in enumerate(weights))) if weights else "",
         sx="sx" if weights else "ux", sy="sy" if weights else "uy",
         stall=" + (rest - 1) * (negcount - neg_before)" if weights else "")
@@ -722,20 +716,12 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec, trace=None):
     ``t`` is ``k * dt`` (``k`` as a float, exact below 2**53).  Rows past
     the returned sample count are left as they were.
 
-    The stepping loop is one function per rollout shape, compiled from the
-    one template :data:`_LOOP` once per process for each ``(stage weights,
-    skind == 0, m, gamma class, filtered, traced)`` and cached in
-    :data:`_LOOPS` (module docstring, "The rollout loop"): the stages are
-    unrolled, each weight a literal, and the free-flight block and the full
-    evaluation are written inline for the sample and every stage, so no
-    evaluation is a call.  The model is unpacked and each stage offset ``c
-    * dt`` formed once per call.  The free-flight rule lives here alone
-    (module docstring, "Free flight"): a sample or stage whose squared
-    distance from the base -- the last sample evaluated in full -- is below
-    the base's :func:`_free_r2` forms u_nom alone; every other evaluation is
-    full and runs every shell.  :func:`_free_above`, :func:`_free_r2` and
-    :func:`_flush` are read at call time.  The record, count and minimum
-    are those of evaluating every shell everywhere.
+    The stepping loop is one function per rollout shape, compiled from
+    :data:`_LOOP` and cached in :data:`_LOOPS`; its sample and stages are
+    one evaluation block each (module docstring, "The rollout loop"), and
+    the free-flight rule lives here alone (module docstring, "Free
+    flight").  The record, count and minimum are those of evaluating every
+    shell everywhere.
 
     ``trace``, a list, runs the traced shape of the loop, which appends the
     state ``(x, y)`` of each full evaluation, sample or stage, in order;

@@ -10,6 +10,7 @@ timing anything.
 import collections
 import dataclasses
 import itertools
+import linecache
 import math
 import struct
 import sys
@@ -474,6 +475,11 @@ def test_binding_a_shape_twice_compiles_it_once(monkeypatch):
     _k.bind(model, [None] * 3)
     _k.bind(_k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[0], None)))
     assert compiled[1:] == [(2, 1, True, True, False), (2, 0, False, False, True)]
+    # a gkind other than 0 and 1 runs as the table, with the table's point
+    table = _k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[2], GAMMAS[2]))
+    _k.bind(table)
+    _k.bind((*table[:11], 3, *table[12:]))
+    assert compiled[3:] == [(2, 2, True, False, False)]
 
 
 # the real binder and free radius, for spies that wrap them while patched
@@ -1941,6 +1947,18 @@ def test_each_loop_shape_compiles_once(monkeypatch):
                         for weights in ((), ("1.0",), ("-0.0",), ("0.0",))] + [
         ((), True, 2, 2, True, False), ((), False, 2, 0, False, False),
         ((), True, 1, 0, True, False), ((), True, 2, 1, True, True)]
+
+
+@pytest.mark.parametrize("stages", [(), _k.RK4_STAGES], ids=["euler", "rk4"])
+@pytest.mark.parametrize("unit_sigma", [True, False], ids=["unit-sigma", "sigma"])
+def test_loop_forms_u_nom_once_per_evaluation_site(stages, unit_sigma):
+    """The loop's source, kept in ``linecache``, forms g_att once at each
+    evaluation site, the sample and every stage: free flight and the full
+    evaluation read the site's one u_nom."""
+    weights = tuple(repr(float(w)) for _, w in stages)
+    loop = _k._compile_loop(weights, unit_sigma, 2, 1, True, False)
+    lines = linecache.getlines(loop.__code__.co_filename)
+    assert sum(line.lstrip().startswith("gatt =") for line in lines) == 1 + len(stages)
 
 
 @pytest.mark.parametrize("helper, line", [

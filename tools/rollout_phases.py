@@ -30,9 +30,8 @@ per start, with each phase's share of their sum.
 The traffic, per start: the control evaluations (every sample and stage
 evaluated) and the full ones, those that run every shell, the others flying
 free.  One extra, untimed pass counts the full ones in the trace that
-``_integrate(..., trace=[])`` keeps (with a counting ``bind`` on a tree whose
-loop calls ``point`` and takes no trace): each rollout runs as it is, which
-counts the full evaluations, and once more with nothing flying free
+``_integrate(..., trace=[])`` keeps: each rollout runs as it is, which counts
+the full evaluations, and once more with nothing flying free
 (``_free_above`` made +inf), where every evaluation is full and the states
 are the same.  With several trees every repetition runs each tree in turn,
 the order reversed every other round.  Each tree's package is loaded under
@@ -51,7 +50,6 @@ to one CPU (``taskset -c 1``) for steadier numbers.
 import argparse
 import importlib
 import importlib.util
-import inspect
 import itertools
 import json
 import logging
@@ -151,7 +149,7 @@ def traffic(package, integrate, scenario, cells, starts):
     ``_integrate``."""
     sim = importlib.import_module(package.__name__ + ".simulate")
     kern = importlib.import_module(package.__name__ + "._kernels")
-    bind, free_above, wrapped = kern.bind, kern._free_above, kern._integrate
+    free_above, wrapped = kern._free_above, kern._integrate
     count = [0]
 
     def traced(*args):
@@ -160,19 +158,8 @@ def traffic(package, integrate, scenario, cells, starts):
         count[0] += len(trace)
         return out
 
-    def counting_bind(model, rows=None):
-        point = bind(model, rows)
-
-        def counted(*args):
-            count[0] += 1
-            return point(*args)
-        return counted
-
     totals = []
-    if "trace" in inspect.signature(integrate).parameters:
-        kern._integrate = traced
-    else:
-        kern.bind = counting_bind
+    kern._integrate = traced
     try:
         for nothing_free in (True, False):
             kern._free_above = (lambda model: math.inf) if nothing_free else free_above
@@ -182,7 +169,7 @@ def traffic(package, integrate, scenario, cells, starts):
                     sim.simulate(scenario, cell.spec, cell.cfg, x0)
             totals.append(count[0] / len(starts))
     finally:
-        kern.bind, kern._free_above, kern._integrate = bind, free_above, wrapped
+        kern._free_above, kern._integrate = free_above, wrapped
     return tuple(totals)
 
 
