@@ -23,7 +23,8 @@ Packing conventions used throughout:
 * sigma selector ``skind``: 0 = squared gradient norm, 1 = scaled potential
   value, 2 = scaled distance, 3 = interpolation table over distance-to-goal
 * gamma selector ``gkind``: 0 = zero, 1 = scaled-special, 2 = interpolation
-  table over clearance
+  table over clearance (a model's kinds are read by :func:`_shape` alone,
+  which runs any other gkind as the table)
 * integrator: a Runge--Kutta stage table, ``(c, w)`` per stage after the
   first (state offset ``c * dt`` along the previous slope, weight ``w``);
   ``()`` is explicit Euler, :data:`RK4_STAGES` classic RK4
@@ -45,9 +46,9 @@ it finite too.)
 
 Per-state cost: one full evaluation, which evaluates every shell, comes
 from one source, :data:`_ATT` (b = F_att), :data:`_NOM` (u_nom) and
-:data:`_EVAL` with one :data:`_SHELL` per obstacle, written for a shape
-``(m, gamma class, filtered, rows reported, skind == 0)`` at a site
-(:data:`_SITES`): the m shells are unrolled, each shell carries
+:data:`_EVAL` with one :data:`_SHELL` per obstacle, written for a model's
+kernel shape (:func:`_shape`) at a site (:data:`_SITES`), with or without
+the ``rows`` report: the m shells are unrolled, each shell carries
 only its gamma kind's margin expressions, and the ``rows`` stores and the
 correction appear only where the shape has them, so an evaluation runs no
 loop and tests no kind.  Its expressions are those of one closure that loops
@@ -60,20 +61,19 @@ one margin block on |d|^2 and d.u_nom.  An idle shell does not form d: it
 takes |d|^2 = 0 and a d.u_nom formed once per state from the operands a live
 shell would use, in the same order, so its margins keep their bits, NaN
 propagation included.  The correction needs |d|^2 > 0 and so skips it.
-:func:`bind` compiles the evaluation once per process and shape as the body
-of ``point``, whose model constants are closure cells: the door of
+:func:`bind` compiles the evaluation once per process, shape and report as
+the body of ``point``, whose model constants are closure cells: the door of
 :func:`control`, the grid and verify.  A rollout never calls it (below).
 Compiling a shape costs time linear in m, once per shape per process.
 
 The rollout loop: :func:`_integrate`'s stepping loop comes from one source
-template, :data:`_LOOP`, compiled once per process for each rollout shape
-``(stage weights, skind == 0, m, gamma class, filtered, traced)``, the
-weights taken as their ``repr(float(w))`` literals (so an int weight shares
-its float's loop and -0.0 does not share 0.0's) and the gamma class being 0,
-1 or any table.  The model is unpacked into locals once per call.  The
-stages are unrolled, each weight a literal and each offset ``c * dt`` a
-local formed once per call; Euler has no stage bookkeeping and its stall
-count no stage term.  The sample and every stage are evaluation sites, each
+template, :data:`_LOOP`, compiled once per process for each stage table,
+kernel shape and trace flag, the stage weights taken as their
+``repr(float(w))`` literals (so an int weight shares its float's loop and
+-0.0 does not share 0.0's).  The model is unpacked into locals once per
+call.  The stages are unrolled, each weight a literal and each offset
+``c * dt`` a local formed once per call; Euler has no stage bookkeeping
+and its stall count no stage term.  The sample and every stage are evaluation sites, each
 one copy of the block :data:`_SITE` under its names: b, the free test
 (below), u_nom, and only where the state does not fly free the trace, the
 rest of the full evaluation, the count of negative tightenings and the
@@ -107,14 +107,15 @@ the state flies free if d.u_nom on an idle shell is +-0 (u_nom finite).
 Any other evaluation is full.  Every clearance computed at p then exceeds
 every rho0 (the lemma below), so every shell is idle and outside, the
 control is u_nom and the clearance positive, and what the margin block
-would have given is known in closed form: margins glam * 0 (gamma kind 1)
-or -(alpha_gain * rho) + d.u_nom (kind 0 and the unfiltered stabilizer),
-and tightenings glam * 0 + alpha_gain * rho (kind 1 with alpha_gain >= 0),
-0 (kind 0) or none (unfiltered), none of them negative.
+would have given is known in closed form: margins glam * 0 (gamma class 1)
+or -(alpha_gain * rho) + d.u_nom (class 0), and tightenings glam * 0 +
+alpha_gain * rho (filtered class 1 with alpha_gain >= 0), 0 (filtered class
+0) or none (unfiltered), none of them negative.
 Of the tightenings the run returns only the negative ones, their count and
 their smallest value, so a free evaluation is neither counted nor that
-minimum.  A Gamma table, a shell without a positive rho0, kind 1 with a
-negative alpha_gain and an arena without obstacles never fly free.
+minimum.  The table class, filtered or not, a shell without a positive
+rho0, a filtered class 1 with a negative alpha_gain and an arena without
+obstacles never fly free.
 :func:`_integrate` records a free sample's row with h_min NaN and, after the
 loop, :func:`_fill_free` writes its h_min and margins array-at-a-time with
 those expressions, in the kernel's order.
@@ -155,6 +156,7 @@ the definition.
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 from struct import Struct
@@ -224,9 +226,10 @@ def control(x, scenario, packing, rows=None):
     A filtered packing raises ``InsideObstacleError`` at a nonpositive
     clearance; the unfiltered stabilizer, defined everywhere, never raises."""
     px, py = _as_point(x)
+    model = pack_model(scenario, packing)
     phis = np.empty(len(scenario.obstacles), dtype=np.float64)
-    ux, uy, hmin, ming = bind(pack_model(scenario, packing), rows)(px, py, phis)
-    if packing[0] == 2 and hmin <= 0.0:
+    ux, uy, hmin, ming = bind(model, rows)(px, py, phis)
+    if _shape(model)[2] and hmin <= 0.0:
         raise InsideObstacleError(INSIDE_OBSTACLE_MSG)
     return np.array([ux, uy]), hmin, ming, phis
 
@@ -246,16 +249,31 @@ def _sigma_value(x, y, gx, gy, k_att, skind, scoef, stx, sty):
     return float(np.interp(math.sqrt(dx * dx + dy * dy), stx, sty))
 
 
+def _shape(model):
+    """The kernel shape of ``model``, ``(m, gamma class, filtered, skind ==
+    0)``: its obstacle count; the key of its gkind's margin block in
+    :data:`_MARGINS`, 0 (zero), 1 (scaled-special) or 2, the table, for any
+    other gkind; whether it is filtered (ckind 2); and whether its sigma is
+    the squared gradient norm.  The one reader of the model's kinds: the
+    compiled doors (:func:`bind`, :func:`_integrate`) key on it, and so do
+    the free-flight rule (:func:`_free_above`, :func:`_fill_free`) and
+    :func:`control`'s raise rule."""
+    gkind = model[11]
+    return len(model[2]), gkind if gkind in (0, 1) else 2, model[6] == 2, model[7] == 0
+
+
 def _free_above(model):
     """The free threshold, the largest rho0, or +inf where nothing may fly
     free: a state flies free only where the base's :func:`_free_r2` proves
-    every clearance computed there above it.  It admits only tightenings
-    that are never negative on an idle shell outside its obstacle: 0 (gamma
-    kind 0; the unfiltered stabilizer evaluates none) or glam * 0 +
-    alpha_gain * rho (kind 1 with alpha_gain >= 0).  A table's is not
-    bounded below, and every shell needs a positive rho0."""
-    alpha_gain, ckind, gkind = model[5], model[6], model[11]
-    if ckind == 2 and (gkind == 2 or (gkind == 1 and not alpha_gain >= 0.0)):
+    every clearance computed there above it.  It admits only the gamma
+    classes whose idle margins :func:`_fill_free` knows in closed form, 0
+    and 1, and of those only tightenings that are never negative on an idle
+    shell outside its obstacle: 0 (class 0; the unfiltered stabilizer
+    evaluates none) or glam * 0 + alpha_gain * rho (class 1 with alpha_gain
+    >= 0).  A table's margins take its value, which is not bounded below,
+    and every shell needs a positive rho0."""
+    _, gclass, filtered, _ = _shape(model)
+    if gclass == 2 or (filtered and gclass == 1 and not model[5] >= 0.0):
         return math.inf
     return max((rho0 if rho0 > 0.0 else math.inf for _, _, _, rho0 in model[2]),
                default=math.inf)
@@ -420,11 +438,6 @@ _SITES = {
 }
 
 
-def _gamma_class(gkind):
-    """The key of ``gkind``'s margin block in :data:`_MARGINS`."""
-    return gkind if gkind in (0, 1) else 2
-
-
 def _nominal(site, unit_sigma):
     """The source of :data:`_NOM` at ``site``, a key of :data:`_SITES`, for
     the sigma kind."""
@@ -433,8 +446,9 @@ def _nominal(site, unit_sigma):
 
 
 def _evaluation(site, m, gclass, filtered, report):
-    """The source of :data:`_EVAL` of the shape ``(m, gclass, filtered,
-    report)`` at ``site``, indented as ``point``'s body."""
+    """The source of :data:`_EVAL` for ``m`` shells of the gamma class
+    ``gclass``, ``filtered`` or not, with the ``rows`` stores if ``report``,
+    at ``site``, indented as ``point``'s body."""
     names = _SITES[site]
     minimum, correct = _FILTERED if filtered else ("", "")
     idle, live = ((_MARGINS[gclass] + minimum).format(dd=dd, du=du, **names) + names["store"]
@@ -452,11 +466,6 @@ def _unpack(m):
     return _UNPACK.format(obstacles=f"\n    ({cells},) = obstacles" if m else "")
 
 
-# the factory of each shape (m, gamma class, filtered, reports, sigma kind
-# 0) bound so far in this process
-_FACTORIES = {}
-
-
 def _exec(source, name):
     """The one function that ``source`` defines, compiled under ``name``;
     the source is kept in ``linecache`` for tracebacks."""
@@ -467,9 +476,12 @@ def _exec(source, name):
     return function
 
 
-def _compile(m, gclass, filtered, report, unit_sigma):
-    """The factory of one shape: :data:`_POINT` with its slots filled,
-    compiled by :func:`_exec`."""
+@functools.cache
+def _compile(shape, report):
+    """The factory of ``point`` for a kernel shape (:func:`_shape`), with
+    the ``rows`` stores if ``report``: :data:`_POINT` with its slots filled,
+    compiled by :func:`_exec` once per process."""
+    m, gclass, filtered, unit_sigma = shape
     source = _POINT.format(unpack=_unpack(m), evaluation=(
         _ATT.format(**_SITES["point"]) + _nominal("point", unit_sigma)
         + _evaluation("point", m, gclass, filtered, report)))
@@ -498,21 +510,14 @@ def bind(model, rows=None):
     they held.  Like ``phis``, it changes nothing ``point`` returns.
 
     ``point`` is compiled from the one template :data:`_POINT`, its body
-    one full evaluation, once per process for each shape ``(m, gamma class,
-    ckind == 2, rows is not None, skind == 0)``, the gamma class 0, 1 or
-    any table (:func:`_gamma_class`), and cached in :data:`_FACTORIES`; the
-    shape's factory unpacks
-    ``model`` into closure cells (module docstring, "Per-state cost").  Its
-    expressions are those of one loop over the shells that tests every kind
-    per call, ``1.0 / rho0`` included, so a bind computes nothing and raises
-    only where unpacking the model does.
+    one full evaluation, by :func:`_compile` once per process for each
+    kernel shape (:func:`_shape`) and ``rows is not None``; the factory
+    unpacks ``model`` into closure cells (module docstring, "Per-state
+    cost").  Its expressions are those of one loop over the shells that
+    tests every kind per call, ``1.0 / rho0`` included, so a bind computes
+    nothing and raises only where unpacking the model does.
     """
-    shape = (len(model[2]), _gamma_class(model[11]), model[6] == 2, rows is not None,
-             model[7] == 0)
-    factory = _FACTORIES.get(shape)
-    if factory is None:
-        factory = _FACTORIES[shape] = _compile(*shape)
-    return factory(model, rows)
+    return _compile(_shape(model), rows is not None)(model, rows)
 
 
 def _eval_controls(xs, ys, model):
@@ -657,15 +662,13 @@ _STAGE = """
         sx = sx + {w} * kx
         sy = sy + {w} * ky"""
 
-# the loop of each shape (stage weights, sigma kind 0, m, gamma class,
-# filtered, traced) run so far in this process
-_LOOPS = {}
 
-
-def _compile_loop(weights, unit_sigma, m, gclass, filtered, traced):
-    """The rollout loop of one shape, ``weights`` the stage weights as
-    ``repr(float(w))`` literals: :data:`_LOOP` with its slots filled,
-    compiled by :func:`_exec`."""
+@functools.cache
+def _compile_loop(weights, shape, traced):
+    """The rollout loop of the stage ``weights``, as ``repr(float(w))``
+    literals, a kernel shape (:func:`_shape`) and ``traced``: :data:`_LOOP`
+    with its slots filled, compiled by :func:`_exec` once per process."""
+    m, gclass, filtered, unit_sigma = shape
 
     def site(name):
         names = _SITES[name]
@@ -716,12 +719,12 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec, trace=None):
     ``t`` is ``k * dt`` (``k`` as a float, exact below 2**53).  Rows past
     the returned sample count are left as they were.
 
-    The stepping loop is one function per rollout shape, compiled from
-    :data:`_LOOP` and cached in :data:`_LOOPS`; its sample and stages are
-    one evaluation block each (module docstring, "The rollout loop"), and
-    the free-flight rule lives here alone (module docstring, "Free
-    flight").  The record, count and minimum are those of evaluating every
-    shell everywhere.
+    The stepping loop is one function per stage table, kernel shape
+    (:func:`_shape`) and trace flag, compiled from :data:`_LOOP` by
+    :func:`_compile_loop`; its sample and stages are one evaluation block
+    each (module docstring, "The rollout loop"), and the free-flight rule
+    lives here alone (module docstring, "Free flight").  The record, count
+    and minimum are those of evaluating every shell everywhere.
 
     ``trace``, a list, runs the traced shape of the loop, which appends the
     state ``(x, y)`` of each full evaluation, sample or stage, in order;
@@ -744,11 +747,8 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec, trace=None):
     evaluations.
     """
     gx, gy, obstacles, k_att = model[:4]
-    shape = (tuple(repr(float(w)) for _, w in stages), model[7] == 0, len(obstacles),
-             _gamma_class(model[11]), model[6] == 2, trace is not None)
-    loop = _LOOPS.get(shape)
-    if loop is None:
-        loop = _LOOPS[shape] = _compile_loop(*shape)
+    loop = _compile_loop(tuple(repr(float(w)) for _, w in stages), _shape(model),
+                         trace is not None)
     corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
                  default=0.0) + FREE_FLOOR
     # x, y, ux, uy of every sample, and row, h_min, a 0.0 for V and margins
@@ -815,21 +815,21 @@ def _idle_clearances(xs, ys, obstacles):
 def _fill_free(rec, n, model):
     """Write ``h_min`` and the margins of the free rows among the first
     ``n`` of ``rec``, those whose ``h_min`` is the NaN mark, array-at-a-time,
-    with the expressions of :func:`bind`'s margin block on an idle shell.
-    On a free row the control is u_nom, so d.u_nom on an idle shell is
-    formed from it as the kernel forms it.  A free row's tightenings are
+    with the expressions of :func:`bind`'s margin block on an idle shell of
+    the model's gamma class, 0 or 1 (:func:`_free_above` flies no table
+    free).  On a free row the control is u_nom, so d.u_nom on an idle shell
+    is formed from it as the kernel forms it.  A free row's tightenings are
     never negative, so they leave the run's count and minimum as they are."""
     rows = np.flatnonzero(np.isnan(rec[:n, 5]))
     if not rows.size:
         return
-    alpha_gain, gkind, glam = model[5], model[11], model[12]
     # one row per obstacle, one column per free row
     rho = _idle_clearances(rec[rows, 1], rec[rows, 2], model[2])
     rec[rows, 5] = np.minimum.reduce(rho)  # no clearance of a free state is NaN or -0
-    if gkind == 1:
-        rec[rows, 7:] = glam * 0.0  # glam * dd, dd = 0
+    if _shape(model)[1] == 1:
+        rec[rows, 7:] = model[12] * 0.0  # glam * dd, dd = 0
     else:
-        rho *= alpha_gain
+        rho *= model[5]
         rho = np.negative(rho, out=rho)
         rho += 0.0 * rec[rows, 3] + 0.0 * rec[rows, 4]  # d.u_nom
         rec[rows, 7:] = rho.T

@@ -275,7 +275,10 @@ def cmd_verify(args) -> int:
     scenario = _load_scenario_checked(cfg.scenario_path)
     seed = _check_seed(args.seed) if args.seed is not None else cfg.seed
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = run_suites(scenario, names, seed=seed)
+    try:
+        results = run_suites(scenario, names, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for res in results:
         for line in res.lines:
             sys.stdout.write(line + "\n")

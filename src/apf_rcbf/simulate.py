@@ -241,13 +241,14 @@ def read_trajectory_csv(path, terminal: str) -> Trajectory:
     """Load a trajectory CSV written by :func:`write_trajectory_csv`.
 
     The CSV stores samples only, so the terminal status must be supplied.
+    ``ValueError`` unless the header is :func:`csv_header` of some m and
+    every row holds its 7 + m values.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        cols = header.split(",")
-        if tuple(cols[:7]) != CSV_BASE_COLUMNS:
+        m = header.count(",") - 6
+        if header != csv_header(m):
             raise ValueError(f"unexpected trajectory CSV header: {header!r}")
-        m = len(cols) - 7
         # a run without a sample writes the header alone, and loadtxt warns
         # on an empty body, so an empty body is not handed to it
         body = fh.tell()
@@ -255,4 +256,7 @@ def read_trajectory_csv(path, terminal: str) -> Trajectory:
             return _trajectory(np.empty((0, 7 + m)), terminal)
         fh.seek(body)
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return _trajectory(data[:, :7 + m], terminal)
+    if data.shape[1] != 7 + m:
+        raise ValueError(f"unexpected trajectory CSV rows of {data.shape[1]} values "
+                         f"under the header {header!r}")
+    return _trajectory(data, terminal)

@@ -19,6 +19,8 @@ from .fields import apf_control, f_att, f_rep, u_att, u_rep
 
 DEFAULT_BOUNDS = ((-3.0, 9.0), (-2.0, 6.0))
 EXCLUSION_BAND = 1e-3
+# gradient_states draws at most this many candidates for one state
+MAX_DRAWS = 10000
 EQUIVALENCE_TOL = ORACLE_TOL = 1e-9
 GRADIENT_TOL = 1e-5
 GRADIENT_STEP = 1e-6  # relative to the length scale of each potential
@@ -111,30 +113,40 @@ def _central_fd(func, x, scales):
 def gradient_states(scenario: Scenario, n, rng, bounds=DEFAULT_BOUNDS):
     """Random states with every clearance at least :data:`EXCLUSION_BAND`
     away from both 0 and the influence margin; half are drawn inside the
-    influence shells where the repulsive field is live."""
+    influence shells where the repulsive field is live, from each shell
+    wider than twice the band in turn (the others hold no such state).
+    ``ValueError`` once :data:`MAX_DRAWS` candidates in a row are refused,
+    as where the obstacles cover ``bounds``."""
     states = np.empty((n, 2))
     obstacles = scenario.obstacles
-    count = 0
-    while count < n:
-        if obstacles and count % 2 == 0:
-            obs = obstacles[(count // 2) % len(obstacles)]
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            r = obs.radius + rng.uniform(EXCLUSION_BAND,
-                                         obs.influence_margin - EXCLUSION_BAND)
-            cand = np.array([obs.center[0] + r * np.cos(theta),
-                             obs.center[1] + r * np.sin(theta)])
-        else:
-            cand = np.array([rng.uniform(*bounds[0]), rng.uniform(*bounds[1])])
-        ok = True
-        for obs in obstacles:
-            rho = np.hypot(cand[0] - obs.center[0], cand[1] - obs.center[1]) - obs.radius
-            if rho < EXCLUSION_BAND or abs(rho - obs.influence_margin) < EXCLUSION_BAND:
-                ok = False
+    shells = [obs for obs in obstacles if obs.influence_margin > 2.0 * EXCLUSION_BAND]
+    for count in range(n):
+        for _ in range(MAX_DRAWS):
+            if shells and count % 2 == 0:
+                obs = shells[(count // 2) % len(shells)]
+                theta = rng.uniform(0.0, 2.0 * np.pi)
+                r = obs.radius + rng.uniform(EXCLUSION_BAND,
+                                             obs.influence_margin - EXCLUSION_BAND)
+                cand = np.array([obs.center[0] + r * np.cos(theta),
+                                 obs.center[1] + r * np.sin(theta)])
+            else:
+                cand = np.array([rng.uniform(*bounds[0]), rng.uniform(*bounds[1])])
+            if all(_clear_of_bands(cand, obs) for obs in obstacles):
                 break
-        if ok:
-            states[count] = cand
-            count += 1
+        else:
+            raise ValueError(
+                f"no gradient state found: {MAX_DRAWS} random states in a row lay inside "
+                f"an obstacle or within {EXCLUSION_BAND:g} of a surface or an influence "
+                "boundary")
+        states[count] = cand
     return states
+
+
+def _clear_of_bands(x, obs):
+    """Whether the clearance of ``x`` from ``obs`` is at least
+    :data:`EXCLUSION_BAND` away from both 0 and the influence margin."""
+    rho = np.hypot(x[0] - obs.center[0], x[1] - obs.center[1]) - obs.radius
+    return not (rho < EXCLUSION_BAND or abs(rho - obs.influence_margin) < EXCLUSION_BAND)
 
 
 def gradient_suite(scenario: Scenario, n=10000, seed=0) -> SuiteResult:

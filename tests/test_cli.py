@@ -657,6 +657,21 @@ def test_verify_seed_override_follows_config_seed_rule(capsys):
     assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
 
 
+def test_verify_of_a_covered_box_is_a_configuration_error(tmp_path, capsys):
+    """An obstacle that covers the whole verify box leaves the gradient
+    suite no state to check: one ``error:`` line and exit 2, nothing on
+    stdout."""
+    scenario = {**crash_scenario(), "goal": [100.0, 0.0],
+                "obstacles": [{"center": [3.0, 2.0], "radius": 20.0, "rho0": 0.2}]}
+    write_json(tmp_path / "scen.json", scenario)
+    cfg_path = write_json(tmp_path / "cfg.json", run_config("scen.json", x0=[-30.0, 0.0]))
+    assert cli.main(["verify", str(cfg_path), "--suite", "gradients"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: no gradient state found: 10000 random states in a row")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_3_for_invalid_scenario(tmp_path, capsys):
     bad = crash_scenario()
     bad["k_att"] = -1.0

@@ -9,6 +9,7 @@ timing anything.
 
 import collections
 import dataclasses
+import functools
 import itertools
 import linecache
 import math
@@ -456,30 +457,38 @@ def test_models_of_one_shape_keep_their_own_constants():
         assert _bits(point(x, y, phis)) != _bits(other(x, y, [0.0, 0.0]))
 
 
+def _spy_cache(monkeypatch, name, compiled):
+    """Replaces the cached compiler ``name`` of ``_kernels`` with an empty
+    cache over the same function that appends each key it compiles to
+    ``compiled``."""
+    compile_key = getattr(_k, name).__wrapped__
+
+    def spy(*key):
+        compiled.append(key)
+        return compile_key(*key)
+
+    monkeypatch.setattr(_k, name, functools.cache(spy))
+
+
 def test_binding_a_shape_twice_compiles_it_once(monkeypatch):
+    """``point`` is compiled per kernel shape ``(m, gamma class, filtered,
+    skind == 0)`` and whether rows are reported."""
     compiled = []
-    compile_shape = _k._compile
-
-    def spy(*shape):
-        compiled.append(shape)
-        return compile_shape(*shape)
-
-    monkeypatch.setattr(_k, "_FACTORIES", {})
-    monkeypatch.setattr(_k, "_compile", spy)
+    _spy_cache(monkeypatch, "_compile", compiled)
     model = _k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[2], GAMMAS[1]))
     shifted_model = _k.pack_model(shifted(SCENARIO, 3.0), _k.pack_controller(SIGMAS[1], GAMMAS[1]))
     for _ in range(2):
         _k.bind(model)
         _k.bind(shifted_model)
-    assert compiled == [(2, 1, True, False, False)]
+    assert compiled == [((2, 1, True, False), False)]
     _k.bind(model, [None] * 3)
     _k.bind(_k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[0], None)))
-    assert compiled[1:] == [(2, 1, True, True, False), (2, 0, False, False, True)]
+    assert compiled[1:] == [((2, 1, True, False), True), ((2, 0, False, True), False)]
     # a gkind other than 0 and 1 runs as the table, with the table's point
     table = _k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[2], GAMMAS[2]))
     _k.bind(table)
     _k.bind((*table[:11], 3, *table[12:]))
-    assert compiled[3:] == [(2, 2, True, False, False)]
+    assert compiled[3:] == [((2, 2, True, False), False)]
 
 
 # the real binder and free radius, for spies that wrap them while patched
@@ -983,6 +992,37 @@ def test_free_path_needs_finite_u_nom_and_no_table():
     assert not free([*model[:5], -1.0, *model[6:]])
     assert not free([*model[:2], [[0.0, 0.0, 0.5, 0.0]], *model[3:]])
     assert not free([*model[:2], [], *model[3:]])
+
+
+def _table_run(model):
+    """An RK4 run at dt 0.01 from (-2, 0.3) in the fig2 arena: its output,
+    record and the states it evaluated in full."""
+    rec = np.full((2001, 10), -1.0)
+    trace = []
+    out = _k._integrate(-2.0, 0.3, model, 0.01, 2000, 0.05, _k.RK4_STAGES, rec, trace)
+    return _bits(out), rec.tobytes(), _bits(itertools.chain(*trace))
+
+
+def test_any_table_gkind_rolls_out_as_the_table(arena):
+    """A hand-packed gkind other than 0, 1 and 2 runs the table's margin
+    block, and so the table's free-flight rule: it never flies free, and
+    its run is its gkind-2 twin's bit for bit (record, status, count,
+    minimum and the states evaluated in full)."""
+    table = _k.pack_model(arena, _k.pack_controller(UNIT_SIGMA, GAMMAS[2]))
+    odd = (*table[:11], 3, *table[12:])
+    assert _k._free_above(odd) == math.inf
+    assert _table_run(odd) == _table_run(table)
+
+
+def test_unfiltered_table_never_flies_free(arena):
+    """An unfiltered model packed by hand with a Gamma table records the
+    table's margins, which no free row could know: it never flies free, and
+    its run is the one that evaluates every state in full."""
+    table = _k.pack_model(arena, _k.pack_controller(UNIT_SIGMA, GAMMAS[2]))
+    unfiltered = (*table[:6], 1, *table[7:])
+    assert _k._free_above(unfiltered) == math.inf
+    out, rec = _full_run(unfiltered, (-2.0, 0.3), 0.01, 2000, _k.RK4_STAGES)
+    assert _table_run(unfiltered)[:2] == (_bits(out), rec.tobytes())
 
 
 @pytest.mark.parametrize("stages", [(), ((1.0, 1.0),)], ids=["sample", "stage"])
@@ -1916,20 +1956,12 @@ def test_signed_zero_stall_is_the_interpreted_loops(x0, table):
 
 
 def test_each_loop_shape_compiles_once(monkeypatch):
-    """A shape is the stage weights as float literals, whether sigma is kind
-    0, the obstacle count, the gamma class (0, 1 or a table), whether the
-    controller is filtered, and whether the run is traced: int and float
-    weights of one value share a loop, a weight of -0.0 does not share
-    0.0's, and later runs of a shape compile nothing."""
+    """A loop is compiled per stage weights as float literals, kernel shape
+    ``(m, gamma class, filtered, skind == 0)`` and whether the run is
+    traced: int and float weights of one value share a loop, a weight of
+    -0.0 does not share 0.0's, and later runs of a shape compile nothing."""
     compiled = []
-    compile_loop = _k._compile_loop
-
-    def spy(*shape):
-        compiled.append(shape)
-        return compile_loop(*shape)
-
-    monkeypatch.setattr(_k, "_LOOPS", {})
-    monkeypatch.setattr(_k, "_compile_loop", spy)
+    _spy_cache(monkeypatch, "_compile_loop", compiled)
     unit = _k.pack_model(SCENARIO, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
     other = _k.pack_model(shifted(SCENARIO, 2.0), _k.pack_controller(SIGMAS[2], GAMMAS[1]))
     table = _k.pack_model(SCENARIO, _k.pack_controller(UNIT_SIGMA, GAMMAS[2]))
@@ -1943,10 +1975,10 @@ def test_each_loop_shape_compiles_once(monkeypatch):
         for model in (table, nominal, single):
             _k._integrate(-1.0, 0.1, model, 0.02, 20, 0.05, (), np.empty((21, 7 + len(model[2]))))
         _k._integrate(-1.0, 0.1, unit, 0.02, 20, 0.05, (), np.empty((21, 9)), [])
-    assert compiled == [(weights, unit_sigma, 2, 1, True, False) for unit_sigma in (True, False)
+    assert compiled == [(weights, (2, 1, True, unit_sigma), False) for unit_sigma in (True, False)
                         for weights in ((), ("1.0",), ("-0.0",), ("0.0",))] + [
-        ((), True, 2, 2, True, False), ((), False, 2, 0, False, False),
-        ((), True, 1, 0, True, False), ((), True, 2, 1, True, True)]
+        ((), (2, 2, True, True), False), ((), (2, 0, False, False), False),
+        ((), (1, 0, True, True), False), ((), (2, 1, True, True), True)]
 
 
 @pytest.mark.parametrize("stages", [(), _k.RK4_STAGES], ids=["euler", "rk4"])
@@ -1956,7 +1988,7 @@ def test_loop_forms_u_nom_once_per_evaluation_site(stages, unit_sigma):
     evaluation site, the sample and every stage: free flight and the full
     evaluation read the site's one u_nom."""
     weights = tuple(repr(float(w)) for _, w in stages)
-    loop = _k._compile_loop(weights, unit_sigma, 2, 1, True, False)
+    loop = _k._compile_loop(weights, (2, 1, True, unit_sigma), False)
     lines = linecache.getlines(loop.__code__.co_filename)
     assert sum(line.lstrip().startswith("gatt =") for line in lines) == 1 + len(stages)
 

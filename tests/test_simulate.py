@@ -591,3 +591,24 @@ def test_csv_reader_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="unexpected trajectory CSV header"):
         read_trajectory_csv(path, terminal="timeout")
+
+
+@pytest.mark.parametrize("margins", ["phi_2", "phi_1,phi_3", "phi_1,phi_1", "phi_1,"])
+def test_csv_reader_rejects_a_header_other_than_csv_header(tmp_path, margins):
+    """Only ``csv_header(m)`` names margins: misnumbered, repeated or empty
+    margin columns are refused."""
+    path = tmp_path / "other.csv"
+    path.write_text(f"t,x,y,ux,uy,h_min,V,{margins}\n" + ",".join(["1"] * 9) + "\n")
+    with pytest.raises(ValueError, match="unexpected trajectory CSV header"):
+        read_trajectory_csv(path, terminal="timeout")
+
+
+@pytest.mark.parametrize("m, width", [(2, 8), (1, 9), (0, 8), (1, 7)],
+                         ids=["fewer-margins", "more-margins", "margin-without-header", "none"])
+def test_csv_reader_rejects_rows_not_as_wide_as_the_header(tmp_path, m, width):
+    """A body whose rows do not hold 7 + m values under ``csv_header(m)``
+    is refused, not read as another m or cut to the header."""
+    path = tmp_path / "other.csv"
+    path.write_text(csv_header(m) + "\n" + (",".join(["0.5"] * width) + "\n") * 3)
+    with pytest.raises(ValueError, match="unexpected trajectory CSV rows"):
+        read_trajectory_csv(path, terminal="timeout")

@@ -2,7 +2,7 @@
 
 ``rollout_phases.py`` and ``cli_phases.py`` wrap private functions of the
 package by name (``_kernels._flush``, ``_fill_free``, ``_potential``,
-``_integrate``, ``bind``, ``_free_above``, ``simulate._trajectory``,
+``_integrate``, ``_free_above``, ``simulate._trajectory``, ``cli.main``,
 ``cli.simulate`` and ``cli._write_outputs``), so renaming one breaks them;
 these runs, the smallest each script takes, notice that.
 """

@@ -1,19 +1,22 @@
 """The equivalence suite: one kernel pass, no simulator, and a gap that a
 one-ulp-scale change to the filter correction moves."""
 
+import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import apf_rcbf
 import apf_rcbf.verify
-from apf_rcbf import _kernels as _k
-from apf_rcbf.verify import equivalence_suite
+from apf_rcbf import Obstacle, Scenario, _kernels as _k, validate_scenario
+from apf_rcbf.verify import EXCLUSION_BAND, equivalence_suite, gradient_states, gradient_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,3 +102,30 @@ def test_run_suites_runs_each_suite_in_process(arena):
     assert all(r.passed for r in results)
     reference = json.loads((ROOT / "perfbench" / "verify_reference.json").read_text("utf-8"))
     assert [line for r in results for line in r.lines] == reference["3"]
+
+
+@pytest.mark.parametrize("rho0", [2.0 * EXCLUSION_BAND, 1.5 * EXCLUSION_BAND])
+def test_gradient_states_draw_no_shell_too_narrow_to_hold_one(arena, rho0):
+    """A shell no wider than twice the exclusion band holds no state the
+    suite may check, so none is drawn from it: the states come from the box
+    alone, each clear of every surface and influence boundary by the band,
+    and the suite runs (a draw there never returned, or raised numpy's
+    ``ValueError``)."""
+    narrow = dataclasses.replace(arena, obstacles=tuple(
+        Obstacle(obs.center, obs.radius, rho0) for obs in arena.obstacles))
+    validate_scenario(narrow)
+    states = gradient_states(narrow, 40, np.random.default_rng(0))
+    for x, y in states.tolist():
+        for obs in narrow.obstacles:
+            rho = math.hypot(x - obs.center[0], y - obs.center[1]) - obs.radius
+            assert rho >= EXCLUSION_BAND and abs(rho - rho0) >= EXCLUSION_BAND
+    assert gradient_suite(narrow, n=40).passed
+
+
+def test_gradient_states_refuse_a_covered_box():
+    """An obstacle that covers the whole box leaves no state to draw: the
+    draw ends with a ``ValueError`` instead of looping for ever."""
+    covered = Scenario(goal=[100.0, 0.0], obstacles=(Obstacle([3.0, 2.0], 20.0, 0.2),))
+    validate_scenario(covered)
+    with pytest.raises(ValueError, match="no gradient state found: 10000 random states"):
+        gradient_states(covered, 10, np.random.default_rng(0))

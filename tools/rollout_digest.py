@@ -5,9 +5,8 @@ shells), each at the origin and translated by +-1e6, with every sigma kind,
 the zero, unit and lambda-8 scaled-special and table tightenings and the
 unfiltered stabilizer, Euler and RK4, and dt 0.004 and 0.02, from three
 starts per arena.  Each rollout's record rows and its ``(n, status, negative
-minimum, negative count)`` enter the digest; a minimum at or above zero is
-taken as +inf, so trees whose kernel returns the smallest tightening and
-trees that return only the smallest negative one digest alike.
+minimum, negative count)`` enter the digest, the minimum +inf where no
+tightening was negative.
 
 A second digest continues the first over two more arenas on the same grid,
 one without obstacles and one with a single obstacle, so that the kernels
@@ -27,7 +26,6 @@ exactly the cases that moved.
 import argparse
 import hashlib
 import itertools
-import math
 import struct
 import sys
 from importlib import resources
@@ -88,8 +86,6 @@ def digest_grid(arena_list, digest, counts, per_case):
                 rec = np.full((n_max + 1, 7 + len(scenario.obstacles)), -1.0)
                 n, status, ming, negcount = _k._integrate(
                     x0[0] + shift, x0[1] + shift, model, dt, n_max, GOAL_TOL, stages, rec)
-                if not ming < 0.0:
-                    ming = math.inf
                 case = (struct.pack("<qqdq", n, status, ming, negcount)
                         + np.ascontiguousarray(rec[:n]).tobytes())
                 digest.update(case)
