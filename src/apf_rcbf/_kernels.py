@@ -73,22 +73,29 @@ kernel shape and trace flag, the stage weights taken as their
 -0.0 does not share 0.0's).  The model is unpacked into locals once per
 call.  The stages are unrolled, each weight a literal and each offset
 ``c * dt`` a local formed once per call; Euler has no stage bookkeeping
-and its stall count no stage term.  The sample and every stage are evaluation sites, each
-one copy of the block :data:`_SITE` under its names: b, the free test
-(below), u_nom, and only where the state does not fly free the trace, the
-rest of the full evaluation, the count of negative tightenings and the
-domain test.  u_nom is formed once per evaluation, and a free state's
-control is that u_nom.  After its block the sample keeps its own lines: its
-margins go from locals straight into the record's buffer, and it becomes the
-base; a stage stores none.  A sigma of kind 0 has no ``sigma(...)`` branch,
-and any other kind no -b shortcut.  The horizon test rides on the flush
+and its stall count no stage term.  The sample and every stage are
+evaluation sites, each one copy of the block :data:`_SITE` under its names:
+b, the free test (below), u_nom, and only where the state does not fly free
+the trace, the rest of the full evaluation, the count of negative
+tightenings and the domain test.  A site keeps only the lines it reads: the
+running minimum, the count and the stall's count term only where a
+tightening may be negative (:func:`_counted`: not the zero tightening, nor
+any unfiltered shape), and each shell only the margin lines that the site
+stores, the correction or the minimum reads (a stage stores no margin).
+u_nom is formed once per evaluation, and a free state's control is that
+u_nom.  After its block the sample keeps its own lines: its margins go from
+locals straight into the record's buffer, and it becomes the base.  A sigma
+of kind 0 has no ``sigma(...)`` branch, and any other kind no -b shortcut
+nor stretch of free steps (below), under whose test a kind-0 site's block
+goes.  The horizon test rides on the flush
 test: the sample that fills a chunk is never past n_max.  So a step iterates
 no table or shell, tests no kind and calls no controller, with the
 expressions, order and so bits of the interpreted loop that called
 ``point`` (``tests/test_kernels.py`` keeps that loop as its reference).  A
 traced shape appends the state of each full evaluation to a list, and only a
-run that asks for the trace runs one.  :func:`_free_above`, :func:`_free_r2`
-and :func:`_flush` stay calls, read from the module at call time.
+run that asks for the trace runs one.  :func:`_free_above`, :func:`_free_r2`,
+:func:`_free_steps` and :func:`_flush` stay calls, read from the module at
+call time.
 Compiling a rollout shape costs time linear in m times its evaluation
 sites, once per shape per process.
 
@@ -138,6 +145,36 @@ rounding of the step offsets that led there never enters, and nothing
 accumulates along a run.  A displacement is never longer than the path
 that made it, so this proves more states free than a sum of step lengths.
 
+Free steps: for the grad-norm-squared sigma a free state's control is the
+linear law u = -k_att (x - g), so a free stretch runs straight at the goal.
+A sample that flies free by the -b shortcut asks :func:`_free_steps` for N,
+the whole steps from it that provably fly free, and the loop runs them with
+no test: the counter ``whole`` at each sample and one ``if whole:`` per
+stage, which takes -(k_att * (p - g)), the bits of the -b the test would
+have given.  The lemma: let a = dt k_att be in (0, 1/2] and every stage of
+the table have c in [0, 1] and w >= 0.  In exact arithmetic a stage state
+of a step from x is g + l (x - g) with l = 1 - c a l' in [1/2, 1] (l' the
+previous stage's, 1 for the first), and the next sample g + m (x - g) with
+m = 1 - a (1 + sum w_j l_j) / (1 + sum w) in [1/2, 1]: every state of N
+steps lies on the segment from x to g, within N reach of x, reach = a |x -
+g|.  The step is affine with factors in [0, 1] toward g, so it does not
+amplify the rounding of earlier steps: each step adds at most about (8 + s)
+u (|x|_1 + 3 |x - g|_1) for a table of s stages, and N steps drift at most
+N times that.  The helper takes the drift of a step as 2**-40 (1 + s) span,
+span = |x|_1 + 3 |x - g|_1 + 2**-450, and reach with a factor 1 + 2**-40
+(1 + s), and cuts N so that N (reach + drift) stays below both
+sqrt(r2) (1 - 2**-40) - |x - b| (1 + 2**-40) and |x - g| (1 - 2**-40) / 2.
+So every state of the stretch lies within sqrt(r2) (1 - 2**-40) of the base,
+where the computed squared distance is below r2, and keeps at least half
+its distance to the goal, so that with the sample's |b|^2 in [2**-1000,
+2**1000] each |b|^2 of the stretch is in (0, inf): the free test and the -b
+shortcut pass at every state of it, and no decision changes.  A rate
+outside (0, 1/2] (the loop passes NaN for a table outside the lemma), |b|^2
+outside that range or a span of 2**500 or more grant nothing.  The loop
+asks only where the Euler step's end x - a (x - g) lies in the free radius,
+which every stretch needs up to rounding, so it skips the calls that would
+grant nothing; a skipped call changes no bit either.
+
 Stationary states: where the attractive and repulsive fields balance (a
 stall in front of a gap), ``dt * |u|`` drops below half an ulp of the state
 and a step returns its own state bit for bit (signed zeros included).
@@ -184,6 +221,9 @@ RK4_STAGES = ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 FREE_SLACK = 2.0 ** -40
 FREE_FLOOR = 2.0 ** -450
 FREE_SPAN_LIMIT = 2.0 ** 500
+# a stretch of free steps (module docstring, "Free steps") starts only from
+# a sample whose |b|^2 lies in this range
+FREE_SQUARES = (2.0 ** -1000, 2.0 ** 1000)
 
 
 def pack_controller(sigma_sel, gamma_sel):
@@ -292,6 +332,25 @@ def _free_r2(hmin, bx, by, free_above, corner):
     return rad * rad * (1.0 - FREE_SLACK) if rad > 0.0 else -1.0
 
 
+def _free_steps(xx, yy, ddx, ddy, ex, ey, r2, bb, rate, stages):
+    """The whole steps that provably fly free from a sample ``(xx, yy)``
+    that flew free by the unit shortcut (module docstring, "Free steps"):
+    ``ddx, ddy`` its offset from the goal, ``ex, ey`` from the base, whose
+    squared free radius is ``r2``, and ``bb`` its |b|^2; ``rate`` is dt *
+    k_att, NaN for a table outside the lemma, and ``stages`` the table's
+    length.  0 where the lemma grants nothing."""
+    if not (0.0 < rate <= 0.5 and FREE_SQUARES[0] <= bb <= FREE_SQUARES[1]):
+        return 0
+    span = abs(xx) + abs(yy) + 3.0 * (abs(ddx) + abs(ddy)) + FREE_FLOOR
+    if not span < FREE_SPAN_LIMIT:
+        return 0
+    slack = FREE_SLACK * (1 + stages)
+    dist = math.hypot(ddx, ddy)
+    room = min(math.sqrt(r2) * (1.0 - FREE_SLACK) - math.hypot(ex, ey) * (1.0 + FREE_SLACK),
+               0.5 * dist * (1.0 - FREE_SLACK))
+    return int(room / (rate * dist * (1.0 + slack) + slack * span)) if room > 0.0 else 0
+
+
 def _goal_threshold(goal_tol):
     """q*, the least double whose correctly rounded square root is at least
     ``goal_tol``: for every double q >= 0 (inf and NaN included),
@@ -357,12 +416,11 @@ _NOM = """
 # site: the smallest clearance {hmin} and tightening {ming}, and the
 # corrections added to the control.  A shape fills the slots: the rows
 # stores where it reports, and one copy of _SHELL per obstacle, each with the
-# margin block of its gamma kind (_MARGINS) and, where it is filtered, the
-# running minimum and the correction (_FILTERED).  So an evaluation holds no
-# loop and tests no kind.
+# lines of its gamma kind's margin block (_MARGINS) that the site reads and,
+# where it is filtered, the running minimum and the correction (_FILTERED).
+# So an evaluation holds no loop and tests no kind.
 _EVAL = """{report}
-        {hmin} = inf
-        {ming} = inf{shells}"""
+        {hmin} = inf{minimum}{shells}"""
 
 # One shell, obstacle {i}.  An idle shell's margin block takes |d|^2 = 0.0
 # and idle_du, and skips the correction, which needs |d|^2 > 0 (a NaN
@@ -389,20 +447,16 @@ _SHELL = """
 _ROWS = """
             rows[{i}] = (dx, dy, dd)"""
 
-# The margin block of each gamma kind on |d|^2 and d.u_nom: {dd} and {du}
-# are 0.0 and idle_du on an idle shell, dd and its product on a live one.
-# Kind 1, scaled-special, takes phi = lam * D in closed form (module
-# docstring, "A note on arithmetic"); a kind other than 0 and 1 is the table.
+# The margin block of each gamma kind on |d|^2 and d.u_nom, one line for
+# the tightening gam and one for the margin phi: {dd} and {du} are 0.0 and
+# idle_du on an idle shell, dd and its product on a live one.  Kind 1,
+# scaled-special, takes phi = lam * D in closed form (module docstring, "A
+# note on arithmetic"); a kind other than 0 and 1 is the table.
 _MARGINS = {
-    1: """
-            phi = glam * {dd}
-            gam = phi + alpha_gain * rho - {du}""",
-    0: """
-            gam = 0.0
-            phi = -(alpha_gain * rho) + {du}""",
-    2: """
-            gam = float(interp(rho, gtx, gty))
-            phi = (-(alpha_gain * rho) + gam) + {du}""",
+    1: dict(phi="phi = glam * {dd}", gam="gam = phi + alpha_gain * rho - {du}"),
+    0: dict(gam="gam = 0.0", phi="phi = -(alpha_gain * rho) + {du}"),
+    2: dict(gam="gam = float(interp(rho, gtx, gty))",
+            phi="phi = (-(alpha_gain * rho) + gam) + {du}"),
 }
 
 # sigma / bb at the state ({x}, {y}): bb / bb is 1 for the grad-norm-squared
@@ -410,11 +464,12 @@ _MARGINS = {
 _GATT = {True: "-1.0",
          False: "-(sigma({x}, {y}, gx, gy, k_att, skind, scoef, stx, sty) / bb)"}
 
-# a filtered shape's running minimum of the tightening, and its correction
+# a filtered shape's running minimum of the tightening, and its correction;
+# kind 1's phi = glam * dd > 0 implies dd > 0, which the others test
 _FILTERED = ("""
             if gam < {ming}:
                 {ming} = gam""", """
-            if phi > 0.0 and dd > 0.0:
+            if phi > 0.0{dd}:
                 grep = -(phi / dd)
                 {ux} += grep * dx
                 {uy} += grep * dy""")
@@ -448,16 +503,33 @@ def _nominal(site, unit_sigma):
 def _evaluation(site, m, gclass, filtered, report):
     """The source of :data:`_EVAL` for ``m`` shells of the gamma class
     ``gclass``, ``filtered`` or not, with the ``rows`` stores if ``report``,
-    at ``site``, indented as ``point``'s body."""
+    at ``site``, indented as ``point``'s body.  A rollout site keeps the
+    running minimum only where a tightening may be negative
+    (:func:`_counted`), and a shell only the margin lines it reads: phi where
+    the site stores it or the shell corrects, gam where the minimum or a
+    kept phi reads it, and phi again where a kept gam does."""
     names = _SITES[site]
-    minimum, correct = _FILTERED if filtered else ("", "")
-    idle, live = ((_MARGINS[gclass] + minimum).format(dd=dd, du=du, **names) + names["store"]
-                  for dd, du in (("0.0", "idle_du"), ("dd", "(dx * unx + dy * uny)")))
+    minimum = filtered and (site == "point" or _counted(gclass, filtered))
+    lines = _MARGINS[gclass]
+
+    def margins(dd, du, corrects):
+        phi = bool(names["store"]) or corrects
+        gam = minimum or (gclass == 2 and phi)
+        phi = phi or (gclass == 1 and gam)
+        block = "".join(f"\n            {line}" for name, line in lines.items()
+                        if (phi if name == "phi" else gam))
+        block += _FILTERED[0] if minimum else ""
+        return (block.format(dd=dd, du=du, **names) + names["store"]) or "\n            pass"
+
+    correct = _FILTERED[1].format(dd="" if gclass == 1 else " and dd > 0.0", **names)
     # {i} passes through the site's names and is filled per shell
-    shell = _SHELL.format(i="{i}", idle=idle, live=live, correct=correct.format(**names),
-                          rows=_ROWS if report else "", **names)
+    shell = _SHELL.format(i="{i}", idle=margins("0.0", "idle_du", False),
+                          live=margins("dd", "(dx * unx + dy * uny)", filtered),
+                          correct=correct if filtered else "", rows=_ROWS if report else "",
+                          **names)
     return _EVAL.format(report="\n        rows[-1] = gatt" if report else "",
-                        shells="".join(shell.format(i=i) for i in range(m)), **names)
+                        minimum=f"\n        {names['ming']} = inf" if site == "point" or minimum
+                        else "", shells="".join(shell.format(i=i) for i in range(m)), **names)
 
 
 def _unpack(m):
@@ -565,12 +637,12 @@ def _flush(rec, row, smp, hms):
 
 # The rollout loop's one source: _integrate compiles it once per shape into
 # ``loop`` (module docstring, "The rollout loop").  The sample is one
-# evaluation site (_SITE), followed by its own lines under ``if not flies:``;
-# the stages are unrolled (_STAGE), each one site.  ``due``, the sample that
-# fills a chunk, never passes n_max, so one compare per sample tests both.
+# evaluation site (_SITE) with its own lines (_KEEP); the stages are unrolled
+# (_STAGE), each one site.  ``due``, the sample that fills a chunk, never
+# passes n_max, so one compare per sample tests both.
 _LOOP = """\
-def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rec, smp, hms,
-         chunk, trace):{unpack}
+def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rate, rec, smp,
+         hms, chunk, trace):{unpack}
     [{offsets}] = offsets
     free_r2 = _free_r2
     isfinite = math.isfinite
@@ -583,16 +655,10 @@ def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rec, s
     # the base (basex, basey) is the last sample evaluated in full, r2 its
     # squared free radius; -1 flies nothing free before the first
     basex = basey = 0.0
-    r2 = -1.0
+    r2 = -1.0{stretch}
     for k in range(n_max + 1):
         ddx = xx - gx
         ddy = yy - gy{sample}
-            hms += (k, hmin, 0.0{margins})
-            basex = xx
-            basey = yy
-            # the helper gives -1 as well at or below free_above, where the
-            # shells are: the test only saves the call there
-            r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0
         smp += (xx, yy, ux, uy)
         if ddx * ddx + ddy * ddy < goal_q:
             status = REACHED_GOAL
@@ -606,12 +672,7 @@ def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rec, s
         ny = yy + step * {sy}
         if (nx == xx and ny == yy and math.copysign(1.0, nx) == math.copysign(1.0, xx)
                 and math.copysign(1.0, ny) == math.copysign(1.0, yy)):
-            # stationary: each skipped step evaluates its sample (counted
-            # only if it was full: a free one's tightening is never
-            # negative), and every one but the last its stages
-            stall = k
-            rest = n_max - k
-            negcount += rest * (not flies and mg < 0.0){stall}
+            stall = k{stall}
             break
         xx = nx
         yy = ny
@@ -619,19 +680,32 @@ def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rec, s
 """
 
 # One evaluation site of the loop, the sample or a stage, at the state ({x},
-# {y}) (module docstring, "The rollout loop"); {nominal} is _NOM and _FREE
+# {y}) (module docstring, "The rollout loop"); {nominal} is _NOM and _FREE,
+# {count} _COUNT where a tightening may be negative
 _SITE = _ATT + """
         ex = {x} - basex
         ey = {y} - basey
         {free} = ex * ex + ey * ey < r2{nominal}
-        if not {free}:{trace}{evaluation}
-            if {ming} < 0.0:
-                negcount += 1
-                if {ming} < ming:
-                    ming = {ming}
+        if not {free}:{trace}{evaluation}{count}
             if {domain}:
                 status = DOMAIN_ERROR
                 break"""
+
+_COUNT = """
+            if {ming} < 0.0:
+                negcount += 1
+                if {ming} < ming:
+                    ming = {ming}"""
+
+# the sample's own lines after a full evaluation: its margins go to the
+# buffer, and it becomes the base
+_KEEP = """
+            hms += (k, hmin, 0.0{margins})
+            basex = xx
+            basey = yy
+            # the helper gives -1 as well at or below free_above, where the
+            # shells are: the test only saves the call there
+            r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0"""
 
 # a state in the free radius flies free if d.u_nom on an idle shell is +-0
 # (u_nom finite); the update is guarded, so a full evaluation stores nothing
@@ -641,18 +715,43 @@ _FREE = """
 
 # the grad-norm-squared sigma's shortcut: with |b|^2 in (0, inf) a state in
 # the free radius takes u_nom = -b, finite, and flies free; _NOM and _FREE
-# go under its else
+# go under its else.  At the sample, {grant} asks for a stretch where the
+# Euler step's end, x - dt * k_att * (x - g), lies in the free radius: a
+# stretch needs room for a step of that length, so the test saves the calls
+# that would grant nothing (and every call where the rate is NaN), and a
+# call it saves changes no bit.
 _UNIT = """
         if {free} and 0.0 < bb < inf:
             {ux} = -bx
-            {uy} = -by
+            {uy} = -by{grant}
+        else:"""
+
+# a loop of the grad-norm-squared sigma's stretches: ``whole`` is the steps
+# left in a stretch of free steps, the one being taken included, and a
+# sample that ends one of them takes it off
+_STRETCH = """
+    free_steps = _free_steps
+    whole = 0"""
+
+_GRANT = """
+            qx = ex - rate * ddx
+            qy = ey - rate * ddy
+            if qx * qx + qy * qy < r2:
+                whole = free_steps(xx, yy, ddx, ddy, ex, ey, r2, bb, rate, {stages})"""
+
+# a stretch of whole free steps (module docstring, "Free steps"): a sample
+# ends a step of it and a stage lies in one, so either takes u_nom = -b with
+# no test; the site's block goes under the else, one level deeper
+_WHOLE = """
+        if whole:{tick}
+            {ux} = -(k_att * {dx})
+            {uy} = -(k_att * {dy})
         else:"""
 
 # the stages after the first: kx, ky the last slope, sx, sy the weighted
 # slopes summed left to right (k1 + 2 k2 + 2 k3 + k4 for RK4); (c * dt) * kx
 # is how ``xx + c * dt * kx`` groups, so the stage states keep their bits
 _SLOPES = """
-        neg_before = negcount
         kx = sx = ux
         ky = sy = uy"""
 
@@ -662,6 +761,20 @@ _STAGE = """
         sx = sx + {w} * kx
         sy = sy + {w} * ky"""
 
+# stationary: each skipped step evaluates its sample (counted only if it was
+# full: a free one's tightening is never negative), and every one but the
+# last its stages; {stages} is the stages' term, where there are stages
+_STALL = """
+            rest = n_max - k
+            negcount += rest * (not flies and mg < 0.0){stages}"""
+
+
+def _counted(gclass, filtered):
+    """Whether a rollout of this gamma class, ``filtered`` or not, may meet a
+    negative tightening, which it counts: the zero tightening (class 0) is
+    never negative, and the unfiltered stabilizer evaluates none."""
+    return filtered and gclass != 0
+
 
 @functools.cache
 def _compile_loop(weights, shape, traced):
@@ -669,26 +782,37 @@ def _compile_loop(weights, shape, traced):
     literals, a kernel shape (:func:`_shape`) and ``traced``: :data:`_LOOP`
     with its slots filled, compiled by :func:`_exec` once per process."""
     m, gclass, filtered, unit_sigma = shape
+    counted = _counted(gclass, filtered)
 
     def site(name):
         names = _SITES[name]
+        sample = name == "sample"
         nominal = _nominal(name, unit_sigma) + _FREE.format(**names)
         if unit_sigma:
-            nominal = _UNIT.format(**names) + nominal.replace("\n", "\n    ")
+            grant = _GRANT.format(stages=len(weights)) if sample else ""
+            nominal = _UNIT.format(grant=grant, **names) + nominal.replace("\n", "\n    ")
         trace = "\n            trace.append(({x}, {y}))" if traced else ""
         # point's evaluation one level deeper: under ``if not {free}:``
         evaluation = _evaluation(name, m, gclass, filtered, False).replace("\n", "\n    ")
-        return _SITE.format(nominal=nominal, trace=trace.format(**names),
-                            evaluation=evaluation, **names)
+        block = _SITE.format(nominal=nominal, trace=trace.format(**names), evaluation=evaluation,
+                             count=_COUNT.format(**names) if counted else "", **names)
+        if sample:
+            block += _KEEP.format(margins="".join(f", phi_{i}" for i in range(m)))
+        if not unit_sigma:
+            return block
+        return _WHOLE.format(tick="\n            whole -= 1" if sample else "",
+                             **names) + block.replace("\n", "\n    ")
 
     stage = site("stage")
     source = _LOOP.format(
         unpack=_unpack(m), offsets=", ".join(f"h{j}" for j in range(len(weights))),
-        sample=site("sample"), margins="".join(f", phi_{i}" for i in range(m)),
-        stages=(_SLOPES + "".join(_STAGE.format(j=j, w=w, site=stage)
-                                  for j, w in enumerate(weights))) if weights else "",
+        stretch=_STRETCH if unit_sigma else "", sample=site("sample"),
+        stages=(("\n        neg_before = negcount" if counted else "") + _SLOPES
+                + "".join(_STAGE.format(j=j, w=w, site=stage) for j, w in enumerate(weights)))
+        if weights else "",
         sx="sx" if weights else "ux", sy="sy" if weights else "uy",
-        stall=" + (rest - 1) * (negcount - neg_before)" if weights else "")
+        stall=_STALL.format(stages=" + (rest - 1) * (negcount - neg_before)" if weights else "")
+        if counted else "")
     return _exec(source, f"<_kernels._integrate weights=({', '.join(weights)}) "
                          f"unit_sigma={unit_sigma} m={m} gamma={gclass} filtered={filtered} "
                          f"traced={traced}>")
@@ -723,8 +847,10 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec, trace=None):
     (:func:`_shape`) and trace flag, compiled from :data:`_LOOP` by
     :func:`_compile_loop`; its sample and stages are one evaluation block
     each (module docstring, "The rollout loop"), and the free-flight rule
-    lives here alone (module docstring, "Free flight").  The record, count
-    and minimum are those of evaluating every shell everywhere.
+    lives here alone (module docstring, "Free flight"), with its stretches
+    of free steps for the grad-norm-squared sigma ("Free steps"), whose
+    rate dt * k_att is formed here.  The record, count and minimum are those
+    of evaluating every shell everywhere.
 
     ``trace``, a list, runs the traced shape of the loop, which appends the
     state ``(x, y)`` of each full evaluation, sample or stage, in order;
@@ -751,6 +877,9 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec, trace=None):
                          trace is not None)
     corner = max((abs(cx) + abs(cy) + abs(r) for cx, cy, r, _ in obstacles),
                  default=0.0) + FREE_FLOOR
+    # dt * k_att for _free_steps; NaN for a table outside its lemma, which
+    # fails the loop's test before every call
+    rate = dt * k_att if all(0.0 <= c <= 1.0 and w >= 0.0 for c, w in stages) else math.nan
     # x, y, ux, uy of every sample, and row, h_min, a 0.0 for V and margins
     # of the full ones, flushed once a chunk of whole record rows is buffered
     smp = []
@@ -758,7 +887,7 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec, trace=None):
     row, status, stall, ming, negcount = loop(
         x0x, x0y, model, [c * dt for c, _ in stages],
         dt / (1.0 + sum(w for _, w in stages)), n_max, _goal_threshold(goal_tol),
-        _free_above(model), corner, rec, smp, hms,
+        _free_above(model), corner, rate, rec, smp, hms,
         -(-RECORD_CHUNK_FLOATS // (7 + len(obstacles))), trace)
     n = _flush(rec, row, smp, hms)
     _fill_free(rec, n, model)

@@ -9,6 +9,7 @@ timing anything.
 
 import collections
 import dataclasses
+import fractions
 import functools
 import itertools
 import linecache
@@ -1998,11 +1999,14 @@ def test_loop_forms_u_nom_once_per_evaluation_site(stages, unit_sigma):
     pytest.param("_free_r2",
                  "r2 = free_r2(hmin, xx, yy, free_above, corner) if hmin > free_above else -1.0",
                  id="free_r2"),
+    pytest.param("_free_steps", "whole = free_steps(xx, yy, ddx, ddy, ex, ey, r2, bb, rate, 3)",
+                 id="free_steps"),
 ])
 def test_traceback_shows_the_loop_template_line(helper, line, monkeypatch):
     """An exception raised under the compiled loop names the template's
     source line, kept in ``linecache``: a helper the loop calls raises (the
-    first flush, one chunk in, or the first sample's free radius)."""
+    first flush, one chunk in, the first sample's free radius, or the first
+    free sample's stretch)."""
     def failing(*args):
         raise ZeroDivisionError("stub")
 
@@ -2013,3 +2017,232 @@ def test_traceback_shows_the_loop_template_line(helper, line, monkeypatch):
               if f.filename.startswith("<_kernels._integrate")]
     assert [f.line for f in frames] == [line]
     assert "".join(traceback.format_tb(info.value.__traceback__)).count(line) == 1
+
+
+# Free steps: for the grad-norm-squared sigma, a sample that flies free by
+# the unit shortcut asks _free_steps how many whole steps provably stay in
+# the base's free ball, and the loop then runs that stretch with no ball test
+# (module docstring, "Free steps").  A stretch must change no decision: the
+# record, the return and the trace are those of the run granted nothing, and
+# of the reference, which tests every evaluation.
+
+_FREE_STEPS = _k._free_steps
+
+UNIT_PACKINGS = ([pytest.param(_k.pack_controller(UNIT_SIGMA, g), id=f"gamma{j}")
+                  for j, g in enumerate(GAMMAS)]
+                 + [pytest.param(_k.pack_controller(UNIT_SIGMA, None), id="unfiltered"),
+                    pytest.param(_k.pack_controller(UNIT_SIGMA, UNIT_GAMMA), id="apf")])
+
+
+def _granted(model, x0, dt, n_max, stages, goal_tol=0.05, grant=None):
+    """Runs ``_integrate`` into a record of -1.0 with its trace kept, with
+    ``_free_r2`` and ``_free_steps`` spied on, each grant replaced by
+    ``grant`` if given.  Returns the output, record and trace, and per
+    stretch granted ``(sample, base, r2, whole)``: a grant's base is the
+    sample of the last ``_free_r2`` call, whose radius it must be given."""
+    bases, stretches = [], []
+
+    def free_r2(hmin, bx, by, free_above, corner):
+        r2 = _FREE_R2(hmin, bx, by, free_above, corner)
+        bases.append(((bx, by), r2))
+        return r2
+
+    def free_steps(xx, yy, ddx, ddy, ex, ey, r2, bb, rate, count):
+        whole = _FREE_STEPS(xx, yy, ddx, ddy, ex, ey, r2, bb, rate, count)
+        base, r2_base = bases[-1]
+        assert _bits([r2, ex, ey, count]) == _bits([r2_base, xx - base[0], yy - base[1],
+                                                    len(stages)])
+        if whole:
+            stretches.append(((xx, yy), base, r2, whole))
+        return whole if grant is None else grant
+
+    trace = []
+    rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_k, "_free_r2", free_r2)
+        mp.setattr(_k, "_free_steps", free_steps)
+        out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec, trace)
+    return out, rec, trace, stretches
+
+
+def _inside(state, base, r2):
+    """Whether ``state`` lies within the free radius of ``base``, exactly."""
+    ex = fractions.Fraction(state[0]) - fractions.Fraction(base[0])
+    ey = fractions.Fraction(state[1]) - fractions.Fraction(base[1])
+    return ex * ex + ey * ey < fractions.Fraction(r2)
+
+
+def _check_stretches(model, dt, stages, rec, n, stretches):
+    """Recomputes every granted stretch with the loop's expressions: each of
+    its samples must be the record's, and every sample and stage state must
+    lie within the base's free radius exactly and pass the kernel's own tests
+    (the ball, and |b|^2 in (0, inf)), so it flies free without them."""
+    gx, gy, _, k_att = model[:4]
+    step = dt / (1.0 + sum(w for _, w in stages))
+    xs, ys = rec[:n, 1].tolist(), rec[:n, 2].tolist()
+    row = 0
+    for (xx, yy), base, r2, whole in stretches:
+        row = next(k for k in range(row, n) if (xs[k], ys[k]) == (xx, yy))
+        states = []
+        for j in range(1, whole + 1):
+            kx = sx = -(k_att * (xx - gx))
+            ky = sy = -(k_att * (yy - gy))
+            for c, w in stages:
+                px, py = xx + c * dt * kx, yy + c * dt * ky
+                states.append((px, py))
+                kx, ky = -(k_att * (px - gx)), -(k_att * (py - gy))
+                sx, sy = sx + float(w) * kx, sy + float(w) * ky
+            xx, yy = xx + step * sx, yy + step * sy
+            states.append((xx, yy))
+            if row + j < n:
+                assert _bits([xs[row + j], ys[row + j]]) == _bits([xx, yy])
+        for px, py in states:
+            assert _inside((px, py), base, r2)
+            assert _q((px, py), base) < r2
+            bx, by = k_att * (px - gx), k_att * (py - gy)
+            assert 0.0 < bx * bx + by * by < math.inf
+
+
+@st.composite
+def _stretch_case(draw):
+    """One or two shells in front of the goal (4, 0), near the origin or
+    1e6 to its right, a start to their left, and a step: every rho0 is set
+    so that the start's free radius ends a drawn whole number of its Euler
+    steps away, and a drawn fraction of one more (from 2**-30 to 1 - 1e-6,
+    so just inside an edge or just short of the next)."""
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    shells = [[2.0 + shift, 0.3, 0.5], [2.0 + shift, 1.6, 0.5]][:draw(st.integers(1, 2))]
+    x0 = (shift + draw(st.floats(-2.0, 1.0)), draw(st.floats(-1.5, 1.5)))
+    k_att, dt = draw(st.sampled_from([0.5, 1.5, 8.0])), draw(st.sampled_from([0.004, 0.02, 0.05]))
+    steps = draw(st.integers(0, 8)) + draw(st.sampled_from([2.0 ** -30, 1e-6, 0.5, 1.0 - 1e-6]))
+    return shift, shells, x0, k_att, dt, steps
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+@pytest.mark.parametrize("packing", UNIT_PACKINGS)
+@settings(max_examples=30, deadline=None)
+@given(case=_stretch_case())
+def test_free_stretch_keeps_every_bit_and_stays_in_the_ball(packing, table, case):
+    """Runs whose first free radius ends just inside a step's reach, for
+    every unit-sigma packing and stage table: the record and return are the
+    reference's bit for bit, the full-evaluation trace is that of the run
+    granted nothing, and every state of every stretch lies in its base's
+    free radius (``_check_stretches``)."""
+    shift, shells, x0, k_att, dt, steps = case
+    gx, stages = 4.0 + shift, STAGE_TABLES[table]
+    hmin = min(_clearances(*x0, (gx, 0.0, [(*s, 1.0) for s in shells])))
+    rho0 = (hmin - steps * dt * k_att * math.hypot(x0[0] - gx, x0[1])
+            - 2.0 ** -40 * (abs(x0[0]) + abs(x0[1]) + 2.5 + shift))
+    if not rho0 > 0.0:
+        return
+    model = (gx, 0.0, tuple((*s, rho0) for s in shells), k_att, 2.0, 0.5, *packing)
+    out = _same_run(model, x0, dt, 300, 0.05, stages)
+    run, rec, trace, stretches = _granted(model, x0, dt, 300, stages)
+    assert _bits(run) == _bits(out)
+    _, rec0, trace0, _ = _granted(model, x0, dt, 300, stages, grant=0)
+    assert _bits(itertools.chain(*trace)) == _bits(itertools.chain(*trace0))
+    assert rec.tobytes() == rec0.tobytes()
+    _check_stretches(model, dt, stages, rec, run[0], stretches)
+    event(f"stretches: {min(len(stretches), 3)}")
+
+
+@pytest.mark.parametrize("table", ["euler", "rk4"])
+@pytest.mark.parametrize("dt", [0.004, 0.02])
+@pytest.mark.parametrize("spec", [ControllerSpec("apf"),
+                                  ControllerSpec("generalized", sigma_sel=UNIT_SIGMA,
+                                                 gamma_sel=GammaSelector.zero())],
+                         ids=["apf", "zero"])
+@pytest.mark.parametrize("where", ["fig2", "overlap"])
+def test_workload_stretches_stay_in_the_ball(where, spec, dt, table, arena):
+    """The sweeps' cells from two starts: stretches are granted, and every
+    state of each lies within its base's free radius, exactly."""
+    model = _k.pack_model(arena if where == "fig2" else OVERLAP, spec.packing())
+    stages = STAGE_TABLES[table]
+    granted = 0
+    for x0 in ((-2.0, 0.3), (0.0, -1.5)):
+        out, rec, _, stretches = _granted(model, x0, dt, int(20.0 / dt), stages)
+        _check_stretches(model, dt, stages, rec, out[0], stretches)
+        granted += len(stretches)
+    assert granted > 0
+
+
+def _far(goal, x0, k_att=1.0, dt=0.02, obstacle=(50.0, 50.0, 0.5, 0.4)):
+    """``(model, x0, dt)``: the unit pair toward ``goal`` with one shell far
+    from the path."""
+    packing = _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA)
+    return (*goal, (obstacle,), k_att, 1.0, 1.0, *packing), x0, dt
+
+
+# (model, x0, dt), the stage table, n_max, goal_tol, and whether the run is
+# granted a stretch: each case outside the lemma next to one inside it
+_LEMMA_EDGES = {
+    "rate above a half": (_far((0.0, 0.0), (3.0, 0.0), dt=math.nextafter(0.5, 1.0)), "rk4",
+                          20, 1e-3, False),
+    "rate a quarter": (_far((0.0, 0.0), (3.0, 0.0), dt=0.25), "rk4", 20, 1e-3, True),
+    "c above 1": (_far((0.0, 0.0), (3.0, 0.0)), ((1.5, 1.0),), 200, 1e-3, False),
+    "w below 0": (_far((0.0, 0.0), (3.0, 0.0)), ((0.5, -0.5),), 200, 1e-3, False),
+    "c 1, w 0": (_far((0.0, 0.0), (3.0, 0.0)), ((1.0, 0.0),), 200, 1e-3, True),
+    "goal_tol 0 at the goal": (_far((4.0, 0.0), (4.0 + 1e-12, 0.0)), "rk4", 2000, 0.0, False),
+    "goal_tol 0": (_far((4.0, 0.0), (5.0, 0.0)), "rk4", 2000, 0.0, True),
+    "|b|^2 below 2**-1000": (_far((0.0, 0.0), (math.nextafter(1.0, 0.0), 0.0), k_att=2.0 ** -500,
+                                  dt=0.02 * 2.0 ** 500), "rk4", 50, 1e-3, False),
+    "|b|^2 above 2**-1000": (_far((0.0, 0.0), (1.5, 0.0), k_att=2.0 ** -500,
+                                  dt=0.02 * 2.0 ** 500), "rk4", 50, 1e-3, True),
+    "|b|^2 above 2**1000": (_far((0.0, 0.0), (1.2, 0.0), k_att=2.0 ** 500,
+                                 dt=0.02 * 2.0 ** -500), "rk4", 3, 1e-3, False),
+    "|b|^2 below 2**1000": (_far((0.0, 0.0), (0.9, 0.0), k_att=2.0 ** 500,
+                                 dt=0.02 * 2.0 ** -500), "rk4", 3, 1e-3, True),
+    "span near the limit": (_far((2.0 ** 499, 0.0), (1.5 * 2.0 ** 499, 0.0),
+                                 obstacle=(0.0, 0.0, 0.5, 0.4)), "rk4", 10, 1e-3, False),
+    "span below the limit": (_far((2.0 ** 499, 0.0), (2.0 ** 499 + 2.0 ** 496, 0.0),
+                                  obstacle=(0.0, 0.0, 0.5, 0.4)), "rk4", 10, 1e-3, True),
+}
+
+
+@pytest.mark.parametrize("case", list(_LEMMA_EDGES))
+def test_no_stretch_outside_the_lemma(case):
+    """No stretch where dt * k_att is above 1/2, a stage has c > 1 or w < 0,
+    the rounding of the coordinates outweighs the distance to the goal (a
+    run with goal_tol 0 that goes on to its stall at the goal), |b|^2 lies
+    outside [2**-1000, 2**1000] or the coordinates near FREE_SPAN_LIMIT;
+    next to each, a case inside the lemma is granted one.  Every run is the
+    reference's, bit for bit, and free flies from its second sample."""
+    (model, x0, dt), table, n_max, goal_tol, granted = _LEMMA_EDGES[case]
+    stages = STAGE_TABLES.get(table, table)
+    out = _same_run(model, x0, dt, n_max, goal_tol, stages)
+    run, rec, trace, stretches = _granted(model, x0, dt, n_max, stages, goal_tol)
+    assert _bits(run) == _bits(out)
+    assert trace[0] == x0 and len(trace) < run[0] * (1 + len(stages))
+    assert bool(stretches) == granted
+    _check_stretches(model, dt, stages, rec, run[0], stretches)
+
+
+@pytest.mark.parametrize("stages", [(), _k.RK4_STAGES], ids=["euler", "rk4"])
+@pytest.mark.parametrize("shape, counted", [((3, 0, True, True), False),
+                                            ((3, 0, False, False), False),
+                                            ((3, 2, False, True), False),
+                                            ((3, 1, True, True), True),
+                                            ((3, 2, True, False), True)])
+def test_loop_reads_no_dead_line(shape, counted, stages):
+    """A rollout of a tightening that is never negative (the zero one, and
+    every unfiltered shape) keeps no minimum and counts nothing; a stage
+    keeps an idle shell's margin only where its tightening reads it (the
+    scaled-special kind); and a scaled-special correction tests phi alone.
+    ``point`` keeps the minimum ``control`` returns."""
+    weights = tuple(repr(float(w)) for _, w in stages)
+    lines = [line.strip() for line in linecache.getlines(
+        _k._compile_loop(weights, shape, False).__code__.co_filename)]
+    assert all((line in lines) == counted
+               for line in ("negcount += 1", "if mg < 0.0:", "mg = inf"))
+    assert ("neg_before = negcount" in lines) == (counted and bool(stages))
+    assert "gam = 0.0" not in lines
+    m, gclass, filtered, _ = shape
+    # the idle branches: the sample's m, then each stage's m
+    idle = [lines[i + 1] for i, line in enumerate(lines) if line.startswith("elif rho >= rho0_")]
+    assert len(idle) == m * (1 + len(stages))
+    assert all(line.startswith("phi = ") == (gclass == 1) for line in idle[m:])
+    guards = {line for line in lines if line.startswith("if phi > 0.0")}
+    assert guards == (set() if not filtered else
+                      {"if phi > 0.0:"} if gclass == 1 else {"if phi > 0.0 and dd > 0.0:"})
+    point = linecache.getlines(_k._compile(shape, False).__code__.co_filename)
+    assert ("if gam < ming:" in [line.strip() for line in point]) == filtered

@@ -2,7 +2,7 @@
 
 ``rollout_phases.py`` and ``cli_phases.py`` wrap private functions of the
 package by name (``_kernels._flush``, ``_fill_free``, ``_potential``,
-``_integrate``, ``_free_above``, ``simulate._trajectory``, ``cli.main``,
+``_integrate``, ``_free_above``, ``_free_steps``, ``simulate._trajectory``, ``cli.main``,
 ``cli.simulate`` and ``cli._write_outputs``), so renaming one breaks them;
 these runs, the smallest each script takes, notice that.
 """
@@ -43,6 +43,24 @@ def test_rollout_phases_reports_every_phase(tmp_path, workload):
     assert tree["total"] > 0.0
     evals, full = tree["evaluations_per_start"], tree["full_evaluations_per_start"]
     assert 0 < full < evals
+    # the stretches of free steps run a share of the free evaluations
+    assert 0 < tree["budgeted_evaluations_per_start"] <= evals - full
+
+
+def test_rollout_phases_counts_the_budgeted_evaluations(tmp_path):
+    """The printed traffic line of a tree names its budgeted evaluations next
+    to the full ones, with the numbers of the JSON report."""
+    args = ["--workload", "sweep_fig2", "--starts", "1", "--reps", "1"]
+    (tree,) = run_tool(tmp_path, "rollout_phases.py", *args)["trees"]
+    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, str(TOOLS / "rollout_phases.py"), *args],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    evals, full, budget = (tree[f"{key}evaluations_per_start"]
+                           for key in ("", "full_", "budgeted_"))
+    assert proc.stdout.splitlines()[-1] == (
+        f"  [0] {evals:,.1f} ({full:,.1f} full, {full / evals:.1%}; "
+        f"{budget:,.1f} budgeted, {budget / evals:.1%})")
 
 
 def test_cli_phases_reports_every_phase(tmp_path):

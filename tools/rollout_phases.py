@@ -28,12 +28,17 @@ the table sums those minima over the rollouts and divides by the starts: ms
 per start, with each phase's share of their sum.
 
 The traffic, per start: the control evaluations (every sample and stage
-evaluated) and the full ones, those that run every shell, the others flying
-free.  One extra, untimed pass counts the full ones in the trace that
-``_integrate(..., trace=[])`` keeps: each rollout runs as it is, which counts
-the full evaluations, and once more with nothing flying free
-(``_free_above`` made +inf), where every evaluation is full and the states
-are the same.  With several trees every repetition runs each tree in turn,
+evaluated), the full ones, those that run every shell, the others flying
+free, and of those the budgeted ones, which a stretch of free steps runs
+with no test (``_kernels._free_steps``).  One extra, untimed pass counts the
+full ones in the trace that ``_integrate(..., trace=[])`` keeps: each
+rollout runs as it is, which counts the full evaluations, and once more with
+nothing flying free (``_free_above`` made +inf), where every evaluation is
+full and the states are the same.  The run as it is also wraps
+``_free_steps``: a stretch of N whole steps granted at sample k runs the
+stages of steps k .. k + N - 1 and the samples k + 1 .. k + N, those the run
+reached (a tree without the helper counts none).  With several trees every
+repetition runs each tree in turn,
 the order reversed every other round.  Each tree's package is loaded under
 its own module name, so the trees run side by side in one interpreter.
 
@@ -143,34 +148,67 @@ class Timers:
         return dict(spent)
 
 
+def budgeted(rec, n, stages, grants):
+    """The evaluations that the stretches ``grants``, ``(x, y, N)`` per
+    stretch in run order, ran in a rollout whose record ``rec`` holds ``n``
+    samples with ``stages`` stages per step (module docstring, "The
+    traffic").  A stalled run's last rows copy the stall sample, whose step
+    ran its stages; any other run's last sample takes no step."""
+    xs, ys = rec[:n, 1].tolist(), rec[:n, 2].tolist()
+    last = n - 1
+    while last > 0 and (xs[last - 1], ys[last - 1]) == (xs[last], ys[last]):
+        last -= 1
+    stepped = last if last < n - 1 else last - 1
+    total = k = 0
+    for x, y, whole in grants:
+        k = next(i for i in range(k, n) if (xs[i], ys[i]) == (x, y))
+        total += (stages * max(0, min(k + whole - 1, stepped) - k + 1)
+                  + max(0, min(k + whole, last) - k))
+    return total
+
+
 def traffic(package, integrate, scenario, cells, starts):
-    """``(evaluations, full evaluations)`` per start, untimed (module
-    docstring, "The traffic"); ``integrate`` is the tree's own
-    ``_integrate``."""
+    """``(evaluations, full evaluations, budgeted evaluations)`` per start,
+    untimed (module docstring, "The traffic"); ``integrate`` is the tree's
+    own ``_integrate``."""
     sim = importlib.import_module(package.__name__ + ".simulate")
     kern = importlib.import_module(package.__name__ + "._kernels")
     free_above, wrapped = kern._free_above, kern._integrate
-    count = [0]
+    free_steps = getattr(kern, "_free_steps", None)
+    count = [0, 0]
+    grants = []
+
+    def granted(*args):
+        whole = free_steps(*args)
+        if whole:
+            grants.append((args[0], args[1], whole))
+        return whole
 
     def traced(*args):
         trace = []
+        grants.clear()
         out = integrate(*args, trace=trace)
         count[0] += len(trace)
+        count[1] += budgeted(args[7], out[0], len(args[6]), grants)
         return out
 
     totals = []
     kern._integrate = traced
+    if free_steps is not None:
+        kern._free_steps = granted
     try:
         for nothing_free in (True, False):
             kern._free_above = (lambda model: math.inf) if nothing_free else free_above
-            count[0] = 0
+            count[:] = 0, 0
             for x0 in starts:
                 for cell in cells:
                     sim.simulate(scenario, cell.spec, cell.cfg, x0)
             totals.append(count[0] / len(starts))
     finally:
         kern._free_above, kern._integrate = free_above, wrapped
-    return tuple(totals)
+        if free_steps is not None:
+            kern._free_steps = free_steps
+    return (*totals, count[1] / len(starts))
 
 
 def workload_inputs(package, src, workload):
@@ -234,8 +272,9 @@ def main():
             "seed": args.seed, "unit": "ms per start, sum of per-rollout minima",
             "trees": [{"src": src, "phases": {p: round(v, 4) for p, v in ms.items()},
                        "total": round(sum(ms.values()), 4),
-                       "evaluations_per_start": evals, "full_evaluations_per_start": full}
-                      for src, ms, (evals, full) in zip(args.src, per_start, counts)]},
+                       "evaluations_per_start": evals, "full_evaluations_per_start": full,
+                       "budgeted_evaluations_per_start": budget}
+                      for src, ms, (evals, full, budget) in zip(args.src, per_start, counts)]},
             indent=1))
         return
     print(f"{args.workload}, seed {args.seed}: {len(starts)} starts x {len(trees[0][2])} cells, "
@@ -248,9 +287,11 @@ def main():
         print(f"{p:<18}" + "".join(f"{ms[p]:>10.3f} ({ms[p] / s:5.1%})"
                                    for ms, s in zip(per_start, sums)))
     print(f"{'total':<18}" + "".join(f"{s:>10.3f} {'':>7}" for s in sums))
-    print("evaluations per start (full, running every shell):")
-    for i, (evals, full) in enumerate(counts):
-        print(f"  [{i}] {evals:,.1f} ({full:,.1f} full, {full / evals:.1%})")
+    print("evaluations per start (full, running every shell; budgeted, in a stretch of "
+          "free steps):")
+    for i, (evals, full, budget) in enumerate(counts):
+        print(f"  [{i}] {evals:,.1f} ({full:,.1f} full, {full / evals:.1%}; "
+              f"{budget:,.1f} budgeted, {budget / evals:.1%})")
 
 
 if __name__ == "__main__":
