@@ -76,8 +76,8 @@ call.  The stages are unrolled, each weight a literal and each offset
 and its stall count no stage term.  The sample and every stage are
 evaluation sites, each one copy of the block :data:`_SITE` under its names:
 b, the free test (below), u_nom, and only where the state does not fly free
-the trace, the rest of the full evaluation, the count of negative
-tightenings and the domain test.  A site keeps only the lines it reads: the
+the rest of the full evaluation, the count of negative tightenings and the
+domain test.  A site keeps only the lines it reads: the
 running minimum, the count and the stall's count term only where a
 tightening may be negative (:func:`_counted`: not the zero tightening, nor
 any unfiltered shape), and each shell only the margin lines that the site
@@ -92,8 +92,12 @@ test: the sample that fills a chunk is never past n_max.  So a step iterates
 no table or shell, tests no kind and calls no controller, with the
 expressions, order and so bits of the interpreted loop that called
 ``point`` (``tests/test_kernels.py`` keeps that loop as its reference).  A
-traced shape appends the state of each full evaluation to a list, and only a
-run that asks for the trace runs one.  :func:`_free_above`, :func:`_free_r2`,
+traced shape appends ``(x, y, how)`` to a list for each evaluation, the
+sample then its stages, ``how`` one of :data:`FULL`, :data:`FREE` (by the
+ball test) and :data:`STRETCH` (in a stretch of free steps): one line at
+the head of the full evaluation, of its ``else:`` and of a stretch's branch.
+Only a run that asks for the trace runs one, and the untraced shapes hold
+none of those lines.  :func:`_free_above`, :func:`_free_r2`,
 :func:`_free_steps` and :func:`_flush` stay calls, read from the module at
 call time.
 Compiling a rollout shape costs time linear in m times its evaluation
@@ -207,6 +211,12 @@ from .scenario import _as_point, max_lambda
 REACHED_GOAL = 0
 TIMEOUT = 1
 DOMAIN_ERROR = 2
+
+# how a traced rollout made each evaluation (_integrate's ``trace``): in
+# full, free by the ball test, or in a stretch of free steps
+FULL = 0
+FREE = 1
+STRETCH = 2
 
 # _integrate writes its buffered rows into the record array once this many
 # floats are buffered: one write per ~100 rows, and a buffer of a few kB
@@ -681,7 +691,8 @@ def loop(xx, yy, model, offsets, step, n_max, goal_q, free_above, corner, rate, 
 
 # One evaluation site of the loop, the sample or a stage, at the state ({x},
 # {y}) (module docstring, "The rollout loop"); {nominal} is _NOM and _FREE,
-# {count} _COUNT where a tightening may be negative
+# {count} _COUNT where a tightening may be negative, and {trace} a traced
+# shape's entry of a full evaluation
 _SITE = _ATT + """
         ex = {x} - basex
         ey = {y} - basey
@@ -743,7 +754,7 @@ _GRANT = """
 # ends a step of it and a stage lies in one, so either takes u_nom = -b with
 # no test; the site's block goes under the else, one level deeper
 _WHOLE = """
-        if whole:{tick}
+        if whole:{tick}{trace}
             {ux} = -(k_att * {dx})
             {uy} = -(k_att * {dy})
         else:"""
@@ -791,17 +802,20 @@ def _compile_loop(weights, shape, traced):
         if unit_sigma:
             grant = _GRANT.format(stages=len(weights)) if sample else ""
             nominal = _UNIT.format(grant=grant, **names) + nominal.replace("\n", "\n    ")
-        trace = "\n            trace.append(({x}, {y}))" if traced else ""
+        trace = "\n            trace.append(({x}, {y}, {how}))" if traced else ""
+        traces = {how: trace.format(how=how, **names) for how in ("FULL", "FREE", "STRETCH")}
         # point's evaluation one level deeper: under ``if not {free}:``
         evaluation = _evaluation(name, m, gclass, filtered, False).replace("\n", "\n    ")
-        block = _SITE.format(nominal=nominal, trace=trace.format(**names), evaluation=evaluation,
+        block = _SITE.format(nominal=nominal, trace=traces["FULL"], evaluation=evaluation,
                              count=_COUNT.format(**names) if counted else "", **names)
         if sample:
             block += _KEEP.format(margins="".join(f", phi_{i}" for i in range(m)))
+        if traced:
+            block += "\n        else:" + traces["FREE"]
         if not unit_sigma:
             return block
         return _WHOLE.format(tick="\n            whole -= 1" if sample else "",
-                             **names) + block.replace("\n", "\n    ")
+                             trace=traces["STRETCH"], **names) + block.replace("\n", "\n    ")
 
     stage = site("stage")
     source = _LOOP.format(
@@ -852,10 +866,14 @@ def _integrate(x0x, x0y, model, dt, n_max, goal_tol, stages, rec, trace=None):
     rate dt * k_att is formed here.  The record, count and minimum are those
     of evaluating every shell everywhere.
 
-    ``trace``, a list, runs the traced shape of the loop, which appends the
-    state ``(x, y)`` of each full evaluation, sample or stage, in order;
-    the run is otherwise the same.  The measurement tools and the tests
-    read it; without one the loop traces nothing.
+    ``trace``, a list, runs the traced shape of the loop, which appends
+    ``(x, y, how)`` for each evaluation the run makes, in order, the sample
+    then its stages: ``how`` is :data:`FULL` where every shell was
+    evaluated, :data:`FREE` where the state flew free by the ball test and
+    :data:`STRETCH` where it lay in a stretch of free steps.  A stall's
+    skipped steps make no evaluation and leave no entry.  The run is
+    otherwise the same.  The measurement tools and the tests read it;
+    without one the loop traces nothing.
 
     The goal test takes no square root: it compares the squared distance
     with q*, the :func:`_goal_threshold` of ``goal_tol``, formed once per

@@ -100,24 +100,23 @@ def _fly_nothing_free(mp):
 
 
 def _traced(mp, trace):
-    """Makes every ``_integrate`` call append the states it evaluates in
-    full to ``trace``."""
+    """Makes every ``_integrate`` call append ``(x, y, how)`` of each
+    evaluation it makes to ``trace``."""
     integrate = _k._integrate
     mp.setattr(_k, "_integrate", lambda *args: integrate(*args, trace=trace))
 
 
 def test_rollout_states_stay_floats(monkeypatch):
     """numpy-typed start, step and tolerance are unboxed before the loop, so
-    every state the rollout evaluates is a Python float (nothing flies free,
-    so the trace holds every state)."""
+    every state the rollout evaluates is a Python float (the trace holds
+    every evaluation, free or full)."""
     trace = []
     _traced(monkeypatch, trace)
-    _fly_nothing_free(monkeypatch)
     cfg = SimConfig(dt=np.float64(0.01), t_max=0.5, goal_tolerance=np.float64(0.05))
     tr = simulate(SCENARIO, ControllerSpec("apf"), cfg, np.array([1.0, 0.2]))
     assert tr.n_samples == 51 and tr.h_min.min() < 0.4  # crossed a live shell
     assert len(trace) == 51 + 3 * 50  # RK4, every sample and stage
-    assert {(type(x), type(y)) for x, y in trace} == {(float, float)}
+    assert {(type(x), type(y)) for x, y, _ in trace} == {(float, float)}
 
 
 # A state that repeats itself under a step is a stall: the rest of the run is
@@ -126,8 +125,7 @@ def test_rollout_states_stay_floats(monkeypatch):
 
 def _rollout(model, n_max, integ, x0, dt=0.01, goal_tol=1e-3):
     """Runs ``_integrate`` (``integ`` 0 = Euler, 1 = RK4) into a fresh record;
-    returns its result, the seven base columns, the margins and the states
-    it evaluated in full."""
+    returns its result, the seven base columns, the margins and its trace."""
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     stages = ((), _k.RK4_STAGES)[integ]
     trace = []
@@ -162,7 +160,8 @@ def test_signed_zero_step_is_not_stationary():
     assert (n, status) == (6, _k.TIMEOUT)
     assert [math.copysign(1.0, y) for y in ys] == [-1.0] + [1.0] * 5
     assert set(xs.tolist()) == {1.0} and _bits(uys[:2]) == _bits([0.0, 0.0])
-    assert _bits(itertools.chain(*trace)) == _bits([1.0, -0.0])  # the second sample flew free
+    # the second sample flew free
+    assert _bits(itertools.chain(*trace)) == _bits([1.0, -0.0, _k.FULL, 1.0, 0.0, _k.FREE])
     assert _same_run(model, (1.0, -0.0), 0.01, 5, 0.0, ())[:2] == (n, status)
 
 
@@ -175,7 +174,8 @@ def test_stationary_fill_counts_every_skipped_evaluation(integ, expected):
     out, (ts, xs, ys, uxs, uys, hs, vs), phis, trace = _rollout(
         model, 40, integ, (1.0, 2.0), goal_tol=0.0)
     assert out == (41, _k.TIMEOUT, -3.0, expected)
-    assert len(trace) == (1 if integ == 0 else 4)  # only the first step is taken
+    # only the first step is taken, every evaluation of it in full
+    assert [how for *_, how in trace] == [_k.FULL] * (1 if integ == 0 else 4)
     margins = [0.0]
     _, _, hmin, _ = _BIND(model)(1.0, 2.0, margins)
     assert margins[0] < 0.0
@@ -187,11 +187,10 @@ def test_stationary_fill_counts_every_skipped_evaluation(integ, expected):
 
 def test_stalled_rollout_stops_evaluating(monkeypatch):
     """The overlap apf run stands still from step 199 on; after that step
-    the remaining 9,801 samples of its 10,001 cost no evaluation (nothing
-    flies free, so the trace counts every evaluation)."""
+    the remaining 9,801 samples of its 10,001 cost no evaluation (the trace
+    counts every evaluation, free or full)."""
     trace = []
     _traced(monkeypatch, trace)
-    _fly_nothing_free(monkeypatch)
     cfg = SimConfig(dt=0.004, t_max=40.0, goal_tolerance=0.05, integrator="rk4")
     tr = simulate(OVERLAP, ControllerSpec("apf"), cfg, [0.0, 0.1])
     assert (tr.terminal, tr.n_samples) == ("timeout", 10001)
@@ -627,16 +626,16 @@ def _capped(mp, cap):
 
 def _traced_run(model, x0, dt, n_max, stages, cap=None, goal_tol=0.05):
     """``_integrate`` (goal tolerance ``goal_tol``) with its trace kept, and
-    the free radius capped at ``cap`` if given.  Returns the run's output
-    and record and the states it evaluated in full.  Each recorded sample at
-    such a state holds the full evaluation's control, h_min and margins."""
+    the free radius capped at ``cap`` if given.  Returns the run's output,
+    record and trace.  Each recorded sample at a state the trace tags full
+    holds the full evaluation's control, h_min and margins."""
     trace = []
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             _capped(mp, cap)
         out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec, trace)
-    point, full = _BIND(model), set(trace)
+    point, full = _BIND(model), {(x, y) for x, y, how in trace if how == _k.FULL}
     for row in rec[:out[0]].tolist():
         if (row[1], row[2]) in full:
             phis = [_UNSET] * len(model[2])
@@ -647,16 +646,23 @@ def _traced_run(model, x0, dt, n_max, stages, cap=None, goal_tol=0.05):
 
 def _same_decisions(model, x0, dt, n_max, stages, cap=None, goal_tol=0.05):
     """Runs the kernel and the replay, the free radius capped at ``cap`` if
-    given: the kernel must evaluate in full exactly the states the replay
-    does.  Returns the replay, and the run's output and record."""
+    given: the kernel must make the replay's evaluations, in order, and tag
+    full exactly those the replay evaluates in full.  Returns the replay,
+    and the run's output and record."""
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             _capped(mp, cap)
         evals = _replay(model, x0, dt, n_max, stages, goal_tol)
     out, rec, trace = _traced_run(model, x0, dt, n_max, stages, cap, goal_tol)
-    assert _bits(itertools.chain(*trace)) == _bits(
-        itertools.chain(*(e.state for e in evals if e.u is None)))
+    _same_evaluations(trace, [e.state for e in evals])
+    assert [how == _k.FULL for *_, how in trace] == [e.u is None for e in evals]
     return evals, out, rec
+
+
+def _same_evaluations(trace, states):
+    """The trace's states are ``states``, ``(x, y)`` each, bit for bit."""
+    assert _bits(itertools.chain(*((x, y) for x, y, _ in trace))) == _bits(
+        itertools.chain(*states))
 
 
 def _full_run(model, x0, dt, n_max, stages, goal_tol=0.05):
@@ -844,7 +850,7 @@ def test_run_without_a_negative_tightening_returns_inf_and_zero(gamma, arena):
     x0 = (-0.4, 0.85)
     out, rec, trace = _traced_run(model, x0, 0.004, 3000, _k.RK4_STAGES)
     assert out[1] == _k.REACHED_GOAL and rec[0, 5] < 0.2
-    assert len(trace) < out[0]  # most evaluations flew free
+    assert sum(how == _k.FULL for *_, how in trace) < out[0]  # most evaluations flew free
     assert out[2:] == (math.inf, 0)
     full_out, full = _full_run(model, x0, 0.004, 3000, _k.RK4_STAGES)
     assert full_out == out
@@ -981,8 +987,8 @@ def test_free_path_needs_finite_u_nom_and_no_table():
     def free(model):
         model = _freeze(model)
         out, _, trace = _traced_run(model, (2.0, 0.0), 0.01, 1, ())
-        assert out[0] == 2
-        flies = len(trace) == 1
+        assert out[0] == 2 and trace[0][2] == _k.FULL
+        flies = trace[1][2] != _k.FULL
         assert flies == (_k._free_above(model) < math.inf)
         return flies
 
@@ -997,7 +1003,7 @@ def test_free_path_needs_finite_u_nom_and_no_table():
 
 def _table_run(model):
     """An RK4 run at dt 0.01 from (-2, 0.3) in the fig2 arena: its output,
-    record and the states it evaluated in full."""
+    record and trace."""
     rec = np.full((2001, 10), -1.0)
     trace = []
     out = _k._integrate(-2.0, 0.3, model, 0.01, 2000, 0.05, _k.RK4_STAGES, rec, trace)
@@ -1337,23 +1343,20 @@ def test_stall_tail_is_the_row_by_row_definition(tail, layout):
 
 def _classified_rollout(model, x0, dt, n_max, stages, goal_tol):
     """Runs ``_integrate`` with warnings as errors and its trace kept;
-    returns the result, the record and the row kinds: "full" for a sample
-    evaluated in full, "free" for one that flew free, "stall" past the
-    first step that repeated its state."""
+    returns the result, the record and the row kinds, read from the trace's
+    samples (every ``1 + len(stages)``-th entry): "full" for a sample
+    evaluated in full, "free" for one that flew free, by the ball test or in
+    a stretch, and "stall" for the rows past the last sample evaluated,
+    which a stall fills."""
     trace = []
     rec = np.full((n_max + 1, 7 + len(model[2])), -1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = _k._integrate(*x0, model, dt, n_max, goal_tol, stages, rec, trace)
-    full = set(trace)
-    xy = [tuple(p) for p in rec[:out[0], 1:3].tolist()]
-    kinds = []
-    for k, p in enumerate(xy):
-        if kinds and (kinds[-1] == "stall" or p == xy[k - 1]):
-            kinds.append("stall")
-        else:
-            kinds.append("full" if p in full else "free")
-    return out, rec, kinds
+    samples = trace[::1 + len(stages)][:out[0]]
+    _same_evaluations(samples, rec[:len(samples), 1:3].tolist())
+    kinds = ["full" if how == _k.FULL else "free" for *_, how in samples]
+    return out, rec, kinds + ["stall"] * (out[0] - len(samples))
 
 
 def _check_scalar_columns(model, dt, rec, n):
@@ -1572,15 +1575,13 @@ def _point_rollout(model, x0, dt, n_max, goal_tol, stages):
 
 def _free_evaluations(evals, trace):
     """The numbers of free samples and free stages: the evaluations the
-    kernel made without running every shell, given the states it evaluated
-    in full, in order (they must be a subsequence of ``evals``)."""
-    free, j = [0, 0], 0
-    for x, y, stage in evals:
-        if j < len(trace) and _bits(trace[j]) == _bits([x, y]):
-            j += 1
-        else:
+    trace does not tag full.  The trace's states must be those of
+    ``evals``, bit for bit and in order."""
+    _same_evaluations(trace, [(x, y) for x, y, _ in evals])
+    free = [0, 0]
+    for (_, _, stage), (_, _, how) in zip(evals, trace):
+        if how != _k.FULL:
             free[stage is not None] += 1
-    assert j == len(trace)
     return tuple(free)
 
 
@@ -1925,13 +1926,13 @@ def test_non_finite_control_is_the_interpreted_loops(bad, table):
     for x0 in starts:
         n, status, _, _ = _same_run(model, x0, dt, 40, 1e-3, stages)
         assert status == _k.DOMAIN_ERROR and n >= 1
-        # nothing free: the trace holds every evaluation, in order
-        trace = []
         with pytest.MonkeyPatch.context() as mp:
             _fly_nothing_free(mp)
             assert _same_run(model, x0, dt, 40, 1e-3, stages)[:2] == (n, status)
-            _k._integrate(*x0, model, dt, 40, 1e-3, stages, np.full((41, 8), -1.0), trace)
-        controls = [point(x, y, [0.0])[:2] for x, y in trace]
+        # the trace holds every evaluation, in order
+        trace = []
+        _k._integrate(*x0, model, dt, 40, 1e-3, stages, np.full((41, 8), -1.0), trace)
+        controls = [point(x, y, [0.0])[:2] for x, y, _ in trace]
         first = next(i for i, u in enumerate(controls) if not np.isfinite(u).all())
         u = controls[first][0]
         if math.isnan(u) if math.isnan(bad) else u == bad:
@@ -2023,8 +2024,10 @@ def test_traceback_shows_the_loop_template_line(helper, line, monkeypatch):
 # the unit shortcut asks _free_steps how many whole steps provably stay in
 # the base's free ball, and the loop then runs that stretch with no ball test
 # (module docstring, "Free steps").  A stretch must change no decision: the
-# record, the return and the trace are those of the run granted nothing, and
-# of the reference, which tests every evaluation.
+# record and the return are those of the run granted nothing, and of the
+# reference, which tests every evaluation, and so are the trace's states and
+# full evaluations; the trace tags a stretch's evaluations STRETCH, and the
+# run granted nothing flies them free by the ball test.
 
 _FREE_STEPS = _k._free_steps
 
@@ -2072,17 +2075,24 @@ def _inside(state, base, r2):
     return ex * ex + ey * ey < fractions.Fraction(r2)
 
 
-def _check_stretches(model, dt, stages, rec, n, stretches):
+def _check_stretches(model, dt, stages, rec, n, stretches, trace):
     """Recomputes every granted stretch with the loop's expressions: each of
     its samples must be the record's, and every sample and stage state must
     lie within the base's free radius exactly and pass the kernel's own tests
-    (the ball, and |b|^2 in (0, inf)), so it flies free without them."""
+    (the ball, and |b|^2 in (0, inf)), so it flies free without them.  The
+    trace tags the granting sample free, and stretch exactly the evaluations
+    of the stretches that the run made: those states, in order."""
     gx, gy, _, k_att = model[:4]
     step = dt / (1.0 + sum(w for _, w in stages))
     xs, ys = rec[:n, 1].tolist(), rec[:n, 2].tolist()
     row = 0
+    made = set()
     for (xx, yy), base, r2, whole in stretches:
         row = next(k for k in range(row, n) if (xs[k], ys[k]) == (xx, yy))
+        # the trace's entry of the granting sample: every earlier step's
+        # sample and stages come before it
+        at = row * (1 + len(stages))
+        assert _bits(trace[at]) == _bits([xx, yy, _k.FREE])
         states = []
         for j in range(1, whole + 1):
             kx = sx = -(k_att * (xx - gx))
@@ -2101,6 +2111,12 @@ def _check_stretches(model, dt, stages, rec, n, stretches):
             assert _q((px, py), base) < r2
             bx, by = k_att * (px - gx), k_att * (py - gy)
             assert 0.0 < bx * bx + by * by < math.inf
+        # the run may end inside the stretch, and with it the trace
+        stretch = trace[at + 1:at + 1 + len(states)]
+        assert {how for *_, how in stretch} <= {_k.STRETCH}
+        _same_evaluations(stretch, states[:len(stretch)])
+        made.update(range(at + 1, at + 1 + len(stretch)))
+    assert made == {i for i, (*_, how) in enumerate(trace) if how == _k.STRETCH}
 
 
 @st.composite
@@ -2125,9 +2141,10 @@ def _stretch_case(draw):
 def test_free_stretch_keeps_every_bit_and_stays_in_the_ball(packing, table, case):
     """Runs whose first free radius ends just inside a step's reach, for
     every unit-sigma packing and stage table: the record and return are the
-    reference's bit for bit, the full-evaluation trace is that of the run
-    granted nothing, and every state of every stretch lies in its base's
-    free radius (``_check_stretches``)."""
+    reference's bit for bit, the trace is that of the run granted nothing,
+    whose evaluations of the stretches fly free by the ball test, and every
+    state of every stretch lies in its base's free radius
+    (``_check_stretches``)."""
     shift, shells, x0, k_att, dt, steps = case
     gx, stages = 4.0 + shift, STAGE_TABLES[table]
     hmin = min(_clearances(*x0, (gx, 0.0, [(*s, 1.0) for s in shells])))
@@ -2140,9 +2157,12 @@ def test_free_stretch_keeps_every_bit_and_stays_in_the_ball(packing, table, case
     run, rec, trace, stretches = _granted(model, x0, dt, 300, stages)
     assert _bits(run) == _bits(out)
     _, rec0, trace0, _ = _granted(model, x0, dt, 300, stages, grant=0)
-    assert _bits(itertools.chain(*trace)) == _bits(itertools.chain(*trace0))
+    # granted nothing, the run makes the same evaluations, and each one of
+    # a stretch flies free by the ball test
+    assert _bits(itertools.chain(*trace0)) == _bits(itertools.chain(*(
+        (x, y, _k.FREE if how == _k.STRETCH else how) for x, y, how in trace)))
     assert rec.tobytes() == rec0.tobytes()
-    _check_stretches(model, dt, stages, rec, run[0], stretches)
+    _check_stretches(model, dt, stages, rec, run[0], stretches, trace)
     event(f"stretches: {min(len(stretches), 3)}")
 
 
@@ -2160,8 +2180,8 @@ def test_workload_stretches_stay_in_the_ball(where, spec, dt, table, arena):
     stages = STAGE_TABLES[table]
     granted = 0
     for x0 in ((-2.0, 0.3), (0.0, -1.5)):
-        out, rec, _, stretches = _granted(model, x0, dt, int(20.0 / dt), stages)
-        _check_stretches(model, dt, stages, rec, out[0], stretches)
+        out, rec, trace, stretches = _granted(model, x0, dt, int(20.0 / dt), stages)
+        _check_stretches(model, dt, stages, rec, out[0], stretches, trace)
         granted += len(stretches)
     assert granted > 0
 
@@ -2212,9 +2232,9 @@ def test_no_stretch_outside_the_lemma(case):
     out = _same_run(model, x0, dt, n_max, goal_tol, stages)
     run, rec, trace, stretches = _granted(model, x0, dt, n_max, stages, goal_tol)
     assert _bits(run) == _bits(out)
-    assert trace[0] == x0 and len(trace) < run[0] * (1 + len(stages))
+    assert _bits(trace[0]) == _bits([*x0, _k.FULL]) and trace[1 + len(stages)][2] != _k.FULL
     assert bool(stretches) == granted
-    _check_stretches(model, dt, stages, rec, run[0], stretches)
+    _check_stretches(model, dt, stages, rec, run[0], stretches, trace)
 
 
 @pytest.mark.parametrize("stages", [(), _k.RK4_STAGES], ids=["euler", "rk4"])
@@ -2246,3 +2266,66 @@ def test_loop_reads_no_dead_line(shape, counted, stages):
                       {"if phi > 0.0:"} if gclass == 1 else {"if phi > 0.0 and dd > 0.0:"})
     point = linecache.getlines(_k._compile(shape, False).__code__.co_filename)
     assert ("if gam < ming:" in [line.strip() for line in point]) == filtered
+
+
+# The trace: a traced run appends one entry (x, y, how) per evaluation it
+# makes, sample then stages, tagged FULL, FREE (by the ball test) or STRETCH
+# (in a stretch of free steps).  Its states are those of the loop that calls
+# the bound closure at every sample and stage, its full ones those of the
+# documented free rule, and its stretch ones those of the granted stretches.
+
+def _check_trace(model, x0, dt, n_max, goal_tol, stages):
+    """Runs ``_integrate`` traced, with its stretches spied on, and checks
+    its trace against ``_point_rollout``, ``_replay`` and the stretches;
+    returns the run's output and trace."""
+    ref_out, _, evals = _point_rollout(model, x0, dt, n_max, goal_tol, stages)
+    out, rec, trace, stretches = _granted(model, x0, dt, n_max, stages, goal_tol)
+    assert _bits(out) == _bits(ref_out)
+    _same_evaluations(trace, [(x, y) for x, y, _ in evals])
+    replay = _replay(model, x0, dt, n_max, stages, goal_tol)
+    _same_evaluations(trace, [e.state for e in replay])
+    assert [how == _k.FULL for *_, how in trace] == [e.u is None for e in replay]
+    _check_stretches(model, dt, stages, rec, out[0], stretches, trace)
+    return out, trace
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+@pytest.mark.parametrize("packing", PACKINGS)
+def test_trace_is_every_evaluation_in_order(packing, table):
+    """Every controller packing and stage table, on three shells in front of
+    the goal, from starts that pass them and fly free: the trace's states
+    are every evaluation of the run, in order and bit for bit; it tags full
+    exactly the evaluations the documented rule runs in full, and stretch
+    exactly those of the granted stretches."""
+    model = (4.0, 0.0, _SHELLS, 1.5, 2.0, 0.5, *packing)
+    hows = set()
+    for x0 in ((-1.0, 0.1), (0.5, -1.5)):
+        _, trace = _check_trace(model, x0, 0.02, 300, 0.05, STAGE_TABLES[table])
+        hows.update(how for *_, how in trace)
+    assert _k.FULL in hows
+    # every filtered table shape and every zero- or scaled-special shape
+    # flies free, and the grad-norm-squared sigma's free samples in stretches
+    free = _k._free_above(model) < math.inf
+    assert (_k.FREE in hows) == free
+    assert (_k.STRETCH in hows) == (free and packing[1] == 0)
+
+
+@pytest.mark.parametrize("table", list(STAGE_TABLES))
+def test_trace_of_a_stall_and_of_a_stage_domain_error(table, arena):
+    """The fig2 apf run with goal_tol 0 closes on the goal through stretches
+    until a step returns its own state, and its trace ends with that step;
+    the unfiltered stabilizer, heading through an obstacle, ends at a stage
+    whose state lies inside it (Euler, with no stage, at a sample), the
+    last entry of its trace, evaluated in full."""
+    stages = STAGE_TABLES[table]
+    unit = _k.pack_model(arena, _k.pack_controller(UNIT_SIGMA, UNIT_GAMMA))
+    (n, status, _, _), trace = _check_trace(unit, (-2.0, 0.0), 0.02, 2000, 0.0, stages)
+    assert (n, status) == (2001, _k.TIMEOUT)
+    assert len(trace) % (1 + len(stages)) == 0 and len(trace) < n * (1 + len(stages))
+    assert {how for *_, how in trace} == {_k.FULL, _k.FREE, _k.STRETCH}
+    through = (4.0, 0.0, ((2.0, 0.0, 0.5, 0.4),), 1.0, 1.0, 1.0,
+               *_k.pack_controller(UNIT_SIGMA, None))
+    (n, status, _, _), trace = _check_trace(through, (-3.0, 0.0), 0.02, 2000, 0.05, stages)
+    assert status == _k.DOMAIN_ERROR and trace[-1][2] == _k.FULL
+    assert ((len(trace) - 1) % (1 + len(stages)) > 0) == bool(stages)
+    assert {how for *_, how in trace} == {_k.FULL, _k.FREE, _k.STRETCH}

@@ -1,5 +1,6 @@
 """Barrier terms, the closed-form filter, and the combined filtered controllers."""
 
+import dataclasses
 import logging
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import apf_rcbf.rcbf as rcbf_mod
+from apf_rcbf import _kernels as _k
 from apf_rcbf import (
+    ControllerSpec,
     GammaSelector,
     InfeasibleConstraintError,
     InsideObstacleError,
@@ -16,6 +19,7 @@ from apf_rcbf import (
     RcbfTerms,
     Scenario,
     SigmaSelector,
+    SimConfig,
     apf_control,
     f_att,
     f_rep,
@@ -25,9 +29,11 @@ from apf_rcbf import (
     rho,
     safety_filter,
     sigma_value,
+    simulate,
     special_filter_control,
     u_rep,
 )
+from apf_rcbf.verify import grid_states
 from conftest import OVERLAP, shifted
 
 
@@ -200,6 +206,52 @@ def test_special_filter_equals_combined_field_controller(arena, rng):
         count += 1
         np.testing.assert_array_equal(special_filter_control(x, arena),
                                       apf_control(x, arena))
+
+
+# The family theorem: with the grad-norm-squared sigma, phi = lam |d|^2 > 0
+# on every live shell, so the correction is (fl(lam * dd) / dd) d: lam d
+# exactly where lam is a power of two, within an ulp otherwise.  U_rep is
+# linear in k_rep, so the filter with scaled_special(lam) is the potential
+# field controller of the scenario with k_rep * lam.  phi itself differs by
+# design (lam |d|^2 against |lam d|^2), and so do the margin columns.
+
+def test_scaled_special_is_apf_with_a_scaled_k_rep_on_the_grid(arena):
+    """On the 100 x 100 fig2 grid of the equivalence suite, lam 0.25, 1 and
+    8 give apf_control of the scenario with k_rep * lam bit for bit, and
+    lam 3 within 2e-15 relative, though not at every state."""
+    xs, ys = grid_states(arena, nx=100, ny=100)
+    assert xs.size == 9754
+    for lam in (0.25, 1.0, 8.0, 3.0):
+        scaled = dataclasses.replace(arena, k_rep=arena.k_rep * lam)
+        packing = _k.pack_controller(SigmaSelector.grad_norm_squared(),
+                                     GammaSelector.scaled_special(lam))
+        u = np.column_stack(_k._eval_controls(xs, ys, _k.pack_model(arena, packing)))
+        u_apf = np.array([apf_control([x, y], scaled) for x, y in zip(xs, ys)])
+        if lam != 3.0:
+            assert u.tobytes() == u_apf.tobytes()
+        else:
+            gap = np.hypot(*(u - u_apf).T) / np.hypot(*u_apf.T)
+            assert 0.0 < gap.max() <= 2e-15
+
+
+@pytest.mark.parametrize("integrator, dt", [("euler", 0.02), ("rk4", 0.004)])
+@pytest.mark.parametrize("lam", [0.25, 8.0])
+def test_scaled_special_rollout_is_apf_with_a_scaled_k_rep(arena, lam, integrator, dt):
+    """fig2 rollouts under scaled_special(lam) are the apf rollouts of the
+    scenario with k_rep * lam from the bundled start and eleven others:
+    terminal, t, x, u, h_min and V bit for bit.  So fig2's gamma2 (lam 8)
+    is apf with k_rep 8."""
+    scaled = dataclasses.replace(arena, k_rep=arena.k_rep * lam)
+    spec = ControllerSpec("generalized", sigma_sel=SigmaSelector.grad_norm_squared(),
+                          gamma_sel=GammaSelector.scaled_special(lam))
+    cfg = SimConfig(dt=dt, t_max=40.0, goal_tolerance=0.05, integrator=integrator)
+    for x0 in ((-2.0, 0.0), (-2.5, 2.5), (0.0, -1.5), (1.0, 4.0), (-1.0, 1.5), (3.0, 1.0),
+               (5.5, 5.0), (8.0, -1.0), (2.0, 2.5), (4.5, 1.0), (6.0, 2.5), (-3.0, 5.5)):
+        tr = simulate(arena, spec, cfg, x0)
+        ref = simulate(scaled, ControllerSpec("apf"), cfg, x0)
+        assert tr.terminal == ref.terminal == "reached_goal"
+        for column in ("t", "x", "u", "h_min", "V"):
+            assert getattr(tr, column).tobytes() == getattr(ref, column).tobytes()
 
 
 def test_equivalence_survives_an_overflowed_attractive_norm():
@@ -424,8 +476,6 @@ def test_every_kernel_route_refuses_an_over_bound_lambda(arena, monkeypatch):
     """The lam bound lives in ``_kernels.pack_model``, which every kernel route
     packs through, so each refuses with the same message: the single-state
     controllers, every rollout kind with a Gamma, and the grid suite."""
-    from apf_rcbf import ControllerSpec, SimConfig, simulate
-    from apf_rcbf import _kernels as _k
     from apf_rcbf.verify import equivalence_suite
 
     sigma = SigmaSelector.grad_norm_squared()
@@ -468,8 +518,6 @@ def _reference_generalized(x, scenario, sigma_sel, gamma_sel):
     F_att, sigma, the g_att rule and every F_rep evaluated a second time from
     the field formulas, each diagnostic as a ``(phi, active, correction,
     g_att, g_rep)`` tuple."""
-    from apf_rcbf import _kernels as _k
-
     u, _, _, phis = _k.control(x, scenario, _k.pack_controller(sigma_sel, gamma_sel))
     b = f_att(x, scenario)
     bb = float(b[0]) * float(b[0]) + float(b[1]) * float(b[1])

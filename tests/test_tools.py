@@ -2,9 +2,11 @@
 
 ``rollout_phases.py`` and ``cli_phases.py`` wrap private functions of the
 package by name (``_kernels._flush``, ``_fill_free``, ``_potential``,
-``_integrate``, ``_free_above``, ``_free_steps``, ``simulate._trajectory``, ``cli.main``,
-``cli.simulate`` and ``cli._write_outputs``), so renaming one breaks them;
-these runs, the smallest each script takes, notice that.
+``_integrate``, ``simulate._trajectory``, ``cli.main``, ``cli.simulate`` and
+``cli._write_outputs``), and ``rollout_phases.py`` tallies the trace of
+``_integrate`` by its tags (``_kernels.FULL``, ``FREE`` and ``STRETCH``), so
+renaming one breaks them; these runs, the smallest each script takes,
+notice that.
 """
 
 import json
@@ -41,10 +43,13 @@ def test_rollout_phases_reports_every_phase(tmp_path, workload):
     assert list(tree["phases"]) == ROLLOUT_PHASES
     assert all(math.isfinite(v) for v in tree["phases"].values())
     assert tree["total"] > 0.0
-    evals, full = tree["evaluations_per_start"], tree["full_evaluations_per_start"]
+    evals, full, free, budget = (tree[f"{key}evaluations_per_start"]
+                                 for key in ("", "full_", "free_", "budgeted_"))
     assert 0 < full < evals
-    # the stretches of free steps run a share of the free evaluations
-    assert 0 < tree["budgeted_evaluations_per_start"] <= evals - full
+    # every evaluation is full, free by the ball test or in a stretch of
+    # free steps, and the stretches run a share of the free ones
+    assert full + free + budget == evals
+    assert 0 < budget <= evals - full
 
 
 def test_rollout_phases_counts_the_budgeted_evaluations(tmp_path):

@@ -28,19 +28,16 @@ the table sums those minima over the rollouts and divides by the starts: ms
 per start, with each phase's share of their sum.
 
 The traffic, per start: the control evaluations (every sample and stage
-evaluated), the full ones, those that run every shell, the others flying
-free, and of those the budgeted ones, which a stretch of free steps runs
-with no test (``_kernels._free_steps``).  One extra, untimed pass counts the
-full ones in the trace that ``_integrate(..., trace=[])`` keeps: each
-rollout runs as it is, which counts the full evaluations, and once more with
-nothing flying free (``_free_above`` made +inf), where every evaluation is
-full and the states are the same.  The run as it is also wraps
-``_free_steps``: a stretch of N whole steps granted at sample k runs the
-stages of steps k .. k + N - 1 and the samples k + 1 .. k + N, those the run
-reached (a tree without the helper counts none).  With several trees every
-repetition runs each tree in turn,
-the order reversed every other round.  Each tree's package is loaded under
-its own module name, so the trees run side by side in one interpreter.
+evaluated) and how each was made, read from one extra, untimed pass in
+which each rollout keeps the trace of ``_integrate(..., trace=[])``: an
+entry ``(x, y, how)`` per evaluation, ``how`` one of ``_kernels.FULL`` (it
+ran every shell), ``FREE`` (it flew free by the ball test) and ``STRETCH``
+(it ran in a stretch of free steps with no test, the budgeted ones), so
+every tree must tag its trace.
+
+With several trees every repetition runs each tree in turn, the order
+reversed every other round.  Each tree's package is loaded under its own
+module name, so the trees run side by side in one interpreter.
 
 Run it from a checkout, giving one or more source trees::
 
@@ -53,12 +50,12 @@ to one CPU (``taskset -c 1``) for steadier numbers.
 """
 
 import argparse
+import collections
 import importlib
 import importlib.util
 import itertools
 import json
 import logging
-import math
 import sys
 import time
 from pathlib import Path
@@ -148,67 +145,30 @@ class Timers:
         return dict(spent)
 
 
-def budgeted(rec, n, stages, grants):
-    """The evaluations that the stretches ``grants``, ``(x, y, N)`` per
-    stretch in run order, ran in a rollout whose record ``rec`` holds ``n``
-    samples with ``stages`` stages per step (module docstring, "The
-    traffic").  A stalled run's last rows copy the stall sample, whose step
-    ran its stages; any other run's last sample takes no step."""
-    xs, ys = rec[:n, 1].tolist(), rec[:n, 2].tolist()
-    last = n - 1
-    while last > 0 and (xs[last - 1], ys[last - 1]) == (xs[last], ys[last]):
-        last -= 1
-    stepped = last if last < n - 1 else last - 1
-    total = k = 0
-    for x, y, whole in grants:
-        k = next(i for i in range(k, n) if (xs[i], ys[i]) == (x, y))
-        total += (stages * max(0, min(k + whole - 1, stepped) - k + 1)
-                  + max(0, min(k + whole, last) - k))
-    return total
-
-
 def traffic(package, integrate, scenario, cells, starts):
-    """``(evaluations, full evaluations, budgeted evaluations)`` per start,
-    untimed (module docstring, "The traffic"); ``integrate`` is the tree's
-    own ``_integrate``."""
+    """``(evaluations, full, free, budgeted)`` per start, untimed (module
+    docstring, "The traffic"): the trace's entries, then those of each tag;
+    ``integrate`` is the tree's own ``_integrate``."""
     sim = importlib.import_module(package.__name__ + ".simulate")
     kern = importlib.import_module(package.__name__ + "._kernels")
-    free_above, wrapped = kern._free_above, kern._integrate
-    free_steps = getattr(kern, "_free_steps", None)
-    count = [0, 0]
-    grants = []
-
-    def granted(*args):
-        whole = free_steps(*args)
-        if whole:
-            grants.append((args[0], args[1], whole))
-        return whole
+    wrapped = kern._integrate
+    tally = collections.Counter()
 
     def traced(*args):
         trace = []
-        grants.clear()
         out = integrate(*args, trace=trace)
-        count[0] += len(trace)
-        count[1] += budgeted(args[7], out[0], len(args[6]), grants)
+        tally.update(how for _, _, how in trace)
         return out
 
-    totals = []
     kern._integrate = traced
-    if free_steps is not None:
-        kern._free_steps = granted
     try:
-        for nothing_free in (True, False):
-            kern._free_above = (lambda model: math.inf) if nothing_free else free_above
-            count[:] = 0, 0
-            for x0 in starts:
-                for cell in cells:
-                    sim.simulate(scenario, cell.spec, cell.cfg, x0)
-            totals.append(count[0] / len(starts))
+        for x0 in starts:
+            for cell in cells:
+                sim.simulate(scenario, cell.spec, cell.cfg, x0)
     finally:
-        kern._free_above, kern._integrate = free_above, wrapped
-        if free_steps is not None:
-            kern._free_steps = free_steps
-    return (*totals, count[1] / len(starts))
+        kern._integrate = wrapped
+    return tuple(n / len(starts) for n in (
+        sum(tally.values()), tally[kern.FULL], tally[kern.FREE], tally[kern.STRETCH]))
 
 
 def workload_inputs(package, src, workload):
@@ -273,8 +233,10 @@ def main():
             "trees": [{"src": src, "phases": {p: round(v, 4) for p, v in ms.items()},
                        "total": round(sum(ms.values()), 4),
                        "evaluations_per_start": evals, "full_evaluations_per_start": full,
+                       "free_evaluations_per_start": free,
                        "budgeted_evaluations_per_start": budget}
-                      for src, ms, (evals, full, budget) in zip(args.src, per_start, counts)]},
+                      for src, ms, (evals, full, free, budget)
+                      in zip(args.src, per_start, counts)]},
             indent=1))
         return
     print(f"{args.workload}, seed {args.seed}: {len(starts)} starts x {len(trees[0][2])} cells, "
@@ -289,7 +251,7 @@ def main():
     print(f"{'total':<18}" + "".join(f"{s:>10.3f} {'':>7}" for s in sums))
     print("evaluations per start (full, running every shell; budgeted, in a stretch of "
           "free steps):")
-    for i, (evals, full, budget) in enumerate(counts):
+    for i, (evals, full, _, budget) in enumerate(counts):
         print(f"  [{i}] {evals:,.1f} ({full:,.1f} full, {full / evals:.1%}; "
               f"{budget:,.1f} budgeted, {budget / evals:.1%})")
 
