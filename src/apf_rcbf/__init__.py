@@ -53,6 +53,7 @@ __version__ = "0.1.0"
 # the numeric kernels are plain Python over numpy arrays
 BACKEND = "numpy"
 
+# the eager names, then those of the lazy modules (_LAZY)
 __all__ = [
     "BACKEND",
     "__version__",
@@ -63,19 +64,11 @@ __all__ = [
     "Obstacle", "SafeSetSample", "Scenario", "classify_safety", "load_scenario", "rho",
     "save_scenario", "scenario_from_dict", "scenario_to_dict", "scenario_violations",
     "validate_scenario",
-    # fields
-    "FieldEval", "alpha_bar", "apf_control", "attractive_field", "f_att", "f_rep",
-    "repulsive_field", "u_att", "u_rep",
-    # stabilizer
-    "ClfTerms", "SigmaSelector", "check_clf_decrease", "clf_terms", "nominal_control",
-    "sigma_value",
-    # barrier filter
-    "FilterDiagnostics", "GammaSelector", "RcbfTerms", "generalized_control", "rcbf_terms",
-    "safety_filter", "special_filter_control",
-    # QP oracle
-    "HalfSpaceConstraint", "QpSolution", "sample_feasibility_check", "solve_projection",
-    "solve_projection_many",
+    # stabilizer and tightening selectors
+    "ClfTerms", "GammaSelector", "SigmaSelector", "check_clf_decrease", "clf_terms",
+    "nominal_control", "sigma_value",
     # simulation
     "ControllerSpec", "SimConfig", "Trajectory", "TrajectoryMetrics", "metrics",
     "read_trajectory_csv", "simulate", "write_trajectory_csv",
+    *_LAZY_OWNER,
 ]

@@ -47,11 +47,11 @@ it finite too.)
 Per-state cost: one full evaluation, which evaluates every shell, comes
 from one source, :data:`_ATT` (b = F_att), :data:`_NOM` (u_nom) and
 :data:`_EVAL` with one :data:`_SHELL` per obstacle, written for a model's
-kernel shape (:func:`_shape`) at a site (:data:`_SITES`), with or without
-the ``rows`` report: the m shells are unrolled, each shell carries
-only its gamma kind's margin expressions, and the ``rows`` stores and the
-correction appear only where the shape has them, so an evaluation runs no
-loop and tests no kind.  Its expressions are those of one closure that loops
+kernel shape (:func:`_shape`) at a site (:data:`_SITES`): the m shells are
+unrolled, each shell carries only its gamma kind's margin expressions, the
+correction appears only where the shape has it, and only ``point`` holds
+the ``rows`` stores, which it always fills, so an evaluation runs no loop
+and tests no kind.  Its expressions are those of one closure that loops
 over the shells and tests every kind per call, each rounded alike, so the
 bits are too (``tests/test_kernels.py`` keeps that evaluation as its
 reference); only temporaries are inlined, and an idle shell skips the
@@ -61,8 +61,8 @@ one margin block on |d|^2 and d.u_nom.  An idle shell does not form d: it
 takes |d|^2 = 0 and a d.u_nom formed once per state from the operands a live
 shell would use, in the same order, so its margins keep their bits, NaN
 propagation included.  The correction needs |d|^2 > 0 and so skips it.
-:func:`bind` compiles the evaluation once per process, shape and report as
-the body of ``point``, whose model constants are closure cells: the door of
+:func:`bind` compiles the evaluation once per process and shape as the
+body of ``point``, whose model constants are closure cells: the door of
 :func:`control`, the grid and verify.  A rollout never calls it (below).
 Compiling a shape costs time linear in m, once per shape per process.
 
@@ -424,11 +424,11 @@ _NOM = """
 
 # The rest of the one full evaluation, after _ATT and _NOM, written at a
 # site: the smallest clearance {hmin} and tightening {ming}, and the
-# corrections added to the control.  A shape fills the slots: the rows
-# stores where it reports, and one copy of _SHELL per obstacle, each with the
-# lines of its gamma kind's margin block (_MARGINS) that the site reads and,
-# where it is filtered, the running minimum and the correction (_FILTERED).
-# So an evaluation holds no loop and tests no kind.
+# corrections added to the control.  The site's {report} stores g_att, and a
+# shape fills the other slots: one copy of _SHELL per obstacle, each with
+# the lines of its gamma kind's margin block (_MARGINS) that the site reads
+# and, where it is filtered, the running minimum and the correction
+# (_FILTERED).  So an evaluation holds no loop and tests no kind.
 _EVAL = """{report}
         {hmin} = inf{minimum}{shells}"""
 
@@ -436,8 +436,8 @@ _EVAL = """{report}
 # and idle_du, and skips the correction, which needs |d|^2 > 0 (a NaN
 # clearance fails the idle test and keeps the live branch's bits); a live
 # one forms d with fields.f_rep's expressions in its order, bitwise
-# superposition.  The site's {store} keeps the margin phi, and {inside} is
-# what a state inside the obstacle records.
+# superposition.  The site's {store} keeps the margin phi, {row} the live
+# row (d, |d|^2), and {inside} is what a state inside the obstacle records.
 _SHELL = """
         ox = {x} - cx_{i}
         oy = {y} - cy_{i}
@@ -452,10 +452,7 @@ _SHELL = """
             coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0_{i}) / dist
             dx = coef * ox
             dy = coef * oy
-            dd = dx * dx + dy * dy{rows}{live}{correct}"""
-
-_ROWS = """
-            rows[{i}] = (dx, dy, dd)"""
+            dd = dx * dx + dy * dy{row}{live}{correct}"""
 
 # The margin block of each gamma kind on |d|^2 and d.u_nom, one line for
 # the tightening gam and one for the margin phi: {dd} and {du} are 0.0 and
@@ -485,21 +482,23 @@ _FILTERED = ("""
                 {uy} += grep * dy""")
 
 # The names of each evaluation site.  ``point`` stores the margins in
-# ``phis``; a rollout's sample keeps them in locals phi_0 .. phi_{m-1},
-# which go to the record's buffer as they are, and a stage keeps none.  A
+# ``phis`` and reports into ``rows`` (bind) each live row and g_att; a
+# rollout's sample keeps the margins in locals phi_0 .. phi_{m-1}, which go
+# to the record's buffer as they are, and a stage keeps none.  A
 # rollout site's state flies free where {free} holds (_SITE), and a state
 # evaluated in full where {domain} holds ends the rollout, which records
 # nothing of it: a state inside an obstacle, or a sample whose control is
 # not finite (a free sample's, u_nom, is finite by the free test).
 _SITES = {
     "point": dict(x="x", y="y", dx="(x - gx)", dy="(y - gy)", ux="ux", uy="uy", hmin="hmin",
-                  ming="ming", store="\n            phis[{i}] = phi", inside="phis[{i}] = nan"),
+                  ming="ming", store="\n            phis[{i}] = phi", inside="phis[{i}] = nan",
+                  row="\n            rows[{i}] = (dx, dy, dd)", report="\n        rows[-1] = gatt"),
     "sample": dict(x="xx", y="yy", dx="ddx", dy="ddy", ux="ux", uy="uy", hmin="hmin",
-                   ming="mg", store="\n            phi_{i} = phi", inside="pass", free="flies",
-                   domain="hmin <= 0.0 or not (isfinite(ux) and isfinite(uy))"),
+                   ming="mg", store="\n            phi_{i} = phi", inside="pass", row="", report="",
+                   free="flies", domain="hmin <= 0.0 or not (isfinite(ux) and isfinite(uy))"),
     "stage": dict(x="px", y="py", dx="(px - gx)", dy="(py - gy)", ux="kx", uy="ky",
-                  hmin="hk", ming="mgk", store="", inside="pass", free="free",
-                  domain="hk <= 0.0"),
+                  hmin="hk", ming="mgk", store="", inside="pass", row="", report="",
+                  free="free", domain="hk <= 0.0"),
 }
 
 
@@ -510,14 +509,13 @@ def _nominal(site, unit_sigma):
     return _NOM.format(gatt=_GATT[unit_sigma].format(**names), **names)
 
 
-def _evaluation(site, m, gclass, filtered, report):
+def _evaluation(site, m, gclass, filtered):
     """The source of :data:`_EVAL` for ``m`` shells of the gamma class
-    ``gclass``, ``filtered`` or not, with the ``rows`` stores if ``report``,
-    at ``site``, indented as ``point``'s body.  A rollout site keeps the
-    running minimum only where a tightening may be negative
-    (:func:`_counted`), and a shell only the margin lines it reads: phi where
-    the site stores it or the shell corrects, gam where the minimum or a
-    kept phi reads it, and phi again where a kept gam does."""
+    ``gclass``, ``filtered`` or not, at ``site``, indented as ``point``'s
+    body.  A rollout site keeps the running minimum only where a tightening
+    may be negative (:func:`_counted`), and a shell only the margin lines it
+    reads: phi where the site stores it or the shell corrects, gam where the
+    minimum or a kept phi reads it, and phi again where a kept gam does."""
     names = _SITES[site]
     minimum = filtered and (site == "point" or _counted(gclass, filtered))
     lines = _MARGINS[gclass]
@@ -535,10 +533,8 @@ def _evaluation(site, m, gclass, filtered, report):
     # {i} passes through the site's names and is filled per shell
     shell = _SHELL.format(i="{i}", idle=margins("0.0", "idle_du", False),
                           live=margins("dd", "(dx * unx + dy * uny)", filtered),
-                          correct=correct if filtered else "", rows=_ROWS if report else "",
-                          **names)
-    return _EVAL.format(report="\n        rows[-1] = gatt" if report else "",
-                        minimum=f"\n        {names['ming']} = inf" if site == "point" or minimum
+                          correct=correct if filtered else "", **names)
+    return _EVAL.format(minimum=f"\n        {names['ming']} = inf" if site == "point" or minimum
                         else "", shells="".join(shell.format(i=i) for i in range(m)), **names)
 
 
@@ -559,16 +555,16 @@ def _exec(source, name):
 
 
 @functools.cache
-def _compile(shape, report):
-    """The factory of ``point`` for a kernel shape (:func:`_shape`), with
-    the ``rows`` stores if ``report``: :data:`_POINT` with its slots filled,
+def _compile(shape):
+    """The factory of ``point`` for a kernel shape (:func:`_shape`):
+    :data:`_POINT` with its slots filled, the ``rows`` stores included,
     compiled by :func:`_exec` once per process."""
     m, gclass, filtered, unit_sigma = shape
     source = _POINT.format(unpack=_unpack(m), evaluation=(
         _ATT.format(**_SITES["point"]) + _nominal("point", unit_sigma)
-        + _evaluation("point", m, gclass, filtered, report)))
+        + _evaluation("point", m, gclass, filtered)))
     return _exec(source, f"<_kernels.bind m={m} gamma={gclass} filtered={filtered} "
-                         f"rows={report} unit_sigma={unit_sigma}>")
+                         f"unit_sigma={unit_sigma}>")
 
 
 def bind(model, rows=None):
@@ -586,20 +582,22 @@ def bind(model, rows=None):
     holding the same full evaluation inline (module docstring, "The rollout
     loop").
 
-    ``rows``, an output buffer of m + 1 slots, reports the evaluation: each
-    live shell writes its row ``(dx, dy, |d|^2)``, d = F_rep, into its slot
-    and g_att = -sigma / |F_att|^2 goes into the last; other slots keep what
-    they held.  Like ``phis``, it changes nothing ``point`` returns.
+    ``point`` always fills ``rows``, an output buffer of m + 1 slots, with
+    the evaluation: each live shell writes its row ``(dx, dy, |d|^2)``, d =
+    F_rep, into its slot and g_att = -sigma / |F_att|^2 goes into the last;
+    other slots keep what they held.  Without one the factory is given a
+    scratch list of m + 1 slots, so ``rows`` selects no code.  Like
+    ``phis``, it changes nothing ``point`` returns.
 
     ``point`` is compiled from the one template :data:`_POINT`, its body
     one full evaluation, by :func:`_compile` once per process for each
-    kernel shape (:func:`_shape`) and ``rows is not None``; the factory
-    unpacks ``model`` into closure cells (module docstring, "Per-state
-    cost").  Its expressions are those of one loop over the shells that
-    tests every kind per call, ``1.0 / rho0`` included, so a bind computes
-    nothing and raises only where unpacking the model does.
+    kernel shape (:func:`_shape`); the factory unpacks ``model`` into
+    closure cells (module docstring, "Per-state cost").  Its expressions
+    are those of one loop over the shells that tests every kind per call,
+    ``1.0 / rho0`` included, so a bind computes nothing and raises only
+    where unpacking the model does.
     """
-    return _compile(_shape(model), rows is not None)(model, rows)
+    return _compile(_shape(model))(model, [None] * (len(model[2]) + 1) if rows is None else rows)
 
 
 def _eval_controls(xs, ys, model):
@@ -805,7 +803,7 @@ def _compile_loop(weights, shape, traced):
         trace = "\n            trace.append(({x}, {y}, {how}))" if traced else ""
         traces = {how: trace.format(how=how, **names) for how in ("FULL", "FREE", "STRETCH")}
         # point's evaluation one level deeper: under ``if not {free}:``
-        evaluation = _evaluation(name, m, gclass, filtered, False).replace("\n", "\n    ")
+        evaluation = _evaluation(name, m, gclass, filtered).replace("\n", "\n    ")
         block = _SITE.format(nominal=nominal, trace=traces["FULL"], evaluation=evaluation,
                              count=_COUNT.format(**names) if counted else "", **names)
         if sample:

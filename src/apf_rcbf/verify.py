@@ -67,10 +67,16 @@ def equivalence_suite(scenario: Scenario, nx=200, ny=200) -> SuiteResult:
     equivalence filter and the generalized controller with the unit
     scaled-special tightening are the same packing, ``UNIT_PACKING``, so the
     kernel runs once and its gap is reported on both of their lines.
+    ``ValueError`` where the grid keeps no state, as where the obstacles
+    cover :data:`DEFAULT_BOUNDS`: a gap over no state would pass vacuously.
     """
     t0 = time.perf_counter()
     (x_lo, x_hi), (y_lo, y_hi) = DEFAULT_BOUNDS
     xs, ys = grid_states(scenario, nx=nx, ny=ny)
+    if not xs.size:
+        raise ValueError(
+            f"no grid state kept: every state of the {nx}x{ny} grid lies inside an obstacle "
+            f"or within {EXCLUSION_BAND:g} of a surface, an influence boundary or the goal")
     u_apf = np.array([apf_control(x, scenario) for x in np.column_stack([xs, ys])])
     aux, auy = u_apf.reshape(-1, 2).T
     ux, uy = _k._eval_controls(xs, ys, _k.pack_model(scenario, UNIT_PACKING))

@@ -471,8 +471,9 @@ def _spy_cache(monkeypatch, name, compiled):
 
 
 def test_binding_a_shape_twice_compiles_it_once(monkeypatch):
-    """``point`` is compiled per kernel shape ``(m, gamma class, filtered,
-    skind == 0)`` and whether rows are reported."""
+    """``point`` is compiled once per kernel shape ``(m, gamma class,
+    filtered, skind == 0)``; it always fills ``rows``, so a caller's buffer
+    selects no other ``point``."""
     compiled = []
     _spy_cache(monkeypatch, "_compile", compiled)
     model = _k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[2], GAMMAS[1]))
@@ -480,15 +481,15 @@ def test_binding_a_shape_twice_compiles_it_once(monkeypatch):
     for _ in range(2):
         _k.bind(model)
         _k.bind(shifted_model)
-    assert compiled == [((2, 1, True, False), False)]
+    assert compiled == [((2, 1, True, False),)]
     _k.bind(model, [None] * 3)
     _k.bind(_k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[0], None)))
-    assert compiled[1:] == [((2, 1, True, False), True), ((2, 0, False, True), False)]
+    assert compiled[1:] == [((2, 0, False, True),)]
     # a gkind other than 0 and 1 runs as the table, with the table's point
     table = _k.pack_model(SCENARIO, _k.pack_controller(SIGMAS[2], GAMMAS[2]))
     _k.bind(table)
     _k.bind((*table[:11], 3, *table[12:]))
-    assert compiled[3:] == [((2, 2, True, False), False)]
+    assert compiled[2:] == [((2, 2, True, False),)]
 
 
 # the real binder and free radius, for spies that wrap them while patched
@@ -2264,7 +2265,7 @@ def test_loop_reads_no_dead_line(shape, counted, stages):
     guards = {line for line in lines if line.startswith("if phi > 0.0")}
     assert guards == (set() if not filtered else
                       {"if phi > 0.0:"} if gclass == 1 else {"if phi > 0.0 and dd > 0.0:"})
-    point = linecache.getlines(_k._compile(shape, False).__code__.co_filename)
+    point = linecache.getlines(_k._compile(shape).__code__.co_filename)
     assert ("if gam < ming:" in [line.strip() for line in point]) == filtered
 
 

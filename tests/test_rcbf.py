@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import apf_rcbf.rcbf as rcbf_mod
 from apf_rcbf import _kernels as _k
@@ -28,6 +30,7 @@ from apf_rcbf import (
     rcbf_terms,
     rho,
     safety_filter,
+    scenario_violations,
     sigma_value,
     simulate,
     special_filter_control,
@@ -252,6 +255,57 @@ def test_scaled_special_rollout_is_apf_with_a_scaled_k_rep(arena, lam, integrato
         assert tr.terminal == ref.terminal == "reached_goal"
         for column in ("t", "x", "u", "h_min", "V"):
             assert getattr(tr, column).tobytes() == getattr(ref, column).tobytes()
+
+
+@st.composite
+def _family_case(draw):
+    """A valid arena of one to three obstacles, radius 0.2-1, rho0 0.1-1
+    and gains 0.5-2, and states outside every obstacle, every other one
+    drawn inside a shell.  States where |F_att|^2 is 0 (the goal, or within
+    about 1e-154 of it) are left out: the filter takes g_att = 0 there, so
+    its control is +0 where apf_control's is -F_att."""
+    coords = st.floats(-3.0, 3.0)
+    gains = st.floats(0.5, 2.0)
+    obstacles = [Obstacle([draw(coords), draw(coords)], draw(st.floats(0.2, 1.0)),
+                          draw(st.floats(0.1, 1.0))) for _ in range(draw(st.integers(1, 3)))]
+    goal = [draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))]
+    arena = Scenario(goal=goal, obstacles=obstacles, k_att=draw(gains), k_rep=draw(gains),
+                     alpha_gain=draw(gains))
+    assume(not scenario_violations(arena))
+    states = []
+    for k in range(8):
+        if k % 2:
+            states.append([draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0))])
+            continue
+        obs = draw(st.sampled_from(obstacles))
+        s = obs.radius + draw(st.floats(0.0, obs.rho0, exclude_min=True, exclude_max=True))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        states.append([obs.center[0] + s * math.cos(angle), obs.center[1] + s * math.sin(angle)])
+    return arena, [x for x in states if sum(f * f for f in f_att(x, arena).tolist()) > 0.0
+                   and all(rho(x, obs) > 0.0 for obs in obstacles)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_case())
+def test_scaled_special_is_apf_with_a_scaled_k_rep_on_any_arena(case):
+    """On any valid arena, scaled_special(lam) with the grad-norm-squared
+    sigma gives apf_control of the arena with k_rep * lam: bit for bit for
+    the powers of two, and within 2e-15 of |F_att| + sum lam |F_rep| for
+    lam 0.7, 3 and 5.5."""
+    arena, states = case
+    rcbf_mod._warned_negative_gamma.clear()  # per example, as the fixture per test
+    for lam in (0.25, 0.5, 1.0, 2.0, 8.0, 0.7, 3.0, 5.5):
+        scaled = dataclasses.replace(arena, k_rep=arena.k_rep * lam)
+        gamma = GammaSelector.scaled_special(lam)
+        for x in states:
+            u, _ = generalized_control(x, arena, SigmaSelector.grad_norm_squared(), gamma)
+            u_apf = apf_control(x, scaled)
+            if math.frexp(lam)[0] == 0.5:
+                assert u.tobytes() == u_apf.tobytes(), (lam, x)
+            else:
+                scale = np.hypot(*f_att(x, arena)) + lam * sum(
+                    np.hypot(*f_rep(x, obs, arena)) for obs in arena.obstacles)
+                assert np.hypot(*(u - u_apf)) <= 2e-15 * scale, (lam, x)
 
 
 def test_equivalence_survives_an_overflowed_attractive_norm():

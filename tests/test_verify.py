@@ -15,7 +15,7 @@ import pytest
 
 import apf_rcbf
 import apf_rcbf.verify
-from apf_rcbf import Obstacle, Scenario, _kernels as _k, validate_scenario
+from apf_rcbf import Obstacle, Scenario, _kernels as _k, cli, validate_scenario
 from apf_rcbf.verify import EXCLUSION_BAND, equivalence_suite, gradient_states, gradient_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -129,3 +129,22 @@ def test_gradient_states_refuse_a_covered_box():
     validate_scenario(covered)
     with pytest.raises(ValueError, match="no gradient state found: 10000 random states"):
         gradient_states(covered, 10, np.random.default_rng(0))
+
+
+def test_equivalence_suite_refuses_a_covered_box(tmp_path, capsys):
+    """An obstacle that covers the whole box leaves the grid no state: the
+    suite raises instead of passing on a gap over no state, and ``apf-rcbf
+    verify --suite equivalence`` prints one ``error:`` line and exits 2."""
+    covered = Scenario(goal=[100.0, 0.0], obstacles=(Obstacle([3.0, 2.0], 20.0, 0.5),))
+    validate_scenario(covered)
+    with pytest.raises(ValueError, match="no grid state kept: every state of the 200x200 grid"):
+        equivalence_suite(covered)
+    apf_rcbf.save_scenario(covered, tmp_path / "scen.json")
+    config = {"scenario_path": "scen.json", "controllers": [{"name": "pure", "kind": "apf"}],
+              "sim": {"dt": 0.01, "t_max": 1.0, "goal_tolerance": 0.05, "integrator": "rk4"},
+              "x0": [-30.0, 0.0]}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert cli.main(["verify", str(tmp_path / "cfg.json"), "--suite", "equivalence"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1)
+    assert err.startswith("error: no grid state kept: ")
