@@ -71,14 +71,15 @@ template, :data:`_LOOP`, compiled once per process for each stage table,
 kernel shape and trace flag, the stage weights taken as their
 ``repr(float(w))`` literals (so an int weight shares its float's loop and
 -0.0 does not share 0.0's).  The model is unpacked into locals once per
-call.  The stages are unrolled, each weight a literal and each offset
-``c * dt`` a local formed once per call; Euler has no stage bookkeeping
-and its stall count no stage term.  The sample and every stage are
-evaluation sites, each one copy of the block :data:`_SITE` under its names:
-b, the free test (below), u_nom, and only where the state does not fly free
-the rest of the full evaluation, the count of negative tightenings and the
-domain test.  A site keeps only the lines it reads: the
-running minimum, the count and the stall's count term only where a
+call, with the values fixed for the call (below, "A note on arithmetic").
+The stages are unrolled, each weight a literal (a unit weight none) and
+each offset ``c * dt`` a local formed once per call; Euler has no stage
+bookkeeping and its stall count no stage term.  The sample and every stage
+are evaluation sites, each one copy of the block :data:`_SITE` under its
+names: b, the free test (below), u_nom, and only where the state does not
+fly free the rest of the full evaluation, the count of negative tightenings
+and the domain test.  A site keeps only the lines it reads: the running
+minimum, the count and the stall's count term only where a
 tightening may be negative (:func:`_counted`: not the zero tightening, nor
 any unfiltered shape), and each shell only the margin lines that the site
 stores, the correction or the minimum reads (a stage stores no margin).
@@ -154,8 +155,9 @@ linear law u = -k_att (x - g), so a free stretch runs straight at the goal.
 A sample that flies free by the -b shortcut asks :func:`_free_steps` for N,
 the whole steps from it that provably fly free, and the loop runs them with
 no test: the counter ``whole`` at each sample and one ``if whole:`` per
-stage, which takes -(k_att * (p - g)), the bits of the -b the test would
-have given.  The lemma: let a = dt k_att be in (0, 1/2] and every stage of
+stage, which takes nk * (p - g), nk = -k_att, bitwise -(k_att * (p - g))
+("A note on arithmetic"), the bits of the -b the test would have given.
+The lemma: let a = dt k_att be in (0, 1/2] and every stage of
 the table have c in [0, 1] and w >= 0.  In exact arithmetic a stage state
 of a step from x is g + l (x - g) with l = 1 - c a l' in [1/2, 1] (l' the
 previous stage's, 1 for the first), and the next sample g + m (x - g) with
@@ -193,6 +195,21 @@ cancelling form numerically loses ~9 digits where the repulsive gradient is
 large, while the closed form keeps the filtered controller *bitwise* equal to
 the superposition controller for ``lam = 1``.  Do not "simplify" this back to
 the definition.
+
+No evaluation or step of a compiled source forms a value that is fixed for
+the whole call: :data:`_HOISTED`'s locals are formed once, at the unpack,
+and only in the sources that read them.  Each rewrite keeps the bits of the
+expression it replaces, because rounding to nearest is symmetric in sign:
+fl((-a) * b) = -fl(a * b) and fl((-a) / b) = -fl(a / b), signed zeros,
+subnormals and infinities included.  So a stretch's control is ``nk * d``
+with ``nk = -k_att`` for ``-(k_att * d)``, and a live shell's coefficient
+``nkr / (rho * rho) * ...`` with ``nkr = -k_rep`` for ``-(k_rep / (rho *
+rho)) * ...``.  A class-1 idle shell's margin is ``glam0 = glam * 0.0``,
+the same product formed once, and a unit stage weight adds the slope
+itself, since 1.0 * x is x.  Only a NaN result, whose sign IEEE 754 leaves
+open, may come out with another sign bit; neither form fixes it, a stretch
+(finite k_att and d) never forms one, and a rollout records no state whose
+clearance is NaN.
 """
 
 from __future__ import annotations
@@ -381,15 +398,23 @@ def _goal_threshold(goal_tol):
 
 
 # The model's constants and the helpers a full evaluation reads, bound once:
-# bind's factory and _integrate's loop open with it
+# bind's factory and _integrate's loop open with it, {hoisted} holding the
+# lines of _HOISTED that the source reads
 _UNPACK = """
     (gx, gy, obstacles, k_att, k_rep, alpha_gain,
-     ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model{obstacles}
+     ckind, skind, scoef, stx, sty, gkind, glam, gtx, gty) = model{obstacles}{hoisted}
     sqrt = math.sqrt
     inf = math.inf
     nan = math.nan
     interp = np.interp
     sigma = _sigma_value"""
+
+# Values fixed for a whole call, formed once at the unpack of a source that
+# reads them (_unpack), each bitwise the expression it replaces (module
+# docstring, "A note on arithmetic"): a stretch's control nk * d, a live
+# shell's coefficient nkr / (rho * rho) * ..., and a class-1 idle shell's
+# margin
+_HOISTED = {"nk": "nk = -k_att", "nkr": "nkr = -k_rep", "glam0": "glam0 = glam * 0.0"}
 
 # The controller's door: bind compiles it once per shape into a factory,
 # which unpacks a model into closure cells and returns ``point``, whose body
@@ -449,18 +474,19 @@ _SHELL = """
             {inside}
         elif rho >= rho0_{i}:{idle}
         else:
-            coef = -(k_rep / (rho * rho)) * (1.0 / rho - 1.0 / rho0_{i}) / dist
+            coef = nkr / (rho * rho) * (1.0 / rho - 1.0 / rho0_{i}) / dist
             dx = coef * ox
             dy = coef * oy
             dd = dx * dx + dy * dy{row}{live}{correct}"""
 
 # The margin block of each gamma kind on |d|^2 and d.u_nom, one line for
-# the tightening gam and one for the margin phi: {dd} and {du} are 0.0 and
-# idle_du on an idle shell, dd and its product on a live one.  Kind 1,
-# scaled-special, takes phi = lam * D in closed form (module docstring, "A
-# note on arithmetic"); a kind other than 0 and 1 is the table.
+# the tightening gam and one for the margin phi: {du} is idle_du on an idle
+# shell and d.u_nom on a live one, {lam_dd} lam * |d|^2, glam0 (glam * 0.0)
+# on an idle shell and glam * dd on a live one.  Kind 1, scaled-special,
+# takes phi = lam * D in closed form (module docstring, "A note on
+# arithmetic"); a kind other than 0 and 1 is the table.
 _MARGINS = {
-    1: dict(phi="phi = glam * {dd}", gam="gam = phi + alpha_gain * rho - {du}"),
+    1: dict(phi="phi = {lam_dd}", gam="gam = phi + alpha_gain * rho - {du}"),
     0: dict(gam="gam = 0.0", phi="phi = -(alpha_gain * rho) + {du}"),
     2: dict(gam="gam = float(interp(rho, gtx, gty))",
             phi="phi = (-(alpha_gain * rho) + gam) + {du}"),
@@ -520,28 +546,35 @@ def _evaluation(site, m, gclass, filtered):
     minimum = filtered and (site == "point" or _counted(gclass, filtered))
     lines = _MARGINS[gclass]
 
-    def margins(dd, du, corrects):
+    def margins(lam_dd, du, corrects):
         phi = bool(names["store"]) or corrects
         gam = minimum or (gclass == 2 and phi)
         phi = phi or (gclass == 1 and gam)
         block = "".join(f"\n            {line}" for name, line in lines.items()
                         if (phi if name == "phi" else gam))
         block += _FILTERED[0] if minimum else ""
-        return (block.format(dd=dd, du=du, **names) + names["store"]) or "\n            pass"
+        block = block.format(lam_dd=lam_dd, du=du, **names)
+        return (block + names["store"]) or "\n            pass"
 
     correct = _FILTERED[1].format(dd="" if gclass == 1 else " and dd > 0.0", **names)
     # {i} passes through the site's names and is filled per shell
-    shell = _SHELL.format(i="{i}", idle=margins("0.0", "idle_du", False),
-                          live=margins("dd", "(dx * unx + dy * uny)", filtered),
+    shell = _SHELL.format(i="{i}", idle=margins("glam0", "idle_du", False),
+                          live=margins("glam * dd", "(dx * unx + dy * uny)", filtered),
                           correct=correct if filtered else "", **names)
     return _EVAL.format(minimum=f"\n        {names['ming']} = inf" if site == "point" or minimum
                         else "", shells="".join(shell.format(i=i) for i in range(m)), **names)
 
 
-def _unpack(m):
-    """The source of :data:`_UNPACK` for a model of ``m`` obstacles."""
+def _unpack(m, gclass, stretches):
+    """The source of :data:`_UNPACK` for a model of ``m`` obstacles of the
+    gamma class ``gclass``, in a source with ``stretches`` of free steps or
+    not, with the lines of :data:`_HOISTED` that the source reads: nk in a
+    stretch, nkr in a live shell and glam0 in an idle scaled-special shell,
+    whose margin ``point`` and the sample store."""
     cells = ", ".join(f"(cx_{i}, cy_{i}, r_{i}, rho0_{i})" for i in range(m))
-    return _UNPACK.format(obstacles=f"\n    ({cells},) = obstacles" if m else "")
+    reads = {"nk": stretches, "nkr": m > 0, "glam0": m > 0 and gclass == 1}
+    return _UNPACK.format(obstacles=f"\n    ({cells},) = obstacles" if m else "", hoisted="".join(
+        f"\n    {line}" for name, line in _HOISTED.items() if reads[name]))
 
 
 def _exec(source, name):
@@ -560,7 +593,7 @@ def _compile(shape):
     :data:`_POINT` with its slots filled, the ``rows`` stores included,
     compiled by :func:`_exec` once per process."""
     m, gclass, filtered, unit_sigma = shape
-    source = _POINT.format(unpack=_unpack(m), evaluation=(
+    source = _POINT.format(unpack=_unpack(m, gclass, False), evaluation=(
         _ATT.format(**_SITES["point"]) + _nominal("point", unit_sigma)
         + _evaluation("point", m, gclass, filtered)))
     return _exec(source, f"<_kernels.bind m={m} gamma={gclass} filtered={filtered} "
@@ -594,8 +627,9 @@ def bind(model, rows=None):
     kernel shape (:func:`_shape`); the factory unpacks ``model`` into
     closure cells (module docstring, "Per-state cost").  Its expressions
     are those of one loop over the shells that tests every kind per call,
-    ``1.0 / rho0`` included, so a bind computes nothing and raises only
-    where unpacking the model does.
+    ``1.0 / rho0`` included, so a bind computes at most -k_rep and glam *
+    0.0, the :data:`_HOISTED` cells ``point`` reads (module docstring, "A
+    note on arithmetic"), and raises only where unpacking the model does.
     """
     return _compile(_shape(model))(model, [None] * (len(model[2]) + 1) if rows is None else rows)
 
@@ -753,13 +787,15 @@ _GRANT = """
 # no test; the site's block goes under the else, one level deeper
 _WHOLE = """
         if whole:{tick}{trace}
-            {ux} = -(k_att * {dx})
-            {uy} = -(k_att * {dy})
+            {ux} = nk * {dx}
+            {uy} = nk * {dy}
         else:"""
 
 # the stages after the first: kx, ky the last slope, sx, sy the weighted
-# slopes summed left to right (k1 + 2 k2 + 2 k3 + k4 for RK4); (c * dt) * kx
-# is how ``xx + c * dt * kx`` groups, so the stage states keep their bits
+# slopes summed left to right (k1 + 2 k2 + 2 k3 + k4 for RK4), {w} the
+# weight's factor, none for a unit weight (1.0 * k is k, bit for bit);
+# (c * dt) * kx is how ``xx + c * dt * kx`` groups, so the stage states keep
+# their bits
 _SLOPES = """
         kx = sx = ux
         ky = sy = uy"""
@@ -767,8 +803,8 @@ _SLOPES = """
 _STAGE = """
         px = xx + h{j} * kx
         py = yy + h{j} * ky{site}
-        sx = sx + {w} * kx
-        sy = sy + {w} * ky"""
+        sx = sx + {w}kx
+        sy = sy + {w}ky"""
 
 # stationary: each skipped step evaluates its sample (counted only if it was
 # full: a free one's tightening is never negative), and every one but the
@@ -817,11 +853,12 @@ def _compile_loop(weights, shape, traced):
 
     stage = site("stage")
     source = _LOOP.format(
-        unpack=_unpack(m), offsets=", ".join(f"h{j}" for j in range(len(weights))),
+        unpack=_unpack(m, gclass, unit_sigma),
+        offsets=", ".join(f"h{j}" for j in range(len(weights))),
         stretch=_STRETCH if unit_sigma else "", sample=site("sample"),
-        stages=(("\n        neg_before = negcount" if counted else "") + _SLOPES
-                + "".join(_STAGE.format(j=j, w=w, site=stage) for j, w in enumerate(weights)))
-        if weights else "",
+        stages=(("\n        neg_before = negcount" if counted else "") + _SLOPES + "".join(
+            _STAGE.format(j=j, w="" if w == "1.0" else f"{w} * ", site=stage)
+            for j, w in enumerate(weights))) if weights else "",
         sx="sx" if weights else "ux", sy="sy" if weights else "uy",
         stall=_STALL.format(stages=" + (rest - 1) * (negcount - neg_before)" if weights else "")
         if counted else "")

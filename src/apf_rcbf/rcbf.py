@@ -157,7 +157,12 @@ def special_filter_control(x, scenario: Scenario) -> np.ndarray:
 
     Equals the combined potential-field controller at every state outside the
     obstacles: -F_att where no obstacle is active, -F_att - sum F_rep_i
-    otherwise.
+    otherwise; but for the ball round the goal where |F_att|^2 underflows to
+    0, each coordinate of k_att (x - goal) below about 1.6e-162 in size
+    (the goal included).  There g_att is 0, so the control is a zero, of the
+    signs of 0 * F_att, where the potential-field controller gives -F_att:
+    with the goal at (4.5e-263, 0), (-0, 0) at the origin against
+    (4.5e-263, -0), and (0, 0) at the goal against (-0, -0).
     """
     u, _, ming, _ = _k.control(x, scenario, UNIT_PACKING)
     if ming < 0.0:

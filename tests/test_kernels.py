@@ -14,6 +14,7 @@ import functools
 import itertools
 import linecache
 import math
+import re
 import struct
 import sys
 import traceback
@@ -2267,6 +2268,71 @@ def test_loop_reads_no_dead_line(shape, counted, stages):
                       {"if phi > 0.0:"} if gclass == 1 else {"if phi > 0.0 and dd > 0.0:"})
     point = linecache.getlines(_k._compile(shape).__code__.co_filename)
     assert ("if gam < ming:" in [line.strip() for line in point]) == filtered
+
+
+# what a generated source would form per evaluation or step if it did not
+# take the loop invariants out: -k_att and -k_rep, glam * 0.0 and the
+# product with a unit stage weight
+_INVARIANTS = ("-(k_att *", "-(k_rep /", "+ 1.0 * k", "glam * 0.0")
+
+
+@pytest.mark.parametrize("table", ["euler", "rk4", "heun", "int3"])
+def test_sources_form_no_loop_invariant(table):
+    """No generated loop, traced or not, or ``point`` forms a value fixed
+    for the whole call: nk = -k_att, nkr = -k_rep and glam0 = glam * 0.0 are
+    formed once, at the unpack, each only in the shapes that read it (nk in
+    a loop with stretches, nkr wherever there is a shell, glam0 wherever a
+    scaled-special shell can be idle), and a unit stage weight multiplies
+    nothing."""
+    weights = tuple(repr(float(w)) for _, w in STAGE_TABLES[table])
+    hoisted = set(_k._HOISTED.values())
+    for m, gclass, filtered, unit_sigma in itertools.product((0, 2), (0, 1, 2), (True, False),
+                                                            (True, False)):
+        shape = (m, gclass, filtered, unit_sigma)
+        for function, loop in ((_k._compile_loop(weights, shape, False), True),
+                               (_k._compile_loop(weights, shape, True), True),
+                               (_k._compile(shape), False)):
+            wants = {"nk": loop and unit_sigma, "nkr": m > 0, "glam0": m > 0 and gclass == 1}
+            lines = [line.strip() for line in linecache.getlines(function.__code__.co_filename)]
+            body = [line for line in lines if line not in hoisted]
+            assert not [line for line in body if any(old in line for old in _INVARIANTS)]
+            defined = {name for name, line in _k._HOISTED.items() if line in lines}
+            reads = {name for name in _k._HOISTED
+                     if any(re.search(rf"\b{name}\b", line) for line in body)}
+            assert defined == reads == {name for name, want in wants.items() if want}
+            assert all(lines.count(_k._HOISTED[name]) == 1 for name in defined)
+            if loop:
+                assert ("sx = sx + kx" in lines) == ("1.0" in weights)
+
+
+# every non-NaN double, with the edges drawn often: zeros of both signs, the
+# smallest subnormals and normals, the largest finite order and infinities
+_doubles = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022,
+                                      -(2.0 ** -1022), 1.7e308, math.inf, -math.inf)),
+                     st.floats(allow_nan=False))
+
+
+def _same_or_nan(a, b):
+    """The same bits, or both NaN: IEEE 754 leaves the sign of a NaN result
+    open, and neither source form fixes it."""
+    return _bits([a]) == _bits([b]) or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_doubles, _doubles, _doubles)
+@example(1.5, 5e-324, 2.0)
+@example(5e-324, 0.5, -0.0)
+@example(-0.0, math.inf, 1.0)
+def test_invariant_rewrites_keep_every_bit(a, b, c):
+    """On non-NaN doubles: (-a) * b is -(a * b) (a stretch's control),
+    (-a) / b * c is -(a / b) * c (a live shell's coefficient) and c + b is
+    c + 1.0 * b (a unit stage weight), bit for bit wherever the result is
+    not NaN, and NaN where it is.  glam0 is glam * 0.0 itself, formed once."""
+    nk = -a
+    assert _same_or_nan(nk * b, -(a * b))
+    if b:  # a clearance's square is never 0, and Python refuses / 0
+        assert _same_or_nan(nk / b * c, -(a / b) * c)
+    assert _same_or_nan(c + b, c + 1.0 * b)
 
 
 # The trace: a traced run appends one entry (x, y, how) per evaluation it

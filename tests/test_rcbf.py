@@ -262,8 +262,9 @@ def _family_case(draw):
     """A valid arena of one to three obstacles, radius 0.2-1, rho0 0.1-1
     and gains 0.5-2, and states outside every obstacle, every other one
     drawn inside a shell.  States where |F_att|^2 is 0 (the goal, or within
-    about 1e-154 of it) are left out: the filter takes g_att = 0 there, so
-    its control is +0 where apf_control's is -F_att."""
+    about 1.6e-162 / k_att of it in each coordinate) are left out: the
+    filter takes g_att = 0 there, so its control is a signed zero where
+    apf_control's is -F_att."""
     coords = st.floats(-3.0, 3.0)
     gains = st.floats(0.5, 2.0)
     obstacles = [Obstacle([draw(coords), draw(coords)], draw(st.floats(0.2, 1.0)),
@@ -306,6 +307,22 @@ def test_scaled_special_is_apf_with_a_scaled_k_rep_on_any_arena(case):
                 scale = np.hypot(*f_att(x, arena)) + lam * sum(
                     np.hypot(*f_rep(x, obs, arena)) for obs in arena.obstacles)
                 assert np.hypot(*(u - u_apf)) <= 2e-15 * scale, (lam, x)
+
+
+def test_special_filter_in_the_ball_where_the_attractive_norm_underflows():
+    """Round the goal, where |F_att|^2 underflows to 0, the filter takes
+    g_att = 0 and so returns a signed zero where apf_control gives -F_att,
+    as its docstring says; pinned as it stands, every bit.  Just past the
+    ball, |F_att|^2 is a subnormal and the two agree again."""
+    s = Scenario(goal=[4.5e-263, 0.0], obstacles=(Obstacle([2.0, 1.5], 0.5, 0.4),))
+    cases = {(0.0, 0.0): ([-0.0, 0.0], [4.5e-263, -0.0]),
+             (4.5e-263, 0.0): ([0.0, 0.0], [-0.0, -0.0]),
+             (-1.5e-162, 1.5e-162): ([-0.0, 0.0], [1.5e-162, -1.5e-162])}
+    for x, (filtered, descent) in cases.items():
+        assert special_filter_control(x, s).tobytes() == np.array(filtered).tobytes(), x
+        assert apf_control(x, s).tobytes() == np.array(descent).tobytes(), x
+    x = [-1.6e-162, 0.0]
+    assert special_filter_control(x, s).tobytes() == apf_control(x, s).tobytes()
 
 
 def test_equivalence_survives_an_overflowed_attractive_norm():

@@ -6,9 +6,11 @@ package by name (``_kernels._flush``, ``_fill_free``, ``_potential``,
 ``cli._write_outputs``), and ``rollout_phases.py`` tallies the trace of
 ``_integrate`` by its tags (``_kernels.FULL``, ``FREE`` and ``STRETCH``), so
 renaming one breaks them; these runs, the smallest each script takes,
-notice that.
+notice that.  ``rollout_digest.py``'s digest of ``_kernels.bind`` is pinned.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -75,6 +77,23 @@ def test_cli_phases_reports_every_phase(tmp_path):
     assert list(tree["median"]) == CLI_PHASES
     assert all(math.isfinite(v) for v in tree["median"].values())
     assert tree["median"]["total"] > 0.0
+
+
+def test_rollout_digest_pins_the_single_state_door(monkeypatch):
+    """The third digest evaluates ``bind`` for every packing of the grid at
+    states inside obstacles, in live shells and where g_att is 0, and prints
+    its counts and digest after the rollout digests (not run here, they take
+    about 20 s); it is pinned, so a change to ``point``'s bits fails here."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import rollout_digest
+
+    monkeypatch.setattr(rollout_digest, "digest_grid", lambda *args: None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert rollout_digest.main([]) == 0
+    assert out.getvalue().splitlines()[-2:] == [
+        "bind states: 77640 (inside an obstacle 4480, with a live row 8240, g_att 0 840)",
+        "sha256 of bind: 84bdb916867bd3a70c1ce7e647a61492ded1fade0eadc45ce6c40cc6f62aee70"]
 
 
 def test_code_lines_counts_every_module(tmp_path):
